@@ -36,6 +36,9 @@ git diff --exit-code LINT_census.json \
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark package tests (an API change that breaks benchmark/ fails here)"
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo bench --no-run (bench targets must keep building)"
 cargo bench --workspace --no-run -q
 

@@ -43,7 +43,7 @@ use v10_collocate::{
     build_dataset, ClusterServeReport, ClusteringPipeline, FleetOutcome, FleetPlane, OnlinePlacer,
     PairPerfCache, RecoveryPolicy, TopologyWeights,
 };
-use v10_core::{Design, RunOptions};
+use v10_core::{Design, NullObserver, RunOptions};
 use v10_npu::{FleetTopology, NpuConfig};
 use v10_sim::{Cycles, FleetFaultKind, FleetFaultPlan};
 use v10_workloads::{MmppProcess, Model, TimedArrival};
@@ -230,6 +230,7 @@ fn serve_once(
             &opts,
             &severity.plan(),
             &RecoveryPolicy::new(),
+            &mut NullObserver,
         )
         .expect("valid faulted fleet serving run")
 }

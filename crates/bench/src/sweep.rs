@@ -122,7 +122,7 @@ pub fn sweep_pairs(cases: &[PairCase], cfg: &NpuConfig) -> Vec<PairSweep> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use v10_core::{run_design, RunOptions, WorkloadSpec};
+    use v10_core::{run_design, run_digest, RunOptions, WorkloadSpec};
     use v10_workloads::Model;
 
     #[test]
@@ -135,21 +135,6 @@ mod tests {
     }
 
     /// Every f64 a sweep can print, down to the last bit.
-    fn digest(r: &RunReport) -> Vec<u64> {
-        let mut d = vec![
-            r.elapsed_cycles().to_bits(),
-            r.sa_busy_cycles().to_bits(),
-            r.vu_busy_cycles().to_bits(),
-            r.overlap().both.to_bits(),
-        ];
-        for w in r.workloads() {
-            d.push(w.avg_latency_cycles().to_bits());
-            d.push(w.switch_overhead_cycles().to_bits());
-            d.extend(w.latencies_cycles().iter().map(|l| l.to_bits()));
-        }
-        d
-    }
-
     #[test]
     fn parallel_sweep_is_byte_identical_to_sequential() {
         let cfg = NpuConfig::table5();
@@ -173,7 +158,7 @@ mod tests {
             .collect();
         let run = |threads: usize| -> Vec<Vec<u64>> {
             parallel_map_with(threads, &work, |(d, specs)| {
-                digest(&run_design(*d, specs, &cfg, &opts).expect("validated case"))
+                run_digest(&run_design(*d, specs, &cfg, &opts).expect("validated case"))
             })
         };
         let sequential = run(1);

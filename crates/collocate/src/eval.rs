@@ -100,11 +100,6 @@ impl PairPerfCache {
         v
     }
 
-    /// Whether the cached/simulated pair clears the default threshold.
-    pub fn is_beneficial(&mut self, a: Model, b: Model) -> bool {
-        self.stp(a, b) >= BENEFIT_THRESHOLD
-    }
-
     /// Number of distinct pairs simulated so far.
     #[must_use]
     pub fn len(&self) -> usize {

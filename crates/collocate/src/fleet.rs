@@ -531,6 +531,7 @@ impl<'a> FleetPlane<'a> {
             opts,
             &FleetFaultPlan::none(),
             &RecoveryPolicy::new(),
+            &mut NullObserver,
         )
     }
 
@@ -544,46 +545,20 @@ impl<'a> FleetPlane<'a> {
     /// ([`requeued`](ClusterServeReport::requeued),
     /// [`shed`](ClusterServeReport::shed),
     /// [`retired_cores`](ClusterServeReport::retired_cores)); the
-    /// [`FleetOutcome`] carries the fault application log. With the empty
-    /// plan both are empty and the result is bit-identical to
-    /// [`serve`](Self::serve).
+    /// [`FleetOutcome`] carries the fault application log. The plane's
+    /// fault and recovery decisions — [`SimEvent::ShardCrashed`],
+    /// [`SimEvent::ShardRestored`], [`SimEvent::RegionFailed`],
+    /// [`SimEvent::TenantEvacuated`], and [`SimEvent::RequestShed`] (with
+    /// `arrival` indexing [`FleetOutcome::decisions`]) — go to `observer`
+    /// in application order. With the empty plan the ledgers are empty and
+    /// the result is bit-identical to [`serve`](Self::serve).
     ///
     /// # Errors
     ///
     /// As [`serve`](Self::serve), plus [`V10Error::InvalidArgument`] when a
     /// plan event targets a shard or HBM group the plane does not have.
-    pub fn serve_faulted(
-        &mut self,
-        arrivals: &[TimedArrival],
-        design: Design,
-        config: &NpuConfig,
-        opts: &RunOptions,
-        plan: &FleetFaultPlan,
-        policy: &RecoveryPolicy,
-    ) -> V10Result<(ClusterServeReport, FleetOutcome)> {
-        self.serve_faulted_observed(
-            arrivals,
-            design,
-            config,
-            opts,
-            plan,
-            policy,
-            &mut NullObserver,
-        )
-    }
-
-    /// [`serve_faulted`](Self::serve_faulted) emitting the plane's fault
-    /// and recovery decisions — [`SimEvent::ShardCrashed`],
-    /// [`SimEvent::ShardRestored`], [`SimEvent::RegionFailed`],
-    /// [`SimEvent::TenantEvacuated`], and [`SimEvent::RequestShed`] (with
-    /// `arrival` indexing [`FleetOutcome::decisions`]) — to `observer` in
-    /// application order.
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_faulted`](Self::serve_faulted).
     #[allow(clippy::too_many_arguments)]
-    pub fn serve_faulted_observed<O: SimObserver>(
+    pub fn serve_faulted<O: SimObserver>(
         &mut self,
         arrivals: &[TimedArrival],
         design: Design,
@@ -1383,26 +1358,16 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_fault_plan_is_bit_identical_to_plain_serve() {
+    fn plain_serve_leaves_the_fault_ledgers_empty() {
         let p = pipeline();
-        let arrivals = arrivals();
-        let opts = RunOptions::new(1).unwrap();
-        let cfg = NpuConfig::table5();
-        let (plain_report, plain_outcome) = plane(&p, 2, 1)
-            .serve(&arrivals, Design::V10Full, &cfg, &opts)
-            .unwrap();
         let (report, outcome) = plane(&p, 2, 1)
-            .serve_faulted(
-                &arrivals,
+            .serve(
+                &arrivals(),
                 Design::V10Full,
-                &cfg,
-                &opts,
-                &v10_sim::FleetFaultPlan::none(),
-                &RecoveryPolicy::new(),
+                &NpuConfig::table5(),
+                &RunOptions::new(1).unwrap(),
             )
             .unwrap();
-        assert_eq!(report, plain_report);
-        assert_eq!(outcome, plain_outcome);
         assert!(report.requeued().is_empty());
         assert!(report.shed().is_empty());
         assert!(report.retired_cores().is_empty());
@@ -1436,6 +1401,7 @@ mod tests {
                 &opts,
                 &plan,
                 &RecoveryPolicy::new(),
+                &mut NullObserver,
             )
             .unwrap();
         assert_eq!(outcome.shard_crashes(), &[(0, 0.0)]);
@@ -1470,6 +1436,7 @@ mod tests {
                 &opts,
                 &plan,
                 &policy,
+                &mut NullObserver,
             )
             .unwrap();
         assert_eq!(outcome.regions_failed(), &[(0, 8_000_000.0)]);
@@ -1530,6 +1497,7 @@ mod tests {
                 &opts,
                 &plan,
                 &policy,
+                &mut NullObserver,
             )
             .unwrap();
         // The partition holds until 5e6 + 1e7 = 1.5e7. Backoff attempts
@@ -1570,7 +1538,15 @@ mod tests {
         let arrivals = faulted_arrivals();
         let run = |threads: usize| {
             faulted_plane(&p, 2, threads)
-                .serve_faulted(&arrivals, Design::V10Full, &cfg, &opts, &plan, &policy)
+                .serve_faulted(
+                    &arrivals,
+                    Design::V10Full,
+                    &cfg,
+                    &opts,
+                    &plan,
+                    &policy,
+                    &mut NullObserver,
+                )
                 .unwrap()
         };
         let (base_report, base_outcome) = run(1);
@@ -1599,6 +1575,7 @@ mod tests {
                         &opts,
                         &v10_sim::FleetFaultPlan::none(),
                         &RecoveryPolicy::new(),
+                        &mut NullObserver,
                     )
                     .unwrap();
                 assert_eq!(report, base_report, "{shards} shards, {threads} threads");
@@ -1642,6 +1619,7 @@ mod tests {
                 &opts,
                 &plan,
                 &policy,
+                &mut NullObserver,
             )
             .unwrap();
         assert_eq!(outcome.shard_crashes(), &[(1, 4_000_000.0)]);
@@ -1710,6 +1688,7 @@ mod tests {
                 &opts,
                 &plan,
                 &RecoveryPolicy::new(),
+                &mut NullObserver,
             )
             .unwrap_err();
         assert!(err.to_string().contains("out-of-range"), "{err}");
@@ -1724,6 +1703,7 @@ mod tests {
                 &opts,
                 &plan,
                 &RecoveryPolicy::new(),
+                &mut NullObserver,
             )
             .unwrap_err();
         assert!(err.to_string().contains("out-of-range"), "{err}");

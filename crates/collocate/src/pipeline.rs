@@ -26,8 +26,6 @@ pub struct ClusteringPipeline {
     /// `cluster_perf[i][j]`: profiled mean STP of collocating a cluster-i
     /// workload with a cluster-j workload (symmetric).
     cluster_perf: Vec<Vec<f64>>,
-    /// Global mean STP, the fallback for unprofiled cluster pairs.
-    global_mean: f64,
     feature_seed: u64,
 }
 
@@ -109,7 +107,6 @@ impl ClusteringPipeline {
             pca,
             kmeans,
             cluster_perf,
-            global_mean,
             feature_seed: seed,
         }
     }
@@ -159,12 +156,6 @@ impl ClusteringPipeline {
     #[must_use]
     pub fn cluster_perf_table(&self) -> &[Vec<f64>] {
         &self.cluster_perf
-    }
-
-    /// The global mean STP over all profiled training pairs.
-    #[must_use]
-    pub fn global_mean_stp(&self) -> f64 {
-        self.global_mean
     }
 }
 
@@ -219,7 +210,6 @@ mod tests {
                 assert!(v > 0.0);
             }
         }
-        assert!(p.global_mean_stp() > 0.5);
     }
 
     #[test]

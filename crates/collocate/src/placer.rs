@@ -394,13 +394,6 @@ pub struct TopoScore {
 }
 
 impl TopoScore {
-    /// True when the score is for collocating with existing residents
-    /// (the higher tier), false for opening an empty core.
-    #[must_use]
-    pub fn is_collocated(&self) -> bool {
-        self.collocated
-    }
-
     /// The within-tier value: conservative pair STP (or zero for an
     /// empty core) minus the topology penalties.
     #[must_use]

@@ -2,10 +2,10 @@
 //! core, bounded re-admission with exponential backoff across cores, and
 //! load shedding when fault-reduced capacity makes a deadline unmeetable.
 //!
-//! [`MultiCoreAdmission::serve_faulted`] plays a planned multi-core
+//! [`MultiCoreAdmission::serve`] plays a planned multi-core
 //! deployment forward under per-core [`FaultPlan`]s. Transient faults are
 //! absorbed inside the affected core by the engine's input-checkpoint
-//! replay (the slot-level V10 recovery of `v10_core::serve_design_faulted`)
+//! replay (the slot-level V10 recovery of `v10_core::serve_design_stressed`)
 //! and never reach this layer. A *permanent* core fault does: the core
 //! drains, its [`ClusterState`] slots retire, and every tenant whose
 //! request quota was still open is handed back to admission. The
@@ -31,7 +31,7 @@ use v10_sim::{FaultPlan, LatencySummary, V10Error, V10Result};
 use crate::placer::{MultiCoreAdmission, Placement};
 
 /// Knobs for the re-admission/shedding policy of
-/// [`MultiCoreAdmission::serve_faulted`].
+/// [`MultiCoreAdmission::serve`].
 ///
 /// The deadline of a tenant admitted at `t` with quota `q` over a trace of
 /// `w` compute cycles per request is `t + deadline_factor · q · w`: a
@@ -432,140 +432,33 @@ struct Tenant {
 impl MultiCoreAdmission<'_> {
     /// Serves the planned deployment under per-core [`FaultPlan`]s with
     /// checkpoint-replay recovery and SLO-aware overload control (see the
-    /// module docs for the mechanism). `fault_plans` must have one entry
-    /// per core; with all-empty plans the result is bit-identical to
-    /// serving each of [`schedules`](Self::schedules) directly.
+    /// module docs for the mechanism), each core additionally running under
+    /// a fresh clone of `controller` per recompute (so hysteresis state never
+    /// leaks between recomputes). `fault_plans` must have one entry per core.
+    /// With all-empty plans and a disarmed controller the result is
+    /// bit-identical to serving each of [`schedules`](Self::schedules)
+    /// directly.
     ///
-    /// The controller's occupancy state reflects the post-recovery cluster
-    /// afterwards, so later [`offer`](Self::offer)s see failed cores as
-    /// full.
+    /// The controller's recovery decisions — [`SimEvent::RequestRequeued`]
+    /// and [`SimEvent::RequestShed`], with `arrival` indexing into
+    /// [`decisions`](Self::decisions) — go to `observer` in decision order.
+    /// Per-core engine streams stay internal; replay a single core through
+    /// `v10_core::serve_design_stressed_observed` for an operator-level
+    /// timeline.
+    ///
+    /// [`ClusterServeReport::conservation`] reconciles the result: every
+    /// placed or requeued session ends boarded, engine-rejected, or
+    /// overload-shed. The occupancy state reflects the post-recovery cluster
+    /// afterwards, so later [`offer`](Self::offer)s see failed cores as full.
     ///
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `fault_plans` does not have
-    /// exactly one plan per core, and propagates engine errors from the
-    /// underlying runs.
-    pub fn serve_faulted(
-        &mut self,
-        design: Design,
-        config: &NpuConfig,
-        opts: &RunOptions,
-        fault_plans: &[FaultPlan],
-        policy: &RecoveryPolicy,
-    ) -> V10Result<ClusterServeReport> {
-        self.serve_faulted_observed(
-            design,
-            config,
-            opts,
-            fault_plans,
-            policy,
-            &mut v10_core::NullObserver,
-        )
-    }
-
-    /// [`serve_faulted`](Self::serve_faulted) emitting the controller's
-    /// recovery decisions — [`SimEvent::RequestRequeued`] and
-    /// [`SimEvent::RequestShed`], with `arrival` indexing into
-    /// [`decisions`](Self::decisions) — to `observer` in decision order.
-    /// Per-core engine streams stay internal; replay a single core through
-    /// `v10_core::serve_design_faulted_observed` for an operator-level
-    /// timeline.
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_faulted`](Self::serve_faulted).
-    pub fn serve_faulted_observed<O: SimObserver>(
-        &mut self,
-        design: Design,
-        config: &NpuConfig,
-        opts: &RunOptions,
-        fault_plans: &[FaultPlan],
-        policy: &RecoveryPolicy,
-        observer: &mut O,
-    ) -> V10Result<ClusterServeReport> {
-        self.serve_recovering(
-            design,
-            config,
-            opts,
-            fault_plans,
-            policy,
-            &OverloadController::disarmed(),
-            observer,
-        )
-    }
-
-    /// The combined path: [`serve_faulted`](Self::serve_faulted) with each
-    /// core additionally running under a clone of `controller` — faults are
-    /// injected and recovered while the overload controller senses, walks
-    /// the degradation ladder, and watches for starvation on every core.
-    /// With a disarmed controller this is bit-identical to
-    /// [`serve_faulted`](Self::serve_faulted); with empty plans it is the
-    /// cluster analogue of `v10_core::serve_design_overloaded`.
-    ///
-    /// [`ClusterServeReport::conservation`] reconciles the result: every
-    /// placed or requeued session ends boarded, engine-rejected, or
-    /// overload-shed.
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_faulted`](Self::serve_faulted), plus
-    /// [`V10Error::InvalidArgument`] for `Design::Pmt` with an armed
-    /// controller (no priority mechanism to degrade).
-    pub fn serve_stressed(
-        &mut self,
-        design: Design,
-        config: &NpuConfig,
-        opts: &RunOptions,
-        fault_plans: &[FaultPlan],
-        policy: &RecoveryPolicy,
-        controller: &OverloadController,
-    ) -> V10Result<ClusterServeReport> {
-        self.serve_recovering(
-            design,
-            config,
-            opts,
-            fault_plans,
-            policy,
-            controller,
-            &mut v10_core::NullObserver,
-        )
-    }
-
-    /// [`serve_stressed`](Self::serve_stressed) emitting the controller's
-    /// recovery decisions to `observer`, exactly as
-    /// [`serve_faulted_observed`](Self::serve_faulted_observed) does.
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_stressed`](Self::serve_stressed).
+    /// exactly one plan per core or for `Design::Pmt` with an armed
+    /// controller (no priority mechanism to degrade), and propagates engine
+    /// errors from the underlying runs.
     #[allow(clippy::too_many_arguments)]
-    pub fn serve_stressed_observed<O: SimObserver>(
-        &mut self,
-        design: Design,
-        config: &NpuConfig,
-        opts: &RunOptions,
-        fault_plans: &[FaultPlan],
-        policy: &RecoveryPolicy,
-        controller: &OverloadController,
-        observer: &mut O,
-    ) -> V10Result<ClusterServeReport> {
-        self.serve_recovering(
-            design,
-            config,
-            opts,
-            fault_plans,
-            policy,
-            controller,
-            observer,
-        )
-    }
-
-    /// The shared faulted/stressed serving loop: plays the deployment
-    /// forward, recomputing dirty cores through the combined
-    /// overload×fault engine path with a fresh clone of `controller` per
-    /// recompute (so hysteresis state never leaks between recomputes).
-    #[allow(clippy::too_many_arguments)]
-    fn serve_recovering<O: SimObserver>(
+    pub fn serve<O: SimObserver>(
         &mut self,
         design: Design,
         config: &NpuConfig,
@@ -578,7 +471,7 @@ impl MultiCoreAdmission<'_> {
         let cores = self.state.cores();
         if fault_plans.len() != cores {
             return Err(V10Error::invalid(
-                "MultiCoreAdmission::serve_faulted",
+                "MultiCoreAdmission::serve",
                 format!(
                     "{} fault plans for a {cores}-core cluster (need one per core)",
                     fault_plans.len()
@@ -692,16 +585,16 @@ impl MultiCoreAdmission<'_> {
             let Placement::Core(core) = d.placement else {
                 continue;
             };
-            let slot = cursor
-                .get_mut(core)
-                .ok_or_else(|| V10Error::invalid("serve_faulted", "decision core out of range"))?;
+            let slot = cursor.get_mut(core).ok_or_else(|| {
+                V10Error::invalid("MultiCoreAdmission::serve", "decision core out of range")
+            })?;
             let admission = self
                 .per_core
                 .get(core)
                 .and_then(|list| list.get(*slot))
                 .ok_or_else(|| {
                     V10Error::invalid(
-                        "serve_faulted",
+                        "MultiCoreAdmission::serve",
                         "admission ledger out of sync with decisions",
                     )
                 })?
@@ -897,7 +790,7 @@ mod tests {
     use crate::eval::PairPerfCache;
     use crate::pipeline::ClusteringPipeline;
     use crate::placer::OnlinePlacer;
-    use v10_core::{serve_design, Design};
+    use v10_core::{serve_design, Design, NullObserver};
     use v10_workloads::{Model, TimedArrival};
 
     fn pipeline() -> ClusteringPipeline {
@@ -946,12 +839,14 @@ mod tests {
         let p = pipeline();
         let mut ctl = controller(&p);
         let err = ctl
-            .serve_faulted(
+            .serve(
                 Design::V10Full,
                 &NpuConfig::table5(),
                 &RunOptions::new(2).unwrap(),
                 &[FaultPlan::none()],
                 &RecoveryPolicy::new(),
+                &OverloadController::disarmed(),
+                &mut NullObserver,
             )
             .unwrap_err();
         assert!(err.to_string().contains("one per core"), "{err}");
@@ -965,12 +860,14 @@ mod tests {
         let mut ctl = controller(&p);
         let schedules = ctl.schedules().unwrap();
         let report = ctl
-            .serve_faulted(
+            .serve(
                 Design::V10Full,
                 &cfg,
                 &opts,
                 &no_faults(),
                 &RecoveryPolicy::new(),
+                &OverloadController::disarmed(),
+                &mut NullObserver,
             )
             .unwrap();
         assert!(report.requeued().is_empty());
@@ -1023,7 +920,15 @@ mod tests {
             .with_deadline_factor(400.0)
             .unwrap();
         let report = ctl
-            .serve_faulted(Design::V10Full, &cfg, &opts, &plans, &policy)
+            .serve(
+                Design::V10Full,
+                &cfg,
+                &opts,
+                &plans,
+                &policy,
+                &OverloadController::disarmed(),
+                &mut NullObserver,
+            )
             .unwrap();
         assert_eq!(report.retired_cores().len(), 1);
         assert_eq!(report.retired_cores()[0], (0, 30_000.0));
@@ -1063,7 +968,15 @@ mod tests {
         // Deadline of 1x ideal service: any displacement is unmeetable.
         let policy = RecoveryPolicy::new().with_deadline_factor(1.0).unwrap();
         let report = ctl
-            .serve_faulted(Design::V10Full, &cfg, &opts, &plans, &policy)
+            .serve(
+                Design::V10Full,
+                &cfg,
+                &opts,
+                &plans,
+                &policy,
+                &OverloadController::disarmed(),
+                &mut NullObserver,
+            )
             .unwrap();
         assert!(!report.shed().is_empty());
         assert!(report.shed().iter().all(|s| s.deadline_unmeetable));
@@ -1098,7 +1011,15 @@ mod tests {
             FaultPlan::none(),
         ];
         let report = ctl
-            .serve_faulted(Design::V10Full, &cfg, &opts, &plans, &RecoveryPolicy::new())
+            .serve(
+                Design::V10Full,
+                &cfg,
+                &opts,
+                &plans,
+                &RecoveryPolicy::new(),
+                &OverloadController::disarmed(),
+                &mut NullObserver,
+            )
             .unwrap();
         assert!(report.faults_injected() > 0);
         let core0 = report.per_core()[0].as_ref().unwrap();
@@ -1134,8 +1055,16 @@ mod tests {
                     .with_breakers(crate::breaker::BreakerPolicy::new())
                     .unwrap();
             }
-            ctl.serve_faulted(Design::V10Full, &cfg, &opts, &plans, &policy)
-                .unwrap()
+            ctl.serve(
+                Design::V10Full,
+                &cfg,
+                &opts,
+                &plans,
+                &policy,
+                &OverloadController::disarmed(),
+                &mut NullObserver,
+            )
+            .unwrap()
         };
         let plain = run(false);
         let armed = run(true);
@@ -1153,12 +1082,14 @@ mod tests {
         let p = pipeline();
         let mut ctl = controller(&p);
         let report = ctl
-            .serve_faulted(
+            .serve(
                 Design::V10Full,
                 &NpuConfig::table5(),
                 &RunOptions::new(2).unwrap(),
                 &no_faults(),
                 &RecoveryPolicy::new(),
+                &OverloadController::disarmed(),
+                &mut NullObserver,
             )
             .unwrap();
         let summary = report.latency_summary().unwrap();
@@ -1194,13 +1125,14 @@ mod tests {
             .unwrap();
         let mut ctl = controller(&p);
         let report = ctl
-            .serve_stressed(
+            .serve(
                 Design::V10Full,
                 &cfg,
                 &opts,
                 &plans,
                 &policy,
                 &OverloadController::armed(OverloadPolicy::default()),
+                &mut NullObserver,
             )
             .unwrap();
         let ledger = report.conservation();
@@ -1228,43 +1160,6 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_stressed_serving_matches_faulted_serving() {
-        let p = pipeline();
-        let cfg = NpuConfig::table5();
-        let opts = RunOptions::new(2).unwrap();
-        let plans = vec![
-            FaultPlan::none()
-                .with_fault(30_000.0, v10_sim::FaultKind::CoreRetire)
-                .unwrap(),
-            FaultPlan::none(),
-        ];
-        let policy = RecoveryPolicy::new()
-            .with_backoff_base_cycles(50_000.0)
-            .unwrap()
-            .with_deadline_factor(400.0)
-            .unwrap();
-        let faulted = {
-            let mut ctl = controller(&p);
-            ctl.serve_faulted(Design::V10Full, &cfg, &opts, &plans, &policy)
-                .unwrap()
-        };
-        let stressed = {
-            let mut ctl = controller(&p);
-            ctl.serve_stressed(
-                Design::V10Full,
-                &cfg,
-                &opts,
-                &plans,
-                &policy,
-                &v10_core::OverloadController::disarmed(),
-            )
-            .unwrap()
-        };
-        assert_eq!(faulted, stressed, "disarmed controller must be a no-op");
-        assert!(faulted.conservation().holds());
-    }
-
-    #[test]
     fn faulted_cluster_serving_is_deterministic() {
         let p = pipeline();
         let cfg = NpuConfig::table5();
@@ -1286,8 +1181,16 @@ mod tests {
             .unwrap();
         let run = |p: &ClusteringPipeline| {
             let mut ctl = controller(p);
-            ctl.serve_faulted(Design::V10Full, &cfg, &opts, &plans, &policy)
-                .unwrap()
+            ctl.serve(
+                Design::V10Full,
+                &cfg,
+                &opts,
+                &plans,
+                &policy,
+                &OverloadController::disarmed(),
+                &mut NullObserver,
+            )
+            .unwrap()
         };
         let a = run(&p);
         let b = run(&p);

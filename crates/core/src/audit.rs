@@ -564,6 +564,7 @@ impl SimObserver for RuntimeAuditor {
 mod tests {
     use super::*;
     use crate::engine::{RunOptions, V10Engine, WorkloadSpec};
+    use crate::observer::NullObserver;
     use crate::policy::Policy;
     use v10_isa::{FuKind, OpDesc, RequestTrace};
     use v10_npu::NpuConfig;
@@ -737,7 +738,11 @@ mod tests {
     fn fleet_conservation_accepts_a_clean_plane() {
         let engine = V10Engine::new(NpuConfig::table5(), Policy::Priority, true);
         let report = engine
-            .run(&[spec("a"), spec("b")], &RunOptions::new(2).unwrap())
+            .run_observed(
+                &[spec("a"), spec("b")],
+                &RunOptions::new(2).unwrap(),
+                &mut NullObserver,
+            )
             .unwrap();
         let mut fleet = FleetConservation::new();
         fleet.record_flow(3, 2, 1);
@@ -871,7 +876,11 @@ mod tests {
     fn fleet_conservation_tracks_region_and_evacuation_flow() {
         let engine = V10Engine::new(NpuConfig::table5(), Policy::Priority, true);
         let report = engine
-            .run(&[spec("a"), spec("b")], &RunOptions::new(2).unwrap())
+            .run_observed(
+                &[spec("a"), spec("b")],
+                &RunOptions::new(2).unwrap(),
+                &mut NullObserver,
+            )
             .unwrap();
         // Two placements; one of them evacuated to a surviving core hosts
         // twice, so hosted = placed + evacuated reconciles.
@@ -884,7 +893,11 @@ mod tests {
         fleet.record_core(2, &{
             let engine = V10Engine::new(NpuConfig::table5(), Policy::Priority, true);
             engine
-                .run(&[spec("evac")], &RunOptions::new(2).unwrap())
+                .run_observed(
+                    &[spec("evac")],
+                    &RunOptions::new(2).unwrap(),
+                    &mut NullObserver,
+                )
                 .unwrap()
         });
         fleet.reconcile();

@@ -3,14 +3,15 @@
 use std::fmt;
 
 use v10_npu::NpuConfig;
-use v10_sim::{FaultPlan, V10Error, V10Result};
+use v10_sim::{FaultInjector, FaultPlan, V10Error, V10Result};
 
-use crate::engine::{RunOptions, V10Engine, WorkloadSpec};
+use crate::engine::{closed_loop, RunOptions, V10Engine, WorkloadSpec};
 use crate::lifecycle::AdmissionSchedule;
 use crate::metrics::RunReport;
-use crate::observer::SimObserver;
+use crate::observer::{NullObserver, SimObserver};
 use crate::overload::OverloadController;
-use crate::pmt::{run_pmt, serve_pmt, serve_pmt_faulted_observed};
+use crate::packed::FIG11_TABLE_ROWS;
+use crate::pmt::serve_pmt_with_capacity;
 use crate::policy::Policy;
 
 /// One of the paper's compared designs.
@@ -56,7 +57,10 @@ impl fmt::Display for Design {
     }
 }
 
-/// Runs `specs` collocated on one core under `design`.
+/// Runs `specs` collocated on one core under `design`, closed loop: every
+/// workload is resident from cycle 0 until it completes
+/// `opts.requests_per_workload()` requests. The context table is sized to
+/// the workload set; `opts.table_capacity()` is ignored.
 ///
 /// # Errors
 ///
@@ -69,17 +73,14 @@ pub fn run_design(
     config: &NpuConfig,
     opts: &RunOptions,
 ) -> V10Result<RunReport> {
-    match design {
-        Design::Pmt => run_pmt(specs, config, opts),
-        Design::V10Base => V10Engine::new(*config, Policy::RoundRobin, false).run(specs, opts),
-        Design::V10Fair => V10Engine::new(*config, Policy::Priority, false).run(specs, opts),
-        Design::V10Full => V10Engine::new(*config, Policy::Priority, true).run(specs, opts),
-    }
+    let (schedule, opts) = closed_loop(specs, opts)?;
+    serve_design(design, &schedule, config, &opts)
 }
 
 /// Serves an open-loop [`AdmissionSchedule`] on one core under `design`:
 /// tenants are admitted as they arrive (rejected while the context table is
-/// full), complete their request quota, and depart.
+/// full), complete their request quota, and depart. This is
+/// [`serve_design_stressed`] with no faults and a disarmed controller.
 ///
 /// # Errors
 ///
@@ -90,145 +91,21 @@ pub fn serve_design(
     config: &NpuConfig,
     opts: &RunOptions,
 ) -> V10Result<RunReport> {
-    match design {
-        Design::Pmt => serve_pmt(schedule, config, opts),
-        Design::V10Base => V10Engine::new(*config, Policy::RoundRobin, false).serve(schedule, opts),
-        Design::V10Fair => V10Engine::new(*config, Policy::Priority, false).serve(schedule, opts),
-        Design::V10Full => V10Engine::new(*config, Policy::Priority, true).serve(schedule, opts),
-    }
-}
-
-/// [`serve_design`] under a [`FaultPlan`]: faults are compiled into a
-/// deterministic schedule and injected as the run plays out, with each
-/// design paying its own recovery cost (V10's per-FU checkpoint restore vs
-/// PMT's whole-core 20–40 µs restore). An empty plan is bit-identical to
-/// [`serve_design`].
-///
-/// # Errors
-///
-/// As [`run_design`], plus [`v10_sim::V10Error::InvalidArgument`] if the
-/// plan's stochastic streams expand past the compile-time cap.
-pub fn serve_design_faulted(
-    design: Design,
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    plan: &FaultPlan,
-) -> V10Result<RunReport> {
-    serve_design_faulted_observed(
+    serve_design_stressed(
         design,
         schedule,
         config,
         opts,
-        plan,
-        &mut crate::observer::NullObserver,
+        &FaultPlan::none(),
+        OverloadController::disarmed(),
     )
 }
 
-/// [`serve_design_faulted`] with an observer receiving the event stream,
-/// including the fault and recovery events.
+/// [`serve_design_stressed_observed`] without an observer.
 ///
 /// # Errors
 ///
-/// As [`serve_design_faulted`].
-pub fn serve_design_faulted_observed<O: SimObserver>(
-    design: Design,
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    plan: &FaultPlan,
-    observer: &mut O,
-) -> V10Result<RunReport> {
-    match design {
-        Design::Pmt => serve_pmt_faulted_observed(schedule, config, opts, plan, observer),
-        Design::V10Base => V10Engine::new(*config, Policy::RoundRobin, false)
-            .serve_faulted_observed(schedule, opts, plan, observer),
-        Design::V10Fair => V10Engine::new(*config, Policy::Priority, false)
-            .serve_faulted_observed(schedule, opts, plan, observer),
-        Design::V10Full => V10Engine::new(*config, Policy::Priority, true)
-            .serve_faulted_observed(schedule, opts, plan, observer),
-    }
-}
-
-/// [`serve_design`] under an [`OverloadController`]: the armed controller
-/// parks full-table arrivals in an admission queue and walks the
-/// graceful-degradation ladder instead of hard-rejecting load (see
-/// [`V10Engine::serve_overloaded`]). A disarmed controller is bit-identical
-/// to [`serve_design`].
-///
-/// The PMT baseline has no priority mechanism for the ladder or the
-/// watchdog to act on, so `Design::Pmt` with an *armed* controller is
-/// rejected; a disarmed controller degrades to plain [`serve_design`].
-///
-/// # Errors
-///
-/// As [`run_design`], plus [`v10_sim::V10Error::InvalidArgument`] for
-/// `Design::Pmt` with an armed controller.
-pub fn serve_design_overloaded(
-    design: Design,
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    controller: OverloadController,
-) -> V10Result<RunReport> {
-    serve_design_overloaded_observed(
-        design,
-        schedule,
-        config,
-        opts,
-        controller,
-        &mut crate::observer::NullObserver,
-    )
-}
-
-/// [`serve_design_overloaded`] with an observer receiving the event stream,
-/// including the overload control-plane events.
-///
-/// # Errors
-///
-/// As [`serve_design_overloaded`].
-pub fn serve_design_overloaded_observed<O: SimObserver>(
-    design: Design,
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    controller: OverloadController,
-    observer: &mut O,
-) -> V10Result<RunReport> {
-    match design {
-        Design::Pmt => {
-            if controller.is_armed() {
-                return Err(V10Error::invalid(
-                    "serve_design_overloaded",
-                    "PMT has no priority mechanism for the degradation ladder; \
-                     arm the controller on a V10 design",
-                ));
-            }
-            serve_pmt_faulted_observed(schedule, config, opts, &FaultPlan::none(), observer)
-        }
-        Design::V10Base => V10Engine::new(*config, Policy::RoundRobin, false)
-            .serve_overloaded_observed(schedule, opts, controller, observer),
-        Design::V10Fair => V10Engine::new(*config, Policy::Priority, false)
-            .serve_overloaded_observed(schedule, opts, controller, observer),
-        Design::V10Full => V10Engine::new(*config, Policy::Priority, true)
-            .serve_overloaded_observed(schedule, opts, controller, observer),
-    }
-}
-
-/// The combined robustness path: [`serve_design_faulted`] and
-/// [`serve_design_overloaded`] in one run — faults inject while the
-/// overload controller senses and degrades. With an empty plan this is
-/// bit-identical to [`serve_design_overloaded`]; with a disarmed
-/// controller, to [`serve_design_faulted`].
-///
-/// As with the overload path, `Design::Pmt` with an *armed* controller is
-/// rejected (no priority mechanism to act on); a disarmed controller
-/// degrades to [`serve_design_faulted`].
-///
-/// # Errors
-///
-/// As [`serve_design_faulted`], plus [`v10_sim::V10Error::InvalidArgument`]
-/// for `Design::Pmt` with an armed controller.
+/// As [`serve_design_stressed_observed`].
 pub fn serve_design_stressed(
     design: Design,
     schedule: &AdmissionSchedule,
@@ -244,16 +121,33 @@ pub fn serve_design_stressed(
         opts,
         plan,
         controller,
-        &mut crate::observer::NullObserver,
+        &mut NullObserver,
     )
 }
 
-/// [`serve_design_stressed`] with an observer receiving the merged event
-/// stream (fault, recovery, and overload control-plane events).
+/// The one serving path: serves `schedule` on one core under `design` while
+/// `plan`'s faults inject and `controller` senses overload, with `observer`
+/// receiving the merged event stream.
+///
+/// * Faults are compiled into a deterministic schedule and injected as the
+///   run plays out, each design paying its own recovery cost (V10's per-FU
+///   checkpoint restore vs PMT's whole-core 20–40 µs restore).
+/// * An armed controller parks full-table arrivals in an admission queue
+///   and walks the graceful-degradation ladder instead of hard-rejecting
+///   load. The PMT baseline has no priority mechanism for the ladder or the
+///   watchdog to act on, so `Design::Pmt` with an armed controller is
+///   rejected.
+/// * The context table holds `opts.table_capacity()` slots, defaulting to
+///   [`FIG11_TABLE_ROWS`].
+///
+/// [`FaultPlan::none`] and [`OverloadController::disarmed`] leave the run
+/// untouched: the plain serving path is this one with both disarmed.
 ///
 /// # Errors
 ///
-/// As [`serve_design_stressed`].
+/// As [`run_design`], plus [`v10_sim::V10Error::InvalidArgument`] if the
+/// plan's stochastic streams expand past the compile-time cap or for
+/// `Design::Pmt` with an armed controller.
 pub fn serve_design_stressed_observed<O: SimObserver>(
     design: Design,
     schedule: &AdmissionSchedule,
@@ -263,24 +157,28 @@ pub fn serve_design_stressed_observed<O: SimObserver>(
     controller: OverloadController,
     observer: &mut O,
 ) -> V10Result<RunReport> {
-    match design {
-        Design::Pmt => {
-            if controller.is_armed() {
-                return Err(V10Error::invalid(
-                    "serve_design_stressed",
-                    "PMT has no priority mechanism for the degradation ladder; \
-                     arm the controller on a V10 design",
-                ));
-            }
-            serve_pmt_faulted_observed(schedule, config, opts, plan, observer)
-        }
-        Design::V10Base => V10Engine::new(*config, Policy::RoundRobin, false)
-            .serve_stressed_observed(schedule, opts, plan, controller, observer),
-        Design::V10Fair => V10Engine::new(*config, Policy::Priority, false)
-            .serve_stressed_observed(schedule, opts, plan, controller, observer),
-        Design::V10Full => V10Engine::new(*config, Policy::Priority, true)
-            .serve_stressed_observed(schedule, opts, plan, controller, observer),
+    const CONTEXT: &str = "serve_design";
+    if design == Design::Pmt && controller.is_armed() {
+        return Err(V10Error::invalid(
+            CONTEXT,
+            "PMT has no priority mechanism for the degradation ladder; \
+             arm the controller on a V10 design",
+        ));
     }
+    let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
+    let faults = FaultInjector::compile(plan)?;
+    let (policy, preemption) = match design {
+        Design::Pmt => {
+            return serve_pmt_with_capacity(
+                CONTEXT, schedule, config, opts, capacity, faults, observer,
+            )
+        }
+        Design::V10Base => (Policy::RoundRobin, false),
+        Design::V10Fair => (Policy::Priority, false),
+        Design::V10Full => (Policy::Priority, true),
+    };
+    V10Engine::new(*config, policy, preemption)
+        .serve_with_capacity(CONTEXT, schedule, capacity, faults, controller, observer)
 }
 
 #[cfg(test)]
@@ -354,26 +252,44 @@ mod tests {
         let schedule = AdmissionSchedule::closed_loop(&mismatched_pair(), 2).unwrap();
         let cfg = NpuConfig::table5();
         let opts = RunOptions::new(2).unwrap();
-        let err = serve_design_overloaded(
+        let err = serve_design_stressed(
             Design::Pmt,
             &schedule,
             &cfg,
             &opts,
+            &FaultPlan::none(),
             OverloadController::armed(crate::overload::OverloadPolicy::default()),
         )
         .unwrap_err();
         assert!(err.to_string().contains("PMT"), "{err}");
-        // A disarmed controller degrades to plain serving.
-        let plain = serve_design(Design::Pmt, &schedule, &cfg, &opts).unwrap();
-        let disarmed = serve_design_overloaded(
-            Design::Pmt,
-            &schedule,
-            &cfg,
-            &opts,
-            OverloadController::disarmed(),
-        )
-        .unwrap();
-        assert_eq!(plain.elapsed_cycles(), disarmed.elapsed_cycles());
+        // A disarmed controller serves PMT normally.
+        let disarmed = serve_design(Design::Pmt, &schedule, &cfg, &opts).unwrap();
+        let done: usize = disarmed
+            .workloads()
+            .iter()
+            .map(|w| w.completed_requests())
+            .sum();
+        assert_eq!(done, 4);
+    }
+
+    #[test]
+    fn run_design_sizes_the_table_to_the_workload_set() {
+        // A closed-loop pair always boards both tenants: the table holds
+        // `specs.len()` rows whatever capacity the options ask for.
+        let specs = mismatched_pair();
+        let cfg = NpuConfig::table5();
+        let plain = RunOptions::new(2).unwrap();
+        let one_slot = plain.with_table_capacity(1).unwrap();
+        for design in Design::ALL {
+            let a = run_design(design, &specs, &cfg, &plain).unwrap();
+            let b = run_design(design, &specs, &cfg, &one_slot).unwrap();
+            assert_eq!(
+                crate::invariants::run_digest(&a),
+                crate::invariants::run_digest(&b),
+                "{design}"
+            );
+            assert_eq!(b.workloads().len(), 2, "{design}");
+        }
     }
 
     #[test]

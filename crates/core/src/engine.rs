@@ -25,12 +25,12 @@ use v10_isa::{FuKind, RequestTrace};
 use v10_npu::{FuPool, NpuConfig};
 use v10_sim::convert::u64_to_f64;
 use v10_sim::fault::pick_victim;
-use v10_sim::{Cycles, FaultInjector, FaultKind, FaultPlan, V10Error, V10Result};
+use v10_sim::{Cycles, FaultInjector, FaultKind, V10Error, V10Result};
 
 use crate::engine_core::{drive, rate_of, EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
 use crate::lifecycle::AdmissionSchedule;
 use crate::metrics::RunReport;
-use crate::observer::{NullObserver, SimEvent, SimObserver};
+use crate::observer::{SimEvent, SimObserver};
 use crate::overload::{LadderStep, OverloadController, OverloadPressure};
 use crate::packed::FIG11_TABLE_ROWS;
 use crate::policy::{Policy, Scheduler};
@@ -189,6 +189,21 @@ impl RunOptions {
     }
 }
 
+/// Closed-loop setup shared by the `run*` entry points: every spec is
+/// resident from cycle 0 with the run's request quota, and the returned
+/// options size the context table to the workload set.
+///
+/// # Errors
+///
+/// Returns [`V10Error::InvalidArgument`] if `specs` is empty.
+pub(crate) fn closed_loop(
+    specs: &[WorkloadSpec],
+    opts: &RunOptions,
+) -> V10Result<(AdmissionSchedule, RunOptions)> {
+    let schedule = AdmissionSchedule::closed_loop(specs, opts.requests_per_workload())?;
+    Ok((schedule, opts.with_table_capacity(specs.len())?))
+}
+
 /// The V10 multi-tenant executor (designs `V10-Base`, `V10-Fair`,
 /// `V10-Full` depending on policy and preemption flag).
 ///
@@ -213,229 +228,62 @@ impl V10Engine {
     }
 
     /// Runs `specs` collocated on one core until each completes
-    /// `opts.requests_per_workload()` requests.
+    /// `opts.requests_per_workload()` requests, with an observer receiving
+    /// the engine's event stream — see [`SimObserver`]. With
+    /// [`NullObserver`](crate::observer::NullObserver) this monomorphizes
+    /// to the unobserved engine. The context table is sized to the workload
+    /// set, so slot indices match the dense workload numbering.
     ///
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `specs` is empty, and
     /// [`V10Error::Deadlock`] / [`V10Error::Livelock`] if the simulation
     /// stops making progress.
-    pub fn run(&self, specs: &[WorkloadSpec], opts: &RunOptions) -> V10Result<RunReport> {
-        self.run_observed(specs, opts, &mut NullObserver)
-    }
-
-    /// [`run`](Self::run) with an observer receiving the engine's event
-    /// stream — see [`SimObserver`]. With [`NullObserver`] this
-    /// monomorphizes to the unobserved engine.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
     pub fn run_observed<O: SimObserver>(
         &self,
         specs: &[WorkloadSpec],
         opts: &RunOptions,
         observer: &mut O,
     ) -> V10Result<RunReport> {
-        if specs.is_empty() {
-            return Err(V10Error::invalid(
-                "V10Engine::run",
-                "need at least one workload",
-            ));
-        }
-        let schedule = AdmissionSchedule::closed_loop(specs, opts.requests_per_workload())?;
-        // The table is sized to the workload set, so slot indices match the
-        // historical dense workload numbering.
-        self.serve_with_capacity(
-            "V10Engine::run",
-            &schedule,
-            specs.len(),
-            FaultInjector::disarmed(),
-            OverloadController::disarmed(),
-            observer,
-        )
+        let (schedule, opts) = closed_loop(specs, opts)?;
+        self.serve_observed(&schedule, &opts, observer)
     }
 
     /// Serves an open-loop [`AdmissionSchedule`]: tenants are admitted when
     /// they arrive (rejected if the context table is full), run their
     /// request quota, and depart, freeing their slot for later arrivals.
+    /// The observer receives the event stream, including the tenancy events
+    /// [`SimEvent::TenantAdmitted`], [`SimEvent::TenantRetired`], and
+    /// [`SimEvent::AdmissionRejected`].
     ///
     /// The table holds `opts.table_capacity()` slots, defaulting to
-    /// [`FIG11_TABLE_ROWS`].
+    /// [`FIG11_TABLE_ROWS`]. For runs under faults or an overload
+    /// controller, serve through [`crate::serve_design_stressed_observed`].
     ///
     /// # Errors
     ///
-    /// As [`run`](Self::run).
-    pub fn serve(&self, schedule: &AdmissionSchedule, opts: &RunOptions) -> V10Result<RunReport> {
-        self.serve_observed(schedule, opts, &mut NullObserver)
-    }
-
-    /// [`serve`](Self::serve) with an observer receiving the event stream,
-    /// including the tenancy events [`SimEvent::TenantAdmitted`],
-    /// [`SimEvent::TenantRetired`], and [`SimEvent::AdmissionRejected`].
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
+    /// As [`run_observed`](Self::run_observed).
     pub fn serve_observed<O: SimObserver>(
         &self,
         schedule: &AdmissionSchedule,
         opts: &RunOptions,
         observer: &mut O,
     ) -> V10Result<RunReport> {
-        let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
         self.serve_with_capacity(
             "V10Engine::serve",
             schedule,
-            capacity,
+            opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS),
             FaultInjector::disarmed(),
             OverloadController::disarmed(),
             observer,
         )
     }
 
-    /// [`serve`](Self::serve) under an [`OverloadController`]: when the
-    /// controller is armed, arrivals that find the context table full wait
-    /// in an admission queue instead of being rejected, and the controller
-    /// senses pressure on its cadence, walking the graceful-degradation
-    /// ladder (priority demotion, slice shrink, quota trim, deadline shed)
-    /// while its starvation watchdog boosts tenants pinned below the
-    /// `active_rate_p` bound. A disarmed controller is bit-identical to
-    /// [`serve`](Self::serve).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn serve_overloaded(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        controller: OverloadController,
-    ) -> V10Result<RunReport> {
-        self.serve_overloaded_observed(schedule, opts, controller, &mut NullObserver)
-    }
-
-    /// [`serve_overloaded`](Self::serve_overloaded) with an observer
-    /// receiving the event stream, including the control-plane events
-    /// [`SimEvent::OverloadEntered`], [`SimEvent::DegradationApplied`],
-    /// [`SimEvent::OverloadCleared`], [`SimEvent::RequestShed`],
-    /// [`SimEvent::TenantStarved`], and [`SimEvent::WatchdogBoost`].
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn serve_overloaded_observed<O: SimObserver>(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        controller: OverloadController,
-        observer: &mut O,
-    ) -> V10Result<RunReport> {
-        let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-        self.serve_with_capacity(
-            "V10Engine::serve_overloaded",
-            schedule,
-            capacity,
-            FaultInjector::disarmed(),
-            controller,
-            observer,
-        )
-    }
-
-    /// [`serve`](Self::serve) under a [`FaultPlan`]: the plan is compiled
-    /// into a deterministic fault schedule and injected as the run plays
-    /// out. Transient operator faults replay the victim from its input
-    /// checkpoint at the design's context-switch cost; a core stall freezes
-    /// every FU for its duration; a permanent core fault retires the core
-    /// ([`RunReport::core_retired_at`] records when). An empty plan is
-    /// bit-identical to [`serve`](Self::serve).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run), plus [`V10Error::InvalidArgument`] if the
-    /// plan's stochastic streams expand past the compile-time cap.
-    pub fn serve_faulted(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        plan: &FaultPlan,
-    ) -> V10Result<RunReport> {
-        self.serve_faulted_observed(schedule, opts, plan, &mut NullObserver)
-    }
-
-    /// [`serve_faulted`](Self::serve_faulted) with an observer receiving
-    /// the event stream, including [`SimEvent::FaultInjected`],
-    /// [`SimEvent::OpReplayed`], and [`SimEvent::CoreRetired`].
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_faulted`](Self::serve_faulted).
-    pub fn serve_faulted_observed<O: SimObserver>(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        plan: &FaultPlan,
-        observer: &mut O,
-    ) -> V10Result<RunReport> {
-        let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-        let faults = FaultInjector::compile(plan)?;
-        self.serve_with_capacity(
-            "V10Engine::serve_faulted",
-            schedule,
-            capacity,
-            faults,
-            OverloadController::disarmed(),
-            observer,
-        )
-    }
-
-    /// The combined path: [`serve_faulted`](Self::serve_faulted) and
-    /// [`serve_overloaded`](Self::serve_overloaded) in one run — the fault
-    /// plan is compiled and injected while the overload controller senses,
-    /// degrades, and watches for starvation. With an empty plan this is
-    /// bit-identical to [`serve_overloaded`](Self::serve_overloaded); with
-    /// a disarmed controller, to [`serve_faulted`](Self::serve_faulted).
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_faulted`](Self::serve_faulted).
-    pub fn serve_stressed(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        plan: &FaultPlan,
-        controller: OverloadController,
-    ) -> V10Result<RunReport> {
-        self.serve_stressed_observed(schedule, opts, plan, controller, &mut NullObserver)
-    }
-
-    /// [`serve_stressed`](Self::serve_stressed) with an observer receiving
-    /// the merged event stream (fault events and control-plane events).
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_faulted`](Self::serve_faulted).
-    pub fn serve_stressed_observed<O: SimObserver>(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        plan: &FaultPlan,
-        controller: OverloadController,
-        observer: &mut O,
-    ) -> V10Result<RunReport> {
-        let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-        let faults = FaultInjector::compile(plan)?;
-        self.serve_with_capacity(
-            "V10Engine::serve_stressed",
-            schedule,
-            capacity,
-            faults,
-            controller,
-            observer,
-        )
-    }
-
-    fn serve_with_capacity<O: SimObserver>(
+    /// The combined path behind every V10 entry point: `faults` inject as
+    /// the run plays out while `controller` senses pressure, walks the
+    /// graceful-degradation ladder, and watches for starvation. A disarmed
+    /// injector and controller leave the run untouched.
+    pub(crate) fn serve_with_capacity<O: SimObserver>(
         &self,
         context: &'static str,
         schedule: &AdmissionSchedule,
@@ -1034,7 +882,7 @@ impl ExecutorStrategy for V10Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::CounterObserver;
+    use crate::observer::{CounterObserver, NullObserver};
     use v10_isa::OpDesc;
 
     fn sa(cycles: u64) -> OpDesc {
@@ -1055,9 +903,10 @@ mod tests {
     fn single_workload_runs_sequentially() {
         let e = engine(Policy::Priority, false);
         let r = e
-            .run(
+            .run_observed(
                 &[spec("w", vec![sa(1_000), vu(500)])],
                 &RunOptions::new(4).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
         let wl = &r.workloads()[0];
@@ -1077,12 +926,13 @@ mod tests {
     fn complementary_workloads_overlap() {
         let e = engine(Policy::Priority, false);
         let r = e
-            .run(
+            .run_observed(
                 &[
                     spec("sa-heavy", vec![sa(10_000), vu(100)]),
                     spec("vu-heavy", vec![sa(100), vu(10_000)]),
                 ],
                 &RunOptions::new(10).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
         // The SA-heavy workload's matmuls run while the VU-heavy workload's
@@ -1100,9 +950,10 @@ mod tests {
     fn same_kind_workloads_serialize_on_one_fu() {
         let e = engine(Policy::Priority, false);
         let r = e
-            .run(
+            .run_observed(
                 &[spec("a", vec![sa(1_000)]), spec("b", vec![sa(1_000)])],
                 &RunOptions::new(5).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
         // Only one SA: total elapsed at least the serialized work.
@@ -1117,9 +968,10 @@ mod tests {
         // (modulo DMA-ready gaps), so sa_only + vu_only ~= elapsed.
         let e = engine(Policy::RoundRobin, false);
         let r = e
-            .run(
+            .run_observed(
                 &[spec("w", vec![sa(5_000), vu(5_000)])],
                 &RunOptions::new(5).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
         let covered = r.overlap().sa_only + r.overlap().vu_only;
@@ -1137,10 +989,10 @@ mod tests {
         );
         let opts = RunOptions::new(8).unwrap();
         let fair = engine(Policy::Priority, false)
-            .run(&[w1.clone(), w2.clone()], &opts)
+            .run_observed(&[w1.clone(), w2.clone()], &opts, &mut NullObserver)
             .unwrap();
         let full = engine(Policy::Priority, true)
-            .run(&[w1, w2], &opts)
+            .run_observed(&[w1, w2], &opts, &mut NullObserver)
             .unwrap();
         let lat_fair = fair.workloads()[1].avg_latency_cycles();
         let lat_full = full.workloads()[1].avg_latency_cycles();
@@ -1157,7 +1009,7 @@ mod tests {
         let w1 = spec("long-sa", vec![sa(700_000)]);
         let w2 = spec("short-sa", vec![sa(7_000)]);
         let full = engine(Policy::Priority, true)
-            .run(&[w1, w2], &RunOptions::new(5).unwrap())
+            .run_observed(&[w1, w2], &RunOptions::new(5).unwrap(), &mut NullObserver)
             .unwrap();
         assert!(full.switch_overhead_cycles() > 0.0);
         let preempted = &full.workloads()[0];
@@ -1170,7 +1022,11 @@ mod tests {
     fn priorities_shift_active_share() {
         let mk = |p: f64| spec("w", vec![sa(10_000)]).with_priority(p).unwrap();
         let r = engine(Policy::Priority, true)
-            .run(&[mk(9.0), mk(1.0)], &RunOptions::new(20).unwrap())
+            .run_observed(
+                &[mk(9.0), mk(1.0)],
+                &RunOptions::new(20).unwrap(),
+                &mut NullObserver,
+            )
             .unwrap();
         let hi = &r.workloads()[0];
         let lo = &r.workloads()[1];
@@ -1189,9 +1045,10 @@ mod tests {
         let cfg = NpuConfig::builder().fu_count(2).build().unwrap();
         let e = V10Engine::new(cfg, Policy::Priority, false);
         let r = e
-            .run(
+            .run_observed(
                 &[spec("a", vec![sa(10_000)]), spec("b", vec![sa(10_000)])],
                 &RunOptions::new(5).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
         // Two SAs: the workloads truly run concurrently.
@@ -1219,7 +1076,7 @@ mod tests {
                 .build()],
         );
         let r = engine(Policy::Priority, false)
-            .run(&[a, b], &RunOptions::new(3).unwrap())
+            .run_observed(&[a, b], &RunOptions::new(3).unwrap(), &mut NullObserver)
             .unwrap();
         // 1.6x demand vs 1.0 capacity: ops stretch by ~1.6x.
         let lat = r.workloads()[0].avg_latency_cycles();
@@ -1238,8 +1095,12 @@ mod tests {
             spec("b", vec![sa(500), vu(4_000)]),
         ];
         let opts = RunOptions::new(7).unwrap();
-        let r1 = engine(Policy::Priority, true).run(&specs, &opts).unwrap();
-        let r2 = engine(Policy::Priority, true).run(&specs, &opts).unwrap();
+        let r1 = engine(Policy::Priority, true)
+            .run_observed(&specs, &opts, &mut NullObserver)
+            .unwrap();
+        let r2 = engine(Policy::Priority, true)
+            .run_observed(&specs, &opts, &mut NullObserver)
+            .unwrap();
         assert_eq!(r1.elapsed_cycles(), r2.elapsed_cycles());
         assert_eq!(
             r1.workloads()[0].avg_latency_cycles(),
@@ -1254,7 +1115,7 @@ mod tests {
             spec("b", vec![sa(500), vu(4_000)]),
         ];
         let r = engine(Policy::Priority, true)
-            .run(&specs, &RunOptions::new(5).unwrap())
+            .run_observed(&specs, &RunOptions::new(5).unwrap(), &mut NullObserver)
             .unwrap();
         let wl_busy: f64 = r
             .workloads()
@@ -1271,7 +1132,7 @@ mod tests {
     #[test]
     fn empty_specs_rejected() {
         let err = engine(Policy::Priority, false)
-            .run(&[], &RunOptions::new(1).unwrap())
+            .run_observed(&[], &RunOptions::new(1).unwrap(), &mut NullObserver)
             .unwrap_err();
         assert!(err.to_string().contains("at least one workload"), "{err}");
     }
@@ -1315,7 +1176,7 @@ mod tests {
         ];
         let opts = RunOptions::new(5).unwrap();
         let e = engine(Policy::Priority, true);
-        let plain = e.run(&specs, &opts).unwrap();
+        let plain = e.run_observed(&specs, &opts, &mut NullObserver).unwrap();
         let mut counters = CounterObserver::new();
         let observed = e.run_observed(&specs, &opts, &mut counters).unwrap();
         // Observation must not perturb the simulation.
@@ -1360,6 +1221,7 @@ mod tests {
 #[cfg(test)]
 mod seeded_tests {
     use super::*;
+    use crate::observer::NullObserver;
     use v10_isa::OpDesc;
     use v10_sim::SimRng;
 
@@ -1409,7 +1271,9 @@ mod seeded_tests {
                     WorkloadSpec::new("b", t2.clone()),
                 ];
                 let engine = V10Engine::new(NpuConfig::table5(), policy, preemption);
-                let r = engine.run(&specs, &RunOptions::new(3).unwrap()).unwrap();
+                let r = engine
+                    .run_observed(&specs, &RunOptions::new(3).unwrap(), &mut NullObserver)
+                    .unwrap();
 
                 // All requests completed.
                 for wl in r.workloads() {
@@ -1460,12 +1324,13 @@ mod seeded_tests {
             for policy in [Policy::RoundRobin, Policy::Priority] {
                 let engine = V10Engine::new(NpuConfig::table5(), policy, false);
                 let r = engine
-                    .run(
+                    .run_observed(
                         &[
                             WorkloadSpec::new("a", t1.clone()),
                             WorkloadSpec::new("b", t2.clone()),
                         ],
                         &RunOptions::new(2).unwrap(),
+                        &mut NullObserver,
                     )
                     .unwrap();
                 for wl in r.workloads() {
@@ -1488,11 +1353,11 @@ mod seeded_tests {
             ];
             let opts = RunOptions::new(2).unwrap();
             let small = V10Engine::new(NpuConfig::table5(), Policy::Priority, false)
-                .run(&specs, &opts)
+                .run_observed(&specs, &opts, &mut NullObserver)
                 .unwrap();
             let big_cfg = NpuConfig::builder().fu_count(2).build().unwrap();
             let big = V10Engine::new(big_cfg, Policy::Priority, false)
-                .run(&specs, &opts)
+                .run_observed(&specs, &opts, &mut NullObserver)
                 .unwrap();
             assert!(big.elapsed_cycles() <= small.elapsed_cycles() * 1.01 + 1.0);
         }
@@ -1502,8 +1367,10 @@ mod seeded_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::design::{serve_design_stressed_observed, Design};
+    use crate::invariants::run_digest;
     use crate::lifecycle::Admission;
-    use crate::observer::CounterObserver;
+    use crate::observer::{CounterObserver, NullObserver};
     use v10_isa::OpDesc;
     use v10_sim::FaultPlan;
 
@@ -1520,6 +1387,23 @@ mod fault_tests {
         V10Engine::new(NpuConfig::table5(), Policy::Priority, true)
     }
 
+    /// Serves [`schedule`] on [`engine`]'s design under `plan`.
+    fn serve_faulted<O: SimObserver>(
+        opts: &RunOptions,
+        plan: &FaultPlan,
+        observer: &mut O,
+    ) -> V10Result<RunReport> {
+        serve_design_stressed_observed(
+            Design::V10Full,
+            &schedule(),
+            &NpuConfig::table5(),
+            opts,
+            plan,
+            OverloadController::disarmed(),
+            observer,
+        )
+    }
+
     fn schedule() -> AdmissionSchedule {
         AdmissionSchedule::new(vec![
             Admission::new(spec("a", vec![sa(1_000_000), vu(20_000)]), 0.0, 3).unwrap(),
@@ -1528,54 +1412,19 @@ mod fault_tests {
         .unwrap()
     }
 
-    fn digest(r: &RunReport) -> Vec<u64> {
-        let mut d = vec![
-            r.elapsed_cycles().to_bits(),
-            r.switch_overhead_cycles().to_bits(),
-            r.replay_overhead_cycles().to_bits(),
-            r.faults_injected(),
-        ];
-        for w in r.workloads() {
-            d.push(w.completed_requests() as u64);
-            d.push(w.replays());
-            d.push(w.replay_overhead_cycles().to_bits());
-            for l in w.latencies_cycles() {
-                d.push(l.to_bits());
-            }
-        }
-        d
-    }
-
-    #[test]
-    fn zero_fault_plan_is_bit_identical_to_serve() {
-        let e = engine();
-        let opts = RunOptions::new(3).unwrap();
-        let plain = e.serve(&schedule(), &opts).unwrap();
-        let mut counters = CounterObserver::new();
-        let faulted = e
-            .serve_faulted_observed(&schedule(), &opts, &FaultPlan::none(), &mut counters)
-            .unwrap();
-        assert_eq!(digest(&plain), digest(&faulted));
-        assert_eq!(counters.fault_injected(), 0);
-        assert_eq!(counters.op_replayed(), 0);
-        assert_eq!(counters.core_retired(), 0);
-        assert_eq!(faulted.faults_injected(), 0);
-        assert_eq!(faulted.core_retired_at(), None);
-    }
-
     #[test]
     fn transient_fault_replays_the_in_flight_operator() {
         let e = engine();
         let opts = RunOptions::new(3).unwrap();
-        let plain = e.serve(&schedule(), &opts).unwrap();
+        let plain = e
+            .serve_observed(&schedule(), &opts, &mut NullObserver)
+            .unwrap();
         // Workload "a"'s first 1M-cycle SA op is in flight at t=200k.
         let plan = FaultPlan::none()
             .with_fault(200_000.0, FaultKind::TransientOp { victim_salt: 0 })
             .unwrap();
         let mut counters = CounterObserver::new();
-        let faulted = e
-            .serve_faulted_observed(&schedule(), &opts, &plan, &mut counters)
-            .unwrap();
+        let faulted = serve_faulted(&opts, &plan, &mut counters).unwrap();
         assert_eq!(counters.fault_injected(), 1);
         assert_eq!(counters.op_replayed(), 1);
         assert_eq!(faulted.faults_injected(), 1);
@@ -1599,7 +1448,9 @@ mod fault_tests {
     fn core_stall_delays_without_losing_work() {
         let e = engine();
         let opts = RunOptions::new(3).unwrap();
-        let plain = e.serve(&schedule(), &opts).unwrap();
+        let plain = e
+            .serve_observed(&schedule(), &opts, &mut NullObserver)
+            .unwrap();
         let stall = 250_000.0;
         let plan = FaultPlan::none()
             .with_fault(
@@ -1610,9 +1461,7 @@ mod fault_tests {
             )
             .unwrap();
         let mut counters = CounterObserver::new();
-        let faulted = e
-            .serve_faulted_observed(&schedule(), &opts, &plan, &mut counters)
-            .unwrap();
+        let faulted = serve_faulted(&opts, &plan, &mut counters).unwrap();
         assert_eq!(counters.fault_injected(), 1);
         assert_eq!(counters.op_replayed(), 0, "a stall corrupts nothing");
         let done: usize = faulted
@@ -1628,16 +1477,13 @@ mod fault_tests {
 
     #[test]
     fn core_retire_drains_and_rejects_the_rest() {
-        let e = engine();
         let opts = RunOptions::new(3).unwrap();
         // Retire before workload "b" even arrives.
         let plan = FaultPlan::none()
             .with_fault(20_000.0, FaultKind::CoreRetire)
             .unwrap();
         let mut counters = CounterObserver::new();
-        let faulted = e
-            .serve_faulted_observed(&schedule(), &opts, &plan, &mut counters)
-            .unwrap();
+        let faulted = serve_faulted(&opts, &plan, &mut counters).unwrap();
         assert_eq!(counters.core_retired(), 1);
         assert_eq!(faulted.core_retired_at(), Some(20_000.0));
         // The pending arrival was turned away at the retirement instant.
@@ -1655,7 +1501,6 @@ mod fault_tests {
 
     #[test]
     fn faulted_runs_are_deterministic() {
-        let e = engine();
         let opts = RunOptions::new(3).unwrap();
         let plan = FaultPlan::none()
             .with_poisson_transients(0xFA17, 150_000.0, 2_000_000.0)
@@ -1667,9 +1512,9 @@ mod fault_tests {
                 },
             )
             .unwrap();
-        let a = e.serve_faulted(&schedule(), &opts, &plan).unwrap();
-        let b = e.serve_faulted(&schedule(), &opts, &plan).unwrap();
-        assert_eq!(digest(&a), digest(&b));
+        let a = serve_faulted(&opts, &plan, &mut NullObserver).unwrap();
+        let b = serve_faulted(&opts, &plan, &mut NullObserver).unwrap();
+        assert_eq!(run_digest(&a), run_digest(&b));
         assert!(a.faults_injected() > 0, "the plan should actually fire");
     }
 }

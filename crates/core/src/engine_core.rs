@@ -1,7 +1,7 @@
 //! The shared event-loop core behind every executor.
 //!
 //! Both the operator-granularity V10 engine ([`crate::engine::V10Engine`])
-//! and the task-granularity PMT baseline ([`crate::pmt::run_pmt`]) are
+//! and the task-granularity PMT baseline ([`crate::pmt`]) are
 //! piecewise-constant event simulations: between events nothing changes, so
 //! the clock jumps straight to the next operator completion, DMA-ready
 //! instant, context-switch end, timer tick, or tenant arrival.

@@ -20,36 +20,49 @@ use v10_sim::{FaultPlan, V10Result};
 
 use crate::audit::RuntimeAuditor;
 
-/// A determinism digest of a serving run: every schedule-visible figure as
+/// A determinism digest of a run: every figure a [`RunReport`] carries, as
 /// raw bits. Two runs of the same scenario must produce `==` digests, no
-/// matter how many threads the runs were fanned out across.
+/// matter how many threads the runs were fanned out across. This is the
+/// workspace's one digest: golden tests pin it, and the determinism checks
+/// compare it.
 #[must_use]
 pub fn run_digest(r: &RunReport) -> Vec<u64> {
+    let overlap = r.overlap();
+    let stats = r.overload_stats();
     let mut d = vec![
         r.elapsed_cycles().to_bits(),
         r.sa_busy_cycles().to_bits(),
         r.vu_busy_cycles().to_bits(),
         r.switch_overhead_cycles().to_bits(),
-        r.overlap().both.to_bits(),
-        r.overlap().idle.to_bits(),
+        overlap.both.to_bits(),
+        overlap.sa_only.to_bits(),
+        overlap.vu_only.to_bits(),
+        overlap.idle.to_bits(),
         r.hbm_util().to_bits(),
         r.rejected_admissions(),
-        r.overload_stats().degradations(),
-        r.overload_stats().shed_requests(),
-        r.overload_stats().boosts(),
-        r.overload_stats().boost_requeues(),
-        r.overload_stats().overload_cycles().to_bits(),
+        stats.degradations(),
+        stats.shed_requests(),
+        stats.boosts(),
+        stats.boost_requeues(),
+        stats.overload_cycles().to_bits(),
         r.replay_overhead_cycles().to_bits(),
         r.faults_injected(),
+        r.core_retired_at().unwrap_or(-1.0).to_bits(),
     ];
     for wl in r.workloads() {
-        d.push(wl.completed_requests() as u64);
-        d.push(wl.preemptions());
-        d.push(wl.busy_sa_cycles().to_bits());
-        d.push(wl.priority().to_bits());
-        for &lat in wl.latencies_cycles() {
-            d.push(lat.to_bits());
-        }
+        d.extend([
+            wl.completed_requests() as u64,
+            wl.preemptions(),
+            wl.busy_sa_cycles().to_bits(),
+            wl.busy_vu_cycles().to_bits(),
+            wl.hbm_bytes().to_bits(),
+            wl.switch_overhead_cycles().to_bits(),
+            wl.avg_latency_cycles().to_bits(),
+            wl.priority().to_bits(),
+            wl.replays(),
+            wl.replay_overhead_cycles().to_bits(),
+        ]);
+        d.extend(wl.latencies_cycles().iter().map(|l| l.to_bits()));
     }
     d
 }

@@ -88,8 +88,8 @@ impl Admission {
 }
 
 /// A time-ordered admission schedule: the input to the open-loop serving
-/// entry points ([`crate::engine::V10Engine::serve`], [`crate::pmt::serve_pmt`],
-/// [`crate::design::serve_design`]).
+/// entry points ([`crate::design::serve_design_stressed_observed`] and the
+/// calls into it).
 ///
 /// Entries are stably sorted by arrival time, so same-instant arrivals keep
 /// their submission order — the property that makes the closed-loop wrapper

@@ -76,7 +76,6 @@ pub struct WorkloadReport {
     completed_requests: usize,
     latencies: Vec<f64>,
     avg_latency: f64,
-    p50_latency: f64,
     p95_latency: f64,
     p99_latency: f64,
     busy_sa: f64,
@@ -116,7 +115,6 @@ impl WorkloadReport {
     ) -> Self {
         let summary = LatencySummary::from_samples(&latencies);
         let avg = summary.as_ref().map_or(0.0, LatencySummary::mean);
-        let p50 = summary.as_ref().map_or(0.0, LatencySummary::p50);
         let p95 = summary.as_ref().map_or(0.0, LatencySummary::p95);
         let p99 = summary.as_ref().map_or(0.0, LatencySummary::p99);
         WorkloadReport {
@@ -125,7 +123,6 @@ impl WorkloadReport {
             completed_requests,
             latencies,
             avg_latency: avg,
-            p50_latency: p50,
             p95_latency: p95,
             p99_latency: p99,
             busy_sa,
@@ -168,12 +165,6 @@ impl WorkloadReport {
     #[must_use]
     pub fn avg_latency_cycles(&self) -> f64 {
         self.avg_latency
-    }
-
-    /// Median request latency in cycles.
-    #[must_use]
-    pub fn p50_latency_cycles(&self) -> f64 {
-        self.p50_latency
     }
 
     /// 95th-percentile request latency in cycles (Fig. 20's metric).
@@ -335,8 +326,8 @@ impl RunReport {
     }
 
     /// The overload control plane's action counters for this run. All zero
-    /// unless the run went through an armed
-    /// [`serve_overloaded`](crate::V10Engine::serve_overloaded).
+    /// unless the run went through an armed controller
+    /// ([`serve_design_stressed`](crate::serve_design_stressed)).
     #[must_use]
     pub fn overload_stats(&self) -> &OverloadStats {
         &self.overload
@@ -558,7 +549,6 @@ mod tests {
     fn latency_summaries_precomputed() {
         let w = wl("a", (1..=100).map(f64::from).collect());
         assert!((w.avg_latency_cycles() - 50.5).abs() < 1e-12);
-        assert!((w.p50_latency_cycles() - 50.5).abs() < 1e-9);
         assert!((w.p95_latency_cycles() - 95.05).abs() < 1e-9);
         assert!((w.p99_latency_cycles() - 99.01).abs() < 1e-9);
         assert_eq!(w.completed_requests(), 100);
@@ -582,7 +572,6 @@ mod tests {
             None,
         );
         assert_eq!(w.avg_latency_cycles(), 0.0);
-        assert_eq!(w.p50_latency_cycles(), 0.0);
         assert_eq!(w.p95_latency_cycles(), 0.0);
         assert_eq!(w.p99_latency_cycles(), 0.0);
         assert_eq!(w.preemptions_per_request(), 0.0);

@@ -28,8 +28,8 @@
 //! admitted tenant.
 //!
 //! A **disarmed** controller is free: it exposes no event horizon, touches
-//! no state, and leaves the serving path bit-identical to
-//! [`V10Engine::serve`](crate::V10Engine::serve) — the same pattern as
+//! no state, and leaves the serving path bit-identical to plain
+//! [`serve_design`](crate::serve_design) — the same pattern as
 //! [`FaultInjector::disarmed`](v10_sim::FaultInjector::disarmed).
 //!
 //! [`SimEvent::RequestShed`]: crate::SimEvent::RequestShed

@@ -24,148 +24,52 @@ use v10_sim::{
     FaultInjector, FaultKind, FaultPlan, Frequency, Micros, SimRng, V10Error, V10Result,
 };
 
-use crate::engine::{RunOptions, WorkloadSpec};
+use crate::design::{serve_design_stressed_observed, Design};
+use crate::engine::{closed_loop, RunOptions, WorkloadSpec};
 use crate::engine_core::{drive, EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
 use crate::lifecycle::AdmissionSchedule;
 use crate::metrics::RunReport;
 use crate::observer::{NullObserver, SimEvent, SimObserver};
-use crate::packed::FIG11_TABLE_ROWS;
+use crate::overload::OverloadController;
 
 /// PMT's context-switch cost range in microseconds (§5.1).
 const PMT_SWITCH_MIN_US: f64 = 20.0;
 const PMT_SWITCH_MAX_US: f64 = 40.0;
 
-/// Runs the PMT baseline on `specs`.
+/// Runs the PMT baseline on `specs` closed loop, with an observer
+/// receiving the (task-granularity) event stream: operator and request
+/// completions, plus a preempt/switch pair per ownership rotation. This is
+/// [`run_design`](crate::run_design) under `Design::Pmt`, observed.
 ///
 /// # Errors
 ///
 /// Returns [`v10_sim::V10Error::InvalidArgument`] if `specs` is empty, and
 /// [`v10_sim::V10Error::Deadlock`] / [`v10_sim::V10Error::Livelock`] if the
 /// simulation stops making progress.
-pub fn run_pmt(
-    specs: &[WorkloadSpec],
-    config: &NpuConfig,
-    opts: &RunOptions,
-) -> V10Result<RunReport> {
-    run_pmt_observed(specs, config, opts, &mut NullObserver)
-}
-
-/// [`run_pmt`] with an observer receiving the (task-granularity) event
-/// stream: operator and request completions, plus a preempt/switch pair per
-/// ownership rotation.
-///
-/// # Errors
-///
-/// As [`run_pmt`].
 pub fn run_pmt_observed<O: SimObserver>(
     specs: &[WorkloadSpec],
     config: &NpuConfig,
     opts: &RunOptions,
     observer: &mut O,
 ) -> V10Result<RunReport> {
-    if specs.is_empty() {
-        return Err(V10Error::invalid("run_pmt", "need at least one workload"));
-    }
-    let schedule = AdmissionSchedule::closed_loop(specs, opts.requests_per_workload())?;
-    serve_pmt_with_capacity(
-        "run_pmt",
+    let (schedule, opts) = closed_loop(specs, opts)?;
+    serve_design_stressed_observed(
+        Design::Pmt,
         &schedule,
         config,
-        opts,
-        specs.len(),
-        FaultInjector::disarmed(),
+        &opts,
+        &FaultPlan::none(),
+        OverloadController::disarmed(),
         observer,
     )
 }
 
-/// Serves an open-loop [`AdmissionSchedule`] on the PMT baseline: tenants
-/// join the ownership rotation when they arrive (rejected if the context
-/// table is full) and leave it when their request quota completes.
-///
-/// The table holds `opts.table_capacity()` slots, defaulting to
-/// [`FIG11_TABLE_ROWS`].
-///
-/// # Errors
-///
-/// As [`run_pmt`].
-pub fn serve_pmt(
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-) -> V10Result<RunReport> {
-    serve_pmt_observed(schedule, config, opts, &mut NullObserver)
-}
-
-/// [`serve_pmt`] with an observer receiving the event stream, including the
-/// tenancy events.
-///
-/// # Errors
-///
-/// As [`run_pmt`].
-pub fn serve_pmt_observed<O: SimObserver>(
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    observer: &mut O,
-) -> V10Result<RunReport> {
-    let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-    serve_pmt_with_capacity(
-        "serve_pmt",
-        schedule,
-        config,
-        opts,
-        capacity,
-        FaultInjector::disarmed(),
-        observer,
-    )
-}
-
-/// [`serve_pmt`] under a [`FaultPlan`]. A transient operator fault rewinds
-/// the owner's in-flight operator to its checkpoint and charges a full
-/// 20–40 µs PMT context restore (the whole-core context lives in HBM,
-/// §5.1); a core stall freezes the core for its duration; a permanent fault
-/// retires the core. An empty plan is bit-identical to [`serve_pmt`].
-///
-/// # Errors
-///
-/// As [`run_pmt`], plus [`v10_sim::V10Error::InvalidArgument`] if the plan's
-/// stochastic streams expand past the compile-time cap.
-pub fn serve_pmt_faulted(
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    plan: &FaultPlan,
-) -> V10Result<RunReport> {
-    serve_pmt_faulted_observed(schedule, config, opts, plan, &mut NullObserver)
-}
-
-/// [`serve_pmt_faulted`] with an observer receiving the event stream,
-/// including the fault and recovery events.
-///
-/// # Errors
-///
-/// As [`serve_pmt_faulted`].
-pub fn serve_pmt_faulted_observed<O: SimObserver>(
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    plan: &FaultPlan,
-    observer: &mut O,
-) -> V10Result<RunReport> {
-    let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-    let faults = FaultInjector::compile(plan)?;
-    serve_pmt_with_capacity(
-        "serve_pmt_faulted",
-        schedule,
-        config,
-        opts,
-        capacity,
-        faults,
-        observer,
-    )
-}
-
-fn serve_pmt_with_capacity<O: SimObserver>(
+/// PMT's executor under `faults`. A transient operator fault rewinds the
+/// owner's in-flight operator to its checkpoint and charges a full 20–40 µs
+/// PMT context restore (the whole-core context lives in HBM, §5.1); a core
+/// stall freezes the core for its duration; a permanent fault retires the
+/// core.
+pub(crate) fn serve_pmt_with_capacity<O: SimObserver>(
     context: &'static str,
     schedule: &AdmissionSchedule,
     config: &NpuConfig,
@@ -198,10 +102,11 @@ pub fn run_single_tenant(
     config: &NpuConfig,
     requests: usize,
 ) -> V10Result<RunReport> {
-    run_pmt(
+    run_pmt_observed(
         std::slice::from_ref(spec),
         config,
         &RunOptions::new(requests)?,
+        &mut NullObserver,
     )
 }
 
@@ -541,13 +446,14 @@ mod tests {
 
     #[test]
     fn pmt_never_overlaps_sa_and_vu() {
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[
                 spec("a", vec![sa(50_000), vu(5_000)]),
                 spec("b", vec![sa(5_000), vu(50_000)]),
             ],
             &NpuConfig::table5(),
             &RunOptions::new(5).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         assert_eq!(r.overlap().both, 0.0, "PMT cannot overlap SA and VU (O4)");
@@ -559,10 +465,11 @@ mod tests {
         // Requests comparable to the 2 ms PMT slice, many of them, so the
         // end-of-run imbalance is at most one slice.
         let w = spec("w", vec![sa(1_000_000)]);
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[w.clone(), w],
             &NpuConfig::table5(),
             &RunOptions::new(10).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         let a = r.workloads()[0].busy_sa_cycles();
@@ -574,10 +481,11 @@ mod tests {
     #[test]
     fn pmt_priority_scales_time_share() {
         let mk = |p: f64| spec("w", vec![sa(100_000)]).with_priority(p).unwrap();
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[mk(3.0), mk(1.0)],
             &NpuConfig::table5(),
             &RunOptions::new(6).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         // The high-priority workload gets ~3x the core time, so it finishes
@@ -589,13 +497,14 @@ mod tests {
 
     #[test]
     fn pmt_switch_costs_are_20_to_40_us() {
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[
                 spec("a", vec![sa(1_000_000)]),
                 spec("b", vec![sa(1_000_000)]),
             ],
             &NpuConfig::table5(),
             &RunOptions::new(3).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         let total_preempts: u64 = r.workloads().iter().map(|w| w.preemptions()).sum();
@@ -611,13 +520,14 @@ mod tests {
     #[test]
     fn pmt_preempts_far_less_often_than_its_slice_would_under_v10() {
         // PMT's 2 ms task-level slice gives ~request-scale preemption counts.
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[
                 spec("a", vec![sa(700_000), vu(700_000)]), // 2 ms requests
                 spec("b", vec![sa(700_000), vu(700_000)]),
             ],
             &NpuConfig::table5(),
             &RunOptions::new(5).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         for wl in r.workloads() {
@@ -633,13 +543,14 @@ mod tests {
     #[test]
     fn latencies_span_paused_periods() {
         // With two tenants, each request takes at least ~2x its busy time.
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[
                 spec("a", vec![sa(3_000_000)]),
                 spec("b", vec![sa(3_000_000)]),
             ],
             &NpuConfig::table5(),
             &RunOptions::new(3).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         for wl in r.workloads() {
@@ -655,13 +566,14 @@ mod tests {
     fn deterministic_given_seed() {
         let specs = [spec("a", vec![sa(50_000)]), spec("b", vec![vu(50_000)])];
         let opts = RunOptions::new(4).unwrap().with_seed(9);
-        let r1 = run_pmt(&specs, &NpuConfig::table5(), &opts).unwrap();
-        let r2 = run_pmt(&specs, &NpuConfig::table5(), &opts).unwrap();
+        let r1 = run_pmt_observed(&specs, &NpuConfig::table5(), &opts, &mut NullObserver).unwrap();
+        let r2 = run_pmt_observed(&specs, &NpuConfig::table5(), &opts, &mut NullObserver).unwrap();
         assert_eq!(r1.elapsed_cycles(), r2.elapsed_cycles());
-        let r3 = run_pmt(
+        let r3 = run_pmt_observed(
             &specs,
             &NpuConfig::table5(),
             &RunOptions::new(4).unwrap().with_seed(10),
+            &mut NullObserver,
         )
         .unwrap();
         assert_ne!(r1.elapsed_cycles(), r3.elapsed_cycles());
@@ -669,7 +581,13 @@ mod tests {
 
     #[test]
     fn empty_specs_rejected() {
-        let err = run_pmt(&[], &NpuConfig::table5(), &RunOptions::new(1).unwrap()).unwrap_err();
+        let err = run_pmt_observed(
+            &[],
+            &NpuConfig::table5(),
+            &RunOptions::new(1).unwrap(),
+            &mut NullObserver,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("at least one workload"), "{err}");
     }
 
@@ -738,10 +656,11 @@ mod seeded_tests {
             let spec = WorkloadSpec::new(format!("w{case}"), random_trace(&mut rng));
             let cfg = NpuConfig::table5();
             let requests = 1 + rng.index(4);
-            let pmt = run_pmt(
+            let pmt = run_pmt_observed(
                 std::slice::from_ref(&spec),
                 &cfg,
                 &RunOptions::new(requests).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
             let single = run_single_tenant(&spec, &cfg, requests).unwrap();
@@ -778,6 +697,23 @@ mod fault_tests {
     fn spec(label: &str, ops: Vec<OpDesc>) -> WorkloadSpec {
         WorkloadSpec::new(label, RequestTrace::new(ops).unwrap())
     }
+    /// Serves [`schedule`] on PMT under `plan`.
+    fn serve_pmt<O: SimObserver>(
+        opts: &RunOptions,
+        plan: &FaultPlan,
+        observer: &mut O,
+    ) -> V10Result<RunReport> {
+        serve_design_stressed_observed(
+            Design::Pmt,
+            &schedule(),
+            &NpuConfig::table5(),
+            opts,
+            plan,
+            OverloadController::disarmed(),
+            observer,
+        )
+    }
+
     fn schedule() -> AdmissionSchedule {
         AdmissionSchedule::new(vec![
             Admission::new(spec("a", vec![sa(500_000)]), 0.0, 3).unwrap(),
@@ -787,39 +723,14 @@ mod fault_tests {
     }
 
     #[test]
-    fn zero_fault_plan_is_bit_identical_to_serve_pmt() {
-        let cfg = NpuConfig::table5();
-        let opts = RunOptions::new(3).unwrap();
-        let plain = serve_pmt(&schedule(), &cfg, &opts).unwrap();
-        let faulted = serve_pmt_faulted(&schedule(), &cfg, &opts, &FaultPlan::none()).unwrap();
-        assert_eq!(
-            plain.elapsed_cycles().to_bits(),
-            faulted.elapsed_cycles().to_bits()
-        );
-        assert_eq!(
-            plain.switch_overhead_cycles().to_bits(),
-            faulted.switch_overhead_cycles().to_bits()
-        );
-        for (p, f) in plain.workloads().iter().zip(faulted.workloads()) {
-            assert_eq!(p.completed_requests(), f.completed_requests());
-            for (a, b) in p.latencies_cycles().iter().zip(f.latencies_cycles()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        assert_eq!(faulted.faults_injected(), 0);
-    }
-
-    #[test]
     fn transient_fault_charges_a_whole_core_restore() {
-        let cfg = NpuConfig::table5();
         let opts = RunOptions::new(3).unwrap();
-        let plain = serve_pmt(&schedule(), &cfg, &opts).unwrap();
+        let plain = serve_pmt(&opts, &FaultPlan::none(), &mut NullObserver).unwrap();
         let plan = FaultPlan::none()
             .with_fault(50_000.0, FaultKind::TransientOp { victim_salt: 0 })
             .unwrap();
         let mut counters = CounterObserver::new();
-        let faulted =
-            serve_pmt_faulted_observed(&schedule(), &cfg, &opts, &plan, &mut counters).unwrap();
+        let faulted = serve_pmt(&opts, &plan, &mut counters).unwrap();
         assert_eq!(counters.fault_injected(), 1);
         assert_eq!(counters.op_replayed(), 1);
         let replays: u64 = faulted.workloads().iter().map(|w| w.replays()).sum();
@@ -844,14 +755,12 @@ mod fault_tests {
 
     #[test]
     fn core_retire_stops_the_rotation() {
-        let cfg = NpuConfig::table5();
         let opts = RunOptions::new(3).unwrap();
         let plan = FaultPlan::none()
             .with_fault(30_000.0, FaultKind::CoreRetire)
             .unwrap();
         let mut counters = CounterObserver::new();
-        let faulted =
-            serve_pmt_faulted_observed(&schedule(), &cfg, &opts, &plan, &mut counters).unwrap();
+        let faulted = serve_pmt(&opts, &plan, &mut counters).unwrap();
         assert_eq!(counters.core_retired(), 1);
         assert_eq!(faulted.core_retired_at(), Some(30_000.0));
         assert!(counters.admission_rejected() >= 1, "b never got to board");

@@ -16,8 +16,8 @@
 //! `RuntimeAuditor`'s conservation invariants must hold.
 
 use v10_core::{
-    serve_design_faulted_observed, Admission, AdmissionSchedule, Design, FaultKind, FaultPlan,
-    RunOptions, RunReport, RuntimeAuditor, SimEvent, SimObserver, WorkloadSpec,
+    run_digest, serve_design_stressed_observed, Admission, AdmissionSchedule, Design, FaultKind,
+    FaultPlan, OverloadController, RunOptions, RuntimeAuditor, SimEvent, SimObserver, WorkloadSpec,
 };
 use v10_npu::NpuConfig;
 use v10_sim::SimRng;
@@ -92,16 +92,6 @@ fn random_fault_plan(rng: &mut SimRng) -> FaultPlan {
     plan
 }
 
-/// Bitwise digest of everything a report prints.
-fn digest(r: &RunReport) -> Vec<u64> {
-    let mut d = vec![r.elapsed_cycles().to_bits(), r.sa_busy_cycles().to_bits()];
-    for w in r.workloads() {
-        d.push(w.avg_latency_cycles().to_bits());
-        d.extend(w.latencies_cycles().iter().map(|l| l.to_bits()));
-    }
-    d
-}
-
 /// Per-workload `DmaReady` promotions must be monotone in time and op id
 /// — the calendar pops due fetches in the same order the historical scan
 /// promoted them.
@@ -145,9 +135,16 @@ fn random_schedules_and_fault_plans_are_deterministic_and_spine_clean() {
             // cross-checks the calendar against the naive scan at every
             // step of this run too.
             let mut auditor = RuntimeAuditor::new();
-            let audited =
-                serve_design_faulted_observed(design, &schedule, &cfg, &opts, &plan, &mut auditor)
-                    .expect("valid audited run");
+            let audited = serve_design_stressed_observed(
+                design,
+                &schedule,
+                &cfg,
+                &opts,
+                &plan,
+                OverloadController::disarmed(),
+                &mut auditor,
+            )
+            .expect("valid audited run");
             auditor.reconcile(&audited);
             assert!(
                 auditor.is_clean(),
@@ -158,13 +155,27 @@ fn random_schedules_and_fault_plans_are_deterministic_and_spine_clean() {
             // Run twice under a recorder: the full event sequence and
             // the report must be bit-identical run to run.
             let mut rec1 = Recorder::default();
-            let r1 =
-                serve_design_faulted_observed(design, &schedule, &cfg, &opts, &plan, &mut rec1)
-                    .expect("valid recorded run");
+            let r1 = serve_design_stressed_observed(
+                design,
+                &schedule,
+                &cfg,
+                &opts,
+                &plan,
+                OverloadController::disarmed(),
+                &mut rec1,
+            )
+            .expect("valid recorded run");
             let mut rec2 = Recorder::default();
-            let r2 =
-                serve_design_faulted_observed(design, &schedule, &cfg, &opts, &plan, &mut rec2)
-                    .expect("valid recorded run");
+            let r2 = serve_design_stressed_observed(
+                design,
+                &schedule,
+                &cfg,
+                &opts,
+                &plan,
+                OverloadController::disarmed(),
+                &mut rec2,
+            )
+            .expect("valid recorded run");
             assert_eq!(
                 rec1.events.len(),
                 rec2.events.len(),
@@ -175,13 +186,13 @@ fn random_schedules_and_fault_plans_are_deterministic_and_spine_clean() {
                 "seed {seed} {design}: event sequence diverged between identical runs"
             );
             assert_eq!(
-                digest(&r1),
-                digest(&r2),
+                run_digest(&r1),
+                run_digest(&r2),
                 "seed {seed} {design}: report digest diverged between identical runs"
             );
             assert_eq!(
-                digest(&r1),
-                digest(&audited),
+                run_digest(&r1),
+                run_digest(&audited),
                 "seed {seed} {design}: recorded and audited runs diverged"
             );
             assert_dma_ready_monotone(&rec1.events);

@@ -116,11 +116,6 @@ impl HbmArbiter {
         assert!(elapsed_cycles > 0.0, "elapsed window must be positive");
         self.bytes_moved / (elapsed_cycles * self.allocator.capacity())
     }
-
-    /// Resets the moved-bytes counter (e.g. after a warm-up phase).
-    pub fn reset_accounting(&mut self) {
-        self.bytes_moved = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -151,14 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn accounting_accumulates_and_resets() {
+    fn accounting_accumulates() {
         let mut hbm = HbmArbiter::new(100.0).unwrap();
         hbm.record_bytes(300.0);
         hbm.record_bytes(200.0);
         assert_eq!(hbm.bytes_moved(), 500.0);
         assert!((hbm.utilization(10.0) - 0.5).abs() < 1e-12);
-        hbm.reset_accounting();
-        assert_eq!(hbm.bytes_moved(), 0.0);
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl HbmLayout {
         }
     }
 
-    /// Total capacity in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
     /// Bytes not covered by any region.
     #[must_use]
     pub fn free_bytes(&self) -> u64 {

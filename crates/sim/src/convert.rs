@@ -38,17 +38,6 @@ pub fn usize_to_f64(x: usize) -> f64 {
     u64_to_f64(u64_from_usize(x))
 }
 
-/// Exact `u128` → `f64`; see [`u64_to_f64`].
-#[inline]
-#[must_use]
-pub fn u128_to_f64(x: u128) -> f64 {
-    debug_assert!(
-        x <= u128::from(F64_EXACT_MAX),
-        "u128 -> f64 conversion of {x} is not exact (> 2^53)"
-    );
-    x as f64
-}
-
 /// Saturating `f64` → `u64`: truncates toward zero, clamps negatives to 0
 /// and overflow to `u64::MAX`, maps NaN to 0.
 #[inline]
@@ -120,7 +109,6 @@ mod tests {
         assert_eq!(u64_to_f64(0), 0.0);
         assert_eq!(u64_to_f64(F64_EXACT_MAX), 9_007_199_254_740_992.0);
         assert_eq!(usize_to_f64(123_456), 123_456.0);
-        assert_eq!(u128_to_f64(1 << 40), 1_099_511_627_776.0);
     }
 
     #[test]

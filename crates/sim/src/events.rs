@@ -92,13 +92,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// Returns the timestamp of the earliest pending event without removing
-    /// it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -161,17 +154,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.push(Cycle::new(7), "x");
-        assert_eq!(q.peek_time(), Some(Cycle::new(7)));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((Cycle::new(7), "x")));
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

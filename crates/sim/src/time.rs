@@ -49,13 +49,6 @@ impl Cycle {
     pub const fn as_u64(self) -> u64 {
         self.0
     }
-
-    /// Returns the duration elapsed since `earlier`, saturating at zero if
-    /// `earlier` is in the future.
-    #[must_use]
-    pub fn saturating_since(self, earlier: Cycle) -> CycleCount {
-        CycleCount(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl fmt::Display for Cycle {
@@ -127,12 +120,6 @@ impl CycleCount {
     #[must_use]
     pub fn saturating_sub(self, rhs: CycleCount) -> CycleCount {
         CycleCount(self.0.saturating_sub(rhs.0))
-    }
-
-    /// True if this duration is zero cycles.
-    #[must_use]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -305,15 +292,6 @@ impl Cycles {
         Cycles(cycles)
     }
 
-    /// An exact integer cycle count as a fractional quantity.
-    /// Debug-asserts exactness (≤ 2^53) like
-    /// [`crate::convert::u64_to_f64`].
-    /// unit: `cycles` is an integer cycle count.
-    #[must_use]
-    pub fn from_u64(cycles: u64) -> Self {
-        Cycles(crate::convert::u64_to_f64(cycles))
-    }
-
     /// The raw fractional value — zero-cost, bit-identical to what was
     /// wrapped.
     #[must_use]
@@ -326,12 +304,6 @@ impl Cycles {
     #[must_use]
     pub fn as_u64(self) -> u64 {
         crate::convert::f64_to_u64(self.0)
-    }
-
-    /// [`as_u64`](Cycles::as_u64) after rounding half-away-from-zero.
-    #[must_use]
-    pub fn as_u64_round(self) -> u64 {
-        crate::convert::f64_to_u64_round(self.0)
     }
 
     /// Total order over the wrapped values (IEEE-754 `totalOrder`), the
@@ -495,14 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn saturating_since_clamps_to_zero() {
-        let early = Cycle::new(10);
-        let late = Cycle::new(20);
-        assert_eq!(late.saturating_since(early), CycleCount::new(10));
-        assert_eq!(early.saturating_since(late), CycleCount::ZERO);
-    }
-
-    #[test]
     fn add_assign_advances_clock() {
         let mut now = Cycle::ZERO;
         now += CycleCount::new(5);
@@ -535,9 +499,7 @@ mod tests {
     #[test]
     fn cycles_integer_exits_saturate() {
         assert_eq!(Cycles::new(42.9).as_u64(), 42);
-        assert_eq!(Cycles::new(42.5).as_u64_round(), 43);
         assert_eq!(Cycles::new(-3.0).as_u64(), 0);
-        assert_eq!(Cycles::from_u64(7_000).as_f64(), 7_000.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use v10::collocate::{
     build_dataset, ClusterServeReport, ClusteringPipeline, FleetOutcome, FleetPlane, OnlinePlacer,
     PairPerfCache, RecoveryPolicy, TopologyWeights,
 };
-use v10::core::{Design, RunOptions};
+use v10::core::{Design, NullObserver, RunOptions};
 use v10::npu::{FleetTopology, NpuConfig};
 use v10::sim::{Cycles, FleetFaultKind, FleetFaultPlan};
 use v10::workloads::{MmppProcess, Model, TimedArrival};
@@ -100,6 +100,7 @@ fn serve(
             &opts,
             plan,
             &RecoveryPolicy::new(),
+            &mut NullObserver,
         )
         .expect("valid faulted fleet serving run")
 }

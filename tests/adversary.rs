@@ -8,6 +8,7 @@
 //! violations found during development, minimized by the harness; each
 //! replays here as an ordinary regression test.
 
+use v10_bench::sweep::parallel_map_with;
 use v10_core::{
     audit_serve_stressed, run_digest, Admission, AdmissionSchedule, Design, FleetConservation,
     OverloadController, OverloadPolicy, PropertyHarness, RunOptions, ShrinkKnobs, WorkloadSpec,
@@ -200,36 +201,17 @@ fn adversary_sweep_is_bit_identical_across_thread_pools() {
         serve_scenario(Design::V10Full, &scenario).unwrap().1
     };
     let cases = AdversaryCase::ALL;
-    let sequential: Vec<Vec<u64>> = cases.iter().map(|&c| digest_of(c)).collect();
+    let sequential = parallel_map_with(1, &cases, |&c| digest_of(c));
     assert!(sequential.iter().all(|d| !d.is_empty()));
 
     for threads in [2usize, 4] {
-        let mut parallel: Vec<Option<Vec<u64>>> = vec![None; cases.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk_start in (0..cases.len()).step_by(threads) {
-                let chunk: Vec<usize> =
-                    (chunk_start..(chunk_start + threads).min(cases.len())).collect();
-                let digest_of = &digest_of;
-                handles.push(scope.spawn(move || {
-                    chunk
-                        .into_iter()
-                        .map(|i| (i, digest_of(cases[i])))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                for (i, d) in h.join().expect("serving thread panicked") {
-                    parallel[i] = Some(d);
-                }
-            }
-        });
-        for (i, (seq, par)) in sequential.iter().zip(&parallel).enumerate() {
+        let parallel = parallel_map_with(threads, &cases, |&c| digest_of(c));
+        for ((seq, par), case) in sequential.iter().zip(&parallel).zip(cases) {
             assert_eq!(
                 seq,
-                par.as_ref().expect("every case served"),
+                par,
                 "{} digest diverged on a {threads}-thread pool",
-                cases[i].label()
+                case.label()
             );
         }
     }

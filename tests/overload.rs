@@ -4,9 +4,11 @@
 //!
 //! Pins the three contracts the control plane ships with:
 //!
-//! * **Disarmed = plain.** A disarmed [`OverloadController`] is a strict
-//!   no-op: bit-identical digests against `serve_design`, for every design,
-//!   no matter how many threads the runs are spread across.
+//! * **Armed acts, deterministically.** Under a flash crowd the armed
+//!   [`OverloadController`] changes every V10 design's run, and the armed
+//!   digests replay bit-identically no matter how many threads the runs are
+//!   spread across. (Disarmed serving *is* plain `serve_design`: both are
+//!   the one stressed path with a disarmed controller.)
 //! * **Armed beats hard rejection.** Under a 2× flash crowd on a small
 //!   context table, parking the overflow and browning out beats bouncing
 //!   arrivals: strictly more requests complete with zero hard rejections.
@@ -18,43 +20,17 @@
 //! clean, including the [`RunReport`] reconciliation.
 
 use v10::core::{
-    audit_serve_stressed, serve_design, serve_design_overloaded, serve_design_overloaded_observed,
-    Admission, AdmissionSchedule, Design, OverloadController, OverloadPolicy, RunOptions,
-    RunReport, RuntimeAuditor, WorkloadSpec,
+    audit_serve_stressed, run_digest, serve_design, serve_design_stressed,
+    serve_design_stressed_observed, Admission, AdmissionSchedule, Design, OverloadController,
+    OverloadPolicy, RunOptions, RunReport, RuntimeAuditor, WorkloadSpec,
 };
 use v10::npu::NpuConfig;
 use v10::sim::{FaultKind, FaultPlan};
 use v10::workloads::{MmppProcess, Model, OpenLoopProcess};
+use v10_bench::sweep::parallel_map_with;
 
 /// Context-table slots: small on purpose, so the flash crowd overflows it.
 const TABLE_SLOTS: usize = 4;
-
-fn digest(r: &RunReport) -> Vec<u64> {
-    let mut d = vec![
-        r.elapsed_cycles().to_bits(),
-        r.sa_busy_cycles().to_bits(),
-        r.vu_busy_cycles().to_bits(),
-        r.switch_overhead_cycles().to_bits(),
-        r.overlap().both.to_bits(),
-        r.overlap().idle.to_bits(),
-        r.hbm_util().to_bits(),
-        r.rejected_admissions(),
-        r.overload_stats().degradations(),
-        r.overload_stats().shed_requests(),
-        r.overload_stats().boosts(),
-        r.overload_stats().overload_cycles().to_bits(),
-    ];
-    for wl in r.workloads() {
-        d.push(wl.completed_requests() as u64);
-        d.push(wl.preemptions());
-        d.push(wl.busy_sa_cycles().to_bits());
-        d.push(wl.priority().to_bits());
-        for &lat in wl.latencies_cycles() {
-            d.push(lat.to_bits());
-        }
-    }
-    d
-}
 
 /// A seeded flash-crowd schedule over three light models.
 fn flash_schedule(burst_factor: f64) -> AdmissionSchedule {
@@ -98,11 +74,12 @@ fn serve_audited(
     controller: OverloadController,
 ) -> RunReport {
     let mut auditor = RuntimeAuditor::new();
-    let report = serve_design_overloaded_observed(
+    let report = serve_design_stressed_observed(
         design,
         schedule,
         &NpuConfig::table5(),
         opts,
+        &FaultPlan::none(),
         controller,
         &mut auditor,
     )
@@ -164,91 +141,45 @@ fn single_state_mmpp_serves_identically_to_poisson() {
     let cfg = NpuConfig::table5();
     let a = serve_design(Design::V10Full, &mmpp, &cfg, &opts).unwrap();
     let b = serve_design(Design::V10Full, &poisson, &cfg, &opts).unwrap();
-    assert_eq!(digest(&a), digest(&b));
+    assert_eq!(run_digest(&a), run_digest(&b));
 }
 
-/// The disarmed control plane must be a strict no-op against plain serving
-/// — for every design, bit for bit, across 1/2/4-thread fan-outs. The
-/// armed V10 digests must also replay identically across thread counts.
+/// Armed runs on the V10 designs actually differ from plain serving (the
+/// crowd overflows the 4-slot table, so the control plane must act), and
+/// replay bit-identically across 1/2/4-thread fan-outs.
 #[test]
-fn disarmed_overload_serving_is_bit_identical_to_plain_across_threads() {
-    let serve_plain = |design: Design| {
-        let schedule = flash_schedule(2.0);
-        digest(&serve_design(design, &schedule, &NpuConfig::table5(), &serve_opts()).unwrap())
-    };
-    let serve_controlled = |design: Design, armed: bool| {
-        let schedule = flash_schedule(2.0);
-        let controller = if armed {
-            OverloadController::armed(OverloadPolicy::default())
-        } else {
-            OverloadController::disarmed()
-        };
-        digest(
-            &serve_design_overloaded(
+fn armed_overload_serving_acts_and_replays_across_threads() {
+    let cfg = NpuConfig::table5();
+    let schedule = flash_schedule(2.0);
+    let armed_designs = [Design::V10Base, Design::V10Fair, Design::V10Full];
+    let serve_armed = |&design: &Design| {
+        run_digest(
+            &serve_design_stressed(
                 design,
                 &schedule,
-                &NpuConfig::table5(),
+                &cfg,
                 &serve_opts(),
-                controller,
+                &FaultPlan::none(),
+                OverloadController::armed(OverloadPolicy::default()),
             )
             .unwrap(),
         )
     };
-
-    // (a) Disarmed == plain, every design (PMT's disarmed path included).
-    for &design in &Design::ALL {
-        assert_eq!(
-            serve_plain(design),
-            serve_controlled(design, false),
-            "{design:?}: a disarmed controller perturbed the run"
-        );
-    }
-
-    // (b) Armed runs on the V10 designs actually differ from plain (the
-    // crowd overflows the 4-slot table, so the control plane must act)...
-    let armed_designs = [Design::V10Base, Design::V10Fair, Design::V10Full];
-    let sequential: Vec<Vec<u64>> = armed_designs
-        .iter()
-        .map(|&d| serve_controlled(d, true))
-        .collect();
-    for (i, d) in sequential.iter().enumerate() {
+    let sequential = parallel_map_with(1, &armed_designs, serve_armed);
+    for (design, armed) in armed_designs.iter().zip(&sequential) {
+        let plain = serve_design(*design, &schedule, &cfg, &serve_opts()).unwrap();
         assert_ne!(
-            *d,
-            serve_plain(armed_designs[i]),
-            "{:?}: the armed controller never acted",
-            armed_designs[i]
+            *armed,
+            run_digest(&plain),
+            "{design:?}: the armed controller never acted"
         );
     }
-
-    // ...and replay bit-identically across thread counts.
     for threads in [2usize, 4] {
-        let mut parallel: Vec<Option<Vec<u64>>> = vec![None; armed_designs.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk_start in (0..armed_designs.len()).step_by(threads.max(1)) {
-                let chunk: Vec<usize> =
-                    (chunk_start..(chunk_start + threads).min(armed_designs.len())).collect();
-                handles.push(scope.spawn(move || {
-                    chunk
-                        .into_iter()
-                        .map(|i| (i, serve_controlled(armed_designs[i], true)))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                for (i, d) in h.join().expect("overloaded serving thread panicked") {
-                    parallel[i] = Some(d);
-                }
-            }
-        });
-        for (i, (seq, par)) in sequential.iter().zip(&parallel).enumerate() {
-            let par = par.as_ref().expect("every design served");
-            assert_eq!(
-                seq, par,
-                "{:?} armed digest diverged between sequential and {threads}-thread runs",
-                armed_designs[i]
-            );
-        }
+        assert_eq!(
+            parallel_map_with(threads, &armed_designs, serve_armed),
+            sequential,
+            "armed digests diverged between sequential and {threads}-thread runs"
+        );
     }
 }
 
@@ -453,7 +384,11 @@ fn single_state_mmpp_equals_poisson_under_armed_fault_plans() {
             a.faults_injected() > 0,
             "{design:?}: the fault plan must actually fire"
         );
-        assert_eq!(digest(&a), digest(&b), "{design:?} diverged under faults");
+        assert_eq!(
+            run_digest(&a),
+            run_digest(&b),
+            "{design:?} diverged under faults"
+        );
     }
 }
 
