@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, rustdoc warnings are errors: no dead or private doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> v10-lint (determinism & panic-freedom, expanded scan surface)"
 cargo run -q -p v10-lint -- --check
 

@@ -161,9 +161,9 @@ struct FaultPoint {
     wall_median: Duration,
     placed: usize,
     rejected: usize,
-    cores_failed: u64,
-    evacuated: u64,
-    shed_sessions: u64,
+    cores_failed: usize,
+    evacuated: usize,
+    shed_sessions: usize,
     completed_requests: usize,
     shed_requests: usize,
     goodput_per_mcycle: f64,
@@ -346,9 +346,9 @@ fn run_point(
         wall_median,
         placed: outcome.placed(),
         rejected: outcome.rejected(),
-        cores_failed: outcome.cores_failed(),
-        evacuated: outcome.evacuated(),
-        shed_sessions: outcome.shed_sessions(),
+        cores_failed: report.retired_cores().len(),
+        evacuated: report.requeued().len(),
+        shed_sessions: report.shed().len(),
         completed_requests: report.completed_requests(),
         shed_requests: report.shed_requests(),
         goodput_per_mcycle: goodput,

@@ -4,8 +4,8 @@
 //! × 4 executors for Figs. 16–21, a 4 × 8 grid for the Fig. 25 scaling
 //! study. Each simulation owns its engine, its RNG stream, and its report,
 //! so they parallelize embarrassingly: [`parallel_map`] fans the work out
-//! over scoped threads (`std::thread::scope`, no external crates) and
-//! returns results **in input order**, which makes the printed tables
+//! over scoped threads ([`v10_sim::parallel_map_with`]) and returns
+//! results **in input order**, which makes the printed tables
 //! byte-identical to a sequential run regardless of thread count or
 //! scheduling.
 //!
@@ -13,11 +13,10 @@
 //! parallelism); `V10_BENCH_THREADS=1` degenerates to an inline sequential
 //! loop, which the unit tests use to prove order-independence.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::PairCase;
 use v10_core::{Design, RunReport};
 use v10_npu::NpuConfig;
+use v10_sim::parallel_map_with;
 
 /// Worker threads for sweeps (env `V10_BENCH_THREADS`, default: all cores).
 #[must_use]
@@ -33,10 +32,10 @@ pub fn sweep_threads() -> usize {
         })
 }
 
-/// Applies `f` to every item on a pool of scoped threads and returns the
-/// results in input order, using [`sweep_threads`] workers.
+/// Applies `f` to every item on a pool of [`sweep_threads`] scoped threads
+/// and returns the results in input order.
 ///
-/// See [`parallel_map_with`] for the ordering guarantee.
+/// See [`v10_sim::parallel_map_with`] for the ordering guarantee.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -44,57 +43,6 @@ where
     F: Fn(&T) -> R + Sync,
 {
     parallel_map_with(sweep_threads(), items, f)
-}
-
-/// Applies `f` to every item on a pool of `threads` scoped threads and
-/// returns the results in input order.
-///
-/// Items are claimed dynamically from a shared atomic cursor (so a slow
-/// simulation never stalls the rest of the batch); each thread keeps its
-/// `(index, result)` pairs privately and the results are scattered back
-/// into input order after the scope joins. The output is therefore
-/// independent of thread count and scheduling. With one thread (or one
-/// item) this is an ordinary sequential loop.
-pub fn parallel_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut mine: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            return mine;
-                        }
-                        mine.push((i, f(&items[i])));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("sweep worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
 }
 
 /// One pair's complete evaluation: single-tenant references plus all four
@@ -124,15 +72,6 @@ mod tests {
     use super::*;
     use v10_core::{run_design, run_digest, RunOptions, WorkloadSpec};
     use v10_workloads::Model;
-
-    #[test]
-    fn parallel_map_preserves_input_order() {
-        let items: Vec<usize> = (0..37).collect();
-        let want: Vec<usize> = items.iter().map(|&i| i * i).collect();
-        for threads in [1, 2, 8, 64] {
-            assert_eq!(parallel_map_with(threads, &items, |&i| i * i), want);
-        }
-    }
 
     /// Every f64 a sweep can print, down to the last bit.
     #[test]

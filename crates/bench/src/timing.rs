@@ -27,9 +27,9 @@ fn time_batch<R>(f: &mut impl FnMut() -> R, iters: u32) -> Duration {
 
 /// Measures the median per-iteration time of `f`.
 ///
-/// Calibrates the batch size by doubling until a batch exceeds
-/// [`BATCH_TARGET`], then samples [`BATCHES`] batches and returns the median
-/// batch time divided by the batch size.
+/// Calibrates the batch size by doubling until a batch exceeds 5 ms, then
+/// samples 9 batches and returns the median batch time divided by the
+/// batch size.
 pub fn bench<R>(mut f: impl FnMut() -> R) -> Duration {
     // Calibrate: double iters until the batch is long enough to time.
     let mut iters: u32 = 1;
@@ -58,7 +58,7 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Duration) {
 
 /// Median wall time of `samples` calls of `f` (use an odd count so the
 /// median is a single sample). Robust to one-off scheduling hiccups
-/// without the batch calibration of [`bench`], which is meant for
+/// without the batch calibration of [`bench()`], which is meant for
 /// microsecond-scale closures rather than whole simulation runs.
 pub fn median_wall<R>(samples: usize, mut f: impl FnMut() -> R) -> Duration {
     let samples = samples.max(1);

@@ -6,34 +6,33 @@
 //!
 //! The flat [`OnlinePlacer`] ranking is an argmax over every core: each
 //! arrival rescans the fleet. The fleet plane decomposes that argmax.
-//! Cores are partitioned into fixed contiguous shards
-//! ([`ShardMap`](v10_sim::ShardMap)); each shard's admission worker keeps a
-//! summary table of its best candidate core per (behavior class, home HBM
-//! group) pair. An admit or release touches exactly one core, so it
-//! invalidates exactly one worker's table; the next placement query rebuilds
-//! only the dirty tables — a rescan of `cores / shards` cores instead of
-//! `cores` — and takes the argmax over the `shards` table entries. Because a
-//! core's score is a pure function of its own occupancy (plus static
-//! topology), and every scan keeps the incumbent on ties, the decomposed
-//! argmax picks the *identical* core the flat scan would: finer sharding
-//! changes the work done, never the answer. The per-arrival placement cost
-//! drops by roughly the shard count, which is where the fleet bench's
-//! wall-clock speedup comes from — no threads required.
+//! Cores are partitioned into fixed contiguous shards ([`ShardMap`]); each
+//! shard's admission worker keeps a summary table of its best candidate
+//! core per (behavior class, home HBM group) pair. An admit or release
+//! touches exactly one core, so it invalidates exactly one worker's table;
+//! the next placement query rebuilds only the dirty tables — a rescan of
+//! `cores / shards` cores instead of `cores` — and takes the argmax over
+//! the `shards` table entries. Because a core's score is a pure function
+//! of its own occupancy (plus static topology), and every scan keeps the
+//! incumbent on ties, the decomposed argmax picks the *identical* core the
+//! flat scan would: finer sharding changes the work done, never the
+//! answer. The per-arrival placement cost drops by roughly the shard
+//! count, which is where the fleet bench's wall-clock speedup comes from —
+//! no threads required.
 //!
 //! # Determinism across shard and thread counts
 //!
-//! Shards exchange state only at epoch boundaries
-//! ([`EpochClock`](v10_sim::EpochClock)): tenant departures observed in the
-//! cached per-core engine reports are released in simulated-time order
-//! ([`merge_messages`](v10_sim::merge_messages), tie-broken by core index
+//! Shards exchange state only at epoch boundaries ([`EpochClock`]): tenant
+//! departures observed in the cached per-core engine reports are released
+//! in simulated-time order ([`merge_messages`], tie-broken by core index
 //! and interned label), and only departures at or before the boundary are
 //! applied. An arrival strictly after the boundary cannot change engine
 //! events before it, so a departure once applied can never be retracted by
 //! later admissions — the plane's slot bookkeeping is conservative with
 //! respect to the engine's own context table and the engine never rejects
-//! an admission the plane made ([`FleetOutcome::engine_rejections`] stays
-//! zero). Dirty cores are re-simulated through the workspace's
-//! input-order scatter-back parallel map, so the [`ClusterServeReport`] is
+//! an admission the plane made (a serve where it did is an error). Dirty
+//! cores are re-simulated through the workspace's input-order scatter-back
+//! parallel map ([`parallel_map_with`]), so the [`ClusterServeReport`] is
 //! byte-identical across 1/2/4/8 shards and any worker-thread count; only
 //! the [`FleetOutcome`] scan counters depend on the shard layout.
 //!
@@ -72,22 +71,23 @@
 //! branches: [`FleetPlane::serve`] *is* `serve_faulted` under the empty
 //! plan, byte-identical to the pre-fault-domain plane.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use v10_core::{
     serve_design, serve_design_stressed, Admission, AdmissionSchedule, Design, NullObserver,
     OverloadController, RunOptions, RunReport, SimEvent, SimObserver, WorkloadSpec,
 };
 use v10_npu::{ClusterState, FleetTopology, NpuConfig};
-use v10_sim::convert::{u64_from_usize, u64_to_f64, usize_to_f64};
+use v10_sim::convert::{u64_from_usize, u64_to_f64};
 use v10_sim::{
-    merge_messages, Cycles, DepartureMsg, EpochClock, FaultKind, FaultPlan, FleetFaultEvent,
-    FleetFaultKind, FleetFaultPlan, LabelId, LabelInterner, ShardMap, V10Error, V10Result,
+    merge_messages, parallel_map_with, Cycles, DepartureMsg, EpochClock, FaultKind, FaultPlan,
+    FleetFaultEvent, FleetFaultKind, FleetFaultPlan, LabelId, LabelInterner, ShardMap, V10Error,
+    V10Result,
 };
 use v10_workloads::TimedArrival;
 
 use crate::placer::{AdmissionDecision, OnlinePlacer, Placement, TopoScore, TopologyWeights};
-use crate::recovery::{ClusterServeReport, RecoveryPolicy, RequeueRecord, ShedRecord};
+use crate::recovery::{
+    ClusterServeReport, Displaced, Readmission, RecoveryPolicy, RequeueRecord, ShedRecord,
+};
 
 /// Bytes moved to evacuate one displaced tenant: the context-table row plus
 /// the resident weight image, re-fetched through the failed region's
@@ -112,8 +112,8 @@ struct ShardWorker {
 /// Everything observable about the *serving outcome* lives in the
 /// byte-identical [`ClusterServeReport`]; this struct carries the
 /// telemetry that legitimately varies with the shard layout (how many
-/// cores the table rebuilds scanned) alongside shard-independent
-/// conservation counters the fleet auditor checks.
+/// cores the table rebuilds scanned) alongside the shard-independent
+/// admission flow and fault application log the fleet auditor checks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetOutcome {
     shards: usize,
@@ -122,15 +122,11 @@ pub struct FleetOutcome {
     placed: usize,
     rejected: usize,
     rebuild_core_scans: u64,
-    engine_rejections: u64,
     departures: Vec<DepartureMsg>,
     decisions: Vec<AdmissionDecision>,
     shard_crash_log: Vec<(usize, f64)>,
     shard_restore_log: Vec<(usize, f64)>,
     region_fail_log: Vec<(usize, f64)>,
-    cores_failed: u64,
-    evacuated: u64,
-    shed_sessions: u64,
     link_faults: u64,
 }
 
@@ -176,17 +172,6 @@ impl FleetOutcome {
         self.rebuild_core_scans
     }
 
-    /// Admissions the *engine* rejected across all live cores. Always
-    /// zero: the plane's slot bookkeeping is conservative with respect to
-    /// the engine's context table (departures are released only past their
-    /// epoch boundary). A non-zero value means the epoch exchange broke
-    /// causality. Turn-aways at a region-failed core's retirement instant
-    /// are accounted as displacements instead, not counted here.
-    #[must_use]
-    pub fn engine_rejections(&self) -> u64 {
-        self.engine_rejections
-    }
-
     /// Every admission decision in offer order — identical across shard
     /// layouts and thread counts.
     #[must_use]
@@ -222,24 +207,6 @@ impl FleetOutcome {
     #[must_use]
     pub fn regions_failed(&self) -> &[(usize, f64)] {
         &self.region_fail_log
-    }
-
-    /// Cores killed by region failures.
-    #[must_use]
-    pub fn cores_failed(&self) -> u64 {
-        self.cores_failed
-    }
-
-    /// Displaced tenants successfully evacuated onto a surviving core.
-    #[must_use]
-    pub fn evacuated(&self) -> u64 {
-        self.evacuated
-    }
-
-    /// Displaced tenants the backoff ladder gave up on.
-    #[must_use]
-    pub fn shed_sessions(&self) -> u64 {
-        self.shed_sessions
     }
 
     /// Link-health events applied (degrades, partitions, restores).
@@ -303,10 +270,12 @@ struct FaultDomains {
 /// partition, the epoch length, and the topology scoring weights; then
 /// [`serve`](Self::serve) plays an arrival stream forward and returns the
 /// same [`ClusterServeReport`] shape as the single-coordinator recovery
-/// path, plus a [`FleetOutcome`] with the plane's work counters.
+/// path, plus a [`FleetOutcome`] with the plane's work counters. Every
+/// serve starts from the plane as constructed.
 #[derive(Debug)]
 pub struct FleetPlane<'a> {
     placer: OnlinePlacer<'a>,
+    /// The fleet as the last serve left it.
     state: ClusterState,
     shard_map: ShardMap,
     clock: EpochClock,
@@ -371,8 +340,8 @@ impl<'a> FleetPlane<'a> {
         self
     }
 
-    /// Current fleet occupancy (reflects the post-serve cluster after
-    /// [`serve`](Self::serve) returns).
+    /// Fleet occupancy as the last serve left it (the empty fleet before
+    /// the first).
     #[must_use]
     pub fn state(&self) -> &ClusterState {
         &self.state
@@ -394,6 +363,21 @@ impl<'a> FleetPlane<'a> {
     #[must_use]
     pub fn weights(&self) -> TopologyWeights {
         self.weights
+    }
+
+    /// Returns the fleet and every shard worker to their constructed
+    /// state: no residents, no failed cores, healthy links, empty tables.
+    fn reset(&mut self) -> V10Result<()> {
+        let mut topology = self.state.topology().clone();
+        for group in 0..self.groups {
+            topology.restore_link(group)?;
+        }
+        self.state = ClusterState::with_topology(topology, self.slots_per_core)?;
+        for worker in &mut self.workers {
+            worker.best.fill(None);
+            worker.dirty = true;
+        }
+        Ok(())
     }
 
     /// Rebuilds every dirty live worker's summary table and returns the
@@ -583,6 +567,7 @@ impl<'a> FleetPlane<'a> {
         }
         let events = plan.compiled();
         self.validate_events(&events)?;
+        self.reset()?;
         let armed = !events.is_empty();
         let mut fd = FaultDomains {
             events,
@@ -609,15 +594,11 @@ impl<'a> FleetPlane<'a> {
             placed: 0,
             rejected: 0,
             rebuild_core_scans: 0,
-            engine_rejections: 0,
             departures: Vec::new(),
             decisions: Vec::new(),
             shard_crash_log: Vec::new(),
             shard_restore_log: Vec::new(),
             region_fail_log: Vec::new(),
-            cores_failed: 0,
-            evacuated: 0,
-            shed_sessions: 0,
             link_faults: 0,
         };
 
@@ -714,7 +695,7 @@ impl<'a> FleetPlane<'a> {
             // Re-simulate the cores whose admission history changed, in
             // parallel with input-order scatter-back.
             let jobs: Vec<usize> = (0..cores).filter(|&c| dirty_core[c]).collect();
-            let results = run_cores(self.threads, &jobs, |core| {
+            let results = parallel_map_with(self.threads, &jobs, |&core| {
                 let schedule = AdmissionSchedule::new(per_core[core].clone())?;
                 serve_design(design, &schedule, config, &opts)
             });
@@ -724,6 +705,7 @@ impl<'a> FleetPlane<'a> {
             }
         }
 
+        let mut engine_rejections = 0;
         for (core, report) in reports.iter().enumerate() {
             // A region-failed core's turn-aways at its retirement instant
             // are displacements, already accounted by the recovery ledger.
@@ -731,16 +713,15 @@ impl<'a> FleetPlane<'a> {
                 continue;
             }
             if let Some(r) = report {
-                outcome.engine_rejections += r.rejected_admissions();
+                engine_rejections += r.rejected_admissions();
             }
         }
-        if outcome.engine_rejections != 0 {
+        if engine_rejections != 0 {
             return Err(V10Error::invalid(
                 "FleetPlane::serve",
                 format!(
-                    "engine rejected {} admissions the plane made: the epoch \
-                     exchange released a slot before its tenant retired",
-                    outcome.engine_rejections
+                    "engine rejected {engine_rejections} admissions the plane made: the \
+                     epoch exchange released a slot before its tenant retired"
                 ),
             ));
         }
@@ -937,7 +918,6 @@ impl<'a> FleetPlane<'a> {
             self.state.fail(core)?;
             self.invalidate(core)?;
             fd.retired.push((core, now));
-            outcome.cores_failed += 1;
             // The truncated report is this core's final word: pre-failure
             // completions count (those responses were delivered), and the
             // core is never re-simulated again.
@@ -986,11 +966,9 @@ impl<'a> FleetPlane<'a> {
         Ok(())
     }
 
-    /// Runs the backoff-and-shed ladder for one displaced tenant: attempt
-    /// `k` fires at `fail + backoff_base · (2^k − 1)`, is blocked while
-    /// the failed region's uplink is partitioned, pays the faulted
-    /// transfer cost of the context image on success, and sheds when the
-    /// deadline is unmeetable or retries exhaust.
+    /// Runs the backoff-and-shed ladder for one displaced tenant: an
+    /// attempt is blocked while the failed region's uplink is partitioned
+    /// and pays the faulted transfer cost of the context image on success.
     #[allow(clippy::too_many_arguments)]
     fn evacuate_tenant<O: SimObserver>(
         &mut self,
@@ -1005,110 +983,80 @@ impl<'a> FleetPlane<'a> {
         outcome: &mut FleetOutcome,
         observer: &mut O,
     ) -> V10Result<()> {
-        let (label, spec, class, group, from_core, arrived_at, quota, label_id, decision) = {
-            let t = &tenants[tenant_idx];
-            let admission = &per_core[t.core][t.idx];
-            (
-                admission.spec().label().to_string(),
-                admission.spec().clone(),
-                t.class,
-                t.group,
-                t.core,
-                t.arrived_at,
-                t.quota,
-                t.label,
-                t.decision,
-            )
+        let t = &tenants[tenant_idx];
+        let (class, group, from_core, arrived_at, quota, label, decision) = (
+            t.class,
+            t.group,
+            t.core,
+            t.arrived_at,
+            t.quota,
+            t.label,
+            t.decision,
+        );
+        let spec = per_core[from_core][t.idx].spec().clone();
+        let displaced = Displaced {
+            label: spec.label().to_string(),
+            from_core,
+            arrived_at,
+            quota,
+            remaining,
+            per_request: u64_to_f64(spec.trace().total_compute_cycles()),
         };
-        let per_request = u64_to_f64(spec.trace().total_compute_cycles());
-        let deadline = arrived_at + policy.deadline_factor() * usize_to_f64(quota) * per_request;
-        let ideal_remaining = usize_to_f64(remaining) * per_request;
         let src_group = self.state.topology().group_of(from_core)?;
-        let mut last_attempt_at = fail_at;
-        for attempt in 0..=policy.max_retries() {
-            let exp = f64::from(2u32.saturating_pow(attempt)) - 1.0;
-            let at = fail_at + policy.backoff_base_cycles() * exp;
-            last_attempt_at = at;
-            if at + ideal_remaining > deadline {
-                // Even perfect service from here misses the deadline:
-                // shedding now beats queueing doomed work.
-                fd.shed.push(ShedRecord {
-                    label: label.clone(),
-                    from_core,
-                    at_cycles: at,
-                    lost_requests: remaining,
-                    deadline_unmeetable: true,
-                });
-                outcome.shed_sessions += 1;
-                observer.on_event(SimEvent::RequestShed {
-                    arrival: decision,
-                    at,
-                });
-                return Ok(());
-            }
+        let readmission = policy.readmit(displaced, fail_at, |at| {
             if at < fd.partition_until[src_group] {
                 // The failed region's snapshot is unreachable across a
                 // partitioned uplink: back off and ride it out.
-                continue;
+                return Ok(None);
             }
             self.heal_links(at, fd)?;
             outcome.rebuild_core_scans += self.rebuild_dirty(&fd.crashed)?;
-            match self.query(class, group, &fd.crashed) {
-                Placement::Core(to_core) => {
-                    self.state.admit(to_core, class)?;
-                    self.invalidate(to_core)?;
-                    dirty_core[to_core] = true;
-                    let hops = self.state.topology().hop_cost(to_core, src_group)?;
-                    let transfer = self.state.topology().faulted_transfer_cycles(
-                        EVAC_IMAGE_BYTES,
-                        hops,
-                        src_group,
-                    )?;
-                    let admission = Admission::new(spec.clone(), at + transfer, remaining)?;
-                    let idx = insert_admission(&mut per_core[to_core], tenants, to_core, admission);
-                    tenants.push(FleetTenant {
-                        core: to_core,
-                        idx,
-                        class,
-                        label: label_id,
-                        released: false,
-                        group,
-                        arrived_at,
-                        quota,
-                        assigned: remaining,
-                        decision,
-                    });
-                    fd.requeued.push(RequeueRecord {
-                        label: label.clone(),
-                        from_core,
-                        to_core,
-                        at_cycles: at,
-                        attempt,
-                        remaining_requests: remaining,
-                    });
-                    outcome.evacuated += 1;
-                    observer.on_event(SimEvent::TenantEvacuated {
-                        from_core,
-                        to_core,
-                        at,
-                    });
-                    return Ok(());
-                }
-                Placement::Reject => {}
+            Ok(match self.query(class, group, &fd.crashed) {
+                Placement::Core(core) => Some(core),
+                Placement::Reject => None,
+            })
+        })?;
+        match readmission {
+            Readmission::Requeued(record) => {
+                let (to_core, at) = (record.to_core, record.at_cycles);
+                self.state.admit(to_core, class)?;
+                self.invalidate(to_core)?;
+                dirty_core[to_core] = true;
+                let hops = self.state.topology().hop_cost(to_core, src_group)?;
+                let transfer = self.state.topology().faulted_transfer_cycles(
+                    EVAC_IMAGE_BYTES,
+                    hops,
+                    src_group,
+                )?;
+                let admission = Admission::new(spec, at + transfer, remaining)?;
+                let idx = insert_admission(&mut per_core[to_core], tenants, to_core, admission);
+                tenants.push(FleetTenant {
+                    core: to_core,
+                    idx,
+                    class,
+                    label,
+                    released: false,
+                    group,
+                    arrived_at,
+                    quota,
+                    assigned: remaining,
+                    decision,
+                });
+                fd.requeued.push(record);
+                observer.on_event(SimEvent::TenantEvacuated {
+                    from_core,
+                    to_core,
+                    at,
+                });
+            }
+            Readmission::Shed(record) => {
+                observer.on_event(SimEvent::RequestShed {
+                    arrival: decision,
+                    at: record.at_cycles,
+                });
+                fd.shed.push(record);
             }
         }
-        fd.shed.push(ShedRecord {
-            label,
-            from_core,
-            at_cycles: last_attempt_at,
-            lost_requests: remaining,
-            deadline_unmeetable: false,
-        });
-        outcome.shed_sessions += 1;
-        observer.on_event(SimEvent::RequestShed {
-            arrival: decision,
-            at: last_attempt_at,
-        });
         Ok(())
     }
 }
@@ -1133,51 +1081,6 @@ fn insert_admission(
     }
     list.insert(idx, admission);
     idx
-}
-
-/// Runs `f` over `jobs` on `threads` scoped worker threads, returning
-/// results in input order (atomic-cursor claim, private result buffers,
-/// scatter-back after join) — the same byte-identical recipe as the bench
-/// sweep driver, inlined here because the plane sits below the bench crate.
-fn run_cores<R, F>(threads: usize, jobs: &[usize], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = threads.max(1).min(jobs.len().max(1));
-    if threads <= 1 {
-        return jobs.iter().map(|&j| f(j)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(jobs.len());
-    slots.resize_with(jobs.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut mine: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            return mine;
-                        }
-                        mine.push((i, f(jobs[i])));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("fleet worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job slot filled"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1246,7 +1149,6 @@ mod tests {
         assert_eq!(outcome.offered(), 9);
         assert_eq!(outcome.placed() + outcome.rejected(), 9);
         assert_eq!(outcome.rejected(), 0, "16 slots for 9 small tenants");
-        assert_eq!(outcome.engine_rejections(), 0);
         assert_eq!(outcome.decisions().len(), 9);
         assert!(outcome.epochs() >= 2, "arrivals span multiple epochs");
         assert!(
@@ -1306,6 +1208,57 @@ mod tests {
             assert_eq!(outcome.placed(), base_outcome.placed());
             assert_eq!(outcome.epochs(), base_outcome.epochs());
         }
+    }
+
+    #[test]
+    fn serving_twice_on_one_plane_matches_a_fresh_plane() {
+        let p = pipeline();
+        let arrivals = arrivals();
+        let opts = RunOptions::new(1).unwrap();
+        let cfg = NpuConfig::table5();
+        let fresh = || plane(&p, 2, 1);
+        let plain = fresh()
+            .serve(&arrivals, Design::V10Full, &cfg, &opts)
+            .unwrap();
+        let mut reused = fresh();
+        for _ in 0..2 {
+            let again = reused
+                .serve(&arrivals, Design::V10Full, &cfg, &opts)
+                .unwrap();
+            assert_eq!(again, plain, "a serve must not see earlier residents");
+        }
+        // Failed cores and a degraded uplink do not outlive their serve
+        // either.
+        let plan = FleetFaultPlan::none()
+            .with_fault(
+                0.0,
+                FleetFaultKind::LinkDegrade {
+                    hbm_group: 1,
+                    factor: 4.0,
+                },
+            )
+            .unwrap()
+            .with_fault(3_000_000.0, FleetFaultKind::RegionFail { hbm_group: 0 })
+            .unwrap();
+        reused
+            .serve_faulted(
+                &arrivals,
+                Design::V10Full,
+                &cfg,
+                &opts,
+                &plan,
+                &RecoveryPolicy::new(),
+                &mut NullObserver,
+            )
+            .unwrap();
+        assert!(
+            reused.state().is_failed(0).unwrap(),
+            "state() keeps the last serve"
+        );
+        let after_faults = reused
+            .serve(&arrivals, Design::V10Full, &cfg, &opts)
+            .unwrap();
+        assert_eq!(after_faults, plain);
     }
 
     #[test]
@@ -1372,7 +1325,6 @@ mod tests {
         assert!(report.shed().is_empty());
         assert!(report.retired_cores().is_empty());
         assert!(outcome.shard_crashes().is_empty());
-        assert_eq!(outcome.cores_failed(), 0);
     }
 
     #[test]
@@ -1419,6 +1371,46 @@ mod tests {
         assert!(report.conservation().holds());
     }
 
+    /// With one shard a crash leaves no surviving admission worker: every
+    /// arrival of the crash epoch is rejected (the 1-shard shard-crash row
+    /// of `BENCH_fleet_faults.json`), and the restore at the next processed
+    /// boundary places arrivals again.
+    #[test]
+    fn one_shard_crash_rejects_exactly_the_crash_epoch() {
+        let p = pipeline();
+        let plan = FleetFaultPlan::none()
+            .with_fault(4_000_000.0, FleetFaultKind::ShardCrash { shard: 0 })
+            .unwrap();
+        let arrivals = arrivals();
+        let mut plane = plane(&p, 1, 1);
+        let (report, outcome) = plane
+            .serve_faulted(
+                &arrivals,
+                Design::V10Full,
+                &NpuConfig::table5(),
+                &RunOptions::new(1).unwrap(),
+                &plan,
+                &RecoveryPolicy::new(),
+                &mut NullObserver,
+            )
+            .unwrap();
+        assert_eq!(outcome.shard_crashes(), &[(0, 4_000_000.0)]);
+        assert_eq!(outcome.shard_restores(), &[(0, 8_000_000.0)]);
+        let crash_epoch = plane.clock().epoch_of(Cycles::new(4_000_000.0));
+        for (arrival, decision) in arrivals.iter().zip(outcome.decisions()) {
+            let in_crash_epoch =
+                plane.clock().epoch_of(Cycles::new(arrival.at_cycles())) == crash_epoch;
+            assert_eq!(
+                decision.placement == Placement::Reject,
+                in_crash_epoch,
+                "{}",
+                decision.label
+            );
+        }
+        assert_eq!(outcome.rejected(), 2, "t2 and t3 arrive in the crash epoch");
+        assert!(report.conservation().holds());
+    }
+
     #[test]
     fn region_failure_evacuates_open_tenants_onto_survivors() {
         let p = pipeline();
@@ -1440,8 +1432,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(outcome.regions_failed(), &[(0, 8_000_000.0)]);
-        assert_eq!(outcome.cores_failed(), 4, "group 0 is cores 0,1,4,5");
-        assert_eq!(report.retired_cores().len(), 4);
+        assert_eq!(report.retired_cores().len(), 4, "group 0 is cores 0,1,4,5");
         for &(core, at) in report.retired_cores() {
             assert!(matches!(core, 0 | 1 | 4 | 5));
             assert_eq!(at, 8_000_000.0);
@@ -1450,8 +1441,8 @@ mod tests {
         // All six Bert tenants (8 requests over ~1.1e8 cycles each) have
         // open quota at the 8e6 boundary and must land on surviving
         // group-1 cores.
-        assert_eq!(outcome.evacuated(), 6, "requeued={:?}", report.requeued());
-        assert_eq!(outcome.shed_sessions(), 0);
+        assert_eq!(report.requeued().len(), 6, "shed={:?}", report.shed());
+        assert!(report.shed().is_empty());
         for r in report.requeued() {
             assert!(matches!(r.from_core, 0 | 1 | 4 | 5));
             assert!(matches!(r.to_core, 2 | 3 | 6 | 7));
@@ -1489,7 +1480,7 @@ mod tests {
             .with_max_retries(6);
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
-        let (report, outcome) = plane
+        let (report, _) = plane
             .serve_faulted(
                 &faulted_arrivals(),
                 Design::V10Full,
@@ -1503,7 +1494,7 @@ mod tests {
         // The partition holds until 5e6 + 1e7 = 1.5e7. Backoff attempts
         // fire at 8e6, 9e6, 1.1e7, 1.5e7: the first three are inside the
         // window, so every successful evacuation is attempt 3 at 1.5e7.
-        assert_eq!(outcome.evacuated(), 6, "shed={:?}", report.shed());
+        assert_eq!(report.requeued().len(), 6, "shed={:?}", report.shed());
         for r in report.requeued() {
             assert_eq!(r.attempt, 3, "attempts inside the partition must fail");
             assert_eq!(r.at_cycles, 15_000_000.0);
@@ -1624,7 +1615,7 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.shard_crashes(), &[(1, 4_000_000.0)]);
         assert_eq!(outcome.shard_restores(), &[(1, 8_000_000.0)]);
-        assert!(outcome.evacuated() > 0);
+        assert!(!report.requeued().is_empty());
 
         let mut auditor = FleetConservation::new();
         auditor.record_flow(outcome.offered(), outcome.placed(), outcome.rejected());

@@ -11,10 +11,9 @@
 //! qualifies, the tenant gets an empty core; with no free slot anywhere it
 //! is rejected.
 //!
-//! [`MultiCoreAdmission`] wraps the advisor around a
-//! [`ClusterState`](v10_npu::ClusterState) and compiles the accepted
-//! arrivals into per-core [`AdmissionSchedule`]s that the serving engine
-//! replays (`v10_core::serve_design`).
+//! [`MultiCoreAdmission`] wraps the advisor around a [`ClusterState`] and
+//! compiles the accepted arrivals into per-core [`AdmissionSchedule`]s
+//! that the serving engine replays (`v10_core::serve_design`).
 
 use v10_core::{Admission, AdmissionSchedule, WorkloadSpec};
 use v10_npu::ClusterState;
@@ -133,95 +132,25 @@ impl<'a> OnlinePlacer<'a> {
         self.place_class(self.class_of_model(model), cluster_state)
     }
 
-    /// Places an arriving tenant already mapped to behavior class `class`.
+    /// Places an arriving tenant already mapped to behavior class `class`:
+    /// the topology-blind ranking, which is
+    /// [`place_class_topo`](Self::place_class_topo) at
+    /// [`TopologyWeights::zero`] on home group 0. Every penalty is then
+    /// `+0.0`, so an empty core scores `-0.0`, a collocated core exactly
+    /// its predicted STP, and ties go to the lowest core index.
     ///
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `class` — or any resident
     /// tag in `cluster_state` — is outside the pipeline's cluster range.
     pub fn place_class(&self, class: usize, cluster_state: &ClusterState) -> V10Result<Placement> {
-        self.place_class_inner(class, cluster_state, None)
-    }
-
-    /// [`place_class`](Self::place_class) restricted to cores whose entry
-    /// in `allowed` is `true` — the hook the per-core circuit breakers
-    /// ([`BreakerBoard`]) use to take tripped cores out of rotation. Cores
-    /// past the end of `allowed` are treated as disallowed; an all-`true`
-    /// mask behaves exactly like [`place_class`](Self::place_class).
-    ///
-    /// # Errors
-    ///
-    /// As [`place_class`](Self::place_class).
-    pub fn place_class_filtered(
-        &self,
-        class: usize,
-        cluster_state: &ClusterState,
-        allowed: &[bool],
-    ) -> V10Result<Placement> {
-        self.place_class_inner(class, cluster_state, Some(allowed))
-    }
-
-    fn place_class_inner(
-        &self,
-        class: usize,
-        cluster_state: &ClusterState,
-        allowed: Option<&[bool]>,
-    ) -> V10Result<Placement> {
-        let k = self.pipeline.clusters();
-        if class >= k {
-            return Err(V10Error::invalid(
-                "OnlinePlacer::place_class",
-                format!("class {class} out of range for a {k}-cluster pipeline"),
-            ));
-        }
-        let perf = self.pipeline.cluster_perf_table();
-        let mut best: Option<(usize, f64)> = None;
-        let mut empty: Option<usize> = None;
-        for core in 0..cluster_state.cores() {
-            if allowed.is_some_and(|mask| !mask.get(core).copied().unwrap_or(false)) {
-                continue;
-            }
-            if cluster_state.free_slots(core)? == 0 {
-                continue;
-            }
-            let residents = cluster_state.residents(core)?;
-            if residents.is_empty() {
-                if empty.is_none() {
-                    empty = Some(core);
-                }
-                continue;
-            }
-            // Conservative score: the worst predicted pairing with any
-            // resident must still clear the threshold.
-            let mut predicted = f64::INFINITY;
-            for &r in residents {
-                if r >= k {
-                    return Err(V10Error::invalid(
-                        "OnlinePlacer::place_class",
-                        format!(
-                            "resident class {r} on core {core} out of range \
-                             for a {k}-cluster pipeline"
-                        ),
-                    ));
-                }
-                predicted = predicted.min(perf[class][r]);
-            }
-            if predicted >= self.threshold && best.is_none_or(|(_, stp)| predicted > stp) {
-                best = Some((core, predicted));
-            }
-        }
-        Ok(match (best, empty) {
-            (Some((core, _)), _) => Placement::Core(core),
-            (None, Some(core)) => Placement::Core(core),
-            (None, None) => Placement::Reject,
-        })
+        self.place_class_topo(class, cluster_state, 0, &TopologyWeights::zero())
     }
 
     /// Scores one candidate core for an arrival of behavior class `class`
     /// whose weights are resident in HBM group `home_group`, or `None`
     /// when the core is not admissible (no free slot, or a resident
-    /// pairing below the benefit threshold — the same skip rules as
-    /// [`place_class`](Self::place_class)).
+    /// pairing below the benefit threshold).
     ///
     /// The score is a two-tier key (see [`TopoScore`]): collocating with
     /// beneficial residents always outranks opening an empty core, and
@@ -232,10 +161,6 @@ impl<'a> OnlinePlacer<'a> {
     /// class (antagonist spreading: same-class tenants stress the same
     /// functional units, so piling them on one core is the worst-case
     /// contention pattern).
-    ///
-    /// Under zero weights — or the flat compatibility topology, where
-    /// every hop cost is zero and a zero spread weight — the ranking
-    /// degenerates exactly to [`place_class`](Self::place_class).
     ///
     /// # Errors
     ///
@@ -309,8 +234,26 @@ impl<'a> OnlinePlacer<'a> {
         home_group: usize,
         weights: &TopologyWeights,
     ) -> V10Result<Placement> {
+        self.best_core(class, cluster_state, home_group, weights, |_| true)
+    }
+
+    /// The one argmax over [`topo_score`](Self::topo_score) behind every
+    /// placement, restricted to the cores `allowed` admits (queried once
+    /// per core, in index order) — the hook the per-core circuit breakers
+    /// use to take tripped cores out of rotation.
+    fn best_core(
+        &self,
+        class: usize,
+        cluster_state: &ClusterState,
+        home_group: usize,
+        weights: &TopologyWeights,
+        mut allowed: impl FnMut(usize) -> bool,
+    ) -> V10Result<Placement> {
         let mut best: Option<(TopoScore, usize)> = None;
         for core in 0..cluster_state.cores() {
+            if !allowed(core) {
+                continue;
+            }
             if let Some(score) = self.topo_score(class, core, cluster_state, home_group, weights)? {
                 if best.is_none_or(|(b, _)| score.beats(&b)) {
                     best = Some((score, core));
@@ -498,15 +441,11 @@ impl<'a> MultiCoreAdmission<'a> {
     /// a board is armed. Querying the board applies cooldown expiry, so an
     /// open core past its cooldown half-opens here.
     pub(crate) fn place_with_breakers(&mut self, class: usize, at: f64) -> V10Result<Placement> {
-        let cores = self.state.cores();
-        let allowed: Option<Vec<bool>> = self
-            .breakers
-            .as_mut()
-            .map(|board| (0..cores).map(|core| board.allows(core, at)).collect());
-        match allowed {
-            None => self.placer.place_class(class, &self.state),
-            Some(mask) => self.placer.place_class_filtered(class, &self.state, &mask),
-        }
+        let breakers = &mut self.breakers;
+        self.placer
+            .best_core(class, &self.state, 0, &TopologyWeights::zero(), |core| {
+                breakers.as_mut().is_none_or(|board| board.allows(core, at))
+            })
     }
 
     /// Offers one arriving tenant to the cluster. Returns the core it was
@@ -944,28 +883,6 @@ mod tests {
                 .unwrap(),
             Placement::Core(0)
         );
-    }
-
-    #[test]
-    fn zero_weights_on_flat_topology_match_place_class() {
-        let p = pipeline();
-        for threshold in [0.01, BENEFIT_THRESHOLD, 1.0e9] {
-            let placer = OnlinePlacer::new(&p).with_threshold(threshold).unwrap();
-            let mut state = ClusterState::new(5, 2).unwrap();
-            // A mixed occupancy: duplicates, pairs, one full core, one empty.
-            for (core, class) in [(0, 0), (0, 1), (1, 2), (2, 2), (2, 2), (3, 1)] {
-                state.admit(core, class).unwrap();
-            }
-            for class in 0..p.clusters() {
-                assert_eq!(
-                    placer
-                        .place_class_topo(class, &state, 0, &TopologyWeights::zero())
-                        .unwrap(),
-                    placer.place_class(class, &state).unwrap(),
-                    "class {class} at threshold {threshold}"
-                );
-            }
-        }
     }
 
     #[test]

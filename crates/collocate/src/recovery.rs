@@ -7,13 +7,14 @@
 //! absorbed inside the affected core by the engine's input-checkpoint
 //! replay (the slot-level V10 recovery of `v10_core::serve_design_stressed`)
 //! and never reach this layer. A *permanent* core fault does: the core
-//! drains, its [`ClusterState`] slots retire, and every tenant whose
-//! request quota was still open is handed back to admission. The
-//! controller then retries placement with exponential backoff in simulated
-//! time — attempt `k` fires at `fail + base·(2^k − 1)` — releasing slots
-//! whose tenants have departed in the meantime, and sheds the tenant
-//! outright once even an ideally-served remainder could not finish by its
-//! deadline.
+//! drains, its [`ClusterState`](v10_npu::ClusterState) slots retire, and
+//! every tenant whose request quota was still open is handed back to
+//! admission. The controller then retries placement with exponential
+//! backoff in simulated time — attempt `k` fires at
+//! `fail + base·(2^k − 1)` — releasing slots whose tenants have departed
+//! in the meantime, and sheds the tenant outright once even an
+//! ideally-served remainder could not finish by its deadline. The fleet
+//! plane's evacuations climb the same ladder.
 //!
 //! Everything here is planning-time and deterministic: the same admissions,
 //! fault plans, and policy produce byte-identical reports and event
@@ -124,6 +125,87 @@ impl RecoveryPolicy {
     pub fn max_retries(&self) -> u32 {
         self.max_retries
     }
+
+    /// Runs the backoff-and-shed ladder for one displaced tenant: attempt
+    /// `k` fires at `start + backoff_base_cycles · (2^k − 1)` and calls
+    /// `step` with its fire time. `step` returns the core the tenant lands
+    /// on, or `None` to back off to the next attempt. The tenant is shed
+    /// as soon as even ideal service from an attempt's fire time misses
+    /// its deadline, or once `max_retries + 1` attempts have backed off.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `step`'s errors.
+    pub(crate) fn readmit(
+        &self,
+        tenant: Displaced,
+        start: f64,
+        mut step: impl FnMut(f64) -> V10Result<Option<usize>>,
+    ) -> V10Result<Readmission> {
+        let deadline = tenant.arrived_at
+            + self.deadline_factor * usize_to_f64(tenant.quota) * tenant.per_request;
+        let ideal_remaining = usize_to_f64(tenant.remaining) * tenant.per_request;
+        let mut last_attempt_at = start;
+        for attempt in 0..=self.max_retries {
+            let exp = f64::from(2u32.saturating_pow(attempt)) - 1.0;
+            let at = start + self.backoff_base_cycles * exp;
+            last_attempt_at = at;
+            if at + ideal_remaining > deadline {
+                // Even perfect service from here misses the deadline:
+                // shedding now beats queueing doomed work.
+                return Ok(Readmission::Shed(tenant.shed(at, true)));
+            }
+            if let Some(to_core) = step(at)? {
+                return Ok(Readmission::Requeued(RequeueRecord {
+                    label: tenant.label,
+                    from_core: tenant.from_core,
+                    to_core,
+                    at_cycles: at,
+                    attempt,
+                    remaining_requests: tenant.remaining,
+                }));
+            }
+        }
+        Ok(Readmission::Shed(tenant.shed(last_attempt_at, false)))
+    }
+}
+
+/// One displaced tenant, as [`RecoveryPolicy::readmit`] sees it.
+#[derive(Debug)]
+pub(crate) struct Displaced {
+    /// The tenant's label.
+    pub(crate) label: String,
+    /// The core the fault evicted it from.
+    pub(crate) from_core: usize,
+    /// The original arrival: deadlines anchor here even after requeues.
+    pub(crate) arrived_at: f64,
+    /// Full original quota (deadline sizing).
+    pub(crate) quota: usize,
+    /// Requests still open.
+    pub(crate) remaining: usize,
+    /// Ideal single-tenant service cycles per request.
+    pub(crate) per_request: f64,
+}
+
+impl Displaced {
+    fn shed(self, at_cycles: f64, deadline_unmeetable: bool) -> ShedRecord {
+        ShedRecord {
+            label: self.label,
+            from_core: self.from_core,
+            at_cycles,
+            lost_requests: self.remaining,
+            deadline_unmeetable,
+        }
+    }
+}
+
+/// Where [`RecoveryPolicy::readmit`] left a displaced tenant.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Readmission {
+    /// Landed on another core.
+    Requeued(RequeueRecord),
+    /// Given up on.
+    Shed(ShedRecord),
 }
 
 /// One displaced tenant successfully re-admitted onto another core.
@@ -649,7 +731,8 @@ impl MultiCoreAdmission<'_> {
         out
     }
 
-    /// Runs the backoff/shedding ladder for one displaced tenant.
+    /// Runs the backoff-and-shed ladder for one displaced tenant, freeing
+    /// departed tenants' slots before each placement attempt.
     #[allow(clippy::too_many_arguments)]
     fn replace_tenant<O: SimObserver>(
         &mut self,
@@ -665,92 +748,59 @@ impl MultiCoreAdmission<'_> {
         shed: &mut Vec<ShedRecord>,
         observer: &mut O,
     ) -> V10Result<()> {
-        let (label, class, from_core, deadline, decision_index, spec) = {
-            let t = &tenants[tenant_idx];
-            let per_request = u64_to_f64(t.admission.spec().trace().total_compute_cycles());
-            let deadline =
-                t.arrived_at + policy.deadline_factor * usize_to_f64(t.quota) * per_request;
-            (
-                t.admission.spec().label().to_string(),
-                t.class,
-                t.core,
-                deadline,
-                t.decision_index,
-                t.admission.spec().clone(),
-            )
+        let t = &tenants[tenant_idx];
+        let (class, arrived_at, quota, decision_index) =
+            (t.class, t.arrived_at, t.quota, t.decision_index);
+        let spec = t.admission.spec().clone();
+        let displaced = Displaced {
+            label: spec.label().to_string(),
+            from_core: t.core,
+            arrived_at,
+            quota,
+            remaining,
+            per_request: u64_to_f64(spec.trace().total_compute_cycles()),
         };
-        let ideal_remaining =
-            usize_to_f64(remaining) * u64_to_f64(spec.trace().total_compute_cycles());
         // A displaced arrival can only restart from when it existed.
-        let start = fail_at.max(tenants[tenant_idx].arrived_at);
-
-        let mut last_attempt_at = start;
-        for attempt in 0..=policy.max_retries {
-            let exp = f64::from(2u32.saturating_pow(attempt)) - 1.0;
-            let at = start + policy.backoff_base_cycles * exp;
-            last_attempt_at = at;
-            if at + ideal_remaining > deadline {
-                // Even perfect service from here misses the deadline:
-                // shedding now beats queueing doomed work.
-                shed.push(ShedRecord {
-                    label,
-                    from_core,
-                    at_cycles: at,
-                    lost_requests: remaining,
-                    deadline_unmeetable: true,
-                });
-                observer.on_event(SimEvent::RequestShed {
+        let start = fail_at.max(arrived_at);
+        let readmission = policy.readmit(displaced, start, |at| {
+            self.release_departed(tenants, reports, at)?;
+            Ok(match self.place_with_breakers(class, at)? {
+                Placement::Core(core) => Some(core),
+                Placement::Reject => None,
+            })
+        })?;
+        match readmission {
+            Readmission::Requeued(record) => {
+                let (to_core, at) = (record.to_core, record.at_cycles);
+                self.state.admit(to_core, class)?;
+                let admission = Admission::new(spec, at, remaining)?;
+                extra[to_core].push(admission.clone());
+                dirty[to_core] = true;
+                observer.on_event(SimEvent::RequestRequeued {
                     arrival: decision_index,
+                    from_core: record.from_core,
+                    to_core,
                     at,
                 });
-                return Ok(());
+                requeued.push(record);
+                tenants.push(Tenant {
+                    arrived_at,
+                    quota,
+                    admission,
+                    class,
+                    core: to_core,
+                    slot_released: false,
+                    decision_index,
+                });
             }
-            self.release_departed(tenants, reports, at)?;
-            match self.place_with_breakers(class, at)? {
-                Placement::Core(to_core) => {
-                    self.state.admit(to_core, class)?;
-                    let admission = Admission::new(spec, at, remaining)?;
-                    extra[to_core].push(admission.clone());
-                    dirty[to_core] = true;
-                    requeued.push(RequeueRecord {
-                        label,
-                        from_core,
-                        to_core,
-                        at_cycles: at,
-                        attempt,
-                        remaining_requests: remaining,
-                    });
-                    observer.on_event(SimEvent::RequestRequeued {
-                        arrival: decision_index,
-                        from_core,
-                        to_core,
-                        at,
-                    });
-                    tenants.push(Tenant {
-                        arrived_at: tenants[tenant_idx].arrived_at,
-                        quota: tenants[tenant_idx].quota,
-                        admission,
-                        class,
-                        core: to_core,
-                        slot_released: false,
-                        decision_index,
-                    });
-                    return Ok(());
-                }
-                Placement::Reject => {} // back off and try again
+            Readmission::Shed(record) => {
+                observer.on_event(SimEvent::RequestShed {
+                    arrival: decision_index,
+                    at: record.at_cycles,
+                });
+                shed.push(record);
             }
         }
-        shed.push(ShedRecord {
-            label,
-            from_core,
-            at_cycles: last_attempt_at,
-            lost_requests: remaining,
-            deadline_unmeetable: false,
-        });
-        observer.on_event(SimEvent::RequestShed {
-            arrival: decision_index,
-            at: last_attempt_at,
-        });
         Ok(())
     }
 
@@ -832,6 +882,88 @@ mod tests {
 
     fn no_faults() -> Vec<FaultPlan> {
         vec![FaultPlan::none(), FaultPlan::none()]
+    }
+
+    /// A displaced tenant with ideal service of 1 000 cycles per request:
+    /// 3 requests still open out of 4, arrived at 0.
+    fn displaced() -> Displaced {
+        Displaced {
+            label: "t".to_string(),
+            from_core: 1,
+            arrived_at: 0.0,
+            quota: 4,
+            remaining: 3,
+            per_request: 1_000.0,
+        }
+    }
+
+    #[test]
+    fn readmit_backs_off_exponentially_then_sheds() {
+        // Deadline 400 · 4 · 1 000 = 1.6e6 is far away: 3 attempts back off.
+        let policy = RecoveryPolicy::new()
+            .with_deadline_factor(400.0)
+            .unwrap()
+            .with_backoff_base_cycles(100.0)
+            .unwrap()
+            .with_max_retries(2);
+        let mut fired = Vec::new();
+        let out = policy
+            .readmit(displaced(), 50.0, |at| {
+                fired.push(at);
+                Ok(None)
+            })
+            .unwrap();
+        // Attempt k fires at start + base · (2^k − 1).
+        assert_eq!(fired, vec![50.0, 150.0, 350.0]);
+        // Retries exhaust: shed, stamped with the last attempt's time.
+        let Readmission::Shed(shed) = out else {
+            panic!("{out:?}")
+        };
+        assert_eq!(shed.at_cycles, 350.0);
+        assert!(!shed.deadline_unmeetable);
+        assert_eq!((shed.from_core, shed.lost_requests), (1, 3));
+
+        // A `None` step backs off; the first `Some` lands the tenant.
+        let mut attempts = 0;
+        let out = policy
+            .readmit(displaced(), 50.0, |_| {
+                attempts += 1;
+                Ok((attempts == 2).then_some(7))
+            })
+            .unwrap();
+        assert_eq!(
+            out,
+            Readmission::Requeued(RequeueRecord {
+                label: "t".to_string(),
+                from_core: 1,
+                to_core: 7,
+                at_cycles: 150.0,
+                attempt: 1,
+                remaining_requests: 3,
+            })
+        );
+
+        // Deadline 2 · 4 · 1 000 = 8 000 and 3 000 cycles of ideal work left:
+        // attempts at 0, 1e3 and 3e3 fit; the one at 7e3 cannot finish in
+        // time and sheds before calling `step`.
+        let tight = RecoveryPolicy::new()
+            .with_deadline_factor(2.0)
+            .unwrap()
+            .with_backoff_base_cycles(1_000.0)
+            .unwrap();
+        let mut fired = Vec::new();
+        let out = tight
+            .readmit(displaced(), 0.0, |at| {
+                fired.push(at);
+                Ok(None)
+            })
+            .unwrap();
+        assert_eq!(fired, vec![0.0, 1_000.0, 3_000.0]);
+        let Readmission::Shed(shed) = out else {
+            panic!("{out:?}")
+        };
+        assert_eq!(shed.at_cycles, 7_000.0);
+        assert!(shed.deadline_unmeetable);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!
 //! The event-loop mechanics — piecewise-constant time advance, busy/overlap
 //! accounting (Fig. 17), HBM byte tracking — live in the shared
-//! [`EngineCore`](crate::engine_core::EngineCore); this module contributes
-//! only the V10 scheduling strategy: fetch promotion through the context
-//! table, policy-driven issue, and the preemption timer.
+//! `EngineCore` step loop; this module contributes only the V10 scheduling
+//! strategy: fetch promotion through the context table, policy-driven
+//! issue, and the preemption timer.
 
 use v10_isa::{FuKind, RequestTrace};
 use v10_npu::{FuPool, NpuConfig};

@@ -43,11 +43,6 @@ pub(crate) const EPS: f64 = 1e-6;
 /// is a livelock.
 const LIVELOCK_STREAK: u32 = 10_000;
 
-/// Bucket width of the fetch-horizon calendar, in cycles. Instruction-DMA
-/// horizons land within a few thousand cycles of the clock, so this keeps
-/// the ring walk short; correctness never depends on the value.
-const FETCH_CAL_WIDTH: f64 = 4096.0;
-
 /// Per-tenant mutable execution state. One entry per *admitted* tenant, in
 /// admission order; retired tenants keep their entry (with `alive` false)
 /// so the final report covers every tenancy the run served.
@@ -315,7 +310,7 @@ impl<'a, O: SimObserver> EngineCore<'a, O> {
             slot_owner: vec![None; capacity],
             live: Vec::new(),
             unmet: 0,
-            fetch_cal: HorizonCalendar::new(Cycles::new(FETCH_CAL_WIDTH))?,
+            fetch_cal: HorizonCalendar::new(),
             fetch_scratch: Vec::new(),
             interner: LabelInterner::new(),
             event_buf: Vec::new(),

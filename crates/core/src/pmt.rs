@@ -14,10 +14,9 @@
 //! **Single-tenant** execution is PMT with one workload and no switches —
 //! the normalization baseline for forward progress / STP.
 //!
-//! The event-loop mechanics live in the shared
-//! [`EngineCore`](crate::engine_core::EngineCore); this module contributes
-//! only PMT's task-level ownership rotation, modeled as a single
-//! whole-core occupancy slot.
+//! The event-loop mechanics live in the shared `EngineCore` step loop;
+//! this module contributes only PMT's task-level ownership rotation,
+//! modeled as a single whole-core occupancy slot.
 
 use v10_npu::{FuPool, NpuConfig};
 use v10_sim::{

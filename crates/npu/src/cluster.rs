@@ -200,9 +200,8 @@ impl ClusterState {
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::InvalidArgument`] if `core` is out of range, or
-    /// [`V10Error::CapacityExceeded`]-style invalid if the core's table is
-    /// full.
+    /// Returns [`V10Error::InvalidArgument`] if `core` is out of range, has
+    /// failed, or has no free context-table slot.
     pub fn admit(&mut self, core: usize, class: usize) -> V10Result<()> {
         if self.core(core, "ClusterState::admit")?.failed {
             return Err(V10Error::invalid(

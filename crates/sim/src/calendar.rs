@@ -47,7 +47,7 @@ use crate::time::Cycles;
 /// ```
 /// use v10_sim::{Cycles, HorizonCalendar};
 ///
-/// let mut cal = HorizonCalendar::new(Cycles::new(100.0)).unwrap();
+/// let mut cal = HorizonCalendar::new();
 /// cal.set(3, Cycles::new(250.0)).unwrap();
 /// cal.set(1, Cycles::new(250.0)).unwrap(); // same deadline: lowest key wins ties
 /// cal.set(7, Cycles::new(90.0)).unwrap();
@@ -58,7 +58,7 @@ use crate::time::Cycles;
 /// assert_eq!(due, vec![1, 3, 7]); // ascending key order
 /// assert!(cal.is_empty());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HorizonCalendar {
     /// Per-key deadline; `INFINITY` marks an absent key. The heap holds
     /// candidates; this table decides which are live.
@@ -73,28 +73,10 @@ pub struct HorizonCalendar {
 }
 
 impl HorizonCalendar {
-    /// Creates an empty calendar. `width` is a tuning hint kept for API
-    /// stability (the historical bucket-ring implementation spanned one
-    /// bucket per `width` cycles); it must still be finite and strictly
-    /// positive, but the heap-based calendar's behavior and performance
-    /// do not depend on it.
-    ///
-    /// # Errors
-    ///
-    /// `width` must be finite and strictly positive.
-    pub fn new(width: Cycles) -> V10Result<Self> {
-        let width = width.as_f64();
-        if !width.is_finite() || width <= 0.0 {
-            return Err(V10Error::invalid(
-                "HorizonCalendar::new",
-                format!("bucket width must be finite and positive, got {width}"),
-            ));
-        }
-        Ok(HorizonCalendar {
-            deadline: Vec::new(),
-            heap: BinaryHeap::new(),
-            len: 0,
-        })
+    /// Creates an empty calendar.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of live entries.
@@ -219,19 +201,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rejects_bad_width_and_deadlines() {
+    fn rejects_bad_deadlines() {
         // Non-finite values cannot be expressed as `Cycles` (its constructor
-        // debug-asserts finiteness); zero/negative still reach the error path.
-        assert!(HorizonCalendar::new(Cycles::new(0.0)).is_err());
-        assert!(HorizonCalendar::new(Cycles::new(-1.0)).is_err());
-        let mut cal = HorizonCalendar::new(Cycles::new(10.0)).unwrap();
+        // debug-asserts finiteness); negative ones still reach the error path.
+        let mut cal = HorizonCalendar::new();
         assert!(cal.set(0, Cycles::new(-1.0)).is_err());
         assert!(cal.is_empty());
     }
 
     #[test]
     fn set_clear_peek_roundtrip() {
-        let mut cal = HorizonCalendar::new(Cycles::new(100.0)).unwrap();
+        let mut cal = HorizonCalendar::new();
         assert_eq!(cal.peek_min(), None);
         cal.set(5, Cycles::new(730.0)).unwrap();
         cal.set(2, Cycles::new(410.0)).unwrap();
@@ -250,7 +230,7 @@ mod tests {
 
     #[test]
     fn reset_overwrites_a_pending_deadline() {
-        let mut cal = HorizonCalendar::new(Cycles::new(50.0)).unwrap();
+        let mut cal = HorizonCalendar::new();
         cal.set(1, Cycles::new(500.0)).unwrap();
         cal.set(1, Cycles::new(40.0)).unwrap(); // reschedule earlier; old entry goes stale
         assert_eq!(cal.len(), 1);
@@ -259,7 +239,7 @@ mod tests {
 
     #[test]
     fn ties_break_toward_the_lowest_key() {
-        let mut cal = HorizonCalendar::new(Cycles::new(100.0)).unwrap();
+        let mut cal = HorizonCalendar::new();
         cal.set(9, Cycles::new(300.0)).unwrap();
         cal.set(4, Cycles::new(300.0)).unwrap();
         cal.set(7, Cycles::new(300.0)).unwrap();
@@ -268,7 +248,7 @@ mod tests {
 
     #[test]
     fn far_future_horizons_are_exact() {
-        let mut cal = HorizonCalendar::new(Cycles::new(1.0)).unwrap();
+        let mut cal = HorizonCalendar::new();
         cal.set(3, Cycles::new(1.0e9)).unwrap();
         cal.set(8, Cycles::new(2.0e9)).unwrap();
         assert_eq!(cal.peek_min(), Some((3, Cycles::new(1.0e9))));
@@ -276,7 +256,7 @@ mod tests {
 
     #[test]
     fn pop_due_returns_keys_in_ascending_key_order() {
-        let mut cal = HorizonCalendar::new(Cycles::new(100.0)).unwrap();
+        let mut cal = HorizonCalendar::new();
         cal.set(6, Cycles::new(120.0)).unwrap();
         cal.set(1, Cycles::new(180.0)).unwrap();
         cal.set(4, Cycles::new(50.0)).unwrap();
@@ -293,7 +273,7 @@ mod tests {
 
     #[test]
     fn late_inserts_below_popped_thresholds_are_still_found() {
-        let mut cal = HorizonCalendar::new(Cycles::new(10.0)).unwrap();
+        let mut cal = HorizonCalendar::new();
         cal.set(0, Cycles::new(5_000.0)).unwrap();
         let mut due = Vec::new();
         cal.pop_due(Cycles::new(4_999.0), &mut due);
@@ -306,7 +286,7 @@ mod tests {
 
     #[test]
     fn rescheduling_to_the_same_deadline_stays_consistent() {
-        let mut cal = HorizonCalendar::new(Cycles::new(10.0)).unwrap();
+        let mut cal = HorizonCalendar::new();
         cal.set(2, Cycles::new(75.0)).unwrap();
         cal.set(2, Cycles::new(75.0)).unwrap(); // duplicate heap entries, one live key
         assert_eq!(cal.len(), 1);
@@ -359,13 +339,14 @@ mod differential_tests {
     }
 
     /// Random schedules of set/clear/pop/peek agree with the naive scan,
-    /// bit for bit, across width hints spanning four orders of magnitude.
+    /// bit for bit, across deadline scales spanning four orders of
+    /// magnitude.
     #[test]
     fn calendar_matches_naive_min_scan_on_random_schedules() {
-        for &width in &[0.5, 10.0, 1_000.0, 250_000.0] {
-            let mut rng = SimRng::seed_from(0xCA1E ^ f64_to_u64(width * 8.0));
+        for &scale in &[0.5, 10.0, 1_000.0, 250_000.0] {
+            let mut rng = SimRng::seed_from(0xCA1E ^ f64_to_u64(scale * 8.0));
             for round in 0..60 {
-                let mut cal = HorizonCalendar::new(Cycles::new(width)).unwrap();
+                let mut cal = HorizonCalendar::new();
                 let mut model = NaiveModel::default();
                 let mut now = 0.0_f64;
                 let keys = 1 + rng.index(40);
@@ -375,7 +356,7 @@ mod differential_tests {
                         // some land far in the future.
                         0..=5 => {
                             let key = rng.index(keys);
-                            let d = now + rng.uniform(0.0, width * 300.0);
+                            let d = now + rng.uniform(0.0, scale * 300.0);
                             cal.set(key, Cycles::new(d)).unwrap();
                             model.set(key, d);
                         }
@@ -389,7 +370,7 @@ mod differential_tests {
                         }
                         7..=8 => {
                             // Advance the clock and pop everything due.
-                            now += rng.uniform(0.0, width * 40.0);
+                            now += rng.uniform(0.0, scale * 40.0);
                             let mut due = Vec::new();
                             cal.pop_due(Cycles::new(now), &mut due);
                             assert_eq!(due, model.pop_due(now), "round {round}");

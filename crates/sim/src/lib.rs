@@ -3,21 +3,20 @@
 //! This crate provides the domain-neutral substrate shared by every other
 //! crate in the workspace:
 //!
-//! * [`time`] — strongly-typed simulation time ([`Cycle`], [`CycleCount`])
-//!   and clock-frequency conversions ([`Frequency`]).
-//! * [`events`] — a deterministic discrete-event queue ([`EventQueue`]) with
-//!   stable FIFO ordering for simultaneous events.
+//! * [`time`] — strongly-typed simulation time ([`Cycles`], [`CycleCount`],
+//!   [`Micros`], [`Bytes`]) and clock-frequency conversions
+//!   ([`Frequency`]).
 //! * [`calendar`] — an indexed next-event calendar ([`HorizonCalendar`]):
-//!   a bucketed calendar queue over absolute f64 deadlines that replaces
-//!   the engines' per-step min-scans, differentially tested against the
-//!   naive scan.
+//!   a lazy-deletion binary min-heap over absolute f64 deadlines that
+//!   replaces the engines' per-step min-scans, differentially tested
+//!   against the naive scan.
 //! * [`intern`] — tenant-label interning ([`LabelInterner`]) so engine
 //!   bookkeeping and events carry dense `u32` ids instead of `String`s.
 //! * [`bandwidth`] — a water-filling (max-min fair) bandwidth allocator
 //!   ([`WaterFilling`]) used to model HBM bandwidth sharing between
 //!   concurrently executing operators and DMA prefetch flows.
-//! * [`stats`] — streaming and exact statistics ([`OnlineStats`],
-//!   [`Percentiles`], [`Histogram`]) used by the metric collectors.
+//! * [`stats`] — exact latency statistics ([`LatencySummary`]: mean and
+//!   interpolated p50/p95/p99) used by the metric collectors.
 //! * [`rng`] — deterministic random sampling helpers (normal / lognormal via
 //!   Box–Muller, bounded uniforms) on top of a seedable PRNG, so that every
 //!   experiment in the workspace is reproducible from a seed.
@@ -25,7 +24,8 @@
 //!   fleet simulation ([`ShardMap`], [`EpochClock`], [`merge_messages`]):
 //!   fixed core ownership plus a simulated-time total order on boundary
 //!   messages, so an N-shard run replays the 1-shard event sequence
-//!   bit for bit.
+//!   bit for bit; and [`parallel_map_with`], the input-order thread
+//!   fan-out the fleet plane and the bench sweeps share.
 //! * [`convert`] — checked numeric conversions for cycle/byte accounting
 //!   (exact integer→`f64`, saturating `f64`→integer), required by the
 //!   `v10-lint` D3 rule in place of bare `as` casts.
@@ -43,16 +43,14 @@
 //! # Example
 //!
 //! ```
-//! use v10_sim::{Cycle, Frequency, EventQueue, Micros};
+//! use v10_sim::{Frequency, Micros};
 //!
-//! // The paper's NPU runs at 700 MHz (Table 5).
+//! // The paper's NPU runs at 700 MHz (Table 5): a 46 µs operator
+//! // (Table 1) is 32 200 cycles, and back.
 //! let clk = Frequency::mhz(700);
-//! assert_eq!(clk.cycles_from_micros(Micros::new(46.0)).as_u64(), 32_200);
-//!
-//! let mut q: EventQueue<&str> = EventQueue::new();
-//! q.push(Cycle::new(10), "timer");
-//! q.push(Cycle::new(5), "op-complete");
-//! assert_eq!(q.pop(), Some((Cycle::new(5), "op-complete")));
+//! let cycles = clk.cycles_from_micros(Micros::new(46.0));
+//! assert_eq!(cycles.as_u64(), 32_200);
+//! assert!((clk.micros_from_cycles(cycles.as_u64()) - 46.0).abs() < 1e-9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,7 +62,6 @@ pub mod bandwidth;
 pub mod calendar;
 pub mod convert;
 pub mod error;
-pub mod events;
 pub mod fault;
 pub mod intern;
 pub mod repro;
@@ -76,7 +73,6 @@ pub mod time;
 pub use bandwidth::{AllocationScratch, Demand, WaterFilling};
 pub use calendar::HorizonCalendar;
 pub use error::{V10Error, V10Result};
-pub use events::EventQueue;
 pub use fault::{
     FaultEvent, FaultInjector, FaultKind, FaultPlan, FleetFaultEvent, FleetFaultKind,
     FleetFaultPlan,
@@ -84,6 +80,6 @@ pub use fault::{
 pub use intern::{LabelId, LabelInterner};
 pub use repro::{ReproFixture, REPRO_SCHEMA};
 pub use rng::SimRng;
-pub use shard::{merge_messages, DepartureMsg, EpochClock, ShardMap};
-pub use stats::{Histogram, LatencySummary, OnlineStats, Percentiles};
-pub use time::{Bytes, Cycle, CycleCount, Cycles, Frequency, Micros};
+pub use shard::{merge_messages, parallel_map_with, DepartureMsg, EpochClock, ShardMap};
+pub use stats::LatencySummary;
+pub use time::{Bytes, CycleCount, Cycles, Frequency, Micros};

@@ -146,8 +146,8 @@ impl ReproFixture {
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::Invalid`] on malformed input, a missing field,
-    /// or a schema mismatch.
+    /// Returns [`V10Error::InvalidArgument`] on malformed input, a missing
+    /// field, or a schema mismatch.
     pub fn parse(text: &str) -> V10Result<Self> {
         let fields = parse_flat_object(text)?;
         let str_field = |key: &str| -> V10Result<String> {

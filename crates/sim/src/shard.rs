@@ -10,9 +10,15 @@
 //! is the byte-identical parallel-sweep recipe (input-order scatter-back
 //! plus a deterministic reduce) applied *inside* one run: an N-shard
 //! execution replays the exact event sequence of the 1-shard execution.
+//! [`parallel_map_with`] is the recipe itself: the thread fan-out behind
+//! both the fleet plane's per-core re-simulations and the benches'
+//! parameter sweeps.
 //!
-//! Everything here is plain data plus arithmetic: no clocks, no hashing,
-//! no ambient randomness (v10-lint D1/D2), and no panic paths (P1).
+//! Everything here is deterministic: no clocks, no hashing, no ambient
+//! randomness (v10-lint D1/D2), and no panic paths of its own (P1) — a
+//! worker panic in [`parallel_map_with`] is the caller's, re-raised as is.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::convert::f64_to_u64;
 use crate::error::{V10Error, V10Result};
@@ -124,6 +130,64 @@ impl ShardMap {
     }
 }
 
+/// Applies `f` to every item on a pool of `threads` scoped threads and
+/// returns the results in input order.
+///
+/// Items are claimed dynamically from a shared atomic cursor (so a slow
+/// item never stalls the rest of the batch); each thread keeps its
+/// `(index, result)` pairs privately and the results are scattered back
+/// into input order after the scope joins. The output is therefore
+/// independent of thread count and scheduling. With one thread (or one
+/// item) this is an ordinary sequential loop. A panic in `f` is re-raised
+/// on the calling thread with its original payload.
+///
+/// # Example
+///
+/// ```
+/// use v10_sim::parallel_map_with;
+///
+/// let squares = parallel_map_with(3, &[1, 2, 3, 4], |&x| x * x);
+/// assert_eq!(squares, vec![1, 4, 9, 16]);
+/// ```
+pub fn parallel_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let threads = threads.max(1).min(items.len().max(1));
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (cursor, f) = (&cursor, &f);
+                scope.spawn(move || {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return mine;
+                        };
+                        mine.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Fixed-width epochs over simulated time. Epoch `e` covers
 /// `[e * epoch_cycles, (e + 1) * epoch_cycles)`; shard state is only
 /// exchanged at the boundaries.
@@ -206,6 +270,22 @@ pub fn merge_messages(streams: Vec<Vec<DepartureMsg>>) -> Vec<DepartureMsg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parallel_map_preserves_input_order() {
+        let items: Vec<usize> = (0..37).collect();
+        let want: Vec<usize> = items.iter().map(|&i| i * i).collect();
+        for threads in [1, 2, 8, 64] {
+            assert_eq!(parallel_map_with(threads, &items, |&i| i * i), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5")]
+    fn parallel_map_re_raises_a_worker_panic() {
+        let items: Vec<usize> = (0..8).collect();
+        parallel_map_with(4, &items, |&i| assert!(i != 5, "item {i}"));
+    }
 
     #[test]
     fn shard_ranges_partition_the_cores() {

@@ -1,9 +1,9 @@
 //! Strongly-typed simulation time.
 //!
 //! All timing in the workspace is expressed in clock cycles of the simulated
-//! NPU. [`Cycle`] is an absolute point on the simulated clock, while
-//! [`CycleCount`] is a duration. [`Frequency`] converts between wall-clock
-//! units (µs, ns) and cycles; the paper's NPU runs at 700 MHz (Table 5).
+//! NPU. [`CycleCount`] is a whole-cycle duration. [`Frequency`] converts
+//! between wall-clock units (µs, ns) and cycles; the paper's NPU runs at
+//! 700 MHz (Table 5).
 //!
 //! The engine clock itself is *fractional*: HBM rate-sharing advances
 //! operators by `rate * dt` per step, so instants and horizons land between
@@ -16,71 +16,6 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-
-/// An absolute instant on the simulated clock, measured in cycles since the
-/// start of the simulation.
-///
-/// `Cycle` is a newtype over `u64` so that instants and durations
-/// ([`CycleCount`]) cannot be confused (C-NEWTYPE).
-///
-/// # Example
-///
-/// ```
-/// use v10_sim::{Cycle, CycleCount};
-/// let t = Cycle::new(100) + CycleCount::new(28);
-/// assert_eq!(t, Cycle::new(128));
-/// assert_eq!(t - Cycle::new(100), CycleCount::new(28));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Cycle(u64);
-
-impl Cycle {
-    /// The instant at which every simulation starts.
-    pub const ZERO: Cycle = Cycle(0);
-
-    /// Creates an instant at `cycles` cycles from the simulation origin.
-    #[must_use]
-    pub const fn new(cycles: u64) -> Self {
-        Cycle(cycles)
-    }
-
-    /// Returns the raw cycle count.
-    #[must_use]
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Cycle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cycle {}", self.0)
-    }
-}
-
-impl Add<CycleCount> for Cycle {
-    type Output = Cycle;
-    fn add(self, rhs: CycleCount) -> Cycle {
-        Cycle(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign<CycleCount> for Cycle {
-    fn add_assign(&mut self, rhs: CycleCount) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub<Cycle> for Cycle {
-    type Output = CycleCount;
-    /// Duration between two instants.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `rhs` is later than `self` (u64 underflow).
-    fn sub(self, rhs: Cycle) -> CycleCount {
-        CycleCount(self.0 - rhs.0)
-    }
-}
 
 /// A duration measured in cycles.
 ///
@@ -257,7 +192,7 @@ impl fmt::Display for Frequency {
 ///
 /// The step loops advance workloads by `rate * dt` under HBM rate-sharing,
 /// so engine instants and horizons are genuinely fractional — a `u64`
-/// [`Cycle`] cannot carry them without changing results. `Cycles` wraps the
+/// [`CycleCount`] cannot carry them without changing results. `Cycles` wraps the
 /// exact `f64` the engines compute with: constructing one and reading it
 /// back with [`as_f64`](Cycles::as_f64) is the identity on bits, which is
 /// what keeps the typed-unit migration digest-neutral.
@@ -459,22 +394,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cycle_arithmetic_roundtrips() {
-        let t0 = Cycle::new(42);
-        let d = CycleCount::new(58);
-        assert_eq!((t0 + d) - t0, d);
-        assert_eq!((t0 + d).as_u64(), 100);
-    }
-
-    #[test]
-    fn add_assign_advances_clock() {
-        let mut now = Cycle::ZERO;
-        now += CycleCount::new(5);
-        now += CycleCount::new(7);
-        assert_eq!(now, Cycle::new(12));
-    }
-
-    #[test]
     fn cycle_count_sum_over_iterator() {
         let total: CycleCount = (1..=4).map(CycleCount::new).sum();
         assert_eq!(total, CycleCount::new(10));
@@ -555,7 +474,6 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(Cycle::new(7).to_string(), "cycle 7");
         assert_eq!(CycleCount::new(7).to_string(), "7 cycles");
         assert_eq!(Frequency::mhz(700).to_string(), "700 MHz");
     }

@@ -12,8 +12,8 @@
 //!   systolic array (Fig. 2).
 //! * [`vmem`] — the software-managed vector memory, with the per-workload
 //!   partitioning scheme of §3.6.
-//! * [`array`] — a weight-stationary systolic array with the checkpoint/
-//!   replay preemption protocol of Fig. 13; matmul results are
+//! * [`array`](mod@array) — a weight-stationary systolic array with the
+//!   checkpoint/replay preemption protocol of Fig. 13; matmul results are
 //!   bit-identical with and without preemption at arbitrary cycles.
 //! * [`vector_unit`] — a SIMD vector unit executing `v10-isa` programs,
 //!   with PC + register-file save/restore preemption.

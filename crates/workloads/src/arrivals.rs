@@ -540,7 +540,7 @@ impl MmppProcess {
     ///
     /// Returns [`V10Error::InvalidArgument`] if `count` is zero, or if the
     /// dwell configuration is so degenerate that an arrival gap skips more
-    /// than [`MMPP_MAX_CROSSINGS_PER_ARRIVAL`] state transitions.
+    /// than 65 536 state transitions.
     pub fn sample(&self, count: usize) -> V10Result<Vec<TimedArrival>> {
         if count == 0 {
             return Err(V10Error::invalid(

@@ -169,13 +169,13 @@ fn main() {
     println!(
         "Blackout: HBM group {group} failed at {:.0} Mcycles, retiring {} cores together.",
         at / 1.0e6,
-        outcome.cores_failed(),
+        report.retired_cores().len(),
     );
     println!(
         "Recovery: {} tenants evacuated onto surviving groups, {} shed; \
          {} requests completed vs {} in the clean run (p99 {:.2} vs {:.2} Mcycles).",
-        outcome.evacuated(),
-        outcome.shed_sessions(),
+        report.requeued().len(),
+        report.shed().len(),
         report.completed_requests(),
         plain_report.completed_requests(),
         report.p99_latency_cycles() / 1.0e6,

@@ -8,13 +8,12 @@
 //! violations found during development, minimized by the harness; each
 //! replays here as an ordinary regression test.
 
-use v10_bench::sweep::parallel_map_with;
 use v10_core::{
     audit_serve_stressed, run_digest, Admission, AdmissionSchedule, Design, FleetConservation,
     OverloadController, OverloadPolicy, PropertyHarness, RunOptions, ShrinkKnobs, WorkloadSpec,
 };
 use v10_npu::NpuConfig;
-use v10_sim::{FaultPlan, ReproFixture, V10Result};
+use v10_sim::{parallel_map_with, FaultPlan, ReproFixture, V10Result};
 use v10_workloads::{
     AdversaryCase, AdversaryGen, AdversaryScenario, ScenarioKnobs, ScenarioProfile,
 };

@@ -25,9 +25,8 @@ use v10::core::{
     OverloadPolicy, RunOptions, RunReport, RuntimeAuditor, WorkloadSpec,
 };
 use v10::npu::NpuConfig;
-use v10::sim::{FaultKind, FaultPlan};
+use v10::sim::{parallel_map_with, FaultKind, FaultPlan};
 use v10::workloads::{MmppProcess, Model, OpenLoopProcess};
-use v10_bench::sweep::parallel_map_with;
 
 /// Context-table slots: small on purpose, so the flash crowd overflows it.
 const TABLE_SLOTS: usize = 4;
