@@ -36,13 +36,11 @@ use v10_bench::timing::measure;
 use v10_bench::{print_table, seed};
 use v10_core::{
     audit_serve_stressed, Admission, AdmissionSchedule, Design, OverloadController, OverloadPolicy,
-    PropertyHarness, RunOptions, ShrinkKnobs, WorkloadSpec,
+    PropertyHarness, RunOptions, WorkloadSpec,
 };
 use v10_npu::NpuConfig;
 use v10_sim::{FaultPlan, ReproFixture, V10Result};
-use v10_workloads::{
-    AdversaryCase, AdversaryGen, AdversaryScenario, ScenarioKnobs, ScenarioProfile,
-};
+use v10_workloads::{AdversaryCase, AdversaryGen, AdversaryScenario, ScenarioProfile};
 
 /// Schema identifier of `BENCH_adversary.json`.
 const SCHEMA: &str = "v10-adversary/1";
@@ -147,24 +145,13 @@ fn shrink_violation(
     case: AdversaryCase,
     design: Design,
 ) -> V10Result<Option<(String, usize)>> {
-    let defaults = gen.default_knobs(case);
-    let initial = ShrinkKnobs {
-        tenants: defaults.tenants,
-        horizon_cycles: defaults.horizon_cycles,
-        fault_prefix: defaults.fault_prefix,
-    };
-    let report = PropertyHarness::new().shrink(initial, |knobs| {
-        let sk = ScenarioKnobs::new(knobs.tenants, knobs.horizon_cycles, knobs.fault_prefix)?;
-        let scenario = gen.scenario(case, &sk)?;
+    let report = PropertyHarness::new().shrink(gen.default_knobs(case), |knobs| {
+        let scenario = gen.scenario(case, knobs)?;
         Ok(serve_scenario(design, &scenario)?.0.violations)
     })?;
     Ok(report.map(|r| {
         let fixture = ReproFixture::new(gen.master_seed(), case.profile().label(), case.label())
-            .with_knobs(
-                r.minimal().tenants,
-                r.minimal().horizon_cycles,
-                r.minimal().fault_prefix,
-            )
+            .with_knobs(r.minimal())
             .with_invariant(
                 r.violations()
                     .first()

@@ -22,14 +22,13 @@
 //! noise while still catching any break in the sharded decomposition.
 //!
 //! Knobs: `V10_BENCH_SEED` (arrival stream seed), `V10_BENCH_THREADS`
-//! (dirty-core re-simulation pool), `V10_BENCH_SLO_FACTOR` (goodput SLO),
-//! `V10_BENCH_SMOKE=1` (fewer arrivals, shard counts 1 and 4 only, one
-//! timing sample — used by CI).
+//! (dirty-core re-simulation pool), `V10_BENCH_SMOKE=1` (fewer arrivals,
+//! shard counts 1 and 4 only, one timing sample — used by CI).
 
 use std::time::Duration;
 
 use v10_bench::jsonio::{self, Json};
-use v10_bench::serving::{slo_factor, smoke};
+use v10_bench::serving::{smoke, SLO_FACTOR};
 use v10_bench::sweep::sweep_threads;
 use v10_bench::timing::measure;
 use v10_bench::{fmt_pct, fmt_x, print_table, seed};
@@ -230,13 +229,12 @@ fn run_point(
 
     // Goodput counts SLO-good requests per simulated Mcycle of fleet
     // makespan (latest per-core completion).
-    let factor = slo_factor();
     let slo_of = |label: &str| -> f64 {
         let a = arrivals
             .iter()
             .find(|a| a.label() == label)
             .expect("report labels come from the arrival stream");
-        factor * a.model().default_profile().request_cycles() as f64
+        SLO_FACTOR * a.model().default_profile().request_cycles() as f64
     };
     let mut within_slo = 0usize;
     let mut completed = 0usize;

@@ -28,14 +28,14 @@
 //! fields only, so ci.sh gates the committed artifact with a plain git
 //! diff after a smoke regeneration.
 //!
-//! Knobs: `V10_BENCH_SEED`, `V10_BENCH_THREADS`, `V10_BENCH_SLO_FACTOR`,
-//! `V10_BENCH_SMOKE=1` (fewer arrivals, shard counts 1 and 4, one timing
-//! sample — the CI configuration that regenerates the artifact).
+//! Knobs: `V10_BENCH_SEED`, `V10_BENCH_THREADS`, `V10_BENCH_SMOKE=1`
+//! (fewer arrivals, shard counts 1 and 4, one timing sample — the CI
+//! configuration that regenerates the artifact).
 
 use std::time::Duration;
 
 use v10_bench::jsonio::{self, Json};
-use v10_bench::serving::{slo_factor, smoke};
+use v10_bench::serving::{smoke, SLO_FACTOR};
 use v10_bench::sweep::sweep_threads;
 use v10_bench::timing::measure;
 use v10_bench::{print_table, seed};
@@ -237,7 +237,6 @@ fn serve_once(
 
 /// Goodput and p99 over every completed request in the run.
 fn goodput_p99(report: &ClusterServeReport, arrivals: &[TimedArrival]) -> (f64, f64) {
-    let factor = slo_factor();
     let slo_of = |label: &str| -> f64 {
         let a = arrivals
             .iter()
@@ -245,7 +244,7 @@ fn goodput_p99(report: &ClusterServeReport, arrivals: &[TimedArrival]) -> (f64, 
             .expect("report labels come from the arrival stream");
         #[allow(clippy::cast_precision_loss)]
         let per_request = a.model().default_profile().request_cycles() as f64;
-        factor * per_request
+        SLO_FACTOR * per_request
     };
     let mut within_slo = 0usize;
     for wl in report

@@ -13,10 +13,10 @@
 //! sim_throughput and serving_overload) and is the one machine-dependent
 //! piece of output; it never feeds the simulation.
 //!
-//! Knobs: `V10_BENCH_SEED` (arrival stream seed), `V10_BENCH_SLO_FACTOR`
-//! (SLO = factor × the model's isolated request service demand, default 4).
+//! Knob: `V10_BENCH_SEED` (arrival stream seed). The SLO is
+//! `SLO_FACTOR` (4) × the model's isolated request service demand.
 
-use v10_bench::serving::{schedule_of, slo_factor};
+use v10_bench::serving::{schedule_of, SLO_FACTOR};
 use v10_bench::sweep::parallel_map;
 use v10_bench::timing::{cycles_per_sec, fmt_cycles_per_sec, median_wall};
 use v10_bench::{fmt_pct, print_table, seed};
@@ -85,13 +85,12 @@ fn run_point(design: Design, mean_interarrival: f64) -> ServingPoint {
     let report =
         serve_design(design, &schedule, &NpuConfig::table5(), &opts).expect("valid serving run");
 
-    let factor = slo_factor();
     let slo_of = |label: &str| -> f64 {
         let a = arrivals
             .iter()
             .find(|a| a.label() == label)
             .expect("report labels come from the arrival stream");
-        factor * a.model().default_profile().request_cycles() as f64
+        SLO_FACTOR * a.model().default_profile().request_cycles() as f64
     };
     let mut latencies = Vec::new();
     let mut completed = 0usize;
@@ -177,7 +176,7 @@ fn main() {
     print_table(
         &format!(
             "Serving (open loop) — SLO attainment (latency ≤ {:.0}× isolated demand)",
-            slo_factor()
+            SLO_FACTOR
         ),
         &header,
         &table(&|p| fmt_pct(p.slo_attainment)),

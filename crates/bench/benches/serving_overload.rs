@@ -15,10 +15,10 @@
 //! serving_openloop) and is the one machine-dependent piece of output; it
 //! never feeds the simulation.
 //!
-//! Knobs: `V10_BENCH_SEED` (arrival stream seed), `V10_BENCH_SLO_FACTOR`
-//! (SLO = factor × the model's isolated request service demand, default 4).
+//! Knob: `V10_BENCH_SEED` (arrival stream seed). The SLO is
+//! `SLO_FACTOR` (4) × the model's isolated request service demand.
 
-use v10_bench::serving::{schedule_of, slo_factor};
+use v10_bench::serving::{schedule_of, SLO_FACTOR};
 use v10_bench::sweep::parallel_map;
 use v10_bench::timing::{cycles_per_sec, fmt_cycles_per_sec, median_wall};
 use v10_bench::{fmt_pct, print_table, seed};
@@ -107,13 +107,12 @@ fn run_point(burst_factor: f64, armed: bool) -> OverloadPoint {
     )
     .expect("valid overloaded serving run");
 
-    let factor = slo_factor();
     let slo_of = |label: &str| -> f64 {
         let a = arrivals
             .iter()
             .find(|a| a.label() == label)
             .expect("report labels come from the arrival stream");
-        factor * a.model().default_profile().request_cycles() as f64
+        SLO_FACTOR * a.model().default_profile().request_cycles() as f64
     };
     let mut latencies = Vec::new();
     let mut within_slo = 0usize;
@@ -180,7 +179,7 @@ fn main() {
     print_table(
         &format!(
             "Serving under overload — SLO attainment (latency ≤ {:.0}× isolated demand)",
-            slo_factor()
+            SLO_FACTOR
         ),
         &header,
         &table(&|p| fmt_pct(p.slo_attainment)),

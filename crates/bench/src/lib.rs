@@ -1,12 +1,16 @@
 //! # v10-bench — experiment harness for the V10 reproduction
 //!
-//! Each bench target (`cargo bench -p v10-bench --bench <id>`) regenerates
-//! one table or figure of the paper and prints it as a markdown table; the
-//! `micro_scheduler` target holds micro-benchmarks of the scheduler
-//! primitives on the in-repo [`timing`] harness. This library hosts the
-//! shared plumbing: the canonical pair and model lists as ready-to-run
-//! specs ([`pairs`]), design runners (sequential and [`sweep`]-parallel),
-//! single-tenant reference caching, and table formatting.
+//! Every bench target (`cargo bench -p v10-bench --bench <id>`) has a
+//! reason to exist: it regenerates a table or figure of the paper as a
+//! markdown table, or runs the open-loop serving sweep (each has an
+//! EXPERIMENTS.md row), or is a gated `ci.sh` step (`sim_throughput`,
+//! `serving_overload`, `serving_fleet`, `serving_fleet_faults`,
+//! `adversary_sweep`). The serving benches time their runs on the
+//! in-repo [`timing`] harness. This library hosts the shared
+//! plumbing: the canonical pair and model lists as ready-to-run specs
+//! ([`pairs`]), design runners (sequential and [`sweep`]-parallel),
+//! single-tenant reference caching, the serving glue ([`serving`]), JSON
+//! artifacts ([`jsonio`]), and table formatting.
 //!
 //! Knobs (environment variables, all optional):
 //!

@@ -1,24 +1,17 @@
 //! Shared plumbing for the serving-mode bench targets.
 //!
 //! The serving benches (`serving_openloop`, `serving_overload`,
-//! `serving_faults`, `serving_fleet`, `sim_throughput`) all parse the same
-//! environment knobs and compile sampled arrival streams the same way;
-//! this module is the single home for that glue — the thread-pool knob
-//! lives next door in [`sweep::sweep_threads`](crate::sweep::sweep_threads).
+//! `serving_fleet`, `serving_fleet_faults`, `sim_throughput`) share one
+//! SLO factor and one smoke knob and compile sampled arrival streams the
+//! same way; this module is the single home for that glue — the
+//! thread-pool knob lives next door in
+//! [`sweep::sweep_threads`](crate::sweep::sweep_threads).
 
 use v10_core::{Admission, AdmissionSchedule, WorkloadSpec};
 use v10_workloads::TimedArrival;
 
-/// SLO multiple of the model's isolated request service demand
-/// (env `V10_BENCH_SLO_FACTOR`, default 4).
-#[must_use]
-pub fn slo_factor() -> f64 {
-    std::env::var("V10_BENCH_SLO_FACTOR")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&f: &f64| f.is_finite() && f > 0.0)
-        .unwrap_or(4.0)
-}
+/// SLO multiple of the model's isolated request service demand.
+pub const SLO_FACTOR: f64 = 4.0;
 
 /// Smoke mode (env `V10_BENCH_SMOKE=1`): shrink the workload so CI can
 /// exercise the full bench path in seconds.
@@ -73,11 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn knob_defaults() {
-        // The test environment does not set the knobs.
-        if std::env::var("V10_BENCH_SLO_FACTOR").is_err() {
-            assert_eq!(slo_factor(), 4.0);
-        }
+    fn smoke_knob_defaults_off() {
+        // The test environment does not set the knob.
         if std::env::var("V10_BENCH_SMOKE").is_err() {
             assert!(!smoke());
         }

@@ -124,10 +124,7 @@ pub struct FleetOutcome {
     rebuild_core_scans: u64,
     departures: Vec<DepartureMsg>,
     decisions: Vec<AdmissionDecision>,
-    shard_crash_log: Vec<(usize, f64)>,
-    shard_restore_log: Vec<(usize, f64)>,
     region_fail_log: Vec<(usize, f64)>,
-    link_faults: u64,
 }
 
 impl FleetOutcome {
@@ -187,32 +184,11 @@ impl FleetOutcome {
         &self.departures
     }
 
-    /// Shard crashes applied, as `(shard, boundary_cycles)` in application
-    /// order. Empty on a disarmed run.
-    #[must_use]
-    pub fn shard_crashes(&self) -> &[(usize, f64)] {
-        &self.shard_crash_log
-    }
-
-    /// Shard restores applied, as `(shard, boundary_cycles)` in
-    /// application order. A crash in the final processed epoch never
-    /// restores, which the fleet auditor flags.
-    #[must_use]
-    pub fn shard_restores(&self) -> &[(usize, f64)] {
-        &self.shard_restore_log
-    }
-
     /// Region failures applied, as `(hbm_group, boundary_cycles)` in
     /// application order.
     #[must_use]
     pub fn regions_failed(&self) -> &[(usize, f64)] {
         &self.region_fail_log
-    }
-
-    /// Link-health events applied (degrades, partitions, restores).
-    #[must_use]
-    pub fn link_faults(&self) -> u64 {
-        self.link_faults
     }
 }
 
@@ -422,7 +398,7 @@ impl<'a> FleetPlane<'a> {
     /// The decomposed argmax: best summary entry across live shards in
     /// shard order, incumbent kept on ties. Shards own ascending core
     /// ranges, so this picks exactly the core a flat
-    /// lowest-index-tie-break scan ([`OnlinePlacer::place_class_topo`])
+    /// lowest-index-tie-break scan (`OnlinePlacer::place_class_topo`)
     /// would. Crashed shards are skipped — their blast radius is the
     /// arrivals their cores would have won.
     fn query(&self, class: usize, group: usize, crashed: &[bool]) -> Placement {
@@ -596,10 +572,7 @@ impl<'a> FleetPlane<'a> {
             rebuild_core_scans: 0,
             departures: Vec::new(),
             decisions: Vec::new(),
-            shard_crash_log: Vec::new(),
-            shard_restore_log: Vec::new(),
             region_fail_log: Vec::new(),
-            link_faults: 0,
         };
 
         let mut i = 0;
@@ -612,7 +585,7 @@ impl<'a> FleetPlane<'a> {
                 // Crashed workers come back first: a crash is visible for
                 // exactly the remainder of its crash epoch.
                 self.heal_links(boundary.as_f64(), &fd)?;
-                self.restore_crashed_shards(boundary, &mut fd, &mut outcome, observer);
+                self.restore_crashed_shards(boundary, &mut fd, observer);
             }
 
             // Epoch boundary: exchange departures across shards and free
@@ -790,7 +763,6 @@ impl<'a> FleetPlane<'a> {
         &mut self,
         boundary: Cycles,
         fd: &mut FaultDomains,
-        outcome: &mut FleetOutcome,
         observer: &mut O,
     ) {
         let now = boundary.as_f64();
@@ -807,7 +779,6 @@ impl<'a> FleetPlane<'a> {
             let worker = &mut self.workers[shard];
             worker.best = snapshot;
             worker.dirty = true;
-            outcome.shard_restore_log.push((shard, now));
             observer.on_event(SimEvent::ShardRestored { shard, at: now });
         }
     }
@@ -848,7 +819,6 @@ impl<'a> FleetPlane<'a> {
                     let worker = &mut self.workers[shard];
                     worker.best = lost;
                     worker.dirty = true;
-                    outcome.shard_crash_log.push((shard, now));
                     observer.on_event(SimEvent::ShardCrashed { shard, at: now });
                 }
                 FleetFaultKind::RegionFail { hbm_group } => {
@@ -862,7 +832,6 @@ impl<'a> FleetPlane<'a> {
                     if !self.state.topology().is_link_partitioned(hbm_group)? {
                         self.state.topology_mut().degrade_link(hbm_group, factor)?;
                     }
-                    outcome.link_faults += 1;
                 }
                 FleetFaultKind::LinkPartition {
                     hbm_group,
@@ -871,13 +840,11 @@ impl<'a> FleetPlane<'a> {
                     fd.partition_until[hbm_group] =
                         fd.partition_until[hbm_group].max(event.at_cycles() + window_cycles);
                     self.state.topology_mut().partition_link(hbm_group)?;
-                    outcome.link_faults += 1;
                 }
                 FleetFaultKind::LinkRestore { hbm_group } => {
                     fd.degrade[hbm_group] = 1.0;
                     fd.partition_until[hbm_group] = f64::NEG_INFINITY;
                     self.state.topology_mut().restore_link(hbm_group)?;
-                    outcome.link_faults += 1;
                 }
             }
         }
@@ -1090,6 +1057,24 @@ mod tests {
     use crate::eval::PairPerfCache;
     use crate::pipeline::ClusteringPipeline;
     use v10_workloads::Model;
+
+    /// Records the shard crashes and restores a faulted serve emits, as
+    /// `(shard, boundary_cycles)` pairs in emission order.
+    #[derive(Default)]
+    struct ShardLog {
+        crashes: Vec<(usize, f64)>,
+        restores: Vec<(usize, f64)>,
+    }
+
+    impl SimObserver for ShardLog {
+        fn on_event(&mut self, event: SimEvent) {
+            match event {
+                SimEvent::ShardCrashed { shard, at } => self.crashes.push((shard, at)),
+                SimEvent::ShardRestored { shard, at } => self.restores.push((shard, at)),
+                _ => {}
+            }
+        }
+    }
 
     fn pipeline() -> ClusteringPipeline {
         let models = [
@@ -1324,7 +1309,22 @@ mod tests {
         assert!(report.requeued().is_empty());
         assert!(report.shed().is_empty());
         assert!(report.retired_cores().is_empty());
-        assert!(outcome.shard_crashes().is_empty());
+        assert!(outcome.regions_failed().is_empty());
+
+        let mut log = ShardLog::default();
+        plane(&p, 2, 1)
+            .serve_faulted(
+                &arrivals(),
+                Design::V10Full,
+                &NpuConfig::table5(),
+                &RunOptions::new(1).unwrap(),
+                &FleetFaultPlan::none(),
+                &RecoveryPolicy::new(),
+                &mut log,
+            )
+            .unwrap();
+        assert!(log.crashes.is_empty());
+        assert!(log.restores.is_empty());
     }
 
     #[test]
@@ -1345,6 +1345,7 @@ mod tests {
         stream.push(arrival("t5", Model::Mnist, 4_300_000.0, 1));
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
+        let mut log = ShardLog::default();
         let (report, outcome) = plane
             .serve_faulted(
                 &stream,
@@ -1353,11 +1354,11 @@ mod tests {
                 &opts,
                 &plan,
                 &RecoveryPolicy::new(),
-                &mut NullObserver,
+                &mut log,
             )
             .unwrap();
-        assert_eq!(outcome.shard_crashes(), &[(0, 0.0)]);
-        assert_eq!(outcome.shard_restores(), &[(0, 4_000_000.0)]);
+        assert_eq!(log.crashes, &[(0, 0.0)]);
+        assert_eq!(log.restores, &[(0, 4_000_000.0)]);
         for d in &outcome.decisions()[..4] {
             match d.placement {
                 Placement::Core(core) => assert!(
@@ -1383,6 +1384,7 @@ mod tests {
             .unwrap();
         let arrivals = arrivals();
         let mut plane = plane(&p, 1, 1);
+        let mut log = ShardLog::default();
         let (report, outcome) = plane
             .serve_faulted(
                 &arrivals,
@@ -1391,11 +1393,11 @@ mod tests {
                 &RunOptions::new(1).unwrap(),
                 &plan,
                 &RecoveryPolicy::new(),
-                &mut NullObserver,
+                &mut log,
             )
             .unwrap();
-        assert_eq!(outcome.shard_crashes(), &[(0, 4_000_000.0)]);
-        assert_eq!(outcome.shard_restores(), &[(0, 8_000_000.0)]);
+        assert_eq!(log.crashes, &[(0, 4_000_000.0)]);
+        assert_eq!(log.restores, &[(0, 8_000_000.0)]);
         let crash_epoch = plane.clock().epoch_of(Cycles::new(4_000_000.0));
         for (arrival, decision) in arrivals.iter().zip(outcome.decisions()) {
             let in_crash_epoch =
@@ -1602,6 +1604,7 @@ mod tests {
         let policy = RecoveryPolicy::new().with_deadline_factor(400.0).unwrap();
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
+        let mut log = ShardLog::default();
         let (report, outcome) = plane
             .serve_faulted(
                 &stream,
@@ -1610,19 +1613,19 @@ mod tests {
                 &opts,
                 &plan,
                 &policy,
-                &mut NullObserver,
+                &mut log,
             )
             .unwrap();
-        assert_eq!(outcome.shard_crashes(), &[(1, 4_000_000.0)]);
-        assert_eq!(outcome.shard_restores(), &[(1, 8_000_000.0)]);
+        assert_eq!(log.crashes, &[(1, 4_000_000.0)]);
+        assert_eq!(log.restores, &[(1, 8_000_000.0)]);
         assert!(!report.requeued().is_empty());
 
         let mut auditor = FleetConservation::new();
         auditor.record_flow(outcome.offered(), outcome.placed(), outcome.rejected());
-        for &(shard, at) in outcome.shard_crashes() {
+        for &(shard, at) in &log.crashes {
             auditor.record_shard_crash(shard, at);
         }
-        for &(shard, at) in outcome.shard_restores() {
+        for &(shard, at) in &log.restores {
             auditor.record_shard_restore(shard, at);
         }
         for &(group, at) in outcome.regions_failed() {

@@ -29,10 +29,6 @@
 //!   per-shard workers with per-(class, HBM-group) candidate tables,
 //!   exchanging departures deterministically at epoch boundaries —
 //!   byte-identical reports at any shard or thread count.
-//! * [`breaker`] — per-core circuit breakers ([`BreakerBoard`]): cores
-//!   that sustain p99 breaches or checkpoint-replay storms trip open, cool
-//!   down, and re-admit through a half-open probe phase; placement steers
-//!   around tripped cores.
 //!
 //! # Example
 //!
@@ -50,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod dataset;
 pub mod deploy;
 pub mod eval;
@@ -63,7 +58,6 @@ pub mod recovery;
 pub mod schemes;
 pub mod standardize;
 
-pub use breaker::{BreakerBoard, BreakerPolicy, BreakerState, CircuitBreaker};
 pub use dataset::{build_dataset, build_default_dataset, WorkloadPoint};
 pub use deploy::{plan_deployment, simulate_deployment, CoreAssignment, DeploymentPlan};
 pub use eval::{

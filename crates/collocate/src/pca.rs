@@ -17,16 +17,15 @@
 /// let data: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
 /// let pca = Pca::fit(&data, 1);
 /// assert_eq!(pca.components().len(), 1);
-/// // The first component explains everything.
-/// assert!(pca.explained_variance_ratio()[0] > 0.999);
+/// // The first axis runs along the line (up to sign).
+/// let axis = &pca.components()[0];
+/// assert!((axis[1] / axis[0] - 2.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pca {
     mean: Vec<f64>,
     /// Row-major principal axes, strongest first; each is unit length.
     components: Vec<Vec<f64>>,
-    eigenvalues: Vec<f64>,
-    total_variance: f64,
 }
 
 impl Pca {
@@ -71,42 +70,23 @@ impl Pca {
             }
             cov
         };
-        let (eigenvalues_all, vectors) = jacobi_eigen(cov);
-        let total_variance: f64 = eigenvalues_all.iter().map(|&e| e.max(0.0)).sum();
+        let (eigenvalues, vectors) = jacobi_eigen(cov);
 
         // Sort by descending eigenvalue and keep the top k.
         let mut order: Vec<usize> = (0..dim).collect();
-        order.sort_by(|&a, &b| eigenvalues_all[b].total_cmp(&eigenvalues_all[a]));
+        order.sort_by(|&a, &b| eigenvalues[b].total_cmp(&eigenvalues[a]));
         let components: Vec<Vec<f64>> = order[..k]
             .iter()
             .map(|&c| (0..dim).map(|r| vectors[r][c]).collect())
             .collect();
-        let eigenvalues: Vec<f64> = order[..k].iter().map(|&c| eigenvalues_all[c]).collect();
 
-        Pca {
-            mean,
-            components,
-            eigenvalues,
-            total_variance,
-        }
+        Pca { mean, components }
     }
 
     /// The principal axes (unit vectors, strongest first).
     #[must_use]
     pub fn components(&self) -> &[Vec<f64>] {
         &self.components
-    }
-
-    /// Fraction of total variance captured by each kept component.
-    #[must_use]
-    pub fn explained_variance_ratio(&self) -> Vec<f64> {
-        if self.total_variance <= 0.0 {
-            return vec![0.0; self.eigenvalues.len()];
-        }
-        self.eigenvalues
-            .iter()
-            .map(|&e| e.max(0.0) / self.total_variance)
-            .collect()
     }
 
     /// Projects one point onto the principal axes.
@@ -194,6 +174,28 @@ fn jacobi_eigen(mut a: Vec<Vec<f64>>) -> (Vec<f64>, Vec<Vec<f64>>) {
 mod tests {
     use super::*;
 
+    /// Fraction of `data`'s total variance that each kept component
+    /// captures, measured from the projections.
+    pub(super) fn explained_variance_ratio(pca: &Pca, data: &[Vec<f64>]) -> Vec<f64> {
+        let n = data.len() as f64;
+        let total: f64 = (0..data[0].len())
+            .map(|j| {
+                let mean = data.iter().map(|r| r[j]).sum::<f64>() / n;
+                data.iter().map(|r| (r[j] - mean).powi(2)).sum::<f64>()
+            })
+            .sum();
+        let z = pca.transform_all(data);
+        (0..pca.components().len())
+            .map(|k| {
+                if total <= 0.0 {
+                    0.0
+                } else {
+                    z.iter().map(|r| r[k] * r[k]).sum::<f64>() / total
+                }
+            })
+            .collect()
+    }
+
     fn dot(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
     }
@@ -257,7 +259,7 @@ mod tests {
         let expected = [1.0 / 5.0f64.sqrt(), 2.0 / 5.0f64.sqrt()];
         let alignment = dot(c0, &expected).abs();
         assert!(alignment > 0.999, "alignment {alignment}");
-        let evr = pca.explained_variance_ratio();
+        let evr = explained_variance_ratio(&pca, &data);
         assert!(evr[0] > 0.99);
         assert!(evr.iter().sum::<f64>() <= 1.0 + 1e-9);
     }
@@ -275,7 +277,7 @@ mod tests {
     fn variance_ratio_of_degenerate_data_is_zero() {
         let data = vec![vec![2.0, 2.0]; 5];
         let pca = Pca::fit(&data, 1);
-        assert_eq!(pca.explained_variance_ratio(), vec![0.0]);
+        assert_eq!(explained_variance_ratio(&pca, &data), vec![0.0]);
     }
 
     #[test]
@@ -287,6 +289,7 @@ mod tests {
 
 #[cfg(test)]
 mod seeded_tests {
+    use super::tests::explained_variance_ratio;
     use super::*;
     use v10_sim::SimRng;
 
@@ -310,7 +313,7 @@ mod seeded_tests {
                     assert!(d.abs() < 1e-6, "case {case}");
                 }
             }
-            let evr = pca.explained_variance_ratio();
+            let evr = explained_variance_ratio(&pca, &rows);
             assert!(evr.iter().all(|&r| (-1e-9..=1.0 + 1e-9).contains(&r)));
             assert!(evr.iter().sum::<f64>() <= 1.0 + 1e-6);
             // Eigenvalues kept in descending order.

@@ -120,7 +120,8 @@ impl ClusteringPipeline {
     /// Dimensionality of the raw feature vectors the pipeline was fitted
     /// on (what [`cluster_of_features`](Self::cluster_of_features) expects).
     #[must_use]
-    pub fn feature_dim(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn feature_dim(&self) -> usize {
         self.standardizer.dim()
     }
 

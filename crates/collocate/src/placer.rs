@@ -21,7 +21,6 @@ use v10_sim::convert::usize_to_f64;
 use v10_sim::{V10Error, V10Result};
 use v10_workloads::{Model, TimedArrival};
 
-use crate::breaker::{BreakerBoard, BreakerPolicy};
 use crate::eval::BENEFIT_THRESHOLD;
 use crate::pipeline::ClusteringPipeline;
 
@@ -102,7 +101,12 @@ impl<'a> OnlinePlacer<'a> {
     /// Returns [`V10Error::InvalidArgument`] if `features` has the wrong
     /// dimensionality or contains a non-finite value, or if `cluster_state`
     /// carries a resident class tag outside the pipeline's cluster range.
-    pub fn place(&self, features: &[f64], cluster_state: &ClusterState) -> V10Result<Placement> {
+    #[cfg(test)]
+    pub(crate) fn place(
+        &self,
+        features: &[f64],
+        cluster_state: &ClusterState,
+    ) -> V10Result<Placement> {
         if features.len() != self.pipeline.feature_dim() {
             return Err(V10Error::invalid(
                 "OnlinePlacer::place",
@@ -128,13 +132,17 @@ impl<'a> OnlinePlacer<'a> {
     ///
     /// Propagates the class-tag validation of
     /// [`place_class`](Self::place_class).
-    pub fn place_model(&self, model: Model, cluster_state: &ClusterState) -> V10Result<Placement> {
+    #[cfg(test)]
+    pub(crate) fn place_model(
+        &self,
+        model: Model,
+        cluster_state: &ClusterState,
+    ) -> V10Result<Placement> {
         self.place_class(self.class_of_model(model), cluster_state)
     }
 
     /// Places an arriving tenant already mapped to behavior class `class`:
-    /// the topology-blind ranking, which is
-    /// [`place_class_topo`](Self::place_class_topo) at
+    /// the topology-blind ranking, which is the topology-aware argmax at
     /// [`TopologyWeights::zero`] on home group 0. Every penalty is then
     /// `+0.0`, so an empty core scores `-0.0`, a collocated core exactly
     /// its predicted STP, and ties go to the lowest core index.
@@ -143,8 +151,12 @@ impl<'a> OnlinePlacer<'a> {
     ///
     /// Returns [`V10Error::InvalidArgument`] if `class` — or any resident
     /// tag in `cluster_state` — is outside the pipeline's cluster range.
-    pub fn place_class(&self, class: usize, cluster_state: &ClusterState) -> V10Result<Placement> {
-        self.place_class_topo(class, cluster_state, 0, &TopologyWeights::zero())
+    pub(crate) fn place_class(
+        &self,
+        class: usize,
+        cluster_state: &ClusterState,
+    ) -> V10Result<Placement> {
+        self.best_core(class, cluster_state, 0, &TopologyWeights::zero())
     }
 
     /// Scores one candidate core for an arrival of behavior class `class`
@@ -227,33 +239,28 @@ impl<'a> OnlinePlacer<'a> {
     /// # Errors
     ///
     /// As [`topo_score`](Self::topo_score).
-    pub fn place_class_topo(
+    #[cfg(test)]
+    pub(crate) fn place_class_topo(
         &self,
         class: usize,
         cluster_state: &ClusterState,
         home_group: usize,
         weights: &TopologyWeights,
     ) -> V10Result<Placement> {
-        self.best_core(class, cluster_state, home_group, weights, |_| true)
+        self.best_core(class, cluster_state, home_group, weights)
     }
 
     /// The one argmax over [`topo_score`](Self::topo_score) behind every
-    /// placement, restricted to the cores `allowed` admits (queried once
-    /// per core, in index order) — the hook the per-core circuit breakers
-    /// use to take tripped cores out of rotation.
+    /// placement.
     fn best_core(
         &self,
         class: usize,
         cluster_state: &ClusterState,
         home_group: usize,
         weights: &TopologyWeights,
-        mut allowed: impl FnMut(usize) -> bool,
     ) -> V10Result<Placement> {
         let mut best: Option<(TopoScore, usize)> = None;
         for core in 0..cluster_state.cores() {
-            if !allowed(core) {
-                continue;
-            }
             if let Some(score) = self.topo_score(class, core, cluster_state, home_group, weights)? {
                 if best.is_none_or(|(b, _)| score.beats(&b)) {
                     best = Some((score, core));
@@ -387,7 +394,6 @@ pub struct MultiCoreAdmission<'a> {
     pub(crate) state: ClusterState,
     pub(crate) per_core: Vec<Vec<Admission>>,
     pub(crate) decisions: Vec<AdmissionDecision>,
-    pub(crate) breakers: Option<BreakerBoard>,
     rejected: usize,
 }
 
@@ -405,47 +411,8 @@ impl<'a> MultiCoreAdmission<'a> {
             state: ClusterState::new(cores, slots_per_core)?,
             per_core: vec![Vec::new(); cores],
             decisions: Vec::new(),
-            breakers: None,
             rejected: 0,
         })
-    }
-
-    /// Arms one [`CircuitBreaker`](crate::CircuitBreaker) per core under
-    /// `policy`. Tripped cores are skipped by [`offer`](Self::offer) and by
-    /// the faulted-serving re-admission loop until their cooldown elapses;
-    /// a controller without breakers (the default) behaves bit-identically
-    /// to one whose breakers never trip.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BreakerBoard::new`] validation (unreachable for a
-    /// constructed controller, which always has at least one core).
-    pub fn with_breakers(mut self, policy: BreakerPolicy) -> V10Result<Self> {
-        self.breakers = Some(BreakerBoard::new(policy, self.state.cores())?);
-        Ok(self)
-    }
-
-    /// The circuit-breaker board, if armed.
-    #[must_use]
-    pub fn breakers(&self) -> Option<&BreakerBoard> {
-        self.breakers.as_ref()
-    }
-
-    /// Mutable access to the breaker board — the hook for feeding
-    /// observations from externally run reports.
-    pub fn breakers_mut(&mut self) -> Option<&mut BreakerBoard> {
-        self.breakers.as_mut()
-    }
-
-    /// Places `class` at time `at`, steering around tripped breakers when
-    /// a board is armed. Querying the board applies cooldown expiry, so an
-    /// open core past its cooldown half-opens here.
-    pub(crate) fn place_with_breakers(&mut self, class: usize, at: f64) -> V10Result<Placement> {
-        let breakers = &mut self.breakers;
-        self.placer
-            .best_core(class, &self.state, 0, &TopologyWeights::zero(), |core| {
-                breakers.as_mut().is_none_or(|board| board.allows(core, at))
-            })
     }
 
     /// Offers one arriving tenant to the cluster. Returns the core it was
@@ -457,7 +424,7 @@ impl<'a> MultiCoreAdmission<'a> {
     /// error.
     pub fn offer(&mut self, arrival: &TimedArrival) -> V10Result<Option<usize>> {
         let class = self.placer.class_of_model(arrival.model());
-        let placement = self.place_with_breakers(class, arrival.at_cycles())?;
+        let placement = self.placer.place_class(class, &self.state)?;
         self.decisions.push(AdmissionDecision {
             label: arrival.label().to_string(),
             model: arrival.model(),
@@ -723,56 +690,6 @@ mod tests {
         assert_eq!(ctl.offer(&arrivals[2]).unwrap(), Some(0));
         assert_eq!(ctl.rejected(), 1);
         assert_eq!(ctl.admitted(), 2);
-    }
-
-    #[test]
-    fn breakers_steer_offers_away_from_tripped_cores() {
-        let p = pipeline();
-        let placer = OnlinePlacer::new(&p).with_threshold(0.01).unwrap();
-        let policy = crate::breaker::BreakerPolicy::new()
-            .with_trip_after(1)
-            .unwrap()
-            .with_cooldown_cycles(1.0e12)
-            .unwrap();
-        let mut ctl = MultiCoreAdmission::new(placer, 2, 2)
-            .unwrap()
-            .with_breakers(policy)
-            .unwrap();
-        let arrivals = OpenLoopProcess::new(&[Model::Mnist], 1.0e6, 3)
-            .unwrap()
-            .sample(2)
-            .unwrap();
-        assert_eq!(ctl.offer(&arrivals[0]).unwrap(), Some(0));
-        // Trip core 0's breaker by hand (as an external report feed would).
-        ctl.breakers_mut().unwrap().record(0, true, 0.0);
-        assert_eq!(
-            ctl.breakers().unwrap().states()[0],
-            crate::breaker::BreakerState::Open
-        );
-        // Core 0 has a free slot and a beneficial pairing, but the open
-        // breaker steers the arrival to core 1.
-        assert_eq!(ctl.offer(&arrivals[1]).unwrap(), Some(1));
-    }
-
-    #[test]
-    fn unarmed_breakers_leave_placement_unchanged() {
-        let p = pipeline();
-        let placer = OnlinePlacer::new(&p).with_threshold(0.01).unwrap();
-        let arrivals = OpenLoopProcess::new(&[Model::Mnist, Model::Ncf, Model::Dlrm], 1.0e6, 5)
-            .unwrap()
-            .sample(4)
-            .unwrap();
-        let mut plain = MultiCoreAdmission::new(placer, 2, 2).unwrap();
-        // A board with default (loose) limits never trips without feeds.
-        let mut armed = MultiCoreAdmission::new(placer, 2, 2)
-            .unwrap()
-            .with_breakers(crate::breaker::BreakerPolicy::new())
-            .unwrap();
-        for a in &arrivals {
-            assert_eq!(plain.offer(a).unwrap(), armed.offer(a).unwrap());
-        }
-        assert_eq!(plain.decisions(), armed.decisions());
-        assert_eq!(armed.breakers().unwrap().total_trips(), 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use v10_workloads::Model;
 
 use crate::dataset::build_dataset;
-use crate::eval::{PairPerfCache, BENEFIT_THRESHOLD};
+use crate::eval::PairPerfCache;
 use crate::pipeline::ClusteringPipeline;
 
 /// Identifies one of the three compared schemes.
@@ -93,13 +93,6 @@ impl Scheme {
         }
     }
 
-    /// Predicts whether collocating `a` and `b` (at default batches) clears
-    /// the default benefit threshold ([`BENEFIT_THRESHOLD`]).
-    #[must_use]
-    pub fn predicts_beneficial(&mut self, a: Model, b: Model) -> bool {
-        self.predicts_beneficial_at(a, b, BENEFIT_THRESHOLD)
-    }
-
     /// Predicts against an explicit STP threshold (used by the Table 2
     /// cross-validation, which self-calibrates its threshold to the median
     /// ground-truth STP). Random and Heuristic are threshold-free rules.
@@ -122,6 +115,7 @@ impl Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::BENEFIT_THRESHOLD;
 
     #[test]
     fn random_always_collocates() {
@@ -129,7 +123,7 @@ mod tests {
         assert_eq!(s.kind(), SchemeKind::Random);
         for a in Model::ALL {
             for b in Model::ALL {
-                assert!(s.predicts_beneficial(a, b));
+                assert!(s.predicts_beneficial_at(a, b, BENEFIT_THRESHOLD));
             }
         }
     }
@@ -138,9 +132,9 @@ mod tests {
     fn heuristic_rejects_overcommitted_pairs() {
         let mut s = Scheme::Heuristic;
         // Two SA-intensive models over-commit the SA.
-        assert!(!s.predicts_beneficial(Model::Bert, Model::ResNetRs));
+        assert!(!s.predicts_beneficial_at(Model::Bert, Model::ResNetRs, BENEFIT_THRESHOLD));
         // A complementary pair fits.
-        assert!(s.predicts_beneficial(Model::Bert, Model::Dlrm));
+        assert!(s.predicts_beneficial_at(Model::Bert, Model::Dlrm, BENEFIT_THRESHOLD));
     }
 
     #[test]
@@ -148,7 +142,10 @@ mod tests {
         let mut s = Scheme::Heuristic;
         for a in Model::ALL {
             for b in Model::ALL {
-                assert_eq!(s.predicts_beneficial(a, b), s.predicts_beneficial(b, a));
+                assert_eq!(
+                    s.predicts_beneficial_at(a, b, BENEFIT_THRESHOLD),
+                    s.predicts_beneficial_at(b, a, BENEFIT_THRESHOLD)
+                );
             }
         }
     }
@@ -167,7 +164,7 @@ mod tests {
         let mut s = Scheme::build(SchemeKind::Clustering, &train, &mut cache, 5);
         assert_eq!(s.kind(), SchemeKind::Clustering);
         // Must produce *some* decision for unseen pairs without panicking.
-        let _ = s.predicts_beneficial(Model::Transformer, Model::ShapeMask);
+        let _ = s.predicts_beneficial_at(Model::Transformer, Model::ShapeMask, BENEFIT_THRESHOLD);
     }
 
     #[test]

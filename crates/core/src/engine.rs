@@ -96,7 +96,6 @@ impl WorkloadSpec {
 pub struct RunOptions {
     requests_per_workload: usize,
     seed: u64,
-    pmt_slice_cycles: u64,
     table_capacity: Option<usize>,
 }
 
@@ -118,7 +117,6 @@ impl RunOptions {
         Ok(RunOptions {
             requests_per_workload,
             seed: 0x5EED,
-            pmt_slice_cycles: 1_400_000, // 2 ms at 700 MHz: task-level slicing
             table_capacity: None,
         })
     }
@@ -148,22 +146,6 @@ impl RunOptions {
         self
     }
 
-    /// Sets the PMT baseline's task-level time slice in cycles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `cycles` is zero.
-    pub fn with_pmt_slice_cycles(mut self, cycles: u64) -> V10Result<Self> {
-        if cycles == 0 {
-            return Err(V10Error::invalid(
-                "RunOptions::with_pmt_slice_cycles",
-                "PMT slice must be positive",
-            ));
-        }
-        self.pmt_slice_cycles = cycles;
-        Ok(self)
-    }
-
     /// Requests each workload must complete before the run ends.
     #[must_use]
     pub fn requests_per_workload(&self) -> usize {
@@ -174,12 +156,6 @@ impl RunOptions {
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The PMT baseline's time slice in cycles.
-    #[must_use]
-    pub fn pmt_slice_cycles(&self) -> u64 {
-        self.pmt_slice_cycles
     }
 
     /// The configured context-table capacity, if overridden.
@@ -1149,15 +1125,6 @@ mod tests {
             let err = spec("w", vec![sa(10)]).with_priority(bad).unwrap_err();
             assert!(err.to_string().contains("positive"), "{err}");
         }
-    }
-
-    #[test]
-    fn zero_pmt_slice_rejected() {
-        let err = RunOptions::new(1)
-            .unwrap()
-            .with_pmt_slice_cycles(0)
-            .unwrap_err();
-        assert!(err.to_string().contains("positive"), "{err}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! The harness is deliberately *knob-generic*: `v10-core` cannot depend on
 //! `v10-workloads` (the dependency points the other way), so the harness
-//! never sees a scenario — it sees a [`ShrinkKnobs`] triple and a caller
-//! check closure that regenerates the scenario from its seed at those
-//! knobs, serves it, and returns the violated invariants. Because the
+//! never sees a scenario — it sees a [`ScenarioKnobs`] triple (defined in
+//! `v10-sim`, below both crates) and a caller check closure that
+//! regenerates the scenario from its seed at those knobs, serves it, and
+//! returns the violated invariants. Because the
 //! generators are prefix-stable in every knob, any knob setting the
 //! shrinker tries replays a sub-scenario of the original, and the whole
 //! minimization is a pure function of `(seed, initial knobs)` — the
@@ -18,53 +19,12 @@
 //! Every evaluation is recorded in the shrink trace, so two runs of the
 //! same violating scenario produce byte-identical traces.
 
-use v10_sim::{V10Error, V10Result};
+use v10_sim::{ScenarioKnobs, V10Result};
 
 /// Horizon shrink granularity: the search probes multiples of 1/64 of the
 /// *initial* horizon, so the horizon dimension converges like the discrete
 /// ones instead of compounding forever.
 const HORIZON_STEPS: u64 = 64;
-
-/// The three shrinkable scenario dimensions. Mirrors
-/// `v10_workloads::adversary::ScenarioKnobs`, duplicated here because the
-/// dependency between the crates points the other way.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShrinkKnobs {
-    /// Tenant arrivals to generate (≥ 1).
-    pub tenants: usize,
-    /// Arrival horizon in cycles (finite, positive).
-    pub horizon_cycles: f64,
-    /// Fault events kept, as a prefix of the scenario's global time order.
-    pub fault_prefix: usize,
-}
-
-impl ShrinkKnobs {
-    /// Validated knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `tenants` is zero or the
-    /// horizon is not finite and positive.
-    pub fn new(tenants: usize, horizon_cycles: f64, fault_prefix: usize) -> V10Result<Self> {
-        if tenants == 0 {
-            return Err(V10Error::invalid(
-                "ShrinkKnobs::new",
-                "need at least one tenant",
-            ));
-        }
-        if !(horizon_cycles.is_finite() && horizon_cycles > 0.0) {
-            return Err(V10Error::invalid(
-                "ShrinkKnobs::new",
-                format!("horizon must be finite and positive, got {horizon_cycles}"),
-            ));
-        }
-        Ok(ShrinkKnobs {
-            tenants,
-            horizon_cycles,
-            fault_prefix,
-        })
-    }
-}
 
 /// One recorded shrink evaluation: which dimension was being searched,
 /// the candidate knobs, and whether the scenario still violated.
@@ -73,7 +33,7 @@ pub struct ShrinkStep {
     /// `"initial"`, `"tenants"`, `"fault-prefix"`, or `"horizon"`.
     pub dimension: &'static str,
     /// The candidate knobs evaluated.
-    pub candidate: ShrinkKnobs,
+    pub candidate: ScenarioKnobs,
     /// Did the candidate still violate?
     pub violated: bool,
 }
@@ -82,8 +42,8 @@ pub struct ShrinkStep {
 /// violations they produce, and the full deterministic search trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShrinkReport {
-    initial: ShrinkKnobs,
-    minimal: ShrinkKnobs,
+    initial: ScenarioKnobs,
+    minimal: ScenarioKnobs,
     violations: Vec<String>,
     trace: Vec<ShrinkStep>,
     evaluations: usize,
@@ -93,13 +53,13 @@ pub struct ShrinkReport {
 impl ShrinkReport {
     /// The knobs the shrink started from.
     #[must_use]
-    pub fn initial(&self) -> ShrinkKnobs {
+    pub fn initial(&self) -> ScenarioKnobs {
         self.initial
     }
 
     /// The smallest still-violating knobs found.
     #[must_use]
-    pub fn minimal(&self) -> ShrinkKnobs {
+    pub fn minimal(&self) -> ScenarioKnobs {
         self.minimal
     }
 
@@ -156,9 +116,10 @@ impl PropertyHarness {
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `budget` is zero.
-    pub fn with_max_evaluations(mut self, budget: usize) -> V10Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn with_max_evaluations(mut self, budget: usize) -> V10Result<Self> {
         if budget == 0 {
-            return Err(V10Error::invalid(
+            return Err(v10_sim::V10Error::invalid(
                 "PropertyHarness::with_max_evaluations",
                 "need at least one evaluation",
             ));
@@ -174,7 +135,7 @@ impl PropertyHarness {
     }
 
     /// Evaluates `check` at `initial`; on violation, shrinks to a minimal
-    /// still-violating [`ShrinkKnobs`] and returns the report. A clean
+    /// still-violating [`ScenarioKnobs`] and returns the report. A clean
     /// initial scenario returns `Ok(None)`.
     ///
     /// `check` regenerates and serves the scenario at the candidate knobs,
@@ -187,11 +148,11 @@ impl PropertyHarness {
     /// Propagates knob validation and any error `check` returns (a serve
     /// *error* is a broken driver, not a violation, and aborts the
     /// shrink).
-    pub fn shrink<F>(&self, initial: ShrinkKnobs, mut check: F) -> V10Result<Option<ShrinkReport>>
+    pub fn shrink<F>(&self, initial: ScenarioKnobs, mut check: F) -> V10Result<Option<ShrinkReport>>
     where
-        F: FnMut(&ShrinkKnobs) -> V10Result<Vec<String>>,
+        F: FnMut(&ScenarioKnobs) -> V10Result<Vec<String>>,
     {
-        let initial = ShrinkKnobs::new(
+        let initial = ScenarioKnobs::new(
             initial.tenants,
             initial.horizon_cycles,
             initial.fault_prefix,
@@ -232,7 +193,7 @@ impl PropertyHarness {
             let mut hi = best.tenants;
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                let candidate = ShrinkKnobs {
+                let candidate = ScenarioKnobs {
                     tenants: mid,
                     ..best
                 };
@@ -261,7 +222,7 @@ impl PropertyHarness {
             let mut hi = best.fault_prefix;
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                let candidate = ShrinkKnobs {
+                let candidate = ScenarioKnobs {
                     fault_prefix: mid,
                     ..best
                 };
@@ -292,7 +253,7 @@ impl PropertyHarness {
             let mut hi = best_k;
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                let candidate = ShrinkKnobs {
+                let candidate = ScenarioKnobs {
                     horizon_cycles: initial.horizon_cycles * (mid as f64) / (HORIZON_STEPS as f64),
                     ..best
                 };
@@ -338,14 +299,14 @@ impl PropertyHarness {
     fn probe<F>(
         &self,
         dimension: &'static str,
-        candidate: &ShrinkKnobs,
+        candidate: &ScenarioKnobs,
         check: &mut F,
         trace: &mut Vec<ShrinkStep>,
         evaluations: &mut usize,
         best_violations: &mut Vec<String>,
     ) -> V10Result<Option<bool>>
     where
-        F: FnMut(&ShrinkKnobs) -> V10Result<Vec<String>>,
+        F: FnMut(&ScenarioKnobs) -> V10Result<Vec<String>>,
     {
         if *evaluations >= self.max_evaluations {
             return Ok(None);
@@ -369,8 +330,8 @@ impl PropertyHarness {
 mod tests {
     use super::*;
 
-    fn knobs(tenants: usize, horizon: f64, faults: usize) -> ShrinkKnobs {
-        ShrinkKnobs {
+    fn knobs(tenants: usize, horizon: f64, faults: usize) -> ScenarioKnobs {
+        ScenarioKnobs {
             tenants,
             horizon_cycles: horizon,
             fault_prefix: faults,
@@ -455,7 +416,7 @@ mod tests {
         let harness = PropertyHarness::new();
         let err = harness
             .shrink(knobs(4, 1.0e6, 0), |_| {
-                Err(V10Error::invalid("test", "driver broke"))
+                Err(v10_sim::V10Error::invalid("test", "driver broke"))
             })
             .unwrap_err();
         assert!(err.to_string().contains("driver broke"), "{err}");

@@ -120,7 +120,7 @@ pub use design::{
     run_design, serve_design, serve_design_stressed, serve_design_stressed_observed, Design,
 };
 pub use engine::{RunOptions, V10Engine, WorkloadSpec};
-pub use harness::{PropertyHarness, ShrinkKnobs, ShrinkReport, ShrinkStep};
+pub use harness::{PropertyHarness, ShrinkReport, ShrinkStep};
 pub use invariants::{audit_serve_stressed, check_serve_invariants, run_digest};
 pub use lifecycle::{Admission, AdmissionSchedule};
 pub use metrics::{OverlapBreakdown, RunReport, WorkloadReport};

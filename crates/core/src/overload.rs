@@ -155,6 +155,7 @@ fn positive_finite(context: &'static str, name: &str, v: f64) -> V10Result<()> {
     }
 }
 
+#[cfg(test)]
 fn fraction(context: &'static str, name: &str, v: f64) -> V10Result<()> {
     if v.is_finite() && v > 0.0 && v < 1.0 {
         Ok(())
@@ -194,7 +195,8 @@ impl OverloadPolicy {
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `depth` is zero.
-    pub fn with_enter_queue_depth(mut self, depth: usize) -> V10Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn with_enter_queue_depth(mut self, depth: usize) -> V10Result<Self> {
         if depth == 0 {
             return Err(V10Error::invalid(
                 "OverloadPolicy::with_enter_queue_depth",
@@ -212,7 +214,8 @@ impl OverloadPolicy {
     ///
     /// Returns [`V10Error::InvalidArgument`] unless
     /// `1 <= clear <= enter` and both are finite.
-    pub fn with_slowdown_thresholds(mut self, enter: f64, clear: f64) -> V10Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn with_slowdown_thresholds(mut self, enter: f64, clear: f64) -> V10Result<Self> {
         let ctx = "OverloadPolicy::with_slowdown_thresholds";
         positive_finite(ctx, "enter", enter)?;
         positive_finite(ctx, "clear", clear)?;
@@ -233,7 +236,8 @@ impl OverloadPolicy {
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if either count is zero.
-    pub fn with_hysteresis(
+    #[cfg(test)]
+    pub(crate) fn with_hysteresis(
         mut self,
         escalate_ticks: u32,
         clear_hold_ticks: u32,
@@ -256,7 +260,8 @@ impl OverloadPolicy {
     ///
     /// Returns [`V10Error::InvalidArgument`] unless `factor` is in (0, 1)
     /// and `min_priority` is positive and finite.
-    pub fn with_demotion(mut self, factor: f64, min_priority: f64) -> V10Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn with_demotion(mut self, factor: f64, min_priority: f64) -> V10Result<Self> {
         let ctx = "OverloadPolicy::with_demotion";
         fraction(ctx, "factor", factor)?;
         positive_finite(ctx, "min_priority", min_priority)?;
@@ -272,7 +277,12 @@ impl OverloadPolicy {
     ///
     /// Returns [`V10Error::InvalidArgument`] unless `factor` is in (0, 1)
     /// and `min_slice_cycles` is positive and finite.
-    pub fn with_slice_shrink(mut self, factor: f64, min_slice_cycles: f64) -> V10Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn with_slice_shrink(
+        mut self,
+        factor: f64,
+        min_slice_cycles: f64,
+    ) -> V10Result<Self> {
         let ctx = "OverloadPolicy::with_slice_shrink";
         fraction(ctx, "factor", factor)?;
         positive_finite(ctx, "min_slice_cycles", min_slice_cycles)?;
@@ -288,7 +298,8 @@ impl OverloadPolicy {
     ///
     /// Returns [`V10Error::InvalidArgument`] unless `keep_fraction` is in
     /// (0, 1).
-    pub fn with_quota_keep_fraction(mut self, keep_fraction: f64) -> V10Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn with_quota_keep_fraction(mut self, keep_fraction: f64) -> V10Result<Self> {
         fraction(
             "OverloadPolicy::with_quota_keep_fraction",
             "keep_fraction",
@@ -305,7 +316,8 @@ impl OverloadPolicy {
     ///
     /// Returns [`V10Error::InvalidArgument`] unless `cycles` is positive
     /// and finite.
-    pub fn with_shed_wait_cycles(mut self, cycles: f64) -> V10Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn with_shed_wait_cycles(mut self, cycles: f64) -> V10Result<Self> {
         positive_finite("OverloadPolicy::with_shed_wait_cycles", "deadline", cycles)?;
         self.shed_wait_cycles = cycles;
         Ok(self)

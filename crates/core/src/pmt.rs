@@ -35,6 +35,10 @@ use crate::overload::OverloadController;
 const PMT_SWITCH_MIN_US: f64 = 20.0;
 const PMT_SWITCH_MAX_US: f64 = 40.0;
 
+/// PMT's mean ownership slice in cycles: 2 ms at 700 MHz, task-level
+/// slicing.
+const PMT_SLICE_CYCLES: f64 = 1.4e6;
+
 /// Runs the PMT baseline on `specs` closed loop, with an observer
 /// receiving the (task-granularity) event stream: operator and request
 /// completions, plus a preempt/switch pair per ownership rotation. This is
@@ -119,10 +123,8 @@ pub fn run_single_tenant(
 struct PmtStrategy {
     rng: SimRng,
     clock: Frequency,
-    /// The configured mean slice in cycles.
-    slice_cycles: f64,
     /// Ownership slice per admitted tenant (by `wls` index), proportional
-    /// to priority and averaging the configured PMT slice over the live
+    /// to priority and averaging [`PMT_SLICE_CYCLES`] over the live
     /// set. Zero for retired tenants.
     slices: Vec<f64>,
     owner: usize,
@@ -140,7 +142,6 @@ impl PmtStrategy {
         PmtStrategy {
             rng: SimRng::seed_from(opts.seed() ^ 0x0093_4711),
             clock: config.frequency(),
-            slice_cycles: opts.pmt_slice_cycles() as f64,
             slices: Vec::new(),
             owner: 0,
             owner_until: 0.0,
@@ -173,7 +174,7 @@ impl PmtStrategy {
                 continue;
             };
             if let Some(slice) = self.slices.get_mut(w) {
-                *slice = self.slice_cycles * live.len() as f64 * wl.priority / total_priority;
+                *slice = PMT_SLICE_CYCLES * live.len() as f64 * wl.priority / total_priority;
             }
         }
         let was_single = self.single;

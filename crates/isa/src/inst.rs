@@ -10,9 +10,8 @@
 //!   software-managed vector memory;
 //! * element-wise SIMD ALU instructions executed by the vector unit.
 //!
-//! Instructions encode to fixed 32-bit words so the functional models can
-//! exercise instruction fetch, and so the DMA model can account instruction
-//! bytes. Layout (bit 31 is the MSB):
+//! Instructions encode to fixed 32-bit words ([`Inst::encode`] /
+//! [`Inst::decode`]). Layout (bit 31 is the MSB):
 //!
 //! ```text
 //! [31:27] opcode | [26:22] dst | [21:17] src1 | [16:0] immediate/vmem addr
@@ -222,6 +221,7 @@ impl std::error::Error for DecodeError {}
 impl Inst {
     /// Encodes the instruction into a 32-bit word.
     #[must_use]
+    // v10-lint: allow(S1) the §2.1 binary instruction format, pinned by the encode/decode round-trip and error tests
     pub fn encode(self) -> u32 {
         let word = |opcode: u32, dst: u32, src1: u32, imm: u32| {
             (opcode << 27) | (dst << 22) | (src1 << 17) | (imm & 0x1_FFFF)
@@ -253,6 +253,7 @@ impl Inst {
     ///
     /// Returns [`DecodeError`] if the opcode or VALU sub-opcode field is
     /// invalid. Register fields are 5 bits and therefore always in range.
+    // v10-lint: allow(S1) the §2.1 binary instruction format, pinned by the encode/decode round-trip and error tests
     pub fn decode(word: u32) -> Result<Inst, DecodeError> {
         let opcode = word >> 27;
         let dst = Reg::new(((word >> 22) & 0x1F) as u8);
@@ -283,15 +284,6 @@ impl Inst {
             OP_HALT => Ok(Inst::Halt),
             other => Err(DecodeError::BadOpcode(other)),
         }
-    }
-
-    /// True if this instruction engages the systolic array.
-    #[must_use]
-    pub fn touches_systolic_array(self) -> bool {
-        matches!(
-            self,
-            Inst::Push { .. } | Inst::PushW { .. } | Inst::Pop { .. }
-        )
     }
 
     /// Issue latency in cycles (§2.1: push/pushw/pop move eight 128-wide
@@ -325,21 +317,6 @@ impl fmt::Display for Inst {
             Inst::Halt => write!(f, "halt"),
         }
     }
-}
-
-/// Encodes a program into its binary image.
-#[must_use]
-pub fn assemble(program: &[Inst]) -> Vec<u32> {
-    program.iter().map(|i| i.encode()).collect()
-}
-
-/// Decodes a binary image back into instructions.
-///
-/// # Errors
-///
-/// Returns the first [`DecodeError`] encountered.
-pub fn disassemble(words: &[u32]) -> Result<Vec<Inst>, DecodeError> {
-    words.iter().map(|&w| Inst::decode(w)).collect()
 }
 
 #[cfg(test)]
@@ -405,19 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn sa_classification() {
-        assert!(Inst::PushW { src: r(0) }.touches_systolic_array());
-        assert!(!Inst::Halt.touches_systolic_array());
-        assert!(!Inst::VAlu {
-            op: VAluOp::Add,
-            dst: r(0),
-            src1: r(0),
-            src2: r(0)
-        }
-        .touches_systolic_array());
-    }
-
-    #[test]
     fn display_is_assembly_like() {
         let i = Inst::VAlu {
             op: VAluOp::Add,
@@ -452,8 +416,9 @@ mod tests {
             },
             Inst::Halt,
         ];
-        let image = assemble(&prog);
-        assert_eq!(disassemble(&image).unwrap(), prog);
+        let image: Vec<u32> = prog.iter().map(|i| i.encode()).collect();
+        let back: Vec<Inst> = image.iter().map(|&w| Inst::decode(w).unwrap()).collect();
+        assert_eq!(back, prog);
     }
 
     #[test]

@@ -98,13 +98,6 @@ impl RequestTrace {
         self.ops.iter().map(|o| o.flops()).sum()
     }
 
-    /// Largest single-operator vector-memory footprint — the capacity the
-    /// compiler must fit in the (possibly partitioned) vector memory (§3.6).
-    #[must_use]
-    pub fn peak_vmem_bytes(&self) -> u64 {
-        self.ops.iter().map(|o| o.vmem_bytes()).max().unwrap_or(0)
-    }
-
     /// Summary statistics in the units Table 1 of the paper reports.
     #[must_use]
     pub fn summarize(&self, clock: Frequency) -> TraceSummary {
@@ -218,14 +211,6 @@ mod tests {
         let t = RequestTrace::new(vec![a, b]).unwrap();
         assert_eq!(t.total_hbm_bytes(), 150);
         assert_eq!(t.total_flops(), 1_200);
-    }
-
-    #[test]
-    fn peak_vmem_is_max_not_sum() {
-        let a = OpDesc::builder(FuKind::Sa).vmem_bytes(100).build();
-        let b = OpDesc::builder(FuKind::Vu).vmem_bytes(300).build();
-        let t = RequestTrace::new(vec![a, b]).unwrap();
-        assert_eq!(t.peak_vmem_bytes(), 300);
     }
 
     #[test]

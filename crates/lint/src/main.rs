@@ -1,41 +1,22 @@
 //! CLI front-end for `v10-lint`.
 //!
-//! Modes:
-//! * `--check` (default): scan the workspace, compare against
-//!   `lint-baseline.toml`, exit 1 on any new violation, stale baseline
-//!   entry, or directive-hygiene problem.
-//! * `--fix-baseline`: regenerate `lint-baseline.toml` from the current
-//!   scan; exits 1 if the new total would exceed the committed one (the
-//!   ratchet only turns one way).
-//! * `--census`: print per-rule violation totals (and per-file detail)
-//!   without consulting the baseline.
-//!
-//! Flags: `--json` switches stdout to machine-readable output — for
-//! `--check` one JSON-lines object per finding (schema `v10-lint/2`), for
-//! `--census` a single summary object (schema `v10-lint-census/1`) that CI
-//! archives as an artifact; `--root <dir>` overrides the workspace root
-//! (default: this crate's grandparent directory).
+//! `--check` (the default and only mode) scans the workspace and exits 1
+//! on any finding, directive-hygiene problems included. Flags: `--json`
+//! switches stdout to one JSON-lines object per finding (schema
+//! `v10-lint/2`), which is also where per-file finding counts come from;
+//! `--root <dir>` overrides the workspace root (default: this crate's
+//! grandparent directory).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use v10_lint::baseline::{self, Baseline};
-use v10_lint::{census, check, scan_workspace};
-
-const BASELINE_FILE: &str = "lint-baseline.toml";
-
-enum Mode {
-    Check,
-    FixBaseline,
-    Census,
-}
+use v10_lint::scan_workspace;
 
 fn usage() -> String {
-    "usage: v10-lint [--check | --fix-baseline | --census] [--json] [--root <dir>]".to_string()
+    "usage: v10-lint [--check] [--json] [--root <dir>]".to_string()
 }
 
 fn run() -> Result<bool, String> {
-    let mut mode = Mode::Check;
     let mut json = false;
     let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -46,9 +27,7 @@ fn run() -> Result<bool, String> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" => mode = Mode::Check,
-            "--fix-baseline" => mode = Mode::FixBaseline,
-            "--census" => mode = Mode::Census,
+            "--check" => {}
             "--json" => json = true,
             "--root" => {
                 root = PathBuf::from(args.next().ok_or_else(usage)?);
@@ -57,95 +36,24 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    let outcome = scan_workspace(&root)?;
-    let baseline_path = root.join(BASELINE_FILE);
-    let committed: Baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => {
-            baseline::parse(&text).map_err(|e| format!("{}: {e}", baseline_path.display()))?
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::new(),
-        Err(e) => return Err(format!("{}: {e}", baseline_path.display())),
-    };
-
-    match mode {
-        Mode::Census => {
-            if json {
-                println!(
-                    "{}",
-                    v10_lint::render_census_json(&outcome, count_scanned(&root)?)
-                );
-            } else {
-                for ((file, rule), n) in &outcome.counts {
-                    println!("{n:5}  {rule:4} {file}");
-                }
-                println!("---");
-                for (rule, n) in census(&outcome) {
-                    println!("{n:5}  {rule} total");
-                }
-            }
-            Ok(true)
-        }
-        Mode::FixBaseline => {
-            let old_total = baseline::total(&committed);
-            let new_total = baseline::total(&outcome.counts);
-            std::fs::write(&baseline_path, baseline::render(&outcome.counts))
-                .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-            eprintln!(
-                "v10-lint: baseline rewritten: {} -> {} allowed violations",
-                old_total, new_total
-            );
-            if new_total > old_total {
-                eprintln!(
-                    "v10-lint: FAIL: baseline grew by {} — fix the new violations \
-                     instead of baselining them",
-                    new_total - old_total
-                );
-                return Ok(false);
-            }
-            Ok(true)
-        }
-        Mode::Check => {
-            let result = check(&outcome, &committed);
-            if json {
-                for f in &result.violations {
-                    println!("{}", f.render_json());
-                }
-            } else {
-                for f in &result.violations {
-                    println!("{}", f.render());
-                }
-            }
-            for (file, rule, allowed, actual) in &result.exceeded {
-                eprintln!("v10-lint: {file}: {rule} count {actual} exceeds baseline {allowed}");
-            }
-            for (file, rule, allowed, actual) in &result.stale {
-                eprintln!(
-                    "v10-lint: {file}: stale baseline: {rule} allows {allowed} but only \
-                     {actual} remain — run `cargo run -p v10-lint -- --fix-baseline` to \
-                     ratchet down"
-                );
-            }
-            if result.is_clean() {
-                eprintln!(
-                    "v10-lint: clean ({} files in scope, {} baselined violations)",
-                    count_scanned(&root)?,
-                    baseline::total(&committed)
-                );
-                Ok(true)
-            } else {
-                eprintln!(
-                    "v10-lint: FAIL: {} violation(s); see rules in crates/lint/src/rules.rs, \
-                     escape hatch: `// v10-lint: allow(<rule>) <reason>`",
-                    result.violations.len()
-                );
-                Ok(false)
-            }
-        }
+    let findings = scan_workspace(&root)?;
+    for f in &findings {
+        println!("{}", if json { f.render_json() } else { f.render() });
     }
-}
-
-fn count_scanned(root: &std::path::Path) -> Result<usize, String> {
-    Ok(v10_lint::workspace::enumerate(root)?.len())
+    if findings.is_empty() {
+        eprintln!(
+            "v10-lint: clean ({} files in scope)",
+            v10_lint::workspace::enumerate(&root)?.len()
+        );
+        Ok(true)
+    } else {
+        eprintln!(
+            "v10-lint: FAIL: {} violation(s); see rules in crates/lint/src/rules.rs, \
+             escape hatch: `// v10-lint: allow(<rule>) <reason>`",
+            findings.len()
+        );
+        Ok(false)
+    }
 }
 
 fn main() -> ExitCode {

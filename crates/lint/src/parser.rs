@@ -48,6 +48,9 @@ pub struct FnDecl {
     pub name: String,
     /// Whether the function is `pub` (any visibility restriction counts).
     pub is_pub: bool,
+    /// Whether that visibility is restricted (`pub(crate)`, `pub(super)`,
+    /// `pub(in ..)`): the item is not part of the crate's public surface.
+    pub restricted: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// 1-based column of the `fn` keyword.
@@ -63,6 +66,8 @@ pub struct FnDecl {
 pub struct ConstDecl {
     /// Constant name.
     pub name: String,
+    /// Whether the `pub` is restricted (`pub(crate)` and the like).
+    pub restricted: bool,
     /// Declared type text.
     pub ty: String,
     /// 1-based line of the constant's name.
@@ -247,18 +252,26 @@ fn scan_items(tokens: &[Token], src: &str) -> Items {
         match t.text.as_str() {
             "pub" | "fn" | "const" | "struct" | "enum" => {
                 let (is_pub, kw_i) = visibility_at(code, i);
+                let restricted = is_pub && kw_i != i + 1;
                 let Some((_, kw)) = code.get(kw_i) else {
                     i += 1;
                     continue;
                 };
+                let const_fn =
+                    kw.text == "const" && code.get(kw_i + 1).is_some_and(|(_, t)| t.text == "fn");
                 match kw.text.as_str() {
                     "fn" => {
-                        let next = scan_fn(&mut out, &scanner, kw_i, i, is_pub);
+                        let next = scan_fn(&mut out, &scanner, kw_i, i, is_pub, restricted);
+                        i = next.max(i + 1);
+                        continue;
+                    }
+                    "const" if const_fn => {
+                        let next = scan_fn(&mut out, &scanner, kw_i + 1, i, is_pub, restricted);
                         i = next.max(i + 1);
                         continue;
                     }
                     "const" if is_pub => {
-                        let next = scan_const(&mut out, &scanner, kw_i, i);
+                        let next = scan_const(&mut out, &scanner, kw_i, i, restricted);
                         i = next.max(i + 1);
                         continue;
                     }
@@ -415,7 +428,14 @@ fn matching(code: &[(usize, &Token)], open: usize, op: &str, cl: &str) -> usize 
     code.len().saturating_sub(1)
 }
 
-fn scan_fn(out: &mut Items, sc: &ItemScanner, kw_i: usize, doc_i: usize, is_pub: bool) -> usize {
+fn scan_fn(
+    out: &mut Items,
+    sc: &ItemScanner,
+    kw_i: usize,
+    doc_i: usize,
+    is_pub: bool,
+    restricted: bool,
+) -> usize {
     let code = &sc.code;
     let Some((_, name_tok)) = code.get(kw_i + 1) else {
         return kw_i + 1;
@@ -461,6 +481,7 @@ fn scan_fn(out: &mut Items, sc: &ItemScanner, kw_i: usize, doc_i: usize, is_pub:
     out.fns.push(FnDecl {
         name: name_tok.text.clone(),
         is_pub,
+        restricted,
         line: kw.line,
         col: kw.col,
         doc,
@@ -525,7 +546,13 @@ fn parse_param(code: &[(usize, &Token)], start: usize, end: usize) -> Option<Par
     })
 }
 
-fn scan_const(out: &mut Items, sc: &ItemScanner, kw_i: usize, doc_i: usize) -> usize {
+fn scan_const(
+    out: &mut Items,
+    sc: &ItemScanner,
+    kw_i: usize,
+    doc_i: usize,
+    restricted: bool,
+) -> usize {
     let code = &sc.code;
     let Some((_, name_tok)) = code.get(kw_i + 1) else {
         return kw_i + 1;
@@ -554,6 +581,7 @@ fn scan_const(out: &mut Items, sc: &ItemScanner, kw_i: usize, doc_i: usize) -> u
     let doc = sc.doc.get(doc_i).cloned().unwrap_or_default();
     out.consts.push(ConstDecl {
         name: name_tok.text.clone(),
+        restricted,
         ty,
         line: name_tok.line,
         col: name_tok.col,
@@ -1376,6 +1404,29 @@ mod tests {
         assert_eq!(f.params[0].ty, "f64");
         assert_eq!(f.params[1].ty, "u64");
         assert!(!p.fns[1].is_pub);
+    }
+
+    #[test]
+    fn restricted_visibility_and_const_fns() {
+        let src = "pub(crate) fn a() {}\npub const fn b(x: u64) -> u64 { x }\n\
+                   const fn c() {}\npub(super) const D: u8 = 1;\npub const E: u8 = 2;\n";
+        let p = ParsedFile::parse(src);
+        let fns: Vec<(&str, bool, bool)> = p
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_pub, f.restricted))
+            .collect();
+        assert_eq!(
+            fns,
+            vec![("a", true, true), ("b", true, false), ("c", false, false)]
+        );
+        assert_eq!(p.fns[1].params[0].ty, "u64");
+        let consts: Vec<(&str, bool)> = p
+            .consts
+            .iter()
+            .map(|c| (c.name.as_str(), c.restricted))
+            .collect();
+        assert_eq!(consts, vec![("D", true), ("E", false)]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The four project-specific rule families and the scanner that applies
-//! them to one file's token stream.
+//! The project-specific rule families and the scanner that applies them
+//! to one file's token stream.
 //!
 //! The workspace's verification spine is bit-for-bit determinism: golden
 //! runs must be byte-identical across executors, observer builds, and sweep
@@ -21,9 +21,13 @@
 //!   non-test library code of `v10-core` and `v10-sim`: public entry
 //!   points promise typed `V10Error`s, not process teardown.
 //!
+//! The semantic families U1/F1/O1/E1 run on the [`crate::parser`]'s item
+//! tables, and so does **S1** (see [`s1_findings`]): a `pub fn` or `pub
+//! const` that nothing but its own crate's tests names is dead surface.
+//!
 //! Suppression: `// v10-lint: allow(<rule>) <reason>` on the offending
-//! line or the line above (reason mandatory), or the committed
-//! `lint-baseline.toml` ratchet (see [`crate::baseline`]).
+//! line or the line above (reason mandatory). There is no baseline: every
+//! finding fails `--check`.
 
 use crate::lexer::{lex, TokKind, Token};
 
@@ -46,12 +50,14 @@ pub enum RuleId {
     O1,
     /// `SimEvent` variants not counted and audited by the runtime checkers.
     E1,
+    /// `pub fn`/`pub const` items nothing outside their own tests names.
+    S1,
     /// Malformed `v10-lint:` directives (e.g. a missing reason).
     Meta,
 }
 
 impl RuleId {
-    /// Stable textual id used in diagnostics, directives, and the baseline.
+    /// Stable textual id used in diagnostics and directives.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -63,6 +69,7 @@ impl RuleId {
             RuleId::F1 => "F1",
             RuleId::O1 => "O1",
             RuleId::E1 => "E1",
+            RuleId::S1 => "S1",
             RuleId::Meta => "META",
         }
     }
@@ -79,11 +86,12 @@ impl RuleId {
             RuleId::F1 => "float-determinism",
             RuleId::O1 => "observer-purity",
             RuleId::E1 => "event-exhaustiveness",
+            RuleId::S1 => "dead-public-surface",
             RuleId::Meta => "directive-hygiene",
         }
     }
 
-    /// Parses a directive/baseline rule id.
+    /// Parses a directive's rule id.
     #[must_use]
     pub fn parse(s: &str) -> Option<RuleId> {
         match s {
@@ -95,6 +103,7 @@ impl RuleId {
             "F1" => Some(RuleId::F1),
             "O1" => Some(RuleId::O1),
             "E1" => Some(RuleId::E1),
+            "S1" => Some(RuleId::S1),
             "META" => Some(RuleId::Meta),
             _ => None,
         }
@@ -128,6 +137,9 @@ pub struct Scope {
     /// Check `SimEvent` exhaustiveness (the event-definition file only;
     /// its findings are precomputed cross-file and passed as extras).
     pub e1: bool,
+    /// Check for dead public surface (sim-path library sources; computed
+    /// cross-file by [`s1_findings`] and passed as extras).
+    pub s1: bool,
 }
 
 impl Scope {
@@ -143,6 +155,7 @@ impl Scope {
             f1: true,
             o1: true,
             e1: true,
+            s1: true,
         }
     }
 }
@@ -904,6 +917,87 @@ pub fn e1_findings(observer_rel: &str, observer_src: &str, audit_src: &str) -> V
     findings
 }
 
+/// S1 — dead public surface. A `pub fn` or `pub const` in a file whose
+/// [`Scope::s1`] is set (the sim-path crates' `src/` trees) is dead when
+/// its name appears as an identifier, outside comments, only at `fn`/`const`
+/// definition sites and inside its own crate's `#[cfg(test)]`/`#[test]`
+/// code. `corpus` is every file that could name it, as `(repo-relative
+/// path, source)` pairs ([`crate::workspace::corpus`]). The match is by
+/// name alone, so any same-named use anywhere keeps an item alive: S1 can
+/// miss a dead item but never flags a live one. Findings anchor at the
+/// item, so an inline `// v10-lint: allow(S1) <reason>` there keeps it.
+#[must_use]
+pub fn s1_findings(corpus: &[(String, String)]) -> Vec<Finding> {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    // Every identifier use, split into uses outside test code and, per
+    // name, the crates whose library test code names it.
+    let mut used: BTreeSet<String> = BTreeSet::new();
+    let mut test_used_by: BTreeMap<String, BTreeSet<&str>> = BTreeMap::new();
+    // (name, own crate, file, line, col, item kind)
+    let mut candidates: Vec<(String, &str, &str, u32, u32, &str)> = Vec::new();
+    for (rel, src) in corpus {
+        let parsed = crate::parser::ParsedFile::parse(src);
+        let test_lines = test_region_lines(&parsed.tokens);
+        let krate = crate::workspace::src_crate(rel);
+        let mut prev = "";
+        for t in &parsed.tokens {
+            if matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
+                continue;
+            }
+            if t.kind == TokKind::Ident && prev != "fn" && prev != "const" {
+                match krate.filter(|_| test_lines.contains(&t.line)) {
+                    Some(c) => {
+                        test_used_by.entry(t.text.clone()).or_default().insert(c);
+                    }
+                    None => {
+                        used.insert(t.text.clone());
+                    }
+                }
+            }
+            prev = &t.text;
+        }
+
+        let (Some(own), true) = (
+            krate,
+            crate::workspace::scope_for(rel).is_some_and(|s| s.s1),
+        ) else {
+            continue;
+        };
+        let live = |line: u32| !test_lines.contains(&line);
+        for f in &parsed.fns {
+            if f.is_pub && !f.restricted && live(f.line) {
+                candidates.push((f.name.clone(), own, rel, f.line, f.col, "fn"));
+            }
+        }
+        for c in &parsed.consts {
+            if !c.restricted && live(c.line) {
+                candidates.push((c.name.clone(), own, rel, c.line, c.col, "const"));
+            }
+        }
+    }
+
+    candidates
+        .into_iter()
+        .filter(|(name, own, ..)| {
+            !used.contains(name)
+                && test_used_by
+                    .get(name)
+                    .is_none_or(|crates| crates.iter().all(|c| c == own))
+        })
+        .map(|(name, own, rel, line, col, kind)| Finding {
+            rule: RuleId::S1,
+            file: rel.to_string(),
+            line,
+            col,
+            message: format!(
+                "pub {kind} `{name}` is named nowhere but its definition and v10-{own}'s \
+                 own tests; delete it, or make it `#[cfg(test)] pub(crate)` if a test needs it"
+            ),
+        })
+        .collect()
+}
+
 /// Lines covered by `#[cfg(test)]` / `#[test]` items (the attribute through
 /// the item's closing brace). P1 exempts test code; the other rules do too —
 /// tests don't feed golden output.
@@ -1035,7 +1129,7 @@ fn collect_allows(file: &str, tokens: &[Token]) -> (Vec<Allow>, Vec<Finding>) {
                 line: end_line,
                 col: t.col,
                 message: "malformed v10-lint directive; expected \
-                          `// v10-lint: allow(D1|D2|D3|P1|U1|F1|O1|E1) <reason>`"
+                          `// v10-lint: allow(D1|D2|D3|P1|U1|F1|O1|E1|S1) <reason>`"
                     .to_string(),
             }),
         }

@@ -23,6 +23,10 @@
 //! * **E1** (event exhaustiveness) is a cross-file check anchored at the
 //!   `SimEvent` definition (`crates/core/src/observer.rs`); it is computed
 //!   once per workspace scan against the counter and audit sources.
+//! * **S1** (dead public surface) checks the `pub fn`/`pub const` items of
+//!   every sim-path crate's `src/` tree against the whole [`corpus`]: every
+//!   `.rs` file under [`CORPUS_DIRS`], so a use from a bench, example,
+//!   test or the benchmark package keeps an item alive.
 //!
 //! Inline test code (`#[cfg(test)]` / `#[test]` regions) is exempt from
 //! every rule: tests may panic, and they never feed golden output.
@@ -90,6 +94,17 @@ pub const EVENT_DEFINITION: &str = "crates/core/src/observer.rs";
 /// `FleetConservation`) that E1 checks variant coverage against.
 pub const AUDIT_MODULE: &str = "crates/core/src/audit.rs";
 
+/// Top-level directories whose `.rs` files S1 searches for uses.
+pub const CORPUS_DIRS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark"];
+
+/// The crate whose library `src/` tree holds `rel` (`crates/<c>/src/...`).
+#[must_use]
+pub fn src_crate(rel: &str) -> Option<&str> {
+    let rest = rel.strip_prefix("crates/")?;
+    let (name, tail) = rest.split_once('/')?;
+    tail.starts_with("src/").then_some(name)
+}
+
 /// The scope for a repo-relative path, or `None` if the file is not
 /// scanned at all.
 #[must_use]
@@ -97,13 +112,10 @@ pub fn scope_for(rel: &str) -> Option<Scope> {
     let crate_name = rel
         .strip_prefix("crates/")
         .and_then(|r| r.split('/').next());
-    let in_src = |c: &str| rel.starts_with(&format!("crates/{c}/src/"));
     let in_tests = |c: &str| rel.starts_with(&format!("crates/{c}/tests/"));
 
-    let sim_path = crate_name
-        .map(|c| SIM_CRATES.contains(&c) && in_src(c))
-        .unwrap_or(false)
-        || rel == "src/lib.rs";
+    let sim_src = src_crate(rel).is_some_and(|c| SIM_CRATES.contains(&c));
+    let sim_path = sim_src || rel == "src/lib.rs";
     // The integration surface: example drivers and test harnesses whose
     // output feeds golden comparisons.
     let integration = rel.starts_with("examples/")
@@ -111,9 +123,7 @@ pub fn scope_for(rel: &str) -> Option<Scope> {
         || crate_name
             .map(|c| SIM_CRATES.contains(&c) && in_tests(c))
             .unwrap_or(false);
-    let p1 = crate_name
-        .map(|c| P1_CRATES.contains(&c) && in_src(c))
-        .unwrap_or(false);
+    let p1 = src_crate(rel).is_some_and(|c| P1_CRATES.contains(&c));
     let d3 = ACCOUNTING_MODULES.contains(&rel);
 
     if !sim_path && !integration && !p1 && !d3 {
@@ -128,53 +138,64 @@ pub fn scope_for(rel: &str) -> Option<Scope> {
         f1: sim_path || integration,
         o1: sim_path || integration,
         e1: rel == EVENT_DEFINITION,
+        s1: sim_src,
     })
 }
 
 /// Enumerates every scanned file under `root`, sorted by relative path so
-/// diagnostics and the baseline are deterministic.
+/// diagnostics are deterministic.
 pub fn enumerate(root: &Path) -> Result<Vec<SourceFile>, String> {
+    Ok(rust_files(root, &["src", "examples", "tests", "crates"])?
+        .into_iter()
+        .filter_map(|(rel, abs)| scope_for(&rel).map(|scope| SourceFile { rel, abs, scope }))
+        .collect())
+}
+
+/// S1's use corpus: every `.rs` file under [`CORPUS_DIRS`] as
+/// `(repo-relative path, source text)`, sorted by path.
+pub fn corpus(root: &Path) -> Result<Vec<(String, String)>, String> {
+    rust_files(root, &CORPUS_DIRS)?
+        .into_iter()
+        .map(|(rel, abs)| {
+            std::fs::read_to_string(&abs)
+                .map(|src| (rel, src))
+                .map_err(|e| format!("reading {}: {e}", abs.display()))
+        })
+        .collect()
+}
+
+/// Every `.rs` file under `root`'s top-level `dirs` (missing ones are
+/// skipped, and so are `target` build trees), as `(repo-relative path with
+/// `/` separators, absolute path)` sorted by the relative path.
+fn rust_files(root: &Path, dirs: &[&str]) -> Result<Vec<(String, PathBuf)>, String> {
     let mut out = Vec::new();
-    let mut dirs = vec![root.join("src"), root.join("examples"), root.join("tests")];
-    for c in SIM_CRATES {
-        dirs.push(root.join("crates").join(c).join("src"));
-        dirs.push(root.join("crates").join(c).join("tests"));
-    }
-    for dir in dirs {
-        if !dir.is_dir() {
-            continue; // not every sim-path crate has a tests/ tree
-        }
-        let mut stack = vec![dir];
-        while let Some(d) = stack.pop() {
-            let entries = match std::fs::read_dir(&d) {
-                Ok(e) => e,
-                Err(err) => return Err(format!("reading {}: {err}", d.display())),
-            };
-            for entry in entries {
-                let entry = entry.map_err(|e| format!("reading {}: {e}", d.display()))?;
-                let path = entry.path();
-                if path.is_dir() {
+    let mut stack: Vec<PathBuf> = dirs
+        .iter()
+        .map(|d| root.join(d))
+        .filter(|d| d.is_dir())
+        .collect();
+    while let Some(d) = stack.pop() {
+        let entries = std::fs::read_dir(&d).map_err(|e| format!("reading {}: {e}", d.display()))?;
+        for entry in entries {
+            let entry = entry.map_err(|e| format!("reading {}: {e}", d.display()))?;
+            let path = entry.path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n != "target") {
                     stack.push(path);
-                } else if path.extension().is_some_and(|e| e == "rs") {
-                    let rel = path
-                        .strip_prefix(root)
-                        .map_err(|_| format!("{} escapes the root", path.display()))?
-                        .components()
-                        .map(|c| c.as_os_str().to_string_lossy().into_owned())
-                        .collect::<Vec<_>>()
-                        .join("/");
-                    if let Some(scope) = scope_for(&rel) {
-                        out.push(SourceFile {
-                            rel,
-                            abs: path,
-                            scope,
-                        });
-                    }
                 }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let rel = path
+                    .strip_prefix(root)
+                    .map_err(|_| format!("{} escapes the root", path.display()))?
+                    .components()
+                    .map(|c| c.as_os_str().to_string_lossy().into_owned())
+                    .collect::<Vec<_>>()
+                    .join("/");
+                out.push((rel, path));
             }
         }
     }
-    out.sort_by(|a, b| a.rel.cmp(&b.rel));
+    out.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(out)
 }
 
@@ -222,6 +243,15 @@ mod tests {
         // E1 anchors at the event definition only.
         assert!(scope_for(EVENT_DEFINITION).unwrap().e1);
         assert!(!scope_for("crates/core/src/engine.rs").unwrap().e1);
+
+        // S1 checks the library trees of the sim-path crates, not the
+        // facade, their tests, or the bench crate.
+        assert!(scope_for("crates/collocate/src/fleet.rs").unwrap().s1);
+        assert!(!scope_for("src/lib.rs").unwrap().s1);
+        assert!(!scope_for("crates/core/tests/calendar_diff.rs").unwrap().s1);
+        assert_eq!(src_crate("crates/core/src/engine.rs"), Some("core"));
+        assert_eq!(src_crate("crates/core/tests/calendar_diff.rs"), None);
+        assert_eq!(src_crate("tests/golden_run.rs"), None);
 
         // The facade is sim-path for D1/D2.
         let s = scope_for("src/lib.rs").unwrap();

@@ -4,9 +4,7 @@
 //! back clean — so these tests fail if a rule is ever turned off or its
 //! detection regresses.
 
-use v10_lint::baseline::{self, Baseline};
 use v10_lint::rules::{scan_source, Finding, RuleId, Scope};
-use v10_lint::{check, Outcome};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -202,6 +200,46 @@ fn e1_findings_respect_allow_directives() {
     assert_eq!(findings[0].rule, RuleId::Meta);
 }
 
+/// S1 is cross-file, so the fixture is scanned as a sim crate's library
+/// file (`crates/sim/src/`) next to a second file that calls one of its
+/// functions. The function only its own test module names fires; the one
+/// called from elsewhere does not; the allow directive suppresses the
+/// third without a META finding. The same file outside S1's scope (the
+/// bench crate) yields nothing.
+#[test]
+fn s1_fixture_fires_and_respects_scope() {
+    let src = fixture("s1_dead_pub.rs");
+    let caller = "fn f() -> u32 {\n    v10_sim::fixture_used_elsewhere()\n}\n".to_string();
+    let corpus_at = |rel: &str| {
+        vec![
+            (rel.to_string(), src.clone()),
+            ("crates/core/src/caller.rs".to_string(), caller.clone()),
+        ]
+    };
+
+    let rel = "crates/sim/src/s1_dead_pub.rs";
+    let extras = v10_lint::rules::s1_findings(&corpus_at(rel));
+    assert_eq!(extras.len(), 2, "test-only and kept: {extras:#?}");
+    let scope = v10_lint::workspace::scope_for(rel).expect("sim library file");
+    let findings = v10_lint::rules::scan_source_with(rel, &src, scope, &extras);
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, RuleId::S1, "{f:?}");
+    assert_eq!((f.line, f.col), (6, 5), "{f:?}");
+    assert!(f.message.contains("fixture_test_only"), "{f:?}");
+
+    // Without its caller, the used function is dead too.
+    let alone = v10_lint::rules::s1_findings(&corpus_at(rel)[..1]);
+    assert_eq!(alone.len(), 3, "{alone:#?}");
+
+    // Outside the sim crates' library trees S1 checks nothing.
+    let off = v10_lint::rules::s1_findings(&corpus_at("crates/bench/src/s1_dead_pub.rs"));
+    assert!(
+        off.is_empty(),
+        "rule out of scope but still fired: {off:#?}"
+    );
+}
+
 /// The allow escape hatch suppresses the finding it covers; a directive
 /// covering nothing is itself reported (META), so stale hatches cannot
 /// accumulate.
@@ -233,70 +271,6 @@ fn allow_directive_without_reason_is_meta() {
     assert!(
         findings.iter().any(|f| f.rule == RuleId::P1),
         "a reasonless directive must not suppress the finding: {findings:#?}"
-    );
-}
-
-fn outcome_of(name: &str) -> Outcome {
-    let mut outcome = Outcome::default();
-    let findings = scan(name, Scope::all());
-    for f in &findings {
-        if f.rule != RuleId::Meta {
-            *outcome
-                .counts
-                .entry((f.file.clone(), f.rule.as_str().to_string()))
-                .or_insert(0) += 1;
-        }
-    }
-    outcome.findings = findings;
-    outcome
-}
-
-/// A baseline entry matching the seeded violation count suppresses it; the
-/// ratchet flags both growth (count above allowance) and staleness (count
-/// below allowance).
-#[test]
-fn baseline_suppression_and_ratchet() {
-    let outcome = outcome_of("p1_panic_path.rs");
-
-    let toml = "[[entry]]\nfile = \"p1_panic_path.rs\"\nrule = \"P1\"\nallowed = 1\n";
-    let exact = baseline::parse(toml).expect("valid baseline");
-    let result = check(&outcome, &exact);
-    assert!(
-        result.is_clean(),
-        "exact baseline must suppress: {result:?}"
-    );
-
-    let empty = Baseline::new();
-    let result = check(&outcome, &empty);
-    assert!(!result.is_clean());
-    assert_eq!(
-        result.exceeded.len(),
-        1,
-        "growth past 0 allowed: {result:?}"
-    );
-
-    let generous =
-        baseline::parse("[[entry]]\nfile = \"p1_panic_path.rs\"\nrule = \"P1\"\nallowed = 5\n")
-            .expect("valid baseline");
-    let result = check(&outcome, &generous);
-    assert!(!result.is_clean(), "stale allowance must fail the check");
-    assert_eq!(result.stale.len(), 1, "{result:?}");
-}
-
-/// META findings can never be baselined away.
-#[test]
-fn meta_findings_ignore_the_baseline() {
-    let outcome = outcome_of("allow_escape_hatch.rs");
-    // Even a wildly generous baseline cannot absorb directive-hygiene
-    // findings: they carry no (file, rule) count at all.
-    let generous = baseline::parse(
-        "[[entry]]\nfile = \"allow_escape_hatch.rs\"\nrule = \"P1\"\nallowed = 99\n",
-    )
-    .expect("valid baseline");
-    let result = check(&outcome, &generous);
-    assert!(
-        result.violations.iter().any(|f| f.rule == RuleId::Meta),
-        "META finding suppressed by baseline: {result:?}"
     );
 }
 

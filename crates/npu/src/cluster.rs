@@ -351,15 +351,15 @@ mod tests {
 
     #[test]
     fn topology_rides_along_with_occupancy() {
-        use crate::topology::FleetTopology;
+        use crate::topology::{FleetTopology, Interconnect};
         let flat = ClusterState::new(4, 2).unwrap();
-        assert!(flat.topology().is_flat());
+        assert_eq!(flat.topology().interconnect(), Interconnect::Flat);
         assert_eq!(flat.topology().cores(), 4);
 
         let topo = FleetTopology::mesh(2, 2, 2, 64.0).unwrap();
         let mut cluster = ClusterState::with_topology(topo, 2).unwrap();
         assert_eq!(cluster.cores(), 4);
-        assert!(!cluster.topology().is_flat());
+        assert_ne!(cluster.topology().interconnect(), Interconnect::Flat);
         cluster.admit(3, 1).unwrap();
         assert_eq!(cluster.residents(3).unwrap(), &[1]);
         assert!(ClusterState::with_topology(FleetTopology::flat(2).unwrap(), 0).is_err());

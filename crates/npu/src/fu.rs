@@ -38,8 +38,8 @@ impl fmt::Display for FuId {
 ///
 /// let pool = FuPool::new(2).expect("non-empty pool"); // (2 SAs, 2 VUs) — a Fig. 25 point
 /// assert_eq!(pool.len(), 4);
-/// assert_eq!(pool.of_kind(FuKind::Sa).count(), 2);
-/// let sa0 = pool.of_kind(FuKind::Sa).next().unwrap();
+/// assert_eq!(pool.count(FuKind::Sa), 2);
+/// let sa0 = pool.iter().next().unwrap();
 /// assert_eq!(pool.kind(sa0), FuKind::Sa);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,15 +106,6 @@ impl FuPool {
     pub fn iter(&self) -> impl Iterator<Item = FuId> {
         (0..self.len()).map(FuId)
     }
-
-    /// Iterates over the units of one kind.
-    pub fn of_kind(&self, kind: FuKind) -> impl Iterator<Item = FuId> {
-        let (lo, hi) = match kind {
-            FuKind::Sa => (0, self.per_kind),
-            FuKind::Vu => (self.per_kind, 2 * self.per_kind),
-        };
-        (lo..hi).map(FuId)
-    }
 }
 
 #[cfg(test)]
@@ -126,16 +117,8 @@ mod tests {
         let p = FuPool::new(3).unwrap();
         assert_eq!(p.len(), 6);
         assert!(!p.is_empty());
-        let sas: Vec<FuId> = p.of_kind(FuKind::Sa).collect();
-        let vus: Vec<FuId> = p.of_kind(FuKind::Vu).collect();
-        assert_eq!(sas.len(), 3);
-        assert_eq!(vus.len(), 3);
-        for id in sas {
-            assert_eq!(p.kind(id), FuKind::Sa);
-        }
-        for id in vus {
-            assert_eq!(p.kind(id), FuKind::Vu);
-        }
+        let kinds: Vec<FuKind> = p.iter().map(|id| p.kind(id)).collect();
+        assert_eq!(kinds, [[FuKind::Sa; 3], [FuKind::Vu; 3]].concat());
     }
 
     #[test]
@@ -156,7 +139,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn kind_of_foreign_id_panics() {
         let p = FuPool::new(1).unwrap();
-        let big = FuPool::new(4).unwrap().of_kind(FuKind::Vu).last().unwrap();
+        let big = FuPool::new(4).unwrap().iter().last().unwrap();
         let _ = p.kind(big);
     }
 

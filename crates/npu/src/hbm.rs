@@ -20,7 +20,8 @@ use v10_sim::{AllocationScratch, Demand, V10Error, V10Result, WaterFilling};
 /// let mut hbm = HbmArbiter::new(100.0).expect("valid peak"); // bytes/cycle
 /// // Two operators demand 80 B/cycle each: each is granted 50, i.e. runs
 /// // at 62.5% speed if fully memory-bound.
-/// let rates = hbm.progress_rates(&[(0, 80.0), (1, 80.0)]);
+/// let mut rates = Vec::new();
+/// hbm.progress_rates_into(&[(0, 80.0), (1, 80.0)], &mut rates);
 /// assert_eq!(rates, vec![(0, 0.625), (1, 0.625)]);
 /// hbm.record_bytes(1_000.0);
 /// assert_eq!(hbm.bytes_moved(), 1_000.0);
@@ -69,17 +70,10 @@ impl HbmArbiter {
 
     /// Computes each flow's progress rate in `(0, 1]` cycles-per-cycle:
     /// `min(1, granted / demanded)`. Flows are `(id, bytes_per_cycle)`
-    /// demands; zero-demand flows always run at full rate.
-    #[must_use]
-    pub fn progress_rates(&self, flows: &[(usize, f64)]) -> Vec<(usize, f64)> {
-        let demands: Vec<Demand> = flows.iter().map(|&(id, d)| Demand::new(id, d)).collect();
-        self.allocator.slowdown_factors(&demands)
-    }
-
-    /// [`progress_rates`](HbmArbiter::progress_rates) without heap
+    /// demands; zero-demand flows always run at full rate. Performs no heap
     /// allocation: working memory lives in the arbiter and the rates are
-    /// written to `out` (cleared first). Numerically identical to
-    /// `progress_rates` — the engines' step loops call this every step.
+    /// written to `out` (cleared first) — the engines' step loops call this
+    /// every step.
     pub fn progress_rates_into(&mut self, flows: &[(usize, f64)], out: &mut Vec<(usize, f64)>) {
         self.demand_scratch.clear();
         self.demand_scratch
@@ -102,37 +96,29 @@ impl HbmArbiter {
     pub fn bytes_moved(&self) -> f64 {
         self.bytes_moved
     }
-
-    /// Bandwidth utilization over an `elapsed_cycles` window.
-    ///
-    /// unit: `elapsed_cycles` is a duration in cycles; the result is a
-    /// dimensionless fraction of peak bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed_cycles` is not positive.
-    #[must_use]
-    pub fn utilization(&self, elapsed_cycles: f64) -> f64 {
-        assert!(elapsed_cycles > 0.0, "elapsed window must be positive");
-        self.bytes_moved / (elapsed_cycles * self.allocator.capacity())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn rates_at(peak: f64, flows: &[(usize, f64)]) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        HbmArbiter::new(peak)
+            .unwrap()
+            .progress_rates_into(flows, &mut out);
+        out
+    }
+
     #[test]
     fn uncontended_flows_run_full_speed() {
-        let hbm = HbmArbiter::new(471.4).unwrap();
-        let rates = hbm.progress_rates(&[(0, 100.0), (1, 200.0)]);
+        let rates = rates_at(471.4, &[(0, 100.0), (1, 200.0)]);
         assert_eq!(rates, vec![(0, 1.0), (1, 1.0)]);
     }
 
     #[test]
     fn oversubscription_slows_proportionally() {
-        let hbm = HbmArbiter::new(100.0).unwrap();
-        let rates = hbm.progress_rates(&[(0, 150.0), (1, 50.0)]);
+        let rates = rates_at(100.0, &[(0, 150.0), (1, 50.0)]);
         // Flow 1 (small) fully satisfied; flow 0 gets the remaining 50.
         assert!((rates[0].1 - 50.0 / 150.0).abs() < 1e-9);
         assert!((rates[1].1 - 1.0).abs() < 1e-9);
@@ -140,8 +126,7 @@ mod tests {
 
     #[test]
     fn zero_demand_is_full_rate_even_with_zero_capacity() {
-        let hbm = HbmArbiter::new(0.0).unwrap();
-        let rates = hbm.progress_rates(&[(7, 0.0)]);
+        let rates = rates_at(0.0, &[(7, 0.0)]);
         assert_eq!(rates, vec![(7, 1.0)]);
     }
 
@@ -151,7 +136,6 @@ mod tests {
         hbm.record_bytes(300.0);
         hbm.record_bytes(200.0);
         assert_eq!(hbm.bytes_moved(), 500.0);
-        assert!((hbm.utilization(10.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -160,11 +144,5 @@ mod tests {
             let err = HbmArbiter::new(bad).unwrap_err();
             assert!(err.to_string().contains("peak bandwidth"), "{err}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_window_utilization_rejected() {
-        let _ = HbmArbiter::new(10.0).unwrap().utilization(0.0);
     }
 }

@@ -5,9 +5,8 @@
 //! region. The region size depends on the workload memory allocation (e.g.,
 //! batch size and model size). Thus, V10 incurs negligible address
 //! translation overhead." [`HbmLayout`] manages those regions: first-fit
-//! allocation of contiguous segments, per-workload base/bound translation,
-//! and admission control (a workload that does not fit is rejected rather
-//! than silently overcommitted).
+//! allocation of contiguous segments and admission control (a workload
+//! that does not fit is rejected rather than silently overcommitted).
 
 use std::fmt;
 
@@ -23,17 +22,6 @@ pub enum HbmLayoutError {
     },
     /// The region handle does not name a live region.
     BadRegion(RegionId),
-    /// An access fell outside its region (base/bound violation).
-    OutOfBounds {
-        /// The offending region.
-        region: RegionId,
-        /// Region-local offset of the access.
-        offset: u64,
-        /// Bytes accessed.
-        len: u64,
-        /// The region's size.
-        size: u64,
-    },
     /// A zero-byte region was requested.
     EmptyRegion,
 }
@@ -49,16 +37,6 @@ impl fmt::Display for HbmLayoutError {
                 "no contiguous HBM segment of {requested} bytes (largest free: {largest_free})"
             ),
             HbmLayoutError::BadRegion(id) => write!(f, "region {id} is not allocated"),
-            HbmLayoutError::OutOfBounds {
-                region,
-                offset,
-                len,
-                size,
-            } => write!(
-                f,
-                "access [{offset}, {}) escapes region {region} of {size} bytes",
-                offset + len
-            ),
             HbmLayoutError::EmptyRegion => write!(f, "cannot allocate an empty region"),
         }
     }
@@ -94,10 +72,8 @@ struct Region {
 /// let mut hbm = HbmLayout::new(32 << 30);
 /// // A BERT instance: ~1.3 GB of weights + batch-32 activations.
 /// let bert = hbm.allocate(2 << 30)?;
-/// let dlrm = hbm.allocate(8 << 30)?;
-/// assert!(hbm.free_bytes() >= 22 << 30);
-/// // Region-local address 0 translates to disjoint physical addresses.
-/// assert_ne!(hbm.translate(bert, 0, 1)?, hbm.translate(dlrm, 0, 1)?);
+/// let _dlrm = hbm.allocate(8 << 30)?;
+/// assert_eq!(hbm.largest_free_segment(), 22 << 30);
 /// hbm.release(bert)?;
 /// # Ok::<(), v10_npu::HbmLayoutError>(())
 /// ```
@@ -125,15 +101,19 @@ impl HbmLayout {
     }
 
     /// Bytes not covered by any region.
-    #[must_use]
-    pub fn free_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.capacity - self.regions.iter().map(|r| r.size).sum::<u64>()
     }
 
-    /// Number of live regions (collocated workloads).
-    #[must_use]
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
+    /// The physical base address of a live region.
+    #[cfg(test)]
+    pub(crate) fn base(&self, id: RegionId) -> u64 {
+        self.regions
+            .iter()
+            .find(|r| r.id == id)
+            .map(|r| r.base)
+            .unwrap()
     }
 
     /// Largest contiguous free segment, in bytes.
@@ -201,31 +181,6 @@ impl HbmLayout {
         self.regions.remove(pos);
         Ok(())
     }
-
-    /// Translates a region-local access to its physical base address,
-    /// enforcing base/bound isolation ("operators in the same workload can
-    /// share data ... without interfering with collocated workloads").
-    ///
-    /// # Errors
-    ///
-    /// [`HbmLayoutError::BadRegion`] for unknown regions;
-    /// [`HbmLayoutError::OutOfBounds`] when the access escapes the region.
-    pub fn translate(&self, id: RegionId, offset: u64, len: u64) -> Result<u64, HbmLayoutError> {
-        let r = self
-            .regions
-            .iter()
-            .find(|r| r.id == id)
-            .ok_or(HbmLayoutError::BadRegion(id))?;
-        if offset.checked_add(len).is_none_or(|end| end > r.size) {
-            return Err(HbmLayoutError::OutOfBounds {
-                region: id,
-                offset,
-                len,
-                size: r.size,
-            });
-        }
-        Ok(r.base + offset)
-    }
 }
 
 #[cfg(test)]
@@ -238,9 +193,9 @@ mod tests {
         let a = hbm.allocate(300).unwrap();
         let b = hbm.allocate(500).unwrap();
         assert_eq!(hbm.free_bytes(), 200);
-        assert_eq!(hbm.region_count(), 2);
-        let pa = hbm.translate(a, 0, 300).unwrap();
-        let pb = hbm.translate(b, 0, 500).unwrap();
+        assert_eq!(hbm.regions.len(), 2);
+        let pa = hbm.base(a);
+        let pb = hbm.base(b);
         assert!(pa + 300 <= pb || pb + 500 <= pa, "regions overlap");
     }
 
@@ -267,7 +222,7 @@ mod tests {
         hbm.release(a).unwrap();
         // The freed leading gap is reused first.
         let c = hbm.allocate(300).unwrap();
-        assert_eq!(hbm.translate(c, 0, 1).unwrap(), 0);
+        assert_eq!(hbm.base(c), 0);
         assert_eq!(hbm.release(a).unwrap_err(), HbmLayoutError::BadRegion(a));
     }
 
@@ -283,17 +238,6 @@ mod tests {
         assert_eq!(hbm.free_bytes(), 750);
         assert!(hbm.largest_free_segment() >= 250);
         assert!(hbm.allocate(400).is_ok(), "trailing gap is 500 bytes");
-    }
-
-    #[test]
-    fn base_bound_isolation() {
-        let mut hbm = HbmLayout::new(1_000);
-        let a = hbm.allocate(100).unwrap();
-        assert!(hbm.translate(a, 99, 1).is_ok());
-        let err = hbm.translate(a, 99, 2).unwrap_err();
-        assert!(matches!(err, HbmLayoutError::OutOfBounds { .. }));
-        // Overflowing offsets are errors, not panics.
-        assert!(hbm.translate(a, u64::MAX, 1).is_err());
     }
 
     #[test]
@@ -318,7 +262,7 @@ mod seeded_tests {
     use v10_sim::SimRng;
 
     /// Under arbitrary allocate/release sequences: regions never
-    /// overlap, accounting is exact, and translation stays in range.
+    /// overlap and accounting is exact.
     #[test]
     fn layout_invariants() {
         let mut rng = SimRng::seed_from(0x1A07);
@@ -340,11 +284,9 @@ mod seeded_tests {
                 // Accounting.
                 let used: u64 = live.iter().map(|&(_, s)| s).sum();
                 assert_eq!(hbm.free_bytes(), 1_000 - used);
-                // Disjointness via translation of region extremes.
-                let mut spans: Vec<(u64, u64)> = live
-                    .iter()
-                    .map(|&(id, s)| (hbm.translate(id, 0, s).unwrap(), s))
-                    .collect();
+                // Disjointness of the live regions' extents.
+                let mut spans: Vec<(u64, u64)> =
+                    live.iter().map(|&(id, s)| (hbm.base(id), s)).collect();
                 spans.sort();
                 for w in spans.windows(2) {
                     assert!(w[0].0 + w[0].1 <= w[1].0, "regions overlap");

@@ -18,7 +18,7 @@
 //!   which behavior class occupies which context-table slot on which core,
 //!   the hardware-side state behind online admission control.
 //! * [`topology`] — fleet interconnect geometry ([`FleetTopology`]):
-//!   mesh/ring wiring, per-link bandwidth, HBM-affinity groups, and the
+//!   mesh wiring, per-link bandwidth, HBM-affinity groups, and the
 //!   precomputed core × group hop-cost table consumed by topology-aware
 //!   placement. [`FleetTopology::flat`] is the zero-hop compatibility view
 //!   every pre-topology call site gets implicitly.

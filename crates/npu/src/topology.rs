@@ -1,7 +1,7 @@
 //! Fleet interconnect topology and HBM-affinity model.
 //!
 //! A production deployment is not a flat bag of cores: cores sit on an
-//! on-package interconnect (a 2-D mesh or a ring), and each core has an
+//! on-package interconnect (a 2-D mesh), and each core has an
 //! *HBM-affinity group* — the set of cores adjacent to one HBM stack's
 //! memory controllers. A tenant whose weights are resident in group `g`'s
 //! stack pays `hop × per-link serialization` for every weight fetch issued
@@ -24,11 +24,7 @@
 //!   when `width % groups != 0`); the hop cost to a group is the
 //!   horizontal (X-dimension-routed) distance to the band's nearest
 //!   column — zero inside the band.
-//! * **Ring** — cores on a cycle in id order, groups are contiguous
-//!   balanced arcs; the hop cost is the shorter cyclic distance to the
-//!   arc's nearest member.
 
-use v10_sim::convert::usize_to_f64;
 use v10_sim::{V10Error, V10Result};
 
 /// The interconnect wiring of a [`FleetTopology`].
@@ -45,8 +41,6 @@ pub enum Interconnect {
         /// Rows in the grid.
         height: usize,
     },
-    /// A unidirectional-id ring; distances use the shorter direction.
-    Ring,
 }
 
 /// Interconnect geometry, per-link bandwidth, and HBM-affinity grouping
@@ -180,56 +174,6 @@ impl FleetTopology {
         })
     }
 
-    /// A ring of `cores` cores with `groups` contiguous HBM arcs and
-    /// `link_bytes_per_cycle` of per-link bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `cores` is zero, `groups`
-    /// is zero or exceeds `cores`, or the link bandwidth is not positive
-    /// and finite.
-    pub fn ring(cores: usize, groups: usize, link_bytes_per_cycle: f64) -> V10Result<Self> {
-        if cores == 0 {
-            return Err(V10Error::invalid(
-                "FleetTopology::ring",
-                "a ring needs at least one core",
-            ));
-        }
-        Self::validate_groups_and_link("FleetTopology::ring", groups, cores, link_bytes_per_cycle)?;
-        // Cyclic distance between two ids on the ring.
-        let cyc = |a: usize, b: usize| -> usize {
-            let d = a.abs_diff(b);
-            d.min(cores - d)
-        };
-        let mut group_of = Vec::with_capacity(cores);
-        let mut hop_table = Vec::with_capacity(cores * groups);
-        for id in 0..cores {
-            let mut home = 0;
-            for g in 0..groups {
-                let (lo, hi) = band_range(cores, groups, g);
-                // An arc is contiguous, so the nearest member is one of
-                // its two endpoints (or the id itself when inside).
-                let hops = if id >= lo && id < hi {
-                    home = g;
-                    0
-                } else {
-                    cyc(id, lo).min(cyc(id, hi - 1))
-                };
-                hop_table.push(Self::hops_u32(hops)?);
-            }
-            group_of.push(home);
-        }
-        Ok(FleetTopology {
-            cores,
-            interconnect: Interconnect::Ring,
-            link_bytes_per_cycle,
-            groups,
-            group_of,
-            hop_table,
-            link_factors: vec![1.0; groups],
-        })
-    }
-
     fn validate_groups_and_link(
         context: &'static str,
         groups: usize,
@@ -285,13 +229,6 @@ impl FleetTopology {
         self.link_bytes_per_cycle
     }
 
-    /// True for the zero-hop compatibility view built by
-    /// [`FleetTopology::flat`].
-    #[must_use]
-    pub fn is_flat(&self) -> bool {
-        self.interconnect == Interconnect::Flat
-    }
-
     /// The HBM-affinity group whose stack is nearest `core` (its weight
     /// home when the tenant's weights are loaded locally).
     ///
@@ -331,13 +268,6 @@ impl FleetTopology {
             .get(core * self.groups + group)
             .copied()
             .ok_or_else(|| V10Error::invalid("FleetTopology::hop_cost", "hop table truncated"))
-    }
-
-    /// The largest hop cost anywhere in the table — the normalization
-    /// anchor for hop-penalty weights.
-    #[must_use]
-    pub fn max_hops(&self) -> u32 {
-        self.hop_table.iter().copied().max().unwrap_or(0)
     }
 
     /// Cycles to move `bytes` across `hops` links, serializing on each
@@ -437,22 +367,6 @@ impl FleetTopology {
         }
         Ok(self.transfer_cycles(bytes, hops) * factor)
     }
-
-    /// Mean hop cost from every core to its own home group — zero when
-    /// groups tile the fleet exactly, a diagnostic for skewed geometries.
-    #[must_use]
-    pub fn mean_home_hops(&self) -> f64 {
-        if self.cores == 0 {
-            return 0.0;
-        }
-        let total: u64 = self
-            .group_of
-            .iter()
-            .enumerate()
-            .filter_map(|(core, &g)| self.hop_cost(core, g).ok().map(u64::from))
-            .sum();
-        v10_sim::convert::u64_to_f64(total) / usize_to_f64(self.cores)
-    }
 }
 
 #[cfg(test)]
@@ -464,8 +378,7 @@ mod tests {
         let t = FleetTopology::flat(16).unwrap();
         assert_eq!(t.cores(), 16);
         assert_eq!(t.groups(), 1);
-        assert!(t.is_flat());
-        assert_eq!(t.max_hops(), 0);
+        assert_eq!(t.interconnect(), Interconnect::Flat);
         for core in 0..16 {
             assert_eq!(t.group_of(core).unwrap(), 0);
             assert_eq!(t.hop_cost(core, 0).unwrap(), 0);
@@ -498,8 +411,10 @@ mod tests {
         assert_eq!(t.hop_cost(7, 3).unwrap(), 0);
         assert_eq!(t.hop_cost(7, 1).unwrap(), 4);
         assert_eq!(t.group_of(7).unwrap(), 3);
-        assert_eq!(t.max_hops(), 6);
-        assert!((t.mean_home_hops()).abs() < 1e-12);
+        // The bands tile the grid: every core is zero hops from its home.
+        for core in 0..32 {
+            assert_eq!(t.hop_cost(core, t.group_of(core).unwrap()).unwrap(), 0);
+        }
     }
 
     #[test]
@@ -510,19 +425,6 @@ mod tests {
         assert_eq!(t.group_of(3).unwrap(), 1);
         assert_eq!(t.hop_cost(2, 1).unwrap(), 1);
         assert_eq!(t.hop_cost(4, 0).unwrap(), 2);
-    }
-
-    #[test]
-    fn ring_distance_uses_shorter_direction() {
-        // 8 cores, 2 arcs: {0..4} and {4..8}.
-        let t = FleetTopology::ring(8, 2, 16.0).unwrap();
-        assert_eq!(t.interconnect(), Interconnect::Ring);
-        assert_eq!(t.hop_cost(0, 0).unwrap(), 0);
-        // Core 0 → arc 1: one hop backwards to core 7 beats four forward.
-        assert_eq!(t.hop_cost(0, 1).unwrap(), 1);
-        // Core 5 → arc 0: two hops backwards to core 3.
-        assert_eq!(t.hop_cost(5, 0).unwrap(), 2);
-        assert_eq!(t.group_of(5).unwrap(), 1);
     }
 
     #[test]
@@ -545,8 +447,6 @@ mod tests {
         assert!(FleetTopology::mesh(4, 4, 2, 0.0).is_err());
         assert!(FleetTopology::mesh(4, 4, 2, f64::NAN).is_err());
         assert!(FleetTopology::mesh(4, 4, 2, f64::INFINITY).is_err());
-        assert!(FleetTopology::ring(0, 1, 16.0).is_err());
-        assert!(FleetTopology::ring(4, 8, 16.0).is_err());
     }
 
     #[test]

@@ -192,19 +192,10 @@ impl WaterFilling {
     }
 
     /// Fraction of each flow's demand that was granted, i.e. the factor by
-    /// which a memory-bound operator is slowed under contention.
-    ///
-    /// Flows with zero demand get factor `1.0` (they are not memory-limited).
-    #[must_use]
-    pub fn slowdown_factors(&self, demands: &[Demand]) -> Vec<(usize, f64)> {
-        let mut scratch = AllocationScratch::default();
-        let mut out = Vec::with_capacity(demands.len());
-        self.slowdown_factors_into(demands, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`slowdown_factors`](WaterFilling::slowdown_factors) without heap
-    /// allocation; results are written to `out` (cleared first).
+    /// which a memory-bound operator is slowed under contention. Flows with
+    /// zero demand get factor `1.0` (they are not memory-limited). Performs
+    /// no heap allocation beyond `scratch`; results are written to `out`
+    /// (cleared first).
     ///
     /// # Panics
     ///
@@ -282,17 +273,23 @@ mod tests {
         assert_eq!(total(&alloc), 0.0);
     }
 
+    fn slowdown_factors(w: &WaterFilling, demands: &[Demand]) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        w.slowdown_factors_into(demands, &mut AllocationScratch::default(), &mut out);
+        out
+    }
+
     #[test]
     fn slowdown_factors_are_one_when_uncontended() {
         let w = WaterFilling::new(471.0); // ~HBM at 700 MHz
-        let f = w.slowdown_factors(&[Demand::new(0, 100.0), Demand::new(1, 0.0)]);
+        let f = slowdown_factors(&w, &[Demand::new(0, 100.0), Demand::new(1, 0.0)]);
         assert_eq!(f, vec![(0, 1.0), (1, 1.0)]);
     }
 
     #[test]
     fn slowdown_factors_scale_under_contention() {
         let w = WaterFilling::new(100.0);
-        let f = w.slowdown_factors(&[Demand::new(0, 100.0), Demand::new(1, 100.0)]);
+        let f = slowdown_factors(&w, &[Demand::new(0, 100.0), Demand::new(1, 100.0)]);
         assert!((f[0].1 - 0.5).abs() < 1e-9);
         assert!((f[1].1 - 0.5).abs() < 1e-9);
     }

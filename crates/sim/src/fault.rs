@@ -401,13 +401,6 @@ impl FaultInjector {
     pub fn injected(&self) -> usize {
         self.injected
     }
-
-    /// Whether the injector never held any event (a [`FaultPlan::none`]
-    /// compilation): the engine's fault machinery is provably inert.
-    #[must_use]
-    pub fn is_disarmed(&self) -> bool {
-        self.queue.is_empty() && self.injected == 0
-    }
 }
 
 /// What a scheduled fleet-plane fault does when it fires. Where
@@ -607,9 +600,9 @@ mod tests {
     #[test]
     fn empty_plan_compiles_to_disarmed_injector() {
         let inj = FaultInjector::compile(&FaultPlan::none()).unwrap();
-        assert!(inj.is_disarmed());
         assert_eq!(inj.next_at(), None);
         assert_eq!(inj.remaining(), 0);
+        assert_eq!(inj.injected(), 0);
         assert!(FaultPlan::none().is_empty());
     }
 
@@ -625,7 +618,7 @@ mod tests {
         assert!(!plan.is_empty());
         assert_eq!(plan.scripted().len(), 3);
         let mut inj = FaultInjector::compile(&plan).unwrap();
-        assert!(!inj.is_disarmed());
+        assert_eq!(inj.remaining(), 3);
         assert_eq!(inj.next_at(), Some(2.0));
         assert!(inj.pop_due(1.0, 1e-6).is_none(), "not yet due");
         let a = inj.pop_due(2.0, 1e-6).unwrap();
@@ -640,10 +633,6 @@ mod tests {
         assert_eq!(c.at_cycles(), 9.0);
         assert_eq!(inj.injected(), 3);
         assert_eq!(inj.remaining(), 0);
-        assert!(
-            !inj.is_disarmed(),
-            "a drained armed injector is not disarmed"
-        );
     }
 
     #[test]

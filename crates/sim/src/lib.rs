@@ -78,7 +78,7 @@ pub use fault::{
     FleetFaultPlan,
 };
 pub use intern::{LabelId, LabelInterner};
-pub use repro::{ReproFixture, REPRO_SCHEMA};
+pub use repro::{ReproFixture, ScenarioKnobs, REPRO_SCHEMA};
 pub use rng::SimRng;
 pub use shard::{merge_messages, parallel_map_with, DepartureMsg, EpochClock, ShardMap};
 pub use stats::LatencySummary;

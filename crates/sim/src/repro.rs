@@ -14,32 +14,78 @@
 //! # Example
 //!
 //! ```
-//! use v10_sim::ReproFixture;
+//! use v10_sim::{ReproFixture, ScenarioKnobs};
 //!
+//! let knobs = ScenarioKnobs::new(3, 2.0e7, 0).expect("valid knobs");
 //! let fixture = ReproFixture::new(0xC0FFEE, "adversarial", "priority-inversion")
-//!     .with_knobs(3, 2.0e7, 0)
+//!     .with_knobs(knobs)
 //!     .with_invariant("watchdog-no-silent-drop");
 //! let text = fixture.to_json();
 //! let back = ReproFixture::parse(&text).expect("round-trips");
 //! assert_eq!(back.master_seed(), 0xC0FFEE);
-//! assert_eq!(back.horizon_cycles(), 2.0e7);
+//! assert_eq!(back.knobs(), knobs);
 //! ```
 
 use crate::error::{V10Error, V10Result};
+
+/// The shrinkable scenario dimensions. The scenario generators
+/// (`v10_workloads::AdversaryGen`) take them, the property harness
+/// (`v10_core::PropertyHarness`) binary-searches each one, and a
+/// [`ReproFixture`] records where the search ended. Because generation is
+/// prefix-stable in all three, any knob setting below the defaults replays
+/// a sub-scenario of the original.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScenarioKnobs {
+    /// Tenant arrivals to generate (≥ 1).
+    pub tenants: usize,
+    /// Arrival horizon in cycles: arrivals past it are dropped (the first
+    /// tenant is clamped to the horizon instead, so a scenario is never
+    /// empty). Must be finite and positive.
+    pub horizon_cycles: f64,
+    /// How many of the case's pre-sampled fault events to keep, in global
+    /// time order (saturates at the case's event count).
+    pub fault_prefix: usize,
+}
+
+impl ScenarioKnobs {
+    /// Validated knobs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`V10Error::InvalidArgument`] if `tenants` is zero or the
+    /// horizon is not finite and positive.
+    pub fn new(tenants: usize, horizon_cycles: f64, fault_prefix: usize) -> V10Result<Self> {
+        if tenants == 0 {
+            return Err(V10Error::invalid(
+                "ScenarioKnobs::new",
+                "need at least one tenant",
+            ));
+        }
+        if !(horizon_cycles.is_finite() && horizon_cycles > 0.0) {
+            return Err(V10Error::invalid(
+                "ScenarioKnobs::new",
+                format!("horizon must be finite and positive, got {horizon_cycles}"),
+            ));
+        }
+        Ok(ScenarioKnobs {
+            tenants,
+            horizon_cycles,
+            fault_prefix,
+        })
+    }
+}
 
 /// The fixture schema marker; bump on any incompatible format change.
 pub const REPRO_SCHEMA: &str = "v10-adversary-repro/1";
 
 /// One minimized, seed-replayable repro: the coordinates that re-derive a
 /// historically violating scenario, plus the invariant it violated.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReproFixture {
     master_seed: u64,
     profile: String,
     case: String,
-    tenants: usize,
-    horizon_bits: u64,
-    fault_prefix: usize,
+    knobs: ScenarioKnobs,
     invariant: String,
 }
 
@@ -52,9 +98,11 @@ impl ReproFixture {
             master_seed,
             profile: profile.into(),
             case: case.into(),
-            tenants: 1,
-            horizon_bits: 0.0f64.to_bits(),
-            fault_prefix: 0,
+            knobs: ScenarioKnobs {
+                tenants: 1,
+                horizon_cycles: 0.0,
+                fault_prefix: 0,
+            },
             invariant: String::new(),
         }
     }
@@ -62,10 +110,8 @@ impl ReproFixture {
     /// Sets the shrunk knobs: tenant count, arrival horizon, and the number
     /// of fault-plan events kept (the shrinker's fault-event prefix).
     #[must_use]
-    pub fn with_knobs(mut self, tenants: usize, horizon_cycles: f64, fault_prefix: usize) -> Self {
-        self.tenants = tenants;
-        self.horizon_bits = horizon_cycles.to_bits();
-        self.fault_prefix = fault_prefix;
+    pub fn with_knobs(mut self, knobs: ScenarioKnobs) -> Self {
+        self.knobs = knobs;
         self
     }
 
@@ -94,22 +140,11 @@ impl ReproFixture {
         &self.case
     }
 
-    /// Shrunk tenant count.
+    /// The shrunk knobs; the horizon round-trips bit-exactly. Not
+    /// validated: a fixture with default knobs carries a zero horizon.
     #[must_use]
-    pub fn tenants(&self) -> usize {
-        self.tenants
-    }
-
-    /// Shrunk arrival horizon, in cycles (bit-exact round trip).
-    #[must_use]
-    pub fn horizon_cycles(&self) -> f64 {
-        f64::from_bits(self.horizon_bits)
-    }
-
-    /// Shrunk fault-event prefix length.
-    #[must_use]
-    pub fn fault_prefix(&self) -> usize {
-        self.fault_prefix
+    pub fn knobs(&self) -> ScenarioKnobs {
+        self.knobs
     }
 
     /// The violated invariant's name.
@@ -130,10 +165,10 @@ impl ReproFixture {
             self.master_seed,
             escape(&self.profile),
             escape(&self.case),
-            self.tenants,
-            self.horizon_bits,
-            f64::from_bits(self.horizon_bits),
-            self.fault_prefix,
+            self.knobs.tenants,
+            self.knobs.horizon_cycles.to_bits(),
+            self.knobs.horizon_cycles,
+            self.knobs.fault_prefix,
             escape(&self.invariant),
         )
     }
@@ -191,9 +226,11 @@ impl ReproFixture {
             master_seed: num_field("master_seed")?,
             profile: str_field("profile")?,
             case: str_field("case")?,
-            tenants: crate::convert::usize_from_u64(num_field("tenants")?),
-            horizon_bits: num_field("horizon_cycles_bits")?,
-            fault_prefix: crate::convert::usize_from_u64(num_field("fault_prefix")?),
+            knobs: ScenarioKnobs {
+                tenants: crate::convert::usize_from_u64(num_field("tenants")?),
+                horizon_cycles: f64::from_bits(num_field("horizon_cycles_bits")?),
+                fault_prefix: crate::convert::usize_from_u64(num_field("fault_prefix")?),
+            },
             invariant: str_field("invariant")?,
         })
     }
@@ -327,7 +364,7 @@ mod tests {
 
     fn fixture() -> ReproFixture {
         ReproFixture::new(0xDEAD_BEEF, "adversarial", "hysteresis-beat")
-            .with_knobs(5, 1.25e7, 3)
+            .with_knobs(ScenarioKnobs::new(5, 1.25e7, 3).unwrap())
             .with_invariant("auditor-clean")
     }
 
@@ -336,12 +373,13 @@ mod tests {
         let f = fixture();
         let back = ReproFixture::parse(&f.to_json()).unwrap();
         assert_eq!(back, f);
-        assert_eq!(back.horizon_cycles().to_bits(), 1.25e7f64.to_bits());
+        let knobs = back.knobs();
+        assert_eq!(knobs.horizon_cycles.to_bits(), 1.25e7f64.to_bits());
         assert_eq!(back.master_seed(), 0xDEAD_BEEF);
         assert_eq!(back.profile(), "adversarial");
         assert_eq!(back.case(), "hysteresis-beat");
-        assert_eq!(back.tenants(), 5);
-        assert_eq!(back.fault_prefix(), 3);
+        assert_eq!(knobs.tenants, 5);
+        assert_eq!(knobs.fault_prefix, 3);
         assert_eq!(back.invariant(), "auditor-clean");
     }
 

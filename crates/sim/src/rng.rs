@@ -132,16 +132,6 @@ impl SimRng {
         r * theta.cos()
     }
 
-    /// Normal variate with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0, "standard deviation must be non-negative");
-        mean + std_dev * self.standard_normal()
-    }
-
     /// Lognormal variate with the given *arithmetic* mean and shape `sigma`
     /// (the std-dev of the underlying normal).
     ///
@@ -171,14 +161,6 @@ impl SimRng {
         assert!(mean > 0.0, "exponential mean must be positive, got {mean}");
         // Inverse-CDF with u in (0, 1] to avoid ln(0).
         -mean * (1.0 - self.unit_f64()).ln()
-    }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.index(i + 1);
-            slice.swap(i, j);
-        }
     }
 
     /// Picks a uniformly random element, or `None` if the slice is empty.
@@ -283,24 +265,6 @@ mod tests {
         for _ in 0..10 {
             assert!((r.lognormal(50.0, 0.0) - 50.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn shuffle_preserves_elements() {
-        let mut r = SimRng::seed_from(5);
-        let mut v: Vec<u32> = (0..32).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shuffle_actually_permutes() {
-        let mut r = SimRng::seed_from(5);
-        let mut v: Vec<u32> = (0..32).collect();
-        r.shuffle(&mut v);
-        assert_ne!(v, (0..32).collect::<Vec<_>>());
     }
 
     #[test]

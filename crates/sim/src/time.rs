@@ -34,6 +34,8 @@ impl CycleCount {
     pub const ZERO: CycleCount = CycleCount(0);
 
     /// Creates a duration of `cycles` cycles.
+    ///
+    /// unit: `cycles` is a count of NPU clock cycles.
     #[must_use]
     pub const fn new(cycles: u64) -> Self {
         CycleCount(cycles)
@@ -345,6 +347,8 @@ impl Bytes {
     pub const ZERO: Bytes = Bytes(0);
 
     /// Wraps a byte count (`const`, so published tables can be constants).
+    ///
+    /// unit: `bytes` is a count of bytes.
     #[must_use]
     pub const fn new(bytes: u64) -> Self {
         Bytes(bytes)

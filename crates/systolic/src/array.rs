@@ -167,12 +167,6 @@ impl SaExecutor {
         self.cycle
     }
 
-    /// True while an operator is executing.
-    #[must_use]
-    pub fn is_busy(&self) -> bool {
-        self.running.is_some()
-    }
-
     /// Starts the operator `input × weights`, charging the `N`-cycle weight
     /// load.
     ///
@@ -267,7 +261,8 @@ impl SaExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if the array is idle — check [`SaExecutor::is_busy`] first.
+    /// Panics if the array is idle (no operator begun, or the last one
+    /// already completed).
     #[must_use]
     pub fn run_to_completion(&mut self) -> Matrix {
         assert!(self.running.is_some(), "run_to_completion on an idle array");
@@ -412,7 +407,7 @@ mod tests {
             sa.begin(input.clone(), weights.clone()).unwrap();
             let out = sa.run_to_completion();
             assert_eq!(out, input.matmul(&weights), "{m}x{n}");
-            assert!(!sa.is_busy());
+            assert!(sa.running.is_none());
         }
     }
 
@@ -655,13 +650,13 @@ mod seeded_tests {
             sa.begin(input, weights).unwrap();
             for p in preempts {
                 sa.run_cycles(p);
-                if sa.is_busy() {
+                if sa.running.is_some() {
                     let (ctx, cost) = sa.preempt().unwrap();
                     assert!(cost <= 3 * n as u64, "case {case}");
                     sa.restore(ctx).unwrap();
                 }
             }
-            if sa.is_busy() {
+            if sa.running.is_some() {
                 let out = sa.run_to_completion();
                 assert_eq!(out, reference, "case {case}");
             }

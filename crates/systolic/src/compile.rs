@@ -21,7 +21,6 @@ use std::fmt;
 
 use v10_isa::{Inst, Reg, VmemAddr};
 
-use crate::matrix::Matrix;
 use crate::vmem::{VectorMemory, VmemError, TILE_WORDS};
 use v10_sim::convert::{u32_from_usize, u64_from_usize, usize_from_u32};
 
@@ -132,14 +131,21 @@ pub fn compile_matmul(m: usize, n: usize, a_addr: u32, w_addr: u32, c_addr: u32)
 /// let n = 4;
 /// let a = Matrix::from_fn(3, n, |i, j| (i + j) as f32);
 /// let w = Matrix::identity(n);
+/// // Matrices live one row per register tile: A from tile 0, W from tile
+/// // 4, and the product is stored from tile 8.
 /// let mut vmem = VectorMemory::with_words(16 * TILE_WORDS);
+/// for i in 0..3 {
+///     vmem.write(i * TILE_WORDS, a.row(i)).unwrap();
+/// }
+/// for i in 0..n {
+///     vmem.write((4 + i) * TILE_WORDS, w.row(i)).unwrap();
+/// }
 /// let mut core = FunctionalCore::new(n);
-/// core.store_matrix(&mut vmem, &a, 0).unwrap();
-/// core.store_matrix(&mut vmem, &w, 4 * TILE_WORDS as u32).unwrap();
 /// let prog = compile_matmul(3, n, 0, 4 * TILE_WORDS as u32, 8 * TILE_WORDS as u32);
 /// core.execute(&prog, &mut vmem).unwrap();
-/// let c = core.load_matrix(&vmem, 3, n, 8 * TILE_WORDS as u32).unwrap();
-/// assert_eq!(c, a); // A × I = A
+/// for i in 0..3 {
+///     assert_eq!(vmem.read((8 + i) * TILE_WORDS, n).unwrap(), a.row(i)); // A × I = A
+/// }
 /// ```
 #[derive(Debug)]
 pub struct FunctionalCore {
@@ -178,49 +184,13 @@ impl FunctionalCore {
         self.cycle
     }
 
-    /// Helper: stores a matrix one row per tile starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates vector-memory bounds errors.
-    pub fn store_matrix(
-        &self,
-        vmem: &mut VectorMemory,
-        m: &Matrix,
-        addr: u32,
-    ) -> Result<(), VmemError> {
-        for i in 0..m.rows() {
-            vmem.write(usize_from_u32(addr) + i * TILE_WORDS, m.row(i))?;
-        }
-        Ok(())
-    }
-
-    /// Helper: loads a `rows×cols` matrix stored one row per tile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates vector-memory bounds errors.
-    pub fn load_matrix(
-        &self,
-        vmem: &VectorMemory,
-        rows: usize,
-        cols: usize,
-        addr: u32,
-    ) -> Result<Matrix, VmemError> {
-        let mut out = Matrix::zeros(rows, cols);
-        for i in 0..rows {
-            let row = vmem.read(usize_from_u32(addr) + i * TILE_WORDS, cols)?;
-            out.set_row(i, row);
-        }
-        Ok(out)
-    }
-
     /// Executes a compiled program to its `halt`, returning consumed cycles.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] on vector-memory faults or protocol violations
     /// (pop underflow, pushing inputs before weights, weight overflow).
+    // v10-lint: allow(S1) the entry point of the §2.1 functional core, whose doc example and unit tests check compile_matmul and its cycle accounting
     pub fn execute(&mut self, program: &[Inst], vmem: &mut VectorMemory) -> Result<u64, CoreError> {
         let start = self.cycle;
         for (pc, &inst) in program.iter().enumerate() {
@@ -292,17 +262,39 @@ impl FunctionalCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
+
+    /// Stores a matrix one row per tile starting at `addr`.
+    pub(super) fn store_matrix(vmem: &mut VectorMemory, m: &Matrix, addr: u32) {
+        for i in 0..m.rows() {
+            vmem.write(usize_from_u32(addr) + i * TILE_WORDS, m.row(i))
+                .unwrap();
+        }
+    }
+
+    /// Loads a `rows×cols` matrix stored one row per tile.
+    pub(super) fn load_matrix(vmem: &VectorMemory, rows: usize, cols: usize, addr: u32) -> Matrix {
+        let mut out = Matrix::zeros(rows, cols);
+        for i in 0..rows {
+            out.set_row(
+                i,
+                vmem.read(usize_from_u32(addr) + i * TILE_WORDS, cols)
+                    .unwrap(),
+            );
+        }
+        out
+    }
 
     fn run(m: usize, n: usize, a: &Matrix, w: &Matrix) -> (Matrix, u64) {
         let tile = TILE_WORDS as u32;
         let (a_addr, w_addr, c_addr) = (0u32, m as u32 * tile, (m + n) as u32 * tile);
         let mut vmem = VectorMemory::with_words((2 * m + n) * TILE_WORDS);
         let mut core = FunctionalCore::new(n);
-        core.store_matrix(&mut vmem, a, a_addr).unwrap();
-        core.store_matrix(&mut vmem, w, w_addr).unwrap();
+        store_matrix(&mut vmem, a, a_addr);
+        store_matrix(&mut vmem, w, w_addr);
         let prog = compile_matmul(m, n, a_addr, w_addr, c_addr);
         let cycles = core.execute(&prog, &mut vmem).unwrap();
-        (core.load_matrix(&vmem, m, n, c_addr).unwrap(), cycles)
+        (load_matrix(&vmem, m, n, c_addr), cycles)
     }
 
     #[test]
@@ -379,14 +371,14 @@ mod tests {
         let tile = TILE_WORDS as u32;
         let mut vmem = VectorMemory::with_words(12 * TILE_WORDS);
         let mut core = FunctionalCore::new(n);
-        core.store_matrix(&mut vmem, &a, 0).unwrap();
-        core.store_matrix(&mut vmem, &w1, 2 * tile).unwrap();
-        core.store_matrix(&mut vmem, &w2, 5 * tile).unwrap();
+        store_matrix(&mut vmem, &a, 0);
+        store_matrix(&mut vmem, &w1, 2 * tile);
+        store_matrix(&mut vmem, &w2, 5 * tile);
         let p1 = compile_matmul(2, n, 0, 2 * tile, 8 * tile);
         let p2 = compile_matmul(2, n, 0, 5 * tile, 8 * tile);
         core.execute(&p1, &mut vmem).unwrap();
         core.execute(&p2, &mut vmem).unwrap();
-        let c = core.load_matrix(&vmem, 2, n, 8 * tile).unwrap();
+        let c = load_matrix(&vmem, 2, n, 8 * tile);
         assert_eq!(
             c,
             a.matmul(&w2),
@@ -403,7 +395,9 @@ mod tests {
 
 #[cfg(test)]
 mod seeded_tests {
+    use super::tests::{load_matrix, store_matrix};
     use super::*;
+    use crate::matrix::Matrix;
 
     /// Compiled execution equals the reference product for arbitrary
     /// small matrices across a grid of shapes and fill patterns.
@@ -420,13 +414,11 @@ mod seeded_tests {
                     let tile = TILE_WORDS as u32;
                     let mut vmem = VectorMemory::with_words((2 * m + n) * TILE_WORDS);
                     let mut core = FunctionalCore::new(n);
-                    core.store_matrix(&mut vmem, &a, 0).unwrap();
-                    core.store_matrix(&mut vmem, &w, m as u32 * tile).unwrap();
+                    store_matrix(&mut vmem, &a, 0);
+                    store_matrix(&mut vmem, &w, m as u32 * tile);
                     let prog = compile_matmul(m, n, 0, m as u32 * tile, (m + n) as u32 * tile);
                     core.execute(&prog, &mut vmem).unwrap();
-                    let c = core
-                        .load_matrix(&vmem, m, n, (m + n) as u32 * tile)
-                        .unwrap();
+                    let c = load_matrix(&vmem, m, n, (m + n) as u32 * tile);
                     assert_eq!(c, a.matmul(&w));
                 }
             }

@@ -123,22 +123,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Maximum absolute element-wise difference from `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    #[must_use]
-    pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
-        assert_eq!(self.rows, other.rows, "shape mismatch");
-        assert_eq!(self.cols, other.cols, "shape mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -214,15 +198,6 @@ mod tests {
         m.set_row(1, &[1.0, 2.0, 3.0]);
         assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
         assert_eq!(m.row(0), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn max_abs_diff_detects_change() {
-        let a = Matrix::identity(2);
-        let mut b = a.clone();
-        assert_eq!(a.max_abs_diff(&b), 0.0);
-        b[(0, 1)] = 0.5;
-        assert_eq!(a.max_abs_diff(&b), 0.5);
     }
 
     #[test]

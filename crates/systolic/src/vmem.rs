@@ -88,12 +88,6 @@ impl VectorMemory {
         }
     }
 
-    /// Creates the paper's default 32 MB vector memory (Table 5).
-    #[must_use]
-    pub fn table5_default() -> Self {
-        VectorMemory::with_words(32 * 1024 * 1024 / 4)
-    }
-
     /// Capacity in words.
     #[must_use]
     pub fn capacity_words(&self) -> usize {
@@ -269,14 +263,6 @@ mod tests {
     fn overflow_addr_is_oob_not_panic() {
         let m = VectorMemory::with_words(8);
         assert!(m.read(usize::MAX, 2).is_err());
-    }
-
-    #[test]
-    fn table5_default_is_32mb() {
-        assert_eq!(
-            VectorMemory::table5_default().capacity_words(),
-            8 * 1024 * 1024
-        );
     }
 
     #[test]

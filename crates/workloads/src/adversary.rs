@@ -1,7 +1,7 @@
 //! Seeded adversarial scenario generation.
 //!
 //! The control plane built in PRs 4–6 (overload ladder, starvation
-//! watchdog, circuit breakers, fault recovery) is only as good as the worst
+//! watchdog, fault recovery) is only as good as the worst
 //! tenant mix it faces. This module derives complete serving scenarios —
 //! arrival process × fault plan × tenant mix — from **one master seed** and
 //! a [`ScenarioProfile`]:
@@ -18,7 +18,7 @@
 //!   cadence, priority-inversion mixes that pin the watchdog against its
 //!   priority cap, idle-op padding that games `active_rate_p`, operator
 //!   lengths parked at the preemption-cost cliff, and fault plans that
-//!   flap circuit breakers between `Open` and `HalfOpen`.
+//!   switch transient storms on and off at a trip/cool-down cadence.
 //!
 //! Every scenario is a pure function of `(master seed, case, knobs)`: the
 //! per-tenant streams are forked (`SimRng::fork`) so shrinking the
@@ -40,7 +40,10 @@
 //! ```
 
 use v10_isa::{FuKind, OpDesc, RequestTrace};
-use v10_sim::{FaultKind, FaultPlan, FleetFaultKind, FleetFaultPlan, SimRng, V10Error, V10Result};
+use v10_sim::{
+    FaultKind, FaultPlan, FleetFaultKind, FleetFaultPlan, ScenarioKnobs, SimRng, V10Error,
+    V10Result,
+};
 
 use crate::arrivals::{MmppProcess, OpenLoopProcess, TimedArrival};
 use crate::model::Model;
@@ -172,8 +175,8 @@ pub enum AdversaryCase {
     /// Operator lengths parked just past the preemption slice, maximizing
     /// switch overhead per unit of useful work.
     PreemptionCliff,
-    /// Per-core fault storms paced to a breaker's trip/cooldown rhythm,
-    /// oscillating cores between `Open` and `HalfOpen`.
+    /// Per-core fault storms switched on and off at a circuit breaker's
+    /// trip/cool-down rhythm, so recovery never settles.
     BreakerFlap,
 }
 
@@ -264,50 +267,6 @@ impl AdversaryCase {
     }
 }
 
-/// The shrinkable scenario dimensions. The property harness binary-searches
-/// each one; because generation is prefix-stable in all three, any knob
-/// setting below the defaults replays a sub-scenario of the original.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScenarioKnobs {
-    /// Tenant arrivals to generate (≥ 1).
-    pub tenants: usize,
-    /// Arrival horizon in cycles: arrivals past it are dropped (the first
-    /// tenant is clamped to the horizon instead, so a scenario is never
-    /// empty). Must be finite and positive.
-    pub horizon_cycles: f64,
-    /// How many of the case's pre-sampled fault events to keep, in global
-    /// time order (saturates at the case's event count).
-    pub fault_prefix: usize,
-}
-
-impl ScenarioKnobs {
-    /// Validated knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `tenants` is zero or the
-    /// horizon is not finite and positive.
-    pub fn new(tenants: usize, horizon_cycles: f64, fault_prefix: usize) -> V10Result<Self> {
-        if tenants == 0 {
-            return Err(V10Error::invalid(
-                "ScenarioKnobs::new",
-                "need at least one tenant",
-            ));
-        }
-        if !(horizon_cycles.is_finite() && horizon_cycles > 0.0) {
-            return Err(V10Error::invalid(
-                "ScenarioKnobs::new",
-                format!("horizon must be finite and positive, got {horizon_cycles}"),
-            ));
-        }
-        Ok(ScenarioKnobs {
-            tenants,
-            horizon_cycles,
-            fault_prefix,
-        })
-    }
-}
-
 /// A complete generated scenario: timed arrivals with per-tenant
 /// priorities, per-core fault plans, and a context-table sizing hint.
 /// Everything is a value; equal inputs generate `==` scenarios.
@@ -384,8 +343,8 @@ impl AdversaryScenario {
     }
 
     /// Whether every fault plan — per-core and fleet-scoped — is empty.
-    #[must_use]
-    pub fn is_fault_free(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_fault_free(&self) -> bool {
         self.fault_plans.iter().all(FaultPlan::is_empty) && self.fleet_plan.is_empty()
     }
 }
@@ -902,9 +861,8 @@ fn fault_storm_events(seed: u64) -> Vec<(usize, f64, FaultKind)> {
     events
 }
 
-/// Sixteen events across four cores: clustered transient storms (dense
-/// enough to trip a breaker) alternating with quiet gaps sized to a
-/// cooldown, so breakers flap Closed → Open → HalfOpen → Open.
+/// Sixteen events across four cores: clustered transient storms
+/// alternating with quiet gaps sized to a breaker's cool-down.
 fn breaker_flap_events(seed: u64) -> Vec<(usize, f64, FaultKind)> {
     let mut base = SimRng::seed_from(seed ^ 0xF1A9);
     let mut events = Vec::with_capacity(16);

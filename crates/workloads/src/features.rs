@@ -49,18 +49,6 @@ impl FeatureVector {
     pub fn as_slice(&self) -> &[f64] {
         &self.values
     }
-
-    /// Euclidean distance to another feature vector (un-normalized; the
-    /// clustering pipeline standardizes features first).
-    #[must_use]
-    pub fn euclidean_distance(&self, other: &FeatureVector) -> f64 {
-        self.values
-            .iter()
-            .zip(&other.values)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
 }
 
 impl ModelProfile {
@@ -111,15 +99,6 @@ mod tests {
     fn deterministic_in_seed() {
         let p = Model::Dlrm.default_profile();
         assert_eq!(p.feature_vector(3), p.feature_vector(3));
-    }
-
-    #[test]
-    fn distance_is_a_metric_spot_check() {
-        let a = Model::Bert.default_profile().feature_vector(1);
-        let b = Model::Dlrm.default_profile().feature_vector(1);
-        assert_eq!(a.euclidean_distance(&a), 0.0);
-        assert!((a.euclidean_distance(&b) - b.euclidean_distance(&a)).abs() < 1e-12);
-        assert!(a.euclidean_distance(&b) > 0.0);
     }
 
     #[test]

@@ -41,17 +41,13 @@ pub mod features;
 pub mod model;
 pub mod pairs;
 pub mod profile;
-pub mod scenario;
 pub mod synth;
 pub mod zoo;
 
-pub use adversary::{
-    AdversaryCase, AdversaryGen, AdversaryScenario, ScenarioKnobs, ScenarioProfile,
-};
+pub use adversary::{AdversaryCase, AdversaryGen, AdversaryScenario, ScenarioProfile};
 pub use arrivals::{MmppProcess, MmppState, OpenLoopProcess, TimedArrival};
 pub use features::{FeatureVector, FEATURE_NAMES};
 pub use model::Model;
 pub use pairs::{PAIRS_EVAL, PAIRS_FIG9};
 pub use profile::{BatchError, ModelProfile};
-pub use scenario::ServingScenario;
 pub use synth::refit_vmem;

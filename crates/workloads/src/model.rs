@@ -83,20 +83,6 @@ impl Model {
         }
     }
 
-    /// Application domain (Table 4's "Description" column).
-    #[must_use]
-    pub fn domain(self) -> &'static str {
-        match self {
-            Model::Bert | Model::Transformer => "Natural Language Processing",
-            Model::Dlrm | Model::Ncf => "Recommendation",
-            Model::EfficientNet | Model::Mnist | Model::ResNet | Model::ResNetRs => {
-                "Image Classification"
-            }
-            Model::MaskRcnn | Model::ShapeMask => "Object Detection & Segmentation",
-            Model::RetinaNet => "Object Detection",
-        }
-    }
-
     /// The paper's default evaluation batch size: 32 for every model except
     /// ShapeMask (8) and Mask-RCNN (16) — see Tables 1 and 4.
     #[must_use]

@@ -16,19 +16,18 @@
 
 use v10::core::{
     audit_serve_stressed, Admission, AdmissionSchedule, Design, OverloadController, OverloadPolicy,
-    PropertyHarness, RunOptions, ShrinkKnobs, WorkloadSpec,
+    PropertyHarness, RunOptions, WorkloadSpec,
 };
 use v10::npu::NpuConfig;
-use v10::sim::{ReproFixture, V10Result};
-use v10::workloads::{AdversaryCase, AdversaryGen, ScenarioKnobs, ScenarioProfile};
+use v10::sim::{ReproFixture, ScenarioKnobs, V10Result};
+use v10::workloads::{AdversaryCase, AdversaryGen, ScenarioProfile};
 
 const MASTER_SEED: u64 = 42;
 
 /// Serves the arp-gaming scenario at the given knobs on one core and
 /// returns its overload stats plus any oracle violations.
-fn serve(gen: &AdversaryGen, knobs: &ShrinkKnobs) -> V10Result<(u64, u64, u64, Vec<String>)> {
-    let sk = ScenarioKnobs::new(knobs.tenants, knobs.horizon_cycles, knobs.fault_prefix)?;
-    let scenario = gen.scenario(AdversaryCase::ArpGaming, &sk)?;
+fn serve(gen: &AdversaryGen, knobs: &ScenarioKnobs) -> V10Result<(u64, u64, u64, Vec<String>)> {
+    let scenario = gen.scenario(AdversaryCase::ArpGaming, knobs)?;
     let mut admissions = Vec::new();
     for (a, p) in scenario.arrivals().iter().zip(scenario.priorities()) {
         let spec = WorkloadSpec::new(a.label(), a.trace().clone()).with_priority(*p)?;
@@ -60,12 +59,7 @@ fn main() {
     }
 
     // Serve the full adversarial case under the oracle.
-    let defaults = gen.default_knobs(AdversaryCase::ArpGaming);
-    let initial = ShrinkKnobs {
-        tenants: defaults.tenants,
-        horizon_cycles: defaults.horizon_cycles,
-        fault_prefix: defaults.fault_prefix,
-    };
+    let initial = gen.default_knobs(AdversaryCase::ArpGaming);
     let (starv, boosts, requeues, violations) = serve(&gen, &initial).unwrap();
     println!(
         "\narp-gaming at default knobs ({} tenants): {} starvation detections, \
@@ -122,11 +116,7 @@ fn main() {
         ScenarioProfile::Adversarial.label(),
         AdversaryCase::ArpGaming.label(),
     )
-    .with_knobs(
-        report.minimal().tenants,
-        report.minimal().horizon_cycles,
-        report.minimal().fault_prefix,
-    )
+    .with_knobs(report.minimal())
     .with_invariant("watchdog-no-silent-drop");
     println!("\nSeed-replayable fixture:\n{}", fixture.to_json());
 }

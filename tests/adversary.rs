@@ -10,13 +10,11 @@
 
 use v10_core::{
     audit_serve_stressed, run_digest, Admission, AdmissionSchedule, Design, FleetConservation,
-    OverloadController, OverloadPolicy, PropertyHarness, RunOptions, ShrinkKnobs, WorkloadSpec,
+    OverloadController, OverloadPolicy, PropertyHarness, RunOptions, WorkloadSpec,
 };
 use v10_npu::NpuConfig;
-use v10_sim::{parallel_map_with, FaultPlan, ReproFixture, V10Result};
-use v10_workloads::{
-    AdversaryCase, AdversaryGen, AdversaryScenario, ScenarioKnobs, ScenarioProfile,
-};
+use v10_sim::{parallel_map_with, FaultPlan, ReproFixture, ScenarioKnobs, V10Result};
+use v10_workloads::{AdversaryCase, AdversaryGen, AdversaryScenario, ScenarioProfile};
 
 /// The sweep's master seed: every scenario, digest, and fixture in this
 /// suite derives from it.
@@ -221,10 +219,9 @@ fn adversary_sweep_is_bit_identical_across_thread_pools() {
 /// silently. Post-fix the signature is still observable (that is what
 /// makes the repro replayable), the difference being `boost_requeues > 0`
 /// instead of nothing.
-fn watchdog_capped_silently(knobs: &ShrinkKnobs) -> V10Result<Vec<String>> {
+fn watchdog_capped_silently(knobs: &ScenarioKnobs) -> V10Result<Vec<String>> {
     let gen = AdversaryGen::new(MASTER_SEED);
-    let sk = ScenarioKnobs::new(knobs.tenants, knobs.horizon_cycles, knobs.fault_prefix)?;
-    let scenario = gen.scenario(AdversaryCase::ArpGaming, &sk)?;
+    let scenario = gen.scenario(AdversaryCase::ArpGaming, knobs)?;
     let opts = RunOptions::new(2)?
         .with_seed(7)
         .with_table_capacity(scenario.table_slots())?;
@@ -254,12 +251,7 @@ fn watchdog_capped_silently(knobs: &ShrinkKnobs) -> V10Result<Vec<String>> {
 #[test]
 fn watchdog_cap_violation_shrinks_to_the_checked_in_fixture() {
     let gen = AdversaryGen::new(MASTER_SEED);
-    let defaults = gen.default_knobs(AdversaryCase::ArpGaming);
-    let initial = ShrinkKnobs {
-        tenants: defaults.tenants,
-        horizon_cycles: defaults.horizon_cycles,
-        fault_prefix: defaults.fault_prefix,
-    };
+    let initial = gen.default_knobs(AdversaryCase::ArpGaming);
     let harness = PropertyHarness::new();
     let report = harness
         .shrink(initial, watchdog_capped_silently)
@@ -273,7 +265,7 @@ fn watchdog_cap_violation_shrinks_to_the_checked_in_fixture() {
     // sees it pass, and keeps 3.
     assert_eq!(report.minimal().tenants, 3, "VIP + gamer + honest shield");
     assert_eq!(report.minimal().fault_prefix, 0);
-    assert!(report.minimal().horizon_cycles < defaults.horizon_cycles);
+    assert!(report.minimal().horizon_cycles < initial.horizon_cycles);
     assert!(!report.budget_exhausted());
 
     let again = harness
@@ -287,11 +279,7 @@ fn watchdog_cap_violation_shrinks_to_the_checked_in_fixture() {
         ScenarioProfile::Adversarial.label(),
         AdversaryCase::ArpGaming.label(),
     )
-    .with_knobs(
-        report.minimal().tenants,
-        report.minimal().horizon_cycles,
-        report.minimal().fault_prefix,
-    )
+    .with_knobs(report.minimal())
     .with_invariant("watchdog-no-silent-drop");
     let checked_in = include_str!("fixtures/adversary/arp-gaming-watchdog-cap.json");
     assert_eq!(
@@ -317,13 +305,7 @@ fn checked_in_fixtures_replay_clean() {
         let case = AdversaryCase::from_label(fixture.case()).unwrap();
         assert_eq!(case.profile().label(), fixture.profile());
         let gen = AdversaryGen::new(fixture.master_seed());
-        let knobs = ScenarioKnobs::new(
-            fixture.tenants(),
-            fixture.horizon_cycles(),
-            fixture.fault_prefix(),
-        )
-        .unwrap();
-        let scenario = gen.scenario(case, &knobs).unwrap();
+        let scenario = gen.scenario(case, &fixture.knobs()).unwrap();
         let (violations, _) = serve_scenario(Design::V10Full, &scenario).unwrap();
         assert!(
             violations.is_empty(),
