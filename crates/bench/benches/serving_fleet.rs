@@ -22,8 +22,9 @@
 //! noise while still catching any break in the sharded decomposition.
 //!
 //! Knobs: `V10_BENCH_SEED` (arrival stream seed), `V10_BENCH_THREADS`
-//! (dirty-core re-simulation pool), `V10_BENCH_SMOKE=1` (fewer arrivals,
-//! shard counts 1 and 4 only, one timing sample — used by CI).
+//! (the pool that advances the per-core runs each epoch),
+//! `V10_BENCH_SMOKE=1` (fewer arrivals, shard counts 1 and 4 only, one
+//! timing sample — used by CI).
 
 use std::time::Duration;
 

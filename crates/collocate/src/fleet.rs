@@ -23,16 +23,21 @@
 //! # Determinism across shard and thread counts
 //!
 //! Shards exchange state only at epoch boundaries ([`EpochClock`]): tenant
-//! departures observed in the cached per-core engine reports are released
+//! departures read from the per-core engine runs are released
 //! in simulated-time order ([`merge_messages`], tie-broken by core index
 //! and interned label), and only departures at or before the boundary are
-//! applied. An arrival strictly after the boundary cannot change engine
-//! events before it, so a departure once applied can never be retracted by
-//! later admissions — the plane's slot bookkeeping is conservative with
-//! respect to the engine's own context table and the engine never rejects
-//! an admission the plane made (a serve where it did is an error). Dirty
-//! cores are re-simulated through the workspace's input-order scatter-back
-//! parallel map ([`parallel_map_with`]), so the [`ClusterServeReport`] is
+//! applied. Each core the plane touches runs as one resumable [`CoreRun`]:
+//! at every processed boundary each live run advances once, up to the
+//! boundary, and the plane reads its departures there; admissions placed
+//! in the epoch are then handed to their cores' runs, all dated at or
+//! after the boundary. A resumed run is bit-identical to a run handed its
+//! whole admission list up front, so a departure once applied can never
+//! be retracted by later admissions — the plane's slot bookkeeping is
+//! conservative with respect to the engine's own context table and the
+//! engine never rejects an admission the plane made (a serve where it did
+//! is an error). Each core simulates each admission once. The runs
+//! advance through the workspace's input-order scatter-back parallel map
+//! ([`parallel_map_with`]), so the [`ClusterServeReport`] is
 //! byte-identical across 1/2/4/8 shards and any worker-thread count; only
 //! the [`FleetOutcome`] scan counters depend on the shard layout.
 //!
@@ -52,8 +57,8 @@
 //!   worker restores from the snapshot taken at the last boundary it was
 //!   alive for and replays the delta with one dirty rebuild.
 //! * **Region failure** ([`FleetFaultKind::RegionFail`]): every core in
-//!   one HBM affinity group fails together. Each core's engine history is
-//!   truncated once with a scripted `CoreRetire` at the boundary and then
+//!   one HBM affinity group fails together. Each core's run is handed a
+//!   scripted `CoreRetire` at the boundary and finished, and its report is
 //!   frozen; residents with open quota are displaced and re-placed through
 //!   the same decomposed argmax under an exponential backoff-and-shed
 //!   ladder ([`RecoveryPolicy`]) — shed when even ideal service from the
@@ -72,8 +77,8 @@
 //! plan, byte-identical to the pre-fault-domain plane.
 
 use v10_core::{
-    serve_design, serve_design_stressed, Admission, AdmissionSchedule, Design, NullObserver,
-    OverloadController, RunOptions, RunReport, SimEvent, SimObserver, WorkloadSpec,
+    Admission, CoreRun, Design, FaultEvent, NullObserver, OverloadController, RunOptions,
+    RunReport, SimEvent, SimObserver, WorkloadSpec,
 };
 use v10_npu::{ClusterState, FleetTopology, NpuConfig};
 use v10_sim::convert::{u64_from_usize, u64_to_f64};
@@ -196,11 +201,14 @@ impl FleetOutcome {
 #[derive(Debug, Clone)]
 struct FleetTenant {
     core: usize,
-    /// Position in the core's admission list == position in the core's
-    /// report workload list (both are kept sorted by arrival time with
-    /// ties in insertion order, matching the schedule's stable sort;
-    /// evacuations insert mid-list and shift the indices after them).
+    /// Position among the core's admissions == position in the core's
+    /// report workload list (both ordered by admission time with ties in
+    /// insertion order, as a run queues its admissions; evacuations insert
+    /// mid-order and shift the indices after them).
     idx: usize,
+    /// When the tenant is admitted to `core`: its arrival, or for an
+    /// evacuee its landing after the context transfer.
+    admit_at: f64,
     class: usize,
     label: LabelId,
     released: bool,
@@ -238,6 +246,101 @@ struct FaultDomains {
     requeued: Vec<RequeueRecord>,
     shed: Vec<ShedRecord>,
     retired: Vec<(usize, f64)>,
+}
+
+/// The plane's resumable per-core runs: one for each core it has touched,
+/// each handed its admissions as the plane places them and advanced once
+/// per processed epoch boundary.
+struct CoreRuns<'c> {
+    design: Design,
+    config: &'c NpuConfig,
+    opts: RunOptions,
+    /// `runs[core]`: the core's run, from the first admission the plane
+    /// hands it until the core fails or the serve ends. Boxed, so untouched
+    /// cores cost a pointer.
+    runs: Vec<Option<Box<CoreRun<NullObserver>>>>,
+    /// `reports[core]`: a failed core's final report; every touched core's
+    /// once the serve ends.
+    reports: Vec<Option<RunReport>>,
+}
+
+impl<'c> CoreRuns<'c> {
+    fn new(cores: usize, design: Design, config: &'c NpuConfig, opts: RunOptions) -> Self {
+        CoreRuns {
+            design,
+            config,
+            opts,
+            runs: std::iter::repeat_with(|| None).take(cores).collect(),
+            reports: vec![None; cores],
+        }
+    }
+
+    /// Hands `admission` to `core`'s run, starting the run on the core's
+    /// first admission.
+    fn push(&mut self, core: usize, admission: Admission) -> V10Result<()> {
+        let slot = self.runs.get_mut(core).ok_or_else(|| unknown_core(core))?;
+        let run = match slot {
+            Some(run) => run,
+            None => slot.insert(Box::new(CoreRun::new(
+                self.design,
+                self.config,
+                &self.opts,
+                &FaultPlan::none(),
+                OverloadController::disarmed(),
+                NullObserver,
+            )?)),
+        };
+        run.push(admission)
+    }
+
+    /// Advances every live run to `boundary`, on `threads` workers.
+    fn advance(&mut self, threads: usize, boundary: Cycles) -> V10Result<()> {
+        let runs = self.runs.iter_mut().flatten();
+        parallel_map_with(threads, runs, |run| run.run_until(boundary))
+            .into_iter()
+            .collect()
+    }
+
+    /// When the `idx`-th tenancy admitted to `core` retired, if it has by
+    /// the run's current instant.
+    fn retired_at(&self, core: usize, idx: usize) -> Option<f64> {
+        self.runs.get(core)?.as_ref()?.retired_at_cycles(idx)
+    }
+
+    /// Retires `core` at `at` with a scripted `CoreRetire` and freezes its
+    /// run's report (none for a core that never hosted a tenant).
+    fn retire(&mut self, core: usize, at: f64) -> V10Result<()> {
+        let Some(mut run) = self.runs.get_mut(core).and_then(Option::take) else {
+            return Ok(());
+        };
+        run.push_fault(FaultEvent::new(at, FaultKind::CoreRetire)?)?;
+        let report = self
+            .reports
+            .get_mut(core)
+            .ok_or_else(|| unknown_core(core))?;
+        *report = Some(run.finish()?);
+        Ok(())
+    }
+
+    /// Finishes every live run on `threads` workers; returns each core's
+    /// report.
+    fn finish(self, threads: usize) -> V10Result<Vec<Option<RunReport>>> {
+        let finished = parallel_map_with(threads, self.runs, |run| {
+            run.map(|run| run.finish()).transpose()
+        });
+        finished
+            .into_iter()
+            .zip(self.reports)
+            .map(|(finished, frozen)| Ok(finished?.or(frozen)))
+            .collect()
+    }
+}
+
+fn unknown_core(core: usize) -> V10Error {
+    V10Error::invalid(
+        "FleetPlane::serve",
+        format!("core {core} is not in the fleet"),
+    )
 }
 
 /// A topology-aware, sharded admission plane over a multi-core fleet.
@@ -307,9 +410,10 @@ impl<'a> FleetPlane<'a> {
         })
     }
 
-    /// Sets the worker-thread count for the dirty-core re-simulation step
-    /// (default 1). The report is byte-identical at any thread count; the
-    /// threads only shorten wall-clock on multi-core hosts.
+    /// Sets the worker-thread count for advancing the per-core runs at each
+    /// epoch boundary (default 1). The report is byte-identical at any
+    /// thread count; the threads only shorten wall-clock on multi-core
+    /// hosts.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -425,23 +529,18 @@ impl<'a> FleetPlane<'a> {
     }
 
     /// Releases every unapplied departure at or before `boundary`:
-    /// collects one message stream per owning shard from the cached
-    /// per-core reports, merges them into simulated-time order, and frees
-    /// the departed tenants' slots. Returns the merged messages.
+    /// collects one message stream per owning shard from the per-core runs
+    /// (advanced to the boundary), merges them into simulated-time order,
+    /// and frees the departed tenants' slots. Returns the merged messages.
     fn apply_departures(
         &mut self,
         boundary: Cycles,
         tenants: &mut [FleetTenant],
-        reports: &[Option<RunReport>],
+        runs: &CoreRuns<'_>,
     ) -> V10Result<Vec<DepartureMsg>> {
         let mut streams: Vec<Vec<DepartureMsg>> = vec![Vec::new(); self.workers.len()];
         for t in tenants.iter_mut().filter(|t| !t.released) {
-            let Some(retired_at) = reports
-                .get(t.core)
-                .and_then(Option::as_ref)
-                .and_then(|r| r.workloads().get(t.idx))
-                .and_then(|w| w.retired_at_cycles())
-            else {
+            let Some(retired_at) = runs.retired_at(t.core, t.idx) else {
                 continue;
             };
             if retired_at > boundary.as_f64() {
@@ -461,10 +560,11 @@ impl<'a> FleetPlane<'a> {
     }
 
     /// Serves `arrivals` (non-decreasing in time) on the fleet under
-    /// `design`, re-simulating each core's admission history with
-    /// [`serve_design`] whenever the plane admits a tenant to it. The
-    /// engine's context table is sized to the plane's `slots_per_core`, so
-    /// plane bookkeeping and hardware state agree.
+    /// `design`. Each core the plane admits a tenant to runs as one
+    /// resumable [`CoreRun`], handed its admissions as they are placed and
+    /// advanced once per processed epoch boundary, so each admission is
+    /// simulated once. The engine's context table is sized to the plane's
+    /// `slots_per_core`, so plane bookkeeping and hardware state agree.
     ///
     /// The returned report is byte-identical across shard counts and
     /// worker-thread counts; the outcome carries the layout-dependent work
@@ -557,12 +657,9 @@ impl<'a> FleetPlane<'a> {
             retired: Vec::new(),
         };
         let opts = opts.with_table_capacity(self.slots_per_core)?;
-        let cores = self.state.cores();
+        let mut runs = CoreRuns::new(self.state.cores(), design, config, opts);
         let mut interner = LabelInterner::new();
         let mut tenants: Vec<FleetTenant> = Vec::new();
-        let mut per_core: Vec<Vec<Admission>> = vec![Vec::new(); cores];
-        let mut reports: Vec<Option<RunReport>> = vec![None; cores];
-        let mut dirty_core = vec![false; cores];
         let mut outcome = FleetOutcome {
             shards: self.shard_map.shards(),
             epochs: 0,
@@ -588,23 +685,20 @@ impl<'a> FleetPlane<'a> {
                 self.restore_crashed_shards(boundary, &mut fd, observer);
             }
 
-            // Epoch boundary: exchange departures across shards and free
-            // the retired tenants' slots.
-            let merged = self.apply_departures(boundary, &mut tenants, &reports)?;
+            // Epoch boundary: every live run reaches it, then the shards
+            // exchange departures and free the retired tenants' slots.
+            runs.advance(self.threads, boundary)?;
+            let merged = self.apply_departures(boundary, &mut tenants, &runs)?;
             outcome.departures.extend(merged);
 
             if armed {
                 self.apply_fleet_faults(
                     boundary,
-                    design,
-                    config,
-                    &opts,
+                    arrivals,
                     policy,
                     &mut fd,
                     &mut tenants,
-                    &mut per_core,
-                    &mut reports,
-                    &mut dirty_core,
+                    &mut runs,
                     &mut outcome,
                     observer,
                 )?;
@@ -640,20 +734,18 @@ impl<'a> FleetPlane<'a> {
                     Placement::Core(core) => {
                         self.state.admit(core, class)?;
                         self.invalidate(core)?;
-                        dirty_core[core] = true;
-                        let spec = WorkloadSpec::new(arrival.label(), arrival.trace().clone());
-                        let admission =
-                            Admission::new(spec, arrival.at_cycles(), arrival.requests())?;
-                        let idx =
-                            insert_admission(&mut per_core[core], &mut tenants, core, admission);
+                        let at = arrival.at_cycles();
+                        runs.push(core, admission_of(arrival, at, arrival.requests())?)?;
+                        let idx = insert_index(&mut tenants, core, at);
                         tenants.push(FleetTenant {
                             core,
                             idx,
+                            admit_at: at,
                             class,
                             label: interner.intern(arrival.label()),
                             released: false,
                             group,
-                            arrived_at: arrival.at_cycles(),
+                            arrived_at: at,
                             quota: arrival.requests(),
                             assigned: arrival.requests(),
                             decision,
@@ -664,20 +756,9 @@ impl<'a> FleetPlane<'a> {
                 }
                 i += 1;
             }
-
-            // Re-simulate the cores whose admission history changed, in
-            // parallel with input-order scatter-back.
-            let jobs: Vec<usize> = (0..cores).filter(|&c| dirty_core[c]).collect();
-            let results = parallel_map_with(self.threads, &jobs, |&core| {
-                let schedule = AdmissionSchedule::new(per_core[core].clone())?;
-                serve_design(design, &schedule, config, &opts)
-            });
-            for (&core, result) in jobs.iter().zip(results) {
-                reports[core] = Some(result?);
-                dirty_core[core] = false;
-            }
         }
 
+        let reports = runs.finish(self.threads)?;
         let mut engine_rejections = 0;
         for (core, report) in reports.iter().enumerate() {
             // A region-failed core's turn-aways at its retirement instant
@@ -789,15 +870,11 @@ impl<'a> FleetPlane<'a> {
     fn apply_fleet_faults<O: SimObserver>(
         &mut self,
         boundary: Cycles,
-        design: Design,
-        config: &NpuConfig,
-        opts: &RunOptions,
+        arrivals: &[TimedArrival],
         policy: &RecoveryPolicy,
         fd: &mut FaultDomains,
         tenants: &mut Vec<FleetTenant>,
-        per_core: &mut [Vec<Admission>],
-        reports: &mut [Option<RunReport>],
-        dirty_core: &mut [bool],
+        runs: &mut CoreRuns<'_>,
         outcome: &mut FleetOutcome,
         observer: &mut O,
     ) -> V10Result<()> {
@@ -823,8 +900,7 @@ impl<'a> FleetPlane<'a> {
                 }
                 FleetFaultKind::RegionFail { hbm_group } => {
                     self.fail_region(
-                        hbm_group, boundary, design, config, opts, policy, fd, tenants, per_core,
-                        reports, dirty_core, outcome, observer,
+                        hbm_group, boundary, arrivals, policy, fd, tenants, runs, outcome, observer,
                     )?;
                 }
                 FleetFaultKind::LinkDegrade { hbm_group, factor } => {
@@ -852,23 +928,19 @@ impl<'a> FleetPlane<'a> {
     }
 
     /// Fails every live core of one HBM affinity group at `boundary`:
-    /// truncates each core's engine history with a scripted retirement and
-    /// freezes it, then runs the evacuation ladder for every resident with
-    /// open quota, in admission order.
+    /// retires each core's run with a scripted `CoreRetire` and freezes its
+    /// report, then runs the evacuation ladder for every resident with open
+    /// quota, in admission order.
     #[allow(clippy::too_many_arguments)]
     fn fail_region<O: SimObserver>(
         &mut self,
         group: usize,
         boundary: Cycles,
-        design: Design,
-        config: &NpuConfig,
-        opts: &RunOptions,
+        arrivals: &[TimedArrival],
         policy: &RecoveryPolicy,
         fd: &mut FaultDomains,
         tenants: &mut Vec<FleetTenant>,
-        per_core: &mut [Vec<Admission>],
-        reports: &mut [Option<RunReport>],
-        dirty_core: &mut [bool],
+        runs: &mut CoreRuns<'_>,
         outcome: &mut FleetOutcome,
         observer: &mut O,
     ) -> V10Result<()> {
@@ -885,24 +957,10 @@ impl<'a> FleetPlane<'a> {
             self.state.fail(core)?;
             self.invalidate(core)?;
             fd.retired.push((core, now));
-            // The truncated report is this core's final word: pre-failure
-            // completions count (those responses were delivered), and the
-            // core is never re-simulated again.
-            dirty_core[core] = false;
-            reports[core] = if per_core[core].is_empty() {
-                None
-            } else {
-                let schedule = AdmissionSchedule::new(per_core[core].clone())?;
-                let fault = FaultPlan::none().with_fault(now, FaultKind::CoreRetire)?;
-                Some(serve_design_stressed(
-                    design,
-                    &schedule,
-                    config,
-                    opts,
-                    &fault,
-                    OverloadController::disarmed(),
-                )?)
-            };
+            // The retired run's report is this core's final word:
+            // pre-failure completions count (those responses were
+            // delivered), and the core never runs again.
+            runs.retire(core, now)?;
         }
         // Displaced tenants in admission order: open quota when the region
         // died, or (for an evacuee scheduled to land after the boundary)
@@ -913,7 +971,7 @@ impl<'a> FleetPlane<'a> {
                 continue;
             }
             t.released = true;
-            let completed = reports[t.core]
+            let completed = runs.reports[t.core]
                 .as_ref()
                 .and_then(|r| r.workloads().get(t.idx))
                 .map(|w| w.completed_requests());
@@ -927,7 +985,7 @@ impl<'a> FleetPlane<'a> {
         }
         for (idx, remaining) in displaced {
             self.evacuate_tenant(
-                idx, remaining, now, policy, fd, tenants, per_core, dirty_core, outcome, observer,
+                idx, remaining, now, arrivals, policy, fd, tenants, runs, outcome, observer,
             )?;
         }
         Ok(())
@@ -942,11 +1000,11 @@ impl<'a> FleetPlane<'a> {
         tenant_idx: usize,
         remaining: usize,
         fail_at: f64,
+        arrivals: &[TimedArrival],
         policy: &RecoveryPolicy,
         fd: &mut FaultDomains,
         tenants: &mut Vec<FleetTenant>,
-        per_core: &mut [Vec<Admission>],
-        dirty_core: &mut [bool],
+        runs: &mut CoreRuns<'_>,
         outcome: &mut FleetOutcome,
         observer: &mut O,
     ) -> V10Result<()> {
@@ -960,14 +1018,16 @@ impl<'a> FleetPlane<'a> {
             t.label,
             t.decision,
         );
-        let spec = per_core[from_core][t.idx].spec().clone();
+        let arrival = arrivals.get(decision).ok_or_else(|| {
+            V10Error::invalid("FleetPlane::serve", "tenant without an admission decision")
+        })?;
         let displaced = Displaced {
-            label: spec.label().to_string(),
+            label: arrival.label().to_string(),
             from_core,
             arrived_at,
             quota,
             remaining,
-            per_request: u64_to_f64(spec.trace().total_compute_cycles()),
+            per_request: u64_to_f64(arrival.trace().total_compute_cycles()),
         };
         let src_group = self.state.topology().group_of(from_core)?;
         let readmission = policy.readmit(displaced, fail_at, |at| {
@@ -988,18 +1048,19 @@ impl<'a> FleetPlane<'a> {
                 let (to_core, at) = (record.to_core, record.at_cycles);
                 self.state.admit(to_core, class)?;
                 self.invalidate(to_core)?;
-                dirty_core[to_core] = true;
                 let hops = self.state.topology().hop_cost(to_core, src_group)?;
                 let transfer = self.state.topology().faulted_transfer_cycles(
                     EVAC_IMAGE_BYTES,
                     hops,
                     src_group,
                 )?;
-                let admission = Admission::new(spec, at + transfer, remaining)?;
-                let idx = insert_admission(&mut per_core[to_core], tenants, to_core, admission);
+                let lands_at = at + transfer;
+                runs.push(to_core, admission_of(arrival, lands_at, remaining)?)?;
+                let idx = insert_index(tenants, to_core, lands_at);
                 tenants.push(FleetTenant {
                     core: to_core,
                     idx,
+                    admit_at: lands_at,
                     class,
                     label,
                     released: false,
@@ -1028,25 +1089,33 @@ impl<'a> FleetPlane<'a> {
     }
 }
 
-/// Inserts `admission` into `list` keeping it sorted by arrival time (ties
-/// after existing entries, matching the schedule's stable sort) and shifts
-/// the report indices of later tenants on `core`. Returns the insertion
-/// index. In-order arrivals always append, so the plain path never shifts.
-fn insert_admission(
-    list: &mut Vec<Admission>,
-    tenants: &mut [FleetTenant],
-    core: usize,
-    admission: Admission,
-) -> usize {
-    let at = admission.at_cycles();
-    let idx = list.partition_point(|a| a.at_cycles() <= at);
-    for t in tenants
-        .iter_mut()
-        .filter(|t| t.core == core && t.idx >= idx)
-    {
-        t.idx += 1;
+/// The engine admission for `arrival`'s session landing on a core at
+/// `at` with `requests` requests to serve.
+fn admission_of(arrival: &TimedArrival, at: f64, requests: usize) -> V10Result<Admission> {
+    let spec = WorkloadSpec::new(arrival.label(), arrival.trace().clone());
+    Admission::new(spec, at, requests)
+}
+
+/// The report index an admission at `at` takes among `core`'s admissions
+/// — ordered by admission time with ties after existing entries, as the
+/// core's run queues them — shifting the indices of later tenants on the
+/// core. In-order arrivals always append, so the plain path never shifts.
+fn insert_index(tenants: &mut [FleetTenant], core: usize, at: f64) -> usize {
+    let (mut on_core, mut idx) = (0, 0);
+    for t in tenants.iter().filter(|t| t.core == core) {
+        on_core += 1;
+        if t.admit_at <= at {
+            idx += 1;
+        }
     }
-    list.insert(idx, admission);
+    if idx < on_core {
+        for t in tenants
+            .iter_mut()
+            .filter(|t| t.core == core && t.idx >= idx)
+        {
+            t.idx += 1;
+        }
+    }
     idx
 }
 
@@ -1411,6 +1480,73 @@ mod tests {
         }
         assert_eq!(outcome.rejected(), 2, "t2 and t3 arrive in the crash epoch");
         assert!(report.conservation().holds());
+    }
+
+    /// Each core's report — a run resumed at every epoch boundary, or one
+    /// retired by a region failure — equals a from-scratch serve of the
+    /// arrivals placed on that core (with the `CoreRetire` for a failed
+    /// core). Cores that took evacuees are skipped: their landing times
+    /// are internal to the plane.
+    #[test]
+    fn per_core_runs_equal_from_scratch_serves() {
+        use v10_core::{serve_design_stressed, AdmissionSchedule};
+        let p = pipeline();
+        let cfg = NpuConfig::table5();
+        let opts = RunOptions::new(1).unwrap();
+        let region_fail = FleetFaultPlan::none()
+            .with_fault(5_000_000.0, FleetFaultKind::RegionFail { hbm_group: 0 })
+            .unwrap();
+        let policy = RecoveryPolicy::new().with_deadline_factor(400.0).unwrap();
+        let mut stream = faulted_arrivals();
+        stream.extend(arrivals().into_iter().map(|a| {
+            let at = a.at_cycles() + 9_000_000.0;
+            arrival(&format!("late-{}", a.label()), a.model(), at, 1)
+        }));
+        for plan in [FleetFaultPlan::none(), region_fail] {
+            let (report, outcome) = faulted_plane(&p, 2, 2)
+                .serve_faulted(
+                    &stream,
+                    Design::V10Full,
+                    &cfg,
+                    &opts,
+                    &plan,
+                    &policy,
+                    &mut NullObserver,
+                )
+                .unwrap();
+            let mut compared = 0;
+            for (core, got) in report.per_core().iter().enumerate() {
+                if report.requeued().iter().any(|r| r.to_core == core) {
+                    continue;
+                }
+                let admissions: Vec<Admission> = stream
+                    .iter()
+                    .zip(outcome.decisions())
+                    .filter(|(_, d)| d.placement == Placement::Core(core))
+                    .map(|(a, _)| admission_of(a, a.at_cycles(), a.requests()).unwrap())
+                    .collect();
+                if admissions.is_empty() {
+                    assert!(got.is_none(), "core {core}");
+                    continue;
+                }
+                let mut faults = FaultPlan::none();
+                if let Some(&(_, at)) = report.retired_cores().iter().find(|r| r.0 == core) {
+                    faults = faults.with_fault(at, FaultKind::CoreRetire).unwrap();
+                }
+                let want = serve_design_stressed(
+                    Design::V10Full,
+                    &AdmissionSchedule::new(admissions).unwrap(),
+                    &cfg,
+                    &opts.with_table_capacity(2).unwrap(),
+                    &faults,
+                    OverloadController::disarmed(),
+                )
+                .unwrap();
+                assert_eq!(got.as_ref(), Some(&want), "core {core}");
+                compared += 1;
+            }
+            assert!(compared >= 2, "compared {compared} cores");
+        }
     }
 
     #[test]

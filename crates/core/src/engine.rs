@@ -27,7 +27,8 @@ use v10_sim::convert::u64_to_f64;
 use v10_sim::fault::pick_victim;
 use v10_sim::{Cycles, FaultInjector, FaultKind, V10Error, V10Result};
 
-use crate::engine_core::{drive, rate_of, EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
+use crate::design::CoreRun;
+use crate::engine_core::{rate_of, EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
 use crate::lifecycle::AdmissionSchedule;
 use crate::metrics::RunReport;
 use crate::observer::{SimEvent, SimObserver};
@@ -245,45 +246,36 @@ impl V10Engine {
         opts: &RunOptions,
         observer: &mut O,
     ) -> V10Result<RunReport> {
-        self.serve_with_capacity(
+        CoreRun::v10(
             "V10Engine::serve",
-            schedule,
+            &self.config,
+            self.policy,
+            self.preemption,
             opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS),
             FaultInjector::disarmed(),
             OverloadController::disarmed(),
             observer,
-        )
-    }
-
-    /// The combined path behind every V10 entry point: `faults` inject as
-    /// the run plays out while `controller` senses pressure, walks the
-    /// graceful-degradation ladder, and watches for starvation. A disarmed
-    /// injector and controller leave the run untouched.
-    pub(crate) fn serve_with_capacity<O: SimObserver>(
-        &self,
-        context: &'static str,
-        schedule: &AdmissionSchedule,
-        capacity: usize,
-        faults: FaultInjector,
-        controller: OverloadController,
-        observer: &mut O,
-    ) -> V10Result<RunReport> {
-        let cfg = &self.config;
-        let pool = FuPool::new(cfg.fu_count() as usize)?;
-        let slots = pool.iter().map(|id| Slot::new(id, pool.kind(id))).collect();
-        let mut core = EngineCore::new(context, schedule, cfg, capacity, slots, faults, observer)?;
-        if controller.is_armed() {
-            core.enable_overload_queueing();
-        }
-        let mut strategy = V10Strategy::new(cfg, self.policy, self.preemption, controller);
-        let mut report = drive(core, &mut strategy)?;
-        report.set_overload_stats(strategy.controller.stats());
-        Ok(report)
+        )?
+        .serve(schedule)
     }
 }
 
+/// The V10 core's occupancy slots: one per FU in `config`'s pool.
+///
+/// # Errors
+///
+/// Returns [`V10Error::InvalidArgument`] if the pool is empty.
+pub(crate) fn v10_slots(config: &NpuConfig) -> V10Result<Vec<Slot>> {
+    let pool = FuPool::new(config.fu_count() as usize)?;
+    Ok(pool.iter().map(|id| Slot::new(id, pool.kind(id))).collect())
+}
+
 /// The V10 operator-granularity scheduling strategy (§3.2–§3.3).
-struct V10Strategy {
+#[derive(Debug)]
+pub(crate) struct V10Strategy {
+    /// Set when a step stopped at the core's fence after its instant work
+    /// (phases 0–1): the resumed step recomputes only its horizon.
+    suspended: bool,
     scheduler: Scheduler,
     preemption: bool,
     slice: f64,
@@ -292,7 +284,7 @@ struct V10Strategy {
     tick_next: f64,
     sa_switch_cycles: u64,
     vu_switch_cycles: u64,
-    controller: OverloadController,
+    pub(crate) controller: OverloadController,
     /// Reusable per-step buffers for the HBM arbitration query, so the
     /// steady-state step loop performs no heap allocation.
     flows_scratch: Vec<(usize, f64)>,
@@ -308,7 +300,7 @@ struct V10Strategy {
 }
 
 impl V10Strategy {
-    fn new(
+    pub(crate) fn new(
         config: &NpuConfig,
         policy: Policy,
         preemption: bool,
@@ -316,6 +308,7 @@ impl V10Strategy {
     ) -> Self {
         let slice = config.time_slice_cycles() as f64;
         V10Strategy {
+            suspended: false,
             scheduler: Scheduler::new(policy),
             preemption,
             slice,
@@ -341,10 +334,7 @@ impl V10Strategy {
     /// evicts every occupant back to the ready queue and blocks all FUs for
     /// the stall duration. A disarmed injector makes this a single empty
     /// queue probe.
-    fn apply_due_faults<O: SimObserver>(
-        &mut self,
-        core: &mut EngineCore<'_, O>,
-    ) -> V10Result<bool> {
+    fn apply_due_faults<O: SimObserver>(&mut self, core: &mut EngineCore<O>) -> V10Result<bool> {
         while let Some(fault) = core.next_due_fault() {
             match fault.kind() {
                 FaultKind::TransientOp { victim_salt } => {
@@ -438,7 +428,7 @@ impl V10Strategy {
     /// hysteresis state machine, applies every active degradation rung, and
     /// runs the starvation watchdog. Only called when the armed controller's
     /// cadence is due — the disarmed path never reaches it.
-    fn overload_tick<O: SimObserver>(&mut self, core: &mut EngineCore<'_, O>) -> V10Result<()> {
+    fn overload_tick<O: SimObserver>(&mut self, core: &mut EngineCore<O>) -> V10Result<()> {
         let at = core.now;
 
         // ---- Sense: admission-queue depth plus worst in-flight slowdown.
@@ -618,10 +608,11 @@ impl V10Strategy {
         self.controller.advance_sense(at);
         Ok(())
     }
-}
 
-impl ExecutorStrategy for V10Strategy {
-    fn step<O: SimObserver>(&mut self, core: &mut EngineCore<'_, O>) -> V10Result<StepOutcome> {
+    /// A step's work at the current instant, before its horizon: seats
+    /// due arrivals, promotes due fetches, and issues ready operators. It
+    /// runs once per instant: a step cut at the fence resumes after it.
+    fn instant_work<O: SimObserver>(&mut self, core: &mut EngineCore<O>) -> V10Result<()> {
         // -------- Phase 0: seat arrivals that are due — parked arrivals
         // first (they are older), then the pending schedule.
         core.admit_parked()?;
@@ -679,11 +670,36 @@ impl ExecutorStrategy for V10Strategy {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Stops the current step at the fence, after its instant work: it
+    /// resumes by recomputing its horizon.
+    fn suspend(&mut self) -> StepOutcome {
+        self.suspended = true;
+        StepOutcome::Suspended
+    }
+}
+
+impl ExecutorStrategy for V10Strategy {
+    fn step<O: SimObserver>(&mut self, core: &mut EngineCore<O>) -> V10Result<StepOutcome> {
+        if self.suspended {
+            // A step cut at the fence resumes here: its instant work
+            // (phases 0–1) already ran at this instant.
+            self.suspended = false;
+        } else {
+            self.instant_work(core)?;
+        }
 
         // -------- Termination check (after issuing, so the final event is
-        // fully accounted).
+        // fully accounted). A fenced run parks instead: a later push may
+        // still bring work to this instant.
         if core.all_done() {
-            return Ok(StepOutcome::Finished);
+            return Ok(if core.crosses_fence(f64::INFINITY) {
+                self.suspend()
+            } else {
+                StepOutcome::Finished
+            });
         }
 
         // -------- Phase 2: progress rates under HBM arbitration.
@@ -751,6 +767,11 @@ impl ExecutorStrategy for V10Strategy {
         }
         if let Some(at) = self.controller.next_at() {
             dt = dt.min(at - core.now);
+        }
+        // A step that would end within EPS of the fence stops here, before
+        // anything commits; resuming recomputes phases 2–3 only.
+        if core.crosses_fence(dt) {
+            return Ok(self.suspend());
         }
         let dt = core.resolve_dt(dt)?;
 

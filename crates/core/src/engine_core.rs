@@ -9,15 +9,41 @@
 //! pending admission queue, FU occupancy slots, the HBM arbiter, the
 //! instruction DMA model, busy/idle/overhead accounting, and the observer
 //! hookup — while an [`ExecutorStrategy`] supplies only the scheduling
-//! *decisions*. [`drive`] runs a strategy over a core to completion.
+//! *decisions*. [`drive`] steps a strategy over a core up to the core's
+//! fence.
 //!
-//! Tenancy is dynamic: the core consumes an
-//! [`AdmissionSchedule`](crate::lifecycle::AdmissionSchedule), admitting
-//! each arrival into a free context-table slot when its time comes (or
-//! rejecting it when the table is full) and retiring non-resident tenants
-//! once they meet their request quota. The closed-loop entry points feed an
+//! Tenancy is dynamic: the core is handed admissions
+//! ([`EngineCore::push_admission`]), admitting each arrival into a free
+//! context-table slot when its time comes (or rejecting it when the table
+//! is full) and retiring non-resident tenants once they meet their request
+//! quota. The closed-loop entry points hand over an
 //! admit-everything-at-cycle-0 schedule of resident tenants through this
 //! same path, which the golden-run regression test pins bit for bit.
+//!
+//! # Fences
+//!
+//! A run may be stopped at a *fence* and resumed once more admissions and
+//! faults, all dated at or after the fence, have been handed over; the
+//! resumed run is bit-identical to one that knew them from the start.
+//! Three rules make it so:
+//!
+//! * a step commits its clock advance only if the advance ends more than
+//!   `EPS` before the fence ([`EngineCore::crosses_fence`]), because an
+//!   arrival handed over later would have cut the step short, and a fault
+//!   within `EPS` of the new instant would have fired in it;
+//! * a step whose advance would cross the fence stops after computing its
+//!   horizon and resumes by recomputing only the horizon: the instant work
+//!   before it (admission, fetch promotion, issue, RNG draws) never
+//!   re-runs;
+//! * no step starts its instant work at an instant within `EPS` of the
+//!   fence ([`EngineCore::at_fence`]), where an admission handed over at
+//!   the fence would already be due.
+//!
+//! A finishing run has an infinite fence, where all three rules are
+//! inert. On a fenced run an infinite horizon (nothing left to do) means
+//! "wait for a push", not a deadlock. PMT's switch, restore and stall
+//! advances are not cut short by arrivals in an unsplit run either, so they
+//! may carry a run past its fence (see [`crate::pmt`]).
 
 use std::collections::VecDeque;
 
@@ -30,7 +56,7 @@ use v10_sim::{
 };
 
 use crate::context::{ContextTable, WorkloadId};
-use crate::lifecycle::{Admission, AdmissionSchedule};
+use crate::lifecycle::Admission;
 use crate::metrics::{OverlapBreakdown, RunReport, WorkloadReport};
 use crate::observer::{SimEvent, SimObserver};
 
@@ -154,8 +180,10 @@ pub(crate) fn rate_of(rates: &[(usize, f64)], w: usize) -> f64 {
 pub(crate) enum StepOutcome {
     /// Run another scheduling step.
     Continue,
-    /// Every admission was served and every tenant met its request quota;
-    /// emit the report.
+    /// The step reached the core's fence: resume it once the fence moves.
+    Suspended,
+    /// Every admission was served and every tenant met its request quota
+    /// (or the core retired); emit the report.
     Finished,
 }
 
@@ -173,26 +201,29 @@ pub(crate) trait ExecutorStrategy {
     ///
     /// Returns [`V10Error::Deadlock`] / [`V10Error::Livelock`] when the
     /// simulation cannot make progress.
-    fn step<O: SimObserver>(&mut self, core: &mut EngineCore<'_, O>) -> V10Result<StepOutcome>;
+    fn step<O: SimObserver>(&mut self, core: &mut EngineCore<O>) -> V10Result<StepOutcome>;
 }
 
-/// Runs `strategy` over `core` until it reports completion.
+/// Steps `strategy` over `core` until the run finishes
+/// ([`StepOutcome::Finished`]) or reaches the core's fence
+/// ([`StepOutcome::Suspended`]), then delivers the buffered events.
 pub(crate) fn drive<S: ExecutorStrategy, O: SimObserver>(
-    mut core: EngineCore<'_, O>,
+    core: &mut EngineCore<O>,
     strategy: &mut S,
-) -> V10Result<RunReport> {
-    loop {
-        match strategy.step(&mut core) {
-            Ok(StepOutcome::Finished) => return Ok(core.into_report()),
-            Ok(StepOutcome::Continue) => {}
-            Err(err) => {
-                // Deliver whatever was emitted before the failure so event
-                // streams (JSON lines, auditors) still cover the full run.
-                core.flush_events();
-                return Err(err);
-            }
+) -> V10Result<StepOutcome> {
+    let outcome = loop {
+        if core.at_fence() {
+            break Ok(StepOutcome::Suspended);
         }
-    }
+        match strategy.step(core) {
+            Ok(StepOutcome::Continue) => {}
+            // An error also delivers whatever was emitted before it, so
+            // event streams (JSON lines, auditors) still cover the run.
+            other => break other,
+        }
+    };
+    core.flush_events();
+    outcome
 }
 
 /// The shared simulation state and mechanisms of one executor run.
@@ -203,7 +234,7 @@ pub(crate) fn drive<S: ExecutorStrategy, O: SimObserver>(
 /// their accounting — and the float-operation order the golden run pins —
 /// lives in exactly one place.
 #[derive(Debug)]
-pub(crate) struct EngineCore<'a, O: SimObserver> {
+pub(crate) struct EngineCore<O: SimObserver> {
     pub(crate) table: ContextTable,
     pub(crate) hbm: HbmArbiter,
     pub(crate) dma: InstructionDma,
@@ -223,6 +254,11 @@ pub(crate) struct EngineCore<'a, O: SimObserver> {
     pub(crate) faults: FaultInjector,
     /// Arrivals not yet due, in arrival order.
     pending: VecDeque<Admission>,
+    /// No step commits an advance that ends within `EPS` of this instant
+    /// (see the module docs); infinite on a finishing run.
+    ///
+    /// unit: absolute cycles.
+    fence: f64,
     /// Due arrivals waiting out a full context table (armed overload path
     /// only), oldest first, each with its original arrival sequence number.
     parked: VecDeque<(usize, Admission)>,
@@ -261,13 +297,15 @@ pub(crate) struct EngineCore<'a, O: SimObserver> {
     zero_dt_streak: u32,
     hbm_peak: f64,
     fu_count: u32,
-    observer: &'a mut O,
+    observer: O,
 }
 
-impl<'a, O: SimObserver> EngineCore<'a, O> {
-    /// Builds a core at cycle 0 with an empty table of `capacity` slots and
-    /// the whole `schedule` pending. The strategy's first
-    /// [`admit_due`](Self::admit_due) call seats the cycle-0 arrivals.
+impl<O: SimObserver> EngineCore<O> {
+    /// Builds a core at cycle 0 with an empty table of `capacity` slots,
+    /// nothing pending, and its fence at cycle 0. Admissions are handed
+    /// over with [`push_admission`](Self::push_admission); the strategy's
+    /// first [`admit_due`](Self::admit_due) call seats the cycle-0
+    /// arrivals.
     ///
     /// `context` names the public entry point for error messages.
     ///
@@ -276,12 +314,11 @@ impl<'a, O: SimObserver> EngineCore<'a, O> {
     /// Returns [`V10Error::InvalidArgument`] if `capacity` is zero.
     pub(crate) fn new(
         context: &'static str,
-        schedule: &AdmissionSchedule,
         config: &NpuConfig,
         capacity: usize,
         slots: Vec<Slot>,
         faults: FaultInjector,
-        observer: &'a mut O,
+        observer: O,
     ) -> V10Result<Self> {
         if capacity == 0 {
             return Err(V10Error::invalid(
@@ -304,7 +341,8 @@ impl<'a, O: SimObserver> EngineCore<'a, O> {
             switch_overhead_total: 0.0,
             tenancy_epoch: 0,
             faults,
-            pending: schedule.entries().iter().cloned().collect(),
+            pending: VecDeque::new(),
+            fence: 0.0,
             parked: VecDeque::new(),
             queue_on_full: false,
             slot_owner: vec![None; capacity],
@@ -327,6 +365,110 @@ impl<'a, O: SimObserver> EngineCore<'a, O> {
             fu_count: config.fu_count(),
             observer,
         })
+    }
+
+    /// Reserves room for `additional` more pending admissions, so handing
+    /// over a whole schedule allocates the queue once.
+    pub(crate) fn reserve_pending(&mut self, additional: usize) {
+        self.pending.reserve_exact(additional);
+    }
+
+    /// Hands over one admission, queued behind every pending admission due
+    /// at or before it (the schedule's stable time order).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`V10Error::InvalidArgument`] if the admission is dated
+    /// before the fence (the run may already have passed its instant) or
+    /// the core has retired (the run is over).
+    pub(crate) fn push_admission(&mut self, admission: Admission) -> V10Result<()> {
+        let at = admission.at_cycles();
+        if at < self.fence {
+            return Err(V10Error::invalid(
+                "CoreRun::push",
+                format!(
+                    "admission at {at} is earlier than the fence at {}",
+                    self.fence
+                ),
+            ));
+        }
+        if self.core_retired_at.is_some() {
+            return Err(V10Error::invalid(
+                "CoreRun::push",
+                "the core has retired: its run is over",
+            ));
+        }
+        let pos = self.pending.partition_point(|a| a.at_cycles() <= at);
+        self.pending.insert(pos, admission);
+        Ok(())
+    }
+
+    /// Hands over one scripted fault.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`V10Error::InvalidArgument`] if the fault is dated before
+    /// the fence.
+    pub(crate) fn push_fault(&mut self, fault: FaultEvent) -> V10Result<()> {
+        let at = fault.at_cycles();
+        if at < self.fence {
+            return Err(V10Error::invalid(
+                "CoreRun::push_fault",
+                format!("fault at {at} is earlier than the fence at {}", self.fence),
+            ));
+        }
+        self.faults.push(fault);
+        Ok(())
+    }
+
+    /// Moves the fence to `fence` (infinite to run to completion) and
+    /// grows the tenancy table once, to hold every admission handed over
+    /// that may still be seated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`V10Error::InvalidArgument`] if `fence` is earlier than
+    /// the current fence.
+    /// unit: `fence` is absolute cycles.
+    pub(crate) fn set_fence(&mut self, fence: f64) -> V10Result<()> {
+        if fence < self.fence {
+            return Err(V10Error::invalid(
+                "CoreRun::run_until",
+                format!(
+                    "fence at {fence} is earlier than the previous fence at {}",
+                    self.fence
+                ),
+            ));
+        }
+        self.fence = fence;
+        self.wls
+            .reserve_exact(self.pending.len() + self.parked.len());
+        Ok(())
+    }
+
+    /// Is the clock within `EPS` of the fence? Then no step may start its
+    /// instant work here: an admission handed over at the fence would
+    /// already be due.
+    #[inline(always)]
+    pub(crate) fn at_fence(&self) -> bool {
+        self.now + EPS >= self.fence
+    }
+
+    /// Would advancing the clock by `dt` end within `EPS` of a finite
+    /// fence? Such a step stops before committing, because an arrival
+    /// handed over later would have cut it short and a fault handed over
+    /// later could be due at its end. An infinite `dt` (nothing left to
+    /// wait for) crosses every finite fence: the run waits for a push.
+    /// unit: `dt` is a cycle delta.
+    #[inline(always)]
+    pub(crate) fn crosses_fence(&self, dt: f64) -> bool {
+        self.now + dt.max(0.0) + EPS >= self.fence && self.fence < f64::INFINITY
+    }
+
+    /// When workload `w` retired, if it has been seated and has retired.
+    /// unit: absolute cycles.
+    pub(crate) fn retired_at(&self, w: usize) -> Option<f64> {
+        self.wls.get(w).and_then(|wl| wl.retired_at)
     }
 
     /// Queues one event for the observer. Events are delivered in emission

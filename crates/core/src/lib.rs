@@ -19,11 +19,15 @@
 //!   ([`run_pmt_observed`], task-level time sharing with 20–40 µs context
 //!   switches) and single-tenant execution ([`run_single_tenant`]).
 //! * [`design`] — the four evaluated designs ([`Design`]): `PMT`,
-//!   `V10-Base`, `V10-Fair`, `V10-Full` (§5.1). One serving path,
-//!   [`serve_design_stressed_observed`], picks the executor and runs it
-//!   under a deterministic [`FaultPlan`] and an [`OverloadController`];
-//!   [`run_design`] (closed loop), [`serve_design`] (open loop, disarmed),
-//!   and [`serve_design_stressed`] (unobserved) are one-line calls into it.
+//!   `V10-Base`, `V10-Fair`, `V10-Full` (§5.1), and [`CoreRun`], one
+//!   core's run as a resumable value: it picks the executor, takes
+//!   admissions and faults as they become known, and stops at fences
+//!   without changing a bit of the result. One serving path,
+//!   [`serve_design_stressed_observed`], is a `CoreRun` handed a whole
+//!   schedule under a deterministic [`FaultPlan`] and an
+//!   [`OverloadController`], then finished; [`run_design`] (closed loop),
+//!   [`serve_design`] (open loop, disarmed), and [`serve_design_stressed`]
+//!   (unobserved) are one-line calls into it.
 //! * [`lifecycle`] — dynamic tenancy ([`Admission`],
 //!   [`AdmissionSchedule`]): open-loop tenant arrival/departure serving,
 //!   with the classic fixed-set runs as an admit-all-at-cycle-0 wrapper.
@@ -117,7 +121,8 @@ pub mod policy;
 pub use audit::{FleetConservation, RuntimeAuditor};
 pub use context::{ContextTable, WorkloadId};
 pub use design::{
-    run_design, serve_design, serve_design_stressed, serve_design_stressed_observed, Design,
+    run_design, serve_design, serve_design_stressed, serve_design_stressed_observed, CoreRun,
+    Design,
 };
 pub use engine::{RunOptions, V10Engine, WorkloadSpec};
 pub use harness::{PropertyHarness, ShrinkReport, ShrinkStep};

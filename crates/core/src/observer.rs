@@ -326,6 +326,17 @@ pub trait SimObserver {
     fn on_event(&mut self, event: SimEvent);
 }
 
+/// A borrowed observer observes for its owner, so a run that owns its
+/// observer can also be handed a `&mut` to one the caller keeps.
+impl<O: SimObserver> SimObserver for &mut O {
+    const ENABLED: bool = O::ENABLED;
+
+    #[inline(always)]
+    fn on_event(&mut self, event: SimEvent) {
+        (**self).on_event(event);
+    }
+}
+
 /// The disabled observer: every event vanishes at compile time.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullObserver;

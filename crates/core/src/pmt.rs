@@ -17,16 +17,24 @@
 //! The event-loop mechanics live in the shared `EngineCore` step loop;
 //! this module contributes only PMT's task-level ownership rotation,
 //! modeled as a single whole-core occupancy slot.
+//!
+//! A PMT step cut at a fence re-enters from its top: everything it does
+//! before its horizon (admission, the rotation resync, fault replay and
+//! ownership-expiry switches with their RNG draws) is guarded by a
+//! due-check the first pass already cleared, or ends the step, so the
+//! resumed step recomputes only the horizon. Switch, restore and stall
+//! advances are never cut short, as no arrival cuts them short in a run
+//! that knew it from the start; they may carry the clock past the fence.
+//! A restore or stall that does so stops the step's fault loop there, and
+//! the loop resumes first once the fence moves: a fault handed over later
+//! may be due at the instant the advance reached.
 
 use v10_npu::{FuPool, NpuConfig};
-use v10_sim::{
-    FaultInjector, FaultKind, FaultPlan, Frequency, Micros, SimRng, V10Error, V10Result,
-};
+use v10_sim::{FaultKind, FaultPlan, Frequency, Micros, SimRng, V10Error, V10Result};
 
 use crate::design::{serve_design_stressed_observed, Design};
 use crate::engine::{closed_loop, RunOptions, WorkloadSpec};
-use crate::engine_core::{drive, EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
-use crate::lifecycle::AdmissionSchedule;
+use crate::engine_core::{EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
 use crate::metrics::RunReport;
 use crate::observer::{NullObserver, SimEvent, SimObserver};
 use crate::overload::OverloadController;
@@ -67,31 +75,19 @@ pub fn run_pmt_observed<O: SimObserver>(
     )
 }
 
-/// PMT's executor under `faults`. A transient operator fault rewinds the
-/// owner's in-flight operator to its checkpoint and charges a full 20–40 µs
-/// PMT context restore (the whole-core context lives in HBM, §5.1); a core
-/// stall freezes the core for its duration; a permanent fault retires the
-/// core.
-pub(crate) fn serve_pmt_with_capacity<O: SimObserver>(
-    context: &'static str,
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    capacity: usize,
-    faults: FaultInjector,
-    observer: &mut O,
-) -> V10Result<RunReport> {
-    // One slot: PMT owns the whole core; the slot's kind tracks the owner's
-    // current operator.
+/// PMT's single occupancy slot: PMT owns the whole core, and the slot's
+/// kind tracks the owner's current operator.
+///
+/// # Errors
+///
+/// Returns [`V10Error::InvalidArgument`] if the one-pair FU pool is empty.
+pub(crate) fn pmt_slots(context: &'static str) -> V10Result<Vec<Slot>> {
     let pool = FuPool::new(1)?;
     let fu = pool
         .iter()
         .next()
         .ok_or_else(|| V10Error::invalid(context, "FU pool of one pair is empty"))?;
-    let slots = vec![Slot::new(fu, v10_isa::FuKind::Sa)];
-    let core = EngineCore::new(context, schedule, config, capacity, slots, faults, observer)?;
-    let mut strategy = PmtStrategy::new(config, opts);
-    drive(core, &mut strategy)
+    Ok(vec![Slot::new(fu, v10_isa::FuKind::Sa)])
 }
 
 /// Runs `spec` alone on a dedicated core — the normalization baseline for
@@ -120,7 +116,13 @@ pub fn run_single_tenant(
 /// derived from the live tenant set and recomputed whenever the core's
 /// tenancy epoch moves — an arrival joins the rotation, a departure leaves
 /// it without a context-switch charge (departing is not a preemption).
-struct PmtStrategy {
+///
+/// A transient operator fault rewinds the owner's in-flight operator to its
+/// checkpoint and charges a full 20–40 µs PMT context restore (the
+/// whole-core context lives in HBM, §5.1); a core stall freezes the core
+/// for its duration; a permanent fault retires the core.
+#[derive(Debug)]
+pub(crate) struct PmtStrategy {
     rng: SimRng,
     clock: Frequency,
     /// Ownership slice per admitted tenant (by `wls` index), proportional
@@ -135,10 +137,13 @@ struct PmtStrategy {
     /// Reusable buffer for the per-step HBM arbitration query, so the
     /// steady-state step loop performs no heap allocation.
     rates_scratch: Vec<(usize, f64)>,
+    /// Set when a restore or stall advance carried the run to its fence
+    /// in the middle of the fault loop: the loop resumes first.
+    resume_faults: bool,
 }
 
 impl PmtStrategy {
-    fn new(config: &NpuConfig, opts: &RunOptions) -> Self {
+    pub(crate) fn new(config: &NpuConfig, opts: &RunOptions) -> Self {
         PmtStrategy {
             rng: SimRng::seed_from(opts.seed() ^ 0x0093_4711),
             clock: config.frequency(),
@@ -149,6 +154,7 @@ impl PmtStrategy {
             // Forces a resync on the first step, before any scheduling.
             epoch: u64::MAX,
             rates_scratch: Vec::new(),
+            resume_faults: false,
         }
     }
 
@@ -157,7 +163,7 @@ impl PmtStrategy {
     /// same order the historical filter scan produced, so the priority sum
     /// keeps its float-operation order), and the slice table is reused
     /// across resyncs instead of reallocated.
-    fn resync<O: SimObserver>(&mut self, core: &EngineCore<'_, O>) {
+    fn resync<O: SimObserver>(&mut self, core: &EngineCore<O>) {
         self.epoch = core.tenancy_epoch;
         let live = core.live();
         self.slices.clear();
@@ -198,9 +204,11 @@ impl PmtStrategy {
 
     /// Applies every fault due at the current instant, advancing simulated
     /// time for replay/stall costs. Returns `Some(Finished)` when a
-    /// permanent fault retired the core, `Some(Continue)` when any fault
-    /// was applied (the step restarts so admissions catch up with the
-    /// advanced clock), and `None` when nothing was due.
+    /// permanent fault retired the core, `Some(Suspended)` when a replay or
+    /// stall advance reached the fence (the loop resumes there),
+    /// `Some(Continue)` when any fault was applied (the step restarts so
+    /// admissions catch up with the advanced clock), and `None` when
+    /// nothing was due.
     ///
     /// PMT checkpoints whole-task context in off-chip HBM, so a corrupted
     /// operator pays a full 20–40 µs context restore (§5.1) before
@@ -210,7 +218,7 @@ impl PmtStrategy {
     /// untouched.
     fn apply_due_faults<O: SimObserver>(
         &mut self,
-        core: &mut EngineCore<'_, O>,
+        core: &mut EngineCore<O>,
     ) -> V10Result<Option<StepOutcome>> {
         let mut applied = false;
         while let Some(fault) = core.next_due_fault() {
@@ -255,6 +263,10 @@ impl PmtStrategy {
                     return Ok(Some(StepOutcome::Finished));
                 }
             }
+            if core.at_fence() {
+                self.resume_faults = true;
+                return Ok(Some(StepOutcome::Suspended));
+            }
         }
         Ok(applied.then_some(StepOutcome::Continue))
     }
@@ -265,7 +277,7 @@ impl PmtStrategy {
 /// a binary search over the core's sorted live list, replacing the
 /// historical wrap scan over every tenancy ever admitted. Only called when
 /// at least one tenant is alive.
-fn next_alive<O: SimObserver>(core: &EngineCore<'_, O>, start: usize) -> usize {
+fn next_alive<O: SimObserver>(core: &EngineCore<O>, start: usize) -> usize {
     let live = core.live();
     let pos = live.partition_point(|&w| w <= start);
     live.get(pos)
@@ -275,7 +287,15 @@ fn next_alive<O: SimObserver>(core: &EngineCore<'_, O>, start: usize) -> usize {
 }
 
 impl ExecutorStrategy for PmtStrategy {
-    fn step<O: SimObserver>(&mut self, core: &mut EngineCore<'_, O>) -> V10Result<StepOutcome> {
+    fn step<O: SimObserver>(&mut self, core: &mut EngineCore<O>) -> V10Result<StepOutcome> {
+        if self.resume_faults {
+            // A fault loop the fence cut short: it had applied a fault, so
+            // the step ends once the loop does.
+            self.resume_faults = false;
+            return Ok(self
+                .apply_due_faults(core)?
+                .unwrap_or(StepOutcome::Continue));
+        }
         core.admit_due()?;
         if self.epoch != core.tenancy_epoch {
             self.resync(core);
@@ -283,7 +303,12 @@ impl ExecutorStrategy for PmtStrategy {
         #[cfg(debug_assertions)]
         core.debug_validate_spine();
         if core.all_done() {
-            return Ok(StepOutcome::Finished);
+            // A fenced run parks instead: a later push may bring work.
+            return Ok(if core.crosses_fence(f64::INFINITY) {
+                StepOutcome::Suspended
+            } else {
+                StepOutcome::Finished
+            });
         }
 
         // Faults due at this instant fire before any scheduling decision.
@@ -295,6 +320,9 @@ impl ExecutorStrategy for PmtStrategy {
         // scheduled fault.
         if core.table.is_empty() {
             let Some(at) = core.next_arrival_at() else {
+                if core.crosses_fence(f64::INFINITY) {
+                    return Ok(StepOutcome::Suspended);
+                }
                 return Err(V10Error::Deadlock {
                     cycle: core.now,
                     message: "no live tenants and no pending arrivals".into(),
@@ -303,6 +331,9 @@ impl ExecutorStrategy for PmtStrategy {
             let mut dt = at - core.now;
             if let Some(fault_at) = core.next_fault_at() {
                 dt = dt.min(fault_at - core.now);
+            }
+            if core.crosses_fence(dt) {
+                return Ok(StepOutcome::Suspended);
             }
             let dt = core.resolve_dt(dt)?;
             core.advance(dt, &[]);
@@ -359,6 +390,9 @@ impl ExecutorStrategy for PmtStrategy {
         if fetch_ready_at > core.now + EPS {
             // Idle while waiting for the instruction DMA.
             dt = dt.min(fetch_ready_at - core.now);
+            if core.crosses_fence(dt) {
+                return Ok(StepOutcome::Suspended);
+            }
             let dt = core.resolve_dt(dt)?;
             core.advance(dt, &[]);
             return Ok(StepOutcome::Continue);
@@ -375,6 +409,9 @@ impl ExecutorStrategy for PmtStrategy {
         let rate = self.rates_scratch.first().map_or(0.0, |&(_, r)| r);
         assert!(rate > EPS, "operator starved of bandwidth");
         dt = dt.min(op_remaining / rate);
+        if core.crosses_fence(dt) {
+            return Ok(StepOutcome::Suspended);
+        }
         let dt = core.resolve_dt(dt)?;
 
         {
@@ -686,7 +723,7 @@ mod seeded_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::lifecycle::Admission;
+    use crate::lifecycle::{Admission, AdmissionSchedule};
     use crate::observer::CounterObserver;
     use v10_isa::{FuKind, OpDesc, RequestTrace};
     use v10_sim::{FaultKind, FaultPlan};

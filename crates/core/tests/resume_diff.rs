@@ -1,0 +1,375 @@
+//! Differential property test for resumable core runs.
+//!
+//! A [`CoreRun`] can stop at a fence and resume once more admissions and
+//! scripted faults, all dated at or after that fence, have been handed
+//! over. The promise is that the split run is bit-identical to one that
+//! was handed everything up front and finished. This test checks it the
+//! way `calendar_diff.rs` checks the event spine: seeded random admission
+//! schedules and fault plans (transient, stall and `CoreRetire`) run
+//! through all four designs, with an armed overload controller on the V10
+//! designs, once unsplit and once split at 1–4 fences. Every admission
+//! and scripted fault dated at or after a fence is pushed only after the
+//! run has reached that fence.
+//!
+//! The fences are aimed at the awkward instants, read off the unsplit
+//! run's own event stream: exactly on an arrival, a preemption-timer tick
+//! or an event; within `EPS` (10⁻⁶ cycles) of an arrival or an event; and
+//! inside a PMT context switch, which carries the run past the fence. Some
+//! cases push a `CoreRetire` exactly on the last fence, after the run has
+//! reached it.
+//!
+//! Oracle: `run_digest` and the full recorded event stream equal the
+//! unsplit run's. In debug builds (how `cargo test` runs) every step also
+//! cross-checks the event spine (`debug_validate_spine`).
+
+use v10_core::{
+    run_digest, serve_design_stressed_observed, Admission, AdmissionSchedule, CoreRun, Design,
+    FaultEvent, FaultKind, FaultPlan, OverloadController, OverloadPolicy, RunOptions, SimEvent,
+    SimObserver, WorkloadSpec,
+};
+use v10_npu::NpuConfig;
+use v10_sim::{Cycles, SimRng};
+use v10_workloads::Model;
+
+/// Records the complete event stream.
+#[derive(Default)]
+struct Recorder {
+    events: Vec<SimEvent>,
+}
+
+impl SimObserver for Recorder {
+    fn on_event(&mut self, event: SimEvent) {
+        self.events.push(event);
+    }
+}
+
+const MODELS: [Model; 4] = [Model::Mnist, Model::Dlrm, Model::Ncf, Model::EfficientNet];
+
+/// Arrivals land in `[0, HORIZON)`; scripted faults in `[1e6, HORIZON)`.
+const HORIZON: f64 = 1.5e7;
+
+/// Half the engines' simultaneity slack: a fence this close to an event
+/// is "within EPS" of it.
+const HALF_EPS: f64 = 5e-7;
+
+/// One random case: the admissions, the faults known up front (a Poisson
+/// transient stream, compiled at construction), the scripted faults, and
+/// the fences to split at.
+#[derive(Clone)]
+struct Case {
+    admissions: Vec<Admission>,
+    poisson_seed: Option<u64>,
+    scripted: Vec<FaultEvent>,
+    fences: Vec<f64>,
+    opts: RunOptions,
+}
+
+fn random_admissions(rng: &mut SimRng) -> Vec<Admission> {
+    let tenants = 2 + rng.index(11);
+    (0..tenants)
+        .map(|i| {
+            let model = MODELS[rng.index(MODELS.len())];
+            let trace = model
+                .default_profile()
+                .synthesize(rng.uniform_u64(1, 1 << 20));
+            let spec = WorkloadSpec::new(format!("t{i}"), trace)
+                .with_priority(rng.uniform(0.5, 4.0))
+                .expect("positive priority");
+            let at = if rng.index(6) == 0 {
+                0.0
+            } else {
+                rng.uniform(0.0, HORIZON)
+            };
+            Admission::new(spec, at, 1 + rng.index(3)).expect("valid random admission")
+        })
+        .collect()
+}
+
+/// A random case with no fences yet.
+fn random_case(rng: &mut SimRng) -> Case {
+    let admissions = random_admissions(rng);
+    let mut scripted = Vec::new();
+    for _ in 0..rng.index(3) {
+        let at = rng.uniform(1.0e6, HORIZON);
+        let kind = if rng.index(2) == 0 {
+            FaultKind::TransientOp {
+                victim_salt: rng.uniform_u64(0, u64::MAX - 1),
+            }
+        } else {
+            FaultKind::CoreStall {
+                stall_cycles: rng.uniform(1.0e4, 2.0e5),
+            }
+        };
+        scripted.push(FaultEvent::new(at, kind).expect("valid scripted fault"));
+    }
+    let poisson_seed = (rng.index(3) > 0).then(|| rng.uniform_u64(0, u64::MAX - 1));
+    let opts = RunOptions::new(2)
+        .expect("non-zero request count")
+        .with_seed(rng.uniform_u64(1, 1 << 30))
+        .with_table_capacity(2 + rng.index(3))
+        .expect("non-zero capacity");
+    Case {
+        admissions,
+        poisson_seed,
+        scripted,
+        fences: Vec::new(),
+        opts,
+    }
+}
+
+/// Adds 1–4 fences to `case`, aimed at the instants of `events` (the
+/// unfenced run's event stream) as well as at random ones: exactly on an
+/// arrival, a timer tick or an event; within `EPS` of an arrival or an
+/// event, either side; and inside a context-switch window, with a fresh
+/// arrival later in the window (a PMT switch carries the run past such a
+/// fence). Sometimes also retires the core exactly on the last fence,
+/// pushed after the run has reached it; nothing can be pushed after a
+/// retirement, so it is always the last fence.
+fn add_fences(rng: &mut SimRng, case: &mut Case, events: &[SimEvent]) {
+    let slice = NpuConfig::table5().time_slice_cycles() as f64;
+    let arrival = |rng: &mut SimRng, case: &Case| {
+        case.admissions[rng.index(case.admissions.len())].at_cycles()
+    };
+    for _ in 0..1 + rng.index(4) {
+        let event = (!events.is_empty()).then(|| events[rng.index(events.len())]);
+        let fence = match (rng.index(7), event) {
+            (1, _) => arrival(rng, case),
+            (2, _) => slice * rng.uniform_u64(1, 400) as f64,
+            (3, Some(e)) => e.at(),
+            (4, Some(e)) => (e.at() + rng.uniform(-HALF_EPS, HALF_EPS)).max(0.0),
+            (5, _) => (arrival(rng, case) + rng.uniform(-HALF_EPS, HALF_EPS)).max(0.0),
+            (6, _) => {
+                let windows: Vec<(f64, f64)> = events
+                    .iter()
+                    .filter_map(|e| match *e {
+                        SimEvent::CtxSwitchStarted {
+                            cost_cycles, at, ..
+                        } => Some((at, cost_cycles)),
+                        _ => None,
+                    })
+                    .collect();
+                if windows.is_empty() {
+                    rng.uniform(0.0, HORIZON)
+                } else {
+                    let (at, cost) = windows[rng.index(windows.len())];
+                    let donor = case.admissions[rng.index(case.admissions.len())].clone();
+                    let late = Admission::new(donor.spec().clone(), at + cost * 0.5, 1)
+                        .expect("valid late admission");
+                    case.admissions.push(late);
+                    at + cost * 0.25
+                }
+            }
+            _ => rng.uniform(0.0, HORIZON),
+        };
+        case.fences.push(fence);
+    }
+    case.fences.sort_by(f64::total_cmp);
+    if rng.index(3) == 0 {
+        if let Some(&last) = case.fences.last() {
+            case.scripted
+                .push(FaultEvent::new(last, FaultKind::CoreRetire).expect("valid retire"));
+        }
+    }
+}
+
+/// The plan holding the faults known up front: the Poisson stream, plus
+/// `scripted` in order.
+fn plan(poisson_seed: Option<u64>, scripted: &[FaultEvent]) -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    for f in scripted {
+        plan = plan
+            .with_fault(f.at_cycles(), f.kind())
+            .expect("valid scripted fault");
+    }
+    if let Some(seed) = poisson_seed {
+        plan = plan
+            .with_poisson_transients(seed, 5.0e6, 3.0e7)
+            .expect("valid transient stream");
+    }
+    plan
+}
+
+fn controller(design: Design) -> OverloadController {
+    if design == Design::Pmt {
+        OverloadController::disarmed()
+    } else {
+        OverloadController::armed(OverloadPolicy::default())
+    }
+}
+
+/// Index of the last fence at or before `at`, or `None` before the first.
+fn group_of(fences: &[f64], at: f64) -> Option<usize> {
+    fences.iter().rposition(|&f| f <= at)
+}
+
+/// Runs `case` split at its fences: what is dated before the first fence
+/// is handed over up front, the rest right after the run reaches the last
+/// fence at or before its date.
+fn split_run(design: Design, case: &Case) -> (v10_core::RunReport, Recorder) {
+    let cfg = NpuConfig::table5();
+    let upfront: Vec<FaultEvent> = case
+        .scripted
+        .iter()
+        .copied()
+        .filter(|f| group_of(&case.fences, f.at_cycles()).is_none())
+        .collect();
+    let mut rec = Recorder::default();
+    let mut run = CoreRun::new(
+        design,
+        &cfg,
+        &case.opts,
+        &plan(case.poisson_seed, &upfront),
+        controller(design),
+        &mut rec,
+    )
+    .expect("valid run");
+    // The schedule's stable time order is the order pushes must follow.
+    let schedule =
+        AdmissionSchedule::new(case.admissions.clone()).expect("non-empty random schedule");
+    let in_group = |g: Option<usize>| {
+        let admissions: Vec<Admission> = schedule
+            .entries()
+            .iter()
+            .filter(|a| group_of(&case.fences, a.at_cycles()) == g)
+            .cloned()
+            .collect();
+        let faults: Vec<FaultEvent> = case
+            .scripted
+            .iter()
+            .copied()
+            .filter(|f| group_of(&case.fences, f.at_cycles()) == g)
+            .collect();
+        (admissions, faults)
+    };
+    let (admissions, _) = in_group(None);
+    for a in admissions {
+        run.push(a).expect("admission before the first fence");
+    }
+    for (k, &fence) in case.fences.iter().enumerate() {
+        run.run_until(Cycles::new(fence)).expect("valid fence");
+        let (admissions, faults) = in_group(Some(k));
+        for a in admissions {
+            run.push(a).expect("admission at or after the fence");
+        }
+        for f in faults {
+            run.push_fault(f).expect("fault at or after the fence");
+        }
+    }
+    let report = run.finish().expect("valid split run");
+    (report, rec)
+}
+
+/// The unfenced run: `case` handed over whole and finished.
+fn unsplit_run(design: Design, case: &Case) -> (v10_core::RunReport, Recorder) {
+    let schedule =
+        AdmissionSchedule::new(case.admissions.clone()).expect("non-empty random schedule");
+    let mut rec = Recorder::default();
+    let report = serve_design_stressed_observed(
+        design,
+        &schedule,
+        &NpuConfig::table5(),
+        &case.opts,
+        &plan(case.poisson_seed, &case.scripted),
+        controller(design),
+        &mut rec,
+    )
+    .expect("valid unsplit run");
+    (report, rec)
+}
+
+#[test]
+fn split_runs_equal_unsplit_runs_bit_for_bit() {
+    let (mut retired, mut carried) = (0, 0);
+    for seed in 0..48u64 {
+        let mut rng = SimRng::seed_from(0x5E5E ^ (seed << 8));
+        let base = random_case(&mut rng);
+        for design in Design::ALL {
+            let mut case = base.clone();
+            let (_, probe) = unsplit_run(design, &case);
+            add_fences(&mut rng, &mut case, &probe.events);
+            let (unsplit, rec) = unsplit_run(design, &case);
+            let (split, split_rec) = split_run(design, &case);
+            let fences = &case.fences;
+            if let Some(i) = (0..rec.events.len().min(split_rec.events.len()))
+                .find(|&i| rec.events[i] != split_rec.events[i])
+            {
+                panic!(
+                    "seed {seed} {design} fences {fences:?}: event {i} diverged: \
+                     unsplit {:?} vs split {:?}",
+                    rec.events[i], split_rec.events[i]
+                );
+            }
+            assert_eq!(
+                rec.events.len(),
+                split_rec.events.len(),
+                "seed {seed} {design} fences {fences:?}: event count diverged"
+            );
+            assert_eq!(
+                run_digest(&unsplit),
+                run_digest(&split),
+                "seed {seed} {design} fences {fences:?}: report digest diverged"
+            );
+            if unsplit.core_retired_at().is_some() {
+                retired += 1;
+            }
+            // A fence inside a PMT context switch: the switch carried
+            // the run past it.
+            if design == Design::Pmt
+                && rec.events.iter().any(|e| match *e {
+                    SimEvent::CtxSwitchStarted {
+                        cost_cycles, at, ..
+                    } => fences.iter().any(|&f| at < f && f < at + cost_cycles),
+                    _ => false,
+                })
+            {
+                carried += 1;
+            }
+        }
+    }
+    assert!(retired > 0, "some cases must retire the core on a fence");
+    assert!(carried > 0, "some fences must land inside a PMT switch");
+}
+
+/// A run that finished its work before the fence parks there: handing it
+/// nothing more and finishing reports the same instant as never fencing.
+#[test]
+fn a_parked_run_finishes_where_an_unfenced_run_does() {
+    let cfg = NpuConfig::table5();
+    let case = random_case(&mut SimRng::seed_from(7));
+    let schedule =
+        AdmissionSchedule::new(case.admissions.clone()).expect("non-empty random schedule");
+    for design in Design::ALL {
+        let unfenced = serve_design_stressed_observed(
+            design,
+            &schedule,
+            &cfg,
+            &case.opts,
+            &FaultPlan::none(),
+            controller(design),
+            &mut Recorder::default(),
+        )
+        .expect("valid run");
+        let mut run = CoreRun::new(
+            design,
+            &cfg,
+            &case.opts,
+            &FaultPlan::none(),
+            controller(design),
+            Recorder::default(),
+        )
+        .expect("valid run");
+        for a in schedule.entries() {
+            run.push(a.clone()).expect("admission before the fence");
+        }
+        let far = unfenced.elapsed_cycles() * 4.0 + 1.0e6;
+        run.run_until(Cycles::new(far)).expect("valid fence");
+        run.run_until(Cycles::new(far * 2.0)).expect("valid fence");
+        let parked = run.finish().expect("valid run");
+        assert_eq!(
+            parked.elapsed_cycles().to_bits(),
+            unfenced.elapsed_cycles().to_bits(),
+            "{design}"
+        );
+        assert_eq!(run_digest(&parked), run_digest(&unfenced), "{design}");
+    }
+}

@@ -390,6 +390,15 @@ impl FaultInjector {
         event
     }
 
+    /// Queues one more scripted fault after every queued event due at or
+    /// before its fire time. A resumable core run pushes faults this way as
+    /// they become known instead of compiling them up front.
+    pub fn push(&mut self, event: FaultEvent) {
+        let at = event.at_cycles;
+        let pos = self.queue.partition_point(|e| e.at_cycles <= at);
+        self.queue.insert(pos, event);
+    }
+
     /// Number of faults not yet fired.
     #[must_use]
     pub fn remaining(&self) -> usize {
@@ -633,6 +642,28 @@ mod tests {
         assert_eq!(c.at_cycles(), 9.0);
         assert_eq!(inj.injected(), 3);
         assert_eq!(inj.remaining(), 0);
+    }
+
+    #[test]
+    fn pushed_faults_queue_where_the_plan_would_have_put_them() {
+        let stall = FaultKind::CoreStall { stall_cycles: 10.0 };
+        let transient = FaultKind::TransientOp { victim_salt: 3 };
+        let whole = FaultPlan::none()
+            .with_fault(5.0, stall)
+            .unwrap()
+            .with_fault(2.0, transient)
+            .unwrap()
+            .with_fault(5.0, FaultKind::CoreRetire)
+            .unwrap();
+        let mut pushed =
+            FaultInjector::compile(&FaultPlan::none().with_fault(5.0, stall).unwrap()).unwrap();
+        pushed.push(FaultEvent::new(2.0, transient).unwrap());
+        pushed.push(FaultEvent::new(5.0, FaultKind::CoreRetire).unwrap());
+        let mut compiled = FaultInjector::compile(&whole).unwrap();
+        assert_eq!(pushed.remaining(), compiled.remaining());
+        while let Some(want) = compiled.pop_due(f64::INFINITY, 0.0) {
+            assert_eq!(pushed.pop_due(f64::INFINITY, 0.0), Some(want));
+        }
     }
 
     #[test]

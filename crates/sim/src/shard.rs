@@ -11,14 +11,14 @@
 //! plus a deterministic reduce) applied *inside* one run: an N-shard
 //! execution replays the exact event sequence of the 1-shard execution.
 //! [`parallel_map_with`] is the recipe itself: the thread fan-out behind
-//! both the fleet plane's per-core re-simulations and the benches'
-//! parameter sweeps.
+//! both the fleet plane's per-epoch advance of its resumable per-core runs
+//! and the benches' parameter sweeps.
 //!
 //! Everything here is deterministic: no clocks, no hashing, no ambient
 //! randomness (v10-lint D1/D2), and no panic paths of its own (P1) — a
 //! worker panic in [`parallel_map_with`] is the caller's, re-raised as is.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use crate::convert::f64_to_u64;
 use crate::error::{V10Error, V10Result};
@@ -133,13 +133,15 @@ impl ShardMap {
 /// Applies `f` to every item on a pool of `threads` scoped threads and
 /// returns the results in input order.
 ///
-/// Items are claimed dynamically from a shared atomic cursor (so a slow
-/// item never stalls the rest of the batch); each thread keeps its
-/// `(index, result)` pairs privately and the results are scattered back
-/// into input order after the scope joins. The output is therefore
-/// independent of thread count and scheduling. With one thread (or one
-/// item) this is an ordinary sequential loop. A panic in `f` is re-raised
-/// on the calling thread with its original payload.
+/// Items are taken by value, so a caller may hand out shared references
+/// (`jobs.iter()`) or exclusive ones (`runs.iter_mut()`, each item advanced
+/// in place by exactly one thread). They are claimed dynamically from one
+/// shared queue (so a slow item never stalls the rest of the batch); each
+/// thread keeps its `(index, result)` pairs privately and the results are
+/// scattered back into input order after the scope joins. The output is
+/// therefore independent of thread count and scheduling. With one thread
+/// (or one item) this is an ordinary sequential loop. A panic in `f` is
+/// re-raised on the calling thread with its original payload.
 ///
 /// # Example
 ///
@@ -148,27 +150,35 @@ impl ShardMap {
 ///
 /// let squares = parallel_map_with(3, &[1, 2, 3, 4], |&x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
+///
+/// let mut counters = vec![0, 10, 20];
+/// parallel_map_with(2, counters.iter_mut(), |c| *c += 1);
+/// assert_eq!(counters, vec![1, 11, 21]);
 /// ```
-pub fn parallel_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+pub fn parallel_map_with<I, R, F>(threads: usize, items: I, f: F) -> Vec<R>
 where
-    T: Sync,
+    I: IntoIterator,
+    I::Item: Send,
     R: Send,
-    F: Fn(&T) -> R + Sync,
+    F: Fn(I::Item) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
+    let items: Vec<I::Item> = items.into_iter().collect();
+    let threads = threads.min(items.len());
     if threads <= 1 {
-        return items.iter().map(f).collect();
+        return items.into_iter().map(f).collect();
     }
-    let cursor = AtomicUsize::new(0);
+    let queue = Mutex::new(items.into_iter().enumerate());
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let (cursor, f) = (&cursor, &f);
+                let (queue, f) = (&queue, &f);
                 scope.spawn(move || {
                     let mut mine = Vec::new();
                     loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
+                        // The lock is held only while an item is claimed,
+                        // which cannot panic, so it is never poisoned.
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((i, item)) = next else {
                             return mine;
                         };
                         mine.push((i, f(item)));
@@ -277,6 +287,20 @@ mod tests {
         let want: Vec<usize> = items.iter().map(|&i| i * i).collect();
         for threads in [1, 2, 8, 64] {
             assert_eq!(parallel_map_with(threads, &items, |&i| i * i), want);
+        }
+    }
+
+    #[test]
+    fn parallel_map_advances_exclusive_items_in_place() {
+        for threads in [1, 2, 8] {
+            let mut items: Vec<usize> = (0..37).collect();
+            let before = parallel_map_with(threads, items.iter_mut(), |i| {
+                let was = *i;
+                *i *= 3;
+                was
+            });
+            assert_eq!(before, (0..37).collect::<Vec<_>>());
+            assert_eq!(items, (0..37).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
 
