@@ -11,9 +11,10 @@
 //!   shard count: arming the fault machinery with no faults must not move
 //!   a single bit of the report, the decisions, or the departure log.
 //! * `shard-crash` — shard 0 crashes on an epoch boundary mid-crowd and
-//!   restores from its boundary snapshot one epoch later. Blast radius
-//!   (the cores steered dark) shrinks as shards get finer — the severity ×
-//!   shard interaction this bench exists to measure.
+//!   comes back one epoch later, rebuilding its table from the fleet
+//!   state. Blast radius (the cores steered dark) shrinks as shards get
+//!   finer — the severity × shard interaction this bench exists to
+//!   measure.
 //! * `region-blackout` — HBM group 0 fails during the crowd with its
 //!   uplink partitioned, so orphaned tenants back off through the
 //!   partition window before evacuating onto survivors. Identical across

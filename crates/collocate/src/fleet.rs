@@ -2,23 +2,35 @@
 //! ≥1000-core fleet, partitioned into per-shard admission workers that
 //! exchange state deterministically at epoch boundaries.
 //!
-//! # Why sharding helps even on one thread
+//! # Placement: cached scores, decomposed argmax
 //!
 //! The flat [`OnlinePlacer`] ranking is an argmax over every core: each
-//! arrival rescans the fleet. The fleet plane decomposes that argmax.
-//! Cores are partitioned into fixed contiguous shards ([`ShardMap`]); each
-//! shard's admission worker keeps a summary table of its best candidate
-//! core per (behavior class, home HBM group) pair. An admit or release
-//! touches exactly one core, so it invalidates exactly one worker's table;
-//! the next placement query rebuilds only the dirty tables — a rescan of
-//! `cores / shards` cores instead of `cores` — and takes the argmax over
-//! the `shards` table entries. Because a core's score is a pure function
-//! of its own occupancy (plus static topology), and every scan keeps the
-//! incumbent on ties, the decomposed argmax picks the *identical* core the
-//! flat scan would: finer sharding changes the work done, never the
-//! answer. The per-arrival placement cost drops by roughly the shard
-//! count, which is where the fleet bench's wall-clock speedup comes from —
-//! no threads required.
+//! arrival rescans the fleet. The fleet plane avoids both halves of that
+//! cost.
+//!
+//! * **Each core is scored once per occupancy change.** A core's
+//!   [`OnlinePlacer::topo_score`] is a pure function of the class and of
+//!   the core's residents, capacity and failed flag (plus the static hop
+//!   table and the plane's weights), so the plane caches every core's
+//!   scores for each (behavior class, home HBM group) pair. An admit, a
+//!   release or a region failure marks its one core stale, and only a
+//!   stale core is rescored.
+//! * **The argmax is decomposed across shards.** Cores are partitioned into
+//!   fixed contiguous shards ([`ShardMap`]); each shard's admission worker
+//!   keeps a summary table of its best candidate core per (class, home
+//!   group) pair. An occupancy change dirties exactly one worker's table;
+//!   the next placement query rebuilds only the dirty tables from the
+//!   cached scores — a scan of `cores / shards` cores instead of `cores` —
+//!   and takes the argmax over the `shards` table entries.
+//!
+//! Because a cached score equals a fresh one until its core's occupancy
+//! changes, and every scan keeps the incumbent on ties, the decomposed
+//! argmax picks the *identical* core the flat scan would: the cache and
+//! finer sharding change the work done, never the answer (debug builds
+//! check both on every query). Sharding cuts the rebuild scans by roughly
+//! the shard count; with scores cached, a scan reads a few cached entries
+//! per core, so most of the plane's wall time is advancing the per-core
+//! runs, which sharding does not shrink.
 //!
 //! # Determinism across shard and thread counts
 //!
@@ -54,8 +66,8 @@
 //!   the decomposed argmax skips it, steering the crash epoch's arrivals
 //!   onto surviving shards (the cores it owns keep serving: the data plane
 //!   outlives its control plane). At the next processed boundary the
-//!   worker restores from the snapshot taken at the last boundary it was
-//!   alive for and replays the delta with one dirty rebuild.
+//!   worker comes back and rebuilds its table from the fleet state with
+//!   one dirty rebuild before its next query.
 //! * **Region failure** ([`FleetFaultKind::RegionFail`]): every core in
 //!   one HBM affinity group fails together. Each core's run is handed a
 //!   scripted `CoreRetire` at the boundary and finished, and its report is
@@ -164,11 +176,12 @@ impl FleetOutcome {
         self.rejected
     }
 
-    /// Cores scanned by summary-table rebuilds — the plane's dominant
-    /// placement cost. This counter is the *only* shard-layout-dependent
-    /// observable: at one shard every admission triggers a full-fleet
-    /// rescan, at `S` shards a `cores / S` rescan, which is the measured
-    /// scaling mechanism of the fleet bench.
+    /// Cores scanned by summary-table rebuilds. This counter is the *only*
+    /// shard-layout-dependent observable: at one shard every admission
+    /// triggers a full-fleet rescan, at `S` shards a `cores / S` rescan. A
+    /// scan reads the core's cached scores and rescores only a core whose
+    /// occupancy changed, so the count measures the decomposition, not
+    /// the scoring work.
     #[must_use]
     pub fn rebuild_core_scans(&self) -> u64 {
         self.rebuild_core_scans
@@ -204,7 +217,8 @@ struct FleetTenant {
     /// Position among the core's admissions == position in the core's
     /// report workload list (both ordered by admission time with ties in
     /// insertion order, as a run queues its admissions; evacuations insert
-    /// mid-order and shift the indices after them).
+    /// mid-order and shift the indices after them). Set by
+    /// [`Tenants::push`].
     idx: usize,
     /// When the tenant is admitted to `core`: its arrival, or for an
     /// evacuee its landing after the context transfer.
@@ -226,18 +240,56 @@ struct FleetTenant {
     decision: usize,
 }
 
+/// The serve's placed tenants in placement order, with each core's
+/// tenants in report order.
+struct Tenants {
+    all: Vec<FleetTenant>,
+    /// `by_core[core]`: indices into `all` of the tenants placed on `core`,
+    /// in report order, so `all[by_core[core][i]].idx == i`.
+    by_core: Vec<Vec<usize>>,
+}
+
+impl Tenants {
+    fn new(cores: usize, capacity: usize) -> Self {
+        Tenants {
+            all: Vec::with_capacity(capacity),
+            by_core: vec![Vec::new(); cores],
+        }
+    }
+
+    /// Records `tenant` at the report index an admission at its `admit_at`
+    /// takes among its core's admissions — ordered by admission time with
+    /// ties after existing entries, as the core's run queues them —
+    /// shifting the indices of later tenants on the core. In-order
+    /// arrivals always append, so the plain path never shifts.
+    fn push(&mut self, mut tenant: FleetTenant) -> V10Result<()> {
+        let on_core = self
+            .by_core
+            .get_mut(tenant.core)
+            .ok_or_else(|| unknown_core(tenant.core))?;
+        let idx = on_core
+            .iter()
+            .filter(|&&id| self.all[id].admit_at <= tenant.admit_at)
+            .count();
+        for &id in &on_core[idx..] {
+            self.all[id].idx += 1;
+        }
+        on_core.insert(idx, self.all.len());
+        tenant.idx = idx;
+        self.all.push(tenant);
+        Ok(())
+    }
+}
+
 /// Mutable fault-domain state one faulted serve threads through its epoch
-/// loop: the compiled plan cursor, per-shard crash flags and boundary
-/// snapshots, per-group link-health shadows, and the recovery ledger.
+/// loop: the compiled plan cursor, per-shard crash flags, per-group
+/// link-health shadows, and the recovery ledger.
 struct FaultDomains {
     events: Vec<FleetFaultEvent>,
     cursor: usize,
     /// Crashed-shard flags; a crashed worker is skipped by table rebuilds
     /// and placement queries until its boundary restore.
     crashed: Vec<bool>,
-    /// Per-shard summary-table snapshot from the last boundary the shard
-    /// was alive for — what a restore replays from.
-    snapshots: Vec<Vec<Option<(TopoScore, usize)>>>,
     /// Simulated time each group's partition window closes
     /// (`NEG_INFINITY` when never partitioned).
     partition_until: Vec<f64>,
@@ -246,6 +298,21 @@ struct FaultDomains {
     requeued: Vec<RequeueRecord>,
     shed: Vec<ShedRecord>,
     retired: Vec<(usize, f64)>,
+}
+
+impl FaultDomains {
+    /// Brings every crashed shard worker back at `boundary`. Its table has
+    /// stayed dirty since the crash, so the next query's rebuild recomputes
+    /// it from the fleet state, admissions and departures it missed
+    /// included.
+    fn restore_crashed_shards<O: SimObserver>(&mut self, boundary: Cycles, observer: &mut O) {
+        let now = boundary.as_f64();
+        for (shard, crashed) in self.crashed.iter_mut().enumerate() {
+            if std::mem::take(crashed) {
+                observer.on_event(SimEvent::ShardRestored { shard, at: now });
+            }
+        }
+    }
 }
 
 /// The plane's resumable per-core runs: one for each core it has touched,
@@ -259,9 +326,9 @@ struct CoreRuns<'c> {
     /// hands it until the core fails or the serve ends. Boxed, so untouched
     /// cores cost a pointer.
     runs: Vec<Option<Box<CoreRun<NullObserver>>>>,
-    /// `reports[core]`: a failed core's final report; every touched core's
-    /// once the serve ends.
-    reports: Vec<Option<RunReport>>,
+    /// `frozen[core]`: a failed core's final report, frozen when its run
+    /// retired. Boxed, so cores that never fail cost a pointer.
+    frozen: Vec<Option<Box<RunReport>>>,
 }
 
 impl<'c> CoreRuns<'c> {
@@ -271,7 +338,7 @@ impl<'c> CoreRuns<'c> {
             config,
             opts,
             runs: std::iter::repeat_with(|| None).take(cores).collect(),
-            reports: vec![None; cores],
+            frozen: std::iter::repeat_with(|| None).take(cores).collect(),
         }
     }
 
@@ -314,12 +381,17 @@ impl<'c> CoreRuns<'c> {
             return Ok(());
         };
         run.push_fault(FaultEvent::new(at, FaultKind::CoreRetire)?)?;
-        let report = self
-            .reports
+        let frozen = self
+            .frozen
             .get_mut(core)
             .ok_or_else(|| unknown_core(core))?;
-        *report = Some(run.finish()?);
+        *frozen = Some(Box::new(run.finish()?));
         Ok(())
+    }
+
+    /// `core`'s frozen report, if it failed.
+    fn frozen(&self, core: usize) -> Option<&RunReport> {
+        self.frozen.get(core)?.as_deref()
     }
 
     /// Finishes every live run on `threads` workers; returns each core's
@@ -330,8 +402,8 @@ impl<'c> CoreRuns<'c> {
         });
         finished
             .into_iter()
-            .zip(self.reports)
-            .map(|(finished, frozen)| Ok(finished?.or(frozen)))
+            .zip(self.frozen)
+            .map(|(finished, frozen)| Ok(finished?.or(frozen.map(|r| *r))))
             .collect()
     }
 }
@@ -360,6 +432,13 @@ pub struct FleetPlane<'a> {
     clock: EpochClock,
     weights: TopologyWeights,
     workers: Vec<ShardWorker>,
+    /// `scores[(core * classes + class) * groups + group]`: the core's
+    /// [`OnlinePlacer::topo_score`] for that (class, home group), as of its
+    /// last rescoring.
+    scores: Vec<Option<TopoScore>>,
+    /// `stale[core]`: the core's occupancy changed since it was last
+    /// rescored.
+    stale: Vec<bool>,
     threads: usize,
     groups: usize,
     classes: usize,
@@ -396,6 +475,7 @@ impl<'a> FleetPlane<'a> {
             };
             shards
         ];
+        let cores = state.cores();
         Ok(FleetPlane {
             placer,
             state,
@@ -403,6 +483,8 @@ impl<'a> FleetPlane<'a> {
             clock,
             weights,
             workers,
+            scores: vec![None; cores * classes * groups],
+            stale: vec![true; cores],
             threads: 1,
             groups,
             classes,
@@ -446,7 +528,8 @@ impl<'a> FleetPlane<'a> {
     }
 
     /// Returns the fleet and every shard worker to their constructed
-    /// state: no residents, no failed cores, healthy links, empty tables.
+    /// state: no residents, no failed cores, healthy links, empty tables,
+    /// every core due a rescoring.
     fn reset(&mut self) -> V10Result<()> {
         let mut topology = self.state.topology().clone();
         for group in 0..self.groups {
@@ -457,13 +540,17 @@ impl<'a> FleetPlane<'a> {
             worker.best.fill(None);
             worker.dirty = true;
         }
+        self.stale.fill(true);
         Ok(())
     }
 
     /// Rebuilds every dirty live worker's summary table and returns the
-    /// cores scanned doing so. Crashed workers stay stale until their
-    /// boundary restore marks them dirty again.
+    /// cores scanned doing so. A scanned core is rescored only when its
+    /// occupancy changed since its last rescoring; the table is then the
+    /// argmax over the scanned cores' cached scores. Crashed workers stay
+    /// dirty until their boundary restore.
     fn rebuild_dirty(&mut self, crashed: &[bool]) -> V10Result<u64> {
+        let row = self.classes * self.groups;
         let mut scanned = 0u64;
         for (shard, &down) in crashed.iter().enumerate() {
             if down || !self.workers[shard].dirty {
@@ -471,40 +558,55 @@ impl<'a> FleetPlane<'a> {
             }
             let range = self.shard_map.range(shard);
             scanned += u64_from_usize(range.len());
-            let mut best: Vec<Option<(TopoScore, usize)>> = vec![None; self.classes * self.groups];
-            for core in range {
-                for class in 0..self.classes {
-                    for group in 0..self.groups {
-                        let Some(score) = self.placer.topo_score(
-                            class,
-                            core,
-                            &self.state,
-                            group,
-                            &self.weights,
-                        )?
-                        else {
-                            continue;
-                        };
-                        let slot = &mut best[class * self.groups + group];
-                        if slot.is_none_or(|(incumbent, _)| score.beats(&incumbent)) {
-                            *slot = Some((score, core));
-                        }
-                    }
+            for core in range.clone() {
+                if self.stale[core] {
+                    self.rescore(core)?;
                 }
             }
             let worker = &mut self.workers[shard];
-            worker.best = best;
+            worker.best.fill(None);
+            let rows = self.scores[range.start * row..range.end * row].chunks_exact(row);
+            for (core, scores) in range.zip(rows) {
+                for (slot, &score) in worker.best.iter_mut().zip(scores) {
+                    let Some(score) = score else {
+                        continue;
+                    };
+                    if slot.is_none_or(|(incumbent, _)| score.beats(&incumbent)) {
+                        *slot = Some((score, core));
+                    }
+                }
+            }
             worker.dirty = false;
         }
         Ok(scanned)
     }
 
+    /// Recomputes `core`'s cached score for every (class, home group) and
+    /// clears its stale mark.
+    fn rescore(&mut self, core: usize) -> V10Result<()> {
+        let row = self.score_row(core);
+        for (i, slot) in self.scores[row].iter_mut().enumerate() {
+            let (class, group) = (i / self.groups, i % self.groups);
+            *slot = self
+                .placer
+                .topo_score(class, core, &self.state, group, &self.weights)?;
+        }
+        self.stale[core] = false;
+        Ok(())
+    }
+
+    /// `core`'s entries in `scores`, one per (class, home group).
+    fn score_row(&self, core: usize) -> std::ops::Range<usize> {
+        let row = self.classes * self.groups;
+        core * row..(core + 1) * row
+    }
+
     /// The decomposed argmax: best summary entry across live shards in
     /// shard order, incumbent kept on ties. Shards own ascending core
-    /// ranges, so this picks exactly the core a flat
-    /// lowest-index-tie-break scan (`OnlinePlacer::place_class_topo`)
-    /// would. Crashed shards are skipped — their blast radius is the
-    /// arrivals their cores would have won.
+    /// ranges, so this picks exactly the core the flat
+    /// lowest-index-tie-break scan (`OnlinePlacer::best_core`) would.
+    /// Crashed shards are skipped — their blast radius is the arrivals
+    /// their cores would have won.
     fn query(&self, class: usize, group: usize, crashed: &[bool]) -> Placement {
         let mut best: Option<(TopoScore, usize)> = None;
         for (shard, worker) in self.workers.iter().enumerate() {
@@ -518,13 +620,65 @@ impl<'a> FleetPlane<'a> {
                 best = Some((score, core));
             }
         }
-        best.map_or(Placement::Reject, |(_, core)| Placement::Core(core))
+        let placement = best.map_or(Placement::Reject, |(_, core)| Placement::Core(core));
+        #[cfg(debug_assertions)]
+        self.debug_validate_placement(class, group, crashed, placement);
+        placement
     }
 
-    /// Marks the worker owning `core` dirty.
+    /// Checks the score cache against its reference: every core of every
+    /// live shard caches exactly the scores a fresh
+    /// [`OnlinePlacer::topo_score`] returns, and with no shard crashed the
+    /// decomposed argmax picks the core the flat scan
+    /// (`OnlinePlacer::best_core`) picks. Debug builds run this on every
+    /// query; release builds compile it out.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a cached score or the placement diverges from its
+    /// recomputation.
+    #[cfg(debug_assertions)]
+    fn debug_validate_placement(
+        &self,
+        class: usize,
+        group: usize,
+        crashed: &[bool],
+        placement: Placement,
+    ) {
+        for (shard, _) in crashed.iter().enumerate().filter(|(_, &down)| !down) {
+            for core in self.shard_map.range(shard) {
+                for (i, &score) in self.scores[self.score_row(core)].iter().enumerate() {
+                    let (c, g) = (i / self.groups, i % self.groups);
+                    let fresh = self
+                        .placer
+                        .topo_score(c, core, &self.state, g, &self.weights);
+                    assert_eq!(
+                        fresh.ok(),
+                        Some(score),
+                        "core {core}: cached score for class {c}, home group {g} is stale"
+                    );
+                }
+            }
+        }
+        if !crashed.contains(&true) {
+            let flat = self
+                .placer
+                .best_core(class, &self.state, group, &self.weights);
+            assert_eq!(
+                flat.ok(),
+                Some(placement),
+                "class {class}, home group {group}: the decomposed argmax diverged from the \
+                 flat scan"
+            );
+        }
+    }
+
+    /// Marks `core` due a rescoring and the worker owning it dirty: the
+    /// core's occupancy changed.
     fn invalidate(&mut self, core: usize) -> V10Result<()> {
         let owner = self.shard_map.owner(core)?;
         self.workers[owner].dirty = true;
+        self.stale[core] = true;
         Ok(())
     }
 
@@ -535,11 +689,11 @@ impl<'a> FleetPlane<'a> {
     fn apply_departures(
         &mut self,
         boundary: Cycles,
-        tenants: &mut [FleetTenant],
+        tenants: &mut Tenants,
         runs: &CoreRuns<'_>,
     ) -> V10Result<Vec<DepartureMsg>> {
         let mut streams: Vec<Vec<DepartureMsg>> = vec![Vec::new(); self.workers.len()];
-        for t in tenants.iter_mut().filter(|t| !t.released) {
+        for t in tenants.all.iter_mut().filter(|t| !t.released) {
             let Some(retired_at) = runs.retired_at(t.core, t.idx) else {
                 continue;
             };
@@ -548,8 +702,8 @@ impl<'a> FleetPlane<'a> {
             }
             t.released = true;
             self.state.release(t.core, t.class)?;
+            self.invalidate(t.core)?;
             let owner = self.shard_map.owner(t.core)?;
-            self.workers[owner].dirty = true;
             streams[owner].push(DepartureMsg {
                 at_cycles: Cycles::new(retired_at),
                 core: t.core,
@@ -649,7 +803,6 @@ impl<'a> FleetPlane<'a> {
             events,
             cursor: 0,
             crashed: vec![false; self.shard_map.shards()],
-            snapshots: vec![Vec::new(); self.shard_map.shards()],
             partition_until: vec![f64::NEG_INFINITY; self.groups],
             degrade: vec![1.0; self.groups],
             requeued: Vec::new(),
@@ -659,7 +812,7 @@ impl<'a> FleetPlane<'a> {
         let opts = opts.with_table_capacity(self.slots_per_core)?;
         let mut runs = CoreRuns::new(self.state.cores(), design, config, opts);
         let mut interner = LabelInterner::new();
-        let mut tenants: Vec<FleetTenant> = Vec::new();
+        let mut tenants = Tenants::new(self.state.cores(), arrivals.len());
         let mut outcome = FleetOutcome {
             shards: self.shard_map.shards(),
             epochs: 0,
@@ -667,8 +820,8 @@ impl<'a> FleetPlane<'a> {
             placed: 0,
             rejected: 0,
             rebuild_core_scans: 0,
-            departures: Vec::new(),
-            decisions: Vec::new(),
+            departures: Vec::with_capacity(arrivals.len()),
+            decisions: Vec::with_capacity(arrivals.len()),
             region_fail_log: Vec::new(),
         };
 
@@ -682,7 +835,7 @@ impl<'a> FleetPlane<'a> {
                 // Crashed workers come back first: a crash is visible for
                 // exactly the remainder of its crash epoch.
                 self.heal_links(boundary.as_f64(), &fd)?;
-                self.restore_crashed_shards(boundary, &mut fd, observer);
+                fd.restore_crashed_shards(boundary, observer);
             }
 
             // Epoch boundary: every live run reaches it, then the shards
@@ -702,13 +855,6 @@ impl<'a> FleetPlane<'a> {
                     &mut outcome,
                     observer,
                 )?;
-                // Live workers snapshot their tables at every boundary —
-                // what the next crash in this epoch would restore from.
-                for shard in 0..self.workers.len() {
-                    if !fd.crashed[shard] {
-                        fd.snapshots[shard] = self.workers[shard].best.clone();
-                    }
-                }
             }
 
             // Place this epoch's arrivals in time order.
@@ -736,10 +882,9 @@ impl<'a> FleetPlane<'a> {
                         self.invalidate(core)?;
                         let at = arrival.at_cycles();
                         runs.push(core, admission_of(arrival, at, arrival.requests())?)?;
-                        let idx = insert_index(&mut tenants, core, at);
                         tenants.push(FleetTenant {
                             core,
-                            idx,
+                            idx: 0,
                             admit_at: at,
                             class,
                             label: interner.intern(arrival.label()),
@@ -749,7 +894,7 @@ impl<'a> FleetPlane<'a> {
                             quota: arrival.requests(),
                             assigned: arrival.requests(),
                             decision,
-                        });
+                        })?;
                         outcome.placed += 1;
                     }
                     Placement::Reject => outcome.rejected += 1,
@@ -837,33 +982,6 @@ impl<'a> FleetPlane<'a> {
         Ok(())
     }
 
-    /// Brings every crashed shard worker back at `boundary`: its table is
-    /// reset to the last snapshot and marked dirty, so the next rebuild
-    /// replays the admissions and departures it missed.
-    fn restore_crashed_shards<O: SimObserver>(
-        &mut self,
-        boundary: Cycles,
-        fd: &mut FaultDomains,
-        observer: &mut O,
-    ) {
-        let now = boundary.as_f64();
-        for shard in 0..self.workers.len() {
-            if !fd.crashed[shard] {
-                continue;
-            }
-            fd.crashed[shard] = false;
-            let snapshot = if fd.snapshots[shard].is_empty() {
-                vec![None; self.classes * self.groups]
-            } else {
-                fd.snapshots[shard].clone()
-            };
-            let worker = &mut self.workers[shard];
-            worker.best = snapshot;
-            worker.dirty = true;
-            observer.on_event(SimEvent::ShardRestored { shard, at: now });
-        }
-    }
-
     /// Applies every compiled fleet fault scripted at or before `boundary`
     /// in compiled order.
     #[allow(clippy::too_many_arguments)]
@@ -873,7 +991,7 @@ impl<'a> FleetPlane<'a> {
         arrivals: &[TimedArrival],
         policy: &RecoveryPolicy,
         fd: &mut FaultDomains,
-        tenants: &mut Vec<FleetTenant>,
+        tenants: &mut Tenants,
         runs: &mut CoreRuns<'_>,
         outcome: &mut FleetOutcome,
         observer: &mut O,
@@ -889,13 +1007,10 @@ impl<'a> FleetPlane<'a> {
                         // already dark until the next boundary.
                         continue;
                     }
+                    // The table dies with the worker: it stays dirty, and is
+                    // neither read nor rebuilt until the restore.
                     fd.crashed[shard] = true;
-                    // The live table dies with the worker; the snapshot
-                    // taken at the last boundary survives for the restore.
-                    let lost = vec![None; self.classes * self.groups];
-                    let worker = &mut self.workers[shard];
-                    worker.best = lost;
-                    worker.dirty = true;
+                    self.workers[shard].dirty = true;
                     observer.on_event(SimEvent::ShardCrashed { shard, at: now });
                 }
                 FleetFaultKind::RegionFail { hbm_group } => {
@@ -939,7 +1054,7 @@ impl<'a> FleetPlane<'a> {
         arrivals: &[TimedArrival],
         policy: &RecoveryPolicy,
         fd: &mut FaultDomains,
-        tenants: &mut Vec<FleetTenant>,
+        tenants: &mut Tenants,
         runs: &mut CoreRuns<'_>,
         outcome: &mut FleetOutcome,
         observer: &mut O,
@@ -965,14 +1080,20 @@ impl<'a> FleetPlane<'a> {
         // Displaced tenants in admission order: open quota when the region
         // died, or (for an evacuee scheduled to land after the boundary)
         // turned away at the retirement instant.
+        let mut on_region: Vec<usize> = region_cores
+            .iter()
+            .flat_map(|&core| tenants.by_core[core].iter().copied())
+            .collect();
+        on_region.sort_unstable();
         let mut displaced: Vec<(usize, usize)> = Vec::new();
-        for (idx, t) in tenants.iter_mut().enumerate() {
-            if t.released || !region_cores.contains(&t.core) {
+        for idx in on_region {
+            let t = &mut tenants.all[idx];
+            if t.released {
                 continue;
             }
             t.released = true;
-            let completed = runs.reports[t.core]
-                .as_ref()
+            let completed = runs
+                .frozen(t.core)
                 .and_then(|r| r.workloads().get(t.idx))
                 .map(|w| w.completed_requests());
             let remaining = match completed {
@@ -1003,12 +1124,12 @@ impl<'a> FleetPlane<'a> {
         arrivals: &[TimedArrival],
         policy: &RecoveryPolicy,
         fd: &mut FaultDomains,
-        tenants: &mut Vec<FleetTenant>,
+        tenants: &mut Tenants,
         runs: &mut CoreRuns<'_>,
         outcome: &mut FleetOutcome,
         observer: &mut O,
     ) -> V10Result<()> {
-        let t = &tenants[tenant_idx];
+        let t = &tenants.all[tenant_idx];
         let (class, group, from_core, arrived_at, quota, label, decision) = (
             t.class,
             t.group,
@@ -1056,10 +1177,9 @@ impl<'a> FleetPlane<'a> {
                 )?;
                 let lands_at = at + transfer;
                 runs.push(to_core, admission_of(arrival, lands_at, remaining)?)?;
-                let idx = insert_index(tenants, to_core, lands_at);
                 tenants.push(FleetTenant {
                     core: to_core,
-                    idx,
+                    idx: 0,
                     admit_at: lands_at,
                     class,
                     label,
@@ -1069,7 +1189,7 @@ impl<'a> FleetPlane<'a> {
                     quota,
                     assigned: remaining,
                     decision,
-                });
+                })?;
                 fd.requeued.push(record);
                 observer.on_event(SimEvent::TenantEvacuated {
                     from_core,
@@ -1094,29 +1214,6 @@ impl<'a> FleetPlane<'a> {
 fn admission_of(arrival: &TimedArrival, at: f64, requests: usize) -> V10Result<Admission> {
     let spec = WorkloadSpec::new(arrival.label(), arrival.trace().clone());
     Admission::new(spec, at, requests)
-}
-
-/// The report index an admission at `at` takes among `core`'s admissions
-/// — ordered by admission time with ties after existing entries, as the
-/// core's run queues them — shifting the indices of later tenants on the
-/// core. In-order arrivals always append, so the plain path never shifts.
-fn insert_index(tenants: &mut [FleetTenant], core: usize, at: f64) -> usize {
-    let (mut on_core, mut idx) = (0, 0);
-    for t in tenants.iter().filter(|t| t.core == core) {
-        on_core += 1;
-        if t.admit_at <= at {
-            idx += 1;
-        }
-    }
-    if idx < on_core {
-        for t in tenants
-            .iter_mut()
-            .filter(|t| t.core == core && t.idx >= idx)
-        {
-            t.idx += 1;
-        }
-    }
-    idx
 }
 
 #[cfg(test)]

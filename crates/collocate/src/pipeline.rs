@@ -27,6 +27,9 @@ pub struct ClusteringPipeline {
     /// workload with a cluster-j workload (symmetric).
     cluster_perf: Vec<Vec<f64>>,
     feature_seed: u64,
+    /// `model_clusters[i]`: the cluster of `Model::ALL[i]` at its default
+    /// batch, classified once by [`fit`](Self::fit).
+    model_clusters: [usize; Model::ALL.len()],
 }
 
 impl ClusteringPipeline {
@@ -102,13 +105,16 @@ impl ClusteringPipeline {
             })
             .collect();
 
-        ClusteringPipeline {
+        let mut pipeline = ClusteringPipeline {
             standardizer,
             pca,
             kmeans,
             cluster_perf,
             feature_seed: seed,
-        }
+            model_clusters: [0; Model::ALL.len()],
+        };
+        pipeline.model_clusters = Model::ALL.map(|model| pipeline.classify_model(model));
+        pipeline
     }
 
     /// Number of clusters.
@@ -133,15 +139,22 @@ impl ClusteringPipeline {
         self.kmeans.predict(&self.pca.transform(&z))
     }
 
-    /// Maps a model (at its default batch) to its cluster.
+    /// Maps a model (at its default batch) to its cluster: a lookup into
+    /// the table [`fit`](Self::fit) classified.
     #[must_use]
     pub fn cluster_of_model(&self, model: Model) -> usize {
-        let features = model
-            .default_profile()
-            .feature_vector(self.feature_seed)
-            .as_slice()
-            .to_vec();
-        self.cluster_of_features(&features)
+        Model::ALL
+            .iter()
+            .zip(self.model_clusters)
+            .find_map(|(&m, cluster)| (m == model).then_some(cluster))
+            .unwrap_or_else(|| self.classify_model(model))
+    }
+
+    /// Classifies `model` from its default-batch feature vector (one trace
+    /// synthesis).
+    fn classify_model(&self, model: Model) -> usize {
+        let features = model.default_profile().feature_vector(self.feature_seed);
+        self.cluster_of_features(features.as_slice())
     }
 
     /// Predicts the system throughput of collocating two models — the
@@ -223,6 +236,14 @@ mod tests {
             p.cluster_of_model(Model::Dlrm),
             "BERT and DLRM in one cluster"
         );
+    }
+
+    #[test]
+    fn model_table_matches_a_fresh_classification() {
+        let p = tiny_pipeline();
+        for m in Model::ALL {
+            assert_eq!(p.cluster_of_model(m), p.classify_model(m), "{m}");
+        }
     }
 
     #[test]

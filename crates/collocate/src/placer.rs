@@ -230,29 +230,17 @@ impl<'a> OnlinePlacer<'a> {
         }))
     }
 
-    /// Topology-aware placement: the admissible core with the highest
-    /// [`TopoScore`] wins, ties broken by the lowest core index. The
-    /// reference (single-scan) implementation of the ranking the sharded
-    /// fleet plane decomposes across per-shard admission workers — both
-    /// must pick identical cores on identical state.
+    /// Topology-aware placement, the one argmax over
+    /// [`topo_score`](Self::topo_score) behind every placement: the
+    /// admissible core with the highest [`TopoScore`] wins, ties broken by
+    /// the lowest core index. It is the reference (single-scan) ranking the
+    /// sharded fleet plane decomposes across per-shard admission workers;
+    /// both must pick identical cores on identical state.
     ///
     /// # Errors
     ///
     /// As [`topo_score`](Self::topo_score).
-    #[cfg(test)]
-    pub(crate) fn place_class_topo(
-        &self,
-        class: usize,
-        cluster_state: &ClusterState,
-        home_group: usize,
-        weights: &TopologyWeights,
-    ) -> V10Result<Placement> {
-        self.best_core(class, cluster_state, home_group, weights)
-    }
-
-    /// The one argmax over [`topo_score`](Self::topo_score) behind every
-    /// placement.
-    fn best_core(
+    pub(crate) fn best_core(
         &self,
         class: usize,
         cluster_state: &ClusterState,
@@ -753,12 +741,12 @@ mod tests {
         // Equal fit among empty cores: the zero-hop band wins over index.
         let mut state = ClusterState::with_topology(topo, 2).unwrap();
         assert_eq!(
-            placer.place_class_topo(0, &state, 1, &weights).unwrap(),
+            placer.best_core(0, &state, 1, &weights).unwrap(),
             Placement::Core(2),
             "empty core nearest to home group 1 wins over lower-index core 0"
         );
         assert_eq!(
-            placer.place_class_topo(0, &state, 0, &weights).unwrap(),
+            placer.best_core(0, &state, 0, &weights).unwrap(),
             Placement::Core(0)
         );
         // Equal fit among occupied cores: same resident class on cores 0 and
@@ -766,12 +754,12 @@ mod tests {
         state.admit(0, 1).unwrap();
         state.admit(3, 1).unwrap();
         assert_eq!(
-            placer.place_class_topo(0, &state, 1, &weights).unwrap(),
+            placer.best_core(0, &state, 1, &weights).unwrap(),
             Placement::Core(3),
             "equal cluster fit, nearer HBM group wins"
         );
         assert_eq!(
-            placer.place_class_topo(0, &state, 0, &weights).unwrap(),
+            placer.best_core(0, &state, 0, &weights).unwrap(),
             Placement::Core(0)
         );
     }
@@ -789,14 +777,14 @@ mod tests {
         state.admit(1, 1).unwrap();
         let spread = TopologyWeights::new(0.0, 0.01).unwrap();
         assert_eq!(
-            placer.place_class_topo(1, &state, 0, &spread).unwrap(),
+            placer.best_core(1, &state, 0, &spread).unwrap(),
             Placement::Core(1),
             "lighter same-class load wins at equal predicted STP"
         );
         // Without the weight the tie falls back to the lowest core index.
         assert_eq!(
             placer
-                .place_class_topo(1, &state, 0, &TopologyWeights::zero())
+                .best_core(1, &state, 0, &TopologyWeights::zero())
                 .unwrap(),
             Placement::Core(0)
         );
@@ -818,7 +806,7 @@ mod tests {
         assert!(err.to_string().contains("group"), "{err}");
         let mut state = ClusterState::new(1, 2).unwrap();
         state.admit(0, p.clusters() + 1).unwrap();
-        let err = placer.place_class_topo(0, &state, 0, &w).unwrap_err();
+        let err = placer.best_core(0, &state, 0, &w).unwrap_err();
         assert!(err.to_string().contains("resident class"), "{err}");
     }
 }

@@ -202,8 +202,8 @@ impl RuntimeAuditor {
 ///
 /// The fault-domain extension keeps the same invariants valid *through*
 /// shard crashes, region failures, and evacuations: a shard may only
-/// restore from a snapshot after crashing (no resurrection from a stale
-/// snapshot), a core may only fail once, an evacuation must move a tenant
+/// restore after crashing (no resurrection of a worker that never went
+/// dark), a core may only fail once, an evacuation must move a tenant
 /// off a failed core onto a surviving one, and at reconcile every hosting
 /// is either an original placement or a recorded evacuation
 /// (`hosted == placed + evacuated` — a tenant hosted by two shards at once
@@ -322,9 +322,9 @@ impl FleetConservation {
         self.crashed_shards.push(shard);
     }
 
-    /// Records a shard restoring from its epoch snapshot. Restoring a shard
-    /// that never crashed means the plane resurrected state from a stale
-    /// snapshot — the central no-resurrection property.
+    /// Records a shard restoring after a crash. Restoring a shard that
+    /// never crashed means the plane's crash bookkeeping diverged from its
+    /// fault log — the central no-resurrection property.
     pub fn record_shard_restore(&mut self, shard: usize, at_cycles: f64) {
         if !at_cycles.is_finite() || at_cycles < 0.0 {
             self.flag(format!(
@@ -335,9 +335,7 @@ impl FleetConservation {
             Some(i) => {
                 self.crashed_shards.swap_remove(i);
             }
-            None => self.flag(format!(
-                "shard {shard} restored from a snapshot without a preceding crash"
-            )),
+            None => self.flag(format!("shard {shard} restored without a preceding crash")),
         }
     }
 
@@ -837,7 +835,7 @@ mod tests {
         fleet.reconcile();
         assert!(fleet.is_clean(), "violations: {:?}", fleet.violations());
 
-        // Restore with no crash = resurrection from a stale snapshot.
+        // Restore with no crash = resurrection of a live worker.
         let mut fleet = FleetConservation::new();
         fleet.record_shard_restore(0, 4.0e6);
         assert!(fleet

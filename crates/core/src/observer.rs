@@ -204,15 +204,15 @@ pub enum SimEvent {
         at: f64,
     },
     /// A fleet shard worker crashed: its candidate tables are lost until
-    /// the next epoch boundary restores them from the last snapshot.
+    /// the worker comes back at the next epoch boundary.
     ShardCrashed {
         /// Index of the crashed shard.
         shard: usize,
         /// Simulated cycle.
         at: f64,
     },
-    /// A crashed shard restored from its epoch snapshot and replayed the
-    /// delta back to consistency.
+    /// A crashed shard came back; its candidate tables are rebuilt from the
+    /// fleet state before its next placement query.
     ShardRestored {
         /// Index of the restored shard.
         shard: usize,
@@ -517,7 +517,7 @@ impl CounterObserver {
         self.shard_crashed
     }
 
-    /// Fleet shard restores from an epoch snapshot.
+    /// Fleet shard restores after a crash.
     #[must_use]
     pub fn shard_restored(&self) -> u64 {
         self.shard_restored

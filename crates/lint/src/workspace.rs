@@ -49,7 +49,7 @@ pub const SIM_CRATES: [&str; 7] = [
 ];
 
 /// Crates under the P1 panic-freedom rule.
-pub const P1_CRATES: [&str; 2] = ["core", "sim"];
+pub const P1_CRATES: [&str; 3] = ["core", "npu", "sim"];
 
 /// Cycle/byte accounting modules under the D3 cast rule (repo-relative,
 /// unix separators).
@@ -210,7 +210,7 @@ mod tests {
         assert!(s.f1 && s.o1 && !s.u1 && !s.e1);
 
         let s = scope_for("crates/npu/src/hbm.rs").unwrap();
-        assert!(s.d1 && s.d2 && s.d3 && !s.p1);
+        assert!(s.d1 && s.d2 && s.d3 && s.p1);
         assert!(s.u1);
 
         let s = scope_for("crates/sim/src/time.rs").unwrap();

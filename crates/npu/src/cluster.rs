@@ -172,13 +172,13 @@ impl ClusterState {
     /// already failed — retiring the same core twice indicates a
     /// double-counted fault upstream.
     pub fn fail(&mut self, core: usize) -> V10Result<Vec<usize>> {
-        if self.core(core, "ClusterState::fail")?.failed {
+        let c = self.core_mut(core, "ClusterState::fail")?;
+        if c.failed {
             return Err(V10Error::invalid(
                 "ClusterState::fail",
                 format!("core {core} already failed"),
             ));
         }
-        let c = &mut self.cores[core];
         c.failed = true;
         Ok(std::mem::take(&mut c.residents))
     }
@@ -203,23 +203,20 @@ impl ClusterState {
     /// Returns [`V10Error::InvalidArgument`] if `core` is out of range, has
     /// failed, or has no free context-table slot.
     pub fn admit(&mut self, core: usize, class: usize) -> V10Result<()> {
-        if self.core(core, "ClusterState::admit")?.failed {
+        let c = self.core_mut(core, "ClusterState::admit")?;
+        if c.failed {
             return Err(V10Error::invalid(
                 "ClusterState::admit",
                 format!("core {core} has failed and cannot host tenants"),
             ));
         }
-        let slot = {
-            let c = self.core(core, "ClusterState::admit")?;
-            c.residents.len() < c.capacity
-        };
-        if !slot {
+        if c.residents.len() >= c.capacity {
             return Err(V10Error::invalid(
                 "ClusterState::admit",
                 format!("core {core} has no free context-table slot"),
             ));
         }
-        self.cores[core].residents.push(class);
+        c.residents.push(class);
         Ok(())
     }
 
@@ -231,14 +228,10 @@ impl ClusterState {
     /// Returns [`V10Error::InvalidArgument`] if `core` is out of range or no
     /// resident of that class is on the core.
     pub fn release(&mut self, core: usize, class: usize) -> V10Result<()> {
-        let pos = self
-            .core(core, "ClusterState::release")?
-            .residents
-            .iter()
-            .position(|&c| c == class);
-        match pos {
+        let residents = &mut self.core_mut(core, "ClusterState::release")?.residents;
+        match residents.iter().position(|&c| c == class) {
             Some(i) => {
-                self.cores[core].residents.remove(i);
+                residents.remove(i);
                 Ok(())
             }
             None => Err(V10Error::invalid(
@@ -249,16 +242,24 @@ impl ClusterState {
     }
 
     fn core(&self, core: usize, context: &'static str) -> V10Result<&CoreOccupancy> {
-        self.cores.get(core).ok_or_else(|| {
-            V10Error::invalid(
-                context,
-                format!(
-                    "core {core} out of range for a {}-core cluster",
-                    self.cores.len()
-                ),
-            )
-        })
+        self.cores
+            .get(core)
+            .ok_or_else(|| out_of_range(context, core, self.cores.len()))
     }
+
+    fn core_mut(&mut self, core: usize, context: &'static str) -> V10Result<&mut CoreOccupancy> {
+        let cores = self.cores.len();
+        self.cores
+            .get_mut(core)
+            .ok_or_else(|| out_of_range(context, core, cores))
+    }
+}
+
+fn out_of_range(context: &'static str, core: usize, cores: usize) -> V10Error {
+    V10Error::invalid(
+        context,
+        format!("core {core} out of range for a {cores}-core cluster"),
+    )
 }
 
 #[cfg(test)]

@@ -41,9 +41,7 @@ impl NpuConfig {
     /// scheduler time slice.
     #[must_use]
     pub fn table5() -> Self {
-        NpuConfig::builder()
-            .build()
-            .expect("Table 5 defaults are valid")
+        NpuConfig::builder().finish()
     }
 
     /// Starts building a configuration from the Table 5 defaults.
@@ -271,7 +269,14 @@ impl NpuConfigBuilder {
         if self.time_slice_cycles == 0 {
             return Err(invalid("time slice must be positive".into()));
         }
-        Ok(NpuConfig {
+        Ok(self.finish())
+    }
+
+    /// The configuration as set, unvalidated: [`build`](Self::build) once
+    /// it has checked the fields, and [`NpuConfig::table5`] on the Table 5
+    /// defaults (`table5_defaults` pins them valid).
+    fn finish(self) -> NpuConfig {
+        NpuConfig {
             sa_dim: self.sa_dim,
             fu_count: self.fu_count,
             frequency: self.frequency,
@@ -280,7 +285,7 @@ impl NpuConfigBuilder {
             hbm_bandwidth_bytes_per_sec: self.hbm_bandwidth_bytes_per_sec,
             time_slice_cycles: self.time_slice_cycles,
             vu_switch_cycles: self.vu_switch_cycles,
-        })
+        }
     }
 }
 
@@ -299,6 +304,11 @@ mod tests {
         assert_eq!(c.time_slice_cycles(), 32_768);
         assert!((c.hbm_bytes_per_cycle() - 330e9 / 700e6).abs() < 1e-9);
         assert_eq!(NpuConfig::default(), c);
+        assert_eq!(
+            NpuConfig::builder().build().unwrap(),
+            c,
+            "defaults are valid"
+        );
     }
 
     #[test]

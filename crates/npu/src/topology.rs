@@ -289,12 +289,16 @@ impl FleetTopology {
     ///
     /// Returns [`V10Error::InvalidArgument`] if `group` is out of range.
     pub fn link_factor(&self, group: usize) -> V10Result<f64> {
-        self.link_factors.get(group).copied().ok_or_else(|| {
-            V10Error::invalid(
-                "FleetTopology::link_factor",
-                format!("group {group} out of range for {} HBM groups", self.groups),
-            )
-        })
+        let factor = self.link_factors.get(group).copied();
+        factor.ok_or_else(|| no_link(group, self.groups))
+    }
+
+    /// Mutable access to `group`'s link factor, range-checked as
+    /// [`link_factor`](Self::link_factor).
+    fn link_factor_mut(&mut self, group: usize) -> V10Result<&mut f64> {
+        let groups = self.groups;
+        let factor = self.link_factors.get_mut(group);
+        factor.ok_or_else(|| no_link(group, groups))
     }
 
     /// Whether `group`'s uplink is fully partitioned (no transfer through
@@ -321,8 +325,7 @@ impl FleetTopology {
                 format!("degrade factor must be finite and >= 1, got {factor}"),
             ));
         }
-        self.link_factor(group)?;
-        self.link_factors[group] = factor;
+        *self.link_factor_mut(group)? = factor;
         Ok(())
     }
 
@@ -333,8 +336,7 @@ impl FleetTopology {
     ///
     /// Returns [`V10Error::InvalidArgument`] if `group` is out of range.
     pub fn partition_link(&mut self, group: usize) -> V10Result<()> {
-        self.link_factor(group)?;
-        self.link_factors[group] = f64::INFINITY;
+        *self.link_factor_mut(group)? = f64::INFINITY;
         Ok(())
     }
 
@@ -345,8 +347,7 @@ impl FleetTopology {
     ///
     /// Returns [`V10Error::InvalidArgument`] if `group` is out of range.
     pub fn restore_link(&mut self, group: usize) -> V10Result<()> {
-        self.link_factor(group)?;
-        self.link_factors[group] = 1.0;
+        *self.link_factor_mut(group)? = 1.0;
         Ok(())
     }
 
@@ -367,6 +368,13 @@ impl FleetTopology {
         }
         Ok(self.transfer_cycles(bytes, hops) * factor)
     }
+}
+
+fn no_link(group: usize, groups: usize) -> V10Error {
+    V10Error::invalid(
+        "FleetTopology::link_factor",
+        format!("group {group} out of range for {groups} HBM groups"),
+    )
 }
 
 #[cfg(test)]

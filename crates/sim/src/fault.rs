@@ -420,8 +420,8 @@ impl FaultInjector {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FleetFaultKind {
     /// A shard worker crashes: its candidate tables and in-flight placement
-    /// state are lost, and at the next epoch boundary it restores from its
-    /// last epoch snapshot and deterministically replays the delta.
+    /// state are lost, and at the next epoch boundary it comes back and
+    /// rebuilds its tables from the fleet state, deterministically.
     ShardCrash {
         /// Which shard crashes (index into the fleet's `ShardMap`).
         shard: usize,

@@ -61,8 +61,9 @@ const TIME_SLICE_CYCLES: u64 = 32_768;
 
 /// The fleet-plane epoch the fleet-fault cases time themselves against:
 /// [`AdversaryCase::EpochCrash`] lands its shard crash exactly on a
-/// boundary of this epoch, the worst instant for snapshot/restore (the
-/// crash races the boundary snapshot the restore would replay from).
+/// boundary of this epoch, the worst instant for crash/restore (the crash
+/// races the boundary exchange, and the restore lands one boundary
+/// later).
 const FLEET_EPOCH_CYCLES: f64 = 4.0e6;
 
 /// A scenario family: how hostile the generated tenant mix is.
@@ -156,8 +157,8 @@ pub enum AdversaryCase {
     /// core stalls.
     FaultStorm,
     /// Steady load with a fleet-plane shard crash scripted *exactly* on an
-    /// epoch boundary — the crash races the boundary snapshot its own
-    /// restore replays from.
+    /// epoch boundary — the crash races the boundary exchange, and its
+    /// restore lands one boundary later.
     EpochCrash,
     /// A flash crowd with an HBM-region blackout and uplink partition
     /// scripted mid-crowd: orphaned tenants must ride out the partition
@@ -803,8 +804,8 @@ fn fleet_plan_for(
     let mut events: Vec<(f64, FleetFaultKind)> = match case {
         AdversaryCase::EpochCrash => {
             // Crash shard 0 (the one shard every plane has) exactly on a
-            // fleet epoch boundary between epochs 2 and 5 — the snapshot
-            // taken at that same boundary is what the restore replays.
+            // fleet epoch boundary between epochs 2 and 5 — the same
+            // boundary's departures are applied before the crash lands.
             let mut rng = SimRng::seed_from(seed ^ 0x0E90);
             #[allow(clippy::cast_precision_loss)]
             let boundary = (2 + rng.index(4)) as f64 * FLEET_EPOCH_CYCLES;
