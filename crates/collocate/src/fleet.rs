@@ -59,7 +59,10 @@
 //! epoch-quantized fleet faults ([`FleetFaultPlan`]): each event applies at
 //! the first processed epoch boundary at or after its scripted time, in
 //! compiled order, so the blast radius is a deterministic function of the
-//! plan and the arrival stream alone.
+//! plan and the arrival stream alone. The plane processes only the
+//! boundaries of epochs that hold arrivals, so an event scripted after the
+//! last one (the start of the last arrival's epoch) could never apply; the
+//! serve rejects it up front.
 //!
 //! * **Shard crash / restore** ([`FleetFaultKind::ShardCrash`]): the
 //!   shard's admission worker goes dark — its summary table is lost and
@@ -419,10 +422,12 @@ fn unknown_core(core: usize) -> V10Error {
 ///
 /// Construction fixes the fleet geometry ([`FleetTopology`]), the shard
 /// partition, the epoch length, and the topology scoring weights; then
-/// [`serve`](Self::serve) plays an arrival stream forward and returns the
-/// same [`ClusterServeReport`] shape as the single-coordinator recovery
-/// path, plus a [`FleetOutcome`] with the plane's work counters. Every
-/// serve starts from the plane as constructed.
+/// [`serve`](Self::serve) plays an arrival stream forward and returns a
+/// [`ClusterServeReport`] (the per-core reports and the recovery ledger)
+/// plus a [`FleetOutcome`] with the plane's decisions and work counters.
+/// It is the one multi-core serving path: a two-core cluster is
+/// `FleetTopology::flat(2)` with one shard. Every serve starts from the
+/// plane as constructed.
 #[derive(Debug)]
 pub struct FleetPlane<'a> {
     placer: OnlinePlacer<'a>,
@@ -762,15 +767,18 @@ impl<'a> FleetPlane<'a> {
     /// [`FleetOutcome`] carries the fault application log. The plane's
     /// fault and recovery decisions — [`SimEvent::ShardCrashed`],
     /// [`SimEvent::ShardRestored`], [`SimEvent::RegionFailed`],
-    /// [`SimEvent::TenantEvacuated`], and [`SimEvent::RequestShed`] (with
-    /// `arrival` indexing [`FleetOutcome::decisions`]) — go to `observer`
-    /// in application order. With the empty plan the ledgers are empty and
-    /// the result is bit-identical to [`serve`](Self::serve).
+    /// [`SimEvent::TenantEvacuated`], and [`SimEvent::RequestShed`] (the
+    /// last two with `arrival` indexing [`FleetOutcome::decisions`]) — go
+    /// to `observer` in application order. With the empty plan the ledgers
+    /// are empty and the result is bit-identical to [`serve`](Self::serve).
     ///
     /// # Errors
     ///
     /// As [`serve`](Self::serve), plus [`V10Error::InvalidArgument`] when a
-    /// plan event targets a shard or HBM group the plane does not have.
+    /// plan event targets a shard or HBM group the plane does not have, or
+    /// is scripted after the last epoch boundary the serve processes (the
+    /// start of the last arrival's epoch; with no arrivals, none), where
+    /// it could never apply.
     #[allow(clippy::too_many_arguments)]
     pub fn serve_faulted<O: SimObserver>(
         &mut self,
@@ -796,7 +804,7 @@ impl<'a> FleetPlane<'a> {
             ));
         }
         let events = plan.compiled();
-        self.validate_events(&events)?;
+        self.validate_events(&events, arrivals)?;
         self.reset()?;
         let armed = !events.is_empty();
         let mut fd = FaultDomains {
@@ -936,8 +944,18 @@ impl<'a> FleetPlane<'a> {
     }
 
     /// Rejects plan events that target a shard or HBM group the plane does
-    /// not have, before the serve touches any state.
-    fn validate_events(&self, events: &[FleetFaultEvent]) -> V10Result<()> {
+    /// not have, or that no processed epoch boundary would apply (scripted
+    /// after the start of the last arrival's epoch), before the serve
+    /// touches any state.
+    fn validate_events(
+        &self,
+        events: &[FleetFaultEvent],
+        arrivals: &[TimedArrival],
+    ) -> V10Result<()> {
+        let last_boundary = arrivals.last().map(|a| {
+            self.clock
+                .start_of(self.clock.epoch_of(Cycles::new(a.at_cycles())))
+        });
         for e in events {
             let (ok, have) = match e.kind() {
                 FleetFaultKind::ShardCrash { shard } => {
@@ -960,6 +978,23 @@ impl<'a> FleetPlane<'a> {
                     ),
                 ));
             }
+            let late = match last_boundary {
+                Some(boundary) if e.at_cycles() <= boundary.as_f64() => continue,
+                Some(boundary) => format!(
+                    "the last processed epoch boundary is {} (the start of the last \
+                     arrival's epoch)",
+                    boundary.as_f64()
+                ),
+                None => "no arrivals, so no epoch boundary is processed".to_string(),
+            };
+            return Err(V10Error::invalid(
+                "FleetPlane::serve_faulted",
+                format!(
+                    "{} at {} would never apply: {late}",
+                    e.kind().label(),
+                    e.at_cycles()
+                ),
+            ));
         }
         Ok(())
     }
@@ -1192,6 +1227,7 @@ impl<'a> FleetPlane<'a> {
                 })?;
                 fd.requeued.push(record);
                 observer.on_event(SimEvent::TenantEvacuated {
+                    arrival: decision,
                     from_core,
                     to_core,
                     at,
@@ -1224,19 +1260,30 @@ mod tests {
     use crate::pipeline::ClusteringPipeline;
     use v10_workloads::Model;
 
-    /// Records the shard crashes and restores a faulted serve emits, as
-    /// `(shard, boundary_cycles)` pairs in emission order.
+    /// Records the plane-level events a faulted serve emits, in emission
+    /// order: shard crashes and restores as `(shard, boundary_cycles)`,
+    /// evacuations as `(arrival, from_core, to_core, at)`, and sheds as
+    /// `(arrival, at)`.
     #[derive(Default)]
-    struct ShardLog {
+    struct FaultLog {
         crashes: Vec<(usize, f64)>,
         restores: Vec<(usize, f64)>,
+        evacuations: Vec<(usize, usize, usize, f64)>,
+        sheds: Vec<(usize, f64)>,
     }
 
-    impl SimObserver for ShardLog {
+    impl SimObserver for FaultLog {
         fn on_event(&mut self, event: SimEvent) {
             match event {
                 SimEvent::ShardCrashed { shard, at } => self.crashes.push((shard, at)),
                 SimEvent::ShardRestored { shard, at } => self.restores.push((shard, at)),
+                SimEvent::TenantEvacuated {
+                    arrival,
+                    from_core,
+                    to_core,
+                    at,
+                } => self.evacuations.push((arrival, from_core, to_core, at)),
+                SimEvent::RequestShed { arrival, at } => self.sheds.push((arrival, at)),
                 _ => {}
             }
         }
@@ -1309,6 +1356,21 @@ mod tests {
         assert_eq!(report.completed_requests(), 9);
         let hosted = report.per_core().iter().flatten().count();
         assert!(hosted >= 1);
+
+        // The cluster latency summary, its p99, and the sorted samples
+        // agree.
+        let samples = report.latencies_cycles();
+        assert_eq!(samples.len(), 9);
+        assert!(samples.windows(2).all(|w| w[0] <= w[1]), "{samples:?}");
+        let summary = report.latency_summary().unwrap();
+        assert_eq!(summary.count(), report.completed_requests());
+        let direct = v10_sim::LatencySummary::from_samples(&samples).unwrap();
+        assert_eq!(summary.p99().to_bits(), direct.p99().to_bits());
+        assert_eq!(
+            report.p99_latency_cycles().to_bits(),
+            summary.p99().to_bits()
+        );
+        assert!(summary.p50() <= summary.p95() && summary.p95() <= summary.p99());
     }
 
     #[test]
@@ -1477,7 +1539,7 @@ mod tests {
         assert!(report.retired_cores().is_empty());
         assert!(outcome.regions_failed().is_empty());
 
-        let mut log = ShardLog::default();
+        let mut log = FaultLog::default();
         plane(&p, 2, 1)
             .serve_faulted(
                 &arrivals(),
@@ -1511,7 +1573,7 @@ mod tests {
         stream.push(arrival("t5", Model::Mnist, 4_300_000.0, 1));
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
-        let mut log = ShardLog::default();
+        let mut log = FaultLog::default();
         let (report, outcome) = plane
             .serve_faulted(
                 &stream,
@@ -1550,7 +1612,7 @@ mod tests {
             .unwrap();
         let arrivals = arrivals();
         let mut plane = plane(&p, 1, 1);
-        let mut log = ShardLog::default();
+        let mut log = FaultLog::default();
         let (report, outcome) = plane
             .serve_faulted(
                 &arrivals,
@@ -1655,6 +1717,7 @@ mod tests {
         let policy = RecoveryPolicy::new().with_deadline_factor(400.0).unwrap();
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
+        let mut log = FaultLog::default();
         let (report, outcome) = plane
             .serve_faulted(
                 &faulted_arrivals(),
@@ -1663,7 +1726,7 @@ mod tests {
                 &opts,
                 &plan,
                 &policy,
-                &mut NullObserver,
+                &mut log,
             )
             .unwrap();
         assert_eq!(outcome.regions_failed(), &[(0, 8_000_000.0)]);
@@ -1688,6 +1751,78 @@ mod tests {
         // shows up as a shed loss.
         let offered_requests: usize = faulted_arrivals().iter().map(|a| a.requests()).sum();
         assert_eq!(outcome.rejected(), 0);
+        assert_eq!(
+            report.completed_requests() + report.shed_requests(),
+            offered_requests
+        );
+        assert!(report.conservation().holds());
+
+        // One evacuation event per requeue, naming the evacuee's decision.
+        assert!(log.sheds.is_empty());
+        assert_eq!(log.evacuations.len(), report.requeued().len());
+        for (&(arrival, from_core, to_core, at), r) in log.evacuations.iter().zip(report.requeued())
+        {
+            assert_eq!(outcome.decisions()[arrival].label, r.label);
+            assert_eq!(
+                outcome.decisions()[arrival].placement,
+                Placement::Core(from_core)
+            );
+            assert_eq!(
+                (from_core, to_core, at),
+                (r.from_core, r.to_core, r.at_cycles)
+            );
+        }
+
+        // A report claiming one more offered session than its cores saw
+        // breaks the conservation identity.
+        let forged = ClusterServeReport::from_parts(
+            report.offered_sessions() + 1,
+            report.per_core().to_vec(),
+            report.requeued().to_vec(),
+            report.shed().to_vec(),
+            report.retired_cores().to_vec(),
+        );
+        assert!(!forged.conservation().holds());
+    }
+
+    /// Under a deadline of 1x ideal service, no displaced tenant can still
+    /// finish in time: the region failure sheds all six Bert tenants,
+    /// requeues none, and emits one `RequestShed` per shed naming the
+    /// tenant's decision.
+    #[test]
+    fn tight_deadline_sheds_every_displaced_tenant() {
+        let p = pipeline();
+        let plan = FleetFaultPlan::none()
+            .with_fault(5_000_000.0, FleetFaultKind::RegionFail { hbm_group: 0 })
+            .unwrap();
+        let policy = RecoveryPolicy::new().with_deadline_factor(1.0).unwrap();
+        let mut log = FaultLog::default();
+        let (report, outcome) = faulted_plane(&p, 2, 1)
+            .serve_faulted(
+                &faulted_arrivals(),
+                Design::V10Full,
+                &NpuConfig::table5(),
+                &RunOptions::new(1).unwrap(),
+                &plan,
+                &policy,
+                &mut log,
+            )
+            .unwrap();
+        assert!(report.requeued().is_empty());
+        assert!(log.evacuations.is_empty());
+        assert_eq!(report.shed().len(), 6, "{:?}", report.shed());
+        assert!(report.shed().iter().all(|s| s.deadline_unmeetable));
+        assert!(report.shed_fraction() > 0.0);
+        assert_eq!(log.sheds.len(), report.shed().len());
+        for (&(arrival, at), s) in log.sheds.iter().zip(report.shed()) {
+            assert_eq!(outcome.decisions()[arrival].label, s.label);
+            assert_eq!(at, s.at_cycles);
+        }
+        // Requests are conserved with sheds present: every placed request
+        // either completed before the failure or is a shed loss.
+        let offered_requests: usize = faulted_arrivals().iter().map(|a| a.requests()).sum();
+        assert_eq!(outcome.rejected(), 0);
+        assert!(report.shed_requests() > 0);
         assert_eq!(
             report.completed_requests() + report.shed_requests(),
             offered_requests
@@ -1837,7 +1972,7 @@ mod tests {
         let policy = RecoveryPolicy::new().with_deadline_factor(400.0).unwrap();
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
-        let mut log = ShardLog::default();
+        let mut log = FaultLog::default();
         let (report, outcome) = plane
             .serve_faulted(
                 &stream,
@@ -1899,41 +2034,50 @@ mod tests {
         }
     }
 
+    /// A plan event the serve could never apply is rejected before any
+    /// state changes: one targeting a shard or HBM group the plane does not
+    /// have, or one scripted after the last processed epoch boundary (the
+    /// start of the last arrival's epoch; with no arrivals, any event),
+    /// which would otherwise return a report indistinguishable from a
+    /// disarmed serve.
     #[test]
-    fn out_of_range_fault_targets_rejected_up_front() {
+    fn faults_that_cannot_apply_are_rejected_up_front() {
         let p = pipeline();
         let opts = RunOptions::new(1).unwrap();
+        let cfg = NpuConfig::table5();
         let mut plane = faulted_plane(&p, 2, 1);
-        let plan = FleetFaultPlan::none()
-            .with_fault(0.0, FleetFaultKind::ShardCrash { shard: 9 })
-            .unwrap();
-        let err = plane
-            .serve_faulted(
-                &faulted_arrivals(),
+        let mut serve = |arrivals: &[TimedArrival], at: f64, kind: FleetFaultKind| {
+            let plan = FleetFaultPlan::none().with_fault(at, kind).unwrap();
+            plane.serve_faulted(
+                arrivals,
                 Design::V10Full,
-                &NpuConfig::table5(),
+                &cfg,
                 &opts,
                 &plan,
                 &RecoveryPolicy::new(),
                 &mut NullObserver,
             )
-            .unwrap_err();
-        assert!(err.to_string().contains("out-of-range"), "{err}");
-        let plan = FleetFaultPlan::none()
-            .with_fault(0.0, FleetFaultKind::RegionFail { hbm_group: 7 })
-            .unwrap();
-        let err = plane
-            .serve_faulted(
-                &faulted_arrivals(),
-                Design::V10Full,
-                &NpuConfig::table5(),
-                &opts,
-                &plan,
-                &RecoveryPolicy::new(),
-                &mut NullObserver,
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("out-of-range"), "{err}");
+        };
+        let stream = faulted_arrivals();
+        for kind in [
+            FleetFaultKind::ShardCrash { shard: 9 },
+            FleetFaultKind::RegionFail { hbm_group: 7 },
+        ] {
+            let err = serve(&stream, 0.0, kind).unwrap_err();
+            assert!(err.to_string().contains("out-of-range"), "{err}");
+        }
+        // The last arrival (8.1e6) lies in the epoch that starts at 8e6.
+        let region = FleetFaultKind::RegionFail { hbm_group: 0 };
+        let err = serve(&stream, 8_000_001.0, region).unwrap_err();
+        assert!(matches!(err, V10Error::InvalidArgument { .. }), "{err}");
+        assert!(
+            err.to_string().contains(
+                "at 8000001 would never apply: the last processed epoch boundary is 8000000"
+            ),
+            "{err}"
+        );
+        let err = serve(&[], 0.0, region).unwrap_err();
+        assert!(err.to_string().contains("no arrivals"), "{err}");
     }
 
     #[test]

@@ -21,14 +21,15 @@
 //! * [`eval`] — ground-truth pair profiling on the simulator, the ≥ 1.3×
 //!   decision threshold, and the leave-2-out cross-validation protocol.
 //! * [`placer`] — the cluster database as an *online* placement advisor
-//!   ([`OnlinePlacer`]) plus the multi-core admission controller
-//!   ([`MultiCoreAdmission`]) that compiles accepted arrivals into per-core
-//!   admission schedules for the serving engine.
-//! * [`fleet`] — the sharded fleet serving plane ([`FleetPlane`]):
-//!   topology-aware admission over a ≥1000-core fleet decomposed into
-//!   per-shard workers with per-(class, HBM-group) candidate tables,
-//!   exchanging departures deterministically at epoch boundaries —
-//!   byte-identical reports at any shard or thread count.
+//!   ([`OnlinePlacer`]): it scores collocating an arriving tenant with
+//!   each core's residents.
+//! * [`fleet`] — the one multi-core serving plane ([`FleetPlane`]):
+//!   topology-aware admission, from a two-core cluster to a ≥1000-core
+//!   fleet, decomposed into per-shard workers with per-(class, HBM-group)
+//!   candidate tables, exchanging departures deterministically at epoch
+//!   boundaries — byte-identical reports at any shard or thread count.
+//! * [`recovery`] — the fleet's re-admission ladder ([`RecoveryPolicy`])
+//!   and its serve report ([`ClusterServeReport`]).
 //!
 //! # Example
 //!
@@ -67,9 +68,7 @@ pub use fleet::{FleetOutcome, FleetPlane};
 pub use kmeans::KMeans;
 pub use pca::Pca;
 pub use pipeline::ClusteringPipeline;
-pub use placer::{
-    AdmissionDecision, MultiCoreAdmission, OnlinePlacer, Placement, TopoScore, TopologyWeights,
-};
+pub use placer::{AdmissionDecision, OnlinePlacer, Placement, TopoScore, TopologyWeights};
 pub use recovery::{
     ClusterServeReport, ConservationLedger, RecoveryPolicy, RequeueRecord, ShedRecord,
 };

@@ -123,14 +123,6 @@ impl ClusteringPipeline {
         self.kmeans.k()
     }
 
-    /// Dimensionality of the raw feature vectors the pipeline was fitted
-    /// on (what [`cluster_of_features`](Self::cluster_of_features) expects).
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn feature_dim(&self) -> usize {
-        self.standardizer.dim()
-    }
-
     /// Maps a raw feature vector to its cluster — Fig. 14's "Cluster
     /// Prediction" (works for workloads unseen in training).
     #[must_use]

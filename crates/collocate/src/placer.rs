@@ -11,15 +11,15 @@
 //! qualifies, the tenant gets an empty core; with no free slot anywhere it
 //! is rejected.
 //!
-//! [`MultiCoreAdmission`] wraps the advisor around a [`ClusterState`] and
-//! compiles the accepted arrivals into per-core [`AdmissionSchedule`]s
-//! that the serving engine replays (`v10_core::serve_design`).
+//! [`FleetPlane`](crate::fleet::FleetPlane) wraps the advisor around a
+//! [`ClusterState`]: it caches each core's [`OnlinePlacer::topo_score`],
+//! takes the argmax per arrival, and hands each placed arrival to its
+//! core's resumable engine run.
 
-use v10_core::{Admission, AdmissionSchedule, WorkloadSpec};
 use v10_npu::ClusterState;
 use v10_sim::convert::usize_to_f64;
 use v10_sim::{V10Error, V10Result};
-use v10_workloads::{Model, TimedArrival};
+use v10_workloads::Model;
 
 use crate::eval::BENEFIT_THRESHOLD;
 use crate::pipeline::ClusteringPipeline;
@@ -94,71 +94,6 @@ impl<'a> OnlinePlacer<'a> {
         self.pipeline.cluster_of_model(model)
     }
 
-    /// Places an arriving tenant described by its raw §3.4 feature vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `features` has the wrong
-    /// dimensionality or contains a non-finite value, or if `cluster_state`
-    /// carries a resident class tag outside the pipeline's cluster range.
-    #[cfg(test)]
-    pub(crate) fn place(
-        &self,
-        features: &[f64],
-        cluster_state: &ClusterState,
-    ) -> V10Result<Placement> {
-        if features.len() != self.pipeline.feature_dim() {
-            return Err(V10Error::invalid(
-                "OnlinePlacer::place",
-                format!(
-                    "feature vector has {} dimensions, pipeline expects {}",
-                    features.len(),
-                    self.pipeline.feature_dim()
-                ),
-            ));
-        }
-        if let Some(bad) = features.iter().find(|f| !f.is_finite()) {
-            return Err(V10Error::invalid(
-                "OnlinePlacer::place",
-                format!("feature vector contains non-finite value {bad}"),
-            ));
-        }
-        self.place_class(self.pipeline.cluster_of_features(features), cluster_state)
-    }
-
-    /// Places an arriving model (classing it at its default batch).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the class-tag validation of
-    /// [`place_class`](Self::place_class).
-    #[cfg(test)]
-    pub(crate) fn place_model(
-        &self,
-        model: Model,
-        cluster_state: &ClusterState,
-    ) -> V10Result<Placement> {
-        self.place_class(self.class_of_model(model), cluster_state)
-    }
-
-    /// Places an arriving tenant already mapped to behavior class `class`:
-    /// the topology-blind ranking, which is the topology-aware argmax at
-    /// [`TopologyWeights::zero`] on home group 0. Every penalty is then
-    /// `+0.0`, so an empty core scores `-0.0`, a collocated core exactly
-    /// its predicted STP, and ties go to the lowest core index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `class` — or any resident
-    /// tag in `cluster_state` — is outside the pipeline's cluster range.
-    pub(crate) fn place_class(
-        &self,
-        class: usize,
-        cluster_state: &ClusterState,
-    ) -> V10Result<Placement> {
-        self.best_core(class, cluster_state, 0, &TopologyWeights::zero())
-    }
-
     /// Scores one candidate core for an arrival of behavior class `class`
     /// whose weights are resident in HBM group `home_group`, or `None`
     /// when the core is not admissible (no free slot, or a resident
@@ -230,16 +165,21 @@ impl<'a> OnlinePlacer<'a> {
         }))
     }
 
-    /// Topology-aware placement, the one argmax over
-    /// [`topo_score`](Self::topo_score) behind every placement: the
-    /// admissible core with the highest [`TopoScore`] wins, ties broken by
-    /// the lowest core index. It is the reference (single-scan) ranking the
-    /// sharded fleet plane decomposes across per-shard admission workers;
-    /// both must pick identical cores on identical state.
+    /// Topology-aware placement as one flat argmax over
+    /// [`topo_score`](Self::topo_score): the admissible core with the
+    /// highest [`TopoScore`] wins, ties broken by the lowest core index. It
+    /// is the reference (single-scan) ranking the sharded fleet plane
+    /// decomposes across per-shard admission workers; both must pick
+    /// identical cores on identical state, which debug builds check on
+    /// every fleet placement. At [`TopologyWeights::zero`] on home group 0
+    /// every penalty is `+0.0`, so an empty core scores `-0.0`, a
+    /// collocated core exactly its predicted STP, and this is the
+    /// topology-blind ranking.
     ///
     /// # Errors
     ///
     /// As [`topo_score`](Self::topo_score).
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn best_core(
         &self,
         class: usize,
@@ -355,7 +295,8 @@ impl TopoScore {
     }
 }
 
-/// One admission decision recorded by [`MultiCoreAdmission`].
+/// One admission decision of a fleet serve, in offer order
+/// ([`FleetOutcome::decisions`](crate::fleet::FleetOutcome::decisions)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionDecision {
     /// The tenant's label (from the arrival stream).
@@ -368,144 +309,12 @@ pub struct AdmissionDecision {
     pub placement: Placement,
 }
 
-/// An online multi-core admission controller: feeds arriving tenants
-/// through an [`OnlinePlacer`], tracks cluster occupancy, and compiles the
-/// accepted arrivals into per-core [`AdmissionSchedule`]s.
-///
-/// The controller plans conservatively: an admitted tenant holds its slot
-/// for the whole planning horizon unless [`release`](Self::release) is
-/// called (the serving engine itself frees context-table rows the moment a
-/// tenant's quota completes).
-#[derive(Debug)]
-pub struct MultiCoreAdmission<'a> {
-    pub(crate) placer: OnlinePlacer<'a>,
-    pub(crate) state: ClusterState,
-    pub(crate) per_core: Vec<Vec<Admission>>,
-    pub(crate) decisions: Vec<AdmissionDecision>,
-    rejected: usize,
-}
-
-impl<'a> MultiCoreAdmission<'a> {
-    /// A controller over `cores` cores with `slots_per_core` context-table
-    /// slots each.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `cores` or `slots_per_core`
-    /// is zero.
-    pub fn new(placer: OnlinePlacer<'a>, cores: usize, slots_per_core: usize) -> V10Result<Self> {
-        Ok(MultiCoreAdmission {
-            placer,
-            state: ClusterState::new(cores, slots_per_core)?,
-            per_core: vec![Vec::new(); cores],
-            decisions: Vec::new(),
-            rejected: 0,
-        })
-    }
-
-    /// Offers one arriving tenant to the cluster. Returns the core it was
-    /// placed on, or `None` if the advisor rejected it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placer/state validation errors; a *rejection* is not an
-    /// error.
-    pub fn offer(&mut self, arrival: &TimedArrival) -> V10Result<Option<usize>> {
-        let class = self.placer.class_of_model(arrival.model());
-        let placement = self.placer.place_class(class, &self.state)?;
-        self.decisions.push(AdmissionDecision {
-            label: arrival.label().to_string(),
-            model: arrival.model(),
-            at_cycles: arrival.at_cycles(),
-            placement,
-        });
-        match placement {
-            Placement::Core(core) => {
-                self.state.admit(core, class)?;
-                let spec = WorkloadSpec::new(arrival.label(), arrival.trace().clone());
-                self.per_core[core].push(Admission::new(
-                    spec,
-                    arrival.at_cycles(),
-                    arrival.requests(),
-                )?);
-                Ok(Some(core))
-            }
-            Placement::Reject => {
-                self.rejected += 1;
-                Ok(None)
-            }
-        }
-    }
-
-    /// Releases a previously admitted tenant of `model`'s behavior class
-    /// from `core`, freeing its slot for later arrivals.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `core` is out of range or
-    /// no tenant of that class is resident there.
-    pub fn release(&mut self, core: usize, model: Model) -> V10Result<()> {
-        self.state.release(core, self.placer.class_of_model(model))
-    }
-
-    /// The advisor in use.
-    #[must_use]
-    pub fn placer(&self) -> &OnlinePlacer<'a> {
-        &self.placer
-    }
-
-    /// Current cluster occupancy.
-    #[must_use]
-    pub fn state(&self) -> &ClusterState {
-        &self.state
-    }
-
-    /// Every decision taken so far, in offer order.
-    #[must_use]
-    pub fn decisions(&self) -> &[AdmissionDecision] {
-        &self.decisions
-    }
-
-    /// Tenants accepted so far.
-    #[must_use]
-    pub fn admitted(&self) -> usize {
-        self.decisions.len() - self.rejected
-    }
-
-    /// Tenants rejected so far.
-    #[must_use]
-    pub fn rejected(&self) -> usize {
-        self.rejected
-    }
-
-    /// Compiles the accepted arrivals into one [`AdmissionSchedule`] per
-    /// core (`None` for cores that received no tenant).
-    ///
-    /// # Errors
-    ///
-    /// Propagates schedule-construction errors (none are expected for
-    /// controller-built admission lists).
-    pub fn schedules(&self) -> V10Result<Vec<Option<AdmissionSchedule>>> {
-        self.per_core
-            .iter()
-            .map(|admissions| {
-                if admissions.is_empty() {
-                    Ok(None)
-                } else {
-                    AdmissionSchedule::new(admissions.clone()).map(Some)
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::build_dataset;
     use crate::eval::PairPerfCache;
     use v10_npu::FleetTopology;
-    use v10_workloads::OpenLoopProcess;
 
     fn pipeline() -> ClusteringPipeline {
         let models = [
@@ -521,13 +330,18 @@ mod tests {
         ClusteringPipeline::fit(&points, 3, 3, &mut cache, 3)
     }
 
+    /// The topology-blind ranking of an arrival of behavior class `class`.
+    fn rank(placer: &OnlinePlacer, class: usize, state: &ClusterState) -> V10Result<Placement> {
+        placer.best_core(class, state, 0, &TopologyWeights::zero())
+    }
+
     #[test]
     fn empty_cluster_places_on_first_core() {
         let p = pipeline();
         let placer = OnlinePlacer::new(&p);
         let state = ClusterState::new(3, 8).unwrap();
         assert_eq!(
-            placer.place_model(Model::Bert, &state).unwrap(),
+            rank(&placer, placer.class_of_model(Model::Bert), &state).unwrap(),
             Placement::Core(0)
         );
     }
@@ -550,7 +364,7 @@ mod tests {
         let mut state = ClusterState::new(2, 8).unwrap();
         state.admit(0, placer.class_of_model(a)).unwrap();
         assert_eq!(
-            placer.place_model(b, &state).unwrap(),
+            rank(&placer, placer.class_of_model(b), &state).unwrap(),
             Placement::Core(0),
             "{a}+{b} predicted beneficial, should collocate"
         );
@@ -564,13 +378,13 @@ mod tests {
         let mut state = ClusterState::new(2, 8).unwrap();
         state.admit(0, placer.class_of_model(Model::Bert)).unwrap();
         assert_eq!(
-            placer.place_model(Model::Dlrm, &state).unwrap(),
+            rank(&placer, placer.class_of_model(Model::Dlrm), &state).unwrap(),
             Placement::Core(1),
             "advisor refuses collocation, tenant goes to the empty core"
         );
         state.admit(1, placer.class_of_model(Model::Dlrm)).unwrap();
         assert_eq!(
-            placer.place_model(Model::Ncf, &state).unwrap(),
+            rank(&placer, placer.class_of_model(Model::Ncf), &state).unwrap(),
             Placement::Reject,
             "no beneficial pairing and no empty core left"
         );
@@ -583,22 +397,9 @@ mod tests {
         let mut state = ClusterState::new(1, 1).unwrap();
         state.admit(0, 0).unwrap();
         assert_eq!(
-            placer.place_model(Model::Bert, &state).unwrap(),
+            rank(&placer, placer.class_of_model(Model::Bert), &state).unwrap(),
             Placement::Reject
         );
-    }
-
-    #[test]
-    fn bad_feature_vectors_rejected() {
-        let p = pipeline();
-        let placer = OnlinePlacer::new(&p);
-        let state = ClusterState::new(1, 8).unwrap();
-        let err = placer.place(&[1.0, 2.0], &state).unwrap_err();
-        assert!(err.to_string().contains("dimensions"), "{err}");
-        let mut nan = vec![0.0; p.feature_dim()];
-        nan[3] = f64::NAN;
-        let err = placer.place(&nan, &state).unwrap_err();
-        assert!(err.to_string().contains("non-finite"), "{err}");
     }
 
     #[test]
@@ -606,12 +407,12 @@ mod tests {
         let p = pipeline();
         let placer = OnlinePlacer::new(&p);
         let state = ClusterState::new(1, 8).unwrap();
-        let err = placer.place_class(p.clusters(), &state).unwrap_err();
+        let err = rank(&placer, p.clusters(), &state).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
         // A resident tag from some other pipeline is caught too.
         let mut state = ClusterState::new(1, 8).unwrap();
         state.admit(0, p.clusters() + 5).unwrap();
-        let err = placer.place_class(0, &state).unwrap_err();
+        let err = rank(&placer, 0, &state).unwrap_err();
         assert!(err.to_string().contains("resident class"), "{err}");
     }
 
@@ -622,70 +423,6 @@ mod tests {
             let err = OnlinePlacer::new(&p).with_threshold(bad).unwrap_err();
             assert!(err.to_string().contains("finite and positive"), "{err}");
         }
-    }
-
-    #[test]
-    fn valid_features_place_like_the_model() {
-        let p = pipeline();
-        let placer = OnlinePlacer::new(&p);
-        let state = ClusterState::new(2, 8).unwrap();
-        let features = Model::Bert
-            .default_profile()
-            .feature_vector(3)
-            .as_slice()
-            .to_vec();
-        assert_eq!(
-            placer.place(&features, &state).unwrap(),
-            placer.place_model(Model::Bert, &state).unwrap()
-        );
-    }
-
-    #[test]
-    fn controller_compiles_per_core_schedules() {
-        let p = pipeline();
-        let placer = OnlinePlacer::new(&p);
-        let mut ctl = MultiCoreAdmission::new(placer, 2, 2).unwrap();
-        let arrivals = OpenLoopProcess::new(&[Model::Bert, Model::Ncf, Model::Dlrm], 1.0e6, 11)
-            .unwrap()
-            .sample(5)
-            .unwrap();
-        for a in &arrivals {
-            ctl.offer(a).unwrap();
-        }
-        assert_eq!(ctl.admitted() + ctl.rejected(), 5);
-        assert_eq!(ctl.decisions().len(), 5);
-        // 2 cores × 2 slots: at most 4 admitted with no releases.
-        assert!(ctl.admitted() <= 4);
-        let schedules = ctl.schedules().unwrap();
-        assert_eq!(schedules.len(), 2);
-        let scheduled: usize = schedules.iter().flatten().map(AdmissionSchedule::len).sum();
-        assert_eq!(scheduled, ctl.admitted());
-        assert_eq!(ctl.state().total_residents(), ctl.admitted());
-    }
-
-    #[test]
-    fn controller_release_frees_the_slot() {
-        let p = pipeline();
-        let placer = OnlinePlacer::new(&p).with_threshold(0.01).unwrap();
-        let mut ctl = MultiCoreAdmission::new(placer, 1, 1).unwrap();
-        let arrivals = OpenLoopProcess::new(&[Model::Bert], 1.0e6, 2)
-            .unwrap()
-            .sample(3)
-            .unwrap();
-        assert_eq!(ctl.offer(&arrivals[0]).unwrap(), Some(0));
-        assert_eq!(ctl.offer(&arrivals[1]).unwrap(), None, "slot taken");
-        ctl.release(0, Model::Bert).unwrap();
-        assert_eq!(ctl.offer(&arrivals[2]).unwrap(), Some(0));
-        assert_eq!(ctl.rejected(), 1);
-        assert_eq!(ctl.admitted(), 2);
-    }
-
-    #[test]
-    fn degenerate_controller_rejected() {
-        let p = pipeline();
-        let placer = OnlinePlacer::new(&p);
-        assert!(MultiCoreAdmission::new(placer, 0, 4).is_err());
-        assert!(MultiCoreAdmission::new(placer, 2, 0).is_err());
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub struct RuntimeAuditor {
     tallies: Vec<WlTally>,
     rejected: u64,
     shed: u64,
-    requeued: u64,
     faults: u64,
     /// Whether the executor emits operator-issue events at all: the V10
     /// engine does, the task-granularity PMT baseline does not, and the
@@ -411,7 +410,8 @@ impl FleetConservation {
 
     /// Orphaned tenants evacuated onto surviving cores.
     #[must_use]
-    pub fn evacuated(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn evacuated(&self) -> u64 {
         self.evacuated
     }
 
@@ -538,7 +538,6 @@ impl SimObserver for RuntimeAuditor {
             }
             SimEvent::AdmissionRejected { .. } => self.rejected += 1,
             SimEvent::RequestShed { .. } => self.shed += 1,
-            SimEvent::RequestRequeued { .. } => self.requeued += 1,
             SimEvent::CtxSwitchStarted { .. } => self.switch_started += 1,
             SimEvent::CtxSwitchEnded { .. } => {
                 self.switch_ended += 1;

@@ -128,12 +128,6 @@ impl PropertyHarness {
         Ok(self)
     }
 
-    /// The evaluation budget.
-    #[must_use]
-    pub fn max_evaluations(&self) -> usize {
-        self.max_evaluations
-    }
-
     /// Evaluates `check` at `initial`; on violation, shrinks to a minimal
     /// still-violating [`ScenarioKnobs`] and returns the report. A clean
     /// initial scenario returns `Ok(None)`.

@@ -143,17 +143,6 @@ pub enum SimEvent {
         /// Simulated cycle.
         at: f64,
     },
-    /// The serving layer re-admitted a displaced tenant onto another core.
-    RequestRequeued {
-        /// Sequence number of the original arrival (offer order).
-        arrival: usize,
-        /// The core the tenant was displaced from.
-        from_core: usize,
-        /// The core the tenant landed on.
-        to_core: usize,
-        /// Simulated cycle of the re-admission decision.
-        at: f64,
-    },
     /// The serving layer shed a displaced tenant: fault-reduced capacity
     /// made its deadline unmeetable, so it was rejected rather than queued.
     RequestShed {
@@ -222,6 +211,8 @@ pub enum SimEvent {
     /// The fleet plane evacuated an orphaned tenant from a failed core
     /// onto a surviving one.
     TenantEvacuated {
+        /// Sequence number of the original arrival (offer order).
+        arrival: usize,
         /// The failed core the tenant was orphaned on.
         from_core: usize,
         /// The surviving core the tenant landed on.
@@ -259,7 +250,6 @@ impl SimEvent {
             SimEvent::FaultInjected { .. } => "fault_injected",
             SimEvent::OpReplayed { .. } => "op_replayed",
             SimEvent::CoreRetired { .. } => "core_retired",
-            SimEvent::RequestRequeued { .. } => "request_requeued",
             SimEvent::RequestShed { .. } => "request_shed",
             SimEvent::OverloadEntered { .. } => "overload_entered",
             SimEvent::DegradationApplied { .. } => "degradation_applied",
@@ -291,7 +281,6 @@ impl SimEvent {
             | SimEvent::FaultInjected { at, .. }
             | SimEvent::OpReplayed { at, .. }
             | SimEvent::CoreRetired { at }
-            | SimEvent::RequestRequeued { at, .. }
             | SimEvent::RequestShed { at, .. }
             | SimEvent::OverloadEntered { at, .. }
             | SimEvent::DegradationApplied { at, .. }
@@ -365,7 +354,6 @@ pub struct CounterObserver {
     fault_injected: u64,
     op_replayed: u64,
     core_retired: u64,
-    request_requeued: u64,
     request_shed: u64,
     overload_entered: u64,
     degradation_applied: u64,
@@ -393,13 +381,15 @@ impl CounterObserver {
 
     /// Operators run to completion.
     #[must_use]
-    pub fn op_completed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn op_completed(&self) -> u64 {
         self.op_completed
     }
 
     /// Full inference requests completed.
     #[must_use]
-    pub fn request_completed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn request_completed(&self) -> u64 {
         self.request_completed
     }
 
@@ -417,7 +407,8 @@ impl CounterObserver {
 
     /// Context-switch windows closed.
     #[must_use]
-    pub fn ctx_switch_ended(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn ctx_switch_ended(&self) -> u64 {
         self.ctx_switch_ended
     }
 
@@ -441,7 +432,8 @@ impl CounterObserver {
 
     /// Tenants that completed their quota and departed.
     #[must_use]
-    pub fn tenant_retired(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn tenant_retired(&self) -> u64 {
         self.tenant_retired
     }
 
@@ -453,85 +445,92 @@ impl CounterObserver {
 
     /// Scheduled faults fired by the injector.
     #[must_use]
-    pub fn fault_injected(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn fault_injected(&self) -> u64 {
         self.fault_injected
     }
 
     /// Operators re-issued from their input checkpoint.
     #[must_use]
-    pub fn op_replayed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn op_replayed(&self) -> u64 {
         self.op_replayed
     }
 
     /// Permanent core retirements.
     #[must_use]
-    pub fn core_retired(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn core_retired(&self) -> u64 {
         self.core_retired
-    }
-
-    /// Displaced tenants re-admitted onto another core.
-    #[must_use]
-    pub fn request_requeued(&self) -> u64 {
-        self.request_requeued
     }
 
     /// Displaced tenants shed for an unmeetable deadline.
     #[must_use]
-    pub fn request_shed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn request_shed(&self) -> u64 {
         self.request_shed
     }
 
     /// Overload-entry detections by the controller.
     #[must_use]
-    pub fn overload_entered(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn overload_entered(&self) -> u64 {
         self.overload_entered
     }
 
     /// Degradation-ladder rung applications.
     #[must_use]
-    pub fn degradation_applied(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn degradation_applied(&self) -> u64 {
         self.degradation_applied
     }
 
     /// Overload-clear (stand-down) detections by the controller.
     #[must_use]
-    pub fn overload_cleared(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn overload_cleared(&self) -> u64 {
         self.overload_cleared
     }
 
     /// Starvation detections by the watchdog.
     #[must_use]
-    pub fn tenant_starved(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn tenant_starved(&self) -> u64 {
         self.tenant_starved
     }
 
     /// Priority boosts issued by the watchdog.
     #[must_use]
-    pub fn watchdog_boost(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn watchdog_boost(&self) -> u64 {
         self.watchdog_boost
     }
 
     /// Fleet shard-worker crashes.
     #[must_use]
-    pub fn shard_crashed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn shard_crashed(&self) -> u64 {
         self.shard_crashed
     }
 
     /// Fleet shard restores after a crash.
     #[must_use]
-    pub fn shard_restored(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn shard_restored(&self) -> u64 {
         self.shard_restored
     }
 
     /// Orphaned tenants evacuated onto surviving cores.
     #[must_use]
-    pub fn tenant_evacuated(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn tenant_evacuated(&self) -> u64 {
         self.tenant_evacuated
     }
 
     /// Whole-HBM-group (region) failures.
     #[must_use]
-    pub fn region_failed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn region_failed(&self) -> u64 {
         self.region_failed
     }
 
@@ -552,7 +551,6 @@ impl CounterObserver {
             + self.fault_injected
             + self.op_replayed
             + self.core_retired
-            + self.request_requeued
             + self.request_shed
             + self.overload_entered
             + self.degradation_applied
@@ -584,7 +582,6 @@ impl SimObserver for CounterObserver {
             SimEvent::FaultInjected { .. } => &mut self.fault_injected,
             SimEvent::OpReplayed { .. } => &mut self.op_replayed,
             SimEvent::CoreRetired { .. } => &mut self.core_retired,
-            SimEvent::RequestRequeued { .. } => &mut self.request_requeued,
             SimEvent::RequestShed { .. } => &mut self.request_shed,
             SimEvent::OverloadEntered { .. } => &mut self.overload_entered,
             SimEvent::DegradationApplied { .. } => &mut self.degradation_applied,
@@ -710,9 +707,6 @@ impl<W: Write> SimObserver for JsonLinesObserver<W> {
                 fmt_cycles(cost_cycles)
             ),
             SimEvent::CoreRetired { .. } => format!("{{\"event\":\"{name}\",\"at\":{at}}}"),
-            SimEvent::RequestRequeued { arrival, from_core, to_core, .. } => format!(
-                "{{\"event\":\"{name}\",\"arrival\":{arrival},\"from_core\":{from_core},\"to_core\":{to_core},\"at\":{at}}}"
-            ),
             SimEvent::OverloadEntered { queue_depth, .. } => format!(
                 "{{\"event\":\"{name}\",\"queue_depth\":{queue_depth},\"at\":{at}}}"
             ),
@@ -734,8 +728,8 @@ impl<W: Write> SimObserver for JsonLinesObserver<W> {
             SimEvent::ShardCrashed { shard, .. } | SimEvent::ShardRestored { shard, .. } => {
                 format!("{{\"event\":\"{name}\",\"shard\":{shard},\"at\":{at}}}")
             }
-            SimEvent::TenantEvacuated { from_core, to_core, .. } => format!(
-                "{{\"event\":\"{name}\",\"from_core\":{from_core},\"to_core\":{to_core},\"at\":{at}}}"
+            SimEvent::TenantEvacuated { arrival, from_core, to_core, .. } => format!(
+                "{{\"event\":\"{name}\",\"arrival\":{arrival},\"from_core\":{from_core},\"to_core\":{to_core},\"at\":{at}}}"
             ),
             SimEvent::RegionFailed { group, .. } => {
                 format!("{{\"event\":\"{name}\",\"group\":{group},\"at\":{at}}}")
@@ -903,12 +897,6 @@ mod tests {
                     at: 3.0,
                 },
                 SimEvent::CoreRetired { at: 9.0 },
-                SimEvent::RequestRequeued {
-                    arrival: 2,
-                    from_core: 0,
-                    to_core: 1,
-                    at: 10.0,
-                },
                 SimEvent::RequestShed {
                     arrival: 3,
                     at: 11.0,
@@ -923,9 +911,8 @@ mod tests {
         assert_eq!(c.fault_injected(), 2);
         assert_eq!(c.op_replayed(), 1);
         assert_eq!(c.core_retired(), 1);
-        assert_eq!(c.request_requeued(), 1);
         assert_eq!(c.request_shed(), 1);
-        assert_eq!(c.total(), 6);
+        assert_eq!(c.total(), 5);
 
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -944,10 +931,6 @@ mod tests {
         assert_eq!(lines[3], "{\"event\":\"core_retired\",\"at\":9}");
         assert_eq!(
             lines[4],
-            "{\"event\":\"request_requeued\",\"arrival\":2,\"from_core\":0,\"to_core\":1,\"at\":10}"
-        );
-        assert_eq!(
-            lines[5],
             "{\"event\":\"request_shed\",\"arrival\":3,\"at\":11}"
         );
     }
@@ -1090,12 +1073,6 @@ mod tests {
                 at: 12.0,
             },
             SimEvent::CoreRetired { at: 13.0 },
-            SimEvent::RequestRequeued {
-                arrival: 0,
-                from_core: 0,
-                to_core: 1,
-                at: 14.0,
-            },
             SimEvent::RequestShed {
                 arrival: 1,
                 at: 15.0,
@@ -1123,6 +1100,7 @@ mod tests {
             SimEvent::ShardCrashed { shard: 0, at: 21.0 },
             SimEvent::ShardRestored { shard: 0, at: 22.0 },
             SimEvent::TenantEvacuated {
+                arrival: 2,
                 from_core: 0,
                 to_core: 1,
                 at: 23.0,
@@ -1147,7 +1125,6 @@ mod tests {
             | SimEvent::FaultInjected { .. }
             | SimEvent::OpReplayed { .. }
             | SimEvent::CoreRetired { .. }
-            | SimEvent::RequestRequeued { .. }
             | SimEvent::RequestShed { .. }
             | SimEvent::OverloadEntered { .. }
             | SimEvent::DegradationApplied { .. }
@@ -1186,6 +1163,7 @@ mod tests {
                 SimEvent::ShardRestored { shard: 2, at: 8.0 },
                 SimEvent::RegionFailed { group: 1, at: 9.0 },
                 SimEvent::TenantEvacuated {
+                    arrival: 7,
                     from_core: 5,
                     to_core: 12,
                     at: 10.0,
@@ -1219,7 +1197,7 @@ mod tests {
         );
         assert_eq!(
             lines[3],
-            "{\"event\":\"tenant_evacuated\",\"from_core\":5,\"to_core\":12,\"at\":10}"
+            "{\"event\":\"tenant_evacuated\",\"arrival\":7,\"from_core\":5,\"to_core\":12,\"at\":10}"
         );
     }
 

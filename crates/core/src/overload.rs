@@ -370,13 +370,15 @@ impl OverloadPolicy {
 
     /// The watchdog's `active_rate_p` starvation bound.
     #[must_use]
-    pub fn watchdog_arp_bound(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn watchdog_arp_bound(&self) -> f64 {
         self.watchdog_arp_bound
     }
 
     /// The watchdog's observation window in cycles.
     #[must_use]
-    pub fn watchdog_window_cycles(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn watchdog_window_cycles(&self) -> f64 {
         self.watchdog_window_cycles
     }
 

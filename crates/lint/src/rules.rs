@@ -920,11 +920,14 @@ pub fn e1_findings(observer_rel: &str, observer_src: &str, audit_src: &str) -> V
 /// S1 — dead public surface. A `pub fn` or `pub const` in a file whose
 /// [`Scope::s1`] is set (the sim-path crates' `src/` trees) is dead when
 /// its name appears as an identifier, outside comments, only at `fn`/`const`
-/// definition sites and inside its own crate's `#[cfg(test)]`/`#[test]`
-/// code. `corpus` is every file that could name it, as `(repo-relative
-/// path, source)` pairs ([`crate::workspace::corpus`]). The match is by
-/// name alone, so any same-named use anywhere keeps an item alive: S1 can
-/// miss a dead item but never flags a live one. Findings anchor at the
+/// definition sites, as a field (a `.name` read not followed by `(` or
+/// `::`, or a `name:` declaration or initialiser), and inside its own
+/// crate's `#[cfg(test)]`/`#[test]` code. `corpus` is every file that
+/// could name it, as `(repo-relative path, source)` pairs
+/// ([`crate::workspace::corpus`]). The match is by name alone, so any
+/// other same-named use anywhere keeps an item alive: S1 can miss a dead
+/// item but never flags a live one, because a function or constant can be
+/// named neither as a bare `.name` nor as `name:`. Findings anchor at the
 /// item, so an inline `// v10-lint: allow(S1) <reason>` there keeps it.
 #[must_use]
 pub fn s1_findings(corpus: &[(String, String)]) -> Vec<Finding> {
@@ -940,22 +943,31 @@ pub fn s1_findings(corpus: &[(String, String)]) -> Vec<Finding> {
         let parsed = crate::parser::ParsedFile::parse(src);
         let test_lines = test_region_lines(&parsed.tokens);
         let krate = crate::workspace::src_crate(rel);
-        let mut prev = "";
-        for t in &parsed.tokens {
-            if matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
+        let code: Vec<&Token> = parsed
+            .tokens
+            .iter()
+            .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+            .collect();
+        let text = |i: usize| code.get(i).map_or("", |t| t.text.as_str());
+        for (i, t) in code.iter().enumerate() {
+            if t.kind != TokKind::Ident {
                 continue;
             }
-            if t.kind == TokKind::Ident && prev != "fn" && prev != "const" {
-                match krate.filter(|_| test_lines.contains(&t.line)) {
-                    Some(c) => {
-                        test_used_by.entry(t.text.clone()).or_default().insert(c);
-                    }
-                    None => {
-                        used.insert(t.text.clone());
-                    }
+            let prev = if i == 0 { "" } else { text(i - 1) };
+            let (next, after) = (text(i + 1), text(i + 2));
+            let field_read = prev == "." && next != "(" && !(next == ":" && after == ":");
+            let field_decl = next == ":" && after != ":";
+            if prev == "fn" || prev == "const" || field_read || field_decl {
+                continue;
+            }
+            match krate.filter(|_| test_lines.contains(&t.line)) {
+                Some(c) => {
+                    test_used_by.entry(t.text.clone()).or_default().insert(c);
+                }
+                None => {
+                    used.insert(t.text.clone());
                 }
             }
-            prev = &t.text;
         }
 
         let (Some(own), true) = (

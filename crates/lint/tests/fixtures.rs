@@ -202,14 +202,19 @@ fn e1_findings_respect_allow_directives() {
 
 /// S1 is cross-file, so the fixture is scanned as a sim crate's library
 /// file (`crates/sim/src/`) next to a second file that calls one of its
-/// functions. The function only its own test module names fires; the one
+/// functions and builds its `FixtureTally`. The function only its own test
+/// module names fires; so does the getter named elsewhere only as a field
+/// (a `.fixture_count` read or a `fixture_count:` initialiser); the one
 /// called from elsewhere does not; the allow directive suppresses the
-/// third without a META finding. The same file outside S1's scope (the
+/// fourth without a META finding. The same file outside S1's scope (the
 /// bench crate) yields nothing.
 #[test]
 fn s1_fixture_fires_and_respects_scope() {
     let src = fixture("s1_dead_pub.rs");
-    let caller = "fn f() -> u32 {\n    v10_sim::fixture_used_elsewhere()\n}\n".to_string();
+    let caller = "fn f() -> u32 {\n    v10_sim::fixture_used_elsewhere()\n}\n\n\
+                  fn g() -> v10_sim::FixtureTally {\n    \
+                  v10_sim::FixtureTally { fixture_count: 3 }\n}\n"
+        .to_string();
     let corpus_at = |rel: &str| {
         vec![
             (rel.to_string(), src.clone()),
@@ -219,18 +224,28 @@ fn s1_fixture_fires_and_respects_scope() {
 
     let rel = "crates/sim/src/s1_dead_pub.rs";
     let extras = v10_lint::rules::s1_findings(&corpus_at(rel));
-    assert_eq!(extras.len(), 2, "test-only and kept: {extras:#?}");
+    assert_eq!(
+        extras.len(),
+        3,
+        "test-only, field-named and kept: {extras:#?}"
+    );
     let scope = v10_lint::workspace::scope_for(rel).expect("sim library file");
     let findings = v10_lint::rules::scan_source_with(rel, &src, scope, &extras);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
+    assert_eq!(findings.len(), 2, "{findings:#?}");
+    assert!(
+        findings.iter().all(|f| f.rule == RuleId::S1),
+        "{findings:#?}"
+    );
     let f = &findings[0];
-    assert_eq!(f.rule, RuleId::S1, "{f:?}");
     assert_eq!((f.line, f.col), (6, 5), "{f:?}");
     assert!(f.message.contains("fixture_test_only"), "{f:?}");
+    let f = &findings[1];
+    assert_eq!((f.line, f.col), (32, 9), "{f:?}");
+    assert!(f.message.contains("`fixture_count`"), "{f:?}");
 
     // Without its caller, the used function is dead too.
     let alone = v10_lint::rules::s1_findings(&corpus_at(rel)[..1]);
-    assert_eq!(alone.len(), 3, "{alone:#?}");
+    assert_eq!(alone.len(), 4, "{alone:#?}");
 
     // Outside the sim crates' library trees S1 checks nothing.
     let off = v10_lint::rules::s1_findings(&corpus_at("crates/bench/src/s1_dead_pub.rs"));

@@ -1,5 +1,5 @@
-//! Fixture: seeds exactly one S1 violation (line 6) when scanned as a sim
-//! crate's library file next to a caller of `fixture_used_elsewhere`.
+//! Fixture: seeds exactly two S1 violations (lines 6 and 32) when scanned
+//! as a sim crate's library file next to a caller of its live items.
 
 /// Named by nothing but this file's own test module: dead public surface.
 #[must_use]
@@ -20,6 +20,20 @@ pub fn fixture_kept() -> u32 {
     3
 }
 
+/// A tally whose getter shares its field's name.
+pub struct FixtureTally {
+    fixture_count: u32,
+}
+
+impl FixtureTally {
+    /// Named elsewhere only as a field — read as `self.fixture_count`,
+    /// declared and initialised as `fixture_count:` — so it is dead too.
+    #[must_use]
+    pub fn fixture_count(&self) -> u32 {
+        self.fixture_count
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -30,5 +44,7 @@ mod tests {
             fixture_test_only() + fixture_used_elsewhere() + fixture_kept(),
             6
         );
+        let tally = FixtureTally { fixture_count: 4 };
+        assert_eq!(tally.fixture_count(), 4);
     }
 }

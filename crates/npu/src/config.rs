@@ -218,6 +218,7 @@ impl NpuConfigBuilder {
     /// Sets the per-FU-pair HBM bandwidth in bytes/second. Validated by
     /// [`Self::build`].
     #[must_use]
+    // v10-lint: allow(S1) the one setter of a Table 5 parameter the HBM model reads; deleting it would freeze the bandwidth and leave `build`'s check unreachable
     pub fn hbm_bandwidth_bytes_per_sec(mut self, bw: f64) -> Self {
         self.hbm_bandwidth_bytes_per_sec = bw;
         self

@@ -212,7 +212,8 @@ impl FleetTopology {
 
     /// The interconnect wiring.
     #[must_use]
-    pub fn interconnect(&self) -> Interconnect {
+    #[cfg(test)]
+    pub(crate) fn interconnect(&self) -> Interconnect {
         self.interconnect
     }
 

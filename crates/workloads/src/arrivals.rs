@@ -212,12 +212,6 @@ impl OpenLoopProcess {
         self.mean_think_cycles
     }
 
-    /// Requests per tenant session.
-    #[must_use]
-    pub fn requests_per_session(&self) -> usize {
-        self.requests_per_session
-    }
-
     /// Samples the first `count` arrivals of the process, in arrival order.
     /// Deterministic: the same process samples the same stream.
     ///
@@ -525,12 +519,6 @@ impl MmppProcess {
     #[must_use]
     pub fn mean_think_cycles(&self) -> f64 {
         self.mean_think_cycles
-    }
-
-    /// Requests per tenant session.
-    #[must_use]
-    pub fn requests_per_session(&self) -> usize {
-        self.requests_per_session
     }
 
     /// Samples the first `count` arrivals of the process, in arrival order.

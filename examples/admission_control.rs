@@ -3,19 +3,21 @@
 //! A serving cluster runs one resident tenant. Two more tenants arrive
 //! while it executes: the clustering advisor (§3.4, Fig. 14) collocates
 //! the complementary one onto the busy core, refuses to collocate the
-//! conflicting one, and the admission controller places it on a second
-//! core instead. Each core's admission schedule is then served open-loop
-//! under V10-Full.
+//! conflicting one, and the fleet plane places it on a second core
+//! instead. The plane serves each core open-loop under V10-Full as it
+//! places the arrivals.
 //!
 //! ```sh
 //! cargo run --release --example admission_control
 //! ```
 
 use v10::collocate::{
-    build_dataset, ClusteringPipeline, MultiCoreAdmission, OnlinePlacer, PairPerfCache,
+    build_dataset, ClusteringPipeline, FleetPlane, OnlinePlacer, PairPerfCache, Placement,
+    TopologyWeights,
 };
-use v10::core::{serve_design, Design, RunOptions};
-use v10::npu::NpuConfig;
+use v10::core::{Design, RunOptions};
+use v10::npu::{FleetTopology, NpuConfig};
+use v10::sim::Cycles;
 use v10::workloads::{Model, TimedArrival};
 
 fn main() {
@@ -65,11 +67,20 @@ fn main() {
         threshold
     );
 
-    // Online: a 2-core cluster behind the advisor.
+    // Online: a 2-core cluster with 2 slots per core behind the advisor,
+    // one admission shard, and one epoch spanning every arrival.
     let placer = OnlinePlacer::new(&pipeline)
         .with_threshold(threshold)
         .expect("positive threshold");
-    let mut controller = MultiCoreAdmission::new(placer, 2, 2).expect("non-degenerate cluster");
+    let mut plane = FleetPlane::new(
+        placer,
+        FleetTopology::flat(2).expect("non-empty cluster"),
+        2,
+        1,
+        Cycles::new(8.0e6),
+        TopologyWeights::zero(),
+    )
+    .expect("non-degenerate cluster");
     let arrival = |label: &str, model: Model, at: f64| {
         TimedArrival::new(label, model, model.default_profile().synthesize(7), at, 3)
             .expect("valid scripted arrival")
@@ -79,42 +90,36 @@ fn main() {
         arrival(&format!("{}#1", good.abbrev()), good, 2.0e6),
         arrival(&format!("{}#2", bad.abbrev()), bad, 4.0e6),
     ];
-    for a in &arrivals {
-        let core = controller.offer(a).expect("placement succeeds");
-        match core {
-            Some(c) => println!(
+    let cfg = NpuConfig::table5();
+    let opts = RunOptions::new(3).expect("positive request count");
+    let (report, outcome) = plane
+        .serve(&arrivals, Design::V10Full, &cfg, &opts)
+        .expect("valid serving run");
+    for d in outcome.decisions() {
+        match d.placement {
+            Placement::Core(c) => println!(
                 "  {:>7} arrives at {:>4.1} Mcyc -> core {c}{}",
-                a.label(),
-                a.at_cycles() / 1.0e6,
-                if c == 0 && a.at_cycles() > 0.0 {
+                d.label,
+                d.at_cycles / 1.0e6,
+                if c == 0 && d.at_cycles > 0.0 {
                     " (collocated with the resident)"
-                } else if a.at_cycles() > 0.0 {
+                } else if d.at_cycles > 0.0 {
                     " (advisor refused collocation; empty core)"
                 } else {
                     ""
                 }
             ),
-            None => println!("  {:>7} rejected: no slot anywhere", a.label()),
+            Placement::Reject => println!("  {:>7} rejected: no slot anywhere", d.label),
         }
     }
-    assert_eq!(controller.rejected(), 0, "both cores had room");
+    assert_eq!(outcome.rejected(), 0, "both cores had room");
 
-    // Serve each core's compiled schedule open-loop under V10-Full.
-    let cfg = NpuConfig::table5();
-    let opts = RunOptions::new(3).expect("positive request count");
     println!("\nServing each core under V10-Full:");
-    for (core, schedule) in controller
-        .schedules()
-        .expect("controller-built schedules are valid")
-        .iter()
-        .enumerate()
-    {
-        let Some(schedule) = schedule else {
+    for (core, report) in report.per_core().iter().enumerate() {
+        let Some(report) = report else {
             println!("  core {core}: idle");
             continue;
         };
-        let report =
-            serve_design(Design::V10Full, schedule, &cfg, &opts).expect("valid serving run");
         for wl in report.workloads() {
             let retired = wl
                 .retired_at_cycles()

@@ -7,26 +7,27 @@
 //! bounced) — and prints the recovery timeline straight from the
 //! JSON-lines observer stream.
 //!
-//! Part 2 retires core 0 of a two-core serving cluster mid-run: the
-//! admission controller re-admits the displaced tenants onto the surviving
-//! core with exponential backoff, shedding any that can no longer meet
-//! their deadline.
+//! Part 2 retires core 0 of a two-core serving cluster mid-run: a region
+//! failure takes out its HBM group while that group's uplink is
+//! partitioned, and the fleet plane re-admits the displaced tenants onto
+//! the surviving core with exponential backoff, riding the partition out
+//! and shedding any tenant that can no longer meet its deadline.
 //!
 //! ```sh
 //! cargo run --release --example fault_drill
 //! ```
 
 use v10::collocate::{
-    build_dataset, ClusteringPipeline, MultiCoreAdmission, OnlinePlacer, PairPerfCache,
-    RecoveryPolicy,
+    build_dataset, ClusteringPipeline, FleetPlane, OnlinePlacer, PairPerfCache, RecoveryPolicy,
+    TopologyWeights,
 };
 use v10::core::{
     serve_design_stressed_observed, Admission, AdmissionSchedule, Design, JsonLinesObserver,
     OverloadController, RunOptions, WorkloadSpec,
 };
 use v10::isa::{FuKind, OpDesc, RequestTrace};
-use v10::npu::NpuConfig;
-use v10::sim::{FaultKind, FaultPlan};
+use v10::npu::{FleetTopology, NpuConfig};
+use v10::sim::{Cycles, FaultKind, FaultPlan, FleetFaultKind, FleetFaultPlan};
 use v10::workloads::{Model, TimedArrival};
 
 /// Events that tell the recovery story; the rest of the stream (operator
@@ -164,55 +165,77 @@ fn cluster_requeue_drill() {
     let mut cache = PairPerfCache::new(2, 7);
     let pipeline = ClusteringPipeline::fit(&points, 3, 3, &mut cache, 7);
 
+    // Two cores on a 2x1 mesh with one HBM group per core, so failing
+    // group 0 retires exactly core 0. Epochs are 30 000 cycles long: the
+    // failure applies at the boundary where the third tenant arrives.
     let placer = OnlinePlacer::new(&pipeline)
         .with_threshold(0.01)
         .expect("positive threshold");
-    let mut controller = MultiCoreAdmission::new(placer, 2, 2).expect("non-degenerate cluster");
-    for (i, at) in [0.0, 20_000.0, 40_000.0, 60_000.0].iter().enumerate() {
-        let arrival = TimedArrival::new(
-            format!("tenant-{i}"),
-            Model::Mnist,
-            Model::Mnist.default_profile().synthesize(7),
-            *at,
-            2,
+    let mut plane = FleetPlane::new(
+        placer,
+        FleetTopology::mesh(2, 1, 2, 64.0).expect("valid mesh"),
+        4,
+        1,
+        Cycles::new(30_000.0),
+        TopologyWeights::zero(),
+    )
+    .expect("non-degenerate cluster");
+    let arrivals: Vec<TimedArrival> = [0.0, 20_000.0, 40_000.0, 60_000.0]
+        .iter()
+        .enumerate()
+        .map(|(i, &at)| {
+            TimedArrival::new(
+                format!("tenant-{i}"),
+                Model::Mnist,
+                Model::Mnist.default_profile().synthesize(7),
+                at,
+                2,
+            )
+            .expect("valid arrival")
+        })
+        .collect();
+
+    // At cycle 30 000 core 0's uplink is partitioned for 3M cycles, and
+    // then its region dies: no evacuation can read the context images
+    // until the partition heals. (Events at one instant apply in script
+    // order.)
+    let plan = FleetFaultPlan::none()
+        .with_fault(
+            30_000.0,
+            FleetFaultKind::LinkPartition {
+                hbm_group: 0,
+                window_cycles: 3.0e6,
+            },
         )
-        .expect("valid arrival");
-        controller.offer(&arrival).expect("in-range arrival");
-    }
-    for d in controller.decisions() {
+        .expect("valid fault")
+        .with_fault(30_000.0, FleetFaultKind::RegionFail { hbm_group: 0 })
+        .expect("valid fault");
+    let opts = RunOptions::new(2).expect("positive requests").with_seed(7);
+    let mut observer = JsonLinesObserver::new(Vec::new());
+    let (report, outcome) = plane
+        .serve_faulted(
+            &arrivals,
+            Design::V10Full,
+            &NpuConfig::table5(),
+            &opts,
+            &plan,
+            &RecoveryPolicy::default(),
+            &mut observer,
+        )
+        .expect("faulted cluster serve");
+    for d in outcome.decisions() {
         println!(
-            "  planned: {} arriving at cycle {:.0} -> {:?}",
+            "  placed: {} arriving at cycle {:.0} -> {:?}",
             d.label, d.at_cycles, d.placement
         );
     }
 
-    // Core 0 dies mid-run; core 1 stays healthy.
-    let plans = vec![
-        FaultPlan::none()
-            .with_fault(30_000.0, FaultKind::CoreRetire)
-            .expect("valid fault"),
-        FaultPlan::none(),
-    ];
-    let opts = RunOptions::new(2).expect("positive requests").with_seed(7);
-    let mut observer = JsonLinesObserver::new(Vec::new());
-    let report = controller
-        .serve(
-            Design::V10Full,
-            &NpuConfig::table5(),
-            &opts,
-            &plans,
-            &RecoveryPolicy::default(),
-            &OverloadController::disarmed(),
-            &mut observer,
-        )
-        .expect("faulted cluster serve");
-
-    println!("\nController decisions during recovery (JSON-lines stream):");
+    println!("\nFleet recovery decisions (JSON-lines stream):");
     let drained = drain_checked(observer);
     let text = String::from_utf8_lossy(&drained);
     let mut any = false;
     for line in text.lines() {
-        if line.contains("\"event\":\"request_requeued\"")
+        if line.contains("\"event\":\"tenant_evacuated\"")
             || line.contains("\"event\":\"request_shed\"")
         {
             println!("  {line}");
