@@ -4,9 +4,13 @@
 //! Every scale-out direction in ROADMAP is gated on raw simulator speed,
 //! so this bench makes throughput a first-class, regression-gated metric:
 //! it drives the fig18/serving_openloop executor set (all four designs)
-//! over an open-loop Poisson serving workload at several tenant counts,
-//! wall-times each run through [`v10_bench::timing::measure`], and reports
-//! simulated-cycles-per-wall-second per point. Simulated results stay
+//! over an open-loop Poisson serving workload at several tenant counts
+//! and reports simulated-cycles-per-wall-second per point. Each timing
+//! sample repeats its point's run back to back for at least
+//! [`MIN_SAMPLE`] and records the wall time per run
+//! ([`v10_bench::timing::per_call_wall`]); samples are taken round by
+//! round, one per point per round, so a slow spell on the host spreads
+//! over every design instead of landing on one. Simulated results stay
 //! deterministic — wall timing never feeds the simulation.
 //!
 //! Machine-readable output: the run is written to
@@ -23,7 +27,7 @@ use std::time::Duration;
 
 use v10_bench::jsonio::{self, Json};
 use v10_bench::serving::smoke;
-use v10_bench::timing::{cycles_per_sec, fmt_cycles_per_sec, measure, median_wall};
+use v10_bench::timing::{cycles_per_sec, fmt_cycles_per_sec, per_call_wall};
 use v10_bench::{fmt_x, print_table, seed};
 use v10_core::{
     serve_design, Admission, AdmissionSchedule, Design, RunOptions, RunReport, WorkloadSpec,
@@ -56,6 +60,11 @@ const SEED_SALT: u64 = 0x7;
 /// Timing samples per point (median reported); fewer in smoke mode.
 const SAMPLES: usize = 5;
 const SMOKE_SAMPLES: usize = 3;
+
+/// Minimum wall time of one timing sample: a sample repeats its run until
+/// this much has passed and records the time per run. The headline run
+/// takes ~30 ms, so a sample averages some 30 runs instead of one.
+const MIN_SAMPLE: Duration = Duration::from_secs(1);
 
 /// Schema version of `BENCH_sim_throughput.json`.
 const SCHEMA_VERSION: f64 = 1.0;
@@ -113,33 +122,52 @@ fn run_once(design: Design, schedule: &AdmissionSchedule) -> RunReport {
     serve_design(design, schedule, &NpuConfig::table5(), &opts).expect("valid serving run")
 }
 
-fn run_point(design: Design, tenants: usize, samples: usize) -> ThroughputPoint {
-    let schedule = schedule_for(tenants);
-    // One untimed run pins the deterministic simulated quantities; the
-    // timed samples then measure wall cost of the identical run.
-    let report = run_once(design, &schedule);
-    let simulated_cycles = report.elapsed_cycles();
-    let completed_requests = report
-        .workloads()
+/// Measures every (tenant count, design) point. One untimed run per point
+/// pins its deterministic simulated quantities; then `samples` rounds each
+/// take one [`MIN_SAMPLE`]-long sample of every point, in point order, and
+/// a point's wall time is the median of its samples.
+fn measure_points(counts: &[usize], samples: usize) -> Vec<ThroughputPoint> {
+    let runs: Vec<(Design, usize, AdmissionSchedule, RunReport)> = counts
         .iter()
-        .map(|w| w.completed_requests())
-        .sum();
-    let wall_median = median_wall(samples, || {
-        let (r, _) = measure(|| run_once(design, &schedule));
-        assert_eq!(
-            r.elapsed_cycles().to_bits(),
-            simulated_cycles.to_bits(),
-            "serving run is not deterministic across repetitions"
-        );
-        r
-    });
-    ThroughputPoint {
-        design,
-        tenants,
-        simulated_cycles,
-        completed_requests,
-        wall_median,
+        .flat_map(|&tenants| {
+            let schedule = schedule_for(tenants);
+            Design::ALL.map(|design| {
+                let report = run_once(design, &schedule);
+                (design, tenants, schedule.clone(), report)
+            })
+        })
+        .collect();
+    let mut walls: Vec<Vec<Duration>> = vec![Vec::with_capacity(samples); runs.len()];
+    for _ in 0..samples.max(1) {
+        for ((design, _, schedule, pinned), wall) in runs.iter().zip(&mut walls) {
+            wall.push(per_call_wall(MIN_SAMPLE, || {
+                let r = run_once(*design, schedule);
+                assert_eq!(
+                    r.elapsed_cycles().to_bits(),
+                    pinned.elapsed_cycles().to_bits(),
+                    "serving run is not deterministic across repetitions"
+                );
+                r
+            }));
+        }
     }
+    runs.into_iter()
+        .zip(walls)
+        .map(|((design, tenants, _, report), mut wall)| {
+            wall.sort_unstable();
+            ThroughputPoint {
+                design,
+                tenants,
+                simulated_cycles: report.elapsed_cycles(),
+                completed_requests: report
+                    .workloads()
+                    .iter()
+                    .map(|w| w.completed_requests())
+                    .sum(),
+                wall_median: wall[wall.len() / 2],
+            }
+        })
+        .collect()
 }
 
 /// Renders the machine-readable artifact.
@@ -271,12 +299,7 @@ fn main() {
         &TENANT_COUNTS[..]
     };
 
-    let mut points = Vec::new();
-    for &tenants in counts {
-        for &design in &Design::ALL {
-            points.push(run_point(design, tenants, samples));
-        }
-    }
+    let points = measure_points(counts, samples);
 
     let header = ["Tenants", "PMT", "V10-Base", "V10-Fair", "V10-Full"];
     let table = |metric: &dyn Fn(&ThroughputPoint) -> String| -> Vec<Vec<String>> {

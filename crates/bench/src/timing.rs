@@ -4,8 +4,11 @@
 //! external bench framework the benches time whole simulation runs here:
 //! [`measure`] wall-times one call, [`median_wall`] takes the median of an
 //! odd number of calls (robust to one-off scheduling hiccups without
-//! outlier statistics), and [`cycles_per_sec`] turns a run's simulated
-//! cycles and wall time into the throughput the benches report.
+//! outlier statistics), [`per_call_wall`] times a call repeated until a
+//! minimum wall time has passed (so a sample of a millisecond-scale run
+//! is not at the mercy of one scheduler tick), and [`cycles_per_sec`]
+//! turns a run's simulated cycles and wall time into the throughput the
+//! benches report.
 
 use std::time::{Duration, Instant};
 
@@ -29,6 +32,22 @@ pub fn median_wall<R>(samples: usize, mut f: impl FnMut() -> R) -> Duration {
     let mut times: Vec<Duration> = (0..samples).map(|_| measure(&mut f).1).collect();
     times.sort_unstable();
     times[times.len() / 2]
+}
+
+/// Wall time per call of `f`, calling it back to back until at least
+/// `min_total` has passed (at least once): the elapsed time divided by
+/// the number of calls.
+pub fn per_call_wall<R>(min_total: Duration, mut f: impl FnMut() -> R) -> Duration {
+    let start = Instant::now();
+    let mut calls = 0u32;
+    loop {
+        std::hint::black_box(f());
+        calls += 1;
+        let elapsed = start.elapsed();
+        if elapsed >= min_total {
+            return elapsed / calls;
+        }
+    }
 }
 
 /// Simulated-cycles-per-wall-second throughput of a run that simulated
@@ -75,6 +94,17 @@ mod tests {
     fn median_wall_is_positive() {
         let t = median_wall(3, || std::hint::black_box((0..1000u64).sum::<u64>()));
         assert!(t > Duration::ZERO);
+    }
+
+    #[test]
+    fn per_call_wall_repeats_until_the_minimum() {
+        let mut calls = 0u32;
+        let t = per_call_wall(Duration::from_millis(20), || {
+            calls += 1;
+            std::thread::sleep(Duration::from_millis(2));
+        });
+        assert!(calls >= 2, "one 2 ms call cannot fill 20 ms");
+        assert!(t >= Duration::from_millis(2) && t < Duration::from_millis(20));
     }
 
     #[test]

@@ -112,6 +112,67 @@ pub struct ContextTable {
     /// Generation the next occupant of each slot will get.
     next_gen: Vec<u32>,
     live: usize,
+    /// Algorithm 1's candidate sets, one per FU kind (indexed by
+    /// [`kind_index`]): bit `s % 64` of word `s / 64` is set exactly while
+    /// slot `s` holds a live row that is Ready, not Active, and whose
+    /// current operator is of that kind — the set the hardware reads off
+    /// the Ready/Active bits (Fig. 11). Every mutator that can change a
+    /// slot's membership re-derives its bits through
+    /// [`sync_candidate`](Self::sync_candidate).
+    candidates: [Vec<u64>; 2],
+}
+
+/// Position of `kind`'s candidate set in [`ContextTable`].
+const fn kind_index(kind: FuKind) -> usize {
+    match kind {
+        FuKind::Sa => 0,
+        FuKind::Vu => 1,
+    }
+}
+
+/// `active_rate_p` of one row at `now`: the float operations of
+/// [`ContextTable::active_rate`] then [`ContextTable::active_rate_p`], in
+/// the same order, so every caller computes it bit-identically.
+fn row_arp(row: &Row, now: f64) -> f64 {
+    let total = now - row.arrival;
+    let rate = if total <= 0.0 {
+        0.0
+    } else {
+        row.active_cycles / total
+    };
+    rate / row.priority
+}
+
+/// The slot indices of a candidate bitset, ascending.
+struct Members<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Slot index of bit 0 of the word after `rest`'s.
+    next_base: usize,
+    /// The unvisited bits of the current word.
+    rest: u64,
+}
+
+fn members(words: &[u64]) -> Members<'_> {
+    Members {
+        words: words.iter(),
+        next_base: 0,
+        rest: 0,
+    }
+}
+
+impl Iterator for Members<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.rest == 0 {
+            self.rest = *self.words.next()?;
+            self.next_base += 64;
+        }
+        let bit = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        Some(self.next_base - 64 + bit)
+    }
 }
 
 fn stale(context: &'static str, id: WorkloadId) -> V10Error {
@@ -131,10 +192,12 @@ impl ContextTable {
                 "context table needs at least one slot",
             ));
         }
+        let words = capacity.div_ceil(64);
         Ok(ContextTable {
             slots: vec![None; capacity],
             next_gen: vec![0; capacity],
             live: 0,
+            candidates: [vec![0; words], vec![0; words]],
         })
     }
 
@@ -214,6 +277,8 @@ impl ContextTable {
             priority,
         });
         self.live += 1;
+        // No candidate-set update: a free slot is in neither set (`retire`
+        // cleared it) and the fresh row is not Ready.
         Ok(WorkloadId {
             slot: slot as u32,
             gen,
@@ -234,6 +299,7 @@ impl ContextTable {
             *entry = None;
         }
         self.live -= 1;
+        self.sync_candidate(id.index());
         Ok(())
     }
 
@@ -301,6 +367,30 @@ impl ContextTable {
             .filter(|row| row.gen == id.gen)
     }
 
+    /// Re-derives slot `slot`'s membership in both candidate sets from its
+    /// row. Every mutator of a row's liveness, Ready, Active or operator
+    /// kind calls this after the change.
+    #[inline]
+    fn sync_candidate(&mut self, slot: usize) {
+        let kind = self
+            .slots
+            .get(slot)
+            .and_then(Option::as_ref)
+            .filter(|row| row.ready && !row.active)
+            .and_then(|row| row.op_kind);
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        for k in FuKind::ALL {
+            let set = self.candidates.get_mut(kind_index(k));
+            if let Some(w) = set.and_then(|set| set.get_mut(word)) {
+                if kind == Some(k) {
+                    *w |= bit;
+                } else {
+                    *w &= !bit;
+                }
+            }
+        }
+    }
+
     /// Records that `id`'s most recent operator is `op_id` of kind `kind`
     /// (clears Ready and Active — the DMA for the new operator has not
     /// completed yet).
@@ -308,6 +398,7 @@ impl ContextTable {
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `id` is stale or unknown.
+    #[inline]
     pub fn set_current_op(&mut self, id: WorkloadId, op_id: u64, kind: FuKind) -> V10Result<()> {
         let row = self
             .row_mut(id)
@@ -317,6 +408,7 @@ impl ContextTable {
         row.ready = false;
         row.active = false;
         row.fu = None;
+        self.sync_candidate(id.index());
         Ok(())
     }
 
@@ -325,10 +417,12 @@ impl ContextTable {
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `id` is stale or unknown.
+    #[inline]
     pub fn set_ready(&mut self, id: WorkloadId, ready: bool) -> V10Result<()> {
         self.row_mut(id)
             .ok_or_else(|| stale("ContextTable::set_ready", id))?
             .ready = ready;
+        self.sync_candidate(id.index());
         Ok(())
     }
 
@@ -339,6 +433,7 @@ impl ContextTable {
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `id` is stale or unknown.
+    #[inline]
     pub fn mark_issued(&mut self, id: WorkloadId, fu: FuId) -> V10Result<()> {
         let row = self
             .row_mut(id)
@@ -347,6 +442,7 @@ impl ContextTable {
         row.ready = false;
         row.active = true;
         row.fu = Some(fu);
+        self.sync_candidate(id.index());
         Ok(())
     }
 
@@ -357,6 +453,7 @@ impl ContextTable {
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `id` is stale or unknown.
+    #[inline]
     pub fn mark_released(&mut self, id: WorkloadId, back_to_ready: bool) -> V10Result<()> {
         let row = self
             .row_mut(id)
@@ -364,6 +461,7 @@ impl ContextTable {
         row.active = false;
         row.fu = None;
         row.ready = back_to_ready;
+        self.sync_candidate(id.index());
         Ok(())
     }
 
@@ -439,6 +537,7 @@ impl ContextTable {
     /// time advances with the workload's operator on an FU). A no-op for a
     /// stale id: this sits on the engine's hot per-step path, and a retired
     /// tenant has no accounting left to corrupt.
+    #[inline]
     pub fn add_active_cycles(&mut self, id: WorkloadId, cycles: f64) {
         debug_assert!(cycles >= 0.0);
         if let Some(row) = self.row_mut(id) {
@@ -467,23 +566,116 @@ impl ContextTable {
     /// relative to its priority and is scheduled first. Zero for a stale id.
     #[must_use]
     pub fn active_rate_p(&self, id: WorkloadId, now: f64) -> f64 {
-        let Some(row) = self.row(id) else {
-            return 0.0;
-        };
-        self.active_rate(id, now) / row.priority
+        self.row(id).map_or(0.0, |row| row_arp(row, now))
     }
 
-    /// Algorithm 1's inner scan, fused into one row pass: among the live
-    /// rows that are not Active, are Ready, and whose current operator
-    /// matches `fu_type`, returns the id with the minimum
-    /// `(active_rate_p, slot)` — numerically identical to calling
-    /// [`is_active`](Self::is_active)/[`is_ready`](Self::is_ready)/
-    /// [`op_kind`](Self::op_kind)/[`active_rate_p`](Self::active_rate_p)
-    /// per candidate (same float operations in the same order; ties on the
-    /// rate break toward the lowest slot), but with a single generation
-    /// check per row. This sits on the scheduler's per-free-FU hot path.
+    /// Algorithm 1's pick: among the live rows that are not Active, are
+    /// Ready, and whose current operator matches `fu_type` — `fu_type`'s
+    /// candidate set — the id with the minimum `(active_rate_p, slot)`.
+    /// Ties on the rate break toward the lowest slot.
+    ///
+    /// An empty set answers `None` and a one-member set answers that
+    /// member, both without computing a rate. Otherwise every member's
+    /// `active_rate_p` is computed in ascending slot order with the float
+    /// operations of [`active_rate_p`](Self::active_rate_p), and the
+    /// winner's rate comes back with it so a caller comparing it again
+    /// (the preemption trigger) need not recompute it. This sits on the
+    /// scheduler's per-free-FU hot path.
     #[must_use]
-    pub fn pick_min_arp(&self, fu_type: FuKind, now: f64) -> Option<WorkloadId> {
+    #[inline]
+    pub fn pick_min_arp(&self, fu_type: FuKind, now: f64) -> Option<(WorkloadId, Option<f64>)> {
+        let mut members = members(self.candidates.get(kind_index(fu_type))?);
+        let first = members.next()?;
+        let Some(second) = members.next() else {
+            return self.id_at_slot(first).map(|id| (id, None));
+        };
+        let mut best: Option<(f64, usize)> = None;
+        for slot in [first, second].into_iter().chain(members) {
+            let Some(row) = self.slots.get(slot).and_then(Option::as_ref) else {
+                continue;
+            };
+            let arp = row_arp(row, now);
+            if best.is_none_or(|(best_arp, _)| arp.total_cmp(&best_arp).is_lt()) {
+                best = Some((arp, slot));
+            }
+        }
+        let (arp, slot) = best?;
+        self.id_at_slot(slot).map(|id| (id, Some(arp)))
+    }
+
+    /// Round-robin's pick: the first member of `fu_type`'s candidate set at
+    /// or after slot `cursor`, wrapping around to the lowest member.
+    #[must_use]
+    #[inline]
+    pub(crate) fn first_candidate_from(
+        &self,
+        fu_type: FuKind,
+        cursor: usize,
+    ) -> Option<WorkloadId> {
+        let words = self.candidates.get(kind_index(fu_type))?;
+        let slot = members(words)
+            .find(|&s| s >= cursor)
+            .or_else(|| members(words).next())?;
+        self.id_at_slot(slot)
+    }
+
+    /// Re-derives both candidate sets from the rows and panics if either
+    /// differs from the maintained one. Debug builds run this every engine
+    /// step (from `EngineCore::debug_validate_spine`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a candidate set diverges from its rows.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn debug_validate_candidates(&self) {
+        for kind in FuKind::ALL {
+            let words = &self.candidates[kind_index(kind)];
+            assert_eq!(words.len(), self.slots.len().div_ceil(64));
+            // Word by word, so the every-step check allocates nothing.
+            for (i, (&word, rows)) in words.iter().zip(self.slots.chunks(64)).enumerate() {
+                let derived = rows.iter().enumerate().fold(0u64, |acc, (bit, entry)| {
+                    let member = entry
+                        .as_ref()
+                        .is_some_and(|row| row.ready && !row.active && row.op_kind == Some(kind));
+                    acc | (u64::from(member) << bit)
+                });
+                assert_eq!(
+                    word, derived,
+                    "{kind} candidate set word {i} diverged from the rows"
+                );
+            }
+        }
+    }
+
+    /// On-chip storage the table occupies, per Fig. 11's field widths:
+    /// 32-bit op id, 1+1 Ready/Active bits, `max(1, ceil(log2(num_fus)))`
+    /// FU-id bits, two 64-bit counters, 7-bit priority. The hardware
+    /// provisions every slot whether occupied or not.
+    #[must_use]
+    pub fn storage_bytes(&self, num_fus: usize) -> u64 {
+        let fu_bits = fu_id_bits(num_fus);
+        let row_bits = 32 + 1 + 1 + fu_bits + 64 + 64 + 7;
+        let total_bits = row_bits * self.slots.len() as u64;
+        total_bits.div_ceil(8)
+    }
+}
+
+/// Width of the FU-id field for a pool of `num_fus` units (min 2 bits, as
+/// Fig. 11's example table uses; "the width of FU ID bits depends on the
+/// number of FUs").
+#[must_use]
+pub fn fu_id_bits(num_fus: usize) -> u64 {
+    let needed = (usize::BITS - num_fus.saturating_sub(1).leading_zeros()) as u64;
+    needed.max(2)
+}
+
+/// The full row scans the candidate sets replaced, kept as the reference
+/// the indexed picks must equal.
+#[cfg(test)]
+impl ContextTable {
+    /// Algorithm 1 over every row: the qualifying row with the minimum
+    /// `(active_rate_p, slot)`.
+    pub(crate) fn scan_min_arp(&self, fu_type: FuKind, now: f64) -> Option<WorkloadId> {
         let mut best: Option<(f64, WorkloadId)> = None;
         for (slot, entry) in self.slots.iter().enumerate() {
             let Some(row) = entry.as_ref() else {
@@ -512,26 +704,15 @@ impl ContextTable {
         best.map(|(_, id)| id)
     }
 
-    /// On-chip storage the table occupies, per Fig. 11's field widths:
-    /// 32-bit op id, 1+1 Ready/Active bits, `max(1, ceil(log2(num_fus)))`
-    /// FU-id bits, two 64-bit counters, 7-bit priority. The hardware
-    /// provisions every slot whether occupied or not.
-    #[must_use]
-    pub fn storage_bytes(&self, num_fus: usize) -> u64 {
-        let fu_bits = fu_id_bits(num_fus);
-        let row_bits = 32 + 1 + 1 + fu_bits + 64 + 64 + 7;
-        let total_bits = row_bits * self.slots.len() as u64;
-        total_bits.div_ceil(8)
+    /// Round-robin over every hardware slot from `cursor`, cyclically.
+    pub(crate) fn scan_round_robin(&self, fu_type: FuKind, cursor: usize) -> Option<WorkloadId> {
+        let n = self.capacity();
+        (0..n).find_map(|off| {
+            let id = self.id_at_slot((cursor + off) % n)?;
+            (!self.is_active(id) && self.is_ready(id) && self.op_kind(id) == Some(fu_type))
+                .then_some(id)
+        })
     }
-}
-
-/// Width of the FU-id field for a pool of `num_fus` units (min 2 bits, as
-/// Fig. 11's example table uses; "the width of FU ID bits depends on the
-/// number of FUs").
-#[must_use]
-pub fn fu_id_bits(num_fus: usize) -> u64 {
-    let needed = (usize::BITS - num_fus.saturating_sub(1).leading_zeros()) as u64;
-    needed.max(2)
 }
 
 #[cfg(test)]
@@ -827,6 +1008,7 @@ mod tests {
 #[cfg(test)]
 mod seeded_tests {
     use super::*;
+    use v10_npu::FuPool;
     use v10_sim::SimRng;
 
     /// Proptest-style property: slot reuse never corrupts fairness
@@ -891,6 +1073,82 @@ mod seeded_tests {
                         "case {case} step {step}: retired {id} resurrected"
                     );
                     assert!(table.set_ready(id, true).is_err());
+                }
+            }
+        }
+    }
+
+    /// The candidate sets never drift from the rows. Random sequences of
+    /// every row mutator run through tables of 1–130 slots (so sets span
+    /// up to three words); after each operation both sets re-derive from
+    /// the rows, and for both kinds the indexed priority pick equals the
+    /// full row scan (its reported rate bit-equal to `active_rate_p`) and
+    /// the indexed round-robin pick equals the slot walk from cursors at
+    /// and around every word boundary.
+    #[test]
+    fn candidate_sets_match_the_row_scan() {
+        let fu = FuPool::new(1).unwrap().iter().next().unwrap();
+        let mut rng = SimRng::seed_from(0xCA9D_5E75);
+        for case in 0..48 {
+            let cap = match case % 3 {
+                0 => 1 + rng.index(8),
+                1 => 60 + rng.index(10),
+                _ => 120 + rng.index(11),
+            };
+            let mut table = ContextTable::with_capacity(cap).unwrap();
+            let mut live: Vec<WorkloadId> = Vec::new();
+            let mut now = 0.0;
+            for step in 0..400 {
+                now += rng.uniform(0.0, 100.0);
+                let pick = live.get(rng.index(live.len().max(1))).copied();
+                let kind = if rng.next_u64() & 1 == 0 {
+                    FuKind::Sa
+                } else {
+                    FuKind::Vu
+                };
+                match (rng.index(8), pick) {
+                    (0, _) => {
+                        if let Ok(id) = table.admit(rng.uniform(0.5, 4.0), now) {
+                            live.push(id);
+                        }
+                    }
+                    (1, Some(id)) => {
+                        table.retire(id).unwrap();
+                        live.retain(|&l| l != id);
+                    }
+                    (2, Some(id)) => table.set_current_op(id, step, kind).unwrap(),
+                    (3, Some(id)) => table.set_ready(id, rng.next_u64() & 3 != 0).unwrap(),
+                    (4, Some(id)) if table.is_ready(id) => table.mark_issued(id, fu).unwrap(),
+                    (5, Some(id)) if table.is_active(id) => {
+                        table.mark_released(id, rng.next_u64() & 1 == 0).unwrap();
+                    }
+                    (6, Some(id)) => table.set_priority(id, rng.uniform(0.5, 4.0)).unwrap(),
+                    (_, Some(id)) => table.add_active_cycles(id, rng.uniform(0.0, 50.0)),
+                    _ => {}
+                }
+                table.debug_validate_candidates();
+                for kind in FuKind::ALL {
+                    let indexed = table.pick_min_arp(kind, now);
+                    assert_eq!(
+                        indexed.map(|p| p.0),
+                        table.scan_min_arp(kind, now),
+                        "case {case} step {step}: {kind} priority pick diverged"
+                    );
+                    if let Some((id, Some(arp))) = indexed {
+                        assert_eq!(
+                            arp.to_bits(),
+                            table.active_rate_p(id, now).to_bits(),
+                            "case {case} step {step}: reported rate diverged"
+                        );
+                    }
+                    let cursors = [0, 1, 63, 64, 65, 127, 128, cap - 1, rng.index(cap)];
+                    for cursor in cursors.into_iter().filter(|&c| c < cap) {
+                        assert_eq!(
+                            table.first_candidate_from(kind, cursor),
+                            table.scan_round_robin(kind, cursor),
+                            "case {case} step {step}: {kind} round-robin from {cursor} diverged"
+                        );
+                    }
                 }
             }
         }

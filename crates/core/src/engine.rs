@@ -25,10 +25,10 @@ use v10_isa::{FuKind, RequestTrace};
 use v10_npu::{FuPool, NpuConfig};
 use v10_sim::convert::u64_to_f64;
 use v10_sim::fault::pick_victim;
-use v10_sim::{Cycles, FaultInjector, FaultKind, V10Error, V10Result};
+use v10_sim::{Cycles, FaultInjector, FaultKind, Flow, V10Error, V10Result};
 
 use crate::design::CoreRun;
-use crate::engine_core::{rate_of, EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
+use crate::engine_core::{EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
 use crate::lifecycle::AdmissionSchedule;
 use crate::metrics::RunReport;
 use crate::observer::{SimEvent, SimObserver};
@@ -285,18 +285,14 @@ pub(crate) struct V10Strategy {
     sa_switch_cycles: u64,
     vu_switch_cycles: u64,
     pub(crate) controller: OverloadController,
-    /// Reusable per-step buffers for the HBM arbitration query, so the
+    /// The HBM arbitration: one flow per occupied slot, in slot order,
+    /// with its demand and granted progress rate. Water-filling is a pure
+    /// function of the demand sequence over a fixed capacity, so while
+    /// consecutive steps present bitwise-identical demands — the common
+    /// case while long operators span many preemption ticks — the rates
+    /// stand and the allocator does not run. Reused across steps, so the
     /// steady-state step loop performs no heap allocation.
-    flows_scratch: Vec<(usize, f64)>,
-    rates_scratch: Vec<(usize, f64)>,
-    /// The flow set `rates_scratch` was computed from, bitwise. Water-
-    /// filling is a pure function of the demand set over a fixed capacity,
-    /// so when consecutive steps present the identical `(slot, demand)`
-    /// flows — the common case while long operators span many preemption
-    /// ticks — the previous step's rates are reused verbatim instead of
-    /// re-running the allocator. Empty-and-invalid until the first query.
-    hbm_flows_memo: Vec<(usize, f64)>,
-    hbm_memo_valid: bool,
+    flows: Vec<Flow>,
 }
 
 impl V10Strategy {
@@ -317,10 +313,7 @@ impl V10Strategy {
             sa_switch_cycles: config.sa_switch_cycles(),
             vu_switch_cycles: config.vu_switch_cycles(),
             controller,
-            flows_scratch: Vec::new(),
-            rates_scratch: Vec::new(),
-            hbm_flows_memo: Vec::new(),
-            hbm_memo_valid: false,
+            flows: Vec::new(),
         }
     }
 
@@ -338,13 +331,22 @@ impl V10Strategy {
         while let Some(fault) = core.next_due_fault() {
             match fault.kind() {
                 FaultKind::TransientOp { victim_salt } => {
-                    let occupied: Vec<usize> = core
+                    // The victim is the `pick_victim`-th occupied slot,
+                    // found by counting instead of collecting the slots.
+                    let occupied = core
+                        .slots
+                        .iter()
+                        .filter(|slot| slot.occupant.is_some())
+                        .count();
+                    let victim = pick_victim(victim_salt, occupied);
+                    let Some(s) = core
                         .slots
                         .iter()
                         .enumerate()
-                        .filter_map(|(s, slot)| slot.occupant.map(|_| s))
-                        .collect();
-                    let Some(&s) = occupied.get(pick_victim(victim_salt, occupied.len())) else {
+                        .filter(|(_, slot)| slot.occupant.is_some())
+                        .nth(victim)
+                        .map(|(s, _)| s)
+                    else {
                         // No operator in flight: the bit flip lands on an
                         // idle FU and is harmless, but still on the record.
                         core.emit_fault(fault.kind(), None);
@@ -654,11 +656,12 @@ impl V10Strategy {
                 {
                     let w = core.owner_of(id)?;
                     core.table.mark_issued(id, fu)?;
-                    core.slot_mut(s)?.occupant = Some(w);
                     let now = core.now;
                     let wl = core.wl_mut(w)?;
                     wl.last_issue_at = now;
                     let op_id = wl.next_op_id;
+                    let op = *wl.current_op();
+                    core.slot_mut(s)?.seat(w, op);
                     let ev = SimEvent::OpIssued {
                         workload: w,
                         fu: s,
@@ -671,6 +674,27 @@ impl V10Strategy {
             }
         }
         Ok(())
+    }
+
+    /// Re-arbitrates HBM when the occupied slots' demand sequence differs
+    /// bitwise from the one `flows` was filled from.
+    fn arbitrate_hbm<O: SimObserver>(&mut self, core: &EngineCore<O>) {
+        let mut occupied = core.slots.iter().filter(|slot| slot.occupant.is_some());
+        let unchanged = self.flows.iter().all(|f| {
+            occupied
+                .next()
+                .is_some_and(|slot| slot.demand.to_bits() == f.demand().to_bits())
+        }) && occupied.next().is_none();
+        if !unchanged {
+            self.flows.clear();
+            self.flows.extend(
+                core.slots
+                    .iter()
+                    .filter(|slot| slot.occupant.is_some())
+                    .map(|slot| Flow::new(slot.demand)),
+            );
+            core.hbm.progress_rates(&mut self.flows);
+        }
     }
 
     /// Stops the current step at the fence, after its instant work: it
@@ -703,44 +727,18 @@ impl ExecutorStrategy for V10Strategy {
         }
 
         // -------- Phase 2: progress rates under HBM arbitration.
-        self.flows_scratch.clear();
-        for slot in &core.slots {
-            let Some(w) = slot.occupant else {
-                continue;
-            };
-            let Some(wl) = core.wls.get(w) else {
-                continue;
-            };
-            self.flows_scratch
-                .push((w, wl.current_op().hbm_demand_bytes_per_cycle()));
-        }
-        // The arbiter is a pure function of the flow set over a fixed
-        // capacity; skip it when this step's flows are bitwise-identical
-        // to the ones `rates_scratch` already answers for.
-        let flows_unchanged = self.hbm_memo_valid
-            && self.flows_scratch.len() == self.hbm_flows_memo.len()
-            && self
-                .flows_scratch
-                .iter()
-                .zip(&self.hbm_flows_memo)
-                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
-        if !flows_unchanged {
-            core.hbm
-                .progress_rates_into(&self.flows_scratch, &mut self.rates_scratch);
-            self.hbm_flows_memo.clear();
-            self.hbm_flows_memo.extend_from_slice(&self.flows_scratch);
-            self.hbm_memo_valid = true;
-        }
+        self.arbitrate_hbm(core);
 
         // -------- Phase 3: time to the next event.
         let mut dt = f64::INFINITY;
+        let mut rates = self.flows.iter().map(Flow::factor);
         for slot in &core.slots {
-            if let Some(wl) = slot.occupant.and_then(|w| core.wls.get(w)) {
-                let r = slot
-                    .occupant
-                    .map_or(1.0, |w| rate_of(&self.rates_scratch, w));
-                if r > EPS {
-                    dt = dt.min(wl.op_remaining / r);
+            if let Some(w) = slot.occupant {
+                let r = rates.next().unwrap_or(1.0);
+                if let Some(wl) = core.wls.get(w) {
+                    if r > EPS {
+                        dt = dt.min(wl.op_remaining / r);
+                    }
                 }
             }
             if slot.switch_until > core.now + EPS {
@@ -776,7 +774,7 @@ impl ExecutorStrategy for V10Strategy {
         let dt = core.resolve_dt(dt)?;
 
         // -------- Phase 4: advance, accounting as we go.
-        core.advance(dt, &self.rates_scratch);
+        core.advance(dt, &self.flows);
 
         // -------- Phase 4.5: inject faults that are due at this instant.
         if self.apply_due_faults(core)? {
@@ -827,9 +825,9 @@ impl ExecutorStrategy for V10Strategy {
                     continue;
                 };
                 let running = core.wl(w)?.id;
-                let Some(candidate) =
-                    self.scheduler
-                        .pick_next(&core.table, kind, Cycles::new(core.now))
+                let Some(candidate) = self
+                    .scheduler
+                    .pick(&core.table, kind, Cycles::new(core.now))
                 else {
                     continue;
                 };

@@ -51,7 +51,7 @@ use v10_isa::{FuKind, OpDesc, RequestTrace};
 use v10_npu::{FuId, HbmArbiter, InstructionDma, NpuConfig};
 use v10_sim::convert::{u64_from_usize, u64_to_f64, usize_to_f64};
 use v10_sim::{
-    Cycles, FaultEvent, FaultInjector, FaultKind, HorizonCalendar, LabelId, LabelInterner,
+    Cycles, FaultEvent, FaultInjector, FaultKind, Flow, HorizonCalendar, LabelId, LabelInterner,
     V10Error, V10Result,
 };
 
@@ -134,6 +134,7 @@ pub(crate) struct WlState {
 }
 
 impl WlState {
+    #[inline]
     pub(crate) fn current_op(&self) -> &OpDesc {
         // v10-lint: allow(P1) op_idx wraps to 0 in finish_op before it can reach ops().len(), and traces are validated non-empty
         &self.trace.ops()[self.op_idx]
@@ -150,6 +151,12 @@ pub(crate) struct Slot {
     pub(crate) fu: FuId,
     pub(crate) kind: FuKind,
     pub(crate) occupant: Option<usize>,
+    /// The occupant's operator's HBM demand, cached when it was seated:
+    /// the step loop reads it every step, and an occupant's operator does
+    /// not change while it holds the slot.
+    ///
+    /// unit: bytes per cycle.
+    pub(crate) demand: f64,
     /// unit: absolute cycles until which the slot is mid-switch.
     pub(crate) switch_until: f64,
 }
@@ -160,19 +167,18 @@ impl Slot {
             fu,
             kind,
             occupant: None,
+            demand: 0.0,
             switch_until: 0.0,
         }
     }
-}
 
-/// The progress rate the HBM arbiter granted workload `w`, defaulting to
-/// full rate for flows it was not asked about.
-pub(crate) fn rate_of(rates: &[(usize, f64)], w: usize) -> f64 {
-    rates
-        .iter()
-        .find(|&&(id, _)| id == w)
-        .map(|&(_, r)| r)
-        .unwrap_or(1.0)
+    /// Seats workload `w` running `op`: the slot takes the operator's kind
+    /// and caches its HBM demand.
+    pub(crate) fn seat(&mut self, w: usize, op: OpDesc) {
+        self.occupant = Some(w);
+        self.kind = op.kind();
+        self.demand = op.hbm_demand_bytes_per_cycle();
+    }
 }
 
 /// Should [`drive`] keep iterating?
@@ -527,14 +533,14 @@ impl<O: SimObserver> EngineCore<O> {
             .is_some_and(|a| a.at_cycles() <= self.now + EPS)
         {
             if let Some(adm) = self.pending.pop_front() {
-                self.admit_tenant(&adm)?;
+                self.admit_tenant(adm)?;
             }
         }
         Ok(())
     }
 
     /// Assigns the next arrival sequence number and seats one arrival.
-    fn admit_tenant(&mut self, adm: &Admission) -> V10Result<()> {
+    fn admit_tenant(&mut self, adm: Admission) -> V10Result<()> {
         let seq = self.arrival_seq;
         self.arrival_seq += 1;
         self.seat_tenant(seq, adm)
@@ -568,7 +574,7 @@ impl<O: SimObserver> EngineCore<O> {
     pub(crate) fn admit_parked(&mut self) -> V10Result<()> {
         while !self.parked.is_empty() && !self.table.is_full() {
             if let Some((seq, adm)) = self.parked.pop_front() {
-                self.seat_tenant(seq, &adm)?;
+                self.seat_tenant(seq, adm)?;
             }
         }
         Ok(())
@@ -611,9 +617,9 @@ impl<O: SimObserver> EngineCore<O> {
     /// Seats one arrival: claims a context-table slot, initializes its
     /// execution state (first operator fetching, counters zeroed), and
     /// emits [`SimEvent::TenantAdmitted`]. A full table parks the arrival
-    /// when overload queueing is on, and rejects it otherwise —
-    /// [`SimEvent::AdmissionRejected`] — and the run goes on.
-    fn seat_tenant(&mut self, seq: usize, adm: &Admission) -> V10Result<()> {
+    /// (moved, not copied) when overload queueing is on, and rejects it
+    /// otherwise — [`SimEvent::AdmissionRejected`] — and the run goes on.
+    fn seat_tenant(&mut self, seq: usize, adm: Admission) -> V10Result<()> {
         let now = self.now;
         let id = match self.table.admit(adm.spec().priority(), now) {
             Ok(id) => id,
@@ -625,7 +631,7 @@ impl<O: SimObserver> EngineCore<O> {
                     return Err(err);
                 }
                 if self.queue_on_full {
-                    self.parked.push_back((seq, adm.clone()));
+                    self.parked.push_back((seq, adm));
                     return Ok(());
                 }
                 self.rejected += 1;
@@ -827,6 +833,7 @@ impl<O: SimObserver> EngineCore<O> {
     ///
     /// Returns [`V10Error::InvalidArgument`] if `w` is not an admitted
     /// workload index.
+    #[inline]
     pub(crate) fn wl(&self, w: usize) -> V10Result<&WlState> {
         self.wls
             .get(w)
@@ -839,6 +846,7 @@ impl<O: SimObserver> EngineCore<O> {
     ///
     /// Returns [`V10Error::InvalidArgument`] if `w` is not an admitted
     /// workload index.
+    #[inline]
     pub(crate) fn wl_mut(&mut self, w: usize) -> V10Result<&mut WlState> {
         self.wls
             .get_mut(w)
@@ -850,6 +858,7 @@ impl<O: SimObserver> EngineCore<O> {
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `s` is not a slot index.
+    #[inline]
     pub(crate) fn slot(&self, s: usize) -> V10Result<&Slot> {
         self.slots
             .get(s)
@@ -861,6 +870,7 @@ impl<O: SimObserver> EngineCore<O> {
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `s` is not a slot index.
+    #[inline]
     pub(crate) fn slot_mut(&mut self, s: usize) -> V10Result<&mut Slot> {
         self.slots
             .get_mut(s)
@@ -873,6 +883,7 @@ impl<O: SimObserver> EngineCore<O> {
     ///
     /// Returns [`V10Error::InvalidArgument`] if the id's slot has no live
     /// owner — a scheduler picked a stale or retired tenant.
+    #[inline]
     pub(crate) fn owner_of(&self, id: WorkloadId) -> V10Result<usize> {
         self.slot_owner
             .get(id.index())
@@ -974,8 +985,10 @@ impl<O: SimObserver> EngineCore<O> {
     /// Differential cross-check of the event-spine indexes against the
     /// naive scans they replaced: the fetch calendar must hold exactly the
     /// live not-Ready/not-Active tenancies at their `fetch_ready_at`, the
-    /// live list exactly the `alive` indices ascending, and the unmet
-    /// counter the number of under-quota tenancies. Debug builds run this
+    /// live list exactly the `alive` indices ascending, the unmet counter
+    /// the number of under-quota tenancies, the context table's candidate
+    /// sets exactly the rows Algorithm 1 may pick, and each occupied
+    /// slot's cached demand its occupant's operator's. Debug builds run this
     /// every step (the calendar differential test drives it across random
     /// schedules); release builds compile it out.
     ///
@@ -1015,6 +1028,16 @@ impl<O: SimObserver> EngineCore<O> {
         }
         assert_eq!(live_iter.next(), None, "live index has stale entries");
         assert_eq!(self.unmet, unmet_naive, "unmet counter diverged");
+        self.table.debug_validate_candidates();
+        for (s, slot) in self.slots.iter().enumerate() {
+            if let Some(wl) = slot.occupant.and_then(|w| self.wls.get(w)) {
+                assert_eq!(
+                    slot.demand.to_bits(),
+                    wl.current_op().hbm_demand_bytes_per_cycle().to_bits(),
+                    "slot {s}'s cached demand diverged from its occupant's operator"
+                );
+            }
+        }
     }
 
     /// Validates a proposed time step: rejects a horizon with no pending
@@ -1046,44 +1069,41 @@ impl<O: SimObserver> EngineCore<O> {
     }
 
     /// Advances simulated time by `dt`, accounting as it goes: every
-    /// occupied slot's workload progresses at its HBM-granted rate (from
-    /// `rates`, full rate if absent) and accrues busy time and HBM bytes;
-    /// unoccupied slots mid-switch accrue switch overhead; the overlap
-    /// buckets and the clock move.
-    /// unit: `dt` is a cycle delta; `rates` are dimensionless slowdown factors.
-    pub(crate) fn advance(&mut self, dt: f64, rates: &[(usize, f64)]) {
+    /// occupied slot's workload progresses at its HBM-granted rate and
+    /// accrues busy time and HBM bytes; unoccupied slots mid-switch accrue
+    /// switch overhead; the overlap buckets and the clock move. `flows`
+    /// holds one arbitrated flow per occupied slot, in slot order (full
+    /// rate for an occupied slot past its end).
+    /// unit: `dt` is a cycle delta; `flows`' factors are dimensionless
+    /// progress rates.
+    pub(crate) fn advance(&mut self, dt: f64, flows: &[Flow]) {
         self.flush_events();
         let mut sa_active = 0usize;
         let mut vu_active = 0usize;
-        // Take the slot vector so the loop can hold `&slot` while mutating
-        // the per-workload state — the two never alias.
-        let slots = std::mem::take(&mut self.slots);
-        for slot in &slots {
+        let mut rates = flows.iter().map(Flow::factor);
+        for slot in &self.slots {
             if let Some(w) = slot.occupant {
                 match slot.kind {
                     FuKind::Sa => sa_active += 1,
                     FuKind::Vu => vu_active += 1,
                 }
-                let kind = slot.kind;
-                let r = rate_of(rates, w);
+                let r = rates.next().unwrap_or(1.0);
                 let Some(wl) = self.wls.get_mut(w) else {
                     continue;
                 };
-                let id = wl.id;
                 wl.op_remaining -= r * dt;
-                let bytes = wl.current_op().hbm_demand_bytes_per_cycle() * r * dt;
+                let bytes = slot.demand * r * dt;
                 wl.hbm_bytes += bytes;
                 self.hbm.record_bytes(bytes);
-                match kind {
+                match slot.kind {
                     FuKind::Sa => wl.busy_sa += dt,
                     FuKind::Vu => wl.busy_vu += dt,
                 }
-                self.table.add_active_cycles(id, dt);
+                self.table.add_active_cycles(wl.id, dt);
             } else if slot.switch_until > self.now + EPS {
                 self.switch_overhead_total += dt.min(slot.switch_until - self.now);
             }
         }
-        self.slots = slots;
         self.sa_busy += usize_to_f64(sa_active) * dt;
         self.vu_busy += usize_to_f64(vu_active) * dt;
         self.overlap.accumulate(sa_active > 0, vu_active > 0, dt);
@@ -1137,14 +1157,15 @@ impl<O: SimObserver> EngineCore<O> {
                 wl.alive = false;
                 wl.retired_at = Some(now);
             } else {
-                wl.op_remaining = u64_to_f64(wl.current_op().compute_cycles());
+                let op = *wl.current_op();
+                wl.op_remaining = u64_to_f64(op.compute_cycles());
                 // The next operator's instructions were prefetched from the
                 // moment the finished operator issued; its dispatch gap
                 // (host-side stalls) starts now.
                 wl.fetch_ready_at = self
                     .dma
-                    .ready_at(wl.current_op(), wl.last_issue_at, now)
-                    .max(now + u64_to_f64(wl.current_op().dispatch_gap_cycles()));
+                    .ready_at(&op, wl.last_issue_at, now)
+                    .max(now + u64_to_f64(op.dispatch_gap_cycles()));
             }
             (
                 wl.id,

@@ -30,7 +30,7 @@
 //! may be due at the instant the advance reached.
 
 use v10_npu::{FuPool, NpuConfig};
-use v10_sim::{FaultKind, FaultPlan, Frequency, Micros, SimRng, V10Error, V10Result};
+use v10_sim::{FaultKind, FaultPlan, Flow, Frequency, Micros, SimRng, V10Error, V10Result};
 
 use crate::design::{serve_design_stressed_observed, Design};
 use crate::engine::{closed_loop, RunOptions, WorkloadSpec};
@@ -134,9 +134,6 @@ pub(crate) struct PmtStrategy {
     single: bool,
     /// The tenancy epoch `slices`/`single` were derived from.
     epoch: u64,
-    /// Reusable buffer for the per-step HBM arbitration query, so the
-    /// steady-state step loop performs no heap allocation.
-    rates_scratch: Vec<(usize, f64)>,
     /// Set when a restore or stall advance carried the run to its fence
     /// in the middle of the fault loop: the loop resumes first.
     resume_faults: bool,
@@ -153,7 +150,6 @@ impl PmtStrategy {
             single: true,
             // Forces a resync on the first step, before any scheduling.
             epoch: u64::MAX,
-            rates_scratch: Vec::new(),
             resume_faults: false,
         }
     }
@@ -399,14 +395,14 @@ impl ExecutorStrategy for PmtStrategy {
         }
 
         // The owner's current operator runs alone on the core.
-        let (kind, demand, op_remaining) = {
+        let (op, op_remaining) = {
             let wl = core.wl(self.owner)?;
-            let op = wl.current_op();
-            (op.kind(), op.hbm_demand_bytes_per_cycle(), wl.op_remaining)
+            (*wl.current_op(), wl.op_remaining)
         };
-        core.hbm
-            .progress_rates_into(&[(self.owner, demand)], &mut self.rates_scratch);
-        let rate = self.rates_scratch.first().map_or(0.0, |&(_, r)| r);
+        let mut flow = [Flow::new(op.hbm_demand_bytes_per_cycle())];
+        core.hbm.progress_rates(&mut flow);
+        let [owner_flow] = flow;
+        let rate = owner_flow.factor();
         assert!(rate > EPS, "operator starved of bandwidth");
         dt = dt.min(op_remaining / rate);
         if core.crosses_fence(dt) {
@@ -414,12 +410,8 @@ impl ExecutorStrategy for PmtStrategy {
         }
         let dt = core.resolve_dt(dt)?;
 
-        {
-            let slot = core.slot_mut(0)?;
-            slot.kind = kind;
-            slot.occupant = Some(self.owner);
-        }
-        core.advance(dt, &[(self.owner, rate)]);
+        core.slot_mut(0)?.seat(self.owner, op);
+        core.advance(dt, &flow);
         core.slot_mut(0)?.occupant = None;
 
         // Operator completion.

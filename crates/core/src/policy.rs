@@ -88,16 +88,31 @@ impl Scheduler {
     ///
     /// A workload qualifies when it is not already running on some FU
     /// (operators within a workload are sequential) and its current operator
-    /// is ready and of the right kind.
+    /// is ready and of the right kind: the context table's candidate set
+    /// for `fu_type`.
     pub fn pick_next(
         &mut self,
         table: &ContextTable,
         fu_type: FuKind,
         now: Cycles,
     ) -> Option<WorkloadId> {
+        self.pick(table, fu_type, now).map(|pick| pick.0)
+    }
+
+    /// [`pick_next`](Self::pick_next), also answering the pick's
+    /// `active_rate_p` when the priority policy computed it (a pick among
+    /// two or more candidates) so [`prefers_preemption`](Self::prefers_preemption)
+    /// can reuse it.
+    #[inline]
+    pub(crate) fn pick(
+        &mut self,
+        table: &ContextTable,
+        fu_type: FuKind,
+        now: Cycles,
+    ) -> Option<(WorkloadId, Option<f64>)> {
         match self.policy {
             Policy::RoundRobin => self.pick_round_robin(table, fu_type),
-            Policy::Priority => Self::pick_priority(table, fu_type, now),
+            Policy::Priority => table.pick_min_arp(fu_type, now.as_f64()),
         }
     }
 
@@ -106,6 +121,8 @@ impl Scheduler {
     /// (scaled by [`PREEMPT_HYSTERESIS`]) — the preemption module's trigger
     /// condition (§3.3), evaluated on every preemption-timer tick. This is
     /// what stops long operators from starving short ones (Fig. 12).
+    /// `candidate` carries the candidate's `active_rate_p` at `now` when the
+    /// caller already holds it from its pick; `None` computes it here.
     ///
     /// Round-robin is non-preemptive (V10-Base), so it never prefers a
     /// switch.
@@ -114,49 +131,31 @@ impl Scheduler {
         &self,
         table: &ContextTable,
         running: WorkloadId,
-        candidate: WorkloadId,
+        candidate: (WorkloadId, Option<f64>),
         now: Cycles,
     ) -> bool {
         match self.policy {
             Policy::RoundRobin => false,
             Policy::Priority => {
-                table.active_rate_p(candidate, now.as_f64())
-                    < PREEMPT_HYSTERESIS * table.active_rate_p(running, now.as_f64())
+                let (candidate, arp) = candidate;
+                let candidate_arp =
+                    arp.unwrap_or_else(|| table.active_rate_p(candidate, now.as_f64()));
+                candidate_arp < PREEMPT_HYSTERESIS * table.active_rate_p(running, now.as_f64())
             }
         }
     }
 
-    fn qualifies(table: &ContextTable, id: WorkloadId, fu_type: FuKind) -> bool {
-        !table.is_active(id) && table.is_ready(id) && table.op_kind(id) == Some(fu_type)
-    }
-
-    fn pick_round_robin(&mut self, table: &ContextTable, fu_type: FuKind) -> Option<WorkloadId> {
-        // The cursor walks hardware slots (not live tenants), skipping empty
-        // rows, so a retirement does not renumber everyone after it.
-        let n = table.capacity();
-        for off in 0..n {
-            let idx = (self.rr_cursor + off) % n;
-            let Some(id) = table.id_at_slot(idx) else {
-                continue;
-            };
-            if Self::qualifies(table, id, fu_type) {
-                self.rr_cursor = (idx + 1) % n;
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    /// Algorithm 1: the qualifying workload with the minimum
-    /// `(active_rate_p, index)` — identical to sorting every workload by
-    /// that key and taking the first qualifier (the historical
-    /// implementation, which allocated and sorted a scratch vector on every
-    /// pick), but as a single allocation-free row pass fused into the
-    /// context table ([`ContextTable::pick_min_arp`]). The pass walks slots
-    /// in ascending index order, so keeping the first strict minimum breaks
-    /// `active_rate_p` ties toward the lowest index.
-    fn pick_priority(table: &ContextTable, fu_type: FuKind, now: Cycles) -> Option<WorkloadId> {
-        table.pick_min_arp(fu_type, now.as_f64())
+    /// Round-robin: the first candidate at or after the cursor, cyclically
+    /// over hardware slots (not live tenants), so a retirement does not
+    /// renumber everyone after it. The cursor moves past the pick.
+    fn pick_round_robin(
+        &mut self,
+        table: &ContextTable,
+        fu_type: FuKind,
+    ) -> Option<(WorkloadId, Option<f64>)> {
+        let id = table.first_candidate_from(fu_type, self.rr_cursor)?;
+        self.rr_cursor = (id.index() + 1) % table.capacity();
+        Some((id, None))
     }
 }
 
@@ -288,13 +287,13 @@ mod tests {
         assert!(s.prefers_preemption(
             &t,
             WorkloadId::new(0),
-            WorkloadId::new(1),
+            (WorkloadId::new(1), None),
             Cycles::new(1_000.0)
         ));
         assert!(!s.prefers_preemption(
             &t,
             WorkloadId::new(1),
-            WorkloadId::new(0),
+            (WorkloadId::new(0), None),
             Cycles::new(1_000.0)
         ));
     }
@@ -307,7 +306,7 @@ mod tests {
         assert!(!s.prefers_preemption(
             &t,
             WorkloadId::new(0),
-            WorkloadId::new(1),
+            (WorkloadId::new(1), None),
             Cycles::new(1_000.0)
         ));
     }

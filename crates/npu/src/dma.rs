@@ -60,6 +60,7 @@ impl InstructionDma {
 
     /// Cycles to DMA `op`'s instruction stream into instruction memory.
     #[must_use]
+    #[inline]
     pub fn fetch_cycles(&self, op: &OpDesc) -> f64 {
         v10_sim::convert::u64_to_f64(op.instr_bytes()) / self.bytes_per_cycle
     }
@@ -72,6 +73,7 @@ impl InstructionDma {
     /// unit: `fetch_start` and `predecessor_done` are simulated-clock
     /// instants in cycles; the result is an instant in cycles.
     #[must_use]
+    #[inline]
     pub fn ready_at(&self, op: &OpDesc, fetch_start: f64, predecessor_done: f64) -> f64 {
         debug_assert!(
             fetch_start.is_finite() && predecessor_done.is_finite(),

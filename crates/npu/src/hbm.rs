@@ -8,7 +8,7 @@
 //! `DLRM+RsNt` priority anomaly in §5.6) — and the moved-bytes counter feeds
 //! the bandwidth-utilization results (Figs. 7, 16c, 24).
 
-use v10_sim::{AllocationScratch, Demand, V10Error, V10Result, WaterFilling};
+use v10_sim::{Flow, V10Error, V10Result, WaterFilling};
 
 /// Bandwidth arbiter + bytes-moved accounting for one core's HBM interface.
 ///
@@ -16,13 +16,14 @@ use v10_sim::{AllocationScratch, Demand, V10Error, V10Result, WaterFilling};
 ///
 /// ```
 /// use v10_npu::HbmArbiter;
+/// use v10_sim::Flow;
 ///
 /// let mut hbm = HbmArbiter::new(100.0).expect("valid peak"); // bytes/cycle
 /// // Two operators demand 80 B/cycle each: each is granted 50, i.e. runs
 /// // at 62.5% speed if fully memory-bound.
-/// let mut rates = Vec::new();
-/// hbm.progress_rates_into(&[(0, 80.0), (1, 80.0)], &mut rates);
-/// assert_eq!(rates, vec![(0, 0.625), (1, 0.625)]);
+/// let mut flows = [Flow::new(80.0), Flow::new(80.0)];
+/// hbm.progress_rates(&mut flows);
+/// assert_eq!(flows.map(|f| f.factor()), [0.625, 0.625]);
 /// hbm.record_bytes(1_000.0);
 /// assert_eq!(hbm.bytes_moved(), 1_000.0);
 /// ```
@@ -30,10 +31,6 @@ use v10_sim::{AllocationScratch, Demand, V10Error, V10Result, WaterFilling};
 pub struct HbmArbiter {
     allocator: WaterFilling,
     bytes_moved: f64,
-    /// Reusable buffers for the per-step arbitration query, so the engine
-    /// hot loop performs no heap allocation.
-    demand_scratch: Vec<Demand>,
-    alloc_scratch: AllocationScratch,
 }
 
 impl HbmArbiter {
@@ -57,8 +54,6 @@ impl HbmArbiter {
         Ok(HbmArbiter {
             allocator: WaterFilling::new(peak_bytes_per_cycle),
             bytes_moved: 0.0,
-            demand_scratch: Vec::new(),
-            alloc_scratch: AllocationScratch::default(),
         })
     }
 
@@ -68,24 +63,21 @@ impl HbmArbiter {
         self.allocator.capacity()
     }
 
-    /// Computes each flow's progress rate in `(0, 1]` cycles-per-cycle:
-    /// `min(1, granted / demanded)`. Flows are `(id, bytes_per_cycle)`
-    /// demands; zero-demand flows always run at full rate. Performs no heap
-    /// allocation: working memory lives in the arbiter and the rates are
-    /// written to `out` (cleared first) — the engines' step loops call this
-    /// every step.
-    pub fn progress_rates_into(&mut self, flows: &[(usize, f64)], out: &mut Vec<(usize, f64)>) {
-        self.demand_scratch.clear();
-        self.demand_scratch
-            .extend(flows.iter().map(|&(id, d)| Demand::new(id, d)));
-        self.allocator
-            .slowdown_factors_into(&self.demand_scratch, &mut self.alloc_scratch, out);
+    /// Computes each flow's progress rate in `(0, 1]` cycles-per-cycle,
+    /// `min(1, granted / demanded)`, in place: it is the flow's
+    /// [`Flow::factor`]. Flows demand bytes per cycle; zero-demand flows
+    /// always run at full rate. The engines' step loops call this whenever
+    /// their set of in-flight demands changes, over one array they keep.
+    #[inline]
+    pub fn progress_rates(&self, flows: &mut [Flow]) {
+        self.allocator.fill(flows);
     }
 
     /// Records `bytes` as moved (called by the engine as operators make
     /// progress).
     ///
     /// unit: `bytes` is a byte count (may be fractional mid-step).
+    #[inline]
     pub fn record_bytes(&mut self, bytes: f64) {
         debug_assert!(bytes >= 0.0);
         self.bytes_moved += bytes;
@@ -95,6 +87,23 @@ impl HbmArbiter {
     #[must_use]
     pub fn bytes_moved(&self) -> f64 {
         self.bytes_moved
+    }
+}
+
+#[cfg(test)]
+impl HbmArbiter {
+    /// [`progress_rates`](Self::progress_rates) over `(id, bytes_per_cycle)`
+    /// demands, as `(id, rate)` pairs in input order (`out` cleared first).
+    fn progress_rates_into(&mut self, flows: &[(usize, f64)], out: &mut Vec<(usize, f64)>) {
+        let mut filled: Vec<Flow> = flows.iter().map(|&(_, d)| Flow::new(d)).collect();
+        self.progress_rates(&mut filled);
+        out.clear();
+        out.extend(
+            flows
+                .iter()
+                .zip(&filled)
+                .map(|(&(id, _), f)| (id, f.factor())),
+        );
     }
 }
 

@@ -8,44 +8,57 @@
 //! flows that demand less than their fair share are fully satisfied, and the
 //! freed capacity is re-divided among the remaining flows.
 
-/// A single flow's bandwidth demand, in bytes/cycle.
+/// One flow of a water-filling allocation: its demand goes in, its grant
+/// and slowdown factor come out of [`WaterFilling::fill`], in place.
 ///
-/// `id` is an opaque caller-side handle used to match allocations back to
-/// flows (operator index, DMA channel, …).
+/// A caller keeps one array of these and refills it only when its set of
+/// demands changes, so the allocation copies nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Demand {
-    /// Caller-side flow identifier, echoed back in the allocation.
-    pub id: usize,
-    /// unit: requested rate in bytes/cycle. Must be finite and non-negative.
-    pub rate: f64,
-}
-
-impl Demand {
-    /// unit: `rate` is bytes per cycle.
-    /// Convenience constructor.
-    #[must_use]
-    pub fn new(id: usize, rate: f64) -> Self {
-        Demand { id, rate }
-    }
-}
-
-/// One flow's working state during a water-filling round.
-#[derive(Debug, Clone, Copy)]
-struct Flow {
-    id: usize,
-    rate: f64,
+pub struct Flow {
+    /// unit: requested rate in bytes/cycle.
+    demand: f64,
+    /// unit: granted rate in bytes/cycle.
     grant: f64,
+    /// unit: dimensionless ratio `grant / demand` (1.0 for zero demand).
+    factor: f64,
     unsatisfied: bool,
 }
 
-/// Reusable working memory for the allocation-free `*_into` queries.
-///
-/// The engines call the allocator every simulation step; routing those
-/// calls through one scratch instance means the steady state performs no
-/// heap allocation at all (the internal vector is cleared, not dropped).
-#[derive(Debug, Clone, Default)]
-pub struct AllocationScratch {
-    flows: Vec<Flow>,
+impl Flow {
+    /// A flow demanding `demand`, not yet allocated.
+    ///
+    /// unit: `demand` is bytes per cycle.
+    #[must_use]
+    #[inline]
+    pub fn new(demand: f64) -> Self {
+        Flow {
+            demand,
+            grant: 0.0,
+            factor: 1.0,
+            unsatisfied: false,
+        }
+    }
+
+    /// The requested rate.
+    ///
+    /// unit: bytes per cycle.
+    #[must_use]
+    #[inline]
+    pub fn demand(&self) -> f64 {
+        self.demand
+    }
+
+    /// Fraction of the demand the last [`WaterFilling::fill`] granted —
+    /// the factor by which a memory-bound operator is slowed under
+    /// contention. Zero-demand flows get `1.0` (they are not
+    /// memory-limited).
+    ///
+    /// unit: dimensionless ratio in `[0, 1]`.
+    #[must_use]
+    #[inline]
+    pub fn factor(&self) -> f64 {
+        self.factor
+    }
 }
 
 /// Water-filling allocator over a fixed capacity.
@@ -53,19 +66,17 @@ pub struct AllocationScratch {
 /// # Example
 ///
 /// ```
-/// use v10_sim::{Demand, WaterFilling};
+/// use v10_sim::{Flow, WaterFilling};
 ///
 /// let hbm = WaterFilling::new(100.0); // 100 B/cycle capacity
 /// // Three flows: one small, two large.
-/// let alloc = hbm.allocate(&[
-///     Demand::new(0, 10.0),
-///     Demand::new(1, 80.0),
-///     Demand::new(2, 80.0),
-/// ]);
-/// // The small flow is fully satisfied; the rest is split evenly.
-/// assert_eq!(alloc[0], (0, 10.0));
-/// assert_eq!(alloc[1], (1, 45.0));
-/// assert_eq!(alloc[2], (2, 45.0));
+/// let mut flows = [Flow::new(10.0), Flow::new(80.0), Flow::new(80.0)];
+/// hbm.fill(&mut flows);
+/// // The small flow is fully satisfied; the rest is split evenly
+/// // (45 of 80 B/cycle each).
+/// assert_eq!(flows[0].factor(), 1.0);
+/// assert_eq!(flows[1].factor(), 45.0 / 80.0);
+/// assert_eq!(flows[2].factor(), 45.0 / 80.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaterFilling {
@@ -94,10 +105,9 @@ impl WaterFilling {
         self.capacity
     }
 
-    /// Computes the max-min fair allocation for `demands`.
-    ///
-    /// Returns `(id, granted_rate)` pairs in the same order as the input.
-    /// Invariants (exercised by property tests):
+    /// Computes the max-min fair allocation of `flows`' demands in place:
+    /// each flow's grant, then its slowdown factor
+    /// ([`Flow::factor`]). Invariants (exercised by property tests):
     ///
     /// * `granted <= demanded` for every flow;
     /// * `sum(granted) <= capacity` (up to f64 rounding);
@@ -105,26 +115,129 @@ impl WaterFilling {
     /// * otherwise `sum(granted) == capacity` and the allocation is max-min
     ///   fair: no flow can gain without a lesser-or-equal flow losing.
     ///
+    /// Each round is one pass over the flows: it hands out the round's
+    /// share and, in the same pass, counts the flows left unsatisfied and
+    /// folds their smallest remaining deficit for the next round.
+    ///
     /// # Panics
     ///
     /// Panics if any demand is negative, NaN, or infinite.
-    #[must_use]
-    pub fn allocate(&self, demands: &[Demand]) -> Vec<(usize, f64)> {
-        let mut scratch = AllocationScratch::default();
-        let mut out = Vec::with_capacity(demands.len());
-        self.allocate_into(demands, &mut scratch, &mut out);
-        out
+    #[inline]
+    pub fn fill(&self, flows: &mut [Flow]) {
+        let mut unsatisfied = 0usize;
+        let mut min_deficit = f64::INFINITY;
+        for f in flows.iter_mut() {
+            assert!(
+                f.demand.is_finite() && f.demand >= 0.0,
+                "demand rates must be finite and non-negative, got {}",
+                f.demand
+            );
+            f.grant = 0.0;
+            f.unsatisfied = f.demand > 0.0;
+            if f.unsatisfied {
+                unsatisfied += 1;
+                min_deficit = f64::min(min_deficit, f.demand - f.grant);
+            }
+        }
+        let mut remaining_capacity = self.capacity;
+
+        // Each round either satisfies at least one flow completely or
+        // exhausts the capacity, so this terminates in <= n rounds.
+        while unsatisfied > 0 && remaining_capacity > 0.0 {
+            let fair_share = remaining_capacity / crate::convert::usize_to_f64(unsatisfied);
+            let deficit_floor = min_deficit;
+            unsatisfied = 0;
+            min_deficit = f64::INFINITY;
+            if deficit_floor >= fair_share {
+                // Nobody is capped below the fair share: hand it out and stop.
+                for f in flows.iter_mut().filter(|f| f.unsatisfied) {
+                    f.grant += fair_share;
+                }
+                remaining_capacity = 0.0;
+            } else {
+                // Satisfy every flow whose remaining deficit fits in the fair
+                // share, then redistribute.
+                for f in flows.iter_mut().filter(|f| f.unsatisfied) {
+                    let deficit = f.demand - f.grant;
+                    if deficit <= deficit_floor + f64::EPSILON {
+                        f.grant = f.demand;
+                        remaining_capacity -= deficit;
+                    } else {
+                        f.grant += deficit_floor;
+                        remaining_capacity -= deficit_floor;
+                    }
+                    f.unsatisfied = f.demand - f.grant > 1e-12;
+                    if f.unsatisfied {
+                        unsatisfied += 1;
+                        min_deficit = f64::min(min_deficit, f.demand - f.grant);
+                    }
+                }
+            }
+        }
+        for f in flows.iter_mut() {
+            f.factor = if f.demand <= 0.0 {
+                1.0
+            } else {
+                f.grant / f.demand
+            };
+        }
+    }
+}
+
+/// A single flow's bandwidth demand, in bytes/cycle, with a caller-side
+/// handle echoed back in the allocation: the input of the reference
+/// allocator [`WaterFilling::allocate_into`].
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Demand {
+    pub(crate) id: usize,
+    pub(crate) rate: f64,
+}
+
+#[cfg(test)]
+impl Demand {
+    pub(crate) fn new(id: usize, rate: f64) -> Self {
+        Demand { id, rate }
+    }
+}
+
+/// One flow's working state during a round of the reference allocator.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+struct RefFlow {
+    id: usize,
+    rate: f64,
+    grant: f64,
+    unsatisfied: bool,
+}
+
+/// Working memory of the reference allocator.
+#[cfg(test)]
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AllocationScratch {
+    flows: Vec<RefFlow>,
+}
+
+#[cfg(test)]
+impl WaterFilling {
+    /// [`fill`](Self::fill) over `demands`, as `(id, granted)` pairs in
+    /// input order.
+    pub(crate) fn allocate(&self, demands: &[Demand]) -> Vec<(usize, f64)> {
+        let mut flows: Vec<Flow> = demands.iter().map(|d| Flow::new(d.rate)).collect();
+        self.fill(&mut flows);
+        demands
+            .iter()
+            .zip(&flows)
+            .map(|(d, f)| (d.id, f.grant))
+            .collect()
     }
 
-    /// [`allocate`](WaterFilling::allocate) without heap allocation:
-    /// working state lives in `scratch` and the `(id, granted)` pairs are
-    /// written to `out` (cleared first). The numerical result is identical
-    /// to `allocate` — same operations in the same order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any demand is negative, NaN, or infinite.
-    pub fn allocate_into(
+    /// The reference allocator [`fill`](Self::fill) replaced: it copies the
+    /// demands into `scratch`, writes `(id, granted)` pairs to `out`
+    /// (cleared first), and scans the flows twice per round (count and
+    /// minimum deficit, then the hand-out). `fill` must match it bit for
+    /// bit.
+    pub(crate) fn allocate_into(
         &self,
         demands: &[Demand],
         scratch: &mut AllocationScratch,
@@ -140,20 +253,14 @@ impl WaterFilling {
         }
         let flows = &mut scratch.flows;
         flows.clear();
-        flows.extend(demands.iter().map(|d| Flow {
+        flows.extend(demands.iter().map(|d| RefFlow {
             id: d.id,
             rate: d.rate,
             grant: 0.0,
             unsatisfied: d.rate > 0.0,
         }));
         let mut remaining_capacity = self.capacity;
-
-        // Each round either satisfies at least one flow completely or
-        // exhausts the capacity, so this terminates in <= n rounds.
         loop {
-            // One fused pass per round: the unsatisfied count and the
-            // minimum remaining deficit (the same `f64::min` fold over the
-            // same filtered sequence the two-pass version ran).
             let mut unsatisfied = 0usize;
             let mut min_deficit = f64::INFINITY;
             for f in flows.iter().filter(|f| f.unsatisfied) {
@@ -164,16 +271,12 @@ impl WaterFilling {
                 break;
             }
             let fair_share = remaining_capacity / crate::convert::usize_to_f64(unsatisfied);
-
             if min_deficit >= fair_share {
-                // Nobody is capped below the fair share: hand it out and stop.
                 for f in flows.iter_mut().filter(|f| f.unsatisfied) {
                     f.grant += fair_share;
                 }
                 remaining_capacity = 0.0;
             } else {
-                // Satisfy every flow whose remaining deficit fits in the fair
-                // share, then redistribute.
                 for f in flows.iter_mut().filter(|f| f.unsatisfied) {
                     let deficit = f.rate - f.grant;
                     if deficit <= min_deficit + f64::EPSILON {
@@ -191,16 +294,9 @@ impl WaterFilling {
         out.extend(flows.iter().map(|f| (f.id, f.grant)));
     }
 
-    /// Fraction of each flow's demand that was granted, i.e. the factor by
-    /// which a memory-bound operator is slowed under contention. Flows with
-    /// zero demand get factor `1.0` (they are not memory-limited). Performs
-    /// no heap allocation beyond `scratch`; results are written to `out`
-    /// (cleared first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any demand is negative, NaN, or infinite.
-    pub fn slowdown_factors_into(
+    /// The reference slowdown factors: [`allocate_into`](Self::allocate_into)'s
+    /// grants divided by their demands in a second pass (zero demand: 1.0).
+    pub(crate) fn slowdown_factors_into(
         &self,
         demands: &[Demand],
         scratch: &mut AllocationScratch,
@@ -355,6 +451,67 @@ mod seeded_tests {
                 assert!((grant_sum - demand_sum).abs() < 1e-6);
             } else {
                 assert!((grant_sum - cap).abs() < 1e-6);
+            }
+        }
+    }
+
+    /// The one-array allocator equals the reference bit for bit, grants
+    /// and slowdown factors both, over random sets of 0–4 flows that mix
+    /// zero demands, repeated demands, demands within `2 * f64::EPSILON`
+    /// of each other (deficits within the allocator's `f64::EPSILON` tie
+    /// slack), zero capacity, and capacities exactly at the total demand.
+    #[test]
+    fn fill_matches_reference_bitwise() {
+        let mut rng = SimRng::seed_from(0xF111_D1FF);
+        let mut scratch = AllocationScratch::default();
+        let (mut grants, mut factors) = (Vec::new(), Vec::new());
+        for case in 0..20_000 {
+            let n = rng.index(5);
+            // Below 1 B/cycle an ulp is under `f64::EPSILON`, so near-equal
+            // demands leave deficits within the allocator's tie slack.
+            let scale = if rng.index(2) == 0 { 1.0 } else { 500.0 };
+            let mut demands: Vec<Demand> = Vec::with_capacity(n);
+            for i in 0..n {
+                let rate = match rng.index(5) {
+                    0 => 0.0,
+                    1 if i > 0 => demands[rng.index(i)].rate,
+                    2 if i > 0 => demands[rng.index(i)].rate + rng.uniform(0.0, 2.0 * f64::EPSILON),
+                    _ => rng.uniform(0.0, scale),
+                };
+                demands.push(Demand::new(i, rate));
+            }
+            let total: f64 = demands.iter().map(|d| d.rate).sum();
+            let cap = match rng.index(4) {
+                0 => total,
+                1 => 0.0,
+                _ => rng.uniform(0.0, 1_000.0),
+            };
+            let w = WaterFilling::new(cap);
+            w.allocate_into(&demands, &mut scratch, &mut grants);
+            w.slowdown_factors_into(&demands, &mut scratch, &mut factors);
+            let mut flows: Vec<Flow> = demands.iter().map(|d| Flow::new(d.rate)).collect();
+            w.fill(&mut flows);
+            for ((f, g), r) in flows.iter().zip(&grants).zip(&factors) {
+                assert_eq!(
+                    f.grant.to_bits(),
+                    g.1.to_bits(),
+                    "case {case}: grant diverged for {demands:?} at {cap}"
+                );
+                assert_eq!(
+                    f.factor().to_bits(),
+                    r.1.to_bits(),
+                    "case {case}: factor diverged for {demands:?} at {cap}"
+                );
+            }
+            // A refill of the same array (the engines reuse theirs) starts
+            // from scratch and lands on the same answer.
+            w.fill(&mut flows);
+            for (f, g) in flows.iter().zip(&grants) {
+                assert_eq!(
+                    f.grant.to_bits(),
+                    g.1.to_bits(),
+                    "case {case}: refill diverged"
+                );
             }
         }
     }

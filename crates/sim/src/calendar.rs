@@ -112,6 +112,7 @@ impl HorizonCalendar {
     /// # Errors
     ///
     /// `deadline` must be finite and non-negative.
+    #[inline]
     pub fn set(&mut self, key: usize, deadline: Cycles) -> V10Result<()> {
         let deadline = deadline.as_f64();
         if !deadline.is_finite() || deadline < 0.0 {
@@ -135,6 +136,7 @@ impl HorizonCalendar {
     /// Removes `key`'s deadline if one is pending. Returns whether an
     /// entry was removed. O(1): the heap entry goes stale and is
     /// discarded when it surfaces at the top.
+    #[inline]
     pub fn clear(&mut self, key: usize) -> bool {
         let Some(slot) = self.deadline.get_mut(key) else {
             return false;
@@ -160,6 +162,7 @@ impl HorizonCalendar {
     /// Amortized O(log n): stale heap entries surfacing at the top are
     /// discarded here, each paid for once by the `set`/`clear` that
     /// staled it.
+    #[inline]
     pub fn peek_min(&mut self) -> Option<(usize, Cycles)> {
         if self.len == 0 {
             return None;
@@ -180,6 +183,7 @@ impl HorizonCalendar {
     /// Removes every entry with `deadline <= threshold` and appends the
     /// keys to `out` in ascending key order. Returns how many entries
     /// were popped.
+    #[inline]
     pub fn pop_due(&mut self, threshold: Cycles, out: &mut Vec<usize>) -> usize {
         let start = out.len();
         while let Some((k, d)) = self.peek_min() {

@@ -369,12 +369,14 @@ impl FaultInjector {
     /// Fire time of the next pending fault, if any. Engines fold this into
     /// their time-step horizon so no fault fires mid-step.
     #[must_use]
+    #[inline]
     pub fn next_at(&self) -> Option<f64> {
         self.queue.front().map(FaultEvent::at_cycles)
     }
 
     /// Pops the next fault if it is due at `now` (within `slack` cycles of
     /// simultaneity, the engines' `EPS`).
+    #[inline]
     pub fn pop_due(&mut self, now: f64, slack: f64) -> Option<FaultEvent> {
         let due = self
             .queue

@@ -70,7 +70,7 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use bandwidth::{AllocationScratch, Demand, WaterFilling};
+pub use bandwidth::{Flow, WaterFilling};
 pub use calendar::HorizonCalendar;
 pub use error::{V10Error, V10Result};
 pub use fault::{
