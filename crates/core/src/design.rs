@@ -297,7 +297,7 @@ impl<O: SimObserver> CoreRun<O> {
             observer,
         )?;
         if controller.is_armed() {
-            core.enable_overload_queueing();
+            core.arm_overload();
         }
         Ok(CoreRun {
             core,

@@ -23,7 +23,6 @@
 
 use v10_isa::{FuKind, RequestTrace};
 use v10_npu::{FuPool, NpuConfig};
-use v10_sim::convert::u64_to_f64;
 use v10_sim::fault::pick_victim;
 use v10_sim::{Cycles, FaultInjector, FaultKind, Flow, V10Error, V10Result};
 
@@ -440,7 +439,7 @@ impl V10Strategy {
             let Some(wl) = core.wls.get(w) else {
                 continue;
             };
-            let ideal = u64_to_f64(wl.trace.total_compute_cycles());
+            let ideal = core.request_cycles(wl.id);
             if ideal > 0.0 {
                 worst_slowdown = worst_slowdown.max((at - wl.request_start) / ideal);
             }
@@ -552,8 +551,10 @@ impl V10Strategy {
         // Retry boosts deferred at the priority cap: a rung-1 demotion this
         // tick (or a policy with headroom restored) lets them land now.
         // `watchdog_retain` just pruned retired tenancies, so every pending
-        // index is live.
-        for w in self.controller.pending_boosts() {
+        // index is live. Index loop: a boost that lands leaves the queue,
+        // and the next one moves into its place.
+        let mut i = 0;
+        while let Some(w) = self.controller.pending_boost(i) {
             let (id, old) = {
                 let wl = core.wl(w)?;
                 (wl.id, wl.priority)
@@ -569,6 +570,8 @@ impl V10Strategy {
                     priority: new,
                     at,
                 });
+            } else {
+                i += 1;
             }
         }
         for i in 0..core.live().len() {
@@ -697,6 +700,65 @@ impl V10Strategy {
         }
     }
 
+    /// Replays the timer ticks of an idle core (no FU occupied, no switch
+    /// window open) while the tick is its next event. Each iteration runs
+    /// what a full step runs on such a core: `resolve_dt`, the advance,
+    /// and [`fire_due_tick`](Self::fire_due_tick). Returns whether it
+    /// replayed any tick; the next full step continues at the last one.
+    ///
+    /// The replay is exact because a full step there does nothing else.
+    /// Its instant work seats, promotes and issues nothing: this step's
+    /// own instant work found no Ready operator for any free FU, and only
+    /// a due arrival, fetch, fault or sense tick could make one. Its
+    /// horizon is the tick, as every other horizon lies at or after it and
+    /// subtracting `now` keeps that order. After the advance no fault,
+    /// completion, preemption or sense tick is due. So the replay hands
+    /// back before a tick that another horizon precedes, before one at
+    /// which a fetch, arrival, fault or sense falls due within `EPS`, and
+    /// before one whose advance would cross the fence, where the full step
+    /// suspends.
+    fn replay_idle_ticks<O: SimObserver>(&mut self, core: &mut EngineCore<O>) -> V10Result<bool> {
+        // None of these horizons moves while the core idles.
+        let next_event = [
+            core.next_fetch_at(),
+            core.next_arrival_at(),
+            core.next_fault_at(),
+            self.controller.next_at(),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(f64::INFINITY, f64::min);
+        let mut replayed = false;
+        loop {
+            let dt = self.tick_next - core.now;
+            if next_event < self.tick_next
+                || next_event <= core.now + dt.max(0.0) + EPS
+                || core.crosses_fence(dt)
+            {
+                return Ok(replayed);
+            }
+            replayed = true;
+            let dt = core.resolve_dt(dt)?;
+            core.advance(dt, &[]);
+            self.fire_due_tick(core);
+        }
+    }
+
+    /// Fires the preemption timer if a tick is due at the current instant:
+    /// moves the next tick past it and emits [`SimEvent::TimerTick`].
+    /// Returns whether it fired.
+    fn fire_due_tick<O: SimObserver>(&mut self, core: &mut EngineCore<O>) -> bool {
+        if core.now + EPS < self.tick_next {
+            return false;
+        }
+        while self.tick_next <= core.now + EPS {
+            self.tick_next += self.slice;
+        }
+        let at = core.now;
+        core.emit(SimEvent::TimerTick { at });
+        true
+    }
+
     /// Stops the current step at the fence, after its instant work: it
     /// resumes by recomputing its horizon.
     fn suspend(&mut self) -> StepOutcome {
@@ -729,8 +791,11 @@ impl ExecutorStrategy for V10Strategy {
         // -------- Phase 2: progress rates under HBM arbitration.
         self.arbitrate_hbm(core);
 
-        // -------- Phase 3: time to the next event.
+        // -------- Phase 3: time to the next event. (`flows` holds one flow
+        // per occupied slot, so the core is idle when it is empty and no
+        // switch window is open.)
         let mut dt = f64::INFINITY;
+        let mut idle = self.flows.is_empty();
         let mut rates = self.flows.iter().map(Flow::factor);
         for slot in &core.slots {
             if let Some(w) = slot.occupant {
@@ -742,6 +807,7 @@ impl ExecutorStrategy for V10Strategy {
                 }
             }
             if slot.switch_until > core.now + EPS {
+                idle = false;
                 dt = dt.min(slot.switch_until - core.now);
             }
         }
@@ -765,6 +831,15 @@ impl ExecutorStrategy for V10Strategy {
         }
         if let Some(at) = self.controller.next_at() {
             dt = dt.min(at - core.now);
+        }
+        // An idle core whose next event is the tick replays its ticks; the
+        // next step continues at the last one.
+        if idle
+            && self.preemption
+            && dt == self.tick_next - core.now
+            && self.replay_idle_ticks(core)?
+        {
+            return Ok(StepOutcome::Continue);
         }
         // A step that would end within EPS of the fence stops here, before
         // anything commits; resuming recomputes phases 2–3 only.
@@ -810,12 +885,7 @@ impl ExecutorStrategy for V10Strategy {
         }
 
         // -------- Phase 5b: preemption timer (§3.3).
-        if self.preemption && core.now + EPS >= self.tick_next {
-            while self.tick_next <= core.now + EPS {
-                self.tick_next += self.slice;
-            }
-            let at = core.now;
-            core.emit(SimEvent::TimerTick { at });
+        if self.preemption && self.fire_due_tick(core) {
             for s in 0..core.slots.len() {
                 let (occupant, kind) = {
                     let slot = core.slot(s)?;
@@ -1202,6 +1272,50 @@ mod tests {
         assert_eq!(counters.ctx_switch_started(), counters.ctx_switch_ended());
         assert!(counters.timer_tick() > 0);
     }
+
+    /// Records the complete event stream.
+    #[derive(Default)]
+    pub(super) struct Recorder {
+        pub(super) events: Vec<SimEvent>,
+    }
+
+    impl SimObserver for Recorder {
+        fn on_event(&mut self, event: SimEvent) {
+            self.events.push(event);
+        }
+    }
+
+    /// Over an idle gap of 40 slices between two tenancies (replayed tick
+    /// by tick), V10-Full ticks exactly once at each slice boundary the
+    /// gap spans.
+    #[test]
+    fn idle_gap_ticks_once_per_slice_boundary() {
+        let slice = NpuConfig::table5().time_slice_cycles() as f64;
+        let gap_end = 40.5 * slice;
+        let schedule = AdmissionSchedule::new(vec![
+            crate::Admission::new(spec("a", vec![sa(1_000), vu(1_000)]), 0.0, 1).unwrap(),
+            crate::Admission::new(spec("b", vec![sa(1_000), vu(1_000)]), gap_end, 1).unwrap(),
+        ])
+        .unwrap();
+        let mut rec = Recorder::default();
+        let r = engine(Policy::Priority, true)
+            .serve_observed(&schedule, &RunOptions::new(1).unwrap(), &mut rec)
+            .unwrap();
+        let gap_start = r.workloads()[0].retired_at_cycles().unwrap();
+        assert!(gap_start < slice, "tenant a should finish within a slice");
+        let in_gap: Vec<f64> = rec
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                SimEvent::TimerTick { at } if at > gap_start && at < gap_end => Some(at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(in_gap.len(), 40, "ticks in the gap: {in_gap:?}");
+        for (k, &t) in (1..=40).zip(&in_gap) {
+            assert!((t - f64::from(k) * slice).abs() < EPS, "tick {k} at {t}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1360,6 +1474,8 @@ mod fault_tests {
     use v10_isa::OpDesc;
     use v10_sim::FaultPlan;
 
+    use super::tests::Recorder;
+
     fn sa(cycles: u64) -> OpDesc {
         OpDesc::builder(FuKind::Sa).compute_cycles(cycles).build()
     }
@@ -1483,6 +1599,45 @@ mod fault_tests {
             .sum();
         assert_eq!(done, 0);
         assert!(faulted.elapsed_cycles() <= 20_000.0 + 1.0);
+    }
+
+    /// A fault due at the instant of a tick on an idle core fires before
+    /// that tick, as in a full step, where faults apply before the
+    /// preemption timer: the idle-tick replay hands such a tick back.
+    #[test]
+    fn a_fault_at_an_idle_tick_fires_before_the_tick() {
+        let slice = NpuConfig::table5().time_slice_cycles() as f64;
+        let schedule = AdmissionSchedule::new(vec![
+            Admission::new(spec("a", vec![sa(1_000)]), 0.0, 1).unwrap(),
+            Admission::new(spec("b", vec![sa(1_000)]), 20.5 * slice, 1).unwrap(),
+        ])
+        .unwrap();
+        let plan = FaultPlan::none()
+            .with_fault(10.0 * slice, FaultKind::TransientOp { victim_salt: 0 })
+            .unwrap();
+        let mut rec = Recorder::default();
+        serve_design_stressed_observed(
+            Design::V10Full,
+            &schedule,
+            &NpuConfig::table5(),
+            &RunOptions::new(1).unwrap(),
+            &plan,
+            OverloadController::disarmed(),
+            &mut rec,
+        )
+        .unwrap();
+        let position = |want: &dyn Fn(&SimEvent) -> bool| {
+            rec.events.iter().position(want).expect("event recorded")
+        };
+        let fault = position(&|e| matches!(e, SimEvent::FaultInjected { .. }));
+        let tick = position(
+            &|e| matches!(*e, SimEvent::TimerTick { at } if (at - 10.0 * slice).abs() < EPS),
+        );
+        assert!(
+            fault < tick,
+            "{:?}",
+            &rec.events[tick.min(fault)..=tick.max(fault)]
+        );
     }
 
     #[test]

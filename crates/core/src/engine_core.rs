@@ -181,6 +181,21 @@ impl Slot {
     }
 }
 
+/// What only the armed overload path keeps on the core.
+#[derive(Debug)]
+struct ArmedState {
+    /// Due arrivals waiting out a full context table, oldest first, each
+    /// with its original arrival sequence number.
+    parked: VecDeque<(usize, Admission)>,
+    /// Context-table slot index -> its live occupant's compute cycles per
+    /// request (its trace's total), summed once at seating for the
+    /// controller's slowdown sense. Keyed by slot, not tenancy, so it
+    /// costs the table's capacity, not one entry per tenancy ever admitted.
+    ///
+    /// unit: cycles.
+    slot_request_cycles: Vec<f64>,
+}
+
 /// Should [`drive`] keep iterating?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepOutcome {
@@ -265,14 +280,12 @@ pub(crate) struct EngineCore<O: SimObserver> {
     ///
     /// unit: absolute cycles.
     fence: f64,
-    /// Due arrivals waiting out a full context table (armed overload path
-    /// only), oldest first, each with its original arrival sequence number.
-    parked: VecDeque<(usize, Admission)>,
-    /// When set (by the armed overload path), a full table parks due
-    /// arrivals instead of rejecting them. Off by default, in which case
-    /// `parked` is never touched and the event loop is bit-identical to the
-    /// pre-overload engine.
-    queue_on_full: bool,
+    /// The armed overload path's state, set by
+    /// [`arm_overload`](Self::arm_overload). `None` by default, in which
+    /// case a full table rejects due arrivals and the event loop is
+    /// bit-identical to the pre-overload engine. Boxed, so the other paths
+    /// (the fleet's many core runs among them) carry one pointer for it.
+    armed: Option<Box<ArmedState>>,
     /// Context-table slot index -> `wls` index of its live occupant.
     slot_owner: Vec<Option<usize>>,
     /// Indices into `wls` of the live tenancies, ascending. Maintained by
@@ -349,8 +362,7 @@ impl<O: SimObserver> EngineCore<O> {
             faults,
             pending: VecDeque::new(),
             fence: 0.0,
-            parked: VecDeque::new(),
-            queue_on_full: false,
+            armed: None,
             slot_owner: vec![None; capacity],
             live: Vec::new(),
             unmet: 0,
@@ -448,7 +460,7 @@ impl<O: SimObserver> EngineCore<O> {
         }
         self.fence = fence;
         self.wls
-            .reserve_exact(self.pending.len() + self.parked.len());
+            .reserve_exact(self.pending.len() + self.parked_len());
         Ok(())
     }
 
@@ -546,19 +558,24 @@ impl<O: SimObserver> EngineCore<O> {
         self.seat_tenant(seq, adm)
     }
 
-    /// Enables queue-on-full admission: due arrivals that find the context
-    /// table full wait in the parked queue (keeping their arrival sequence
-    /// numbers) instead of being rejected. Armed overload entry points call
-    /// this once before driving; nothing else ever sets it, which keeps the
-    /// default path bit-identical to the pre-overload engine.
-    pub(crate) fn enable_overload_queueing(&mut self) {
-        self.queue_on_full = true;
+    /// Prepares the core for an armed overload controller. Queue-on-full
+    /// admission: due arrivals that find the context table full wait in
+    /// the parked queue (keeping their arrival sequence numbers) instead
+    /// of being rejected. And each seated tenant's compute cycles per
+    /// request are recorded for the slowdown sense. Armed overload entry
+    /// points call this once before driving; nothing else ever does, which
+    /// keeps the default path bit-identical to the pre-overload engine.
+    pub(crate) fn arm_overload(&mut self) {
+        self.armed = Some(Box::new(ArmedState {
+            parked: VecDeque::new(),
+            slot_request_cycles: vec![0.0; self.table.capacity()],
+        }));
     }
 
     /// Arrivals currently waiting out a full table — the overload
     /// controller's queue-depth pressure signal.
     pub(crate) fn parked_len(&self) -> usize {
-        self.parked.len()
+        self.armed.as_ref().map_or(0, |armed| armed.parked.len())
     }
 
     /// Re-seats parked arrivals, oldest first, while the table has room.
@@ -572,8 +589,8 @@ impl<O: SimObserver> EngineCore<O> {
     /// error.
     #[inline(always)]
     pub(crate) fn admit_parked(&mut self) -> V10Result<()> {
-        while !self.parked.is_empty() && !self.table.is_full() {
-            if let Some((seq, adm)) = self.parked.pop_front() {
+        while self.parked_len() > 0 && !self.table.is_full() {
+            if let Some((seq, adm)) = self.armed.as_mut().and_then(|a| a.parked.pop_front()) {
                 self.seat_tenant(seq, adm)?;
             }
         }
@@ -593,12 +610,15 @@ impl<O: SimObserver> EngineCore<O> {
             max_wait_cycles.is_finite() && max_wait_cycles >= 0.0,
             "max_wait_cycles is a non-negative cycle count"
         );
+        let Some(mut armed) = self.armed.take() else {
+            return 0;
+        };
         let now = self.now;
         let mut shed = 0u64;
         // Rotate in place: pop each entry once and push the keepers back,
         // preserving their relative order without a second queue.
-        for _ in 0..self.parked.len() {
-            let Some((seq, adm)) = self.parked.pop_front() else {
+        for _ in 0..armed.parked.len() {
+            let Some((seq, adm)) = armed.parked.pop_front() else {
                 break;
             };
             if now - adm.at_cycles() > max_wait_cycles + EPS {
@@ -608,9 +628,10 @@ impl<O: SimObserver> EngineCore<O> {
                     at: now,
                 });
             } else {
-                self.parked.push_back((seq, adm));
+                armed.parked.push_back((seq, adm));
             }
         }
+        self.armed = Some(armed);
         shed
     }
 
@@ -630,8 +651,8 @@ impl<O: SimObserver> EngineCore<O> {
                 if !self.table.is_full() {
                     return Err(err);
                 }
-                if self.queue_on_full {
-                    self.parked.push_back((seq, adm));
+                if let Some(armed) = self.armed.as_mut() {
+                    armed.parked.push_back((seq, adm));
                     return Ok(());
                 }
                 self.rejected += 1;
@@ -680,6 +701,13 @@ impl<O: SimObserver> EngineCore<O> {
         let w = self.wls.len();
         if let Some(owner) = self.slot_owner.get_mut(id.index()) {
             *owner = Some(w);
+        }
+        if let Some(cycles) = self
+            .armed
+            .as_mut()
+            .and_then(|armed| armed.slot_request_cycles.get_mut(id.index()))
+        {
+            *cycles = u64_to_f64(wl.trace.total_compute_cycles());
         }
         self.table.set_current_op(id, 0, kind)?;
         self.wls.push(wl);
@@ -806,7 +834,7 @@ impl<O: SimObserver> EngineCore<O> {
             }
         }
         self.fetch_cal.reset();
-        while let Some((seq, _)) = self.parked.pop_front() {
+        while let Some((seq, _)) = self.armed.as_mut().and_then(|a| a.parked.pop_front()) {
             self.rejected += 1;
             self.emit(SimEvent::AdmissionRejected {
                 arrival: seq,
@@ -894,11 +922,23 @@ impl<O: SimObserver> EngineCore<O> {
             })
     }
 
+    /// The compute cycles per request of the live tenancy `id`: its
+    /// trace's total, summed when it was seated. Recorded only once
+    /// [`arm_overload`](Self::arm_overload) ran.
+    /// unit: cycles.
+    pub(crate) fn request_cycles(&self, id: WorkloadId) -> f64 {
+        self.armed
+            .as_ref()
+            .and_then(|armed| armed.slot_request_cycles.get(id.index()))
+            .copied()
+            .unwrap_or(0.0)
+    }
+
     /// Has every arrival been served (none pending, none parked) and every
     /// tenant met its quota? O(1): the unmet-quota counter is maintained at
     /// seat / completion / quota-rewrite time.
     pub(crate) fn all_done(&self) -> bool {
-        self.pending.is_empty() && self.parked.is_empty() && self.unmet == 0
+        self.pending.is_empty() && self.parked_len() == 0 && self.unmet == 0
     }
 
     /// Indices into `wls` of the live tenancies, ascending — the set the

@@ -36,8 +36,6 @@
 //! [`SimEvent::TenantStarved`]: crate::SimEvent::TenantStarved
 //! [`SimEvent::WatchdogBoost`]: crate::SimEvent::WatchdogBoost
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use v10_sim::{V10Error, V10Result};
 
 use crate::engine_core::EPS;
@@ -553,12 +551,14 @@ pub struct OverloadController {
     breach_ticks: u32,
     calm_ticks: u32,
     entered_at: f64,
-    /// First sense instant each tenancy (by admission index) was observed
-    /// below the watchdog bound, cleared whenever it recovers.
-    starve_since: BTreeMap<usize, f64>,
-    /// Starved tenancies whose boost no-opped at the priority cap, waiting
-    /// for headroom (e.g. a ladder demotion) to retry.
-    pending_boosts: BTreeSet<usize>,
+    /// First sense instant each tenancy (by admission index, ascending)
+    /// was observed below the watchdog bound, cleared whenever it recovers.
+    /// Sorted vectors rather than tree maps: they keep their buffers when
+    /// they empty, so a sense tick allocates nothing in steady state.
+    starve_since: Vec<(usize, f64)>,
+    /// Starved tenancies (ascending) whose boost no-opped at the priority
+    /// cap, waiting for headroom (e.g. a ladder demotion) to retry.
+    pending_boosts: Vec<usize>,
     stats: OverloadStats,
 }
 
@@ -576,8 +576,8 @@ impl OverloadController {
             breach_ticks: 0,
             calm_ticks: 0,
             entered_at: 0.0,
-            starve_since: BTreeMap::new(),
-            pending_boosts: BTreeSet::new(),
+            starve_since: Vec::new(),
+            pending_boosts: Vec::new(),
             stats: OverloadStats::default(),
         }
     }
@@ -596,8 +596,8 @@ impl OverloadController {
             breach_ticks: 0,
             calm_ticks: 0,
             entered_at: 0.0,
-            starve_since: BTreeMap::new(),
-            pending_boosts: BTreeSet::new(),
+            starve_since: Vec::new(),
+            pending_boosts: Vec::new(),
             stats: OverloadStats::default(),
         }
     }
@@ -698,13 +698,22 @@ impl OverloadController {
     /// tenant has sat below the starvation bound for a full window (and
     /// resets the window so a boosted tenant gets time to recover).
     pub(crate) fn watchdog_starved(&mut self, w: usize, active_rate_p: f64, now: f64) -> bool {
+        let pos = self.starve_since.binary_search_by_key(&w, |&(t, _)| t);
         if active_rate_p >= self.policy.watchdog_arp_bound {
-            self.starve_since.remove(&w);
+            if let Ok(i) = pos {
+                self.starve_since.remove(i);
+            }
             return false;
         }
-        let since = *self.starve_since.entry(w).or_insert(now);
-        if now - since >= self.policy.watchdog_window_cycles {
-            self.starve_since.insert(w, now);
+        let i = pos.unwrap_or_else(|i| {
+            self.starve_since.insert(i, (w, now));
+            i
+        });
+        let Some((_, since)) = self.starve_since.get_mut(i) else {
+            return false;
+        };
+        if now - *since >= self.policy.watchdog_window_cycles {
+            *since = now;
             return true;
         }
         false
@@ -712,7 +721,7 @@ impl OverloadController {
 
     /// Drops watchdog tracking for tenancies no longer live.
     pub(crate) fn watchdog_retain(&mut self, live: &[usize]) {
-        self.starve_since.retain(|w, _| live.contains(w));
+        self.starve_since.retain(|(w, _)| live.contains(w));
         self.pending_boosts.retain(|w| live.contains(w));
     }
 
@@ -720,19 +729,22 @@ impl OverloadController {
     /// Counts a re-queue only on first entry — a tenant waiting across
     /// several ticks is one deferred boost, not many.
     pub(crate) fn queue_boost(&mut self, w: usize) {
-        if self.pending_boosts.insert(w) {
+        if let Err(i) = self.pending_boosts.binary_search(&w) {
+            self.pending_boosts.insert(i, w);
             self.stats.boost_requeues += 1;
         }
     }
 
-    /// The tenancies with a deferred boost, in index order.
-    pub(crate) fn pending_boosts(&self) -> Vec<usize> {
-        self.pending_boosts.iter().copied().collect()
+    /// The `i`-th tenancy with a deferred boost, in index order.
+    pub(crate) fn pending_boost(&self, i: usize) -> Option<usize> {
+        self.pending_boosts.get(i).copied()
     }
 
     /// Clears a deferred boost once it has been applied.
     pub(crate) fn clear_pending_boost(&mut self, w: usize) {
-        self.pending_boosts.remove(&w);
+        if let Ok(i) = self.pending_boosts.binary_search(&w) {
+            self.pending_boosts.remove(i);
+        }
     }
 }
 

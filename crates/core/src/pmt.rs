@@ -125,9 +125,10 @@ pub fn run_single_tenant(
 pub(crate) struct PmtStrategy {
     rng: SimRng,
     clock: Frequency,
-    /// Ownership slice per admitted tenant (by `wls` index), proportional
-    /// to priority and averaging [`PMT_SLICE_CYCLES`] over the live
-    /// set. Zero for retired tenants.
+    /// Ownership slice per live tenant, by context-table slot, so the
+    /// table's capacity bounds it rather than the tenancies ever admitted.
+    /// Proportional to priority and averaging [`PMT_SLICE_CYCLES`] over
+    /// the live set; zero for free slots.
     slices: Vec<f64>,
     owner: usize,
     owner_until: f64,
@@ -163,7 +164,7 @@ impl PmtStrategy {
         self.epoch = core.tenancy_epoch;
         let live = core.live();
         self.slices.clear();
-        self.slices.resize(core.wls.len(), 0.0);
+        self.slices.resize(core.table.capacity(), 0.0);
         if live.is_empty() {
             return;
         }
@@ -175,7 +176,7 @@ impl PmtStrategy {
             let Some(wl) = core.wls.get(w) else {
                 continue;
             };
-            if let Some(slice) = self.slices.get_mut(w) {
+            if let Some(slice) = self.slices.get_mut(wl.id.index()) {
                 *slice = PMT_SLICE_CYCLES * live.len() as f64 * wl.priority / total_priority;
             }
         }
@@ -186,16 +187,21 @@ impl PmtStrategy {
             // charge — a departure is not a preemption.
             let next = next_alive(core, self.owner);
             self.owner = next;
-            self.owner_until = core.now + self.slice_of(next);
+            self.owner_until = core.now + self.slice_of(core, next);
         } else if was_single && !self.single {
             // The rotation starts (or restarts) now that there is someone
             // to rotate to.
-            self.owner_until = core.now + self.slice_of(self.owner);
+            self.owner_until = core.now + self.slice_of(core, self.owner);
         }
     }
 
-    fn slice_of(&self, index: usize) -> f64 {
-        self.slices.get(index).copied().unwrap_or(0.0)
+    /// The ownership slice of live tenant `w` (a `wls` index).
+    fn slice_of<O: SimObserver>(&self, core: &EngineCore<O>, w: usize) -> f64 {
+        core.wls
+            .get(w)
+            .and_then(|wl| self.slices.get(wl.id.index()))
+            .copied()
+            .unwrap_or(0.0)
     }
 
     /// Applies every fault due at the current instant, advancing simulated
@@ -367,7 +373,7 @@ impl ExecutorStrategy for PmtStrategy {
             core.emit(SimEvent::CtxSwitchEnded { fu: 0, at });
             let next = next_alive(core, self.owner);
             self.owner = next;
-            self.owner_until = core.now + self.slice_of(next);
+            self.owner_until = core.now + self.slice_of(core, next);
             return Ok(StepOutcome::Continue);
         }
 
@@ -645,6 +651,41 @@ mod tests {
         assert_eq!(counters.op_issued(), 0);
         assert_eq!(counters.dma_ready(), 0);
         assert_eq!(counters.timer_tick(), 0);
+    }
+
+    /// The rotation's slice table is keyed by context-table slot: serving
+    /// more tenancies than the table has slots never grows it past the
+    /// table's capacity.
+    #[test]
+    fn slice_table_never_outgrows_the_context_table() {
+        let capacity = 2;
+        let cfg = NpuConfig::table5();
+        let mut core = EngineCore::new(
+            "slice_table_test",
+            &cfg,
+            capacity,
+            pmt_slots("slice_table_test").unwrap(),
+            v10_sim::FaultInjector::disarmed(),
+            NullObserver,
+        )
+        .unwrap();
+        for i in 0..12u32 {
+            let spec = spec(&format!("t{i}"), vec![sa(200_000), vu(50_000)]);
+            let at = f64::from(i) * 300_000.0;
+            core.push_admission(crate::Admission::new(spec, at, 2).unwrap())
+                .unwrap();
+        }
+        core.set_fence(f64::INFINITY).unwrap();
+        let mut pmt = PmtStrategy::new(&cfg, &RunOptions::new(1).unwrap());
+        while pmt.step(&mut core).unwrap() != StepOutcome::Finished {
+            assert!(
+                pmt.slices.len() <= capacity,
+                "{} slices for a {capacity}-slot table",
+                pmt.slices.len()
+            );
+        }
+        let served = core.into_report().workloads().len();
+        assert!(served > 2 * capacity, "only {served} tenancies were seated");
     }
 }
 

@@ -13,10 +13,11 @@
 //!
 //! The fences are aimed at the awkward instants, read off the unsplit
 //! run's own event stream: exactly on an arrival, a preemption-timer tick
-//! or an event; within `EPS` (10⁻⁶ cycles) of an arrival or an event; and
-//! inside a PMT context switch, which carries the run past the fence. Some
-//! cases push a `CoreRetire` exactly on the last fence, after the run has
-//! reached it.
+//! or an event; within `EPS` (10⁻⁶ cycles) of an arrival or an event;
+//! inside a PMT context switch, which carries the run past the fence; and
+//! inside an idle gap of 10–100 slices that a fresh arrival closes, where
+//! an idle V10-Full core replays its timer ticks. Some cases push a
+//! `CoreRetire` exactly on the last fence, after the run has reached it.
 //!
 //! Oracle: `run_digest` and the full recorded event stream equal the
 //! unsplit run's. In debug builds (how `cargo test` runs) every step also
@@ -120,11 +121,13 @@ fn random_case(rng: &mut SimRng) -> Case {
 /// Adds 1–4 fences to `case`, aimed at the instants of `events` (the
 /// unfenced run's event stream) as well as at random ones: exactly on an
 /// arrival, a timer tick or an event; within `EPS` of an arrival or an
-/// event, either side; and inside a context-switch window, with a fresh
+/// event, either side; inside a context-switch window, with a fresh
 /// arrival later in the window (a PMT switch carries the run past such a
-/// fence). Sometimes also retires the core exactly on the last fence,
-/// pushed after the run has reached it; nothing can be pushed after a
-/// retirement, so it is always the last fence.
+/// fence); and inside an idle gap of 10–100 slices after the run's last
+/// event, closed by a fresh arrival (an idle V10-Full core replays its
+/// timer ticks there). Sometimes also retires the core exactly on the
+/// last fence, pushed after the run has reached it; nothing can be pushed
+/// after a retirement, so it is always the last fence.
 fn add_fences(rng: &mut SimRng, case: &mut Case, events: &[SimEvent]) {
     let slice = NpuConfig::table5().time_slice_cycles() as f64;
     let arrival = |rng: &mut SimRng, case: &Case| {
@@ -132,7 +135,7 @@ fn add_fences(rng: &mut SimRng, case: &mut Case, events: &[SimEvent]) {
     };
     for _ in 0..1 + rng.index(4) {
         let event = (!events.is_empty()).then(|| events[rng.index(events.len())]);
-        let fence = match (rng.index(7), event) {
+        let fence = match (rng.index(8), event) {
             (1, _) => arrival(rng, case),
             (2, _) => slice * rng.uniform_u64(1, 400) as f64,
             (3, Some(e)) => e.at(),
@@ -158,6 +161,15 @@ fn add_fences(rng: &mut SimRng, case: &mut Case, events: &[SimEvent]) {
                     case.admissions.push(late);
                     at + cost * 0.25
                 }
+            }
+            (7, _) => {
+                let end = events.last().map_or(0.0, |e| e.at());
+                let gap = slice * rng.uniform_u64(10, 101) as f64;
+                let donor = case.admissions[rng.index(case.admissions.len())].clone();
+                let late = Admission::new(donor.spec().clone(), end + gap, 1)
+                    .expect("valid late admission");
+                case.admissions.push(late);
+                end + rng.uniform(0.0, gap)
             }
             _ => rng.uniform(0.0, HORIZON),
         };
@@ -279,7 +291,7 @@ fn unsplit_run(design: Design, case: &Case) -> (v10_core::RunReport, Recorder) {
 
 #[test]
 fn split_runs_equal_unsplit_runs_bit_for_bit() {
-    let (mut retired, mut carried) = (0, 0);
+    let (mut retired, mut carried, mut between_ticks) = (0, 0, 0);
     for seed in 0..48u64 {
         let mut rng = SimRng::seed_from(0x5E5E ^ (seed << 8));
         let base = random_case(&mut rng);
@@ -324,10 +336,26 @@ fn split_runs_equal_unsplit_runs_bit_for_bit() {
             {
                 carried += 1;
             }
+            // A fence between two consecutive timer ticks, as inside the
+            // idle stretches V10-Full replays tick by tick.
+            if design == Design::V10Full
+                && rec.events.windows(2).any(|pair| match *pair {
+                    [SimEvent::TimerTick { at: a }, SimEvent::TimerTick { at: b }] => {
+                        fences.iter().any(|&f| a < f && f < b)
+                    }
+                    _ => false,
+                })
+            {
+                between_ticks += 1;
+            }
         }
     }
     assert!(retired > 0, "some cases must retire the core on a fence");
     assert!(carried > 0, "some fences must land inside a PMT switch");
+    assert!(
+        between_ticks > 0,
+        "some fences must land between two consecutive V10-Full ticks"
+    );
 }
 
 /// A run that finished its work before the fence parks there: handing it

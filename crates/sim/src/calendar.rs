@@ -13,6 +13,15 @@
 //! when they surface at the top, so the steady-state step loop performs
 //! no heap allocation and no full scans.
 //!
+//! A caller that reschedules keys without ever popping them (PMT's
+//! executor does, once per operator) would otherwise grow the heap by one
+//! stale entry per reschedule. So the heap is bounded by the live set: a
+//! reschedule to the deadline a key already holds pushes nothing, and
+//! once the heap holds more than `2 × len + 64` entries it is compacted
+//! to the live ones. Each compaction is paid for by the `len + 64` or
+//! more stale entries pushed since the last, so `set` stays amortized
+//! `O(log n)`.
+//!
 //! Determinism contract: the observable results — [`peek_min`] and
 //! [`pop_due`] — depend only on the (key, deadline) *set*, never on
 //! insertion order or internal heap layout. Deadlines are non-negative
@@ -38,6 +47,11 @@ use std::collections::BinaryHeap;
 
 use crate::error::{V10Error, V10Result};
 use crate::time::Cycles;
+
+/// Stale heap entries tolerated on top of twice the live count before
+/// [`HorizonCalendar`] compacts its heap: small calendars never compact,
+/// and every compaction is paid for by at least this many pushes.
+const STALE_SLACK: usize = 64;
 
 /// A next-event calendar over absolute [`Cycles`] deadlines with stable
 /// `usize` keys (at most one deadline per key).
@@ -66,7 +80,8 @@ pub struct HorizonCalendar {
     /// Min-heap of `(deadline_bits, key)` candidates with lazy deletion:
     /// an entry is live iff the deadline table still holds its exact
     /// deadline. Bit order equals numeric order for the non-negative
-    /// finite deadlines [`set`](Self::set) admits.
+    /// finite deadlines [`set`](Self::set) admits. Never more than
+    /// `2 × len + STALE_SLACK` entries.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// Live entry count.
     len: usize,
@@ -107,7 +122,8 @@ impl HorizonCalendar {
         self.deadline_of(key).is_some()
     }
 
-    /// Schedules (or reschedules) `key` at `deadline`.
+    /// Schedules (or reschedules) `key` at `deadline`. Rescheduling a key
+    /// to the deadline it already holds changes nothing.
     ///
     /// # Errors
     ///
@@ -121,21 +137,28 @@ impl HorizonCalendar {
                 format!("deadline must be finite and non-negative, got {deadline}"),
             ));
         }
-        self.clear(key);
         if key >= self.deadline.len() {
             self.deadline.resize(key + 1, f64::INFINITY);
         }
         if let Some(slot) = self.deadline.get_mut(key) {
+            if slot.to_bits() == deadline.to_bits() {
+                return Ok(());
+            }
+            if slot.is_finite() {
+                // Rescheduled: the old heap entry goes stale.
+                self.len -= 1;
+            }
             *slot = deadline;
         }
         self.heap.push(Reverse((deadline.to_bits(), key)));
         self.len += 1;
+        self.bound_stale();
         Ok(())
     }
 
     /// Removes `key`'s deadline if one is pending. Returns whether an
-    /// entry was removed. O(1): the heap entry goes stale and is
-    /// discarded when it surfaces at the top.
+    /// entry was removed. Amortized O(1): the heap entry goes stale and is
+    /// discarded when it surfaces at the top or the heap is compacted.
     #[inline]
     pub fn clear(&mut self, key: usize) -> bool {
         let Some(slot) = self.deadline.get_mut(key) else {
@@ -146,7 +169,34 @@ impl HorizonCalendar {
         }
         *slot = f64::INFINITY;
         self.len -= 1;
+        self.bound_stale();
         true
+    }
+
+    /// Compacts the heap once it holds more than `2 × len + STALE_SLACK`
+    /// entries.
+    #[inline]
+    fn bound_stale(&mut self) {
+        if self.heap.len() > 2 * self.len + STALE_SLACK {
+            self.compact();
+        }
+    }
+
+    /// Keeps only the heap's live entries: those whose deadline the table
+    /// still holds, one per key.
+    #[cold]
+    fn compact(&mut self) {
+        let deadline = &self.deadline;
+        self.heap
+            .retain(|&Reverse((bits, key))| deadline.get(key).is_some_and(|d| d.to_bits() == bits));
+        if self.heap.len() > self.len {
+            // A key cleared and re-set to the same deadline before its old
+            // entry surfaced matches twice: drop the duplicates.
+            let mut entries = std::mem::take(&mut self.heap).into_vec();
+            entries.sort_unstable();
+            entries.dedup();
+            self.heap = BinaryHeap::from(entries);
+        }
     }
 
     /// Drops every entry (keys keep their capacity).
@@ -292,12 +342,42 @@ mod tests {
     fn rescheduling_to_the_same_deadline_stays_consistent() {
         let mut cal = HorizonCalendar::new();
         cal.set(2, Cycles::new(75.0)).unwrap();
-        cal.set(2, Cycles::new(75.0)).unwrap(); // duplicate heap entries, one live key
+        cal.set(2, Cycles::new(75.0)).unwrap(); // no second heap entry
         assert_eq!(cal.len(), 1);
+        assert_eq!(cal.heap.len(), 1);
         assert_eq!(cal.peek_min(), Some((2, Cycles::new(75.0))));
         assert!(cal.clear(2));
         assert_eq!(cal.peek_min(), None);
         assert!(cal.is_empty());
+    }
+
+    /// Clearing a key and re-setting it to the same deadline revives the
+    /// key's stale entry next to the new one: two live copies of one
+    /// entry. Key 0 goes through that before each reschedule of key 1
+    /// whenever its clear would not itself compact, so copies pile up
+    /// while key 1's reschedules trigger the compactions. Each compaction
+    /// must still leave exactly one entry per live key, so the next is
+    /// again `len + STALE_SLACK` pushes away.
+    #[test]
+    fn compaction_leaves_one_entry_per_live_key() {
+        let mut cal = HorizonCalendar::new();
+        cal.set(0, Cycles::new(75.0)).unwrap();
+        let mut compactions = 0;
+        for t in 0..10_000u32 {
+            if cal.heap.len() <= 2 * (cal.len() - 1) + STALE_SLACK {
+                cal.clear(0);
+                cal.set(0, Cycles::new(75.0)).unwrap();
+            }
+            let before = cal.heap.len();
+            cal.set(1, Cycles::new(f64::from(t))).unwrap();
+            if cal.heap.len() <= before {
+                compactions += 1;
+                assert_eq!(cal.heap.len(), cal.len(), "after compaction {compactions}");
+            }
+            assert!(cal.heap.len() <= 2 * cal.len() + STALE_SLACK);
+        }
+        assert!(compactions > 0);
+        assert_eq!(cal.peek_min(), Some((0, Cycles::new(75.0))));
     }
 }
 
@@ -397,8 +477,74 @@ mod differential_tests {
                         }
                     }
                     assert_eq!(cal.len(), model.entries.len());
+                    assert!(cal.heap.len() <= 2 * cal.len() + STALE_SLACK);
                 }
             }
+        }
+    }
+
+    /// PMT's pattern: every operator reschedules its tenancy's fetch, and
+    /// nothing ever pops. Tenancies arrive under fresh keys and depart by
+    /// `clear`; some keys are re-set to the deadline they hold, or cleared
+    /// and re-set to it. The heap stays within `2 × len + STALE_SLACK`
+    /// entries after every operation, and the calendar still answers as
+    /// the naive scan.
+    #[test]
+    fn rescheduling_without_popping_keeps_the_heap_bounded() {
+        let mut rng = SimRng::seed_from(0xB0DE);
+        for round in 0..20 {
+            let mut cal = HorizonCalendar::new();
+            let mut model = NaiveModel::default();
+            let mut live: Vec<usize> = Vec::new();
+            let mut next_key = 0;
+            let mut now = 0.0_f64;
+            for _ in 0..4_000 {
+                now += rng.uniform(0.0, 5_000.0);
+                match rng.index(50) {
+                    0 if live.len() < 8 => {
+                        live.push(next_key);
+                        cal.set(next_key, Cycles::new(now)).unwrap();
+                        model.set(next_key, now);
+                        next_key += 1;
+                    }
+                    1 if live.len() > 1 => {
+                        let key = live.swap_remove(rng.index(live.len()));
+                        assert!(cal.clear(key));
+                        model.clear(key);
+                    }
+                    2..=4 if !live.is_empty() => {
+                        let key = live[rng.index(live.len())];
+                        let held = cal.deadline_of(key).unwrap();
+                        if rng.index(2) == 0 {
+                            cal.clear(key);
+                        }
+                        cal.set(key, held).unwrap();
+                    }
+                    _ if !live.is_empty() => {
+                        let key = live[rng.index(live.len())];
+                        cal.set(key, Cycles::new(now)).unwrap();
+                        model.set(key, now);
+                    }
+                    _ => {}
+                }
+                assert_eq!(cal.len(), live.len(), "round {round}");
+                assert!(
+                    cal.heap.len() <= 2 * cal.len() + STALE_SLACK,
+                    "round {round}: {} heap entries for {} live keys",
+                    cal.heap.len(),
+                    cal.len()
+                );
+            }
+            let want = model.peek_min();
+            assert_eq!(
+                cal.peek_min().map(|(k, d)| (k, d.as_f64().to_bits())),
+                want.map(|(k, d)| (k, d.to_bits())),
+                "round {round}"
+            );
+            let mut due = Vec::new();
+            cal.pop_due(Cycles::new(now), &mut due);
+            assert_eq!(due, model.pop_due(now), "round {round}");
+            assert!(cal.is_empty());
         }
     }
 }
