@@ -623,7 +623,6 @@ mod tests {
         let mut a = RuntimeAuditor::new();
         a.on_event(SimEvent::TenantAdmitted {
             workload: 0,
-            label: 0,
             at: 0.0,
         });
         a.on_event(SimEvent::TenantRetired {
@@ -642,12 +641,10 @@ mod tests {
         let mut a = RuntimeAuditor::new();
         a.on_event(SimEvent::TenantAdmitted {
             workload: 0,
-            label: 0,
             at: 0.0,
         });
         a.on_event(SimEvent::TenantAdmitted {
             workload: 0,
-            label: 0,
             at: 1.0,
         });
         assert!(!a.is_clean());
@@ -659,7 +656,6 @@ mod tests {
         let mut a = RuntimeAuditor::new();
         a.on_event(SimEvent::TenantAdmitted {
             workload: 0,
-            label: 0,
             at: 0.0,
         });
         a.on_event(SimEvent::OpIssued {
@@ -691,7 +687,6 @@ mod tests {
         let mut a = RuntimeAuditor::new();
         a.on_event(SimEvent::TenantAdmitted {
             workload: 0,
-            label: 0,
             at: 0.0,
         });
         a.on_event(SimEvent::OpCompleted {

@@ -129,8 +129,11 @@ pub fn serve_design_stressed(
 
 /// The one serving path: serves `schedule` on one core under `design` while
 /// `plan`'s faults inject and `controller` senses overload, with `observer`
-/// receiving the merged event stream. It is a [`CoreRun`] handed the whole
-/// schedule and finished.
+/// receiving the merged event stream. It is a [`CoreRun`] handed each
+/// admission at its own instant ([`run_until`](CoreRun::run_until) there,
+/// then [`push`](CoreRun::push)) and finished, so the run holds only the
+/// admissions due and the report it is building, never a copy of the
+/// schedule.
 ///
 /// * Faults are compiled into a deterministic schedule and injected as the
 ///   run plays out, each design paying its own recovery cost (V10's per-FU
@@ -172,10 +175,10 @@ pub fn serve_design_stressed_observed<O: SimObserver>(
 /// advance it with [`run_until`](Self::run_until), and take the report
 /// with [`finish`](Self::finish). However the work is split across fences,
 /// the report and the event stream are bit-identical to one run handed
-/// everything up front and finished — which is exactly what
-/// [`serve_design_stressed_observed`] does. A fenced run never commits a
-/// step that ends within `EPS` (10⁻⁶ cycles) of its fence, so anything
-/// dated at the fence or later still lands where it would have.
+/// everything up front and finished; [`serve_design_stressed_observed`]
+/// splits at every arrival. A fenced run never commits a step that ends
+/// within `EPS` (10⁻⁶ cycles) of its fence, so anything dated at the fence
+/// or later still lands where it would have.
 ///
 /// # Example
 ///
@@ -379,10 +382,18 @@ impl<O: SimObserver> CoreRun<O> {
         self.core.retired_at(workload)
     }
 
-    /// Hands over `schedule` and finishes: the serving path.
+    /// The serving path: hands over each admission of `schedule` once the
+    /// run reaches its instant, then finishes. The schedule is announced
+    /// up front, which reserves one report row per admission and lets a
+    /// permanent fault turn away the admissions not yet handed over, as it
+    /// would had they all been pending.
     pub(crate) fn serve(mut self, schedule: &AdmissionSchedule) -> V10Result<RunReport> {
-        self.core.reserve_pending(schedule.len());
+        self.core.announce(schedule.len());
         for admission in schedule.entries() {
+            self.advance_to(admission.at_cycles())?;
+            if self.core.is_retired() {
+                break;
+            }
             self.push(admission.clone())?;
         }
         self.finish()

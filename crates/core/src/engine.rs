@@ -89,6 +89,11 @@ impl WorkloadSpec {
     pub fn priority(&self) -> f64 {
         self.priority
     }
+
+    /// The label, trace and priority, by value.
+    pub(crate) fn into_parts(self) -> (String, RequestTrace, f64) {
+        (self.label, self.trace, self.priority)
+    }
 }
 
 /// Options shared by every executor run.
@@ -355,10 +360,13 @@ impl V10Strategy {
                         let slot = core.slot(s)?;
                         (slot.occupant, slot.kind)
                     };
-                    let Some(w) = occupant else {
+                    let Some(t) = occupant else {
                         continue;
                     };
-                    let id = core.wl(w)?.id;
+                    let (id, w) = {
+                        let tn = core.tenancy(t)?;
+                        (tn.id, tn.workload)
+                    };
                     let cost = match kind {
                         FuKind::Sa => self.sa_switch_cycles,
                         FuKind::Vu => self.vu_switch_cycles,
@@ -377,7 +385,7 @@ impl V10Strategy {
                         cost_cycles: cost,
                         at,
                     });
-                    core.replay_current_op(w, cost)?;
+                    core.replay_current_op(t, cost)?;
                 }
                 FaultKind::CoreStall { stall_cycles } => {
                     core.emit_fault(fault.kind(), None);
@@ -387,11 +395,11 @@ impl V10Strategy {
                             let slot = core.slot(s)?;
                             (slot.occupant, slot.switch_until)
                         };
-                        if let Some(w) = occupant {
+                        if let Some(t) = occupant {
                             // Stalled work is not lost: the occupant goes
                             // back to the ready queue and resumes when the
                             // stall window elapses.
-                            let id = core.wl(w)?.id;
+                            let id = core.tenancy(t)?.id;
                             core.table.mark_released(id, true)?;
                         }
                         if until > switch_until {
@@ -435,13 +443,11 @@ impl V10Strategy {
         // ---- Sense: admission-queue depth plus worst in-flight slowdown.
         let queue_depth = core.parked_len();
         let mut worst_slowdown = 0.0f64;
-        for &w in core.live() {
-            let Some(wl) = core.wls.get(w) else {
-                continue;
-            };
-            let ideal = core.request_cycles(wl.id);
+        for &t in core.live() {
+            let tn = core.tenancy(t)?;
+            let ideal = core.request_cycles(tn.id);
             if ideal > 0.0 {
-                worst_slowdown = worst_slowdown.max((at - wl.request_start) / ideal);
+                worst_slowdown = worst_slowdown.max((at - tn.request_start) / ideal);
             }
         }
         let pressure = OverloadPressure {
@@ -469,26 +475,24 @@ impl V10Strategy {
             let rung = self.controller.rung();
             if rung >= 1 {
                 // Demote the tenant drawing the most FU time (ties resolve
-                // to the earliest admission for determinism).
+                // to the earliest admission for determinism: the live list
+                // is in admission order).
                 let mut victim: Option<(usize, f64)> = None;
-                for &w in core.live() {
-                    let Some(wl) = core.wls.get(w) else {
-                        continue;
-                    };
-                    let rate = core.table.active_rate(wl.id, at);
+                for &t in core.live() {
+                    let rate = core.table.active_rate(core.tenancy(t)?.id, at);
                     if victim.is_none_or(|(_, best)| rate > best + EPS) {
-                        victim = Some((w, rate));
+                        victim = Some((t, rate));
                     }
                 }
-                if let Some((w, _)) = victim {
-                    let (id, old) = {
-                        let wl = core.wl(w)?;
-                        (wl.id, wl.priority)
+                if let Some((t, _)) = victim {
+                    let (id, w, old) = {
+                        let tn = core.tenancy(t)?;
+                        (tn.id, tn.workload, tn.priority)
                     };
                     let new = self.controller.policy().demoted_priority(old);
                     if new < old {
                         core.table.set_priority(id, new)?;
-                        core.wl_mut(w)?.priority = new;
+                        core.tenancy_mut(t)?.priority = new;
                         self.controller.stats_mut().demotions += 1;
                         core.emit(SimEvent::DegradationApplied {
                             rung: 1,
@@ -514,16 +518,16 @@ impl V10Strategy {
                 // Index loop: `set_quota` and `emit` need the core mutably,
                 // and neither changes the live set.
                 for i in 0..core.live().len() {
-                    let Some(&w) = core.live().get(i) else {
+                    let Some(&t) = core.live().get(i) else {
                         break;
                     };
-                    let (quota, completed) = {
-                        let wl = core.wl(w)?;
-                        (wl.quota, wl.completed)
+                    let (w, quota, completed) = {
+                        let tn = core.tenancy(t)?;
+                        (tn.workload, tn.quota, tn.completed)
                     };
                     let trimmed = self.controller.policy().trimmed_quota(quota, completed);
                     if trimmed < quota {
-                        core.set_quota(w, trimmed)?;
+                        core.set_quota(t, trimmed)?;
                         self.controller.stats_mut().quota_trims += 1;
                         core.emit(SimEvent::DegradationApplied {
                             rung: 3,
@@ -547,7 +551,8 @@ impl V10Strategy {
         }
 
         // ---- Starvation watchdog, every sense tick, overloaded or not.
-        self.controller.watchdog_retain(core.live());
+        self.controller
+            .watchdog_retain(|w| core.seat_of(w).is_some());
         // Retry boosts deferred at the priority cap: a rung-1 demotion this
         // tick (or a policy with headroom restored) lets them land now.
         // `watchdog_retain` just pruned retired tenancies, so every pending
@@ -555,14 +560,20 @@ impl V10Strategy {
         // and the next one moves into its place.
         let mut i = 0;
         while let Some(w) = self.controller.pending_boost(i) {
+            let t = core.seat_of(w).ok_or_else(|| {
+                V10Error::invalid(
+                    "V10Strategy::overload_tick",
+                    "a retired tenant awaits a boost",
+                )
+            })?;
             let (id, old) = {
-                let wl = core.wl(w)?;
-                (wl.id, wl.priority)
+                let tn = core.tenancy(t)?;
+                (tn.id, tn.priority)
             };
             let new = self.controller.policy().boosted_priority(old);
             if new > old {
                 core.table.set_priority(id, new)?;
-                core.wl_mut(w)?.priority = new;
+                core.tenancy_mut(t)?.priority = new;
                 self.controller.clear_pending_boost(w);
                 self.controller.stats_mut().boosts += 1;
                 core.emit(SimEvent::WatchdogBoost {
@@ -575,12 +586,12 @@ impl V10Strategy {
             }
         }
         for i in 0..core.live().len() {
-            let Some(&w) = core.live().get(i) else {
+            let Some(&t) = core.live().get(i) else {
                 break;
             };
-            let (id, arp) = {
-                let wl = core.wl(w)?;
-                (wl.id, core.table.active_rate_p(wl.id, at))
+            let (id, w, arp) = {
+                let tn = core.tenancy(t)?;
+                (tn.id, tn.workload, core.table.active_rate_p(tn.id, at))
             };
             if self.controller.watchdog_starved(w, arp, at) {
                 self.controller.stats_mut().starvations += 1;
@@ -589,11 +600,11 @@ impl V10Strategy {
                     active_rate_p: arp,
                     at,
                 });
-                let old = core.wl(w)?.priority;
+                let old = core.tenancy(t)?.priority;
                 let new = self.controller.policy().boosted_priority(old);
                 if new > old {
                     core.table.set_priority(id, new)?;
-                    core.wl_mut(w)?.priority = new;
+                    core.tenancy_mut(t)?.priority = new;
                     self.controller.stats_mut().boosts += 1;
                     core.emit(SimEvent::WatchdogBoost {
                         workload: w,
@@ -657,14 +668,13 @@ impl V10Strategy {
                     .scheduler
                     .pick_next(&core.table, kind, Cycles::new(core.now))
                 {
-                    let w = core.owner_of(id)?;
+                    let t = core.owner_of(id)?;
                     core.table.mark_issued(id, fu)?;
                     let now = core.now;
-                    let wl = core.wl_mut(w)?;
-                    wl.last_issue_at = now;
-                    let op_id = wl.next_op_id;
-                    let op = *wl.current_op();
-                    core.slot_mut(s)?.seat(w, op);
+                    let tn = core.tenancy_mut(t)?;
+                    tn.last_issue_at = now;
+                    let (w, op_id, op) = (tn.workload, tn.next_op_id, *tn.current_op());
+                    core.slot_mut(s)?.seat(t, op);
                     let ev = SimEvent::OpIssued {
                         workload: w,
                         fu: s,
@@ -798,12 +808,10 @@ impl ExecutorStrategy for V10Strategy {
         let mut idle = self.flows.is_empty();
         let mut rates = self.flows.iter().map(Flow::factor);
         for slot in &core.slots {
-            if let Some(w) = slot.occupant {
+            if let Some(t) = slot.occupant {
                 let r = rates.next().unwrap_or(1.0);
-                if let Some(wl) = core.wls.get(w) {
-                    if r > EPS {
-                        dt = dt.min(wl.op_remaining / r);
-                    }
+                if r > EPS {
+                    dt = dt.min(core.tenancy(t)?.op_remaining / r);
                 }
             }
             if slot.switch_until > core.now + EPS {
@@ -858,28 +866,23 @@ impl ExecutorStrategy for V10Strategy {
 
         // -------- Phase 5a: operator completions (and departures).
         for s in 0..core.slots.len() {
-            let Some(w) = core.slot(s)?.occupant else {
+            let Some(t) = core.slot(s)?.occupant else {
                 continue;
             };
             let (op_remaining, id) = {
-                let wl = core.wl(w)?;
-                (wl.op_remaining, wl.id)
+                let tn = core.tenancy(t)?;
+                (tn.op_remaining, tn.id)
             };
             if op_remaining > EPS {
                 continue;
             }
             core.slot_mut(s)?.occupant = None;
             core.table.mark_released(id, false)?;
-            core.finish_op(w)?;
-            let (alive, next_op_id, kind) = {
-                let wl = core.wl(w)?;
-                (
-                    wl.alive,
-                    wl.next_op_id,
-                    wl.alive.then(|| wl.current_op().kind()),
-                )
-            };
-            if let (true, Some(kind)) = (alive, kind) {
+            if core.finish_op(t)? {
+                let (next_op_id, kind) = {
+                    let tn = core.tenancy(t)?;
+                    (tn.next_op_id, tn.current_op().kind())
+                };
                 core.table.set_current_op(id, next_op_id, kind)?;
             }
         }
@@ -891,10 +894,10 @@ impl ExecutorStrategy for V10Strategy {
                     let slot = core.slot(s)?;
                     (slot.occupant, slot.kind)
                 };
-                let Some(w) = occupant else {
+                let Some(t) = occupant else {
                     continue;
                 };
-                let running = core.wl(w)?.id;
+                let running = core.tenancy(t)?.id;
                 let Some(candidate) = self
                     .scheduler
                     .pick(&core.table, kind, Cycles::new(core.now))
@@ -918,9 +921,10 @@ impl ExecutorStrategy for V10Strategy {
                         slot.occupant = None;
                         slot.switch_until = until;
                     }
-                    let wl = core.wl_mut(w)?;
-                    wl.preemptions += 1;
-                    wl.switch_overhead += cost;
+                    let tn = core.tenancy_mut(t)?;
+                    tn.preemptions += 1;
+                    tn.switch_overhead += cost;
+                    let w = tn.workload;
                     let at = core.now;
                     core.emit(SimEvent::OpPreempted {
                         workload: w,

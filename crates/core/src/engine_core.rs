@@ -20,6 +20,22 @@
 //! admit-everything-at-cycle-0 schedule of resident tenants through this
 //! same path, which the golden-run regression test pins bit for bit.
 //!
+//! # Memory
+//!
+//! A run's heap is the report it will return plus what the context table
+//! holds. Execution state lives in one [`Tenancy`] per context-table
+//! slot, and each seated tenancy owns one [`WorkloadReport`] row from its
+//! seating on, holding its label (moved in from the admission, the only
+//! copy the run keeps). When the tenancy retires — at its quota, by
+//! [`EngineCore::retire_core`], or when the run finishes — its
+//! accumulators fold into that row and its slot entry is freed, so
+//! [`EngineCore::into_report`] only moves the rows out. A tenancy is
+//! named two ways: by its *workload index* (admission order in the run,
+//! the index of its report row and of its events) and, while it is live,
+//! by its *table slot*, which keys its entry, the fetch calendar and the
+//! FU slots' occupants. Loops that break ties by admission order walk the
+//! live list, which holds the live table slots in admission order.
+//!
 //! # Fences
 //!
 //! A run may be stopped at a *fence* and resumed once more admissions and
@@ -51,8 +67,7 @@ use v10_isa::{FuKind, OpDesc, RequestTrace};
 use v10_npu::{FuId, HbmArbiter, InstructionDma, NpuConfig};
 use v10_sim::convert::{u64_from_usize, u64_to_f64, usize_to_f64};
 use v10_sim::{
-    Cycles, FaultEvent, FaultInjector, FaultKind, Flow, HorizonCalendar, LabelId, LabelInterner,
-    V10Error, V10Result,
+    Cycles, FaultEvent, FaultInjector, FaultKind, Flow, HorizonCalendar, V10Error, V10Result,
 };
 
 use crate::context::{ContextTable, WorkloadId};
@@ -69,13 +84,16 @@ pub(crate) const EPS: f64 = 1e-6;
 /// is a livelock.
 const LIVELOCK_STREAK: u32 = 10_000;
 
-/// Per-tenant mutable execution state. One entry per *admitted* tenant, in
-/// admission order; retired tenants keep their entry (with `alive` false)
-/// so the final report covers every tenancy the run served.
+/// The execution state of the live tenancy seated in one context-table
+/// slot: its trace and operator cursor, its fetch and request clocks, its
+/// quota, and its running accumulators. It lives only while the tenancy
+/// does; at retirement the accumulators fold into the tenancy's report
+/// row.
 #[derive(Debug)]
-pub(crate) struct WlState {
-    /// Interned label (resolved back to a string only at report assembly).
-    pub(crate) label: LabelId,
+pub(crate) struct Tenancy {
+    /// The tenancy's workload index: its admission order in the run, the
+    /// index of its report row, and the `workload` of its events.
+    pub(crate) workload: usize,
     /// unit: dimensionless share weight (the paper's pVM priority).
     pub(crate) priority: f64,
     /// The tenancy's context-table id (slot + generation).
@@ -86,10 +104,6 @@ pub(crate) struct WlState {
     /// (the closed-loop steady-state methodology); non-resident tenants
     /// retire at their quota, freeing their slot.
     pub(crate) resident: bool,
-    pub(crate) alive: bool,
-    /// unit: absolute cycles at admission.
-    pub(crate) admitted_at: f64,
-    pub(crate) retired_at: Option<f64>,
     pub(crate) trace: RequestTrace,
     pub(crate) op_idx: usize,
     /// unit: cycles of work left in the current operator.
@@ -133,7 +147,7 @@ pub(crate) struct WlState {
     pub(crate) replay_overhead: f64,
 }
 
-impl WlState {
+impl Tenancy {
     #[inline]
     pub(crate) fn current_op(&self) -> &OpDesc {
         // v10-lint: allow(P1) op_idx wraps to 0 in finish_op before it can reach ops().len(), and traces are validated non-empty
@@ -150,6 +164,7 @@ impl WlState {
 pub(crate) struct Slot {
     pub(crate) fu: FuId,
     pub(crate) kind: FuKind,
+    /// The context-table slot of the tenancy running here.
     pub(crate) occupant: Option<usize>,
     /// The occupant's operator's HBM demand, cached when it was seated:
     /// the step loop reads it every step, and an occupant's operator does
@@ -172,10 +187,10 @@ impl Slot {
         }
     }
 
-    /// Seats workload `w` running `op`: the slot takes the operator's kind
-    /// and caches its HBM demand.
-    pub(crate) fn seat(&mut self, w: usize, op: OpDesc) {
-        self.occupant = Some(w);
+    /// Seats the tenancy in table slot `t` running `op`: the slot takes the
+    /// operator's kind and caches its HBM demand.
+    pub(crate) fn seat(&mut self, t: usize, op: OpDesc) {
+        self.occupant = Some(t);
         self.kind = op.kind();
         self.demand = op.hbm_demand_bytes_per_cycle();
     }
@@ -259,7 +274,12 @@ pub(crate) struct EngineCore<O: SimObserver> {
     pub(crate) table: ContextTable,
     pub(crate) hbm: HbmArbiter,
     pub(crate) dma: InstructionDma,
-    pub(crate) wls: Vec<WlState>,
+    /// Context-table slot index -> its live tenancy's execution state.
+    tenancies: Vec<Option<Tenancy>>,
+    /// One report row per seated tenancy, by workload index. A live
+    /// tenancy's row holds its label, priority and admission instant; the
+    /// rest is folded in when it retires.
+    rows: Vec<WorkloadReport>,
     pub(crate) slots: Vec<Slot>,
     /// unit: absolute cycles (the engine clock).
     pub(crate) now: f64,
@@ -275,6 +295,9 @@ pub(crate) struct EngineCore<O: SimObserver> {
     pub(crate) faults: FaultInjector,
     /// Arrivals not yet due, in arrival order.
     pending: VecDeque<Admission>,
+    /// Admissions announced ([`announce`](Self::announce)) but not yet
+    /// handed over.
+    announced: usize,
     /// No step commits an advance that ends within `EPS` of this instant
     /// (see the module docs); infinite on a finishing run.
     ///
@@ -286,22 +309,18 @@ pub(crate) struct EngineCore<O: SimObserver> {
     /// bit-identical to the pre-overload engine. Boxed, so the other paths
     /// (the fleet's many core runs among them) carry one pointer for it.
     armed: Option<Box<ArmedState>>,
-    /// Context-table slot index -> `wls` index of its live occupant.
-    slot_owner: Vec<Option<usize>>,
-    /// Indices into `wls` of the live tenancies, ascending. Maintained by
-    /// seat/finish/retire so the hot paths never rediscover liveness by
-    /// scanning every tenancy ever admitted.
+    /// The table slots of the live tenancies, in admission order (their
+    /// workload indices ascending). Maintained by seat/finish/retire, so
+    /// the hot paths never rediscover liveness by scanning slots.
     live: Vec<usize>,
-    /// Tenancies with `completed < quota` — makes `all_done` O(1).
+    /// Live tenancies with `completed < quota` — makes `all_done` O(1).
     unmet: usize,
     /// Fetch-horizon calendar: one entry per live tenancy whose current
-    /// operator is neither Ready nor Active, keyed by `wls` index at its
+    /// operator is neither Ready nor Active, keyed by table slot at its
     /// `fetch_ready_at`. Replaces the per-step fetch min-scan.
     fetch_cal: HorizonCalendar,
     /// Reusable buffer for `promote_due_fetches`.
     fetch_scratch: Vec<usize>,
-    /// Label symbol table; `WlState` and tenancy events carry `LabelId`s.
-    interner: LabelInterner,
     /// Events awaiting a flush (at each clock advance and at report
     /// assembly), so observer dispatch stays out of the bookkeeping paths.
     event_buf: Vec<SimEvent>,
@@ -354,21 +373,21 @@ impl<O: SimObserver> EngineCore<O> {
             table,
             hbm,
             dma,
-            wls: Vec::new(),
+            tenancies: std::iter::repeat_with(|| None).take(capacity).collect(),
+            rows: Vec::new(),
             slots,
             now: 0.0,
             switch_overhead_total: 0.0,
             tenancy_epoch: 0,
             faults,
             pending: VecDeque::new(),
+            announced: 0,
             fence: 0.0,
             armed: None,
-            slot_owner: vec![None; capacity],
             live: Vec::new(),
             unmet: 0,
             fetch_cal: HorizonCalendar::new(),
             fetch_scratch: Vec::new(),
-            interner: LabelInterner::new(),
             event_buf: Vec::new(),
             rejected: 0,
             arrival_seq: 0,
@@ -385,14 +404,21 @@ impl<O: SimObserver> EngineCore<O> {
         })
     }
 
-    /// Reserves room for `additional` more pending admissions, so handing
-    /// over a whole schedule allocates the queue once.
-    pub(crate) fn reserve_pending(&mut self, additional: usize) {
-        self.pending.reserve_exact(additional);
+    /// Announces `n` admissions the caller will hand over one by one, each
+    /// once the run reaches its instant: reserves their report rows at
+    /// once, and should the core retire first, [`retire_core`](Self::retire_core)
+    /// turns the ones not yet handed over away after the pending ones, in
+    /// arrival order, as if they had all been pending.
+    pub(crate) fn announce(&mut self, n: usize) {
+        self.rows.reserve_exact(n);
+        self.announced += n;
     }
 
     /// Hands over one admission, queued behind every pending admission due
-    /// at or before it (the schedule's stable time order).
+    /// at or before it (the schedule's stable time order), and makes room
+    /// for its report row. Rows are reserved at most once per admission:
+    /// an announced admission's row already is, and otherwise the row
+    /// table grows geometrically.
     ///
     /// # Errors
     ///
@@ -418,6 +444,8 @@ impl<O: SimObserver> EngineCore<O> {
         }
         let pos = self.pending.partition_point(|a| a.at_cycles() <= at);
         self.pending.insert(pos, admission);
+        self.announced = self.announced.saturating_sub(1);
+        self.rows.reserve(self.pending.len() + self.parked_len());
         Ok(())
     }
 
@@ -439,9 +467,7 @@ impl<O: SimObserver> EngineCore<O> {
         Ok(())
     }
 
-    /// Moves the fence to `fence` (infinite to run to completion) and
-    /// grows the tenancy table once, to hold every admission handed over
-    /// that may still be seated.
+    /// Moves the fence to `fence` (infinite to run to completion).
     ///
     /// # Errors
     ///
@@ -459,8 +485,6 @@ impl<O: SimObserver> EngineCore<O> {
             ));
         }
         self.fence = fence;
-        self.wls
-            .reserve_exact(self.pending.len() + self.parked_len());
         Ok(())
     }
 
@@ -486,7 +510,12 @@ impl<O: SimObserver> EngineCore<O> {
     /// When workload `w` retired, if it has been seated and has retired.
     /// unit: absolute cycles.
     pub(crate) fn retired_at(&self, w: usize) -> Option<f64> {
-        self.wls.get(w).and_then(|wl| wl.retired_at)
+        self.rows.get(w).and_then(WorkloadReport::retired_at_cycles)
+    }
+
+    /// Has a permanent fault retired the core?
+    pub(crate) fn is_retired(&self) -> bool {
+        self.core_retired_at.is_some()
     }
 
     /// Queues one event for the observer. Events are delivered in emission
@@ -636,10 +665,11 @@ impl<O: SimObserver> EngineCore<O> {
     }
 
     /// Seats one arrival: claims a context-table slot, initializes its
-    /// execution state (first operator fetching, counters zeroed), and
-    /// emits [`SimEvent::TenantAdmitted`]. A full table parks the arrival
-    /// (moved, not copied) when overload queueing is on, and rejects it
-    /// otherwise — [`SimEvent::AdmissionRejected`] — and the run goes on.
+    /// execution state (first operator fetching, counters zeroed), opens
+    /// its report row with the admission's label moved in, and emits
+    /// [`SimEvent::TenantAdmitted`]. A full table parks the arrival (moved,
+    /// not copied) when overload queueing is on, and rejects it otherwise —
+    /// [`SimEvent::AdmissionRejected`] — and the run goes on.
     fn seat_tenant(&mut self, seq: usize, adm: Admission) -> V10Result<()> {
         let now = self.now;
         let id = match self.table.admit(adm.spec().priority(), now) {
@@ -663,17 +693,17 @@ impl<O: SimObserver> EngineCore<O> {
                 return Ok(());
             }
         };
-        let label = self.interner.intern(adm.spec().label());
-        let mut wl = WlState {
-            label,
-            priority: adm.spec().priority(),
+        let quota = adm.requests();
+        let resident = adm.is_resident();
+        let (label, trace, priority) = adm.into_spec().into_parts();
+        let w = self.rows.len();
+        let mut tn = Tenancy {
+            workload: w,
+            priority,
             id,
-            quota: adm.requests(),
-            resident: adm.is_resident(),
-            alive: true,
-            admitted_at: now,
-            retired_at: None,
-            trace: adm.spec().trace().clone(),
+            quota,
+            resident,
+            trace,
             op_idx: 0,
             op_remaining: 0.0,
             fetch_ready_at: 0.0,
@@ -681,7 +711,7 @@ impl<O: SimObserver> EngineCore<O> {
             request_start: now,
             completed: 0,
             next_op_id: 0,
-            latencies: Vec::with_capacity(adm.requests()),
+            latencies: Vec::with_capacity(quota),
             busy_sa: 0.0,
             busy_vu: 0.0,
             hbm_bytes: 0.0,
@@ -690,37 +720,39 @@ impl<O: SimObserver> EngineCore<O> {
             replays: 0,
             replay_overhead: 0.0,
         };
-        wl.op_remaining = u64_to_f64(wl.current_op().compute_cycles());
-        wl.fetch_ready_at = self
+        tn.op_remaining = u64_to_f64(tn.current_op().compute_cycles());
+        tn.fetch_ready_at = self
             .dma
-            .ready_at(wl.current_op(), now, now)
-            .max(now + u64_to_f64(wl.current_op().dispatch_gap_cycles()));
-        let kind = wl.current_op().kind();
-        let fetch_at = wl.fetch_ready_at;
-        let has_quota = wl.quota > 0;
-        let w = self.wls.len();
-        if let Some(owner) = self.slot_owner.get_mut(id.index()) {
-            *owner = Some(w);
-        }
+            .ready_at(tn.current_op(), now, now)
+            .max(now + u64_to_f64(tn.current_op().dispatch_gap_cycles()));
+        let kind = tn.current_op().kind();
+        let fetch_at = tn.fetch_ready_at;
+        let t = id.index();
         if let Some(cycles) = self
             .armed
             .as_mut()
-            .and_then(|armed| armed.slot_request_cycles.get_mut(id.index()))
+            .and_then(|armed| armed.slot_request_cycles.get_mut(t))
         {
-            *cycles = u64_to_f64(wl.trace.total_compute_cycles());
+            *cycles = u64_to_f64(tn.trace.total_compute_cycles());
         }
         self.table.set_current_op(id, 0, kind)?;
-        self.wls.push(wl);
-        // `wls` indices are assigned in admission order, so pushing keeps
-        // the live list sorted ascending.
-        self.live.push(w);
-        if has_quota {
+        let Some(entry) = self.tenancies.get_mut(t) else {
+            return Err(V10Error::invalid(
+                "EngineCore::seat_tenant",
+                "the context table seated a tenant past its capacity",
+            ));
+        };
+        *entry = Some(tn);
+        self.rows.push(WorkloadReport::seated(label, priority, now));
+        // Workload indices are assigned in admission order, so pushing
+        // keeps the live list in admission order.
+        self.live.push(t);
+        if quota > 0 {
             self.unmet += 1;
         }
-        self.fetch_cal.set(w, Cycles::new(fetch_at))?;
+        self.fetch_cal.set(t, Cycles::new(fetch_at))?;
         self.emit(SimEvent::TenantAdmitted {
             workload: w,
-            label,
             at: now,
         });
         self.tenancy_epoch += 1;
@@ -771,26 +803,21 @@ impl<O: SimObserver> EngineCore<O> {
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::InvalidArgument`] if `w` is not an admitted
-    /// workload index.
+    /// Returns [`V10Error::InvalidArgument`] if no tenancy is seated in
+    /// table slot `t`.
     /// unit: `cost` is cycles of checkpoint-restore overhead.
-    pub(crate) fn replay_current_op(&mut self, w: usize, cost: f64) -> V10Result<()> {
+    pub(crate) fn replay_current_op(&mut self, t: usize, cost: f64) -> V10Result<()> {
         debug_assert!(
             cost.is_finite() && cost >= 0.0,
             "replay cost is a non-negative cycle count"
         );
         let now = self.now;
-        let op_id = {
-            let Some(wl) = self.wls.get_mut(w) else {
-                return Err(V10Error::invalid(
-                    "EngineCore::replay_current_op",
-                    "unknown workload index",
-                ));
-            };
-            wl.op_remaining = u64_to_f64(wl.current_op().compute_cycles());
-            wl.replays += 1;
-            wl.replay_overhead += cost;
-            wl.next_op_id
+        let (w, op_id) = {
+            let tn = self.tenancy_mut(t)?;
+            tn.op_remaining = u64_to_f64(tn.current_op().compute_cycles());
+            tn.replays += 1;
+            tn.replay_overhead += cost;
+            (tn.workload, tn.next_op_id)
         };
         self.replay_overhead_total += cost;
         self.emit(SimEvent::OpReplayed {
@@ -803,8 +830,9 @@ impl<O: SimObserver> EngineCore<O> {
     }
 
     /// Applies a permanent core fault: clears every occupancy slot, force-
-    /// retires every live tenant (freeing its context-table row), bounces
-    /// every still-pending arrival as a rejection, and marks the core dead.
+    /// retires every live tenant (freeing its context-table row and
+    /// folding it into its report row), bounces every still-pending or
+    /// announced arrival as a rejection, and marks the core dead.
     /// Strategies finish the run immediately afterwards; the serving layer
     /// reads [`RunReport::core_retired_at`](crate::RunReport) to hand the
     /// displaced tenants back to admission.
@@ -820,19 +848,14 @@ impl<O: SimObserver> EngineCore<O> {
             slot.occupant = None;
             slot.switch_until = 0.0;
         }
-        let live = std::mem::take(&mut self.live);
-        for w in live {
-            let Some(wl) = self.wls.get_mut(w) else {
+        for t in std::mem::take(&mut self.live) {
+            let Some(tn) = self.tenancies.get_mut(t).and_then(Option::take) else {
                 continue;
             };
-            wl.alive = false;
-            wl.retired_at = Some(now);
-            let id = wl.id;
-            self.table.retire(id)?;
-            if let Some(owner) = self.slot_owner.get_mut(id.index()) {
-                *owner = None;
-            }
+            self.table.retire(tn.id)?;
+            self.fold_into_row(tn, Some(now));
         }
+        self.unmet = 0;
         self.fetch_cal.reset();
         while let Some((seq, _)) = self.armed.as_mut().and_then(|a| a.parked.pop_front()) {
             self.rejected += 1;
@@ -841,7 +864,9 @@ impl<O: SimObserver> EngineCore<O> {
                 at: now,
             });
         }
-        while self.pending.pop_front().is_some() {
+        let unseated = self.pending.len() + std::mem::take(&mut self.announced);
+        self.pending.clear();
+        for _ in 0..unseated {
             let seq = self.arrival_seq;
             self.arrival_seq += 1;
             self.rejected += 1;
@@ -855,30 +880,69 @@ impl<O: SimObserver> EngineCore<O> {
         Ok(())
     }
 
-    /// Checked access to workload `w`'s execution state.
+    /// Checked access to the execution state of the tenancy seated in
+    /// table slot `t`.
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::InvalidArgument`] if `w` is not an admitted
-    /// workload index.
+    /// Returns [`V10Error::InvalidArgument`] if no tenancy is seated there.
     #[inline]
-    pub(crate) fn wl(&self, w: usize) -> V10Result<&WlState> {
-        self.wls
-            .get(w)
-            .ok_or_else(|| V10Error::invalid("EngineCore::wl", "unknown workload index"))
+    pub(crate) fn tenancy(&self, t: usize) -> V10Result<&Tenancy> {
+        self.tenancies
+            .get(t)
+            .and_then(Option::as_ref)
+            .ok_or_else(|| V10Error::invalid("EngineCore::tenancy", "no tenancy in that slot"))
     }
 
-    /// Mutable counterpart of [`EngineCore::wl`].
+    /// Mutable counterpart of [`EngineCore::tenancy`].
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::InvalidArgument`] if `w` is not an admitted
-    /// workload index.
+    /// Returns [`V10Error::InvalidArgument`] if no tenancy is seated there.
     #[inline]
-    pub(crate) fn wl_mut(&mut self, w: usize) -> V10Result<&mut WlState> {
-        self.wls
-            .get_mut(w)
-            .ok_or_else(|| V10Error::invalid("EngineCore::wl_mut", "unknown workload index"))
+    pub(crate) fn tenancy_mut(&mut self, t: usize) -> V10Result<&mut Tenancy> {
+        self.tenancies
+            .get_mut(t)
+            .and_then(Option::as_mut)
+            .ok_or_else(|| V10Error::invalid("EngineCore::tenancy_mut", "no tenancy in that slot"))
+    }
+
+    /// The table slot of workload `w`, while it is live: a binary search
+    /// of the live list, which is in admission order.
+    pub(crate) fn seat_of(&self, w: usize) -> Option<usize> {
+        let pos = self
+            .live
+            .binary_search_by_key(&w, |&t| self.workload_of(t))
+            .ok()?;
+        self.live.get(pos).copied()
+    }
+
+    /// The workload index of the tenancy seated in table slot `t`
+    /// (`usize::MAX` for a free slot, which sorts after every tenancy).
+    fn workload_of(&self, t: usize) -> usize {
+        self.tenancies
+            .get(t)
+            .and_then(Option::as_ref)
+            .map_or(usize::MAX, |tn| tn.workload)
+    }
+
+    /// Folds a retiring tenancy's accumulators into its report row.
+    fn fold_into_row(&mut self, tn: Tenancy, retired_at: Option<f64>) {
+        if let Some(row) = self.rows.get_mut(tn.workload) {
+            row.complete(
+                tn.priority,
+                tn.completed,
+                tn.latencies,
+                tn.busy_sa,
+                tn.busy_vu,
+                tn.hbm_bytes,
+                tn.preemptions,
+                tn.switch_overhead,
+                tn.replays,
+                tn.replay_overhead,
+                retired_at,
+            );
+        }
     }
 
     /// Checked access to occupancy slot `s`.
@@ -905,21 +969,22 @@ impl<O: SimObserver> EngineCore<O> {
             .ok_or_else(|| V10Error::invalid("EngineCore::slot_mut", "unknown slot index"))
     }
 
-    /// Maps a live tenancy id back to its `wls` index.
+    /// Maps a live tenancy id to its table slot.
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::InvalidArgument`] if the id's slot has no live
-    /// owner — a scheduler picked a stale or retired tenant.
+    /// Returns [`V10Error::InvalidArgument`] if the id does not name the
+    /// slot's live tenancy — a scheduler picked a stale or retired tenant.
     #[inline]
     pub(crate) fn owner_of(&self, id: WorkloadId) -> V10Result<usize> {
-        self.slot_owner
-            .get(id.index())
-            .copied()
-            .flatten()
-            .ok_or_else(|| {
-                V10Error::invalid("EngineCore::owner_of", "scheduler picked a stale tenant id")
-            })
+        let t = id.index();
+        match self.tenancies.get(t) {
+            Some(Some(tn)) if tn.id == id => Ok(t),
+            _ => Err(V10Error::invalid(
+                "EngineCore::owner_of",
+                "scheduler picked a stale tenant id",
+            )),
+        }
     }
 
     /// The compute cycles per request of the live tenancy `id`: its
@@ -941,30 +1006,24 @@ impl<O: SimObserver> EngineCore<O> {
         self.pending.is_empty() && self.parked_len() == 0 && self.unmet == 0
     }
 
-    /// Indices into `wls` of the live tenancies, ascending — the set the
-    /// historical code recomputed per step by filtering every tenancy ever
-    /// admitted on `alive`.
+    /// The table slots of the live tenancies, in admission order — the
+    /// order every scan that breaks ties by admission walks.
     pub(crate) fn live(&self) -> &[usize] {
         &self.live
     }
 
-    /// Rewrites workload `w`'s request quota, keeping the O(1) done-count
-    /// in sync (the overload ladder's quota-trim rung is the only caller).
+    /// Rewrites the request quota of the tenancy in table slot `t`,
+    /// keeping the O(1) done-count in sync (the overload ladder's
+    /// quota-trim rung is the only caller).
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::InvalidArgument`] if `w` is not an admitted
-    /// workload index.
-    pub(crate) fn set_quota(&mut self, w: usize, quota: usize) -> V10Result<()> {
-        let Some(wl) = self.wls.get_mut(w) else {
-            return Err(V10Error::invalid(
-                "EngineCore::set_quota",
-                "unknown workload index",
-            ));
-        };
-        let was_unmet = wl.completed < wl.quota;
-        wl.quota = quota;
-        let is_unmet = wl.completed < wl.quota;
+    /// Returns [`V10Error::InvalidArgument`] if no tenancy is seated there.
+    pub(crate) fn set_quota(&mut self, t: usize, quota: usize) -> V10Result<()> {
+        let tn = self.tenancy_mut(t)?;
+        let was_unmet = tn.completed < tn.quota;
+        tn.quota = quota;
+        let is_unmet = tn.completed < tn.quota;
         match (was_unmet, is_unmet) {
             (true, false) => self.unmet = self.unmet.saturating_sub(1),
             (false, true) => self.unmet += 1,
@@ -975,9 +1034,10 @@ impl<O: SimObserver> EngineCore<O> {
 
     /// Promotes every tenancy whose instruction fetch has completed
     /// (`fetch_ready_at <= now + EPS`): sets its context-table Ready bit
-    /// and emits [`SimEvent::DmaReady`], in ascending workload order —
-    /// exactly the index-order promotion scan the V10 step loop ran before
-    /// the calendar existed, but touching only the due entries.
+    /// and emits [`SimEvent::DmaReady`], in admission order — exactly the
+    /// index-order promotion scan the V10 step loop ran before the
+    /// calendar existed, but touching only the due entries. The calendar
+    /// pops table slots, so the due set is put back in admission order.
     ///
     /// # Errors
     ///
@@ -991,14 +1051,15 @@ impl<O: SimObserver> EngineCore<O> {
         }
         let mut due = std::mem::take(&mut self.fetch_scratch);
         due.clear();
-        self.fetch_cal.pop_due(Cycles::new(now + EPS), &mut due);
-        for &w in &due {
-            let Some(wl) = self.wls.get(w) else {
+        if self.fetch_cal.pop_due(Cycles::new(now + EPS), &mut due) > 1 {
+            due.sort_unstable_by_key(|&t| self.workload_of(t));
+        }
+        for &t in &due {
+            let Some(tn) = self.tenancies.get(t).and_then(Option::as_ref) else {
+                debug_assert!(false, "calendar held a free slot");
                 continue;
             };
-            debug_assert!(wl.alive, "calendar held a dead tenancy");
-            let id = wl.id;
-            let op_id = wl.next_op_id;
+            let (w, id, op_id) = (tn.workload, tn.id, tn.next_op_id);
             debug_assert!(
                 !self.table.is_active(id) && !self.table.is_ready(id),
                 "calendar held a tenancy that was already promoted"
@@ -1025,11 +1086,12 @@ impl<O: SimObserver> EngineCore<O> {
     /// Differential cross-check of the event-spine indexes against the
     /// naive scans they replaced: the fetch calendar must hold exactly the
     /// live not-Ready/not-Active tenancies at their `fetch_ready_at`, the
-    /// live list exactly the `alive` indices ascending, the unmet counter
-    /// the number of under-quota tenancies, the context table's candidate
-    /// sets exactly the rows Algorithm 1 may pick, and each occupied
-    /// slot's cached demand its occupant's operator's. Debug builds run this
-    /// every step (the calendar differential test drives it across random
+    /// live list exactly the occupied table slots in admission order, each
+    /// live tenancy's report row open and its own, the unmet counter the
+    /// number of under-quota tenancies, the context table's candidate sets
+    /// exactly the rows Algorithm 1 may pick, and each occupied slot's
+    /// cached demand its occupant's operator's. Debug builds run this every
+    /// step (the calendar differential test drives it across random
     /// schedules); release builds compile it out.
     ///
     /// # Panics
@@ -1037,43 +1099,72 @@ impl<O: SimObserver> EngineCore<O> {
     /// Panics when any index diverges from its naive recomputation.
     #[cfg(debug_assertions)]
     pub(crate) fn debug_validate_spine(&self) {
-        let mut live_iter = self.live.iter().copied();
         let mut unmet_naive = 0usize;
-        for (w, wl) in self.wls.iter().enumerate() {
-            if wl.alive {
-                assert_eq!(live_iter.next(), Some(w), "live index diverged");
-            }
-            if wl.completed < wl.quota {
+        let mut seated = 0usize;
+        for (t, tn) in self.tenancies.iter().enumerate() {
+            let Some(tn) = tn else {
+                assert_eq!(
+                    self.fetch_cal.deadline_of(t),
+                    None,
+                    "calendar entry for free slot {t}"
+                );
+                continue;
+            };
+            seated += 1;
+            assert_eq!(tn.id.index(), t, "slot {t} holds another slot's tenancy");
+            let row = self.rows.get(tn.workload);
+            assert!(
+                row.is_some_and(|r| r.retired_at_cycles().is_none()),
+                "slot {t}'s report row is missing or closed"
+            );
+            if tn.completed < tn.quota {
                 unmet_naive += 1;
             }
-            let awaits_fetch =
-                wl.alive && !self.table.is_active(wl.id) && !self.table.is_ready(wl.id);
-            match self.fetch_cal.deadline_of(w) {
+            let awaits_fetch = !self.table.is_active(tn.id) && !self.table.is_ready(tn.id);
+            match self.fetch_cal.deadline_of(t) {
                 Some(d) => {
                     assert!(
                         awaits_fetch,
-                        "calendar entry for workload {w} without a pending fetch"
+                        "calendar entry for slot {t} without a pending fetch"
                     );
                     assert_eq!(
                         d.as_f64().to_bits(),
-                        wl.fetch_ready_at.to_bits(),
-                        "calendar deadline for workload {w} diverged from fetch_ready_at"
+                        tn.fetch_ready_at.to_bits(),
+                        "calendar deadline for slot {t} diverged from fetch_ready_at"
                     );
                 }
                 None => assert!(
                     !awaits_fetch,
-                    "workload {w} awaits a fetch but has no calendar entry"
+                    "slot {t} awaits a fetch but has no calendar entry"
                 ),
             }
         }
-        assert_eq!(live_iter.next(), None, "live index has stale entries");
+        // Strictly increasing workload indices over occupied slots, as many
+        // as are occupied: the live list is exactly the occupied slots.
+        assert!(
+            self.live.iter().all(|&t| self.tenancy(t).is_ok()),
+            "live list names a free slot"
+        );
+        assert!(
+            self.live
+                .iter()
+                .zip(self.live.iter().skip(1))
+                .all(|(&a, &b)| self.workload_of(a) < self.workload_of(b)),
+            "live list is out of admission order"
+        );
+        assert_eq!(self.live.len(), seated, "live list diverged");
         assert_eq!(self.unmet, unmet_naive, "unmet counter diverged");
         self.table.debug_validate_candidates();
         for (s, slot) in self.slots.iter().enumerate() {
-            if let Some(wl) = slot.occupant.and_then(|w| self.wls.get(w)) {
+            if let Some(t) = slot.occupant {
+                let tn = self.tenancies.get(t).and_then(Option::as_ref);
+                assert!(tn.is_some(), "FU slot {s} holds free table slot {t}");
+                let Some(tn) = tn else {
+                    continue;
+                };
                 assert_eq!(
                     slot.demand.to_bits(),
-                    wl.current_op().hbm_demand_bytes_per_cycle().to_bits(),
+                    tn.current_op().hbm_demand_bytes_per_cycle().to_bits(),
                     "slot {s}'s cached demand diverged from its occupant's operator"
                 );
             }
@@ -1093,7 +1184,7 @@ impl<O: SimObserver> EngineCore<O> {
         if !dt.is_finite() {
             return Err(V10Error::Deadlock {
                 cycle: self.now,
-                message: format!("no pending events for {} workloads", self.wls.len()),
+                message: format!("no pending events for {} workloads", self.rows.len()),
             });
         }
         let dt = dt.max(0.0);
@@ -1122,24 +1213,24 @@ impl<O: SimObserver> EngineCore<O> {
         let mut vu_active = 0usize;
         let mut rates = flows.iter().map(Flow::factor);
         for slot in &self.slots {
-            if let Some(w) = slot.occupant {
+            if let Some(t) = slot.occupant {
                 match slot.kind {
                     FuKind::Sa => sa_active += 1,
                     FuKind::Vu => vu_active += 1,
                 }
                 let r = rates.next().unwrap_or(1.0);
-                let Some(wl) = self.wls.get_mut(w) else {
+                let Some(tn) = self.tenancies.get_mut(t).and_then(Option::as_mut) else {
                     continue;
                 };
-                wl.op_remaining -= r * dt;
+                tn.op_remaining -= r * dt;
                 let bytes = slot.demand * r * dt;
-                wl.hbm_bytes += bytes;
+                tn.hbm_bytes += bytes;
                 self.hbm.record_bytes(bytes);
                 match slot.kind {
-                    FuKind::Sa => wl.busy_sa += dt,
-                    FuKind::Vu => wl.busy_vu += dt,
+                    FuKind::Sa => tn.busy_sa += dt,
+                    FuKind::Vu => tn.busy_vu += dt,
                 }
-                self.table.add_active_cycles(wl.id, dt);
+                self.table.add_active_cycles(tn.id, dt);
             } else if slot.switch_until > self.now + EPS {
                 self.switch_overhead_total += dt.min(slot.switch_until - self.now);
             }
@@ -1150,70 +1241,67 @@ impl<O: SimObserver> EngineCore<O> {
         self.now += dt;
     }
 
-    /// Completes workload `w`'s current operator: records request latency on
-    /// a trace wraparound, then either loads the next operator and schedules
-    /// its instruction DMA (prefetched since the finished operator issued,
-    /// then gated by the dispatch gap), or — for a non-resident tenant that
-    /// just met its quota — retires the tenant, freeing its context-table
-    /// slot.
+    /// Completes the current operator of the tenancy in table slot `t`:
+    /// records request latency on a trace wraparound, then either loads the
+    /// next operator and schedules its instruction DMA (prefetched since the
+    /// finished operator issued, then gated by the dispatch gap), or — for a
+    /// non-resident tenant that just met its quota — retires the tenant,
+    /// freeing its context-table slot and folding it into its report row.
     ///
     /// Emits [`SimEvent::OpCompleted`], then on wraparound
     /// [`SimEvent::RequestCompleted`], then on departure
-    /// [`SimEvent::TenantRetired`]. The caller must not touch the tenant's
-    /// table row afterwards unless it is still `alive`.
+    /// [`SimEvent::TenantRetired`]. Returns whether the tenancy is still
+    /// seated; the caller must not touch its table row otherwise.
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::InvalidArgument`] if the tenant's id has gone
-    /// stale (an engine invariant violation).
-    pub(crate) fn finish_op(&mut self, w: usize) -> V10Result<()> {
+    /// Returns [`V10Error::InvalidArgument`] if no tenancy is seated in
+    /// slot `t` or its id has gone stale (an engine invariant violation).
+    pub(crate) fn finish_op(&mut self, t: usize) -> V10Result<bool> {
         let now = self.now;
-        let (id, done_op_id, finished_request, departs, met_quota_now, fetch_at) = {
-            let Some(wl) = self.wls.get_mut(w) else {
+        let (w, id, done_op_id, finished_request, departs, met_quota_now, fetch_at) = {
+            let Some(tn) = self.tenancies.get_mut(t).and_then(Option::as_mut) else {
                 return Err(V10Error::invalid(
                     "EngineCore::finish_op",
-                    "unknown workload index",
+                    "no tenancy in that slot",
                 ));
             };
-            let done_op_id = wl.next_op_id;
+            let done_op_id = tn.next_op_id;
             let mut finished_request = None;
-            wl.op_idx += 1;
-            if wl.op_idx == wl.trace.ops().len() {
-                let latency = now - wl.request_start;
-                wl.latencies.push(latency);
-                wl.completed += 1;
-                wl.op_idx = 0;
-                wl.request_start = now;
+            tn.op_idx += 1;
+            if tn.op_idx == tn.trace.ops().len() {
+                let latency = now - tn.request_start;
+                tn.latencies.push(latency);
+                tn.completed += 1;
+                tn.op_idx = 0;
+                tn.request_start = now;
                 finished_request = Some(latency);
             }
-            wl.next_op_id += 1;
+            tn.next_op_id += 1;
             // The quota crossing happens exactly once: `completed` only
             // moves here, and the overload ladder's trims go through
             // `set_quota`, which re-balances the counter itself.
-            let met_quota_now = finished_request.is_some() && wl.completed == wl.quota;
-            let departs =
-                finished_request.is_some() && !wl.resident && wl.completed >= wl.quota && wl.alive;
-            if departs {
-                wl.alive = false;
-                wl.retired_at = Some(now);
-            } else {
-                let op = *wl.current_op();
-                wl.op_remaining = u64_to_f64(op.compute_cycles());
+            let met_quota_now = finished_request.is_some() && tn.completed == tn.quota;
+            let departs = finished_request.is_some() && !tn.resident && tn.completed >= tn.quota;
+            if !departs {
+                let op = *tn.current_op();
+                tn.op_remaining = u64_to_f64(op.compute_cycles());
                 // The next operator's instructions were prefetched from the
                 // moment the finished operator issued; its dispatch gap
                 // (host-side stalls) starts now.
-                wl.fetch_ready_at = self
+                tn.fetch_ready_at = self
                     .dma
-                    .ready_at(&op, wl.last_issue_at, now)
+                    .ready_at(&op, tn.last_issue_at, now)
                     .max(now + u64_to_f64(op.dispatch_gap_cycles()));
             }
             (
-                wl.id,
+                tn.workload,
+                tn.id,
                 done_op_id,
                 finished_request,
                 departs,
                 met_quota_now,
-                wl.fetch_ready_at,
+                tn.fetch_ready_at,
             )
         };
         if met_quota_now {
@@ -1221,17 +1309,17 @@ impl<O: SimObserver> EngineCore<O> {
         }
         if departs {
             self.table.retire(id)?;
-            if let Some(owner) = self.slot_owner.get_mut(id.index()) {
-                *owner = None;
-            }
-            if let Ok(pos) = self.live.binary_search(&w) {
+            if let Some(pos) = self.live.iter().position(|&live| live == t) {
                 self.live.remove(pos);
             }
-            self.fetch_cal.clear(w);
+            self.fetch_cal.clear(t);
+            if let Some(tn) = self.tenancies.get_mut(t).and_then(Option::take) {
+                self.fold_into_row(tn, Some(now));
+            }
         } else {
             // The caller released the tenancy's Active bit before completing
             // the operator, so it is back to awaiting its next fetch.
-            self.fetch_cal.set(w, Cycles::new(fetch_at))?;
+            self.fetch_cal.set(t, Cycles::new(fetch_at))?;
         }
         self.emit(SimEvent::OpCompleted {
             workload: w,
@@ -1252,36 +1340,21 @@ impl<O: SimObserver> EngineCore<O> {
             });
             self.tenancy_epoch += 1;
         }
-        Ok(())
+        Ok(!departs)
     }
 
     /// Consumes the core into the run's final report, one workload entry
-    /// per admitted tenancy in admission order. Latency vectors are moved,
-    /// not copied, and interned labels are resolved back to strings here —
-    /// the only point where label strings materialize after admission.
+    /// per admitted tenancy in admission order. The tenancies still live
+    /// fold into their rows (they have not retired), and the rows move
+    /// out as they are: nothing is copied.
     pub(crate) fn into_report(mut self) -> RunReport {
         self.flush_events();
-        let interner = std::mem::take(&mut self.interner);
-        let workloads = std::mem::take(&mut self.wls)
-            .into_iter()
-            .map(|wl| {
-                WorkloadReport::new(
-                    interner.resolve(wl.label).unwrap_or_default().to_string(),
-                    wl.priority,
-                    wl.completed,
-                    wl.latencies,
-                    wl.busy_sa,
-                    wl.busy_vu,
-                    wl.hbm_bytes,
-                    wl.preemptions,
-                    wl.switch_overhead,
-                    wl.replays,
-                    wl.replay_overhead,
-                    wl.admitted_at,
-                    wl.retired_at,
-                )
-            })
-            .collect();
+        for t in std::mem::take(&mut self.live) {
+            if let Some(tn) = self.tenancies.get_mut(t).and_then(Option::take) {
+                self.fold_into_row(tn, None);
+            }
+        }
+        let workloads = std::mem::take(&mut self.rows);
         RunReport::new(
             self.now,
             self.sa_busy,

@@ -85,6 +85,12 @@ impl Admission {
     pub fn is_resident(&self) -> bool {
         self.resident
     }
+
+    /// The arriving workload, by value: seating moves its label into the
+    /// tenancy's report row instead of copying it.
+    pub(crate) fn into_spec(self) -> WorkloadSpec {
+        self.spec
+    }
 }
 
 /// A time-ordered admission schedule: the input to the open-loop serving

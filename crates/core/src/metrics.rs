@@ -137,6 +137,70 @@ impl WorkloadReport {
         }
     }
 
+    /// The row of a tenancy seated at `admitted_at`: its label (moved in,
+    /// the run's only copy) and priority, and nothing served yet. The
+    /// tenancy's accumulators fold in when it retires
+    /// ([`complete`](Self::complete)).
+    ///
+    /// unit: `priority` is a dimensionless share weight; `admitted_at` is
+    /// cycles.
+    pub(crate) fn seated(label: String, priority: f64, admitted_at: f64) -> Self {
+        Self::new(
+            label,
+            priority,
+            0,
+            Vec::new(),
+            0.0,
+            0.0,
+            0.0,
+            0,
+            0.0,
+            0,
+            0.0,
+            admitted_at,
+            None,
+        )
+    }
+
+    /// Folds a retiring tenancy's accumulators into its row, which keeps
+    /// its label and admission instant; the latency summaries are computed
+    /// here, exactly as [`new`](Self::new) computes them. `retired_at` is
+    /// `None` for a tenancy still live when the run ended.
+    ///
+    /// unit: as [`new`](Self::new); `retired_at` is cycles.
+    #[allow(clippy::too_many_arguments)] // internal, called by the engine core
+    pub(crate) fn complete(
+        &mut self,
+        priority: f64,
+        completed_requests: usize,
+        latencies: Vec<f64>,
+        busy_sa: f64,
+        busy_vu: f64,
+        hbm_bytes: f64,
+        preemptions: u64,
+        switch_overhead: f64,
+        replays: u64,
+        replay_overhead: f64,
+        retired_at: Option<f64>,
+    ) {
+        let label = std::mem::take(&mut self.label);
+        *self = Self::new(
+            label,
+            priority,
+            completed_requests,
+            latencies,
+            busy_sa,
+            busy_vu,
+            hbm_bytes,
+            preemptions,
+            switch_overhead,
+            replays,
+            replay_overhead,
+            self.admitted_at,
+            retired_at,
+        );
+    }
+
     /// The workload's label.
     #[must_use]
     pub fn label(&self) -> &str {

@@ -90,13 +90,10 @@ pub enum SimEvent {
     },
     /// A tenant was admitted into a free context-table slot.
     TenantAdmitted {
-        /// Index of the workload (admission order within the run).
+        /// Index of the workload (admission order within the run): the
+        /// index of its row in the run's final report, which holds its
+        /// label.
         workload: usize,
-        /// Interned id of the tenant's label (dense, first-intern order;
-        /// resolvable through the run's final [`WorkloadReport`] labels).
-        ///
-        /// [`WorkloadReport`]: crate::metrics::WorkloadReport
-        label: v10_sim::LabelId,
         /// Simulated cycle.
         at: f64,
     },
@@ -685,10 +682,7 @@ impl<W: Write> SimObserver for JsonLinesObserver<W> {
                 format!("{{\"event\":\"{name}\",\"fu\":{fu},\"at\":{at}}}")
             }
             SimEvent::TimerTick { .. } => format!("{{\"event\":\"{name}\",\"at\":{at}}}"),
-            SimEvent::TenantAdmitted { workload, label, .. } => format!(
-                "{{\"event\":\"{name}\",\"workload\":{workload},\"label\":{label},\"at\":{at}}}"
-            ),
-            SimEvent::TenantRetired { workload, .. } => {
+            SimEvent::TenantAdmitted { workload, .. } | SimEvent::TenantRetired { workload, .. } => {
                 format!("{{\"event\":\"{name}\",\"workload\":{workload},\"at\":{at}}}")
             }
             SimEvent::AdmissionRejected { arrival, .. }
@@ -822,7 +816,6 @@ mod tests {
         let mut c = CounterObserver::new();
         c.on_event(SimEvent::TenantAdmitted {
             workload: 0,
-            label: 0,
             at: 0.0,
         });
         c.on_event(SimEvent::TenantRetired {
@@ -843,7 +836,6 @@ mod tests {
             let mut obs = JsonLinesObserver::new(&mut buf);
             obs.on_event(SimEvent::TenantAdmitted {
                 workload: 2,
-                label: 1,
                 at: 10.0,
             });
             obs.on_event(SimEvent::AdmissionRejected {
@@ -855,7 +847,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines[0],
-            "{\"event\":\"tenant_admitted\",\"workload\":2,\"label\":1,\"at\":10}"
+            "{\"event\":\"tenant_admitted\",\"workload\":2,\"at\":10}"
         );
         assert_eq!(
             lines[1],
@@ -1049,7 +1041,6 @@ mod tests {
             SimEvent::TimerTick { at: 7.0 },
             SimEvent::TenantAdmitted {
                 workload: 0,
-                label: 0,
                 at: 8.0,
             },
             SimEvent::TenantRetired {

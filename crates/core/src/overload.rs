@@ -720,9 +720,9 @@ impl OverloadController {
     }
 
     /// Drops watchdog tracking for tenancies no longer live.
-    pub(crate) fn watchdog_retain(&mut self, live: &[usize]) {
-        self.starve_since.retain(|(w, _)| live.contains(w));
-        self.pending_boosts.retain(|w| live.contains(w));
+    pub(crate) fn watchdog_retain(&mut self, is_live: impl Fn(usize) -> bool) {
+        self.starve_since.retain(|&(w, _)| is_live(w));
+        self.pending_boosts.retain(|&w| is_live(w));
     }
 
     /// Queues a boost that no-opped at the priority cap for later retry.
@@ -886,7 +886,7 @@ mod tests {
         assert!(!c.watchdog_starved(0, 0.01, 3.0e6));
         assert!(!c.watchdog_starved(0, 0.01, 3.5e6));
         assert!(c.watchdog_starved(0, 0.01, 4.0e6));
-        c.watchdog_retain(&[]);
+        c.watchdog_retain(|_| false);
         assert!(!c.watchdog_starved(1, 0.5, 4.0e6));
     }
 

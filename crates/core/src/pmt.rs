@@ -130,7 +130,11 @@ pub(crate) struct PmtStrategy {
     /// Proportional to priority and averaging [`PMT_SLICE_CYCLES`] over
     /// the live set; zero for free slots.
     slices: Vec<f64>,
+    /// The owning tenancy's workload index (its admission order, which
+    /// the round-robin rotation follows).
     owner: usize,
+    /// The owner's table slot, fixed while the owner is live.
+    seat: usize,
     owner_until: f64,
     single: bool,
     /// The tenancy epoch `slices`/`single` were derived from.
@@ -147,6 +151,7 @@ impl PmtStrategy {
             clock: config.frequency(),
             slices: Vec::new(),
             owner: 0,
+            seat: 0,
             owner_until: 0.0,
             single: true,
             // Forces a resync on the first step, before any scheduling.
@@ -156,52 +161,65 @@ impl PmtStrategy {
     }
 
     /// Recomputes slices and ownership after the tenant set changed. The
-    /// core's live index supplies the rotation set directly (ascending, the
-    /// same order the historical filter scan produced, so the priority sum
-    /// keeps its float-operation order), and the slice table is reused
-    /// across resyncs instead of reallocated.
-    fn resync<O: SimObserver>(&mut self, core: &EngineCore<O>) {
+    /// core's live index supplies the rotation set directly (in admission
+    /// order, the same order the historical filter scan produced, so the
+    /// priority sum keeps its float-operation order), and the slice table
+    /// is reused across resyncs instead of reallocated.
+    fn resync<O: SimObserver>(&mut self, core: &EngineCore<O>) -> V10Result<()> {
         self.epoch = core.tenancy_epoch;
         let live = core.live();
         self.slices.clear();
         self.slices.resize(core.table.capacity(), 0.0);
         if live.is_empty() {
-            return;
+            return Ok(());
         }
         let mut total_priority = 0.0f64;
-        for &w in live {
-            total_priority += core.wls.get(w).map_or(0.0, |wl| wl.priority);
+        for &t in live {
+            total_priority += core.tenancy(t)?.priority;
         }
-        for &w in live {
-            let Some(wl) = core.wls.get(w) else {
-                continue;
-            };
-            if let Some(slice) = self.slices.get_mut(wl.id.index()) {
-                *slice = PMT_SLICE_CYCLES * live.len() as f64 * wl.priority / total_priority;
+        for &t in live {
+            let priority = core.tenancy(t)?.priority;
+            if let Some(slice) = self.slices.get_mut(t) {
+                *slice = PMT_SLICE_CYCLES * live.len() as f64 * priority / total_priority;
             }
         }
         let was_single = self.single;
         self.single = live.len() == 1;
-        if !core.wls.get(self.owner).is_some_and(|w| w.alive) {
+        let owner_live = core
+            .tenancy(self.seat)
+            .is_ok_and(|tn| tn.workload == self.owner);
+        if !owner_live {
             // The owner departed: ownership passes on without a switch
             // charge — a departure is not a preemption.
-            let next = next_alive(core, self.owner);
-            self.owner = next;
-            self.owner_until = core.now + self.slice_of(core, next);
+            self.pass_ownership(core);
         } else if was_single && !self.single {
             // The rotation starts (or restarts) now that there is someone
             // to rotate to.
-            self.owner_until = core.now + self.slice_of(core, self.owner);
+            self.owner_until = core.now + self.slice();
         }
+        Ok(())
     }
 
-    /// The ownership slice of live tenant `w` (a `wls` index).
-    fn slice_of<O: SimObserver>(&self, core: &EngineCore<O>, w: usize) -> f64 {
-        core.wls
-            .get(w)
-            .and_then(|wl| self.slices.get(wl.id.index()))
-            .copied()
-            .unwrap_or(0.0)
+    /// The owner's ownership slice.
+    fn slice(&self) -> f64 {
+        self.slices.get(self.seat).copied().unwrap_or(0.0)
+    }
+
+    /// Passes ownership to the next alive tenant in round-robin order —
+    /// the first live workload index after the owner's, wrapping to the
+    /// smallest — for its slice. A binary search over the core's live
+    /// list, which is in admission order, replacing the historical wrap
+    /// scan over every tenancy ever admitted. Only called when at least
+    /// one tenant is alive.
+    fn pass_ownership<O: SimObserver>(&mut self, core: &EngineCore<O>) {
+        let workload = |t: usize| core.tenancy(t).map_or(usize::MAX, |tn| tn.workload);
+        let live = core.live();
+        let pos = live.partition_point(|&t| workload(t) <= self.owner);
+        if let Some(&t) = live.get(pos).or_else(|| live.first()) {
+            self.owner = workload(t);
+            self.seat = t;
+        }
+        self.owner_until = core.now + self.slice();
     }
 
     /// Applies every fault due at the current instant, advancing simulated
@@ -233,7 +251,7 @@ impl PmtStrategy {
                         core.emit_fault(fault.kind(), None);
                         continue;
                     }
-                    let owner = self.owner;
+                    let (owner, seat) = (self.owner, self.seat);
                     let cost = self
                         .clock
                         .cycles_from_micros(Micros::new(
@@ -248,7 +266,7 @@ impl PmtStrategy {
                         cost_cycles: cost,
                         at,
                     });
-                    core.replay_current_op(owner, cost)?;
+                    core.replay_current_op(seat, cost)?;
                     let cost = core.resolve_dt(cost)?;
                     core.advance(cost, &[]); // whole core idle for the restore
                     let at = core.now;
@@ -274,20 +292,6 @@ impl PmtStrategy {
     }
 }
 
-/// The next alive tenant after `start` in round-robin order: the first
-/// live index greater than `start`, wrapping to the smallest live index —
-/// a binary search over the core's sorted live list, replacing the
-/// historical wrap scan over every tenancy ever admitted. Only called when
-/// at least one tenant is alive.
-fn next_alive<O: SimObserver>(core: &EngineCore<O>, start: usize) -> usize {
-    let live = core.live();
-    let pos = live.partition_point(|&w| w <= start);
-    live.get(pos)
-        .or_else(|| live.first())
-        .copied()
-        .unwrap_or(start)
-}
-
 impl ExecutorStrategy for PmtStrategy {
     fn step<O: SimObserver>(&mut self, core: &mut EngineCore<O>) -> V10Result<StepOutcome> {
         if self.resume_faults {
@@ -300,7 +304,7 @@ impl ExecutorStrategy for PmtStrategy {
         }
         core.admit_due()?;
         if self.epoch != core.tenancy_epoch {
-            self.resync(core);
+            self.resync(core)?;
         }
         #[cfg(debug_assertions)]
         core.debug_validate_spine();
@@ -351,9 +355,9 @@ impl ExecutorStrategy for PmtStrategy {
                 ))
                 .as_u64() as f64;
             {
-                let wl = core.wl_mut(self.owner)?;
-                wl.preemptions += 1;
-                wl.switch_overhead += cost;
+                let tn = core.tenancy_mut(self.seat)?;
+                tn.preemptions += 1;
+                tn.switch_overhead += cost;
             }
             core.switch_overhead_total += cost;
             let at = core.now;
@@ -371,9 +375,7 @@ impl ExecutorStrategy for PmtStrategy {
             core.advance(cost, &[]); // whole core idle for the switch
             let at = core.now;
             core.emit(SimEvent::CtxSwitchEnded { fu: 0, at });
-            let next = next_alive(core, self.owner);
-            self.owner = next;
-            self.owner_until = core.now + self.slice_of(core, next);
+            self.pass_ownership(core);
             return Ok(StepOutcome::Continue);
         }
 
@@ -388,7 +390,8 @@ impl ExecutorStrategy for PmtStrategy {
         if let Some(at) = core.next_fault_at() {
             dt = dt.min(at - core.now);
         }
-        let fetch_ready_at = core.wl(self.owner)?.fetch_ready_at;
+        let seat = self.seat;
+        let fetch_ready_at = core.tenancy(seat)?.fetch_ready_at;
         if fetch_ready_at > core.now + EPS {
             // Idle while waiting for the instruction DMA.
             dt = dt.min(fetch_ready_at - core.now);
@@ -402,8 +405,8 @@ impl ExecutorStrategy for PmtStrategy {
 
         // The owner's current operator runs alone on the core.
         let (op, op_remaining) = {
-            let wl = core.wl(self.owner)?;
-            (*wl.current_op(), wl.op_remaining)
+            let tn = core.tenancy(seat)?;
+            (*tn.current_op(), tn.op_remaining)
         };
         let mut flow = [Flow::new(op.hbm_demand_bytes_per_cycle())];
         core.hbm.progress_rates(&mut flow);
@@ -416,15 +419,15 @@ impl ExecutorStrategy for PmtStrategy {
         }
         let dt = core.resolve_dt(dt)?;
 
-        core.slot_mut(0)?.seat(self.owner, op);
+        core.slot_mut(0)?.seat(seat, op);
         core.advance(dt, &flow);
         core.slot_mut(0)?.occupant = None;
 
         // Operator completion.
-        if core.wl(self.owner)?.op_remaining <= EPS {
+        if core.tenancy(seat)?.op_remaining <= EPS {
             // The next operator's prefetch starts now.
-            core.wl_mut(self.owner)?.last_issue_at = core.now;
-            core.finish_op(self.owner)?;
+            core.tenancy_mut(seat)?.last_issue_at = core.now;
+            core.finish_op(seat)?;
         }
         Ok(StepOutcome::Continue)
     }

@@ -7,9 +7,11 @@
 //! way `calendar_diff.rs` checks the event spine: seeded random admission
 //! schedules and fault plans (transient, stall and `CoreRetire`) run
 //! through all four designs, with an armed overload controller on the V10
-//! designs, once unsplit and once split at 1–4 fences. Every admission
-//! and scripted fault dated at or after a fence is pushed only after the
-//! run has reached that fence.
+//! designs, once unsplit (every admission pushed before the first step)
+//! and split two ways: at 1–4 fences, and by the serving path
+//! ([`serve_design_stressed_observed`]), which hands each admission over
+//! at its own instant. Every admission and scripted fault dated at or
+//! after a fence is pushed only after the run has reached that fence.
 //!
 //! The fences are aimed at the awkward instants, read off the unsplit
 //! run's own event stream: exactly on an arrival, a preemption-timer tick
@@ -17,7 +19,10 @@
 //! inside a PMT context switch, which carries the run past the fence; and
 //! inside an idle gap of 10–100 slices that a fresh arrival closes, where
 //! an idle V10-Full core replays its timer ticks. Some cases push a
-//! `CoreRetire` exactly on the last fence, after the run has reached it.
+//! `CoreRetire` exactly on the last fence, after the run has reached it;
+//! the serving path knows that fault up front, so it retires the core
+//! with admissions not yet handed over, which it must turn away as the
+//! unsplit run turns its pending ones away.
 //!
 //! Oracle: `run_digest` and the full recorded event stream equal the
 //! unsplit run's. In debug builds (how `cargo test` runs) every step also
@@ -271,8 +276,38 @@ fn split_run(design: Design, case: &Case) -> (v10_core::RunReport, Recorder) {
     (report, rec)
 }
 
+/// The unfenced run under `plan`: every admission of `case` pushed, in
+/// the schedule's stable time order, before the first step, then
+/// finished.
+fn push_all_run(design: Design, case: &Case, plan: &FaultPlan) -> (v10_core::RunReport, Recorder) {
+    let schedule =
+        AdmissionSchedule::new(case.admissions.clone()).expect("non-empty random schedule");
+    let mut rec = Recorder::default();
+    let mut run = CoreRun::new(
+        design,
+        &NpuConfig::table5(),
+        &case.opts,
+        plan,
+        controller(design),
+        &mut rec,
+    )
+    .expect("valid run");
+    for a in schedule.entries() {
+        run.push(a.clone())
+            .expect("admission before the first fence");
+    }
+    let report = run.finish().expect("valid unsplit run");
+    (report, rec)
+}
+
 /// The unfenced run: `case` handed over whole and finished.
 fn unsplit_run(design: Design, case: &Case) -> (v10_core::RunReport, Recorder) {
+    push_all_run(design, case, &plan(case.poisson_seed, &case.scripted))
+}
+
+/// The serving path: `case`'s schedule served with every fault known up
+/// front, each admission handed over at its own instant.
+fn served_run(design: Design, case: &Case) -> (v10_core::RunReport, Recorder) {
     let schedule =
         AdmissionSchedule::new(case.admissions.clone()).expect("non-empty random schedule");
     let mut rec = Recorder::default();
@@ -285,13 +320,40 @@ fn unsplit_run(design: Design, case: &Case) -> (v10_core::RunReport, Recorder) {
         controller(design),
         &mut rec,
     )
-    .expect("valid unsplit run");
+    .expect("valid served run");
     (report, rec)
+}
+
+/// Asserts that `other`'s report and event stream equal the unsplit
+/// run's.
+fn assert_same_run(
+    what: &str,
+    (unsplit, rec): (&v10_core::RunReport, &Recorder),
+    (other, other_rec): (&v10_core::RunReport, &Recorder),
+) {
+    if let Some(i) = (0..rec.events.len().min(other_rec.events.len()))
+        .find(|&i| rec.events[i] != other_rec.events[i])
+    {
+        panic!(
+            "{what}: event {i} diverged: unsplit {:?} vs {:?}",
+            rec.events[i], other_rec.events[i]
+        );
+    }
+    assert_eq!(
+        rec.events.len(),
+        other_rec.events.len(),
+        "{what}: event count diverged"
+    );
+    assert_eq!(
+        run_digest(unsplit),
+        run_digest(other),
+        "{what}: report digest diverged"
+    );
 }
 
 #[test]
 fn split_runs_equal_unsplit_runs_bit_for_bit() {
-    let (mut retired, mut carried, mut between_ticks) = (0, 0, 0);
+    let (mut retired, mut served_unpushed, mut carried, mut between_ticks) = (0, 0, 0, 0);
     for seed in 0..48u64 {
         let mut rng = SimRng::seed_from(0x5E5E ^ (seed << 8));
         let base = random_case(&mut rng);
@@ -302,27 +364,24 @@ fn split_runs_equal_unsplit_runs_bit_for_bit() {
             let (unsplit, rec) = unsplit_run(design, &case);
             let (split, split_rec) = split_run(design, &case);
             let fences = &case.fences;
-            if let Some(i) = (0..rec.events.len().min(split_rec.events.len()))
-                .find(|&i| rec.events[i] != split_rec.events[i])
-            {
-                panic!(
-                    "seed {seed} {design} fences {fences:?}: event {i} diverged: \
-                     unsplit {:?} vs split {:?}",
-                    rec.events[i], split_rec.events[i]
-                );
-            }
-            assert_eq!(
-                rec.events.len(),
-                split_rec.events.len(),
-                "seed {seed} {design} fences {fences:?}: event count diverged"
+            assert_same_run(
+                &format!("seed {seed} {design} split at {fences:?}"),
+                (&unsplit, &rec),
+                (&split, &split_rec),
             );
-            assert_eq!(
-                run_digest(&unsplit),
-                run_digest(&split),
-                "seed {seed} {design} fences {fences:?}: report digest diverged"
+            let (served, served_rec) = served_run(design, &case);
+            assert_same_run(
+                &format!("seed {seed} {design} served"),
+                (&unsplit, &rec),
+                (&served, &served_rec),
             );
-            if unsplit.core_retired_at().is_some() {
+            if let Some(at) = unsplit.core_retired_at() {
                 retired += 1;
+                // The serving path retired the core before handing over
+                // the admissions dated after it.
+                if case.admissions.iter().any(|a| a.at_cycles() > at) {
+                    served_unpushed += 1;
+                }
             }
             // A fence inside a PMT context switch: the switch carried
             // the run past it.
@@ -351,6 +410,10 @@ fn split_runs_equal_unsplit_runs_bit_for_bit() {
         }
     }
     assert!(retired > 0, "some cases must retire the core on a fence");
+    assert!(
+        served_unpushed > 0,
+        "some served cases must retire the core before their last admission"
+    );
     assert!(carried > 0, "some fences must land inside a PMT switch");
     assert!(
         between_ticks > 0,
@@ -367,16 +430,7 @@ fn a_parked_run_finishes_where_an_unfenced_run_does() {
     let schedule =
         AdmissionSchedule::new(case.admissions.clone()).expect("non-empty random schedule");
     for design in Design::ALL {
-        let unfenced = serve_design_stressed_observed(
-            design,
-            &schedule,
-            &cfg,
-            &case.opts,
-            &FaultPlan::none(),
-            controller(design),
-            &mut Recorder::default(),
-        )
-        .expect("valid run");
+        let (unfenced, _) = push_all_run(design, &case, &FaultPlan::none());
         let mut run = CoreRun::new(
             design,
             &cfg,

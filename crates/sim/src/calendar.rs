@@ -28,11 +28,12 @@
 //! finite floats, for which IEEE-754 bit order equals numeric order, so
 //! the heap orders by `(deadline.to_bits(), key)` exactly: ties on the
 //! deadline break toward the lowest key, and `pop_due` returns keys in
-//! ascending key order, matching the index-order scans the engines used
-//! before. The module's property tests drive random schedules through
-//! the calendar and a naive min-scan model side by side and demand
-//! bit-identical answers; the engine repeats that differential check
-//! live under `debug_assertions`.
+//! ascending key order (a caller that promotes in another order, as the
+//! engine does in admission order, sorts the due set it gets back). The
+//! module's property tests drive random schedules through the calendar
+//! and a naive min-scan model side by side and demand bit-identical
+//! answers; the engine repeats that differential check live under
+//! `debug_assertions`.
 //!
 //! Deadlines are compared exactly (no epsilon) — the caller keeps
 //! whatever `EPS`-slack semantics it had by choosing the thresholds it

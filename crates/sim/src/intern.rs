@@ -1,18 +1,16 @@
 //! Tenant-label interning.
 //!
-//! Serving runs admit hundreds of tenancies whose labels repeat heavily
-//! (session labels are minted from a small model mix), and the historical
-//! engine state cloned each label `String` at seat time and again at
-//! report assembly. [`LabelInterner`] is a small append-only symbol table:
-//! each distinct label is stored once and handed out as a dense
-//! [`LabelId`], so per-tenancy bookkeeping and [`SimEvent`] payloads carry
-//! a copyable `u32` instead of an owned string.
+//! The fleet plane breaks ties between departures at the same instant on
+//! the same core by tenant label ([`DepartureMsg`]). [`LabelInterner`] is
+//! a small append-only symbol table that hands each distinct label out as
+//! a dense [`LabelId`], so those messages carry a copyable `u32` instead
+//! of an owned string.
 //!
 //! The table is deterministic by construction — ids are assigned in first
-//! intern order, and the reverse map is a [`BTreeMap`] so iteration and
+//! intern order, and the map is a [`BTreeMap`] so iteration and
 //! serialization never depend on hash order (v10-lint rule D1).
 //!
-//! [`SimEvent`]: ../../v10_core/enum.SimEvent.html
+//! [`DepartureMsg`]: crate::DepartureMsg
 
 use std::collections::BTreeMap;
 
@@ -31,12 +29,10 @@ pub type LabelId = u32;
 /// let b = t.intern("dlrm");
 /// assert_eq!(t.intern("bert"), a); // stable on re-intern
 /// assert_ne!(a, b);
-/// assert_eq!(t.resolve(b), Some("dlrm"));
 /// assert_eq!(t.len(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LabelInterner {
-    names: Vec<String>,
     ids: BTreeMap<String, LabelId>,
 }
 
@@ -55,30 +51,21 @@ impl LabelInterner {
         }
         // Saturate rather than panic in the (unreachable in practice)
         // event of more than u32::MAX distinct labels.
-        let id = LabelId::try_from(self.names.len()).unwrap_or(LabelId::MAX);
-        self.names.push(name.to_string());
+        let id = LabelId::try_from(self.ids.len()).unwrap_or(LabelId::MAX);
         self.ids.insert(name.to_string(), id);
         id
-    }
-
-    /// The label behind `id`, if it was interned.
-    #[must_use]
-    pub fn resolve(&self, id: LabelId) -> Option<&str> {
-        self.names
-            .get(crate::convert::usize_from_u32(id))
-            .map(String::as_str)
     }
 
     /// Number of distinct labels interned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ids.len()
     }
 
     /// True when nothing has been interned yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ids.is_empty()
     }
 }
 
@@ -99,18 +86,10 @@ mod tests {
     }
 
     #[test]
-    fn resolve_roundtrips_and_rejects_unknown_ids() {
-        let mut t = LabelInterner::new();
-        let id = t.intern("mnist#7");
-        assert_eq!(t.resolve(id), Some("mnist#7"));
-        assert_eq!(t.resolve(999), None);
-    }
-
-    #[test]
     fn empty_label_is_a_valid_symbol() {
         let mut t = LabelInterner::new();
         let id = t.intern("");
-        assert_eq!(t.resolve(id), Some(""));
+        assert_ne!(t.intern("x"), id);
         assert_eq!(t.intern(""), id);
     }
 }

@@ -10,8 +10,9 @@
 //!   a lazy-deletion binary min-heap over absolute f64 deadlines that
 //!   replaces the engines' per-step min-scans, differentially tested
 //!   against the naive scan.
-//! * [`intern`] — tenant-label interning ([`LabelInterner`]) so engine
-//!   bookkeeping and events carry dense `u32` ids instead of `String`s.
+//! * [`intern`] — tenant-label interning ([`LabelInterner`]) so the fleet
+//!   plane's departure messages carry dense `u32` ids instead of
+//!   `String`s.
 //! * [`bandwidth`] — a water-filling (max-min fair) bandwidth allocator
 //!   ([`WaterFilling`]) used to model HBM bandwidth sharing between
 //!   concurrently executing operators and DMA prefetch flows.
