@@ -64,7 +64,7 @@ fn controller_for(design: Design) -> OverloadController {
     if design == Design::Pmt {
         OverloadController::disarmed()
     } else {
-        OverloadController::armed(OverloadPolicy::default())
+        OverloadController::armed(OverloadPolicy)
     }
 }
 

@@ -42,7 +42,7 @@ use v10_bench::timing::measure;
 use v10_bench::{print_table, seed};
 use v10_collocate::{
     build_dataset, ClusterServeReport, ClusteringPipeline, FleetOutcome, FleetPlane, OnlinePlacer,
-    PairPerfCache, RecoveryPolicy, TopologyWeights,
+    PairPerfCache, TopologyWeights,
 };
 use v10_core::{Design, NullObserver, RunOptions};
 use v10_npu::{FleetTopology, NpuConfig};
@@ -230,7 +230,6 @@ fn serve_once(
             &NpuConfig::table5(),
             &opts,
             &severity.plan(),
-            &RecoveryPolicy::new(),
             &mut NullObserver,
         )
         .expect("valid faulted fleet serving run")

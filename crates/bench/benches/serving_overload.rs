@@ -93,7 +93,7 @@ fn run_point(burst_factor: f64, armed: bool) -> OverloadPoint {
         .expect("positive table capacity");
     let cfg = NpuConfig::table5();
     let controller = if armed {
-        OverloadController::armed(OverloadPolicy::default())
+        OverloadController::armed(OverloadPolicy)
     } else {
         OverloadController::disarmed()
     };
@@ -216,7 +216,7 @@ fn main() {
     let timed = |armed: bool| -> String {
         let run = || {
             let controller = if armed {
-                OverloadController::armed(OverloadPolicy::default())
+                OverloadController::armed(OverloadPolicy)
             } else {
                 OverloadController::disarmed()
             };

@@ -76,9 +76,9 @@
 //!   scripted `CoreRetire` at the boundary and finished, and its report is
 //!   frozen; residents with open quota are displaced and re-placed through
 //!   the same decomposed argmax under an exponential backoff-and-shed
-//!   ladder ([`RecoveryPolicy`]) — shed when even ideal service from the
-//!   attempt time misses the deadline, or when retries exhaust against a
-//!   full fleet.
+//!   ladder ([`recovery`](crate::recovery)) — shed when even ideal service
+//!   from the attempt time misses the deadline, or when retries exhaust
+//!   against a full fleet.
 //! * **Link faults** ([`FleetFaultKind::LinkDegrade`] /
 //!   [`FleetFaultKind::LinkPartition`] / [`FleetFaultKind::LinkRestore`]):
 //!   an evacuation pays the faulted transfer cost of re-fetching the
@@ -106,7 +106,7 @@ use v10_workloads::TimedArrival;
 
 use crate::placer::{AdmissionDecision, OnlinePlacer, Placement, TopoScore, TopologyWeights};
 use crate::recovery::{
-    ClusterServeReport, Displaced, Readmission, RecoveryPolicy, RequeueRecord, ShedRecord,
+    readmit, ClusterServeReport, Displaced, Readmission, RequeueRecord, ShedRecord,
 };
 
 /// Bytes moved to evacuate one displaced tenant: the context-table row plus
@@ -749,7 +749,6 @@ impl<'a> FleetPlane<'a> {
             config,
             opts,
             &FleetFaultPlan::none(),
-            &RecoveryPolicy::new(),
             &mut NullObserver,
         )
     }
@@ -757,7 +756,8 @@ impl<'a> FleetPlane<'a> {
     /// [`serve`](Self::serve) under a scripted [`FleetFaultPlan`]: shard
     /// crashes darken their admission worker for the rest of the crash
     /// epoch, region failures retire whole HBM groups and evacuate their
-    /// residents through `policy`'s backoff-and-shed ladder, and link
+    /// residents through the backoff-and-shed ladder of
+    /// [`recovery`](crate::recovery), and link
     /// faults tax or block the evacuation transfers (see the module docs).
     ///
     /// The recovery ledger lands in the returned [`ClusterServeReport`]
@@ -779,7 +779,6 @@ impl<'a> FleetPlane<'a> {
     /// is scripted after the last epoch boundary the serve processes (the
     /// start of the last arrival's epoch; with no arrivals, none), where
     /// it could never apply.
-    #[allow(clippy::too_many_arguments)]
     pub fn serve_faulted<O: SimObserver>(
         &mut self,
         arrivals: &[TimedArrival],
@@ -787,7 +786,6 @@ impl<'a> FleetPlane<'a> {
         config: &NpuConfig,
         opts: &RunOptions,
         plan: &FleetFaultPlan,
-        policy: &RecoveryPolicy,
         observer: &mut O,
     ) -> V10Result<(ClusterServeReport, FleetOutcome)> {
         if let Some(w) = arrivals
@@ -856,7 +854,6 @@ impl<'a> FleetPlane<'a> {
                 self.apply_fleet_faults(
                     boundary,
                     arrivals,
-                    policy,
                     &mut fd,
                     &mut tenants,
                     &mut runs,
@@ -1024,7 +1021,6 @@ impl<'a> FleetPlane<'a> {
         &mut self,
         boundary: Cycles,
         arrivals: &[TimedArrival],
-        policy: &RecoveryPolicy,
         fd: &mut FaultDomains,
         tenants: &mut Tenants,
         runs: &mut CoreRuns<'_>,
@@ -1050,7 +1046,7 @@ impl<'a> FleetPlane<'a> {
                 }
                 FleetFaultKind::RegionFail { hbm_group } => {
                     self.fail_region(
-                        hbm_group, boundary, arrivals, policy, fd, tenants, runs, outcome, observer,
+                        hbm_group, boundary, arrivals, fd, tenants, runs, outcome, observer,
                     )?;
                 }
                 FleetFaultKind::LinkDegrade { hbm_group, factor } => {
@@ -1087,7 +1083,6 @@ impl<'a> FleetPlane<'a> {
         group: usize,
         boundary: Cycles,
         arrivals: &[TimedArrival],
-        policy: &RecoveryPolicy,
         fd: &mut FaultDomains,
         tenants: &mut Tenants,
         runs: &mut CoreRuns<'_>,
@@ -1141,7 +1136,7 @@ impl<'a> FleetPlane<'a> {
         }
         for (idx, remaining) in displaced {
             self.evacuate_tenant(
-                idx, remaining, now, arrivals, policy, fd, tenants, runs, outcome, observer,
+                idx, remaining, now, arrivals, fd, tenants, runs, outcome, observer,
             )?;
         }
         Ok(())
@@ -1157,7 +1152,6 @@ impl<'a> FleetPlane<'a> {
         remaining: usize,
         fail_at: f64,
         arrivals: &[TimedArrival],
-        policy: &RecoveryPolicy,
         fd: &mut FaultDomains,
         tenants: &mut Tenants,
         runs: &mut CoreRuns<'_>,
@@ -1186,7 +1180,7 @@ impl<'a> FleetPlane<'a> {
             per_request: u64_to_f64(arrival.trace().total_compute_cycles()),
         };
         let src_group = self.state.topology().group_of(from_core)?;
-        let readmission = policy.readmit(displaced, fail_at, |at| {
+        let readmission = readmit(displaced, fail_at, |at| {
             if at < fd.partition_until[src_group] {
                 // The failed region's snapshot is unreachable across a
                 // partitioned uplink: back off and ride it out.
@@ -1460,7 +1454,6 @@ mod tests {
                 &cfg,
                 &opts,
                 &plan,
-                &RecoveryPolicy::new(),
                 &mut NullObserver,
             )
             .unwrap();
@@ -1547,7 +1540,6 @@ mod tests {
                 &NpuConfig::table5(),
                 &RunOptions::new(1).unwrap(),
                 &FleetFaultPlan::none(),
-                &RecoveryPolicy::new(),
                 &mut log,
             )
             .unwrap();
@@ -1581,7 +1573,6 @@ mod tests {
                 &NpuConfig::table5(),
                 &opts,
                 &plan,
-                &RecoveryPolicy::new(),
                 &mut log,
             )
             .unwrap();
@@ -1620,7 +1611,6 @@ mod tests {
                 &NpuConfig::table5(),
                 &RunOptions::new(1).unwrap(),
                 &plan,
-                &RecoveryPolicy::new(),
                 &mut log,
             )
             .unwrap();
@@ -1655,7 +1645,6 @@ mod tests {
         let region_fail = FleetFaultPlan::none()
             .with_fault(5_000_000.0, FleetFaultKind::RegionFail { hbm_group: 0 })
             .unwrap();
-        let policy = RecoveryPolicy::new().with_deadline_factor(400.0).unwrap();
         let mut stream = faulted_arrivals();
         stream.extend(arrivals().into_iter().map(|a| {
             let at = a.at_cycles() + 9_000_000.0;
@@ -1669,7 +1658,6 @@ mod tests {
                     &cfg,
                     &opts,
                     &plan,
-                    &policy,
                     &mut NullObserver,
                 )
                 .unwrap();
@@ -1714,7 +1702,6 @@ mod tests {
         let plan = FleetFaultPlan::none()
             .with_fault(5_000_000.0, FleetFaultKind::RegionFail { hbm_group: 0 })
             .unwrap();
-        let policy = RecoveryPolicy::new().with_deadline_factor(400.0).unwrap();
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
         let mut log = FaultLog::default();
@@ -1725,7 +1712,6 @@ mod tests {
                 &NpuConfig::table5(),
                 &opts,
                 &plan,
-                &policy,
                 &mut log,
             )
             .unwrap();
@@ -1785,44 +1771,63 @@ mod tests {
         assert!(!forged.conservation().holds());
     }
 
-    /// Under a deadline of 1x ideal service, no displaced tenant can still
-    /// finish in time: the region failure sheds all six Bert tenants,
-    /// requeues none, and emits one `RequestShed` per shed naming the
-    /// tenant's decision.
-    #[test]
-    fn tight_deadline_sheds_every_displaced_tenant() {
-        let p = pipeline();
-        let plan = FleetFaultPlan::none()
+    /// HBM group 0 fails at 5e6 (applied at the 8e6 boundary) with its
+    /// uplink partitioned for `window_cycles` from 5e6. Recovery attempts
+    /// fire at 8e6, 9e6, 1.1e7, 1.5e7 and 2.3e7.
+    fn partitioned_region_fail(window_cycles: f64) -> FleetFaultPlan {
+        FleetFaultPlan::none()
+            .with_fault(
+                5_000_000.0,
+                FleetFaultKind::LinkPartition {
+                    hbm_group: 0,
+                    window_cycles,
+                },
+            )
+            .unwrap()
             .with_fault(5_000_000.0, FleetFaultKind::RegionFail { hbm_group: 0 })
-            .unwrap();
-        let policy = RecoveryPolicy::new().with_deadline_factor(1.0).unwrap();
+            .unwrap()
+    }
+
+    /// A light session displaced behind a partition cannot wait it out. A
+    /// one-request Mnist session (8.0e5 ideal cycles) placed on group 0 at
+    /// 7.5e6 is due 8 × 8.0e5 later, at 1.39e7. The partition, dark until
+    /// 1.5e7, blocks the attempts at 8e6, 9e6 and 1.1e7, and ideal service
+    /// from the next one would miss the deadline, so the session is shed
+    /// there as deadline-unmeetable. The six Bert tenants, due ~9e8 cycles
+    /// after arrival, ride the partition out. One `RequestShed` names the
+    /// session's decision.
+    #[test]
+    fn light_session_behind_a_partition_sheds_at_its_deadline() {
+        let p = pipeline();
+        let mut stream = faulted_arrivals();
+        stream.insert(6, arrival("m6", Model::Mnist, 7_500_000.0, 1));
         let mut log = FaultLog::default();
         let (report, outcome) = faulted_plane(&p, 2, 1)
             .serve_faulted(
-                &faulted_arrivals(),
+                &stream,
                 Design::V10Full,
                 &NpuConfig::table5(),
                 &RunOptions::new(1).unwrap(),
-                &plan,
-                &policy,
+                &partitioned_region_fail(10_000_000.0),
                 &mut log,
             )
             .unwrap();
-        assert!(report.requeued().is_empty());
-        assert!(log.evacuations.is_empty());
-        assert_eq!(report.shed().len(), 6, "{:?}", report.shed());
-        assert!(report.shed().iter().all(|s| s.deadline_unmeetable));
+        assert_eq!(outcome.decisions()[6].placement, Placement::Core(5));
+        assert_eq!(report.requeued().len(), 6, "shed={:?}", report.shed());
+        assert_eq!(log.evacuations.len(), 6);
+        assert_eq!(report.shed().len(), 1, "{:?}", report.shed());
+        let shed = &report.shed()[0];
+        assert_eq!(
+            (shed.label.as_str(), shed.at_cycles, shed.lost_requests),
+            ("m6", 15_000_000.0, 1)
+        );
+        assert!(shed.deadline_unmeetable);
         assert!(report.shed_fraction() > 0.0);
-        assert_eq!(log.sheds.len(), report.shed().len());
-        for (&(arrival, at), s) in log.sheds.iter().zip(report.shed()) {
-            assert_eq!(outcome.decisions()[arrival].label, s.label);
-            assert_eq!(at, s.at_cycles);
-        }
-        // Requests are conserved with sheds present: every placed request
-        // either completed before the failure or is a shed loss.
-        let offered_requests: usize = faulted_arrivals().iter().map(|a| a.requests()).sum();
+        assert_eq!(log.sheds, &[(6, 15_000_000.0)]);
+        // Requests are conserved with a shed present: every placed request
+        // either completed (possibly after evacuation) or is a shed loss.
+        let offered_requests: usize = stream.iter().map(TimedArrival::requests).sum();
         assert_eq!(outcome.rejected(), 0);
-        assert!(report.shed_requests() > 0);
         assert_eq!(
             report.completed_requests() + report.shed_requests(),
             offered_requests
@@ -1833,37 +1838,19 @@ mod tests {
     #[test]
     fn partitioned_uplink_defers_evacuation_until_the_window_closes() {
         let p = pipeline();
-        let plan = FleetFaultPlan::none()
-            .with_fault(
-                5_000_000.0,
-                FleetFaultKind::LinkPartition {
-                    hbm_group: 0,
-                    window_cycles: 10_000_000.0,
-                },
-            )
-            .unwrap()
-            .with_fault(5_000_000.0, FleetFaultKind::RegionFail { hbm_group: 0 })
-            .unwrap();
-        let policy = RecoveryPolicy::new()
-            .with_deadline_factor(400.0)
-            .unwrap()
-            .with_max_retries(6);
-        let opts = RunOptions::new(1).unwrap();
-        let mut plane = faulted_plane(&p, 2, 1);
-        let (report, _) = plane
+        let (report, _) = faulted_plane(&p, 2, 1)
             .serve_faulted(
                 &faulted_arrivals(),
                 Design::V10Full,
                 &NpuConfig::table5(),
-                &opts,
-                &plan,
-                &policy,
+                &RunOptions::new(1).unwrap(),
+                &partitioned_region_fail(10_000_000.0),
                 &mut NullObserver,
             )
             .unwrap();
-        // The partition holds until 5e6 + 1e7 = 1.5e7. Backoff attempts
-        // fire at 8e6, 9e6, 1.1e7, 1.5e7: the first three are inside the
-        // window, so every successful evacuation is attempt 3 at 1.5e7.
+        // The partition holds until 5e6 + 1e7 = 1.5e7: the attempts at
+        // 8e6, 9e6 and 1.1e7 are inside the window, so every successful
+        // evacuation is attempt 3 at 1.5e7.
         assert_eq!(report.requeued().len(), 6, "shed={:?}", report.shed());
         for r in report.requeued() {
             assert_eq!(r.attempt, 3, "attempts inside the partition must fail");
@@ -1875,6 +1862,45 @@ mod tests {
             report.completed_requests() + report.shed_requests(),
             offered_requests
         );
+    }
+
+    /// A partition that outlasts the whole ladder sheds on exhausted
+    /// retries, not on the deadline: dark until 2.5e7, it blocks all five
+    /// attempts, so each of the six Bert tenants (due ~9e8 cycles after
+    /// arrival) is shed at the last one, 2.3e7, with all 8 requests lost.
+    #[test]
+    fn partition_outlasting_every_attempt_sheds_on_exhausted_retries() {
+        let p = pipeline();
+        let mut log = FaultLog::default();
+        let (report, outcome) = faulted_plane(&p, 2, 1)
+            .serve_faulted(
+                &faulted_arrivals(),
+                Design::V10Full,
+                &NpuConfig::table5(),
+                &RunOptions::new(1).unwrap(),
+                &partitioned_region_fail(20_000_000.0),
+                &mut log,
+            )
+            .unwrap();
+        assert!(report.requeued().is_empty());
+        assert!(log.evacuations.is_empty());
+        assert_eq!(report.shed().len(), 6, "{:?}", report.shed());
+        for shed in report.shed() {
+            assert!(!shed.deadline_unmeetable, "{shed:?}");
+            assert_eq!((shed.at_cycles, shed.lost_requests), (23_000_000.0, 8));
+        }
+        assert_eq!(log.sheds.len(), report.shed().len());
+        for (&(arrival, at), s) in log.sheds.iter().zip(report.shed()) {
+            assert_eq!(outcome.decisions()[arrival].label, s.label);
+            assert_eq!(at, s.at_cycles);
+        }
+        let offered_requests: usize = faulted_arrivals().iter().map(|a| a.requests()).sum();
+        assert_eq!(outcome.rejected(), 0);
+        assert_eq!(
+            report.completed_requests() + report.shed_requests(),
+            offered_requests
+        );
+        assert!(report.conservation().holds());
     }
 
     #[test]
@@ -1893,7 +1919,6 @@ mod tests {
             .unwrap()
             .with_fault(5_000_000.0, FleetFaultKind::RegionFail { hbm_group: 0 })
             .unwrap();
-        let policy = RecoveryPolicy::new().with_deadline_factor(400.0).unwrap();
         let opts = RunOptions::new(1).unwrap();
         let cfg = NpuConfig::table5();
         let arrivals = faulted_arrivals();
@@ -1905,7 +1930,6 @@ mod tests {
                     &cfg,
                     &opts,
                     &plan,
-                    &policy,
                     &mut NullObserver,
                 )
                 .unwrap()
@@ -1935,7 +1959,6 @@ mod tests {
                         &cfg,
                         &opts,
                         &v10_sim::FleetFaultPlan::none(),
-                        &RecoveryPolicy::new(),
                         &mut NullObserver,
                     )
                     .unwrap();
@@ -1969,7 +1992,6 @@ mod tests {
         // An epoch-1 arrival forces the 4e6 boundary to be processed so the
         // crashed shard restores before the run ends.
         stream.insert(6, arrival("mid", Model::Mnist, 4_200_000.0, 1));
-        let policy = RecoveryPolicy::new().with_deadline_factor(400.0).unwrap();
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
         let mut log = FaultLog::default();
@@ -1980,7 +2002,6 @@ mod tests {
                 &NpuConfig::table5(),
                 &opts,
                 &plan,
-                &policy,
                 &mut log,
             )
             .unwrap();
@@ -2054,7 +2075,6 @@ mod tests {
                 &cfg,
                 &opts,
                 &plan,
-                &RecoveryPolicy::new(),
                 &mut NullObserver,
             )
         };

@@ -28,8 +28,8 @@
 //!   fleet, decomposed into per-shard workers with per-(class, HBM-group)
 //!   candidate tables, exchanging departures deterministically at epoch
 //!   boundaries — byte-identical reports at any shard or thread count.
-//! * [`recovery`] — the fleet's re-admission ladder ([`RecoveryPolicy`])
-//!   and its serve report ([`ClusterServeReport`]).
+//! * [`recovery`] — the fleet's fixed re-admission ladder and its serve
+//!   report ([`ClusterServeReport`]).
 //!
 //! # Example
 //!
@@ -69,8 +69,6 @@ pub use kmeans::KMeans;
 pub use pca::Pca;
 pub use pipeline::ClusteringPipeline;
 pub use placer::{AdmissionDecision, OnlinePlacer, Placement, TopoScore, TopologyWeights};
-pub use recovery::{
-    ClusterServeReport, ConservationLedger, RecoveryPolicy, RequeueRecord, ShedRecord,
-};
+pub use recovery::{ClusterServeReport, ConservationLedger, RequeueRecord, ShedRecord};
 pub use schemes::{Scheme, SchemeKind};
 pub use standardize::Standardizer;

@@ -7,10 +7,11 @@
 //! [`FleetPlane::serve_faulted`](crate::fleet::FleetPlane::serve_faulted)
 //! retires every core of one HBM group at an epoch boundary and displaces
 //! each resident whose request quota was still open. Each displaced tenant
-//! climbs [`RecoveryPolicy`]'s ladder: attempt `k` fires at
-//! `fail + base·(2^k − 1)` and asks the fleet's placement for a core; the
-//! tenant is shed once even an ideally-served remainder could not finish
-//! by its deadline, or once every attempt has backed off. The attempts see
+//! climbs a fixed ladder of five attempts: attempt `k` fires at
+//! `fail + 1e6·(2^k − 1)` cycles and asks the fleet's placement for a core;
+//! the tenant is shed once even an ideally-served remainder could not
+//! finish by its deadline (8× its ideal single-tenant service time after
+//! arrival), or once every attempt has backed off. The attempts see
 //! the fleet's occupancy as of the boundary (plus the evacuees already
 //! re-placed there); between attempts only the deadline test and link
 //! partition windows change. Transient faults never reach this layer: the
@@ -21,140 +22,67 @@
 //! recovery ledger (requeues, sheds, retired cores), and
 //! [`ConservationLedger`] reconciles the two.
 //!
-//! Everything here is deterministic: the same arrivals, fault plan, and
-//! policy produce byte-identical reports and event streams, regardless of
-//! how the caller parallelizes the surrounding sweep.
+//! Everything here is deterministic: the same arrivals and fault plan
+//! produce byte-identical reports and event streams, regardless of how the
+//! caller parallelizes the surrounding sweep.
 
 use v10_core::RunReport;
 use v10_sim::convert::usize_to_f64;
 use v10_sim::{LatencySummary, V10Result};
 
-/// Knobs for the re-admission/shedding ladder of the fleet plane's
-/// evacuations
-/// ([`FleetPlane::serve_faulted`](crate::fleet::FleetPlane::serve_faulted)).
+/// A displaced tenant's deadline, as a multiple of its ideal single-tenant
+/// service time: admitted at `t` with quota `q` over a trace of `w`
+/// compute cycles per request, it is due at `t + 8 · q · w`.
+const DEADLINE_FACTOR: f64 = 8.0;
+/// Re-admission attempt `k` (0-based) fires this many cycles times
+/// `2^k − 1` after the failure.
+const BACKOFF_BASE_CYCLES: f64 = 1.0e6;
+/// Retries after the immediate first attempt: five attempts in all.
+const MAX_RETRIES: u32 = 4;
+
+/// Runs the backoff-and-shed ladder for one displaced tenant: attempt `k`
+/// fires at `start + BACKOFF_BASE_CYCLES · (2^k − 1)` and calls `step` with
+/// its fire time. `step` returns the core the tenant lands on, or `None` to
+/// back off to the next attempt. The tenant is shed as soon as even ideal
+/// service from an attempt's fire time misses its deadline, or once
+/// `MAX_RETRIES + 1` attempts have backed off.
 ///
-/// The deadline of a tenant admitted at `t` with quota `q` over a trace of
-/// `w` compute cycles per request is `t + deadline_factor · q · w`: a
-/// multiple of its ideal single-tenant service time. Re-admission attempt
-/// `k` (0-based) fires at `fail + backoff_base_cycles · (2^k − 1)`; after
-/// `max_retries + 1` failed attempts — or as soon as no attempt can meet
-/// the deadline — the tenant is shed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryPolicy {
-    deadline_factor: f64,
-    backoff_base_cycles: f64,
-    max_retries: u32,
+/// # Errors
+///
+/// Propagates `step`'s errors.
+pub(crate) fn readmit(
+    tenant: Displaced,
+    start: f64,
+    mut step: impl FnMut(f64) -> V10Result<Option<usize>>,
+) -> V10Result<Readmission> {
+    let deadline =
+        tenant.arrived_at + DEADLINE_FACTOR * usize_to_f64(tenant.quota) * tenant.per_request;
+    let ideal_remaining = usize_to_f64(tenant.remaining) * tenant.per_request;
+    let mut last_attempt_at = start;
+    for attempt in 0..=MAX_RETRIES {
+        let exp = f64::from(2u32.saturating_pow(attempt)) - 1.0;
+        let at = start + BACKOFF_BASE_CYCLES * exp;
+        last_attempt_at = at;
+        if at + ideal_remaining > deadline {
+            // Even perfect service from here misses the deadline:
+            // shedding now beats queueing doomed work.
+            return Ok(Readmission::Shed(tenant.shed(at, true)));
+        }
+        if let Some(to_core) = step(at)? {
+            return Ok(Readmission::Requeued(RequeueRecord {
+                label: tenant.label,
+                from_core: tenant.from_core,
+                to_core,
+                at_cycles: at,
+                attempt,
+                remaining_requests: tenant.remaining,
+            }));
+        }
+    }
+    Ok(Readmission::Shed(tenant.shed(last_attempt_at, false)))
 }
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            deadline_factor: 8.0,
-            backoff_base_cycles: 1.0e6,
-            max_retries: 4,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// The default policy (deadline 8× ideal service, 1M-cycle backoff
-    /// base, 5 attempts).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the deadline as a multiple of the tenant's ideal single-tenant
-    /// service time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`](v10_sim::V10Error::InvalidArgument)
-    /// unless `factor` is finite and at least 1 (a sub-ideal deadline is unmeetable by construction).
-    #[cfg(test)]
-    pub(crate) fn with_deadline_factor(mut self, factor: f64) -> V10Result<Self> {
-        if !(factor.is_finite() && factor >= 1.0) {
-            return Err(v10_sim::V10Error::invalid(
-                "RecoveryPolicy::with_deadline_factor",
-                format!("deadline factor must be finite and >= 1, got {factor}"),
-            ));
-        }
-        self.deadline_factor = factor;
-        Ok(self)
-    }
-
-    /// Sets the exponential-backoff base in cycles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`](v10_sim::V10Error::InvalidArgument)
-    /// unless `cycles` is finite and positive.
-    #[cfg(test)]
-    pub(crate) fn with_backoff_base_cycles(mut self, cycles: f64) -> V10Result<Self> {
-        if !(cycles.is_finite() && cycles > 0.0) {
-            return Err(v10_sim::V10Error::invalid(
-                "RecoveryPolicy::with_backoff_base_cycles",
-                format!("backoff base must be finite and positive, got {cycles}"),
-            ));
-        }
-        self.backoff_base_cycles = cycles;
-        Ok(self)
-    }
-
-    /// Sets the number of re-admission retries after the immediate first
-    /// attempt (so `max_retries + 1` attempts total).
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Runs the backoff-and-shed ladder for one displaced tenant: attempt
-    /// `k` fires at `start + backoff_base_cycles · (2^k − 1)` and calls
-    /// `step` with its fire time. `step` returns the core the tenant lands
-    /// on, or `None` to back off to the next attempt. The tenant is shed
-    /// as soon as even ideal service from an attempt's fire time misses
-    /// its deadline, or once `max_retries + 1` attempts have backed off.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `step`'s errors.
-    pub(crate) fn readmit(
-        &self,
-        tenant: Displaced,
-        start: f64,
-        mut step: impl FnMut(f64) -> V10Result<Option<usize>>,
-    ) -> V10Result<Readmission> {
-        let deadline = tenant.arrived_at
-            + self.deadline_factor * usize_to_f64(tenant.quota) * tenant.per_request;
-        let ideal_remaining = usize_to_f64(tenant.remaining) * tenant.per_request;
-        let mut last_attempt_at = start;
-        for attempt in 0..=self.max_retries {
-            let exp = f64::from(2u32.saturating_pow(attempt)) - 1.0;
-            let at = start + self.backoff_base_cycles * exp;
-            last_attempt_at = at;
-            if at + ideal_remaining > deadline {
-                // Even perfect service from here misses the deadline:
-                // shedding now beats queueing doomed work.
-                return Ok(Readmission::Shed(tenant.shed(at, true)));
-            }
-            if let Some(to_core) = step(at)? {
-                return Ok(Readmission::Requeued(RequeueRecord {
-                    label: tenant.label,
-                    from_core: tenant.from_core,
-                    to_core,
-                    at_cycles: at,
-                    attempt,
-                    remaining_requests: tenant.remaining,
-                }));
-            }
-        }
-        Ok(Readmission::Shed(tenant.shed(last_attempt_at, false)))
-    }
-}
-
-/// One displaced tenant, as [`RecoveryPolicy::readmit`] sees it.
+/// One displaced tenant, as [`readmit`] sees it.
 #[derive(Debug)]
 pub(crate) struct Displaced {
     /// The tenant's label.
@@ -183,7 +111,7 @@ impl Displaced {
     }
 }
 
-/// Where [`RecoveryPolicy::readmit`] left a displaced tenant.
+/// Where [`readmit`] left a displaced tenant.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Readmission {
     /// Landed on another core.
@@ -221,7 +149,8 @@ pub struct ShedRecord {
     /// Requests left unserved.
     pub lost_requests: usize,
     /// True when shed because no attempt could meet the deadline (as
-    /// opposed to exhausting `max_retries` against a full cluster).
+    /// opposed to every attempt backing off against a full fleet or a
+    /// partitioned uplink).
     pub deadline_unmeetable: bool,
 }
 
@@ -443,8 +372,9 @@ impl ClusterServeReport {
 mod tests {
     use super::*;
 
-    /// A displaced tenant with ideal service of 1 000 cycles per request:
-    /// 3 requests still open out of 4, arrived at 0.
+    /// A displaced tenant with ideal service of 1e6 cycles per request: 3
+    /// requests still open out of 4, arrived at 0, so it is due at
+    /// `DEADLINE_FACTOR · 4e6` cycles.
     fn displaced() -> Displaced {
         Displaced {
             label: "t".to_string(),
@@ -452,76 +382,73 @@ mod tests {
             arrived_at: 0.0,
             quota: 4,
             remaining: 3,
-            per_request: 1_000.0,
+            per_request: 1.0e6,
         }
+    }
+
+    /// Attempt `k`'s fire time on a ladder started at `start`.
+    fn fire_at(start: f64, k: u32) -> f64 {
+        start + BACKOFF_BASE_CYCLES * f64::from((1u32 << k) - 1)
     }
 
     #[test]
     fn readmit_backs_off_exponentially_then_sheds() {
-        // Deadline 400 · 4 · 1 000 = 1.6e6 is far away: 3 attempts back off.
-        let policy = RecoveryPolicy::new()
-            .with_deadline_factor(400.0)
-            .unwrap()
-            .with_backoff_base_cycles(100.0)
-            .unwrap()
-            .with_max_retries(2);
+        // From 50 cycles, 3e6 cycles of ideal work still fit after the last
+        // attempt (1.5e7 later at the production constants), so every
+        // attempt backs off.
         let mut fired = Vec::new();
-        let out = policy
-            .readmit(displaced(), 50.0, |at| {
-                fired.push(at);
-                Ok(None)
-            })
-            .unwrap();
-        // Attempt k fires at start + base · (2^k − 1).
-        assert_eq!(fired, vec![50.0, 150.0, 350.0]);
+        let out = readmit(displaced(), 50.0, |at| {
+            fired.push(at);
+            Ok(None)
+        })
+        .unwrap();
+        let every: Vec<f64> = (0..=MAX_RETRIES).map(|k| fire_at(50.0, k)).collect();
+        assert_eq!(fired, every);
         // Retries exhaust: shed, stamped with the last attempt's time.
         let Readmission::Shed(shed) = out else {
             panic!("{out:?}")
         };
-        assert_eq!(shed.at_cycles, 350.0);
+        assert_eq!(shed.at_cycles, fire_at(50.0, MAX_RETRIES));
         assert!(!shed.deadline_unmeetable);
         assert_eq!((shed.from_core, shed.lost_requests), (1, 3));
 
         // A `None` step backs off; the first `Some` lands the tenant.
         let mut attempts = 0;
-        let out = policy
-            .readmit(displaced(), 50.0, |_| {
-                attempts += 1;
-                Ok((attempts == 2).then_some(7))
-            })
-            .unwrap();
+        let out = readmit(displaced(), 50.0, |_| {
+            attempts += 1;
+            Ok((attempts == 2).then_some(7))
+        })
+        .unwrap();
         assert_eq!(
             out,
             Readmission::Requeued(RequeueRecord {
                 label: "t".to_string(),
                 from_core: 1,
                 to_core: 7,
-                at_cycles: 150.0,
+                at_cycles: fire_at(50.0, 1),
                 attempt: 1,
                 remaining_requests: 3,
             })
         );
 
-        // Deadline 2 · 4 · 1 000 = 8 000 and 3 000 cycles of ideal work left:
-        // attempts at 0, 1e3 and 3e3 fit; the one at 7e3 cannot finish in
+        // Started so that ideal service from attempt 2 ends exactly at the
+        // deadline: attempts 0 to 2 fire, and attempt 3 cannot finish in
         // time and sheds before calling `step`.
-        let tight = RecoveryPolicy::new()
-            .with_deadline_factor(2.0)
-            .unwrap()
-            .with_backoff_base_cycles(1_000.0)
-            .unwrap();
+        let t = displaced();
+        let deadline = DEADLINE_FACTOR * usize_to_f64(t.quota) * t.per_request;
+        let start = deadline - usize_to_f64(t.remaining) * t.per_request - fire_at(0.0, 2);
         let mut fired = Vec::new();
-        let out = tight
-            .readmit(displaced(), 0.0, |at| {
-                fired.push(at);
-                Ok(None)
-            })
-            .unwrap();
-        assert_eq!(fired, vec![0.0, 1_000.0, 3_000.0]);
+        let out = readmit(t, start, |at| {
+            fired.push(at);
+            Ok(None)
+        })
+        .unwrap();
+        let fitting: Vec<f64> = (0..3).map(|k| fire_at(start, k)).collect();
+        assert_eq!(fired, fitting);
         let Readmission::Shed(shed) = out else {
             panic!("{out:?}")
         };
-        assert_eq!(shed.at_cycles, 7_000.0);
+        assert_eq!(shed.at_cycles, fire_at(start, 3));
         assert!(shed.deadline_unmeetable);
     }
 }

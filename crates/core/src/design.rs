@@ -492,7 +492,7 @@ mod tests {
             &cfg,
             &opts,
             &FaultPlan::none(),
-            OverloadController::armed(crate::overload::OverloadPolicy::default()),
+            OverloadController::armed(crate::overload::OverloadPolicy),
         )
         .unwrap_err();
         assert!(err.to_string().contains("PMT"), "{err}");

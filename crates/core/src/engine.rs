@@ -31,7 +31,10 @@ use crate::engine_core::{EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
 use crate::lifecycle::AdmissionSchedule;
 use crate::metrics::RunReport;
 use crate::observer::{SimEvent, SimObserver};
-use crate::overload::{LadderStep, OverloadController, OverloadPressure};
+use crate::overload::{
+    boosted_priority, breaching, demoted_priority, shrunk_slice, trimmed_quota, LadderStep,
+    OverloadController, OverloadPressure, SHED_WAIT_CYCLES,
+};
 use crate::packed::FIG11_TABLE_ROWS;
 use crate::policy::{Policy, Scheduler};
 
@@ -471,7 +474,7 @@ impl V10Strategy {
 
         // ---- Apply every rung at or below the ladder position, while the
         // episode is still breaching (a calm hold applies nothing).
-        if self.controller.is_overloaded() && self.controller.policy().breaching(pressure) {
+        if self.controller.is_overloaded() && breaching(pressure) {
             let rung = self.controller.rung();
             if rung >= 1 {
                 // Demote the tenant drawing the most FU time (ties resolve
@@ -489,7 +492,7 @@ impl V10Strategy {
                         let tn = core.tenancy(t)?;
                         (tn.id, tn.workload, tn.priority)
                     };
-                    let new = self.controller.policy().demoted_priority(old);
+                    let new = demoted_priority(old);
                     if new < old {
                         core.table.set_priority(id, new)?;
                         core.tenancy_mut(t)?.priority = new;
@@ -503,7 +506,7 @@ impl V10Strategy {
                 }
             }
             if rung >= 2 && self.preemption {
-                let new = self.controller.policy().shrunk_slice(self.slice);
+                let new = shrunk_slice(self.slice);
                 if new < self.slice {
                     self.slice = new;
                     self.controller.stats_mut().slice_shrinks += 1;
@@ -525,7 +528,7 @@ impl V10Strategy {
                         let tn = core.tenancy(t)?;
                         (tn.workload, tn.quota, tn.completed)
                     };
-                    let trimmed = self.controller.policy().trimmed_quota(quota, completed);
+                    let trimmed = trimmed_quota(quota, completed);
                     if trimmed < quota {
                         core.set_quota(t, trimmed)?;
                         self.controller.stats_mut().quota_trims += 1;
@@ -538,7 +541,7 @@ impl V10Strategy {
                 }
             }
             if rung >= 4 {
-                let shed = core.shed_stale_parked(self.controller.policy().shed_wait_cycles());
+                let shed = core.shed_stale_parked(SHED_WAIT_CYCLES);
                 if shed > 0 {
                     self.controller.stats_mut().shed_requests += shed;
                     core.emit(SimEvent::DegradationApplied {
@@ -554,7 +557,7 @@ impl V10Strategy {
         self.controller
             .watchdog_retain(|w| core.seat_of(w).is_some());
         // Retry boosts deferred at the priority cap: a rung-1 demotion this
-        // tick (or a policy with headroom restored) lets them land now.
+        // tick lets them land now.
         // `watchdog_retain` just pruned retired tenancies, so every pending
         // index is live. Index loop: a boost that lands leaves the queue,
         // and the next one moves into its place.
@@ -570,7 +573,7 @@ impl V10Strategy {
                 let tn = core.tenancy(t)?;
                 (tn.id, tn.priority)
             };
-            let new = self.controller.policy().boosted_priority(old);
+            let new = boosted_priority(old);
             if new > old {
                 core.table.set_priority(id, new)?;
                 core.tenancy_mut(t)?.priority = new;
@@ -601,7 +604,7 @@ impl V10Strategy {
                     at,
                 });
                 let old = core.tenancy(t)?.priority;
-                let new = self.controller.policy().boosted_priority(old);
+                let new = boosted_priority(old);
                 if new > old {
                     core.table.set_priority(id, new)?;
                     core.tenancy_mut(t)?.priority = new;
@@ -613,7 +616,7 @@ impl V10Strategy {
                     });
                 } else {
                     // The boost would silently no-op (the tenant is already
-                    // at the policy's priority cap). Keep it queued so it
+                    // at the priority cap). Keep it queued so it
                     // lands as soon as headroom opens instead of being
                     // dropped on the floor.
                     self.controller.queue_boost(w);

@@ -249,7 +249,7 @@ mod tests {
             &NpuConfig::table5(),
             &opts,
             &FaultPlan::none(),
-            OverloadController::armed(OverloadPolicy::default()),
+            OverloadController::armed(OverloadPolicy),
         )
         .unwrap();
         assert!(violations.is_empty(), "{violations:?}");

@@ -134,9 +134,7 @@ pub use overhead::{estimate_overhead, SchedulerOverhead, TABLE3_PUBLISHED};
 pub use overload::{
     DegradationRung, OverloadController, OverloadPolicy, OverloadPressure, OverloadStats,
 };
-pub use packed::{
-    pack_row, parse_table_image, snapshot_table, unpack_row, PackedRowFields, FIG11_TABLE_ROWS,
-};
+pub use packed::{pack_row, unpack_row, PackedRowFields, FIG11_TABLE_ROWS};
 pub use pmt::{run_pmt_observed, run_single_tenant};
 pub use policy::{Policy, Scheduler};
 pub use v10_sim::{FaultEvent, FaultInjector, FaultKind, FaultPlan, V10Error, V10Result};

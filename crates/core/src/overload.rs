@@ -36,8 +36,6 @@
 //! [`SimEvent::TenantStarved`]: crate::SimEvent::TenantStarved
 //! [`SimEvent::WatchdogBoost`]: crate::SimEvent::WatchdogBoost
 
-use v10_sim::{V10Error, V10Result};
-
 use crate::engine_core::EPS;
 
 /// One rung of the graceful-degradation ladder, mildest first.
@@ -95,346 +93,99 @@ pub struct OverloadPressure {
     pub worst_slowdown: f64,
 }
 
-/// Tuning knobs for the [`OverloadController`]. The defaults suit the
-/// workspace's 700 MHz core: sensing every 1 M cycles (~1.4 ms), entering
-/// overload as soon as an arrival queues or a request runs 8x past its
-/// ideal service time, and escalating one rung every two breached senses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverloadPolicy {
-    sense_interval_cycles: f64,
-    enter_queue_depth: usize,
-    enter_slowdown: f64,
-    clear_slowdown: f64,
-    escalate_ticks: u32,
-    clear_hold_ticks: u32,
-    demote_factor: f64,
-    min_priority: f64,
-    slice_shrink_factor: f64,
-    min_slice_cycles: f64,
-    quota_keep_fraction: f64,
-    shed_wait_cycles: f64,
-    watchdog_window_cycles: f64,
-    watchdog_arp_bound: f64,
-    watchdog_boost_factor: f64,
-    max_priority: f64,
+// The ladder's settings. They suit the workspace's 700 MHz core, and every
+// serving path runs with exactly these values (DESIGN.md §8 tabulates them).
+
+/// Sensing cadence: one pressure sample every 1 M cycles (~1.4 ms).
+const SENSE_INTERVAL_CYCLES: f64 = 1.0e6;
+/// Overload is entered as soon as one arrival waits in the admission queue.
+const ENTER_QUEUE_DEPTH: usize = 1;
+/// Overload is also entered as soon as an in-flight request runs 8x past
+/// its ideal service time.
+const ENTER_SLOWDOWN: f64 = 8.0;
+/// A sample is calm only with an empty queue and every slowdown below 4x.
+const CLEAR_SLOWDOWN: f64 = 4.0;
+/// Breached senses per escalation by one rung.
+const ESCALATE_TICKS: u32 = 2;
+/// Consecutive calm senses that stand the ladder down.
+const CLEAR_HOLD_TICKS: u32 = 3;
+/// Rung 1 multiplies the victim's priority by this.
+const DEMOTE_FACTOR: f64 = 0.5;
+/// Rung 1 never demotes a priority below this floor.
+const MIN_PRIORITY: f64 = 0.125;
+/// Rung 2 multiplies the preemption slice by this.
+const SLICE_SHRINK_FACTOR: f64 = 0.5;
+/// Rung 2 never shrinks the slice below this many cycles.
+const MIN_SLICE_CYCLES: f64 = 35_000.0;
+/// Rung 3 keeps this fraction of each tenant's remaining requests.
+const QUOTA_KEEP_FRACTION: f64 = 0.5;
+/// Rung 4 sheds queued arrivals that have waited longer than this, in
+/// cycles.
+pub(crate) const SHED_WAIT_CYCLES: f64 = 2.0e7;
+/// The watchdog flags a tenant whose `active_rate_p` stays below
+/// [`WATCHDOG_ARP_BOUND`] for this many cycles.
+const WATCHDOG_WINDOW_CYCLES: f64 = 8.0e6;
+/// The watchdog's `active_rate_p` starvation bound.
+const WATCHDOG_ARP_BOUND: f64 = 0.02;
+/// A watchdog boost multiplies the starved tenant's priority by this.
+const WATCHDOG_BOOST_FACTOR: f64 = 2.0;
+/// A watchdog boost never raises a priority above this cap.
+const MAX_PRIORITY: f64 = 16.0;
+
+/// The argument [`OverloadController::armed`] takes and ignores: the
+/// ladder's settings are constants (DESIGN.md §8). The type has no fields
+/// and stays only because the benchmark package spells
+/// `OverloadController::armed(OverloadPolicy::default())`; the `ServeSpec`
+/// change planned in ROADMAP.md, which rewrites those calls, deletes it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OverloadPolicy;
+
+/// Does this pressure sample breach the overload-entry condition?
+pub(crate) fn breaching(p: OverloadPressure) -> bool {
+    p.queue_depth >= ENTER_QUEUE_DEPTH || p.worst_slowdown >= ENTER_SLOWDOWN
 }
 
-impl Default for OverloadPolicy {
-    fn default() -> Self {
-        OverloadPolicy {
-            sense_interval_cycles: 1.0e6,
-            enter_queue_depth: 1,
-            enter_slowdown: 8.0,
-            clear_slowdown: 4.0,
-            escalate_ticks: 2,
-            clear_hold_ticks: 3,
-            demote_factor: 0.5,
-            min_priority: 0.125,
-            slice_shrink_factor: 0.5,
-            min_slice_cycles: 35_000.0,
-            quota_keep_fraction: 0.5,
-            shed_wait_cycles: 2.0e7,
-            watchdog_window_cycles: 8.0e6,
-            watchdog_arp_bound: 0.02,
-            watchdog_boost_factor: 2.0,
-            max_priority: 16.0,
-        }
-    }
+/// Does this pressure sample satisfy the (stricter) calm condition?
+fn calm(p: OverloadPressure) -> bool {
+    p.queue_depth == 0 && p.worst_slowdown < CLEAR_SLOWDOWN
 }
 
-fn positive_finite(context: &'static str, name: &str, v: f64) -> V10Result<()> {
-    if v.is_finite() && v > 0.0 {
-        Ok(())
-    } else {
-        Err(V10Error::invalid(
-            context,
-            format!("{name} must be positive and finite, got {v}"),
-        ))
-    }
+/// A demoted priority: scaled down, floored, and never above the input —
+/// the rung monotonically reduces a tenant's allocation.
+pub(crate) fn demoted_priority(priority: f64) -> f64 {
+    (priority * DEMOTE_FACTOR).max(MIN_PRIORITY).min(priority)
 }
 
-#[cfg(test)]
-fn fraction(context: &'static str, name: &str, v: f64) -> V10Result<()> {
-    if v.is_finite() && v > 0.0 && v < 1.0 {
-        Ok(())
-    } else {
-        Err(V10Error::invalid(
-            context,
-            format!("{name} must be in (0, 1), got {v}"),
-        ))
-    }
+/// A shrunk preemption slice: scaled down, floored, and never above the
+/// input.
+pub(crate) fn shrunk_slice(slice_cycles: f64) -> f64 {
+    (slice_cycles * SLICE_SHRINK_FACTOR)
+        .max(MIN_SLICE_CYCLES)
+        .min(slice_cycles)
 }
 
-impl OverloadPolicy {
-    /// The default policy (see the type-level docs for the values).
-    #[must_use]
-    pub fn new() -> Self {
-        OverloadPolicy::default()
+/// A trimmed request quota: keeps [`QUOTA_KEEP_FRACTION`] of the remaining
+/// requests (at least one), and never exceeds the input. A tenant at or
+/// past its quota is untouched.
+pub(crate) fn trimmed_quota(quota: usize, completed: usize) -> usize {
+    let remaining = quota.saturating_sub(completed);
+    if remaining <= 1 {
+        return quota;
     }
+    // Ceiling of remaining * keep_fraction without leaving integers: the
+    // fraction is in (0, 1) so the product is below `remaining` and the
+    // manual ceil stays exact for any practical quota.
+    let scaled = v10_sim::convert::usize_to_f64(remaining) * QUOTA_KEEP_FRACTION;
+    let keep = v10_sim::convert::f64_to_usize(scaled.ceil()).max(1);
+    (completed + keep).min(quota)
+}
 
-    /// Sets the sensing cadence in cycles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] unless `cycles` is positive
-    /// and finite.
-    pub fn with_sense_interval_cycles(mut self, cycles: f64) -> V10Result<Self> {
-        positive_finite(
-            "OverloadPolicy::with_sense_interval_cycles",
-            "interval",
-            cycles,
-        )?;
-        self.sense_interval_cycles = cycles;
-        Ok(self)
-    }
-
-    /// Sets the queue depth at which overload is entered.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `depth` is zero.
-    #[cfg(test)]
-    pub(crate) fn with_enter_queue_depth(mut self, depth: usize) -> V10Result<Self> {
-        if depth == 0 {
-            return Err(V10Error::invalid(
-                "OverloadPolicy::with_enter_queue_depth",
-                "entry depth of zero would latch overload permanently",
-            ));
-        }
-        self.enter_queue_depth = depth;
-        Ok(self)
-    }
-
-    /// Sets the in-flight slowdown thresholds: overload is entered at
-    /// `enter` and considered calm below `clear`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] unless
-    /// `1 <= clear <= enter` and both are finite.
-    #[cfg(test)]
-    pub(crate) fn with_slowdown_thresholds(mut self, enter: f64, clear: f64) -> V10Result<Self> {
-        let ctx = "OverloadPolicy::with_slowdown_thresholds";
-        positive_finite(ctx, "enter", enter)?;
-        positive_finite(ctx, "clear", clear)?;
-        if !(clear >= 1.0 && clear <= enter) {
-            return Err(V10Error::invalid(
-                ctx,
-                format!("need 1 <= clear <= enter, got clear {clear}, enter {enter}"),
-            ));
-        }
-        self.enter_slowdown = enter;
-        self.clear_slowdown = clear;
-        Ok(self)
-    }
-
-    /// Sets the hysteresis pacing: escalate one rung per `escalate_ticks`
-    /// breached senses; stand down after `clear_hold_ticks` calm senses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if either count is zero.
-    #[cfg(test)]
-    pub(crate) fn with_hysteresis(
-        mut self,
-        escalate_ticks: u32,
-        clear_hold_ticks: u32,
-    ) -> V10Result<Self> {
-        if escalate_ticks == 0 || clear_hold_ticks == 0 {
-            return Err(V10Error::invalid(
-                "OverloadPolicy::with_hysteresis",
-                "hysteresis tick counts must be positive",
-            ));
-        }
-        self.escalate_ticks = escalate_ticks;
-        self.clear_hold_ticks = clear_hold_ticks;
-        Ok(self)
-    }
-
-    /// Sets the priority-demotion rung: each application multiplies the
-    /// victim's priority by `factor`, never below `min_priority`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] unless `factor` is in (0, 1)
-    /// and `min_priority` is positive and finite.
-    #[cfg(test)]
-    pub(crate) fn with_demotion(mut self, factor: f64, min_priority: f64) -> V10Result<Self> {
-        let ctx = "OverloadPolicy::with_demotion";
-        fraction(ctx, "factor", factor)?;
-        positive_finite(ctx, "min_priority", min_priority)?;
-        self.demote_factor = factor;
-        self.min_priority = min_priority;
-        Ok(self)
-    }
-
-    /// Sets the slice-shrink rung: each application multiplies the
-    /// preemption slice by `factor`, never below `min_slice_cycles`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] unless `factor` is in (0, 1)
-    /// and `min_slice_cycles` is positive and finite.
-    #[cfg(test)]
-    pub(crate) fn with_slice_shrink(
-        mut self,
-        factor: f64,
-        min_slice_cycles: f64,
-    ) -> V10Result<Self> {
-        let ctx = "OverloadPolicy::with_slice_shrink";
-        fraction(ctx, "factor", factor)?;
-        positive_finite(ctx, "min_slice_cycles", min_slice_cycles)?;
-        self.slice_shrink_factor = factor;
-        self.min_slice_cycles = min_slice_cycles;
-        Ok(self)
-    }
-
-    /// Sets the quota-trim rung: each application keeps `keep_fraction` of
-    /// a tenant's remaining requests (always at least one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] unless `keep_fraction` is in
-    /// (0, 1).
-    #[cfg(test)]
-    pub(crate) fn with_quota_keep_fraction(mut self, keep_fraction: f64) -> V10Result<Self> {
-        fraction(
-            "OverloadPolicy::with_quota_keep_fraction",
-            "keep_fraction",
-            keep_fraction,
-        )?;
-        self.quota_keep_fraction = keep_fraction;
-        Ok(self)
-    }
-
-    /// Sets the shed rung's deadline: queued arrivals that have waited more
-    /// than `cycles` are dropped while the ladder sits on its final rung.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] unless `cycles` is positive
-    /// and finite.
-    #[cfg(test)]
-    pub(crate) fn with_shed_wait_cycles(mut self, cycles: f64) -> V10Result<Self> {
-        positive_finite("OverloadPolicy::with_shed_wait_cycles", "deadline", cycles)?;
-        self.shed_wait_cycles = cycles;
-        Ok(self)
-    }
-
-    /// Sets the starvation watchdog: a tenant whose `active_rate_p` stays
-    /// below `arp_bound` for `window_cycles` has its priority multiplied by
-    /// `boost_factor`, capped at `max_priority`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] unless `window_cycles`,
-    /// `arp_bound`, and `max_priority` are positive and finite and
-    /// `boost_factor` exceeds 1.
-    pub fn with_watchdog(
-        mut self,
-        window_cycles: f64,
-        arp_bound: f64,
-        boost_factor: f64,
-        max_priority: f64,
-    ) -> V10Result<Self> {
-        let ctx = "OverloadPolicy::with_watchdog";
-        positive_finite(ctx, "window_cycles", window_cycles)?;
-        positive_finite(ctx, "arp_bound", arp_bound)?;
-        positive_finite(ctx, "max_priority", max_priority)?;
-        if !(boost_factor.is_finite() && boost_factor > 1.0) {
-            return Err(V10Error::invalid(
-                ctx,
-                format!("boost_factor must exceed 1, got {boost_factor}"),
-            ));
-        }
-        self.watchdog_window_cycles = window_cycles;
-        self.watchdog_arp_bound = arp_bound;
-        self.watchdog_boost_factor = boost_factor;
-        self.max_priority = max_priority;
-        Ok(self)
-    }
-
-    /// The sensing cadence in cycles.
-    #[must_use]
-    pub fn sense_interval_cycles(&self) -> f64 {
-        self.sense_interval_cycles
-    }
-
-    /// The shed rung's waiting-time deadline in cycles.
-    #[must_use]
-    pub fn shed_wait_cycles(&self) -> f64 {
-        self.shed_wait_cycles
-    }
-
-    /// The watchdog's `active_rate_p` starvation bound.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn watchdog_arp_bound(&self) -> f64 {
-        self.watchdog_arp_bound
-    }
-
-    /// The watchdog's observation window in cycles.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn watchdog_window_cycles(&self) -> f64 {
-        self.watchdog_window_cycles
-    }
-
-    /// Does this pressure sample breach the overload-entry condition?
-    #[must_use]
-    pub fn breaching(&self, p: OverloadPressure) -> bool {
-        p.queue_depth >= self.enter_queue_depth || p.worst_slowdown >= self.enter_slowdown
-    }
-
-    /// Does this pressure sample satisfy the (stricter) calm condition?
-    #[must_use]
-    pub fn calm(&self, p: OverloadPressure) -> bool {
-        p.queue_depth == 0 && p.worst_slowdown < self.clear_slowdown
-    }
-
-    /// A demoted priority: scaled down, floored, and never above the input
-    /// — the rung monotonically reduces a tenant's allocation.
-    #[must_use]
-    pub fn demoted_priority(&self, priority: f64) -> f64 {
-        (priority * self.demote_factor)
-            .max(self.min_priority)
-            .min(priority)
-    }
-
-    /// A shrunk preemption slice: scaled down, floored, and never above the
-    /// input.
-    #[must_use]
-    pub fn shrunk_slice(&self, slice_cycles: f64) -> f64 {
-        (slice_cycles * self.slice_shrink_factor)
-            .max(self.min_slice_cycles)
-            .min(slice_cycles)
-    }
-
-    /// A trimmed request quota: keeps `quota_keep_fraction` of the
-    /// remaining requests (at least one), and never exceeds the input. A
-    /// tenant at or past its quota is untouched.
-    #[must_use]
-    pub fn trimmed_quota(&self, quota: usize, completed: usize) -> usize {
-        let remaining = quota.saturating_sub(completed);
-        if remaining <= 1 {
-            return quota;
-        }
-        // Ceiling of remaining * keep_fraction without leaving integers:
-        // keep_fraction is in (0, 1) so the product is below `remaining`
-        // and the manual ceil stays exact for any practical quota.
-        let scaled = v10_sim::convert::usize_to_f64(remaining) * self.quota_keep_fraction;
-        let keep = v10_sim::convert::f64_to_usize(scaled.ceil()).max(1);
-        (completed + keep).min(quota)
-    }
-
-    /// A watchdog-boosted priority: scaled up and capped, never below the
-    /// input.
-    #[must_use]
-    pub fn boosted_priority(&self, priority: f64) -> f64 {
-        (priority * self.watchdog_boost_factor)
-            .min(self.max_priority)
-            .max(priority)
-    }
+/// A watchdog-boosted priority: scaled up and capped, never below the
+/// input.
+pub(crate) fn boosted_priority(priority: f64) -> f64 {
+    (priority * WATCHDOG_BOOST_FACTOR)
+        .min(MAX_PRIORITY)
+        .max(priority)
 }
 
 /// What the hysteresis state machine decided on one pressure sample.
@@ -515,7 +266,7 @@ impl OverloadStats {
     }
 
     /// Starvation detections whose boost could not raise the tenant's
-    /// priority immediately (already at the policy cap) and were re-queued
+    /// priority immediately (already at the priority cap) and were re-queued
     /// for retry instead of being dropped.
     #[must_use]
     pub fn boost_requeues(&self) -> u64 {
@@ -543,7 +294,6 @@ impl OverloadStats {
 /// the serving path bit-identical) or [`OverloadController::armed`].
 #[derive(Debug, Clone)]
 pub struct OverloadController {
-    policy: OverloadPolicy,
     armed: bool,
     next_sense_at: f64,
     overloaded: bool,
@@ -568,7 +318,6 @@ impl OverloadController {
     #[must_use]
     pub fn disarmed() -> Self {
         OverloadController {
-            policy: OverloadPolicy::default(),
             armed: false,
             next_sense_at: f64::INFINITY,
             overloaded: false,
@@ -582,15 +331,13 @@ impl OverloadController {
         }
     }
 
-    /// An armed controller enforcing `policy`, first sensing one interval
-    /// into the run.
+    /// An armed controller, first sensing one interval into the run. The
+    /// argument carries nothing (see [`OverloadPolicy`]).
     #[must_use]
-    pub fn armed(policy: OverloadPolicy) -> Self {
-        let next_sense_at = policy.sense_interval_cycles();
+    pub fn armed(_policy: OverloadPolicy) -> Self {
         OverloadController {
-            policy,
             armed: true,
-            next_sense_at,
+            next_sense_at: SENSE_INTERVAL_CYCLES,
             overloaded: false,
             rung: 0,
             breach_ticks: 0,
@@ -620,12 +367,6 @@ impl OverloadController {
         self.rung
     }
 
-    /// The enforced policy.
-    #[must_use]
-    pub fn policy(&self) -> &OverloadPolicy {
-        &self.policy
-    }
-
     /// The run's accumulated action counters.
     #[must_use]
     pub fn stats(&self) -> OverloadStats {
@@ -650,7 +391,7 @@ impl OverloadController {
     /// Advances the sensing cadence past `now`.
     pub(crate) fn advance_sense(&mut self, now: f64) {
         while self.next_sense_at <= now + EPS {
-            self.next_sense_at += self.policy.sense_interval_cycles;
+            self.next_sense_at += SENSE_INTERVAL_CYCLES;
         }
     }
 
@@ -658,7 +399,7 @@ impl OverloadController {
     /// The rung is monotone non-decreasing between `Enter` and `Clear`.
     pub(crate) fn observe(&mut self, pressure: OverloadPressure, now: f64) -> LadderStep {
         if !self.overloaded {
-            if self.policy.breaching(pressure) {
+            if breaching(pressure) {
                 self.overloaded = true;
                 self.rung = 1;
                 self.breach_ticks = 0;
@@ -669,9 +410,9 @@ impl OverloadController {
             }
             return LadderStep::Hold;
         }
-        if self.policy.calm(pressure) {
+        if calm(pressure) {
             self.calm_ticks += 1;
-            if self.calm_ticks >= self.policy.clear_hold_ticks {
+            if self.calm_ticks >= CLEAR_HOLD_TICKS {
                 self.overloaded = false;
                 self.rung = 0;
                 self.calm_ticks = 0;
@@ -683,9 +424,9 @@ impl OverloadController {
             return LadderStep::Hold;
         }
         self.calm_ticks = 0;
-        if self.policy.breaching(pressure) && self.rung < DegradationRung::ALL.len() {
+        if breaching(pressure) && self.rung < DegradationRung::ALL.len() {
             self.breach_ticks += 1;
-            if self.breach_ticks >= self.policy.escalate_ticks {
+            if self.breach_ticks >= ESCALATE_TICKS {
                 self.rung += 1;
                 self.breach_ticks = 0;
                 return LadderStep::Escalate;
@@ -699,7 +440,7 @@ impl OverloadController {
     /// resets the window so a boosted tenant gets time to recover).
     pub(crate) fn watchdog_starved(&mut self, w: usize, active_rate_p: f64, now: f64) -> bool {
         let pos = self.starve_since.binary_search_by_key(&w, |&(t, _)| t);
-        if active_rate_p >= self.policy.watchdog_arp_bound {
+        if active_rate_p >= WATCHDOG_ARP_BOUND {
             if let Ok(i) = pos {
                 self.starve_since.remove(i);
             }
@@ -712,7 +453,7 @@ impl OverloadController {
         let Some((_, since)) = self.starve_since.get_mut(i) else {
             return false;
         };
-        if now - *since >= self.policy.watchdog_window_cycles {
+        if now - *since >= WATCHDOG_WINDOW_CYCLES {
             *since = now;
             return true;
         }
@@ -768,54 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_builders_validate() {
-        assert!(OverloadPolicy::new()
-            .with_sense_interval_cycles(0.0)
-            .is_err());
-        assert!(OverloadPolicy::new().with_enter_queue_depth(0).is_err());
-        assert!(OverloadPolicy::new()
-            .with_slowdown_thresholds(2.0, 4.0)
-            .is_err());
-        assert!(OverloadPolicy::new()
-            .with_slowdown_thresholds(4.0, 0.5)
-            .is_err());
-        assert!(OverloadPolicy::new().with_hysteresis(0, 1).is_err());
-        assert!(OverloadPolicy::new().with_demotion(1.5, 0.1).is_err());
-        assert!(OverloadPolicy::new().with_demotion(0.5, f64::NAN).is_err());
-        assert!(OverloadPolicy::new().with_slice_shrink(0.0, 1.0).is_err());
-        assert!(OverloadPolicy::new().with_quota_keep_fraction(1.0).is_err());
-        assert!(OverloadPolicy::new()
-            .with_shed_wait_cycles(f64::INFINITY)
-            .is_err());
-        assert!(OverloadPolicy::new()
-            .with_watchdog(1.0, 1.0, 0.5, 1.0)
-            .is_err());
-        let ok = OverloadPolicy::new()
-            .with_sense_interval_cycles(5.0e5)
-            .unwrap()
-            .with_enter_queue_depth(2)
-            .unwrap()
-            .with_slowdown_thresholds(10.0, 5.0)
-            .unwrap()
-            .with_hysteresis(1, 2)
-            .unwrap()
-            .with_demotion(0.25, 0.5)
-            .unwrap()
-            .with_slice_shrink(0.5, 10_000.0)
-            .unwrap()
-            .with_quota_keep_fraction(0.75)
-            .unwrap()
-            .with_shed_wait_cycles(1.0e7)
-            .unwrap()
-            .with_watchdog(4.0e6, 0.01, 4.0, 32.0)
-            .unwrap();
-        assert_eq!(ok.sense_interval_cycles(), 5.0e5);
-        assert_eq!(ok.shed_wait_cycles(), 1.0e7);
-        assert_eq!(ok.watchdog_arp_bound(), 0.01);
-        assert_eq!(ok.watchdog_window_cycles(), 4.0e6);
-    }
-
-    #[test]
     fn disarmed_controller_exposes_no_horizon() {
         let c = OverloadController::disarmed();
         assert!(!c.is_armed());
@@ -826,8 +519,7 @@ mod tests {
 
     #[test]
     fn hysteresis_enters_escalates_and_clears() {
-        let policy = OverloadPolicy::new().with_hysteresis(2, 2).unwrap();
-        let mut c = OverloadController::armed(policy);
+        let mut c = OverloadController::armed(OverloadPolicy);
         assert_eq!(c.observe(sample(0, 1.0), 1.0e6), LadderStep::Hold);
         assert!(!c.is_overloaded());
         assert_eq!(c.observe(sample(3, 1.0), 2.0e6), LadderStep::Enter);
@@ -836,32 +528,42 @@ mod tests {
         assert_eq!(c.observe(sample(3, 1.0), 3.0e6), LadderStep::Hold);
         assert_eq!(c.observe(sample(3, 1.0), 4.0e6), LadderStep::Escalate);
         assert_eq!(c.rung(), 2);
-        // A calm tick resets neither the rung nor the episode...
+        // Calm ticks reset neither the rung nor the episode, and a breach
+        // before the third restarts the count...
         assert_eq!(c.observe(sample(0, 1.0), 5.0e6), LadderStep::Hold);
+        assert_eq!(c.observe(sample(0, 1.0), 6.0e6), LadderStep::Hold);
         assert_eq!(c.rung(), 2);
-        // ...until the hold requirement is met.
-        assert_eq!(c.observe(sample(0, 1.0), 6.0e6), LadderStep::Clear);
+        assert_eq!(c.observe(sample(1, 1.0), 7.0e6), LadderStep::Hold);
+        assert_eq!(c.rung(), 2);
+        // ...so only three calm ticks in a row stand the ladder down.
+        assert_eq!(c.observe(sample(0, 1.0), 8.0e6), LadderStep::Hold);
+        assert_eq!(c.observe(sample(0, 1.0), 9.0e6), LadderStep::Hold);
+        assert_eq!(c.observe(sample(0, 1.0), 10.0e6), LadderStep::Clear);
         assert!(!c.is_overloaded());
         assert_eq!(c.rung(), 0);
         assert_eq!(c.stats().overload_entries(), 1);
         assert_eq!(c.stats().overload_clears(), 1);
-        assert_eq!(c.stats().overload_cycles(), 4.0e6);
+        assert_eq!(c.stats().overload_cycles(), 8.0e6);
     }
 
     #[test]
     fn ladder_saturates_at_the_final_rung() {
-        let policy = OverloadPolicy::new().with_hysteresis(1, 1).unwrap();
-        let mut c = OverloadController::armed(policy);
+        let mut c = OverloadController::armed(OverloadPolicy);
         assert_eq!(c.observe(sample(9, 99.0), 1.0), LadderStep::Enter);
-        for _ in 0..10 {
+        // Two breached ticks per rung: six climb from rung 1 to rung 4.
+        for _ in 0..6 {
             c.observe(sample(9, 99.0), 2.0);
+        }
+        assert_eq!(c.rung(), DegradationRung::ALL.len());
+        for _ in 0..10 {
+            assert_eq!(c.observe(sample(9, 99.0), 3.0), LadderStep::Hold);
         }
         assert_eq!(c.rung(), DegradationRung::ALL.len());
     }
 
     #[test]
     fn sense_cadence_advances_past_now() {
-        let mut c = OverloadController::armed(OverloadPolicy::default());
+        let mut c = OverloadController::armed(OverloadPolicy);
         assert_eq!(c.next_at(), Some(1.0e6));
         assert!(c.due(1.0e6));
         assert!(!c.due(0.5e6));
@@ -871,41 +573,38 @@ mod tests {
 
     #[test]
     fn watchdog_fires_after_a_full_window_and_resets() {
-        let policy = OverloadPolicy::new()
-            .with_watchdog(1.0e6, 0.1, 2.0, 8.0)
-            .unwrap();
-        let mut c = OverloadController::armed(policy);
+        // An 8e6-cycle window below an `active_rate_p` of 0.02.
+        let mut c = OverloadController::armed(OverloadPolicy);
         assert!(!c.watchdog_starved(0, 0.01, 0.0));
-        assert!(!c.watchdog_starved(0, 0.01, 0.5e6));
-        assert!(c.watchdog_starved(0, 0.01, 1.0e6));
+        assert!(!c.watchdog_starved(0, 0.01, 4.0e6));
+        assert!(c.watchdog_starved(0, 0.01, 8.0e6));
         // The window restarts after a firing.
-        assert!(!c.watchdog_starved(0, 0.01, 1.5e6));
-        assert!(c.watchdog_starved(0, 0.01, 2.0e6));
-        // Recovery clears the tracking entirely.
-        assert!(!c.watchdog_starved(0, 0.5, 2.5e6));
-        assert!(!c.watchdog_starved(0, 0.01, 3.0e6));
-        assert!(!c.watchdog_starved(0, 0.01, 3.5e6));
-        assert!(c.watchdog_starved(0, 0.01, 4.0e6));
+        assert!(!c.watchdog_starved(0, 0.01, 12.0e6));
+        assert!(c.watchdog_starved(0, 0.01, 16.0e6));
+        // Recovery to the bound clears the tracking entirely.
+        assert!(!c.watchdog_starved(0, 0.02, 20.0e6));
+        assert!(!c.watchdog_starved(0, 0.01, 24.0e6));
+        assert!(!c.watchdog_starved(0, 0.01, 28.0e6));
+        assert!(c.watchdog_starved(0, 0.01, 32.0e6));
         c.watchdog_retain(|_| false);
-        assert!(!c.watchdog_starved(1, 0.5, 4.0e6));
+        assert!(!c.watchdog_starved(1, 0.5, 32.0e6));
     }
 
     #[test]
     fn degradation_helpers_respect_floors_and_caps() {
-        let p = OverloadPolicy::default();
-        assert_eq!(p.demoted_priority(1.0), 0.5);
-        assert_eq!(p.demoted_priority(0.125), 0.125);
-        assert_eq!(p.demoted_priority(0.01), 0.01, "never raised to the floor");
-        assert_eq!(p.shrunk_slice(140_000.0), 70_000.0);
-        assert_eq!(p.shrunk_slice(35_000.0), 35_000.0);
-        assert_eq!(p.shrunk_slice(1_000.0), 1_000.0);
-        assert_eq!(p.trimmed_quota(10, 2), 2 + 4);
-        assert_eq!(p.trimmed_quota(3, 2), 3, "one remaining request is kept");
-        assert_eq!(p.trimmed_quota(5, 5), 5);
-        assert_eq!(p.trimmed_quota(5, 9), 5, "over-quota tenants untouched");
-        assert_eq!(p.boosted_priority(1.0), 2.0);
-        assert_eq!(p.boosted_priority(12.0), 16.0);
-        assert_eq!(p.boosted_priority(100.0), 100.0, "never cut by the cap");
+        assert_eq!(demoted_priority(1.0), 0.5);
+        assert_eq!(demoted_priority(0.125), 0.125);
+        assert_eq!(demoted_priority(0.01), 0.01, "never raised to the floor");
+        assert_eq!(shrunk_slice(140_000.0), 70_000.0);
+        assert_eq!(shrunk_slice(35_000.0), 35_000.0);
+        assert_eq!(shrunk_slice(1_000.0), 1_000.0);
+        assert_eq!(trimmed_quota(10, 2), 2 + 4);
+        assert_eq!(trimmed_quota(3, 2), 3, "one remaining request is kept");
+        assert_eq!(trimmed_quota(5, 5), 5);
+        assert_eq!(trimmed_quota(5, 9), 5, "over-quota tenants untouched");
+        assert_eq!(boosted_priority(1.0), 2.0);
+        assert_eq!(boosted_priority(12.0), 16.0);
+        assert_eq!(boosted_priority(100.0), 100.0, "never cut by the cap");
     }
 }
 
@@ -922,16 +621,7 @@ mod seeded_tests {
     fn ladder_is_monotone_under_random_pressure() {
         let mut rng = SimRng::seed_from(0x0DE6);
         for case in 0..64 {
-            let policy = OverloadPolicy::new()
-                .with_hysteresis(1 + rng.index(3) as u32, 1 + rng.index(3) as u32)
-                .unwrap()
-                .with_demotion(rng.uniform(0.1, 0.9), rng.uniform(0.01, 0.5))
-                .unwrap()
-                .with_slice_shrink(rng.uniform(0.1, 0.9), rng.uniform(1.0e3, 5.0e4))
-                .unwrap()
-                .with_quota_keep_fraction(rng.uniform(0.1, 0.9))
-                .unwrap();
-            let mut c = OverloadController::armed(policy);
+            let mut c = OverloadController::armed(OverloadPolicy);
             let mut now = 0.0;
             let mut last_rung = 0usize;
             for _ in 0..256 {
@@ -969,21 +659,21 @@ mod seeded_tests {
 
                 // Rung helpers only ever reduce the allocation they govern.
                 let priority = rng.uniform(0.01, 20.0);
-                assert!(c.policy().demoted_priority(priority) <= priority);
-                assert!(c.policy().demoted_priority(priority) > 0.0);
+                assert!(demoted_priority(priority) <= priority);
+                assert!(demoted_priority(priority) > 0.0);
                 let slice = rng.uniform(1.0e3, 1.0e6);
-                assert!(c.policy().shrunk_slice(slice) <= slice);
-                assert!(c.policy().shrunk_slice(slice) > 0.0);
+                assert!(shrunk_slice(slice) <= slice);
+                assert!(shrunk_slice(slice) > 0.0);
                 let quota = 1 + rng.index(32);
                 let completed = rng.index(40);
-                let trimmed = c.policy().trimmed_quota(quota, completed);
+                let trimmed = trimmed_quota(quota, completed);
                 assert!(trimmed <= quota, "case {case}: quota grew");
                 assert!(
                     trimmed >= quota.min(completed + 1),
                     "case {case}: trimmed below the in-flight request"
                 );
                 // Trimming is idempotent-safe: re-trimming never increases.
-                assert!(c.policy().trimmed_quota(trimmed, completed) <= trimmed);
+                assert!(trimmed_quota(trimmed, completed) <= trimmed);
             }
         }
     }

@@ -115,6 +115,7 @@ fn low_u8(v: u64) -> u8 {
 /// The image length matches [`ContextTable::storage_bytes`] within the
 /// per-row byte rounding.
 #[must_use]
+// v10-lint: allow(S1) the Fig. 11 on-chip image of a live table, which grounds Table 3's storage numbers in an encoding; pinned by its parse-back test
 pub fn snapshot_table(table: &ContextTable, pool: &FuPool, now: Cycles) -> Vec<u8> {
     let mut image = Vec::new();
     for id in table.ids() {
@@ -139,6 +140,7 @@ pub fn snapshot_table(table: &ContextTable, pool: &FuPool, now: Cycles) -> Vec<u
 ///
 /// Panics if `image` is not a whole number of rows for this FU count.
 #[must_use]
+// v10-lint: allow(S1) reads back the Fig. 11 image that `snapshot_table` writes; pinned by the parse-back and truncated-image tests
 pub fn parse_table_image(image: &[u8], num_fus: usize, workloads: usize) -> Vec<PackedRowFields> {
     let row_bits = 32 + 1 + 1 + fu_id_bits(num_fus) + 64 + 64 + 7;
     let row_bytes = usize_from_u64(row_bits.div_ceil(8));

@@ -204,7 +204,7 @@ fn four_slot_opts() -> RunOptions {
 }
 
 fn armed() -> OverloadController {
-    OverloadController::armed(OverloadPolicy::default())
+    OverloadController::armed(OverloadPolicy)
 }
 
 fn completed(report: &RunReport) -> usize {

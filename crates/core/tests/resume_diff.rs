@@ -210,7 +210,7 @@ fn controller(design: Design) -> OverloadController {
     if design == Design::Pmt {
         OverloadController::disarmed()
     } else {
-        OverloadController::armed(OverloadPolicy::default())
+        OverloadController::armed(OverloadPolicy)
     }
 }
 

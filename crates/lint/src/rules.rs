@@ -920,9 +920,11 @@ pub fn e1_findings(observer_rel: &str, observer_src: &str, audit_src: &str) -> V
 /// S1 — dead public surface. A `pub fn` or `pub const` in a file whose
 /// [`Scope::s1`] is set (the sim-path crates' `src/` trees) is dead when
 /// its name appears as an identifier, outside comments, only at `fn`/`const`
-/// definition sites, as a field (a `.name` read not followed by `(` or
-/// `::`, or a `name:` declaration or initialiser), and inside its own
-/// crate's `#[cfg(test)]`/`#[test]` code. `corpus` is every file that
+/// definition sites, inside `use` declarations (an import or re-export
+/// names an item without using it; only a renamed import, `name as alias`,
+/// counts, since the alias is what callers then use), as a field (a `.name`
+/// read not followed by `(` or `::`, or a `name:` declaration or
+/// initialiser), and inside its own crate's `#[cfg(test)]`/`#[test]` code. `corpus` is every file that
 /// could name it, as `(repo-relative path, source)` pairs
 /// ([`crate::workspace::corpus`]). The match is by name alone, so any
 /// other same-named use anywhere keeps an item alive: S1 can miss a dead
@@ -949,15 +951,26 @@ pub fn s1_findings(corpus: &[(String, String)]) -> Vec<Finding> {
             .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
             .collect();
         let text = |i: usize| code.get(i).map_or("", |t| t.text.as_str());
+        // Between a `use` and its `;`.
+        let mut in_use = false;
         for (i, t) in code.iter().enumerate() {
+            if t.kind == TokKind::Punct && t.text == ";" {
+                in_use = false;
+            }
             if t.kind != TokKind::Ident {
                 continue;
             }
             let prev = if i == 0 { "" } else { text(i - 1) };
             let (next, after) = (text(i + 1), text(i + 2));
+            // `use<..>` is a precise-capturing bound, not a declaration.
+            if t.text == "use" && next != "<" {
+                in_use = true;
+                continue;
+            }
             let field_read = prev == "." && next != "(" && !(next == ":" && after == ":");
             let field_decl = next == ":" && after != ":";
-            if prev == "fn" || prev == "const" || field_read || field_decl {
+            let imported = in_use && next != "as";
+            if prev == "fn" || prev == "const" || field_read || field_decl || imported {
                 continue;
             }
             match krate.filter(|_| test_lines.contains(&t.line)) {

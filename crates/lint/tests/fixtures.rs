@@ -213,7 +213,8 @@ fn s1_fixture_fires_and_respects_scope() {
     let src = fixture("s1_dead_pub.rs");
     let caller = "fn f() -> u32 {\n    v10_sim::fixture_used_elsewhere()\n}\n\n\
                   fn g() -> v10_sim::FixtureTally {\n    \
-                  v10_sim::FixtureTally { fixture_count: 3 }\n}\n"
+                  v10_sim::FixtureTally { fixture_count: 3 }\n}\n\n\
+                  fn h() -> u32 {\n    v10_sim::fixture_alias()\n}\n"
         .to_string();
     let corpus_at = |rel: &str| {
         vec![
@@ -226,26 +227,30 @@ fn s1_fixture_fires_and_respects_scope() {
     let extras = v10_lint::rules::s1_findings(&corpus_at(rel));
     assert_eq!(
         extras.len(),
-        3,
-        "test-only, field-named and kept: {extras:#?}"
+        4,
+        "test-only, field-named, re-exported and kept: {extras:#?}"
     );
     let scope = v10_lint::workspace::scope_for(rel).expect("sim library file");
     let findings = v10_lint::rules::scan_source_with(rel, &src, scope, &extras);
-    assert_eq!(findings.len(), 2, "{findings:#?}");
+    assert_eq!(findings.len(), 3, "{findings:#?}");
     assert!(
         findings.iter().all(|f| f.rule == RuleId::S1),
         "{findings:#?}"
     );
     let f = &findings[0];
-    assert_eq!((f.line, f.col), (6, 5), "{f:?}");
+    assert_eq!((f.line, f.col), (7, 5), "{f:?}");
     assert!(f.message.contains("fixture_test_only"), "{f:?}");
     let f = &findings[1];
-    assert_eq!((f.line, f.col), (32, 9), "{f:?}");
+    assert_eq!((f.line, f.col), (33, 9), "{f:?}");
     assert!(f.message.contains("`fixture_count`"), "{f:?}");
+    let f = &findings[2];
+    assert_eq!((f.line, f.col), (42, 9), "{f:?}");
+    assert!(f.message.contains("`fixture_reexported`"), "{f:?}");
 
-    // Without its caller, the used function is dead too.
+    // Without its caller, the used function is dead too; the renamed one
+    // stays live, since its `as` import names it.
     let alone = v10_lint::rules::s1_findings(&corpus_at(rel)[..1]);
-    assert_eq!(alone.len(), 4, "{alone:#?}");
+    assert_eq!(alone.len(), 5, "{alone:#?}");
 
     // Outside the sim crates' library trees S1 checks nothing.
     let off = v10_lint::rules::s1_findings(&corpus_at("crates/bench/src/s1_dead_pub.rs"));

@@ -1,5 +1,6 @@
-//! Fixture: seeds exactly two S1 violations (lines 6 and 32) when scanned
-//! as a sim crate's library file next to a caller of its live items.
+//! Fixture: seeds exactly three S1 violations (lines 7, 33 and 42) when
+//! scanned as a sim crate's library file next to a caller of its live
+//! items.
 
 /// Named by nothing but this file's own test module: dead public surface.
 #[must_use]
@@ -33,6 +34,23 @@ impl FixtureTally {
         self.fixture_count
     }
 }
+
+mod reexports {
+    /// Named elsewhere only by the `pub use` below: a re-export is not a
+    /// use, so it is dead too.
+    #[must_use]
+    pub fn fixture_reexported() -> u32 {
+        5
+    }
+
+    /// Re-exported under an alias that a caller uses, so it is live.
+    #[must_use]
+    pub fn fixture_renamed() -> u32 {
+        6
+    }
+}
+
+pub use reexports::{fixture_reexported, fixture_renamed as fixture_alias};
 
 #[cfg(test)]
 mod tests {

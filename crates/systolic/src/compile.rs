@@ -86,6 +86,7 @@ impl From<VmemError> for CoreError {
 ///
 /// Panics if `n` is zero or exceeds a register tile, or `m` is zero.
 #[must_use]
+// v10-lint: allow(S1) the compiler half of the §2.1 functional core: its doc example and unit tests compile with it the programs `FunctionalCore::execute` runs
 pub fn compile_matmul(m: usize, n: usize, a_addr: u32, w_addr: u32, c_addr: u32) -> Vec<Inst> {
     assert!(
         n > 0 && n <= TILE_WORDS,
@@ -125,7 +126,8 @@ pub fn compile_matmul(m: usize, n: usize, a_addr: u32, w_addr: u32, c_addr: u32)
 /// # Example
 ///
 /// ```
-/// use v10_systolic::{compile_matmul, FunctionalCore, Matrix, VectorMemory};
+/// use v10_systolic::compile::compile_matmul;
+/// use v10_systolic::{FunctionalCore, Matrix, VectorMemory};
 /// use v10_systolic::vmem::TILE_WORDS;
 ///
 /// let n = 4;

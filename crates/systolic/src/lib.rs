@@ -46,7 +46,7 @@ pub mod vector_unit;
 pub mod vmem;
 
 pub use array::{SaContext, SaError, SaExecutor};
-pub use compile::{compile_matmul, CoreError, FunctionalCore};
+pub use compile::{CoreError, FunctionalCore};
 pub use fifo::Fifo;
 pub use matrix::Matrix;
 pub use vector_unit::{VectorUnit, VuContext, VuError};

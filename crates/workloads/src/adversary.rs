@@ -52,8 +52,9 @@ use crate::model::Model;
 /// keep a full profile sweep inside a smoke-test budget.
 const MIX: [Model; 3] = [Model::Mnist, Model::Dlrm, Model::Ncf];
 
-/// The default overload-policy sensing interval the adversarial cases time
-/// themselves against (`OverloadPolicy::default` senses every 1e6 cycles).
+/// The overload controller's sensing interval, which the adversarial cases
+/// time themselves against (v10-core's armed controller senses every 1e6
+/// cycles; this crate sits below v10-core, so it keeps its own copy).
 const SENSE_INTERVAL_CYCLES: f64 = 1.0e6;
 
 /// The Table-5 preemption slice the cliff case straddles.
@@ -561,7 +562,7 @@ fn clip_to_horizon(
     (kept_a, kept_p)
 }
 
-/// Bursts of three tenants phase-locked to the default sensing cadence:
+/// Bursts of three tenants phase-locked to the controller's sensing cadence:
 /// each burst lands just *after* a sense point, so queue depth peaks and
 /// drains between observations — the worst case for hysteresis.
 fn hysteresis_beat_arrivals(n: usize, seed: u64) -> V10Result<(Vec<TimedArrival>, Vec<f64>)> {

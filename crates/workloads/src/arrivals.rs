@@ -3,10 +3,12 @@
 //! The paper's evaluation replays fixed workload sets; a serving NPU
 //! instead sees an *open-loop* stream: tenants arrive over time (Poisson
 //! inter-arrivals at some offered load), submit a bounded request stream
-//! with think time between requests, and depart. [`OpenLoopProcess`]
-//! samples such a stream deterministically from a seed — the same process
+//! with think time between requests, and depart. [`MmppProcess`] samples
+//! such a stream deterministically from a seed — the same process
 //! description always compiles to the same [`TimedArrival`] list, so
-//! serving experiments replay bit-for-bit.
+//! serving experiments replay bit-for-bit. Its rate may be modulated (a
+//! flash crowd, a diurnal cycle); with one state it is plain Poisson,
+//! which [`OpenLoopProcess`] names.
 //!
 //! This crate knows nothing about executors; callers turn each
 //! [`TimedArrival`] into an admission for the serving engine (label +
@@ -35,7 +37,7 @@ pub struct TimedArrival {
 
 impl TimedArrival {
     /// A hand-built arrival (most arrivals come from
-    /// [`OpenLoopProcess::sample`]; this is for scripted scenarios like the
+    /// [`MmppProcess::sample`]; this is for scripted scenarios like the
     /// admission-control example).
     ///
     /// # Errors
@@ -102,180 +104,6 @@ impl TimedArrival {
     }
 }
 
-/// A deterministic open-loop arrival process over a set of models.
-///
-/// Arrivals are Poisson (exponential inter-arrival times with the
-/// configured mean); each arrival picks a model uniformly at random,
-/// synthesizes its calibrated trace with a per-arrival seed, and submits a
-/// fixed number of requests separated by an exponentially distributed
-/// think gap sampled once per session.
-///
-/// # Example
-///
-/// ```
-/// use v10_workloads::{Model, OpenLoopProcess};
-///
-/// let process = OpenLoopProcess::new(&[Model::Bert, Model::Ncf], 2.0e6, 7)
-///     .expect("positive rate");
-/// let a = process.sample(10).expect("non-empty sample");
-/// let b = process.sample(10).expect("non-empty sample");
-/// assert_eq!(a, b, "same seed, same stream");
-/// assert!(a.windows(2).all(|w| w[0].at_cycles() <= w[1].at_cycles()));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpenLoopProcess {
-    models: Vec<Model>,
-    mean_interarrival_cycles: f64,
-    mean_think_cycles: f64,
-    requests_per_session: usize,
-    seed: u64,
-}
-
-impl OpenLoopProcess {
-    /// A process over `models` with the given mean inter-arrival time in
-    /// cycles (the offered load is its reciprocal) and RNG seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `models` is empty or
-    /// `mean_interarrival_cycles` is not finite and positive (a zero mean
-    /// would be an infinite arrival rate).
-    pub fn new(models: &[Model], mean_interarrival_cycles: f64, seed: u64) -> V10Result<Self> {
-        if models.is_empty() {
-            return Err(V10Error::invalid(
-                "OpenLoopProcess::new",
-                "need at least one model to draw arrivals from",
-            ));
-        }
-        if !(mean_interarrival_cycles.is_finite() && mean_interarrival_cycles > 0.0) {
-            return Err(V10Error::invalid(
-                "OpenLoopProcess::new",
-                format!(
-                    "mean inter-arrival time must be finite and positive, got \
-                     {mean_interarrival_cycles}"
-                ),
-            ));
-        }
-        Ok(OpenLoopProcess {
-            models: models.to_vec(),
-            mean_interarrival_cycles,
-            mean_think_cycles: 0.0,
-            requests_per_session: 4,
-            seed,
-        })
-    }
-
-    /// Sets the mean think time in cycles between a tenant's requests
-    /// (default 0: back-to-back requests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `cycles` is negative or not
-    /// finite.
-    pub fn with_think_cycles(mut self, cycles: f64) -> V10Result<Self> {
-        if !(cycles.is_finite() && cycles >= 0.0) {
-            return Err(V10Error::invalid(
-                "OpenLoopProcess::with_think_cycles",
-                format!("think time must be finite and non-negative, got {cycles}"),
-            ));
-        }
-        self.mean_think_cycles = cycles;
-        Ok(self)
-    }
-
-    /// Sets how many requests each tenant submits before departing
-    /// (default 4).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `requests` is zero.
-    pub fn with_requests_per_session(mut self, requests: usize) -> V10Result<Self> {
-        if requests == 0 {
-            return Err(V10Error::invalid(
-                "OpenLoopProcess::with_requests_per_session",
-                "need at least one request per session",
-            ));
-        }
-        self.requests_per_session = requests;
-        Ok(self)
-    }
-
-    /// The mean inter-arrival time in cycles.
-    #[must_use]
-    pub fn mean_interarrival_cycles(&self) -> f64 {
-        self.mean_interarrival_cycles
-    }
-
-    /// The mean think time between requests in cycles.
-    #[must_use]
-    pub fn mean_think_cycles(&self) -> f64 {
-        self.mean_think_cycles
-    }
-
-    /// Samples the first `count` arrivals of the process, in arrival order.
-    /// Deterministic: the same process samples the same stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] if `count` is zero.
-    pub fn sample(&self, count: usize) -> V10Result<Vec<TimedArrival>> {
-        if count == 0 {
-            return Err(V10Error::invalid(
-                "OpenLoopProcess::sample",
-                "need at least one arrival",
-            ));
-        }
-        let mut rng = SimRng::seed_from(self.seed);
-        let mut now = 0.0;
-        let mut arrivals = Vec::with_capacity(count);
-        for i in 0..count {
-            now += rng.exponential(self.mean_interarrival_cycles);
-            arrivals.push(draw_session(
-                &mut rng,
-                &self.models,
-                self.mean_think_cycles,
-                self.requests_per_session,
-                i,
-                now,
-            ));
-        }
-        Ok(arrivals)
-    }
-}
-
-/// Draws the per-arrival session payload (model pick, trace, think gap)
-/// from the process RNG. Shared by [`OpenLoopProcess`] and
-/// [`MmppProcess`] so both consume the stream identically: a single-state
-/// MMPP is bit-for-bit the Poisson process.
-fn draw_session(
-    rng: &mut SimRng,
-    models: &[Model],
-    mean_think_cycles: f64,
-    requests: usize,
-    index: usize,
-    at_cycles: f64,
-) -> TimedArrival {
-    let model = models[rng.index(models.len())];
-    // Each session draws its trace and think gap from its own
-    // stream, so changing the think-time configuration never
-    // perturbs the arrival times, model picks, or traces.
-    let mut session = SimRng::seed_from(rng.next_u64());
-    let trace_seed = session.next_u64();
-    let think = if mean_think_cycles > 0.0 {
-        session.exponential(mean_think_cycles) as u64
-    } else {
-        0
-    };
-    let trace = with_think_gap(&model.default_profile().synthesize(trace_seed), think);
-    TimedArrival {
-        label: format!("{}#{index}", model.abbrev()),
-        model,
-        trace,
-        at_cycles,
-        requests,
-    }
-}
-
 /// Decorrelates the state-dwell stream from the arrival stream, so dwell
 /// draws never perturb arrival gaps, model picks, or traces.
 const MMPP_DWELL_SALT: u64 = 0x4D4D_5050; // "MMPP"
@@ -337,31 +165,36 @@ impl MmppState {
     }
 }
 
-/// A deterministic Markov-modulated Poisson arrival process: the arrival
-/// rate is piecewise-constant, switching between [`MmppState`]s in cycle
-/// order with exponentially distributed dwell times.
+/// A deterministic open-loop arrival process over a set of models: a
+/// Markov-modulated Poisson process whose arrival rate is
+/// piecewise-constant, switching between [`MmppState`]s in cycle order
+/// with exponentially distributed dwell times. With one state
+/// ([`new`](Self::new)) it is plain Poisson.
 ///
-/// Two independent seeded streams keep the process well-behaved:
+/// Each arrival picks a model uniformly at random, synthesizes its
+/// calibrated trace with a per-arrival seed, and submits a fixed number of
+/// requests separated by an exponentially distributed think gap sampled
+/// once per session. Two independent seeded streams keep the process
+/// well-behaved:
 ///
-/// * the **arrival stream** draws inter-arrival gaps and session payloads
-///   exactly like [`OpenLoopProcess`] — with a single state the two
-///   processes emit bit-identical [`TimedArrival`] schedules;
+/// * the **arrival stream** draws inter-arrival gaps and session payloads;
 /// * the **dwell stream** (salted from the same seed) draws state dwell
 ///   times, so reshaping the modulation never perturbs session traces.
 ///
 /// A gap that would cross a state boundary is redrawn from the boundary
 /// under the new state's rate — valid by the memorylessness of the
-/// exponential, and what makes the single-state case exact.
+/// exponential. A one-state process never crosses a boundary and never
+/// draws a dwell time.
 ///
 /// # Example
 ///
 /// ```
-/// use v10_workloads::{MmppProcess, Model, OpenLoopProcess};
+/// use v10_workloads::{MmppProcess, Model};
 ///
-/// // One state == plain Poisson, bit for bit.
-/// let mmpp = MmppProcess::single_state(&[Model::Bert], 2.0e6, 7).expect("valid process");
-/// let poisson = OpenLoopProcess::new(&[Model::Bert], 2.0e6, 7).expect("valid process");
-/// assert_eq!(mmpp.sample(8).expect("samples"), poisson.sample(8).expect("samples"));
+/// let poisson = MmppProcess::new(&[Model::Bert, Model::Ncf], 2.0e6, 7).expect("valid process");
+/// let a = poisson.sample(10).expect("non-empty sample");
+/// assert_eq!(a, poisson.sample(10).expect("non-empty sample"), "same seed, same stream");
+/// assert!(a.windows(2).all(|w| w[0].at_cycles() <= w[1].at_cycles()));
 ///
 /// // A 2x flash crowd doubles the arrival rate during bursts.
 /// let crowd = MmppProcess::flash_crowd(&[Model::Bert], 2.0e6, 2.0, 1.0e7, 7)
@@ -377,7 +210,27 @@ pub struct MmppProcess {
     seed: u64,
 }
 
+/// The plain Poisson process: a one-state [`MmppProcess`], built by
+/// [`MmppProcess::new`]. Callers that mean no modulation, the benchmark
+/// package among them, spell this name.
+pub type OpenLoopProcess = MmppProcess;
+
 impl MmppProcess {
+    /// The Poisson process over `models` with the given mean inter-arrival
+    /// time in cycles (the offered load is its reciprocal) and RNG seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`V10Error::InvalidArgument`] if `models` is empty or
+    /// `mean_interarrival_cycles` is not finite and positive (a zero mean
+    /// would be an infinite arrival rate).
+    pub fn new(models: &[Model], mean_interarrival_cycles: f64, seed: u64) -> V10Result<Self> {
+        // The dwell mean is irrelevant with one state (the dwell stream is
+        // never drawn); any valid value works.
+        let state = MmppState::new(mean_interarrival_cycles, 1.0)?;
+        MmppProcess::modulated(models, &[state], seed)
+    }
+
     /// A process over `models` walking `states` in cycle order, starting in
     /// the first state.
     ///
@@ -385,16 +238,16 @@ impl MmppProcess {
     ///
     /// Returns [`V10Error::InvalidArgument`] if `models` or `states` is
     /// empty.
-    pub fn new(models: &[Model], states: &[MmppState], seed: u64) -> V10Result<Self> {
+    pub fn modulated(models: &[Model], states: &[MmppState], seed: u64) -> V10Result<Self> {
         if models.is_empty() {
             return Err(V10Error::invalid(
-                "MmppProcess::new",
+                "MmppProcess::modulated",
                 "need at least one model to draw arrivals from",
             ));
         }
         if states.is_empty() {
             return Err(V10Error::invalid(
-                "MmppProcess::new",
+                "MmppProcess::modulated",
                 "need at least one modulation state",
             ));
         }
@@ -405,24 +258,6 @@ impl MmppProcess {
             requests_per_session: 4,
             seed,
         })
-    }
-
-    /// The degenerate single-state process: exactly the Poisson stream
-    /// [`OpenLoopProcess`] emits for the same arguments (same seed, same
-    /// arrivals, bit for bit).
-    ///
-    /// # Errors
-    ///
-    /// As [`MmppProcess::new`] plus [`MmppState::new`] validation.
-    pub fn single_state(
-        models: &[Model],
-        mean_interarrival_cycles: f64,
-        seed: u64,
-    ) -> V10Result<Self> {
-        // The dwell mean is irrelevant with one state (the dwell stream is
-        // never drawn); any valid value works.
-        let state = MmppState::new(mean_interarrival_cycles, 1.0)?;
-        MmppProcess::new(models, &[state], seed)
     }
 
     /// A flash-crowd process: baseline load at `base_mean_interarrival_cycles`
@@ -452,7 +287,7 @@ impl MmppProcess {
             base_mean_interarrival_cycles / burst_factor,
             mean_dwell_cycles,
         )?;
-        MmppProcess::new(models, &[calm, burst], seed)
+        MmppProcess::modulated(models, &[calm, burst], seed)
     }
 
     /// A diurnal process alternating between a busy "day" phase (mean gap
@@ -461,7 +296,7 @@ impl MmppProcess {
     ///
     /// # Errors
     ///
-    /// Propagates [`MmppState::new`] / [`MmppProcess::new`] validation.
+    /// Propagates [`MmppState::new`] / [`MmppProcess::modulated`] validation.
     pub fn diurnal(
         models: &[Model],
         day_mean_interarrival_cycles: f64,
@@ -471,7 +306,7 @@ impl MmppProcess {
     ) -> V10Result<Self> {
         let day = MmppState::new(day_mean_interarrival_cycles, mean_dwell_cycles)?;
         let night = MmppState::new(night_mean_interarrival_cycles, mean_dwell_cycles)?;
-        MmppProcess::new(models, &[day, night], seed)
+        MmppProcess::modulated(models, &[day, night], seed)
     }
 
     /// Sets the mean think time in cycles between a tenant's requests
@@ -513,12 +348,6 @@ impl MmppProcess {
     #[must_use]
     pub fn states(&self) -> &[MmppState] {
         &self.states
-    }
-
-    /// The mean think time between requests in cycles.
-    #[must_use]
-    pub fn mean_think_cycles(&self) -> f64 {
-        self.mean_think_cycles
     }
 
     /// Samples the first `count` arrivals of the process, in arrival order.
@@ -571,14 +400,25 @@ impl MmppProcess {
                     ));
                 }
             }
-            arrivals.push(draw_session(
-                &mut rng,
-                &self.models,
-                self.mean_think_cycles,
-                self.requests_per_session,
-                i,
-                now,
-            ));
+            let model = self.models[rng.index(self.models.len())];
+            // Each session draws its trace and think gap from its own
+            // stream, so changing the think-time configuration never
+            // perturbs the arrival times, model picks, or traces.
+            let mut session = SimRng::seed_from(rng.next_u64());
+            let trace_seed = session.next_u64();
+            let think = if self.mean_think_cycles > 0.0 {
+                session.exponential(self.mean_think_cycles) as u64
+            } else {
+                0
+            };
+            let trace = with_think_gap(&model.default_profile().synthesize(trace_seed), think);
+            arrivals.push(TimedArrival {
+                label: format!("{}#{i}", model.abbrev()),
+                model,
+                trace,
+                at_cycles: now,
+                requests: self.requests_per_session,
+            });
         }
         Ok(arrivals)
     }
@@ -607,8 +447,8 @@ fn with_think_gap(trace: &RequestTrace, gap: u64) -> RequestTrace {
 mod tests {
     use super::*;
 
-    fn process() -> OpenLoopProcess {
-        OpenLoopProcess::new(&[Model::Bert, Model::Ncf, Model::ResNet], 1.0e6, 42).unwrap()
+    fn process() -> MmppProcess {
+        MmppProcess::new(&[Model::Bert, Model::Ncf, Model::ResNet], 1.0e6, 42).unwrap()
     }
 
     #[test]
@@ -617,7 +457,7 @@ mod tests {
         let b = process().sample(20).unwrap();
         assert_eq!(a, b);
         // A different seed gives a different stream.
-        let c = OpenLoopProcess::new(&[Model::Bert, Model::Ncf, Model::ResNet], 1.0e6, 43)
+        let c = MmppProcess::new(&[Model::Bert, Model::Ncf, Model::ResNet], 1.0e6, 43)
             .unwrap()
             .sample(20)
             .unwrap();
@@ -644,7 +484,7 @@ mod tests {
     #[test]
     fn arrivals_draw_from_the_model_set() {
         let models = [Model::Bert, Model::Ncf];
-        let arrivals = OpenLoopProcess::new(&models, 1.0e6, 5)
+        let arrivals = MmppProcess::new(&models, 1.0e6, 5)
             .unwrap()
             .sample(50)
             .unwrap();
@@ -708,14 +548,14 @@ mod tests {
     #[test]
     fn zero_rate_process_rejected() {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = OpenLoopProcess::new(&[Model::Bert], bad, 0).unwrap_err();
+            let err = MmppProcess::new(&[Model::Bert], bad, 0).unwrap_err();
             assert!(err.to_string().contains("finite and positive"), "{err}");
         }
     }
 
     #[test]
     fn empty_model_set_rejected() {
-        let err = OpenLoopProcess::new(&[], 1.0e6, 0).unwrap_err();
+        let err = MmppProcess::new(&[], 1.0e6, 0).unwrap_err();
         assert!(err.to_string().contains("at least one model"), "{err}");
     }
 
@@ -741,9 +581,9 @@ mod tests {
 
     #[test]
     fn mmpp_validates_inputs() {
-        let err = MmppProcess::new(&[], &[MmppState::new(1.0, 1.0).unwrap()], 0).unwrap_err();
+        let err = MmppProcess::modulated(&[], &[MmppState::new(1.0, 1.0).unwrap()], 0).unwrap_err();
         assert!(err.to_string().contains("at least one model"), "{err}");
-        let err = MmppProcess::new(&[Model::Bert], &[], 0).unwrap_err();
+        let err = MmppProcess::modulated(&[Model::Bert], &[], 0).unwrap_err();
         assert!(err.to_string().contains("at least one modulation"), "{err}");
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(MmppState::new(bad, 1.0).is_err(), "interarrival {bad}");
@@ -755,10 +595,6 @@ mod tests {
                 "burst factor {bad}"
             );
         }
-        let p = MmppProcess::single_state(&[Model::Bert], 1.0e6, 0).unwrap();
-        assert!(p.clone().with_think_cycles(-1.0).is_err());
-        assert!(p.clone().with_requests_per_session(0).is_err());
-        assert!(p.sample(0).is_err());
     }
 
     #[test]
@@ -784,8 +620,8 @@ mod tests {
     #[test]
     fn flash_crowd_raises_the_arrival_rate() {
         // Averaged over many arrivals, a strong flash crowd compresses the
-        // timeline relative to the single-state baseline.
-        let base = MmppProcess::single_state(&[Model::Bert], 1.0e6, 9)
+        // timeline relative to the Poisson baseline.
+        let base = MmppProcess::new(&[Model::Bert], 1.0e6, 9)
             .unwrap()
             .sample(300)
             .unwrap();
@@ -817,12 +653,11 @@ mod tests {
 mod seeded_tests {
     use super::*;
 
-    /// The headline MMPP property: with a single state, the process is the
-    /// Poisson [`OpenLoopProcess`] bit for bit — same seed, identical
-    /// arrival schedule (times, labels, traces, quotas) — across random
-    /// seeds, rates, think times, and quotas.
+    /// A one-state process never draws from its dwell stream, so its
+    /// stream is plain Poisson whatever the state's dwell mean — across
+    /// random seeds, rates, dwell means, think times, and quotas.
     #[test]
-    fn single_state_mmpp_is_exactly_poisson() {
+    fn one_state_stream_ignores_the_dwell_mean() {
         let mut rng = SimRng::seed_from(0x3A3A);
         let models = [Model::Bert, Model::Ncf, Model::Mnist, Model::Dlrm];
         for case in 0..32 {
@@ -835,33 +670,21 @@ mod seeded_tests {
             };
             let requests = 1 + rng.index(6);
             let count = 1 + rng.index(24);
-
-            let poisson = OpenLoopProcess::new(&models, mean, seed)
-                .unwrap()
-                .with_think_cycles(think)
-                .unwrap()
-                .with_requests_per_session(requests)
-                .unwrap()
-                .sample(count)
-                .unwrap();
-            let mmpp = MmppProcess::single_state(&models, mean, seed)
-                .unwrap()
-                .with_think_cycles(think)
-                .unwrap()
-                .with_requests_per_session(requests)
-                .unwrap()
-                .sample(count)
-                .unwrap();
-
-            assert_eq!(poisson.len(), mmpp.len(), "case {case}");
-            for (p, m) in poisson.iter().zip(&mmpp) {
-                assert_eq!(
-                    p.at_cycles().to_bits(),
-                    m.at_cycles().to_bits(),
-                    "case {case}: arrival time drifted"
-                );
-                assert_eq!(p, m, "case {case}: arrival payload drifted");
-            }
+            let state = MmppState::new(mean, rng.uniform(1.0, 1.0e9)).unwrap();
+            let sample = |process: MmppProcess| {
+                process
+                    .with_think_cycles(think)
+                    .unwrap()
+                    .with_requests_per_session(requests)
+                    .unwrap()
+                    .sample(count)
+                    .unwrap()
+            };
+            assert_eq!(
+                sample(MmppProcess::new(&models, mean, seed).unwrap()),
+                sample(MmppProcess::modulated(&models, &[state], seed).unwrap()),
+                "case {case}"
+            );
         }
     }
 
@@ -879,7 +702,7 @@ mod seeded_tests {
                     MmppState::new(rng.uniform(1.0e5, 4.0e6), rng.uniform(5.0e5, 2.0e7)).unwrap()
                 })
                 .collect();
-            let process = MmppProcess::new(&models, &states, seed).unwrap();
+            let process = MmppProcess::modulated(&models, &states, seed).unwrap();
             let a = process.sample(20).unwrap();
             let b = process.sample(20).unwrap();
             assert_eq!(a, b, "case {case}: replay drifted");

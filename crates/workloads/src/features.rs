@@ -11,30 +11,15 @@ use v10_sim::Frequency;
 
 use crate::profile::ModelProfile;
 
-/// Names of the feature dimensions, aligned with
-/// [`FeatureVector::as_slice`].
-pub const FEATURE_NAMES: [&str; 10] = [
-    "sa_util",
-    "vu_util",
-    "hbm_util",
-    "log_avg_sa_len_us",
-    "log_avg_vu_len_us",
-    "log_sa_len_spread",
-    "log_vu_len_spread",
-    "sa_op_fraction",
-    "log_request_us",
-    "flops_util",
-];
-
 /// A workload's resource-contention feature vector.
 ///
 /// # Example
 ///
 /// ```
-/// use v10_workloads::{Model, FEATURE_NAMES};
+/// use v10_workloads::Model;
 ///
 /// let f = Model::Bert.default_profile().feature_vector(42);
-/// assert_eq!(f.as_slice().len(), FEATURE_NAMES.len());
+/// assert_eq!(f.as_slice().len(), 10);
 /// // Feature 0 is the SA utilization: BERT is SA-intensive.
 /// assert!(f.as_slice()[0] > 0.5);
 /// ```
@@ -44,7 +29,10 @@ pub struct FeatureVector {
 }
 
 impl FeatureVector {
-    /// The raw feature values, in [`FEATURE_NAMES`] order.
+    /// The raw feature values, in this order: SA, VU and HBM utilization;
+    /// the log of the mean SA and VU operator lengths (µs); the log of the
+    /// SA and VU operator-length spreads (max over min); the SA share of
+    /// operators; the log of the request length (µs); FLOPS utilization.
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
         &self.values
@@ -85,13 +73,12 @@ impl ModelProfile {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::model::Model;
 
     #[test]
-    fn vector_has_named_dimensions() {
+    fn vector_has_ten_finite_dimensions() {
         let f = Model::ResNet.default_profile().feature_vector(1);
-        assert_eq!(f.as_slice().len(), FEATURE_NAMES.len());
+        assert_eq!(f.as_slice().len(), 10);
         assert!(f.as_slice().iter().all(|v| v.is_finite()));
     }
 

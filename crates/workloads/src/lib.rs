@@ -46,7 +46,7 @@ pub mod zoo;
 
 pub use adversary::{AdversaryCase, AdversaryGen, AdversaryScenario, ScenarioProfile};
 pub use arrivals::{MmppProcess, MmppState, OpenLoopProcess, TimedArrival};
-pub use features::{FeatureVector, FEATURE_NAMES};
+pub use features::FeatureVector;
 pub use model::Model;
 pub use pairs::{PAIRS_EVAL, PAIRS_FIG9};
 pub use profile::{BatchError, ModelProfile};

@@ -43,7 +43,7 @@ fn serve(gen: &AdversaryGen, knobs: &ScenarioKnobs) -> V10Result<(u64, u64, u64,
         &NpuConfig::table5(),
         &opts,
         &scenario.fault_plans()[0],
-        OverloadController::armed(OverloadPolicy::default()),
+        OverloadController::armed(OverloadPolicy),
     )?;
     let s = report.overload_stats();
     Ok((s.starvations(), s.boosts(), s.boost_requeues(), violations))

@@ -18,8 +18,7 @@
 //! ```
 
 use v10::collocate::{
-    build_dataset, ClusteringPipeline, FleetPlane, OnlinePlacer, PairPerfCache, RecoveryPolicy,
-    TopologyWeights,
+    build_dataset, ClusteringPipeline, FleetPlane, OnlinePlacer, PairPerfCache, TopologyWeights,
 };
 use v10::core::{
     serve_design_stressed_observed, Admission, AdmissionSchedule, Design, JsonLinesObserver,
@@ -219,7 +218,6 @@ fn cluster_requeue_drill() {
             &NpuConfig::table5(),
             &opts,
             &plan,
-            &RecoveryPolicy::default(),
             &mut observer,
         )
         .expect("faulted cluster serve");

@@ -20,7 +20,7 @@
 
 use v10::collocate::{
     build_dataset, ClusterServeReport, ClusteringPipeline, FleetOutcome, FleetPlane, OnlinePlacer,
-    PairPerfCache, RecoveryPolicy, TopologyWeights,
+    PairPerfCache, TopologyWeights,
 };
 use v10::core::{Design, NullObserver, RunOptions};
 use v10::npu::{FleetTopology, NpuConfig};
@@ -99,7 +99,6 @@ fn serve(
             &NpuConfig::table5(),
             &opts,
             plan,
-            &RecoveryPolicy::new(),
             &mut NullObserver,
         )
         .expect("valid faulted fleet serving run")

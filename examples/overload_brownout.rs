@@ -103,7 +103,7 @@ fn main() {
         &cfg,
         &opts,
         &FaultPlan::none(),
-        OverloadController::armed(OverloadPolicy::default()),
+        OverloadController::armed(OverloadPolicy),
         &mut observer,
     )
     .expect("controlled serving run");
@@ -134,7 +134,7 @@ fn main() {
         &cfg,
         &opts,
         &FaultPlan::none(),
-        OverloadController::armed(OverloadPolicy::default()),
+        OverloadController::armed(OverloadPolicy),
         &mut auditor,
     )
     .expect("audited serving run");

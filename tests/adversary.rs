@@ -52,7 +52,7 @@ fn controller_for(design: Design) -> OverloadController {
         // scenarios with the controller disarmed.
         OverloadController::disarmed()
     } else {
-        OverloadController::armed(OverloadPolicy::default())
+        OverloadController::armed(OverloadPolicy)
     }
 }
 
@@ -167,7 +167,7 @@ fn the_sweep_actually_stresses_the_control_plane() {
                 &NpuConfig::table5(),
                 &opts,
                 &plan,
-                OverloadController::armed(OverloadPolicy::default()),
+                OverloadController::armed(OverloadPolicy),
             )
             .unwrap();
             let s = report.overload_stats();
@@ -232,7 +232,7 @@ fn watchdog_capped_silently(knobs: &ScenarioKnobs) -> V10Result<Vec<String>> {
         &NpuConfig::table5(),
         &opts,
         &scenario.fault_plans()[0],
-        OverloadController::armed(OverloadPolicy::default()),
+        OverloadController::armed(OverloadPolicy),
     )?;
     let s = report.overload_stats();
     if s.starvations() > 0 && s.boosts() == 0 {
@@ -328,7 +328,7 @@ fn checked_in_fixtures_replay_clean() {
             &NpuConfig::table5(),
             &opts,
             &scenario.fault_plans()[0],
-            OverloadController::armed(OverloadPolicy::default()),
+            OverloadController::armed(OverloadPolicy),
         )
         .unwrap();
         let s = report.overload_stats();
