@@ -24,7 +24,7 @@ use crate::schemes::{Scheme, SchemeKind};
 /// make even same-kind pairs mildly beneficial), so the Table 2
 /// cross-validation self-calibrates: it uses the *median* ground-truth STP
 /// as its threshold (see [`cross_validate_table2`]). This constant is the
-/// default for one-off queries (deployment planning, examples).
+/// default for one-off queries (online placement, examples).
 pub const BENEFIT_THRESHOLD: f64 = 1.55;
 
 /// Simulates collocating two profiles under V10-Full and returns the system

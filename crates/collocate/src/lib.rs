@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod deploy;
 pub mod eval;
 pub mod fleet;
 pub mod kmeans;
@@ -60,7 +59,6 @@ pub mod schemes;
 pub mod standardize;
 
 pub use dataset::{build_dataset, build_default_dataset, WorkloadPoint};
-pub use deploy::{plan_deployment, simulate_deployment, CoreAssignment, DeploymentPlan};
 pub use eval::{
     cross_validate_table2, measure_pair_stp, PairPerfCache, Table2Row, BENEFIT_THRESHOLD,
 };

@@ -1,9 +1,7 @@
 //! Online placement: the Fig. 14 cluster database as a serving-time
 //! admission advisor.
 //!
-//! The offline planner ([`plan_deployment`](crate::deploy::plan_deployment))
-//! pairs a *known* workload set before anything runs. A serving cluster
-//! instead sees tenants one at a time: when a tenant arrives, the
+//! A serving cluster sees tenants one at a time: when a tenant arrives, the
 //! [`OnlinePlacer`] maps its §3.4 feature vector to a K-Means cluster and
 //! scores collocating it with each core's current residents using the
 //! profiled cluster-pair STP table. Cores whose predicted STP clears the

@@ -97,7 +97,7 @@ pub struct OverloadPressure {
 // serving path runs with exactly these values (DESIGN.md §8 tabulates them).
 
 /// Sensing cadence: one pressure sample every 1 M cycles (~1.4 ms).
-const SENSE_INTERVAL_CYCLES: f64 = 1.0e6;
+pub const SENSE_INTERVAL_CYCLES: f64 = 1.0e6;
 /// Overload is entered as soon as one arrival waits in the admission queue.
 const ENTER_QUEUE_DEPTH: usize = 1;
 /// Overload is also entered as soon as an in-flight request runs 8x past

@@ -40,11 +40,9 @@ pub mod dag;
 pub mod inst;
 pub mod op;
 pub mod trace;
-pub mod trace_io;
 
 pub use dag::{DagError, OpDag};
 pub use inst::{DecodeError, Inst, Reg, VAluOp, VmemAddr};
 pub use op::{FuKind, OpDesc, OpDescBuilder};
 pub use trace::{RequestTrace, TraceSummary};
-pub use trace_io::{read_trace_csv, write_trace_csv, CSV_HEADER};
 pub use v10_sim::{V10Error, V10Result};

@@ -29,7 +29,6 @@ pub struct NpuConfig {
     fu_count: u32,
     frequency: Frequency,
     vmem_bytes: u64,
-    hbm_capacity_bytes: u64,
     hbm_bandwidth_bytes_per_sec: f64,
     time_slice_cycles: u64,
     vu_switch_cycles: u64,
@@ -37,8 +36,8 @@ pub struct NpuConfig {
 
 impl NpuConfig {
     /// The paper's Table 5 configuration: one 128×128 SA and one 8×128×2 VU
-    /// at 700 MHz, 32 MB vector memory, 32 GB / 330 GB/s HBM, 32768-cycle
-    /// scheduler time slice.
+    /// at 700 MHz, 32 MB vector memory, 330 GB/s HBM, 32768-cycle scheduler
+    /// time slice.
     #[must_use]
     pub fn table5() -> Self {
         NpuConfig::builder().finish()
@@ -48,14 +47,9 @@ impl NpuConfig {
     #[must_use]
     pub fn builder() -> NpuConfigBuilder {
         NpuConfigBuilder {
-            sa_dim: 128,
             fu_count: 1,
-            frequency: Frequency::default(),
             vmem_bytes: 32 << 20,
-            hbm_capacity_bytes: 32 << 30,
-            hbm_bandwidth_bytes_per_sec: 330e9,
             time_slice_cycles: 32_768,
-            vu_switch_cycles: 64,
         }
     }
 
@@ -94,12 +88,6 @@ impl NpuConfig {
     pub fn vmem_partition_bytes(&self, workloads: usize) -> u64 {
         assert!(workloads > 0, "need at least one workload");
         self.vmem_bytes / workloads as u64
-    }
-
-    /// Off-chip HBM capacity in bytes.
-    #[must_use]
-    pub fn hbm_capacity_bytes(&self) -> u64 {
-        self.hbm_capacity_bytes
     }
 
     /// Aggregate HBM bandwidth in bytes/cycle. Scales with the FU count
@@ -164,39 +152,21 @@ impl fmt::Display for NpuConfig {
     }
 }
 
-/// Builder for [`NpuConfig`] (C-BUILDER). Starts from Table 5.
+/// Builder for [`NpuConfig`] (C-BUILDER). Starts from Table 5 and sets the
+/// three values the evaluation sweeps; the rest stay at Table 5.
 #[derive(Debug, Clone, Copy)]
 pub struct NpuConfigBuilder {
-    sa_dim: u32,
     fu_count: u32,
-    frequency: Frequency,
     vmem_bytes: u64,
-    hbm_capacity_bytes: u64,
-    hbm_bandwidth_bytes_per_sec: f64,
     time_slice_cycles: u64,
-    vu_switch_cycles: u64,
 }
 
 impl NpuConfigBuilder {
-    /// Sets the systolic-array side length. Validated by [`Self::build`].
-    #[must_use]
-    pub fn sa_dim(mut self, dim: u32) -> Self {
-        self.sa_dim = dim;
-        self
-    }
-
     /// Sets the number of SA/VU pairs in the core (Fig. 25). Validated by
     /// [`Self::build`].
     #[must_use]
     pub fn fu_count(mut self, count: u32) -> Self {
         self.fu_count = count;
-        self
-    }
-
-    /// Sets the core clock frequency.
-    #[must_use]
-    pub fn frequency(mut self, f: Frequency) -> Self {
-        self.frequency = f;
         self
     }
 
@@ -208,22 +178,6 @@ impl NpuConfigBuilder {
         self
     }
 
-    /// Sets the HBM capacity.
-    #[must_use]
-    pub fn hbm_capacity_bytes(mut self, bytes: u64) -> Self {
-        self.hbm_capacity_bytes = bytes;
-        self
-    }
-
-    /// Sets the per-FU-pair HBM bandwidth in bytes/second. Validated by
-    /// [`Self::build`].
-    #[must_use]
-    // v10-lint: allow(S1) the one setter of a Table 5 parameter the HBM model reads; deleting it would freeze the bandwidth and leave `build`'s check unreachable
-    pub fn hbm_bandwidth_bytes_per_sec(mut self, bw: f64) -> Self {
-        self.hbm_bandwidth_bytes_per_sec = bw;
-        self
-    }
-
     /// Sets the scheduler time slice in cycles (Fig. 23 sweeps
     /// 512–1048576). Validated by [`Self::build`].
     #[must_use]
@@ -232,60 +186,39 @@ impl NpuConfigBuilder {
         self
     }
 
-    /// Sets the VU context-switch cost in cycles.
-    #[must_use]
-    pub fn vu_switch_cycles(mut self, cycles: u64) -> Self {
-        self.vu_switch_cycles = cycles;
-        self
-    }
-
     /// Validates and finalizes the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::InvalidArgument`] if the SA dimension, FU count,
-    /// vector-memory capacity, or time slice is zero, or if the HBM
-    /// bandwidth is not finite and positive.
+    /// Returns [`V10Error::InvalidArgument`] if the FU count,
+    /// vector-memory capacity, or time slice is zero.
     pub fn build(self) -> V10Result<NpuConfig> {
-        let invalid = |message: String| V10Error::InvalidArgument {
-            context: "NpuConfigBuilder::build",
-            message,
-        };
-        if self.sa_dim == 0 {
-            return Err(invalid("SA dimension must be positive".into()));
-        }
+        let invalid = |message: &str| V10Error::invalid("NpuConfigBuilder::build", message);
         if self.fu_count == 0 {
-            return Err(invalid("need at least one SA/VU pair".into()));
+            return Err(invalid("need at least one SA/VU pair"));
         }
         if self.vmem_bytes == 0 {
-            return Err(invalid("vector memory must be non-empty".into()));
-        }
-        if !(self.hbm_bandwidth_bytes_per_sec.is_finite() && self.hbm_bandwidth_bytes_per_sec > 0.0)
-        {
-            return Err(invalid(format!(
-                "bandwidth must be positive, got {}",
-                self.hbm_bandwidth_bytes_per_sec
-            )));
+            return Err(invalid("vector memory must be non-empty"));
         }
         if self.time_slice_cycles == 0 {
-            return Err(invalid("time slice must be positive".into()));
+            return Err(invalid("time slice must be positive"));
         }
         Ok(self.finish())
     }
 
-    /// The configuration as set, unvalidated: [`build`](Self::build) once
-    /// it has checked the fields, and [`NpuConfig::table5`] on the Table 5
-    /// defaults (`table5_defaults` pins them valid).
+    /// The configuration as set, unvalidated, with the Table 5 values no
+    /// sweep changes: [`build`](Self::build) once it has checked the
+    /// fields, and [`NpuConfig::table5`] on the Table 5 defaults
+    /// (`table5_defaults` pins them valid).
     fn finish(self) -> NpuConfig {
         NpuConfig {
-            sa_dim: self.sa_dim,
+            sa_dim: 128,
             fu_count: self.fu_count,
-            frequency: self.frequency,
+            frequency: Frequency::default(),
             vmem_bytes: self.vmem_bytes,
-            hbm_capacity_bytes: self.hbm_capacity_bytes,
-            hbm_bandwidth_bytes_per_sec: self.hbm_bandwidth_bytes_per_sec,
+            hbm_bandwidth_bytes_per_sec: 330e9,
             time_slice_cycles: self.time_slice_cycles,
-            vu_switch_cycles: self.vu_switch_cycles,
+            vu_switch_cycles: 64,
         }
     }
 }
@@ -301,7 +234,6 @@ mod tests {
         assert_eq!(c.fu_count(), 1);
         assert_eq!(c.frequency().as_hz(), 700_000_000);
         assert_eq!(c.vmem_bytes(), 32 << 20);
-        assert_eq!(c.hbm_capacity_bytes(), 32 << 30);
         assert_eq!(c.time_slice_cycles(), 32_768);
         assert!((c.hbm_bytes_per_cycle() - 330e9 / 700e6).abs() < 1e-9);
         assert_eq!(NpuConfig::default(), c);
@@ -347,19 +279,14 @@ mod tests {
     #[test]
     fn builder_overrides_stick() {
         let c = NpuConfig::builder()
-            .sa_dim(64)
             .fu_count(2)
             .vmem_bytes(8 << 20)
             .time_slice_cycles(512)
-            .vu_switch_cycles(16)
             .build()
             .unwrap();
-        assert_eq!(c.sa_dim(), 64);
-        assert_eq!(c.sa_switch_cycles(), 192);
         assert_eq!(c.fu_count(), 2);
         assert_eq!(c.vmem_bytes(), 8 << 20);
         assert_eq!(c.time_slice_cycles(), 512);
-        assert_eq!(c.vu_switch_cycles(), 16);
     }
 
     #[test]
@@ -377,19 +304,10 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("time slice"), "{err}");
-        let err = NpuConfig::builder().sa_dim(0).build().unwrap_err();
-        assert!(err.to_string().contains("SA dimension"), "{err}");
         let err = NpuConfig::builder().fu_count(0).build().unwrap_err();
         assert!(err.to_string().contains("SA/VU pair"), "{err}");
         let err = NpuConfig::builder().vmem_bytes(0).build().unwrap_err();
         assert!(err.to_string().contains("vector memory"), "{err}");
-        for bad_bw in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = NpuConfig::builder()
-                .hbm_bandwidth_bytes_per_sec(bad_bw)
-                .build()
-                .unwrap_err();
-            assert!(err.to_string().contains("bandwidth"), "{err}");
-        }
     }
 
     #[test]

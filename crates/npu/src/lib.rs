@@ -4,9 +4,9 @@
 //!
 //! * [`config`] — the simulated NPU configuration ([`NpuConfig`]), defaulting
 //!   to the paper's Table 5 (128×128 SA, 8×128×2 VU, 700 MHz, 32 MB vector
-//!   memory, 32 GB / 330 GB/s HBM, 32768-cycle scheduler time slice), with a
-//!   builder for every sweep the evaluation performs (FU counts for Fig. 25,
-//!   vmem capacity for Fig. 24, time slice for Fig. 23, …).
+//!   memory, 330 GB/s HBM, 32768-cycle scheduler time slice), with a builder
+//!   for the three values the evaluation sweeps (FU count for Fig. 25, vmem
+//!   capacity for Fig. 24, time slice for Fig. 23).
 //! * [`fu`] — the functional-unit pool ([`FuPool`], [`FuId`]): `n` systolic
 //!   arrays plus `n` vector units per core.
 //! * [`hbm`] — the shared-HBM bandwidth arbiter ([`HbmArbiter`]): max-min
@@ -46,7 +46,6 @@ pub mod config;
 pub mod dma;
 pub mod fu;
 pub mod hbm;
-pub mod layout;
 pub mod topology;
 
 pub use cluster::ClusterState;
@@ -54,6 +53,5 @@ pub use config::{NpuConfig, NpuConfigBuilder};
 pub use dma::InstructionDma;
 pub use fu::{FuId, FuPool};
 pub use hbm::HbmArbiter;
-pub use layout::{HbmLayout, HbmLayoutError, RegionId};
 pub use topology::{FleetTopology, Interconnect};
 pub use v10_sim::{V10Error, V10Result};

@@ -2,12 +2,11 @@
 //!
 //! Every public constructor and runner across the workspace validates its
 //! inputs and reports violations as a [`V10Error`] instead of panicking, so
-//! embedding crates (benches, sweep drivers, trace importers) can surface
-//! bad configurations without tearing down the process. Internal invariant
-//! violations (programmer errors) remain `debug_assert!`s.
+//! embedding crates (benches, sweep drivers) can surface bad configurations
+//! without tearing down the process. Internal invariant violations
+//! (programmer errors) remain `debug_assert!`s.
 
 use std::fmt;
-use std::io;
 
 /// Errors produced at the workspace's public boundaries.
 #[derive(Debug)]
@@ -20,15 +19,6 @@ pub enum V10Error {
         /// Human-readable description of the violation.
         message: String,
     },
-    /// A trace import (or other text input) failed to parse.
-    Parse {
-        /// 1-based line number of the offending input line.
-        line: usize,
-        /// What went wrong on that line.
-        message: String,
-    },
-    /// An underlying I/O operation failed.
-    Io(io::Error),
     /// The simulation reached a state with no pending events: every
     /// workload is stuck and the clock cannot advance.
     Deadlock {
@@ -54,15 +44,6 @@ impl V10Error {
             message: message.into(),
         }
     }
-
-    /// Convenience constructor for [`V10Error::Parse`].
-    #[must_use]
-    pub fn parse(line: usize, message: impl Into<String>) -> Self {
-        V10Error::Parse {
-            line,
-            message: message.into(),
-        }
-    }
 }
 
 impl fmt::Display for V10Error {
@@ -71,8 +52,6 @@ impl fmt::Display for V10Error {
             V10Error::InvalidArgument { context, message } => {
                 write!(f, "{context}: {message}")
             }
-            V10Error::Parse { line, message } => write!(f, "line {line}: {message}"),
-            V10Error::Io(e) => write!(f, "I/O error: {e}"),
             V10Error::Deadlock { cycle, message } => {
                 write!(f, "engine deadlock at cycle {cycle}: {message}")
             }
@@ -81,20 +60,7 @@ impl fmt::Display for V10Error {
     }
 }
 
-impl std::error::Error for V10Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            V10Error::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for V10Error {
-    fn from(e: io::Error) -> Self {
-        V10Error::Io(e)
-    }
-}
+impl std::error::Error for V10Error {}
 
 /// Shorthand result type used across the workspace.
 pub type V10Result<T> = Result<T, V10Error>;
@@ -107,20 +73,6 @@ mod tests {
     fn display_includes_context() {
         let e = V10Error::invalid("RunOptions::new", "need at least one request");
         assert_eq!(e.to_string(), "RunOptions::new: need at least one request");
-    }
-
-    #[test]
-    fn parse_display_includes_line() {
-        let e = V10Error::parse(3, "bad kind");
-        assert_eq!(e.to_string(), "line 3: bad kind");
-    }
-
-    #[test]
-    fn io_errors_convert_and_chain() {
-        let io_err = io::Error::new(io::ErrorKind::NotFound, "gone");
-        let e: V10Error = io_err.into();
-        assert!(e.to_string().contains("gone"));
-        assert!(std::error::Error::source(&e).is_some());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! source of scheduled fault events that the engine crates consume:
 //!
 //! * [`FaultPlan`] — a declarative description of the faults one core will
-//!   experience: individually scripted events plus optional Poisson streams
-//!   of transient faults.
+//!   experience: individually scripted events plus an optional Poisson
+//!   stream of transient operator faults.
 //! * [`FaultInjector`] — the compiled form: every stochastic event is
 //!   pre-sampled at compile time from a [`SimRng`] seeded by the plan, then
 //!   merged and sorted, so injection during a run consumes **no** randomness
@@ -43,7 +43,7 @@ use crate::convert::{u64_from_usize, usize_from_u64};
 use crate::error::{V10Error, V10Result};
 use crate::rng::SimRng;
 
-/// Compiled-plan size cap: a plan whose Poisson streams would expand past
+/// Compiled-plan size cap: a plan whose Poisson stream would expand past
 /// this many events is rejected at compile time instead of exhausting
 /// memory (e.g. a microsecond-scale mean against a multi-hour horizon).
 pub const MAX_COMPILED_EVENTS: usize = 65_536;
@@ -151,45 +151,15 @@ struct PoissonSpec {
     horizon_cycles: f64,
 }
 
-impl PoissonSpec {
-    fn validated(
-        context: &'static str,
-        seed: u64,
-        mean_interarrival_cycles: f64,
-        horizon_cycles: f64,
-    ) -> V10Result<Self> {
-        if !mean_interarrival_cycles.is_finite() || mean_interarrival_cycles <= 0.0 {
-            return Err(V10Error::invalid(
-                context,
-                format!(
-                    "mean interarrival must be finite and positive, got {mean_interarrival_cycles}"
-                ),
-            ));
-        }
-        if !horizon_cycles.is_finite() || horizon_cycles < 0.0 {
-            return Err(V10Error::invalid(
-                context,
-                format!("horizon must be finite and non-negative, got {horizon_cycles}"),
-            ));
-        }
-        Ok(PoissonSpec {
-            seed,
-            mean_interarrival_cycles,
-            horizon_cycles,
-        })
-    }
-}
-
 /// Declarative description of the faults one engine run will experience.
 ///
 /// A plan combines individually scripted events ([`FaultPlan::with_fault`])
-/// with optional Poisson streams of transient operator faults and transient
-/// core stalls. The default plan ([`FaultPlan::none`]) carries no faults.
+/// with an optional Poisson stream of transient operator faults. The
+/// default plan ([`FaultPlan::none`]) carries no faults.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     scripted: Vec<FaultEvent>,
     transients: Option<PoissonSpec>,
-    stalls: Option<(PoissonSpec, f64)>,
 }
 
 impl FaultPlan {
@@ -204,7 +174,7 @@ impl FaultPlan {
     /// Whether the plan carries no faults at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.scripted.is_empty() && self.transients.is_none() && self.stalls.is_none()
+        self.scripted.is_empty() && self.transients.is_none()
     }
 
     /// Adds one scripted fault at an absolute simulated time.
@@ -233,55 +203,26 @@ impl FaultPlan {
         mean_interarrival_cycles: f64,
         horizon_cycles: f64,
     ) -> V10Result<Self> {
+        let invalid =
+            |message: String| V10Error::invalid("FaultPlan::with_poisson_transients", message);
         if self.transients.is_some() {
-            return Err(V10Error::invalid(
-                "FaultPlan::with_poisson_transients",
-                "plan already has a transient-fault stream",
-            ));
+            return Err(invalid("plan already has a transient-fault stream".into()));
         }
-        self.transients = Some(PoissonSpec::validated(
-            "FaultPlan::with_poisson_transients",
+        if !mean_interarrival_cycles.is_finite() || mean_interarrival_cycles <= 0.0 {
+            return Err(invalid(format!(
+                "mean interarrival must be finite and positive, got {mean_interarrival_cycles}"
+            )));
+        }
+        if !horizon_cycles.is_finite() || horizon_cycles < 0.0 {
+            return Err(invalid(format!(
+                "horizon must be finite and non-negative, got {horizon_cycles}"
+            )));
+        }
+        self.transients = Some(PoissonSpec {
             seed,
             mean_interarrival_cycles,
             horizon_cycles,
-        )?);
-        Ok(self)
-    }
-
-    /// Adds a seeded Poisson stream of whole-core stalls of fixed duration
-    /// `stall_cycles`, truncated at `horizon_cycles`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`V10Error::InvalidArgument`] for a non-positive mean or
-    /// stall duration, a non-finite/negative horizon, or when the plan
-    /// already has a stall stream.
-    pub fn with_poisson_stalls(
-        mut self,
-        seed: u64,
-        mean_interarrival_cycles: f64,
-        stall_cycles: f64,
-        horizon_cycles: f64,
-    ) -> V10Result<Self> {
-        if self.stalls.is_some() {
-            return Err(V10Error::invalid(
-                "FaultPlan::with_poisson_stalls",
-                "plan already has a stall stream",
-            ));
-        }
-        if !stall_cycles.is_finite() || stall_cycles <= 0.0 {
-            return Err(V10Error::invalid(
-                "FaultPlan::with_poisson_stalls",
-                format!("stall duration must be finite and positive, got {stall_cycles}"),
-            ));
-        }
-        let spec = PoissonSpec::validated(
-            "FaultPlan::with_poisson_stalls",
-            seed,
-            mean_interarrival_cycles,
-            horizon_cycles,
-        )?;
-        self.stalls = Some((spec, stall_cycles));
+        });
         Ok(self)
     }
 
@@ -314,8 +255,8 @@ impl FaultInjector {
         }
     }
 
-    /// Compiles a plan: expands its Poisson streams from their seeds,
-    /// merges them with the scripted events, and sorts by fire time
+    /// Compiles a plan: expands its Poisson stream from its seed, merges it
+    /// with the scripted events, and sorts by fire time
     /// (`total_cmp`; ties keep scripted-before-generated insertion order).
     ///
     /// # Errors
@@ -338,24 +279,10 @@ impl FaultInjector {
                     kind: FaultKind::TransientOp { victim_salt },
                 });
                 if events.len() > MAX_COMPILED_EVENTS {
-                    return Err(compile_overflow());
-                }
-            }
-        }
-        if let Some((spec, stall_cycles)) = plan.stalls {
-            let mut rng = SimRng::seed_from(spec.seed);
-            let mut t = 0.0;
-            loop {
-                t += rng.exponential(spec.mean_interarrival_cycles);
-                if t > spec.horizon_cycles {
-                    break;
-                }
-                events.push(FaultEvent {
-                    at_cycles: t,
-                    kind: FaultKind::CoreStall { stall_cycles },
-                });
-                if events.len() > MAX_COMPILED_EVENTS {
-                    return Err(compile_overflow());
+                    return Err(V10Error::invalid(
+                        "FaultInjector::compile",
+                        format!("plan expands past {MAX_COMPILED_EVENTS} events; raise the mean interarrival or shorten the horizon"),
+                    ));
                 }
             }
         }
@@ -597,13 +524,6 @@ impl FleetFaultPlan {
     }
 }
 
-fn compile_overflow() -> V10Error {
-    V10Error::invalid(
-        "FaultInjector::compile",
-        format!("plan expands past {MAX_COMPILED_EVENTS} events; raise the mean interarrival or shorten the horizon"),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,8 +592,6 @@ mod tests {
     fn poisson_streams_are_deterministic_and_bounded_by_horizon() {
         let plan = FaultPlan::none()
             .with_poisson_transients(0xFA_17, 1_000.0, 50_000.0)
-            .unwrap()
-            .with_poisson_stalls(0x57A11, 10_000.0, 64.0, 50_000.0)
             .unwrap();
         let a = FaultInjector::compile(&plan).unwrap();
         let b = FaultInjector::compile(&plan).unwrap();
@@ -713,9 +631,6 @@ mod tests {
             .is_err());
         assert!(FaultPlan::none()
             .with_poisson_transients(1, 10.0, f64::INFINITY)
-            .is_err());
-        assert!(FaultPlan::none()
-            .with_poisson_stalls(1, 10.0, -5.0, 100.0)
             .is_err());
         let doubled = FaultPlan::none()
             .with_poisson_transients(1, 10.0, 100.0)

@@ -53,11 +53,15 @@ use crate::model::Model;
 const MIX: [Model; 3] = [Model::Mnist, Model::Dlrm, Model::Ncf];
 
 /// The overload controller's sensing interval, which the adversarial cases
-/// time themselves against (v10-core's armed controller senses every 1e6
-/// cycles; this crate sits below v10-core, so it keeps its own copy).
+/// time themselves against: a copy of v10-core's
+/// `overload::SENSE_INTERVAL_CYCLES`, because this crate sits below
+/// v10-core. The facade's `tests/adversary.rs` sees both crates and checks
+/// that the `hysteresis-beat` bursts still land on the core's cadence.
 const SENSE_INTERVAL_CYCLES: f64 = 1.0e6;
 
-/// The Table-5 preemption slice the cliff case straddles.
+/// The Table-5 preemption slice the cliff case straddles: a copy of
+/// v10-npu's `NpuConfig::table5().time_slice_cycles()`, checked by the same
+/// test.
 const TIME_SLICE_CYCLES: u64 = 32_768;
 
 /// The fleet-plane epoch the fleet-fault cases time themselves against:

@@ -8,6 +8,7 @@
 //! violations found during development, minimized by the harness; each
 //! replays here as an ordinary regression test.
 
+use v10_core::overload::SENSE_INTERVAL_CYCLES;
 use v10_core::{
     audit_serve_stressed, run_digest, Admission, AdmissionSchedule, Design, FleetConservation,
     OverloadController, OverloadPolicy, PropertyHarness, RunOptions, WorkloadSpec,
@@ -186,6 +187,43 @@ fn the_sweep_actually_stresses_the_control_plane() {
         "no capped boost was re-queued: {boost_requeues}"
     );
     assert!(faults >= 10, "fault plans barely injected: {faults}");
+}
+
+/// v10-workloads sits below v10-core and v10-npu, so the adversarial cases
+/// time themselves against copies of the overload controller's sensing
+/// interval and the Table 5 preemption slice. Both sides meet here: the
+/// `hysteresis-beat` bursts must land just after a sense point, and the
+/// `preemption-cliff` operators must straddle the slice.
+#[test]
+fn adversarial_cases_track_the_core_cadence_and_slice() {
+    let gen = AdversaryGen::new(MASTER_SEED);
+    let case = AdversaryCase::HysteresisBeat;
+    let scenario = gen.scenario(case, &gen.default_knobs(case)).unwrap();
+    assert_eq!(scenario.arrivals().len(), 12);
+    for a in scenario.arrivals() {
+        let after_sense = a.at_cycles() % (2.0 * SENSE_INTERVAL_CYCLES);
+        assert!(
+            (5.0e3..=1.5e4).contains(&after_sense),
+            "{} lands {after_sense} cycles after a beat",
+            a.label()
+        );
+    }
+
+    let slice = NpuConfig::table5().time_slice_cycles();
+    let case = AdversaryCase::PreemptionCliff;
+    let scenario = gen.scenario(case, &gen.default_knobs(case)).unwrap();
+    let ops: Vec<u64> = scenario
+        .arrivals()
+        .iter()
+        .flat_map(|a| a.trace().ops().iter().map(|op| op.compute_cycles()))
+        .collect();
+    assert_eq!(ops.len(), 24);
+    for cycles in ops {
+        assert!(
+            (slice + 256..slice + 2_304).contains(&cycles),
+            "operator of {cycles} cycles misses the {slice}-cycle slice's cliff"
+        );
+    }
 }
 
 /// Byte-identity across worker pools: serving the full case set on 1, 2,

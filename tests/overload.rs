@@ -263,9 +263,9 @@ fn watchdog_boosts_starving_tenants_and_nobody_is_left_behind() {
 }
 
 /// Open-loop Poisson serving stays sound under an armed fault plan: with
-/// transient corruptions and whole-core stalls injected into an armed
-/// controller's run, V10-Base and V10-Full both audit clean, and the plan
-/// actually fires.
+/// Poisson transient corruptions and scripted whole-core stalls injected
+/// into an armed controller's run, V10-Base and V10-Full both audit clean,
+/// and the plan actually fires.
 #[test]
 fn poisson_serving_audits_clean_under_armed_fault_plans() {
     const MODELS: [Model; 3] = [Model::Mnist, Model::Dlrm, Model::Ncf];
@@ -286,13 +286,17 @@ fn poisson_serving_audits_clean_under_armed_fault_plans() {
         })
         .collect();
     let schedule = AdmissionSchedule::new(admissions).unwrap();
-    let plan = FaultPlan::none()
+    let mut plan = FaultPlan::none()
         .with_fault(1.0e6, FaultKind::TransientOp { victim_salt: 0xA5 })
         .unwrap()
         .with_poisson_transients(0xDEAD, 4.0e6, 4.0e7)
-        .unwrap()
-        .with_poisson_stalls(0xBEEF, 9.0e6, 5.0e4, 4.0e7)
         .unwrap();
+    let stall = FaultKind::CoreStall {
+        stall_cycles: 5.0e4,
+    };
+    for at in [9.0e6, 1.8e7, 2.7e7, 3.6e7] {
+        plan = plan.with_fault(at, stall).unwrap();
+    }
     for design in [Design::V10Base, Design::V10Full] {
         let (report, violations) = audit_serve_stressed(
             design,

@@ -40,8 +40,9 @@ fn v10_improves_utilization_over_pmt_for_complementary_pair() {
     assert!(full.overlap().both > 0.0);
 }
 
-/// §5.3: system throughput ordering V10-Full > PMT, and STP stays within
-/// its theoretical bounds (0, #workloads].
+/// §5.3: system throughput ordering V10-Full > PMT, a V10-Full pair beats
+/// time-sharing (STP > 1), and STP stays within its theoretical bounds
+/// (0, #workloads].
 #[test]
 fn throughput_ordering_and_bounds() {
     let cfg = NpuConfig::table5();
@@ -55,8 +56,16 @@ fn throughput_ordering_and_bounds() {
         .unwrap()
         .system_throughput(&refs);
     assert!(full > pmt, "V10-Full STP {full:.2} <= PMT {pmt:.2}");
+    assert!(full > 1.0, "V10-Full pair {full:.3} below time-sharing");
     for stp in [pmt, full] {
         assert!(stp > 0.0 && stp <= 2.05, "STP {stp} out of bounds");
+    }
+    // Alone on a core, V10-Full runs each workload near-dedicated.
+    for (s, r) in specs.iter().zip(&refs) {
+        let solo = run_design(Design::V10Full, std::slice::from_ref(s), &cfg, &opts)
+            .unwrap()
+            .system_throughput(std::slice::from_ref(r));
+        assert!(solo > 0.9, "{} alone: STP {solo:.3}", s.label());
     }
 }
 
