@@ -21,6 +21,13 @@ cargo run -q -p v10-lint -- --check --json
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> sampler tests pinned to one CPU (the one-thread synthesis a one-CPU host selects)"
+if command -v taskset > /dev/null; then
+    taskset -c 0 cargo test -q -p v10-workloads --lib sampler_tests
+else
+    echo "taskset not found: skipped the one-CPU sampler run"
+fi
+
 echo "==> benchmark package tests (an API change that breaks benchmark/ fails here)"
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 

@@ -77,6 +77,7 @@ pub struct OpDesc {
 
 impl OpDesc {
     /// Starts building an operator of the given kind.
+    #[inline]
     #[must_use]
     pub fn builder(kind: FuKind) -> OpDescBuilder {
         OpDescBuilder {
@@ -179,6 +180,7 @@ impl OpDescBuilder {
     ///
     /// Panics if `cycles` is zero — zero-length operators would make
     /// progress-rate math degenerate.
+    #[inline]
     #[must_use]
     pub fn compute_cycles(mut self, cycles: u64) -> Self {
         assert!(cycles > 0, "operator compute length must be positive");
@@ -187,6 +189,7 @@ impl OpDescBuilder {
     }
 
     /// Sets the HBM traffic in bytes.
+    #[inline]
     #[must_use]
     pub fn hbm_bytes(mut self, bytes: u64) -> Self {
         self.hbm_bytes = bytes;
@@ -194,6 +197,7 @@ impl OpDescBuilder {
     }
 
     /// Sets the vector-memory footprint in bytes.
+    #[inline]
     #[must_use]
     pub fn vmem_bytes(mut self, bytes: u64) -> Self {
         self.vmem_bytes = bytes;
@@ -201,6 +205,7 @@ impl OpDescBuilder {
     }
 
     /// Sets the FLOP count.
+    #[inline]
     #[must_use]
     pub fn flops(mut self, flops: u64) -> Self {
         self.flops = flops;
@@ -212,6 +217,7 @@ impl OpDescBuilder {
     /// # Panics
     ///
     /// Panics if `count` is zero — every operator ends in at least `halt`.
+    #[inline]
     #[must_use]
     pub fn instr_count(mut self, count: u32) -> Self {
         assert!(count > 0, "operator must contain at least one instruction");
@@ -220,6 +226,7 @@ impl OpDescBuilder {
     }
 
     /// Sets the pre-dispatch idle gap in cycles.
+    #[inline]
     #[must_use]
     pub fn dispatch_gap_cycles(mut self, cycles: u64) -> Self {
         self.dispatch_gap_cycles = cycles;
@@ -227,6 +234,7 @@ impl OpDescBuilder {
     }
 
     /// Finalizes the descriptor.
+    #[inline]
     #[must_use]
     pub fn build(self) -> OpDesc {
         OpDesc {

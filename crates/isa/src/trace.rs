@@ -7,6 +7,8 @@
 //! sequence; the multi-tenant executors replay it repeatedly to measure
 //! steady-state behaviour (§5.1).
 
+use std::sync::Arc;
+
 use v10_sim::{Frequency, V10Error, V10Result};
 
 use crate::op::{FuKind, OpDesc};
@@ -31,11 +33,9 @@ use crate::op::{FuKind, OpDesc};
 /// assert_eq!(trace.total_compute_cycles(), 770);
 /// assert_eq!(trace.busy_cycles(FuKind::Sa), 700);
 /// ```
-///
-/// [`Arc`]: std::sync::Arc
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestTrace {
-    ops: std::sync::Arc<[OpDesc]>,
+    ops: Arc<[OpDesc]>,
 }
 
 impl RequestTrace {
@@ -47,13 +47,7 @@ impl RequestTrace {
     /// with no operators cannot make progress and would deadlock the
     /// executors.
     pub fn new(ops: Vec<OpDesc>) -> V10Result<Self> {
-        if ops.is_empty() {
-            return Err(V10Error::invalid(
-                "RequestTrace::new",
-                "a request trace must contain at least one operator",
-            ));
-        }
-        Ok(RequestTrace { ops: ops.into() })
+        RequestTrace::try_from(Arc::<[OpDesc]>::from(ops))
     }
 
     /// The operators, in program order.
@@ -146,6 +140,27 @@ impl RequestTrace {
             total_hbm_bytes: self.total_hbm_bytes(),
             total_flops: self.total_flops(),
         }
+    }
+}
+
+impl TryFrom<Arc<[OpDesc]>> for RequestTrace {
+    type Error = V10Error;
+
+    /// Wraps an operator sequence that is already shared, without copying
+    /// it: a synthesizer that collects its operators straight into an
+    /// `Arc<[OpDesc]>` allocates the trace once.
+    ///
+    /// # Errors
+    ///
+    /// As [`RequestTrace::new`]: `ops` must not be empty.
+    fn try_from(ops: Arc<[OpDesc]>) -> V10Result<Self> {
+        if ops.is_empty() {
+            return Err(V10Error::invalid(
+                "RequestTrace::new",
+                "a request trace must contain at least one operator",
+            ));
+        }
+        Ok(RequestTrace { ops })
     }
 }
 

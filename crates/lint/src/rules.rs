@@ -18,8 +18,8 @@
 //!   silent truncation/precision loss drifts the figures. Use `try_from`,
 //!   `f64::from`, or the checked helpers in `v10_sim::convert`.
 //! * **P1** — `unwrap()`/`expect()`/panicking macros/slice indexing in
-//!   non-test library code of `v10-core` and `v10-sim`: public entry
-//!   points promise typed `V10Error`s, not process teardown.
+//!   non-test library code of the crates in `workspace::P1_CRATES`:
+//!   public entry points promise typed `V10Error`s, not process teardown.
 //!
 //! The semantic families U1/F1/O1/E1 run on the [`crate::parser`]'s item
 //! tables, and so does **S1** (see [`s1_findings`]): a `pub fn` or `pub

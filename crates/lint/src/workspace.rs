@@ -10,8 +10,9 @@
 //! * **D3** applies only to the cycle/byte *accounting modules* listed in
 //!   [`ACCOUNTING_MODULES`] — the files whose arithmetic lands in golden
 //!   figures.
-//! * **P1** applies to the library sources of `v10-core` and `v10-sim`,
-//!   the crates whose public API promises typed `V10Error`s.
+//! * **P1** applies to the library sources of the crates in
+//!   [`P1_CRATES`] (`v10-core`, `v10-npu`, `v10-sim`, `v10-workloads`),
+//!   whose public API promises typed `V10Error`s.
 //! * **U1** (unit safety) applies to the same accounting modules as D3:
 //!   the files where a unitless `f64`/`u64` on the public surface is a
 //!   latent unit bug.
@@ -49,7 +50,7 @@ pub const SIM_CRATES: [&str; 7] = [
 ];
 
 /// Crates under the P1 panic-freedom rule.
-pub const P1_CRATES: [&str; 3] = ["core", "npu", "sim"];
+pub const P1_CRATES: [&str; 4] = ["core", "npu", "sim", "workloads"];
 
 /// Cycle/byte accounting modules under the D3 cast rule (repo-relative,
 /// unix separators).
@@ -217,6 +218,9 @@ mod tests {
         assert!(s.d1 && s.d2 && s.d3 && s.p1 && s.u1);
 
         let s = scope_for("crates/workloads/src/zoo.rs").unwrap();
+        assert!(s.d1 && s.d2 && !s.d3 && s.p1);
+
+        let s = scope_for("crates/collocate/src/placer.rs").unwrap();
         assert!(s.d1 && s.d2 && !s.d3 && !s.p1);
 
         // The bench harness is out of scope entirely (wall-clock timing
@@ -258,12 +262,12 @@ mod tests {
         assert!(s.d1 && s.d2 && !s.d3 && !s.p1);
 
         // The adversarial scenario engine and the property harness land
-        // on the standard per-crate scopes: workloads modules carry
-        // D1/D2, core and sim modules additionally P1 (repro.rs does no
-        // cycle arithmetic, so D3/U1 stay off), and the root-level
-        // integration suite the determinism families.
+        // on the standard per-crate scopes: workloads, core and sim
+        // modules carry D1/D2 and P1 (repro.rs does no cycle arithmetic,
+        // so D3/U1 stay off), and the root-level integration suite the
+        // determinism families.
         let s = scope_for("crates/workloads/src/adversary.rs").unwrap();
-        assert!(s.d1 && s.d2 && !s.d3 && !s.p1);
+        assert!(s.d1 && s.d2 && !s.d3 && s.p1);
         let s = scope_for("crates/core/src/harness.rs").unwrap();
         assert!(s.d1 && s.d2 && s.p1 && !s.d3);
         let s = scope_for("crates/core/src/invariants.rs").unwrap();

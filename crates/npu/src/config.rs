@@ -4,10 +4,21 @@ use std::fmt;
 
 use v10_sim::{Frequency, V10Error, V10Result};
 
+/// Side length N of each (square) systolic array (Table 5: 128×128).
+const SA_DIM: u32 = 128;
+
+/// HBM bandwidth per SA/VU pair in bytes per second (Table 5: 330 GB/s).
+const HBM_BANDWIDTH_BYTES_PER_SEC: f64 = 330e9;
+
+/// Cycles one VU context switch costs (PC + register save/restore).
+const VU_SWITCH_CYCLES: u64 = 64;
+
 /// Configuration of one simulated NPU core.
 ///
 /// Defaults to the paper's Table 5. Use [`NpuConfig::builder`] for the
-/// evaluation sweeps (§5.7–§5.9).
+/// evaluation sweeps (§5.7–§5.9), which set the FU count, the vector
+/// memory and the time slice; the SA size, the 700 MHz clock, the HBM
+/// bandwidth and the VU switch cost are Table 5's in every configuration.
 ///
 /// # Example
 ///
@@ -25,13 +36,9 @@ use v10_sim::{Frequency, V10Error, V10Result};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NpuConfig {
-    sa_dim: u32,
     fu_count: u32,
-    frequency: Frequency,
     vmem_bytes: u64,
-    hbm_bandwidth_bytes_per_sec: f64,
     time_slice_cycles: u64,
-    vu_switch_cycles: u64,
 }
 
 impl NpuConfig {
@@ -56,7 +63,7 @@ impl NpuConfig {
     /// Side length N of each (square) systolic array.
     #[must_use]
     pub fn sa_dim(&self) -> u32 {
-        self.sa_dim
+        SA_DIM
     }
 
     /// Number of SAs — and, symmetrically, of VUs — in the core. The paper's
@@ -69,7 +76,7 @@ impl NpuConfig {
     /// The core clock.
     #[must_use]
     pub fn frequency(&self) -> Frequency {
-        self.frequency
+        Frequency::default()
     }
 
     /// On-chip vector-memory capacity in bytes.
@@ -95,8 +102,8 @@ impl NpuConfig {
     /// increasing number of SAs/VUs to balance compute and memory").
     #[must_use]
     pub fn hbm_bytes_per_cycle(&self) -> f64 {
-        self.frequency
-            .bytes_per_cycle(self.hbm_bandwidth_bytes_per_sec)
+        self.frequency()
+            .bytes_per_cycle(HBM_BANDWIDTH_BYTES_PER_SEC)
             * self.fu_count as f64
     }
 
@@ -112,20 +119,20 @@ impl NpuConfig {
     /// the functional model in `v10-systolic`).
     #[must_use]
     pub fn sa_switch_cycles(&self) -> u64 {
-        3 * self.sa_dim as u64
+        3 * SA_DIM as u64
     }
 
     /// Cycles one VU context switch costs (PC + register save/restore).
     #[must_use]
     pub fn vu_switch_cycles(&self) -> u64 {
-        self.vu_switch_cycles
+        VU_SWITCH_CYCLES
     }
 
     /// On-chip context bytes per preempted SA operator: `6 × sa_dim²`
     /// (96 KB at N = 128, §3.3).
     #[must_use]
     pub fn sa_context_bytes(&self) -> u64 {
-        6 * self.sa_dim as u64 * self.sa_dim as u64
+        6 * SA_DIM as u64 * SA_DIM as u64
     }
 }
 
@@ -141,12 +148,12 @@ impl fmt::Display for NpuConfig {
             f,
             "NPU core: {}x {}x{} SA + {}x VU @ {}, {} MB vmem, {:.0} GB/s HBM, {}-cycle slice",
             self.fu_count,
-            self.sa_dim,
-            self.sa_dim,
+            SA_DIM,
+            SA_DIM,
             self.fu_count,
-            self.frequency,
+            self.frequency(),
             self.vmem_bytes >> 20,
-            self.hbm_bandwidth_bytes_per_sec * self.fu_count as f64 / 1e9,
+            HBM_BANDWIDTH_BYTES_PER_SEC * self.fu_count as f64 / 1e9,
             self.time_slice_cycles
         )
     }
@@ -206,19 +213,14 @@ impl NpuConfigBuilder {
         Ok(self.finish())
     }
 
-    /// The configuration as set, unvalidated, with the Table 5 values no
-    /// sweep changes: [`build`](Self::build) once it has checked the
-    /// fields, and [`NpuConfig::table5`] on the Table 5 defaults
-    /// (`table5_defaults` pins them valid).
+    /// The configuration as set, unvalidated: [`build`](Self::build) once
+    /// it has checked the fields, and [`NpuConfig::table5`] on the Table 5
+    /// defaults (`table5_defaults` pins them valid).
     fn finish(self) -> NpuConfig {
         NpuConfig {
-            sa_dim: 128,
             fu_count: self.fu_count,
-            frequency: Frequency::default(),
             vmem_bytes: self.vmem_bytes,
-            hbm_bandwidth_bytes_per_sec: 330e9,
             time_slice_cycles: self.time_slice_cycles,
-            vu_switch_cycles: 64,
         }
     }
 }

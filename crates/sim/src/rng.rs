@@ -30,8 +30,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// let mut b = SimRng::seed_from(42);
 /// // Same seed, same stream.
 /// assert_eq!(a.next_u64(), b.next_u64());
-/// let x = a.lognormal(100.0, 0.5);
-/// assert!(x > 0.0);
+/// let lengths: Vec<f64> = a.lognormals(100.0, 0.5).take(4).collect();
+/// assert!(lengths.iter().all(|&x| x > 0.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -132,23 +132,24 @@ impl SimRng {
         r * theta.cos()
     }
 
-    /// Lognormal variate with the given *arithmetic* mean and shape `sigma`
-    /// (the std-dev of the underlying normal).
+    /// An endless stream of lognormal variates with the given *arithmetic*
+    /// mean and shape `sigma` (the std-dev of the underlying normal), each
+    /// drawn from this generator as it is taken.
     ///
     /// Parameterizing by the arithmetic mean lets callers plug in Table 1's
     /// average operator lengths directly: `E[X] = mean` exactly, with heavier
-    /// tails as `sigma` grows.
+    /// tails as `sigma` grows. The log-mean is computed once per stream.
     ///
     /// # Panics
     ///
     /// Panics if `mean <= 0` or `sigma < 0`.
-    pub fn lognormal(&mut self, mean: f64, sigma: f64) -> f64 {
+    pub fn lognormals(&mut self, mean: f64, sigma: f64) -> impl Iterator<Item = f64> + '_ {
         assert!(mean > 0.0, "lognormal mean must be positive, got {mean}");
         assert!(sigma >= 0.0, "lognormal sigma must be non-negative");
         // If X = exp(N(mu, sigma^2)) then E[X] = exp(mu + sigma^2/2);
         // solve for mu so the arithmetic mean is exact.
         let mu = mean.ln() - sigma * sigma / 2.0;
-        (mu + sigma * self.standard_normal()).exp()
+        std::iter::repeat_with(move || (mu + sigma * self.standard_normal()).exp())
     }
 
     /// Exponential variate with the given mean — inter-arrival times of a
@@ -252,7 +253,7 @@ mod tests {
         let mut r = SimRng::seed_from(13);
         let n = 40_000;
         let target = 877.0; // BERT's average SA operator length in µs (Table 1)
-        let mean = (0..n).map(|_| r.lognormal(target, 0.5)).sum::<f64>() / n as f64;
+        let mean = r.lognormals(target, 0.5).take(n).sum::<f64>() / n as f64;
         assert!(
             (mean - target).abs() / target < 0.05,
             "sample mean {mean} vs target {target}"
@@ -262,8 +263,8 @@ mod tests {
     #[test]
     fn lognormal_zero_sigma_is_constant() {
         let mut r = SimRng::seed_from(17);
-        for _ in 0..10 {
-            assert!((r.lognormal(50.0, 0.0) - 50.0).abs() < 1e-9);
+        for x in r.lognormals(50.0, 0.0).take(10) {
+            assert!((x - 50.0).abs() < 1e-9);
         }
     }
 
@@ -304,6 +305,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn lognormal_rejects_nonpositive_mean() {
-        SimRng::seed_from(0).lognormal(0.0, 1.0);
+        let _ = SimRng::seed_from(0).lognormals(0.0, 1.0);
     }
 }

@@ -52,6 +52,13 @@ use crate::model::Model;
 /// keep a full profile sweep inside a smoke-test budget.
 const MIX: [Model; 3] = [Model::Mnist, Model::Dlrm, Model::Ncf];
 
+/// A model drawn uniformly from [`MIX`].
+fn mix_model(rng: &mut SimRng) -> V10Result<Model> {
+    rng.choose(&MIX)
+        .copied()
+        .ok_or_else(|| V10Error::invalid("AdversaryGen", "the model mix is empty"))
+}
+
 /// The overload controller's sensing interval, which the adversarial cases
 /// time themselves against: a copy of v10-core's
 /// `overload::SENSE_INTERVAL_CYCLES`, because this crate sits below
@@ -578,7 +585,7 @@ fn hysteresis_beat_arrivals(n: usize, seed: u64) -> V10Result<(Vec<TimedArrival>
         // Land 5–15 kcycles after the sense point, cadence 2 sense
         // intervals per burst.
         let at = (burst as f64) * 2.0 * SENSE_INTERVAL_CYCLES + rng.uniform(5.0e3, 1.5e4);
-        let model = MIX[rng.index(MIX.len())];
+        let model = mix_model(&mut rng)?;
         let trace = model.default_profile().synthesize(rng.next_u64());
         arrivals.push(TimedArrival::new(
             format!("beat-{}#{i}", model.abbrev()),
@@ -646,7 +653,7 @@ fn arp_gaming_arrivals(n: usize, seed: u64) -> V10Result<(Vec<TimedArrival>, Vec
                 32,
             )?);
         } else if i % 3 == 2 {
-            let model = MIX[rng.index(MIX.len())];
+            let model = mix_model(&mut rng)?;
             let trace = model.default_profile().synthesize(rng.next_u64());
             // Long-lived dense tenants: as long as one of them is live, the
             // ladder's rung-1 demotion has a hoggier victim than the

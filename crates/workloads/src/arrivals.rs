@@ -8,7 +8,9 @@
 //! description always compiles to the same [`TimedArrival`] list, so
 //! serving experiments replay bit-for-bit. Its rate may be modulated (a
 //! flash crowd, a diurnal cycle); with one state it is plain Poisson,
-//! which [`OpenLoopProcess`] names.
+//! which [`OpenLoopProcess`] names. Sampling draws every session on the
+//! calling thread and then synthesizes the sessions' traces on all
+//! cores; the stream does not depend on how many.
 //!
 //! This crate knows nothing about executors; callers turn each
 //! [`TimedArrival`] into an admission for the serving engine (label +
@@ -19,10 +21,13 @@
 //! think gap, so the tenant idles that long before every request without
 //! occupying a functional unit.
 
-use v10_isa::{OpDesc, RequestTrace};
-use v10_sim::{SimRng, V10Error, V10Result};
+use std::num::NonZeroUsize;
+
+use v10_isa::RequestTrace;
+use v10_sim::{parallel_map_with, SimRng, V10Error, V10Result};
 
 use crate::model::Model;
+use crate::profile::ModelProfile;
 
 /// One sampled tenant arrival: who arrives, when, and how much work they
 /// bring.
@@ -113,6 +118,11 @@ const MMPP_DWELL_SALT: u64 = 0x4D4D_5050; // "MMPP"
 /// against huge arrival gaps) and sampling reports an error instead of
 /// spinning.
 const MMPP_MAX_CROSSINGS_PER_ARRIVAL: usize = 65_536;
+
+/// Fewest sessions [`MmppProcess::sample`] gives a synthesis thread: a
+/// millisecond or more of trace building for most models, against tens of
+/// microseconds to start and join a thread.
+const MIN_SESSIONS_PER_THREAD: usize = 256;
 
 /// One state of a Markov-modulated Poisson process: an arrival rate (as a
 /// mean inter-arrival gap) plus the mean exponential dwell time the
@@ -351,7 +361,13 @@ impl MmppProcess {
     }
 
     /// Samples the first `count` arrivals of the process, in arrival order.
-    /// Deterministic: the same process samples the same stream.
+    /// Deterministic: the same process samples the same stream, on any
+    /// host.
+    ///
+    /// The sessions' traces are synthesized on up to
+    /// [`std::thread::available_parallelism`] threads, each given at least
+    /// 256 sessions; smaller samples stay on the calling thread. The thread
+    /// count never changes the stream.
     ///
     /// # Errors
     ///
@@ -359,12 +375,55 @@ impl MmppProcess {
     /// dwell configuration is so degenerate that an arrival gap skips more
     /// than 65 536 state transitions.
     pub fn sample(&self, count: usize) -> V10Result<Vec<TimedArrival>> {
+        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.sample_on(count, cpus.min(count / MIN_SESSIONS_PER_THREAD).max(1))
+    }
+
+    /// [`sample`](Self::sample) with the traces synthesized on `threads`
+    /// threads. Two passes: the draw pass walks the seeded streams
+    /// sequentially, exactly as a one-pass sampler would, and records each
+    /// session's draws; the synthesis pass builds every session's trace
+    /// from its own draws, a pure function of them, over contiguous blocks
+    /// of sessions, and returns the blocks in arrival order. The stream is
+    /// therefore the same at every thread count.
+    pub(crate) fn sample_on(&self, count: usize, threads: usize) -> V10Result<Vec<TimedArrival>> {
         if count == 0 {
             return Err(V10Error::invalid(
                 "MmppProcess::sample",
                 "need at least one arrival",
             ));
         }
+        // Calibrated once per call and shared by every session.
+        let profiles: Vec<ModelProfile> = self.models.iter().map(|m| m.default_profile()).collect();
+        let draws = self.draw_sessions(count, &profiles)?;
+        let block = count.div_ceil(threads.max(1));
+        let blocks = parallel_map_with(threads, draws.chunks(block), |sessions| {
+            sessions
+                .iter()
+                .map(|d| TimedArrival {
+                    label: format!("{}#{}", d.profile.model().abbrev(), d.index),
+                    model: d.profile.model(),
+                    trace: d.profile.synthesize_session(d.trace_seed, d.think_cycles),
+                    at_cycles: d.at_cycles,
+                    requests: self.requests_per_session,
+                })
+                .collect::<Vec<_>>()
+        });
+        Ok(blocks.into_iter().flatten().collect())
+    }
+
+    /// The draw pass: every session's arrival time, model, trace seed and
+    /// think gap, drawn in arrival order from the process's two streams.
+    fn draw_sessions<'p>(
+        &self,
+        count: usize,
+        profiles: &'p [ModelProfile],
+    ) -> V10Result<Vec<SessionDraw<'p>>> {
+        let state_at = |i: usize| {
+            self.states.get(i).ok_or_else(|| {
+                V10Error::invalid("MmppProcess::sample", "modulation state out of range")
+            })
+        };
         let mut rng = SimRng::seed_from(self.seed);
         let mut dwell = SimRng::seed_from(self.seed ^ MMPP_DWELL_SALT);
         let mut state = 0usize;
@@ -373,14 +432,14 @@ impl MmppProcess {
         let mut state_end = if self.states.len() == 1 {
             f64::INFINITY
         } else {
-            dwell.exponential(self.states[state].mean_dwell_cycles)
+            dwell.exponential(state_at(state)?.mean_dwell_cycles)
         };
         let mut now = 0.0;
-        let mut arrivals = Vec::with_capacity(count);
-        for i in 0..count {
+        let mut draws = Vec::with_capacity(count);
+        for index in 0..count {
             let mut crossings = 0usize;
             loop {
-                let gap = rng.exponential(self.states[state].mean_interarrival_cycles);
+                let gap = rng.exponential(state_at(state)?.mean_interarrival_cycles);
                 if now + gap <= state_end {
                     now += gap;
                     break;
@@ -390,7 +449,7 @@ impl MmppProcess {
                 // (memorylessness makes the restart exact).
                 now = state_end;
                 state = (state + 1) % self.states.len();
-                state_end = now + dwell.exponential(self.states[state].mean_dwell_cycles);
+                state_end = now + dwell.exponential(state_at(state)?.mean_dwell_cycles);
                 crossings += 1;
                 if crossings > MMPP_MAX_CROSSINGS_PER_ARRIVAL {
                     return Err(V10Error::invalid(
@@ -400,47 +459,42 @@ impl MmppProcess {
                     ));
                 }
             }
-            let model = self.models[rng.index(self.models.len())];
+            let profile = rng
+                .choose(profiles)
+                .ok_or_else(|| V10Error::invalid("MmppProcess::sample", "no model to draw from"))?;
             // Each session draws its trace and think gap from its own
             // stream, so changing the think-time configuration never
             // perturbs the arrival times, model picks, or traces.
             let mut session = SimRng::seed_from(rng.next_u64());
             let trace_seed = session.next_u64();
-            let think = if self.mean_think_cycles > 0.0 {
+            let think_cycles = if self.mean_think_cycles > 0.0 {
                 session.exponential(self.mean_think_cycles) as u64
             } else {
                 0
             };
-            let trace = with_think_gap(&model.default_profile().synthesize(trace_seed), think);
-            arrivals.push(TimedArrival {
-                label: format!("{}#{i}", model.abbrev()),
-                model,
-                trace,
+            draws.push(SessionDraw {
+                index,
                 at_cycles: now,
-                requests: self.requests_per_session,
+                profile,
+                trace_seed,
+                think_cycles,
             });
         }
-        Ok(arrivals)
+        Ok(draws)
     }
 }
 
-/// Extends the first operator's dispatch gap by `gap` cycles — the
-/// compiled form of per-request think time.
-fn with_think_gap(trace: &RequestTrace, gap: u64) -> RequestTrace {
-    if gap == 0 {
-        return trace.clone();
-    }
-    let mut ops = trace.ops().to_vec();
-    let first = ops[0];
-    ops[0] = OpDesc::builder(first.kind())
-        .compute_cycles(first.compute_cycles())
-        .hbm_bytes(first.hbm_bytes())
-        .vmem_bytes(first.vmem_bytes())
-        .flops(first.flops())
-        .instr_count(first.instr_count())
-        .dispatch_gap_cycles(first.dispatch_gap_cycles() + gap)
-        .build();
-    RequestTrace::new(ops).expect("rebuilt trace keeps its operators")
+/// One session's draws: everything the synthesis pass needs to build its
+/// arrival.
+struct SessionDraw<'p> {
+    /// Position in the stream (the label's suffix).
+    index: usize,
+    at_cycles: f64,
+    /// The drawn model's calibrated default profile.
+    profile: &'p ModelProfile,
+    trace_seed: u64,
+    /// Think gap folded into the first operator's dispatch gap.
+    think_cycles: u64,
 }
 
 #[cfg(test)]
@@ -711,6 +765,117 @@ mod seeded_tests {
                 assert!(x.at_cycles() > prev, "case {case}: times must increase");
                 prev = x.at_cycles();
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod sampler_tests {
+    use super::*;
+    use v10_isa::FuKind;
+
+    /// FNV-1a over every field of `arrivals` that reaches the serving
+    /// engine: arrival-time bits, model, quota, label, and each operator.
+    fn stream_digest(arrivals: &[TimedArrival]) -> u64 {
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for a in arrivals {
+            let model = Model::ALL.iter().position(|&m| m == a.model()).unwrap();
+            eat(&a.at_cycles().to_bits().to_le_bytes());
+            eat(&(model as u64).to_le_bytes());
+            eat(&(a.requests() as u64).to_le_bytes());
+            eat(&(a.label().len() as u64).to_le_bytes());
+            eat(a.label().as_bytes());
+            eat(&(a.trace().ops().len() as u64).to_le_bytes());
+            for op in a.trace().ops() {
+                eat(&[match op.kind() {
+                    FuKind::Sa => 0,
+                    FuKind::Vu => 1,
+                }]);
+                eat(&op.compute_cycles().to_le_bytes());
+                eat(&op.hbm_bytes().to_le_bytes());
+                eat(&op.vmem_bytes().to_le_bytes());
+                eat(&op.flops().to_le_bytes());
+                eat(&op.instr_count().to_le_bytes());
+                eat(&op.dispatch_gap_cycles().to_le_bytes());
+            }
+        }
+        h
+    }
+
+    /// The processes the sampler tests draw from: Poisson and flash crowd,
+    /// each without and with think time.
+    fn processes(models: &[Model], seed: u64) -> Vec<MmppProcess> {
+        let poisson = MmppProcess::new(models, 1.5e6, seed).unwrap();
+        let crowd = MmppProcess::flash_crowd(models, 2.0e6, 4.0, 1.0e7, seed).unwrap();
+        [poisson, crowd]
+            .into_iter()
+            .flat_map(|p| [p.clone(), p.with_think_cycles(4.0e5).unwrap()])
+            .collect()
+    }
+
+    // `assert!(a == b)`, not `assert_eq!`: a mismatch would print
+    // thousands of traces.
+    #[test]
+    fn streams_are_equal_at_every_thread_count() {
+        let models = [Model::Mnist, Model::Bert, Model::EfficientNet];
+        for (case, process) in processes(&models, 0x7EAD).iter().enumerate() {
+            for count in [1, 7, 2_000] {
+                let one = process.sample_on(count, 1).unwrap();
+                assert_eq!(one.len(), count);
+                for threads in [2, 3, 8] {
+                    assert!(
+                        process.sample_on(count, threads).unwrap() == one,
+                        "case {case}: {count} arrivals on {threads} threads"
+                    );
+                }
+                assert!(process.sample(count).unwrap() == one, "case {case}");
+            }
+        }
+    }
+
+    /// Digest of two fixed-seed streams of 600 arrivals, pinned from the
+    /// one-pass sampler that preceded the two-pass one: any bit the
+    /// sampler moves fails here.
+    const PINNED_STREAM_DIGEST: u64 = 0x475A_50DA_FC79_59B8;
+
+    #[test]
+    fn streams_match_the_pinned_digest() {
+        let poisson = MmppProcess::new(&Model::ALL, 1.5e6, 0x5EED_2026)
+            .unwrap()
+            .with_think_cycles(4.0e5)
+            .unwrap()
+            .with_requests_per_session(3)
+            .unwrap();
+        let crowd = MmppProcess::flash_crowd(
+            &[Model::Bert, Model::Dlrm, Model::Mnist, Model::Ncf],
+            2.0e6,
+            4.0,
+            1.0e7,
+            0xF1A5_4C20,
+        )
+        .unwrap();
+        let digest = |sample: &dyn Fn(&MmppProcess) -> Vec<TimedArrival>| {
+            let mut both = sample(&poisson);
+            both.extend(sample(&crowd));
+            stream_digest(&both)
+        };
+        assert_eq!(
+            digest(&|p| p.sample(600).unwrap()),
+            PINNED_STREAM_DIGEST,
+            "at the host's thread count"
+        );
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                digest(&|p| p.sample_on(600, threads).unwrap()),
+                PINNED_STREAM_DIGEST,
+                "on {threads} threads"
+            );
         }
     }
 }

@@ -131,6 +131,7 @@ impl Model {
     #[must_use]
     pub fn default_profile(self) -> ModelProfile {
         self.profile(self.default_batch())
+            // v10-lint: allow(P1) every default batch (8, 16 or 32) is non-zero and within its model's memory limit (at least 32)
             .expect("default batch is always within the memory limit")
     }
 

@@ -12,6 +12,8 @@
 //! re-tiling operators whose working set exceeds a (partitioned) vector
 //! memory — the mechanism behind the paper's Fig. 24 vmem-capacity sweep.
 
+use std::sync::Arc;
+
 use v10_isa::{FuKind, OpDag, OpDesc, RequestTrace};
 use v10_sim::SimRng;
 
@@ -32,6 +34,13 @@ impl ModelProfile {
     /// kinds, so the realized utilizations equal the profile's.
     #[must_use]
     pub fn synthesize(&self, seed: u64) -> RequestTrace {
+        self.synthesize_session(seed, 0)
+    }
+
+    /// [`synthesize`](Self::synthesize) with `think_cycles` added to the
+    /// first operator's dispatch gap: a serving session's trace with its
+    /// think time compiled in, built in one pass.
+    pub(crate) fn synthesize_session(&self, seed: u64, think_cycles: u64) -> RequestTrace {
         let mut rng = SimRng::seed_from(seed ^ 0x5EED_0F7B_4CE5);
         let sa_lens = jittered_lengths(
             &mut rng,
@@ -46,6 +55,7 @@ impl ModelProfile {
             self.len_sigma(),
         );
         let batch_ratio = self.batch() as f64 / self.model().default_batch() as f64;
+        let vmem_batch_scale = batch_ratio.powf(0.3);
 
         // Distribute the profile's residual idle time (request minus busy —
         // host dispatch, sync, and other stalls seen in real traces) evenly
@@ -55,11 +65,18 @@ impl ModelProfile {
         let busy: u64 = sa_lens.iter().chain(vu_lens.iter()).sum();
         let gap = self.request_cycles().saturating_sub(busy) / n_total as u64;
 
-        let mut ops = Vec::with_capacity(n_total);
-        for (kind, cycles) in interleave(&sa_lens, &vu_lens) {
-            ops.push(self.make_op(kind, cycles, batch_ratio, gap));
-        }
-        RequestTrace::new(ops).expect("profiles always have at least one operator")
+        // Collected straight into the trace's shared slice: the iterator
+        // has an exact length, so the operators are written once, into one
+        // allocation.
+        let ops: Arc<[OpDesc]> = interleave(&sa_lens, &vu_lens)
+            .enumerate()
+            .map(|(k, (kind, cycles))| {
+                let think = if k == 0 { think_cycles } else { 0 };
+                self.make_op(kind, cycles, vmem_batch_scale, gap.saturating_add(think))
+            })
+            .collect();
+        // v10-lint: allow(P1) `calibrated` gives every profile at least one SA and one VU operator, so `ops` is never empty
+        RequestTrace::try_from(ops).expect("profiles always have at least one operator")
     }
 
     /// Synthesizes the operator dependency DAG for the Fig. 6 analysis.
@@ -79,46 +96,62 @@ impl ModelProfile {
         let trace = self.synthesize(seed);
         let mut rng = SimRng::seed_from(seed ^ 0x0DA6_0F7B_4CE5);
         let ops = trace.ops();
+        let n = ops.len();
         let mut dag = OpDag::new();
-        let ids: Vec<usize> = ops.iter().map(|&op| dag.add_node(op)).collect();
+        // Node `i` is operator `i`: the DAG starts empty and numbers its
+        // nodes in insertion order.
+        for &op in ops {
+            dag.add_node(op);
+        }
+        let is_sa = |i: usize| ops.get(i).is_some_and(|op| op.kind() == FuKind::Sa);
+        let mut edge = |from: usize, to: usize| {
+            dag.add_edge(from, to)
+                // v10-lint: allow(P1) every edge joins two nodes added above and runs forward (from < to), so it is in range and never a self-loop
+                .expect("edges join added nodes, forward");
+        };
 
         let mut i = 0;
         let mut prev_tail: Option<usize> = None;
-        while i < ids.len() {
+        while i < n {
             // Candidate branch: SA op at i, a non-empty VU run after it, and
             // a join node following the run.
-            if ops[i].kind() == FuKind::Sa && rng.unit_f64() < self.branch_prob() {
-                let mut j = i + 1;
-                while j < ids.len() && ops[j].kind() == FuKind::Vu {
-                    j += 1;
-                }
-                if j > i + 1 && j < ids.len() {
+            if is_sa(i) && rng.unit_f64() < self.branch_prob() {
+                let run = ops
+                    .iter()
+                    .skip(i + 1)
+                    .take_while(|op| op.kind() == FuKind::Vu)
+                    .count();
+                let j = i + 1 + run;
+                if run > 0 && j < n {
                     // SA(i) runs parallel to the VU chain (i+1 .. j-1);
                     // both arms feed the join at j.
                     if let Some(p) = prev_tail {
-                        dag.add_edge(p, ids[i]).expect("indices valid");
-                        dag.add_edge(p, ids[i + 1]).expect("indices valid");
+                        edge(p, i);
+                        edge(p, i + 1);
                     }
-                    for w in ids[i + 1..j].windows(2) {
-                        dag.add_edge(w[0], w[1]).expect("indices valid");
+                    for k in i + 1..j - 1 {
+                        edge(k, k + 1);
                     }
-                    dag.add_edge(ids[i], ids[j]).expect("indices valid");
-                    dag.add_edge(ids[j - 1], ids[j]).expect("indices valid");
-                    prev_tail = Some(ids[j]);
+                    edge(i, j);
+                    edge(j - 1, j);
+                    prev_tail = Some(j);
                     i = j + 1;
                     continue;
                 }
             }
             if let Some(p) = prev_tail {
-                dag.add_edge(p, ids[i]).expect("indices valid");
+                edge(p, i);
             }
-            prev_tail = Some(ids[i]);
+            prev_tail = Some(i);
             i += 1;
         }
         dag
     }
 
-    fn make_op(&self, kind: FuKind, cycles: u64, batch_ratio: f64, gap: u64) -> OpDesc {
+    /// One operator of `kind` and length `cycles`; `vmem_batch_scale` is
+    /// the batch ratio to the 0.3 (the trace-wide factor of the vmem
+    /// footprint), computed once per trace.
+    fn make_op(&self, kind: FuKind, cycles: u64, vmem_batch_scale: f64, gap: u64) -> OpDesc {
         let (bytes_per_cycle, flops_per_cycle) = match kind {
             FuKind::Sa => (
                 self.sa_hbm_bytes_per_cycle(),
@@ -127,7 +160,7 @@ impl ModelProfile {
             FuKind::Vu => (self.vu_hbm_bytes_per_cycle(), VU_PEAK_FLOPS_PER_CYCLE * 0.8),
         };
         let len_us = cycles as f64 / 700.0;
-        let vmem = (2.0 * 1024.0 * 1024.0 * (len_us / 100.0).sqrt() * batch_ratio.powf(0.3))
+        let vmem = (2.0 * 1024.0 * 1024.0 * (len_us / 100.0).sqrt() * vmem_batch_scale)
             .clamp(VMEM_FLOOR_BYTES, VMEM_CEIL_BYTES);
         OpDesc::builder(kind)
             .compute_cycles(cycles)
@@ -144,9 +177,7 @@ impl ModelProfile {
 /// they sum to exactly `n * mean_cycles` (keeping every length ≥ 1).
 fn jittered_lengths(rng: &mut SimRng, n: usize, mean_cycles: u64, sigma: f64) -> Vec<u64> {
     assert!(n > 0, "need at least one operator");
-    let raw: Vec<f64> = (0..n)
-        .map(|_| rng.lognormal(mean_cycles as f64, sigma))
-        .collect();
+    let raw: Vec<f64> = rng.lognormals(mean_cycles as f64, sigma).take(n).collect();
     let target = n as u64 * mean_cycles;
     let raw_sum: f64 = raw.iter().sum();
     let scale = target as f64 / raw_sum;
@@ -154,19 +185,15 @@ fn jittered_lengths(rng: &mut SimRng, n: usize, mean_cycles: u64, sigma: f64) ->
         .iter()
         .map(|&x| ((x * scale).round() as u64).max(1))
         .collect();
-    // Fix rounding drift on the longest operator so the sum is exact.
+    // Fix rounding drift on the longest operator (the last of equals) so
+    // the sum is exact.
     let sum: u64 = lens.iter().sum();
-    let longest = lens
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &l)| l)
-        .map(|(i, _)| i)
-        .expect("n > 0");
-    if sum > target {
-        let over = sum - target;
-        lens[longest] = lens[longest].saturating_sub(over).max(1);
-    } else {
-        lens[longest] += target - sum;
+    if let Some(longest) = lens.iter_mut().max_by_key(|l| **l) {
+        if sum > target {
+            *longest = longest.saturating_sub(sum - target).max(1);
+        } else {
+            *longest += target - sum;
+        }
     }
     lens
 }
@@ -174,27 +201,29 @@ fn jittered_lengths(rng: &mut SimRng, n: usize, mean_cycles: u64, sigma: f64) ->
 /// Interleaves SA and VU operator lengths evenly (Bresenham merge), so the
 /// trace alternates at the cadence of the rarer kind — the layer-by-layer
 /// structure where matmuls are followed by their activations.
-fn interleave(sa_lens: &[u64], vu_lens: &[u64]) -> Vec<(FuKind, u64)> {
-    let (n_sa, n_vu) = (sa_lens.len(), vu_lens.len());
-    let total = n_sa + n_vu;
-    let mut out = Vec::with_capacity(total);
-    let (mut i_sa, mut i_vu) = (0usize, 0usize);
+fn interleave<'a>(
+    sa_lens: &'a [u64],
+    vu_lens: &'a [u64],
+) -> impl Iterator<Item = (FuKind, u64)> + 'a {
+    let n_sa = sa_lens.len();
+    let total = n_sa + vu_lens.len();
+    let mut sa = sa_lens.iter().map(|&c| (FuKind::Sa, c));
+    let mut vu = vu_lens.iter().map(|&c| (FuKind::Vu, c));
+    let mut emitted_sa = 0usize;
     // Walk the merged sequence, emitting whichever kind is "behind" its
-    // proportional position.
-    for k in 0..total {
-        let sa_due = ((k + 1) * n_sa).div_ceil(total);
-        if i_sa < sa_due && i_sa < n_sa {
-            out.push((FuKind::Sa, sa_lens[i_sa]));
-            i_sa += 1;
-        } else if i_vu < n_vu {
-            out.push((FuKind::Vu, vu_lens[i_vu]));
-            i_vu += 1;
-        } else {
-            out.push((FuKind::Sa, sa_lens[i_sa]));
-            i_sa += 1;
+    // proportional position (SA once VU runs out). One step per length, so
+    // the iterator's length is exact.
+    (0..total).map(move |k| {
+        let sa_due = emitted_sa < ((k + 1) * n_sa).div_ceil(total);
+        let next = if sa_due { sa.next() } else { None }
+            .or_else(|| vu.next())
+            .or_else(|| sa.next());
+        if matches!(next, Some((FuKind::Sa, _))) {
+            emitted_sa += 1;
         }
-    }
-    out
+        // v10-lint: allow(P1) each of the `total` steps takes one of the `total` lengths, so a length is always left
+        next.expect("a length is left for every step")
+    })
 }
 
 /// Models the XLA compiler re-tiling a trace to fit a smaller vector-memory
@@ -251,6 +280,7 @@ pub fn refit_vmem(trace: &RequestTrace, partition_bytes: u64) -> RequestTrace {
             );
         }
     }
+    // v10-lint: allow(P1) `trace` has at least one operator and each becomes at least one tile
     RequestTrace::new(ops).expect("refit preserves the trace's operators")
 }
 
@@ -315,7 +345,7 @@ mod tests {
     fn interleave_spreads_kinds() {
         let sa = vec![10u64; 3];
         let vu = vec![1u64; 9];
-        let merged = interleave(&sa, &vu);
+        let merged: Vec<_> = interleave(&sa, &vu).collect();
         assert_eq!(merged.len(), 12);
         // No run of more than ceil(9/3)+1 VU ops between SA ops.
         let mut run = 0;
@@ -332,7 +362,7 @@ mod tests {
 
     #[test]
     fn interleave_handles_one_sided_inputs() {
-        let merged = interleave(&[5, 5], &[]);
+        let merged: Vec<_> = interleave(&[5, 5], &[]).collect();
         assert_eq!(merged.len(), 2);
         assert!(merged.iter().all(|(k, _)| *k == FuKind::Sa));
     }
