@@ -21,7 +21,7 @@ cargo run -q -p v10-lint -- --check --json
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> sampler tests pinned to one CPU (the one-thread synthesis a one-CPU host selects)"
+echo "==> sampler tests pinned to one CPU (the pinned stream digests, read through the recipes)"
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo test -q -p v10-workloads --lib sampler_tests
 else

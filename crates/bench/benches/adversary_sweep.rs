@@ -100,7 +100,7 @@ fn serve_scenario(design: Design, scenario: &AdversaryScenario) -> V10Result<(Sw
             if i % cores != core {
                 continue;
             }
-            let spec = WorkloadSpec::new(a.label(), a.trace().clone()).with_priority(*p)?;
+            let spec = WorkloadSpec::new(a.shared_label(), a.source().clone()).with_priority(*p)?;
             admissions.push(Admission::new(spec, a.at_cycles(), a.requests())?);
         }
         if admissions.is_empty() {

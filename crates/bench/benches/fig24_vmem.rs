@@ -30,7 +30,7 @@ fn main() {
                 .specs
                 .iter()
                 .map(|s| {
-                    WorkloadSpec::new(s.label(), refit_vmem(s.trace(), partition))
+                    WorkloadSpec::new(s.label(), refit_vmem(&s.trace(), partition))
                         .with_priority(s.priority())
                         .expect("positive priority")
                 })
@@ -41,7 +41,7 @@ fn main() {
                 .iter()
                 .map(|s| {
                     let refit =
-                        WorkloadSpec::new(s.label(), refit_vmem(s.trace(), cfg.vmem_bytes()));
+                        WorkloadSpec::new(s.label(), refit_vmem(&s.trace(), cfg.vmem_bytes()));
                     run_single_tenant(&refit, &cfg, requests())
                         .expect("validated pair case")
                         .workloads()[0]

@@ -101,11 +101,13 @@ fn schedule_for(tenants: usize) -> AdmissionSchedule {
         .with_think_cycles(MEAN_THINK_CYCLES)
         .expect("non-negative think time");
     let arrivals = process.sample(tenants).expect("non-zero arrival count");
+    // Traces built here, before timing: the timed runs measure the step
+    // loop, not synthesis at seating.
     let admissions: Vec<Admission> = arrivals
         .iter()
         .map(|a| {
             Admission::new(
-                WorkloadSpec::new(a.label(), a.trace().clone()),
+                WorkloadSpec::new(a.label(), a.trace()),
                 a.at_cycles(),
                 a.requests(),
             )

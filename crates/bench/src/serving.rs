@@ -21,7 +21,9 @@ pub fn smoke() -> bool {
 }
 
 /// Compiles a sampled arrival stream into one open-loop
-/// [`AdmissionSchedule`].
+/// [`AdmissionSchedule`]. Each admission shares its arrival's label and
+/// trace source, so a sampled session's trace is built only when the core
+/// seats it.
 ///
 /// # Panics
 ///
@@ -34,7 +36,7 @@ pub fn schedule_of(arrivals: &[TimedArrival]) -> AdmissionSchedule {
         .iter()
         .map(|a| {
             Admission::new(
-                WorkloadSpec::new(a.label(), a.trace().clone()),
+                WorkloadSpec::new(a.shared_label(), a.source().clone()),
                 a.at_cycles(),
                 a.requests(),
             )

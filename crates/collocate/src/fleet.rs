@@ -1177,7 +1177,7 @@ impl<'a> FleetPlane<'a> {
             arrived_at,
             quota,
             remaining,
-            per_request: u64_to_f64(arrival.trace().total_compute_cycles()),
+            per_request: u64_to_f64(arrival.source().total_compute_cycles()),
         };
         let src_group = self.state.topology().group_of(from_core)?;
         let readmission = readmit(displaced, fail_at, |at| {
@@ -1240,9 +1240,11 @@ impl<'a> FleetPlane<'a> {
 }
 
 /// The engine admission for `arrival`'s session landing on a core at
-/// `at` with `requests` requests to serve.
+/// `at` with `requests` requests to serve. It shares the arrival's label
+/// and trace source, so a sampled session's trace is built only when the
+/// core seats it.
 fn admission_of(arrival: &TimedArrival, at: f64, requests: usize) -> V10Result<Admission> {
-    let spec = WorkloadSpec::new(arrival.label(), arrival.trace().clone());
+    let spec = WorkloadSpec::new(arrival.shared_label(), arrival.source().clone());
     Admission::new(spec, at, requests)
 }
 

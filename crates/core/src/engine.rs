@@ -21,7 +21,9 @@
 //! strategy: fetch promotion through the context table, policy-driven
 //! issue, and the preemption timer.
 
-use v10_isa::{FuKind, RequestTrace};
+use std::sync::Arc;
+
+use v10_isa::{FuKind, RequestTrace, TraceSource};
 use v10_npu::{FuPool, NpuConfig};
 use v10_sim::fault::pick_victim;
 use v10_sim::{Cycles, FaultInjector, FaultKind, Flow, V10Error, V10Result};
@@ -39,20 +41,26 @@ use crate::packed::FIG11_TABLE_ROWS;
 use crate::policy::{Policy, Scheduler};
 
 /// One workload to collocate: its trace, label, and relative priority.
+///
+/// The trace comes from a [`TraceSource`]: built up front, or a recipe
+/// that the serving core builds when it seats the tenancy. Cloning a spec
+/// shares both its label and its trace source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
-    label: String,
-    trace: RequestTrace,
+    label: Arc<str>,
+    trace: TraceSource,
     priority: f64,
 }
 
 impl WorkloadSpec {
-    /// Creates a workload with priority 1.0.
+    /// Creates a workload with priority 1.0 from a label (a `&str`, a
+    /// `String`, or a shared `Arc<str>`) and a built trace or a trace
+    /// source.
     #[must_use]
-    pub fn new(label: impl Into<String>, trace: RequestTrace) -> Self {
+    pub fn new(label: impl Into<Arc<str>>, trace: impl Into<TraceSource>) -> Self {
         WorkloadSpec {
             label: label.into(),
-            trace,
+            trace: trace.into(),
             priority: 1.0,
         }
     }
@@ -81,10 +89,11 @@ impl WorkloadSpec {
         &self.label
     }
 
-    /// The per-request operator trace.
+    /// The per-request operator trace: shared when built, built from the
+    /// recipe on every call otherwise.
     #[must_use]
-    pub fn trace(&self) -> &RequestTrace {
-        &self.trace
+    pub fn trace(&self) -> RequestTrace {
+        self.trace.trace()
     }
 
     /// The relative priority.
@@ -93,8 +102,8 @@ impl WorkloadSpec {
         self.priority
     }
 
-    /// The label, trace and priority, by value.
-    pub(crate) fn into_parts(self) -> (String, RequestTrace, f64) {
+    /// The label, trace source and priority, by value.
+    pub(crate) fn into_parts(self) -> (Arc<str>, TraceSource, f64) {
         (self.label, self.trace, self.priority)
     }
 }

@@ -25,16 +25,19 @@
 //! A run's heap is the report it will return plus what the context table
 //! holds. Execution state lives in one [`Tenancy`] per context-table
 //! slot, and each seated tenancy owns one [`WorkloadReport`] row from its
-//! seating on, holding its label (moved in from the admission, the only
-//! copy the run keeps). When the tenancy retires — at its quota, by
-//! [`EngineCore::retire_core`], or when the run finishes — its
-//! accumulators fold into that row and its slot entry is freed, so
-//! [`EngineCore::into_report`] only moves the rows out. A tenancy is
-//! named two ways: by its *workload index* (admission order in the run,
-//! the index of its report row and of its events) and, while it is live,
-//! by its *table slot*, which keys its entry, the fetch calendar and the
-//! FU slots' occupants. Loops that break ties by admission order walk the
-//! live list, which holds the live table slots in admission order.
+//! seating on, holding its label (the admission's shared allocation, so
+//! seating copies no label). The tenancy's trace is built at seating when
+//! the admission carries a recipe; pending, parked and turned-away
+//! admissions never build theirs. When the tenancy retires — at its
+//! quota, by [`EngineCore::retire_core`], or when the run finishes — its
+//! accumulators fold into that row and its slot entry, trace included,
+//! is freed, so [`EngineCore::into_report`] only moves the rows out. A
+//! tenancy is named two ways: by its *workload index* (admission order in
+//! the run, the index of its report row and of its events) and, while it
+//! is live, by its *table slot*, which keys its entry, the fetch calendar
+//! and the FU slots' occupants. Loops that break ties by admission order
+//! walk the live list, which holds the live table slots in admission
+//! order.
 //!
 //! # Fences
 //!
@@ -664,9 +667,10 @@ impl<O: SimObserver> EngineCore<O> {
         shed
     }
 
-    /// Seats one arrival: claims a context-table slot, initializes its
-    /// execution state (first operator fetching, counters zeroed), opens
-    /// its report row with the admission's label moved in, and emits
+    /// Seats one arrival: claims a context-table slot, builds its trace if
+    /// it carries a recipe, initializes its execution state (first
+    /// operator fetching, counters zeroed), opens its report row with the
+    /// admission's label, and emits
     /// [`SimEvent::TenantAdmitted`]. A full table parks the arrival (moved,
     /// not copied) when overload queueing is on, and rejects it otherwise —
     /// [`SimEvent::AdmissionRejected`] — and the run goes on.
@@ -695,7 +699,10 @@ impl<O: SimObserver> EngineCore<O> {
         };
         let quota = adm.requests();
         let resident = adm.is_resident();
-        let (label, trace, priority) = adm.into_spec().into_parts();
+        let (label, source, priority) = adm.into_spec().into_parts();
+        // A recipe's trace is built here, on the seating thread, and lives
+        // as long as the tenancy does.
+        let trace = source.trace();
         let w = self.rows.len();
         let mut tn = Tenancy {
             workload: w,

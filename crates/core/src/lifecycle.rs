@@ -86,8 +86,8 @@ impl Admission {
         self.resident
     }
 
-    /// The arriving workload, by value: seating moves its label into the
-    /// tenancy's report row instead of copying it.
+    /// The arriving workload, by value: seating moves its label and trace
+    /// source into the tenancy instead of copying them.
     pub(crate) fn into_spec(self) -> WorkloadSpec {
         self.spec
     }

@@ -13,6 +13,8 @@
 //! * **Preemption accounting** (Fig. 21): context-switch overhead and
 //!   preemptions per request.
 
+use std::sync::Arc;
+
 use v10_sim::convert::{u64_to_f64, usize_to_f64};
 use v10_sim::LatencySummary;
 
@@ -71,7 +73,8 @@ impl OverlapBreakdown {
 /// that met their quota) when it retired.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadReport {
-    label: String,
+    /// Shared with the admission that seated the tenancy.
+    label: Arc<str>,
     priority: f64,
     completed_requests: usize,
     latencies: Vec<f64>,
@@ -99,7 +102,7 @@ impl WorkloadReport {
     #[allow(clippy::too_many_arguments)] // internal constructor, called by the executors
     #[must_use]
     pub(crate) fn new(
-        label: String,
+        label: Arc<str>,
         priority: f64,
         completed_requests: usize,
         latencies: Vec<f64>,
@@ -137,14 +140,14 @@ impl WorkloadReport {
         }
     }
 
-    /// The row of a tenancy seated at `admitted_at`: its label (moved in,
-    /// the run's only copy) and priority, and nothing served yet. The
-    /// tenancy's accumulators fold in when it retires
+    /// The row of a tenancy seated at `admitted_at`: its label (the
+    /// admission's allocation, shared) and priority, and nothing served
+    /// yet. The tenancy's accumulators fold in when it retires
     /// ([`complete`](Self::complete)).
     ///
     /// unit: `priority` is a dimensionless share weight; `admitted_at` is
     /// cycles.
-    pub(crate) fn seated(label: String, priority: f64, admitted_at: f64) -> Self {
+    pub(crate) fn seated(label: Arc<str>, priority: f64, admitted_at: f64) -> Self {
         Self::new(
             label,
             priority,
@@ -183,9 +186,8 @@ impl WorkloadReport {
         replay_overhead: f64,
         retired_at: Option<f64>,
     ) {
-        let label = std::mem::take(&mut self.label);
         *self = Self::new(
-            label,
+            Arc::clone(&self.label),
             priority,
             completed_requests,
             latencies,

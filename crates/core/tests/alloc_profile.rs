@@ -17,7 +17,9 @@
 //! run's with its request count, and an open-loop serve's with its
 //! session count. A third gate bounds the bytes requested per tenancy
 //! when a core is handed one admission per fence, as the fleet plane
-//! feeds its cores. And the engine's event counts on the census
+//! feeds its cores, and a fourth bounds the heap a sampled arrival
+//! stream holds per session: its recipes, not its traces. And the
+//! engine's event counts on the census
 //! schedules are pinned exactly, so a change that adds or drops an
 //! engine step fails without a wall clock. All of these counts are
 //! exact: they repeat run to run and no host load moves them.
@@ -41,7 +43,7 @@ use v10_core::{
 use v10_isa::{FuKind, OpDesc, RequestTrace};
 use v10_npu::NpuConfig;
 use v10_sim::Cycles;
-use v10_workloads::{Model, OpenLoopProcess};
+use v10_workloads::{Model, OpenLoopProcess, TimedArrival};
 
 struct CountingAllocator;
 
@@ -114,29 +116,48 @@ fn snapshot() -> (u64, u64) {
     )
 }
 
-/// The serving schedule mirrored from the sim_throughput bench: open-loop
+/// The arrival process mirrored from the sim_throughput bench: open-loop
 /// Poisson arrivals over the four light models at near-saturation load.
-fn schedule(tenants: usize) -> AdmissionSchedule {
+fn process() -> OpenLoopProcess {
     let models = [Model::Mnist, Model::Dlrm, Model::Ncf, Model::EfficientNet];
-    let process = OpenLoopProcess::new(&models, 3.5e6, 2023 ^ 0x7)
+    OpenLoopProcess::new(&models, 3.5e6, 2023 ^ 0x7)
         .expect("positive mean inter-arrival time")
         .with_requests_per_session(3)
         .expect("positive session quota")
         .with_think_cycles(2.5e5)
-        .expect("non-negative think time");
-    let arrivals = process.sample(tenants).expect("non-zero arrival count");
+        .expect("non-negative think time")
+}
+
+/// How a census schedule carries its tenants' traces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Traces {
+    /// Built while the schedule is made, before any census.
+    Built,
+    /// The sampled recipes, built by the core when it seats each tenancy.
+    Recipes,
+}
+
+/// The census schedule: `tenants` arrivals of [`process`], their traces
+/// carried as `traces` says.
+fn schedule_with(tenants: usize, traces: Traces) -> AdmissionSchedule {
+    let arrivals = process().sample(tenants).expect("non-zero arrival count");
+    let spec = |a: &TimedArrival| match traces {
+        Traces::Built => WorkloadSpec::new(a.label(), a.trace()),
+        Traces::Recipes => WorkloadSpec::new(a.shared_label(), a.source().clone()),
+    };
     let admissions: Vec<Admission> = arrivals
         .iter()
         .map(|a| {
-            Admission::new(
-                WorkloadSpec::new(a.label(), a.trace().clone()),
-                a.at_cycles(),
-                a.requests(),
-            )
-            .expect("sampled arrivals are valid admissions")
+            Admission::new(spec(a), a.at_cycles(), a.requests())
+                .expect("sampled arrivals are valid admissions")
         })
         .collect();
     AdmissionSchedule::new(admissions).expect("non-empty schedule")
+}
+
+/// The census schedule with built traces.
+fn schedule(tenants: usize) -> AdmissionSchedule {
+    schedule_with(tenants, Traces::Built)
 }
 
 /// Allocation census of one serving run under `design`; returns
@@ -215,14 +236,23 @@ fn completed(report: &RunReport) -> usize {
         .sum()
 }
 
+/// One armed census run: its allocations, bytes requested, completed
+/// requests and seated tenancies.
+#[derive(Debug, Clone, Copy)]
+struct ArmedCensus {
+    allocs: u64,
+    bytes: u64,
+    completed: usize,
+    seated: usize,
+}
+
 /// The armed serving path: a 4-slot table under an armed overload
 /// controller (queue-on-full parking, the degradation ladder, the
 /// watchdog) and Poisson transient operator faults, so parking, fault
-/// replay and the overload tick all run. Returns (allocations, bytes,
-/// completed requests) of one run after a warm-up.
-fn armed_census(tenants: usize) -> (u64, u64, usize) {
+/// replay and the overload tick all run. Counts one run after a warm-up.
+fn armed_census(tenants: usize, traces: Traces) -> ArmedCensus {
     let _census = census_lock();
-    let schedule = schedule(tenants);
+    let schedule = schedule_with(tenants, traces);
     let plan = armed_plan(&schedule);
     let opts = four_slot_opts();
     let cfg = NpuConfig::table5();
@@ -235,12 +265,25 @@ fn armed_census(tenants: usize) -> (u64, u64, usize) {
     let report = serve();
     let (a1, b1) = snapshot();
     assert!(report.faults_injected() > 0, "the fault stream never fired");
-    (a1 - a0, b1 - b0, completed(&report))
+    ArmedCensus {
+        allocs: a1 - a0,
+        bytes: b1 - b0,
+        completed: completed(&report),
+        seated: report.workloads().len(),
+    }
 }
+
+/// Allocations per completed request the armed step loop stays under.
+const ARMED_ALLOCS_PER_REQUEST: f64 = 2.0;
 
 #[test]
 fn armed_serving_run_allocation_census() {
-    let (allocs, bytes, completed) = armed_census(48);
+    let ArmedCensus {
+        allocs,
+        bytes,
+        completed,
+        ..
+    } = armed_census(48, Traces::Built);
     assert!(completed > 0, "armed run completed no requests");
     let per_request = allocs as f64 / completed as f64;
     println!(
@@ -252,14 +295,50 @@ fn armed_serving_run_allocation_census() {
     // occupied slots, and the watchdog's sorted vectors keep their
     // buffers across sense ticks, and a tenancy's state lives in its
     // context-table slot's entry, so the armed step loop allocates only
-    // per tenancy (the label copy it is handed, its latency buffer and
-    // its percentile summary) plus amortized buffer growth. It reads 1.5
-    // (184 allocations over 120 requests).
+    // per tenancy (its latency buffer and its percentile summary; the
+    // label is shared with the admission) plus amortized buffer growth.
+    // It reads 1.1 (136 allocations over 120 requests).
     if std::env::var("V10_ALLOC_CENSUS_ONLY").is_err() {
         assert!(
-            per_request < 2.0,
+            per_request < ARMED_ALLOCS_PER_REQUEST,
             "V10-Full armed: {per_request:.1} allocations per completed request — the \
              armed step loop is allocating again"
+        );
+    }
+}
+
+/// The armed census served from recipes: the core builds each tenancy's
+/// trace when it seats it, into exactly one allocation (the operator
+/// slice; the length buffers are reused), so the run allocates exactly one
+/// more time per seated tenancy than the same run on built traces, and
+/// completes the same requests.
+#[test]
+fn armed_recipe_serving_builds_each_trace_in_one_allocation() {
+    let built = armed_census(48, Traces::Built);
+    let recipes = armed_census(48, Traces::Recipes);
+    let per_request = recipes.allocs as f64 / recipes.completed as f64;
+    println!(
+        "V10-Full armed from recipes: {} allocations / {} bytes over {} completed requests \
+         ({per_request:.1} allocations per request; {} seatings)",
+        recipes.allocs, recipes.bytes, recipes.completed, recipes.seated
+    );
+    assert_eq!(
+        recipes.completed, built.completed,
+        "recipes serve the same run"
+    );
+    assert_eq!(
+        recipes.seated, built.seated,
+        "recipes seat the same tenancies"
+    );
+    assert_eq!(
+        recipes.allocs,
+        built.allocs + recipes.seated as u64,
+        "each seating from a recipe allocates once more than from a built trace"
+    );
+    if std::env::var("V10_ALLOC_CENSUS_ONLY").is_err() {
+        assert!(
+            per_request < ARMED_ALLOCS_PER_REQUEST,
+            "V10-Full armed from recipes: {per_request:.1} allocations per completed request"
         );
     }
 }
@@ -583,5 +662,45 @@ fn one_push_per_fence_requests_bounded_bytes_per_tenancy() {
         per_tenancy <= REQUESTED_BYTES_PER_TENANCY,
         "{per_tenancy} B requested per tenancy over {ROUNDS} one-push rounds, more than \
          {REQUESTED_BYTES_PER_TENANCY} B: the tenancy table reallocates at every fence"
+    );
+}
+
+/// Heap a sampled arrival stream may hold per session: its arrival, its
+/// shared label and its recipe, about 130 B. A stream that built its
+/// sessions' traces would hold about 6 KB each.
+/// unit: bytes.
+const STREAM_BYTES_PER_SESSION: usize = 256;
+
+/// Peak heap of sampling `sessions` arrivals of [`process`] and holding
+/// them, above the live heap when sampling began. Call with `CENSUS` held.
+fn stream_peak(sessions: usize) -> usize {
+    let (arrivals, peak) =
+        peak_above_start(|| process().sample(sessions).expect("non-zero arrival count"));
+    assert_eq!(arrivals.len(), sessions);
+    peak
+}
+
+/// The stream memory gate: sampling 8N sessions peaks above sampling N
+/// by at most [`STREAM_BYTES_PER_SESSION`] per extra session. Sampling
+/// runs on the calling thread, so the count is exact; trace memory
+/// belongs to the tenancies a core seats, not to the stream.
+#[test]
+fn sampled_streams_hold_recipes_not_traces() {
+    const N: usize = 512;
+    let _census = census_lock();
+    // Warm-up outside the measurement, so one-time set-up is excluded.
+    let _ = stream_peak(N);
+    let small = stream_peak(N);
+    let large = stream_peak(8 * N);
+    let per_session = large.saturating_sub(small) / (7 * N);
+    println!(
+        "sampled stream: peak heap {small} B at {N} sessions, {large} B at {}: \
+         {per_session} B per extra session",
+        8 * N
+    );
+    assert!(
+        per_session <= STREAM_BYTES_PER_SESSION,
+        "a sampled stream holds {per_session} B per extra session, more than \
+         {STREAM_BYTES_PER_SESSION} B: sampling builds traces again"
     );
 }

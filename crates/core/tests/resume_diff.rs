@@ -24,6 +24,11 @@
 //! with admissions not yet handed over, which it must turn away as the
 //! unsplit run turns its pending ones away.
 //!
+//! A second test serves sampled sessions whose admissions carry the
+//! sampler's recipes, so the core builds each trace when it seats the
+//! tenancy, split the same ways, and compares them with the unsplit run
+//! of the same admissions on traces built up front.
+//!
 //! Oracle: `run_digest` and the full recorded event stream equal the
 //! unsplit run's. In debug builds (how `cargo test` runs) every step also
 //! cross-checks the event spine (`debug_validate_spine`).
@@ -35,7 +40,7 @@ use v10_core::{
 };
 use v10_npu::NpuConfig;
 use v10_sim::{Cycles, SimRng};
-use v10_workloads::Model;
+use v10_workloads::{MmppProcess, Model};
 
 /// Records the complete event stream.
 #[derive(Default)]
@@ -87,6 +92,41 @@ fn random_admissions(rng: &mut SimRng) -> Vec<Admission> {
                 rng.uniform(0.0, HORIZON)
             };
             Admission::new(spec, at, 1 + rng.index(3)).expect("valid random admission")
+        })
+        .collect()
+}
+
+/// The admissions of a sampled flash-crowd stream of 2–12 sessions with
+/// random priorities, each carrying its session's recipe.
+fn sampled_admissions(rng: &mut SimRng) -> Vec<Admission> {
+    let process = MmppProcess::flash_crowd(&MODELS, 1.5e6, 4.0, 4.0e6, rng.next_u64())
+        .expect("valid flash crowd")
+        .with_requests_per_session(1 + rng.index(3))
+        .expect("non-zero quota")
+        .with_think_cycles(2.0e5)
+        .expect("non-negative think time");
+    process
+        .sample(2 + rng.index(11))
+        .expect("non-zero session count")
+        .iter()
+        .map(|a| {
+            let spec = WorkloadSpec::new(a.shared_label(), a.source().clone())
+                .with_priority(rng.uniform(0.5, 4.0))
+                .expect("positive priority");
+            Admission::new(spec, a.at_cycles(), a.requests()).expect("valid sampled admission")
+        })
+        .collect()
+}
+
+/// `admissions` with every trace built up front.
+fn built(admissions: &[Admission]) -> Vec<Admission> {
+    admissions
+        .iter()
+        .map(|a| {
+            let spec = WorkloadSpec::new(a.spec().label(), a.spec().trace())
+                .with_priority(a.spec().priority())
+                .expect("positive priority");
+            Admission::new(spec, a.at_cycles(), a.requests()).expect("valid admission")
         })
         .collect()
 }
@@ -419,6 +459,42 @@ fn split_runs_equal_unsplit_runs_bit_for_bit() {
         between_ticks > 0,
         "some fences must land between two consecutive V10-Full ticks"
     );
+}
+
+/// Recipes change nothing: sampled admissions carrying recipes, split at
+/// fences and served at their own instants, equal the unsplit run of the
+/// same admissions with their traces built up front, under every design.
+#[test]
+fn recipe_runs_split_at_fences_equal_built_runs() {
+    let mut seated = 0;
+    for seed in 0..16u64 {
+        let mut rng = SimRng::seed_from(0x2EC1 ^ (seed << 8));
+        let mut base = random_case(&mut rng);
+        base.admissions = sampled_admissions(&mut rng);
+        for design in Design::ALL {
+            let mut case = base.clone();
+            let (_, probe) = unsplit_run(design, &case);
+            add_fences(&mut rng, &mut case, &probe.events);
+            let mut on_built = case.clone();
+            on_built.admissions = built(&case.admissions);
+            let (unsplit, rec) = unsplit_run(design, &on_built);
+            seated += unsplit.workloads().len();
+            let (split, split_rec) = split_run(design, &case);
+            let fences = &case.fences;
+            assert_same_run(
+                &format!("seed {seed} {design} recipes split at {fences:?}"),
+                (&unsplit, &rec),
+                (&split, &split_rec),
+            );
+            let (served, served_rec) = served_run(design, &case);
+            assert_same_run(
+                &format!("seed {seed} {design} recipes served"),
+                (&unsplit, &rec),
+                (&served, &served_rec),
+            );
+        }
+    }
+    assert!(seated > 100, "only {seated} tenancies seated from recipes");
 }
 
 /// A run that finished its work before the fence parks there: handing it

@@ -101,8 +101,14 @@ impl OpDag {
         if from == to {
             return Err(DagError::SelfLoop(from));
         }
-        self.succs[from].push(to);
-        self.in_degree[to] += 1;
+        // Both indices are in range, and `succs` and `in_degree` hold one
+        // entry per node.
+        if let (Some(succs), Some(in_degree)) =
+            (self.succs.get_mut(from), self.in_degree.get_mut(to))
+        {
+            succs.push(to);
+            *in_degree += 1;
+        }
         Ok(())
     }
 
@@ -118,14 +124,10 @@ impl OpDag {
         self.nodes.is_empty()
     }
 
-    /// The operator at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
+    /// The operator at `index`, or `None` if `index` is out of range.
     #[must_use]
-    pub fn op(&self, index: usize) -> &OpDesc {
-        &self.nodes[index]
+    pub fn op(&self, index: usize) -> Option<&OpDesc> {
+        self.nodes.get(index)
     }
 
     /// Iterates over the operator nodes in insertion order.
@@ -151,14 +153,17 @@ impl OpDag {
         // finish[i] = earliest completion of node i.
         let mut finish = vec![0u64; self.nodes.len()];
         for &i in &order {
-            let start = finish[i]; // already holds max over predecessors
-            let end = start + self.nodes[i].compute_cycles();
-            finish[i] = end;
-            for &s in &self.succs[i] {
+            let (Some(node), Some(f)) = (self.nodes.get(i), finish.get_mut(i)) else {
+                continue;
+            };
+            // `f` already holds the max over predecessors: the start.
+            let end = *f + node.compute_cycles();
+            *f = end;
+            for &s in self.succs_of(i) {
                 // Successor's start is the max of its predecessors' finishes;
                 // reuse its `finish` slot as a running max before it executes.
-                if finish[s] < end {
-                    finish[s] = end;
+                if let Some(f) = finish.get_mut(s) {
+                    *f = (*f).max(end);
                 }
             }
         }
@@ -184,14 +189,18 @@ impl OpDag {
     /// Kahn's algorithm; detects cycles.
     fn topo_order(&self) -> Result<Vec<usize>, DagError> {
         let mut in_deg = self.in_degree.clone();
-        let mut ready: Vec<usize> = (0..self.nodes.len()).filter(|&i| in_deg[i] == 0).collect();
+        let mut ready: Vec<usize> = (0..self.nodes.len())
+            .filter(|&i| in_deg.get(i) == Some(&0))
+            .collect();
         let mut order = Vec::with_capacity(self.nodes.len());
         while let Some(i) = ready.pop() {
             order.push(i);
-            for &s in &self.succs[i] {
-                in_deg[s] -= 1;
-                if in_deg[s] == 0 {
-                    ready.push(s);
+            for &s in self.succs_of(i) {
+                if let Some(d) = in_deg.get_mut(s) {
+                    *d -= 1;
+                    if *d == 0 {
+                        ready.push(s);
+                    }
                 }
             }
         }
@@ -200,6 +209,11 @@ impl OpDag {
         } else {
             Err(DagError::Cycle)
         }
+    }
+
+    /// The operators that depend on node `i` (none for an unknown node).
+    fn succs_of(&self, i: usize) -> &[usize] {
+        self.succs.get(i).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -284,7 +298,8 @@ mod tests {
     fn iter_and_accessors() {
         let dag = chain(&[3, 4]);
         assert_eq!(dag.len(), 2);
-        assert_eq!(dag.op(1).compute_cycles(), 4);
+        assert_eq!(dag.op(1).map(|o| o.compute_cycles()), Some(4));
+        assert!(dag.op(2).is_none());
         assert_eq!(dag.iter().map(|o| o.compute_cycles()).sum::<u64>(), 7);
     }
 

@@ -13,7 +13,9 @@
 //!   HBM traffic, vector-memory footprint, and FLOP count.
 //! * [`trace`] — per-inference-request operator streams ([`RequestTrace`]):
 //!   the paper's simulator "replays instruction traces captured on real
-//!   TPUs"; ours replays synthetic traces with the same schema.
+//!   TPUs"; ours replays synthetic traces with the same schema. A
+//!   [`TraceSource`] is a built trace or a [`TraceRecipe`] that builds it
+//!   when a tenancy is seated.
 //! * [`dag`] — operator dependency graphs ([`OpDag`]) for the Fig. 6
 //!   critical-path analysis (ideal operator-level-parallelism speedup).
 //!
@@ -44,5 +46,5 @@ pub mod trace;
 pub use dag::{DagError, OpDag};
 pub use inst::{DecodeError, Inst, Reg, VAluOp, VmemAddr};
 pub use op::{FuKind, OpDesc, OpDescBuilder};
-pub use trace::{RequestTrace, TraceSummary};
+pub use trace::{RequestTrace, TraceRecipe, TraceSource, TraceSummary};
 pub use v10_sim::{V10Error, V10Result};

@@ -6,7 +6,15 @@
 //! only need to track the most recent operator"). A [`RequestTrace`] is that
 //! sequence; the multi-tenant executors replay it repeatedly to measure
 //! steady-state behaviour (§5.1).
+//!
+//! A trace need not exist before it runs: a [`TraceSource`] is either a
+//! built trace or a [`TraceRecipe`], the inputs of a pure function that
+//! builds it. A serving core builds a recipe's trace when it seats the
+//! tenancy and drops it when the tenancy retires, so an arrival that
+//! waits, is turned away or is never reached costs its recipe, not its
+//! operators.
 
+use std::fmt;
 use std::sync::Arc;
 
 use v10_sim::{Frequency, V10Error, V10Result};
@@ -164,6 +172,79 @@ impl TryFrom<Arc<[OpDesc]>> for RequestTrace {
     }
 }
 
+/// The inputs of a trace that is built only when it is needed.
+///
+/// `build` must be a pure function of the recipe: every call, on any
+/// thread, returns the same trace, so building it late (or twice) never
+/// changes what runs.
+pub trait TraceRecipe: fmt::Debug + Send + Sync {
+    /// Builds the trace.
+    fn build(&self) -> RequestTrace;
+
+    /// The built trace's [`RequestTrace::total_compute_cycles`], without
+    /// building it.
+    fn total_compute_cycles(&self) -> u64;
+}
+
+/// Where a tenant's per-request trace comes from: a built trace, or a
+/// shared recipe that builds it on demand. Cloning either is a
+/// reference-count bump.
+///
+/// Two sources are equal when they yield the same trace, so comparing
+/// recipes builds them.
+///
+/// # Example
+///
+/// ```
+/// use v10_isa::{FuKind, OpDesc, RequestTrace, TraceSource};
+///
+/// let ops = vec![OpDesc::builder(FuKind::Sa).compute_cycles(700).build()];
+/// let trace = RequestTrace::new(ops).expect("non-empty trace");
+/// let source = TraceSource::from(trace.clone());
+/// assert_eq!(source.total_compute_cycles(), 700);
+/// assert_eq!(source.trace(), trace);
+/// ```
+#[derive(Debug, Clone)]
+pub enum TraceSource {
+    /// A trace built up front.
+    Built(RequestTrace),
+    /// A trace built each time it is asked for.
+    Recipe(Arc<dyn TraceRecipe>),
+}
+
+impl TraceSource {
+    /// The trace: shared when built, built from the recipe otherwise.
+    #[must_use]
+    pub fn trace(&self) -> RequestTrace {
+        match self {
+            TraceSource::Built(trace) => trace.clone(),
+            TraceSource::Recipe(recipe) => recipe.build(),
+        }
+    }
+
+    /// The trace's [`RequestTrace::total_compute_cycles`]; a recipe
+    /// answers without building.
+    #[must_use]
+    pub fn total_compute_cycles(&self) -> u64 {
+        match self {
+            TraceSource::Built(trace) => trace.total_compute_cycles(),
+            TraceSource::Recipe(recipe) => recipe.total_compute_cycles(),
+        }
+    }
+}
+
+impl From<RequestTrace> for TraceSource {
+    fn from(trace: RequestTrace) -> Self {
+        TraceSource::Built(trace)
+    }
+}
+
+impl PartialEq for TraceSource {
+    fn eq(&self, other: &Self) -> bool {
+        self.trace() == other.trace()
+    }
+}
+
 /// Per-request operator statistics (the schema behind Table 1 and the
 /// collocation feature vector of §3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -251,6 +332,30 @@ mod tests {
         assert_eq!(s.avg_vu_op_micros, 0.0);
         assert_eq!(s.min_vu_op_micros, 0.0);
         assert_eq!(s.max_vu_op_micros, 0.0);
+    }
+
+    /// A recipe for a one-operator SA trace of `cycles`.
+    #[derive(Debug)]
+    struct OneOp(u64);
+
+    impl TraceRecipe for OneOp {
+        fn build(&self) -> RequestTrace {
+            RequestTrace::new(vec![sa(self.0)]).unwrap()
+        }
+        fn total_compute_cycles(&self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn sources_yield_and_compare_by_their_trace() {
+        let built = TraceSource::from(RequestTrace::new(vec![sa(40)]).unwrap());
+        let recipe = TraceSource::Recipe(Arc::new(OneOp(40)));
+        assert_eq!(built, recipe);
+        assert_eq!(recipe, built);
+        assert_ne!(recipe, TraceSource::Recipe(Arc::new(OneOp(41))));
+        assert_eq!(recipe.total_compute_cycles(), 40);
+        assert_eq!(recipe.trace(), built.trace());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   [`ACCOUNTING_MODULES`] — the files whose arithmetic lands in golden
 //!   figures.
 //! * **P1** applies to the library sources of the crates in
-//!   [`P1_CRATES`] (`v10-core`, `v10-npu`, `v10-sim`, `v10-workloads`),
+//!   [`P1_CRATES`] (`v10-core`, `v10-isa`, `v10-npu`, `v10-sim`,
+//!   `v10-workloads`),
 //!   whose public API promises typed `V10Error`s.
 //! * **U1** (unit safety) applies to the same accounting modules as D3:
 //!   the files where a unitless `f64`/`u64` on the public surface is a
@@ -50,7 +51,7 @@ pub const SIM_CRATES: [&str; 7] = [
 ];
 
 /// Crates under the P1 panic-freedom rule.
-pub const P1_CRATES: [&str; 4] = ["core", "npu", "sim", "workloads"];
+pub const P1_CRATES: [&str; 5] = ["core", "isa", "npu", "sim", "workloads"];
 
 /// Cycle/byte accounting modules under the D3 cast rule (repo-relative,
 /// unix separators).
@@ -218,6 +219,9 @@ mod tests {
         assert!(s.d1 && s.d2 && s.d3 && s.p1 && s.u1);
 
         let s = scope_for("crates/workloads/src/zoo.rs").unwrap();
+        assert!(s.d1 && s.d2 && !s.d3 && s.p1);
+
+        let s = scope_for("crates/isa/src/dag.rs").unwrap();
         assert!(s.d1 && s.d2 && !s.d3 && s.p1);
 
         let s = scope_for("crates/collocate/src/placer.rs").unwrap();

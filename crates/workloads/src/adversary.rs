@@ -561,7 +561,7 @@ fn clip_to_horizon(
             if let Ok(clamped) = TimedArrival::new(
                 first.label(),
                 first.model(),
-                first.trace().clone(),
+                first.trace(),
                 horizon,
                 first.requests(),
             ) {

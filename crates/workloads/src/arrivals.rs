@@ -8,34 +8,36 @@
 //! description always compiles to the same [`TimedArrival`] list, so
 //! serving experiments replay bit-for-bit. Its rate may be modulated (a
 //! flash crowd, a diurnal cycle); with one state it is plain Poisson,
-//! which [`OpenLoopProcess`] names. Sampling draws every session on the
-//! calling thread and then synthesizes the sessions' traces on all
-//! cores; the stream does not depend on how many.
+//! which [`OpenLoopProcess`] names. A sampled arrival carries its
+//! session's draws as a recipe, not its trace: the trace is built when a
+//! core seats the tenancy.
 //!
 //! This crate knows nothing about executors; callers turn each
 //! [`TimedArrival`] into an admission for the serving engine (label +
-//! trace + arrival cycle + request quota map 1:1 onto
+//! trace source + arrival cycle + request quota map 1:1 onto
 //! `v10_core::Admission`). Think time is compiled into the trace itself:
 //! the first operator's dispatch gap — the host-side stall the engine
 //! already models before an operator issues — is extended by the session's
 //! think gap, so the tenant idles that long before every request without
 //! occupying a functional unit.
 
-use std::num::NonZeroUsize;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
-use v10_isa::RequestTrace;
-use v10_sim::{parallel_map_with, SimRng, V10Error, V10Result};
+use v10_isa::{RequestTrace, TraceSource};
+use v10_sim::{SimRng, V10Error, V10Result};
 
 use crate::model::Model;
 use crate::profile::ModelProfile;
+use crate::synth::SessionRecipe;
 
 /// One sampled tenant arrival: who arrives, when, and how much work they
 /// bring.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedArrival {
-    label: String,
+    label: Arc<str>,
     model: Model,
-    trace: RequestTrace,
+    trace: TraceSource,
     at_cycles: f64,
     requests: usize,
 }
@@ -50,7 +52,7 @@ impl TimedArrival {
     /// Returns [`V10Error::InvalidArgument`] if `at_cycles` is negative or
     /// not finite, or `requests` is zero.
     pub fn new(
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         model: Model,
         trace: RequestTrace,
         at_cycles: f64,
@@ -71,7 +73,7 @@ impl TimedArrival {
         Ok(TimedArrival {
             label: label.into(),
             model,
-            trace,
+            trace: trace.into(),
             at_cycles,
             requests,
         })
@@ -83,6 +85,13 @@ impl TimedArrival {
         &self.label
     }
 
+    /// The label's shared allocation: an admission built from it holds the
+    /// same one.
+    #[must_use]
+    pub fn shared_label(&self) -> Arc<str> {
+        Arc::clone(&self.label)
+    }
+
     /// The arriving model.
     #[must_use]
     pub fn model(&self) -> Model {
@@ -90,9 +99,18 @@ impl TimedArrival {
     }
 
     /// The tenant's per-request trace (think time folded into the first
-    /// operator's dispatch gap).
+    /// operator's dispatch gap). A sampled arrival builds it afresh on
+    /// every call; serving builds it once, at seating, from
+    /// [`source`](Self::source).
     #[must_use]
-    pub fn trace(&self) -> &RequestTrace {
+    pub fn trace(&self) -> RequestTrace {
+        self.trace.trace()
+    }
+
+    /// Where the trace comes from: a sampled arrival's recipe, or a
+    /// hand-built arrival's trace. Cloning it shares it.
+    #[must_use]
+    pub fn source(&self) -> &TraceSource {
         &self.trace
     }
 
@@ -118,11 +136,6 @@ const MMPP_DWELL_SALT: u64 = 0x4D4D_5050; // "MMPP"
 /// against huge arrival gaps) and sampling reports an error instead of
 /// spinning.
 const MMPP_MAX_CROSSINGS_PER_ARRIVAL: usize = 65_536;
-
-/// Fewest sessions [`MmppProcess::sample`] gives a synthesis thread: a
-/// millisecond or more of trace building for most models, against tens of
-/// microseconds to start and join a thread.
-const MIN_SESSIONS_PER_THREAD: usize = 256;
 
 /// One state of a Markov-modulated Poisson process: an arrival rate (as a
 /// mean inter-arrival gap) plus the mean exponential dwell time the
@@ -181,8 +194,8 @@ impl MmppState {
 /// with exponentially distributed dwell times. With one state
 /// ([`new`](Self::new)) it is plain Poisson.
 ///
-/// Each arrival picks a model uniformly at random, synthesizes its
-/// calibrated trace with a per-arrival seed, and submits a fixed number of
+/// Each arrival picks a model uniformly at random, draws a per-arrival
+/// trace seed for its calibrated trace, and submits a fixed number of
 /// requests separated by an exponentially distributed think gap sampled
 /// once per session. Two independent seeded streams keep the process
 /// well-behaved:
@@ -364,10 +377,12 @@ impl MmppProcess {
     /// Deterministic: the same process samples the same stream, on any
     /// host.
     ///
-    /// The sessions' traces are synthesized on up to
-    /// [`std::thread::available_parallelism`] threads, each given at least
-    /// 256 sessions; smaller samples stay on the calling thread. The thread
-    /// count never changes the stream.
+    /// Each arrival carries its session's recipe: the model's calibrated
+    /// profile (calibrated once per call and shared), its trace seed and
+    /// its think gap. Its trace is a pure function of the three, built
+    /// when it is asked for ([`TimedArrival::trace`]) or when a core seats
+    /// the tenancy, so a sampled session holds tens of bytes, not its
+    /// operators.
     ///
     /// # Errors
     ///
@@ -375,55 +390,22 @@ impl MmppProcess {
     /// dwell configuration is so degenerate that an arrival gap skips more
     /// than 65 536 state transitions.
     pub fn sample(&self, count: usize) -> V10Result<Vec<TimedArrival>> {
-        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        self.sample_on(count, cpus.min(count / MIN_SESSIONS_PER_THREAD).max(1))
-    }
-
-    /// [`sample`](Self::sample) with the traces synthesized on `threads`
-    /// threads. Two passes: the draw pass walks the seeded streams
-    /// sequentially, exactly as a one-pass sampler would, and records each
-    /// session's draws; the synthesis pass builds every session's trace
-    /// from its own draws, a pure function of them, over contiguous blocks
-    /// of sessions, and returns the blocks in arrival order. The stream is
-    /// therefore the same at every thread count.
-    pub(crate) fn sample_on(&self, count: usize, threads: usize) -> V10Result<Vec<TimedArrival>> {
         if count == 0 {
             return Err(V10Error::invalid(
                 "MmppProcess::sample",
                 "need at least one arrival",
             ));
         }
-        // Calibrated once per call and shared by every session.
-        let profiles: Vec<ModelProfile> = self.models.iter().map(|m| m.default_profile()).collect();
-        let draws = self.draw_sessions(count, &profiles)?;
-        let block = count.div_ceil(threads.max(1));
-        let blocks = parallel_map_with(threads, draws.chunks(block), |sessions| {
-            sessions
-                .iter()
-                .map(|d| TimedArrival {
-                    label: format!("{}#{}", d.profile.model().abbrev(), d.index),
-                    model: d.profile.model(),
-                    trace: d.profile.synthesize_session(d.trace_seed, d.think_cycles),
-                    at_cycles: d.at_cycles,
-                    requests: self.requests_per_session,
-                })
-                .collect::<Vec<_>>()
-        });
-        Ok(blocks.into_iter().flatten().collect())
-    }
-
-    /// The draw pass: every session's arrival time, model, trace seed and
-    /// think gap, drawn in arrival order from the process's two streams.
-    fn draw_sessions<'p>(
-        &self,
-        count: usize,
-        profiles: &'p [ModelProfile],
-    ) -> V10Result<Vec<SessionDraw<'p>>> {
         let state_at = |i: usize| {
             self.states.get(i).ok_or_else(|| {
                 V10Error::invalid("MmppProcess::sample", "modulation state out of range")
             })
         };
+        let profiles: Vec<Arc<ModelProfile>> = self
+            .models
+            .iter()
+            .map(|m| Arc::new(m.default_profile()))
+            .collect();
         let mut rng = SimRng::seed_from(self.seed);
         let mut dwell = SimRng::seed_from(self.seed ^ MMPP_DWELL_SALT);
         let mut state = 0usize;
@@ -435,7 +417,8 @@ impl MmppProcess {
             dwell.exponential(state_at(state)?.mean_dwell_cycles)
         };
         let mut now = 0.0;
-        let mut draws = Vec::with_capacity(count);
+        let mut arrivals = Vec::with_capacity(count);
+        let mut label = String::new();
         for index in 0..count {
             let mut crossings = 0usize;
             loop {
@@ -460,7 +443,7 @@ impl MmppProcess {
                 }
             }
             let profile = rng
-                .choose(profiles)
+                .choose(&profiles)
                 .ok_or_else(|| V10Error::invalid("MmppProcess::sample", "no model to draw from"))?;
             // Each session draws its trace and think gap from its own
             // stream, so changing the think-time configuration never
@@ -472,29 +455,21 @@ impl MmppProcess {
             } else {
                 0
             };
-            draws.push(SessionDraw {
-                index,
+            let model = profile.model();
+            label.clear();
+            // Writing into a `String` cannot fail.
+            let _ = write!(label, "{}#{index}", model.abbrev());
+            let recipe = SessionRecipe::new(Arc::clone(profile), trace_seed, think_cycles);
+            arrivals.push(TimedArrival {
+                label: Arc::from(label.as_str()),
+                model,
+                trace: TraceSource::Recipe(Arc::new(recipe)),
                 at_cycles: now,
-                profile,
-                trace_seed,
-                think_cycles,
+                requests: self.requests_per_session,
             });
         }
-        Ok(draws)
+        Ok(arrivals)
     }
-}
-
-/// One session's draws: everything the synthesis pass needs to build its
-/// arrival.
-struct SessionDraw<'p> {
-    /// Position in the stream (the label's suffix).
-    index: usize,
-    at_cycles: f64,
-    /// The drawn model's calibrated default profile.
-    profile: &'p ModelProfile,
-    trace_seed: u64,
-    /// Think gap folded into the first operator's dispatch gap.
-    think_cycles: u64,
 }
 
 #[cfg(test)]
@@ -819,31 +794,18 @@ mod sampler_tests {
             .collect()
     }
 
-    // `assert!(a == b)`, not `assert_eq!`: a mismatch would print
-    // thousands of traces.
-    #[test]
-    fn streams_are_equal_at_every_thread_count() {
-        let models = [Model::Mnist, Model::Bert, Model::EfficientNet];
-        for (case, process) in processes(&models, 0x7EAD).iter().enumerate() {
-            for count in [1, 7, 2_000] {
-                let one = process.sample_on(count, 1).unwrap();
-                assert_eq!(one.len(), count);
-                for threads in [2, 3, 8] {
-                    assert!(
-                        process.sample_on(count, threads).unwrap() == one,
-                        "case {case}: {count} arrivals on {threads} threads"
-                    );
-                }
-                assert!(process.sample(count).unwrap() == one, "case {case}");
-            }
-        }
-    }
-
     /// Digest of two fixed-seed streams of 600 arrivals, pinned from the
-    /// one-pass sampler that preceded the two-pass one: any bit the
-    /// sampler moves fails here.
+    /// one-pass sampler that built every trace as it drew: any bit the
+    /// sampler or a recipe moves fails here.
     const PINNED_STREAM_DIGEST: u64 = 0x475A_50DA_FC79_59B8;
 
+    /// Digest of [`processes`] over three models, each sampled at 1, 7 and
+    /// 2,000 arrivals, pinned from the sampler that built every trace
+    /// before returning the stream.
+    const PINNED_MATRIX_DIGEST: u64 = 0x6DA0_D060_8BA5_1E7A;
+
+    // `assert!(a == b)`, not `assert_eq!`: a mismatch would print
+    // thousands of traces.
     #[test]
     fn streams_match_the_pinned_digest() {
         let poisson = MmppProcess::new(&Model::ALL, 1.5e6, 0x5EED_2026)
@@ -860,22 +822,25 @@ mod sampler_tests {
             0xF1A5_4C20,
         )
         .unwrap();
-        let digest = |sample: &dyn Fn(&MmppProcess) -> Vec<TimedArrival>| {
-            let mut both = sample(&poisson);
-            both.extend(sample(&crowd));
-            stream_digest(&both)
-        };
-        assert_eq!(
-            digest(&|p| p.sample(600).unwrap()),
-            PINNED_STREAM_DIGEST,
-            "at the host's thread count"
-        );
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                digest(&|p| p.sample_on(600, threads).unwrap()),
-                PINNED_STREAM_DIGEST,
-                "on {threads} threads"
-            );
+        let mut both = poisson.sample(600).unwrap();
+        both.extend(crowd.sample(600).unwrap());
+        assert_eq!(stream_digest(&both), PINNED_STREAM_DIGEST);
+
+        let models = [Model::Mnist, Model::Bert, Model::EfficientNet];
+        let mut matrix = Vec::new();
+        for (case, process) in processes(&models, 0x7EAD).iter().enumerate() {
+            let longest = process.sample(2_000).unwrap();
+            for count in [1, 7] {
+                let head = process.sample(count).unwrap();
+                assert_eq!(head.len(), count);
+                assert!(
+                    head[..] == longest[..count],
+                    "case {case}: {count} arrivals are a prefix of 2,000"
+                );
+                matrix.extend(head);
+            }
+            matrix.extend(longest);
         }
+        assert_eq!(stream_digest(&matrix), PINNED_MATRIX_DIGEST);
     }
 }

@@ -7,14 +7,21 @@
 //! operators are interleaved evenly, mimicking the layer-by-layer
 //! matmul → activation structure of real models.
 //!
+//! A sampled serving session carries its synthesis inputs as a
+//! `SessionRecipe` (a [`TraceRecipe`]) and is built only when a core
+//! seats it; each thread keeps its length buffers across syntheses, so a
+//! build allocates only the trace's operator slice.
+//!
 //! [`ModelProfile::synthesize_dag`] builds the dependency DAG used by the
 //! Fig. 6 critical-path study, and [`refit_vmem`] models the compiler
 //! re-tiling operators whose working set exceeds a (partitioned) vector
 //! memory — the mechanism behind the paper's Fig. 24 vmem-capacity sweep.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
-use v10_isa::{FuKind, OpDag, OpDesc, RequestTrace};
+use v10_isa::{FuKind, OpDag, OpDesc, RequestTrace, TraceRecipe};
+use v10_sim::convert::u64_from_usize;
 use v10_sim::SimRng;
 
 use crate::profile::{ModelProfile, SA_PEAK_FLOPS_PER_CYCLE, VU_PEAK_FLOPS_PER_CYCLE};
@@ -41,18 +48,43 @@ impl ModelProfile {
     /// first operator's dispatch gap: a serving session's trace with its
     /// think time compiled in, built in one pass.
     pub(crate) fn synthesize_session(&self, seed: u64, think_cycles: u64) -> RequestTrace {
+        // A thread that is tearing down its locals builds with fresh buffers.
+        let mut lengths = LENGTHS.try_with(Cell::take).unwrap_or_default();
+        let trace = self.synthesize_with(&mut lengths, seed, think_cycles);
+        // Ignored for the same reason: the buffers are dropped instead.
+        let _ = LENGTHS.try_with(|cell| cell.set(lengths));
+        trace
+    }
+
+    /// [`synthesize_session`](Self::synthesize_session) drawing its
+    /// operator lengths into `lengths`.
+    fn synthesize_with(
+        &self,
+        lengths: &mut LengthBuffers,
+        seed: u64,
+        think_cycles: u64,
+    ) -> RequestTrace {
+        let LengthBuffers {
+            raw,
+            sa_lens,
+            vu_lens,
+        } = lengths;
         let mut rng = SimRng::seed_from(seed ^ 0x5EED_0F7B_4CE5);
-        let sa_lens = jittered_lengths(
+        jittered_lengths(
             &mut rng,
             self.sa_op_count(),
             self.sa_len_cycles(),
             self.len_sigma(),
+            raw,
+            sa_lens,
         );
-        let vu_lens = jittered_lengths(
+        jittered_lengths(
             &mut rng,
             self.vu_op_count(),
             self.vu_len_cycles(),
             self.len_sigma(),
+            raw,
+            vu_lens,
         );
         let batch_ratio = self.batch() as f64 / self.model().default_batch() as f64;
         let vmem_batch_scale = batch_ratio.powf(0.3);
@@ -68,7 +100,7 @@ impl ModelProfile {
         // Collected straight into the trace's shared slice: the iterator
         // has an exact length, so the operators are written once, into one
         // allocation.
-        let ops: Arc<[OpDesc]> = interleave(&sa_lens, &vu_lens)
+        let ops: Arc<[OpDesc]> = interleave(sa_lens, vu_lens)
             .enumerate()
             .map(|(k, (kind, cycles))| {
                 let think = if k == 0 { think_cycles } else { 0 };
@@ -173,18 +205,79 @@ impl ModelProfile {
     }
 }
 
-/// Draws `n` lognormal lengths with the given mean and renormalizes them so
-/// they sum to exactly `n * mean_cycles` (keeping every length ≥ 1).
-fn jittered_lengths(rng: &mut SimRng, n: usize, mean_cycles: u64, sigma: f64) -> Vec<u64> {
+/// A sampled session's trace, not yet built: the calibrated profile its
+/// model shares with every session of the stream, plus its own trace seed
+/// and think gap. Building it is [`ModelProfile::synthesize_session`], a
+/// pure function of the three.
+#[derive(Debug)]
+pub(crate) struct SessionRecipe {
+    profile: Arc<ModelProfile>,
+    trace_seed: u64,
+    /// Folded into the first operator's dispatch gap.
+    ///
+    /// unit: cycles.
+    think_cycles: u64,
+}
+
+impl SessionRecipe {
+    pub(crate) fn new(profile: Arc<ModelProfile>, trace_seed: u64, think_cycles: u64) -> Self {
+        SessionRecipe {
+            profile,
+            trace_seed,
+            think_cycles,
+        }
+    }
+}
+
+impl TraceRecipe for SessionRecipe {
+    fn build(&self) -> RequestTrace {
+        self.profile
+            .synthesize_session(self.trace_seed, self.think_cycles)
+    }
+
+    /// Synthesis renormalizes each kind's lengths to sum to exactly its
+    /// operator count times its mean length, so the total follows from the
+    /// profile alone.
+    fn total_compute_cycles(&self) -> u64 {
+        let p = &self.profile;
+        u64_from_usize(p.sa_op_count()) * p.sa_len_cycles()
+            + u64_from_usize(p.vu_op_count()) * p.vu_len_cycles()
+    }
+}
+
+/// Operator-length scratch that one synthesis fills and the next reuses.
+#[derive(Debug, Default)]
+struct LengthBuffers {
+    /// The current kind's raw lognormal draws.
+    raw: Vec<f64>,
+    sa_lens: Vec<u64>,
+    vu_lens: Vec<u64>,
+}
+
+thread_local! {
+    /// This thread's length buffers, taken for the length of one synthesis.
+    static LENGTHS: Cell<LengthBuffers> = Cell::default();
+}
+
+/// Draws `n` lognormal lengths with the given mean into `lens`, using
+/// `raw` as scratch, and renormalizes them so they sum to exactly
+/// `n * mean_cycles` (keeping every length ≥ 1).
+fn jittered_lengths(
+    rng: &mut SimRng,
+    n: usize,
+    mean_cycles: u64,
+    sigma: f64,
+    raw: &mut Vec<f64>,
+    lens: &mut Vec<u64>,
+) {
     assert!(n > 0, "need at least one operator");
-    let raw: Vec<f64> = rng.lognormals(mean_cycles as f64, sigma).take(n).collect();
+    raw.clear();
+    raw.extend(rng.lognormals(mean_cycles as f64, sigma).take(n));
     let target = n as u64 * mean_cycles;
     let raw_sum: f64 = raw.iter().sum();
     let scale = target as f64 / raw_sum;
-    let mut lens: Vec<u64> = raw
-        .iter()
-        .map(|&x| ((x * scale).round() as u64).max(1))
-        .collect();
+    lens.clear();
+    lens.extend(raw.iter().map(|&x| ((x * scale).round() as u64).max(1)));
     // Fix rounding drift on the longest operator (the last of equals) so
     // the sum is exact.
     let sum: u64 = lens.iter().sum();
@@ -195,7 +288,6 @@ fn jittered_lengths(rng: &mut SimRng, n: usize, mean_cycles: u64, sigma: f64) ->
             *longest += target - sum;
         }
     }
-    lens
 }
 
 /// Interleaves SA and VU operator lengths evenly (Bresenham merge), so the
@@ -370,10 +462,42 @@ mod tests {
     #[test]
     fn jittered_lengths_sum_exact_and_positive() {
         let mut rng = SimRng::seed_from(9);
-        for (n, mean, sigma) in [(1usize, 100u64, 0.5), (17, 3, 0.9), (100, 1_000, 0.3)] {
-            let lens = jittered_lengths(&mut rng, n, mean, sigma);
+        let (mut raw, mut lens) = (Vec::new(), Vec::new());
+        for (n, mean, sigma) in [(100usize, 1_000u64, 0.3), (1, 100, 0.5), (17, 3, 0.9)] {
+            jittered_lengths(&mut rng, n, mean, sigma, &mut raw, &mut lens);
+            assert_eq!(
+                lens.len(),
+                n,
+                "reused buffers hold this call's lengths only"
+            );
             assert_eq!(lens.iter().sum::<u64>(), n as u64 * mean);
             assert!(lens.iter().all(|&l| l >= 1));
+        }
+    }
+
+    /// A session recipe builds exactly the trace a fresh synthesis of its
+    /// draws gives, whatever the reused length buffers last held, and
+    /// knows that trace's total without building it: every model, 64
+    /// seeds, with and without a think gap.
+    #[test]
+    fn recipes_build_the_session_trace_and_know_its_total() {
+        let mut rng = SimRng::seed_from(0x2EC1);
+        for m in Model::ALL {
+            let profile = Arc::new(m.default_profile());
+            for _ in 0..64 {
+                let seed = rng.next_u64();
+                for think in [0, rng.uniform_u64(1, 1_000_000)] {
+                    let recipe = SessionRecipe::new(Arc::clone(&profile), seed, think);
+                    let fresh = profile.synthesize_with(&mut LengthBuffers::default(), seed, think);
+                    let built = recipe.build();
+                    assert!(built == fresh, "{m}, seed {seed:#x}, think {think}");
+                    assert_eq!(
+                        recipe.total_compute_cycles(),
+                        built.total_compute_cycles(),
+                        "{m}, seed {seed:#x}"
+                    );
+                }
+            }
         }
     }
 

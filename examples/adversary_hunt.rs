@@ -30,7 +30,7 @@ fn serve(gen: &AdversaryGen, knobs: &ScenarioKnobs) -> V10Result<(u64, u64, u64,
     let scenario = gen.scenario(AdversaryCase::ArpGaming, knobs)?;
     let mut admissions = Vec::new();
     for (a, p) in scenario.arrivals().iter().zip(scenario.priorities()) {
-        let spec = WorkloadSpec::new(a.label(), a.trace().clone()).with_priority(*p)?;
+        let spec = WorkloadSpec::new(a.shared_label(), a.source().clone()).with_priority(*p)?;
         admissions.push(Admission::new(spec, a.at_cycles(), a.requests())?);
     }
     let schedule = AdmissionSchedule::new(admissions)?;

@@ -75,7 +75,7 @@ fn main() {
             .iter()
             .map(|a| {
                 Admission::new(
-                    WorkloadSpec::new(a.label(), a.trace().clone()),
+                    WorkloadSpec::new(a.shared_label(), a.source().clone()),
                     a.at_cycles(),
                     a.requests(),
                 )

@@ -38,7 +38,7 @@ fn core_schedule(
         if i % cores != core {
             continue;
         }
-        let spec = WorkloadSpec::new(a.label(), a.trace().clone()).with_priority(*p)?;
+        let spec = WorkloadSpec::new(a.shared_label(), a.source().clone()).with_priority(*p)?;
         admissions.push(Admission::new(spec, a.at_cycles(), a.requests())?);
     }
     if admissions.is_empty() {
@@ -215,7 +215,14 @@ fn adversarial_cases_track_the_core_cadence_and_slice() {
     let ops: Vec<u64> = scenario
         .arrivals()
         .iter()
-        .flat_map(|a| a.trace().ops().iter().map(|op| op.compute_cycles()))
+        .flat_map(|a| {
+            let trace = a.trace();
+            trace
+                .ops()
+                .iter()
+                .map(|op| op.compute_cycles())
+                .collect::<Vec<_>>()
+        })
         .collect();
     assert_eq!(ops.len(), 24);
     for cycles in ops {

@@ -46,7 +46,7 @@ fn flash_schedule(burst_factor: f64) -> AdmissionSchedule {
         .iter()
         .map(|a| {
             Admission::new(
-                WorkloadSpec::new(a.label(), a.trace().clone()),
+                WorkloadSpec::new(a.shared_label(), a.source().clone()),
                 a.at_cycles(),
                 a.requests(),
             )
@@ -278,7 +278,7 @@ fn poisson_serving_audits_clean_under_armed_fault_plans() {
         .iter()
         .map(|a| {
             Admission::new(
-                WorkloadSpec::new(a.label(), a.trace().clone()),
+                WorkloadSpec::new(a.shared_label(), a.source().clone()),
                 a.at_cycles(),
                 a.requests(),
             )
