@@ -876,7 +876,7 @@ impl<'a> FleetPlane<'a> {
                 let placement = self.query(class, group, &fd.crashed);
                 let decision = outcome.decisions.len();
                 outcome.decisions.push(AdmissionDecision {
-                    label: arrival.label().to_string(),
+                    label: arrival.shared_label(),
                     model: arrival.model(),
                     at_cycles: arrival.at_cycles(),
                     placement,
@@ -1172,7 +1172,7 @@ impl<'a> FleetPlane<'a> {
             V10Error::invalid("FleetPlane::serve", "tenant without an admission decision")
         })?;
         let displaced = Displaced {
-            label: arrival.label().to_string(),
+            label: arrival.shared_label(),
             from_core,
             arrived_at,
             quota,
@@ -1820,7 +1820,7 @@ mod tests {
         assert_eq!(report.shed().len(), 1, "{:?}", report.shed());
         let shed = &report.shed()[0];
         assert_eq!(
-            (shed.label.as_str(), shed.at_cycles, shed.lost_requests),
+            (&*shed.label, shed.at_cycles, shed.lost_requests),
             ("m6", 15_000_000.0, 1)
         );
         assert!(shed.deadline_unmeetable);

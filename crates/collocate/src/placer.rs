@@ -14,6 +14,8 @@
 //! takes the argmax per arrival, and hands each placed arrival to its
 //! core's resumable engine run.
 
+use std::sync::Arc;
+
 use v10_npu::ClusterState;
 use v10_sim::convert::usize_to_f64;
 use v10_sim::{V10Error, V10Result};
@@ -297,8 +299,8 @@ impl TopoScore {
 /// ([`FleetOutcome::decisions`](crate::fleet::FleetOutcome::decisions)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionDecision {
-    /// The tenant's label (from the arrival stream).
-    pub label: String,
+    /// The tenant's label, shared with its arrival.
+    pub label: Arc<str>,
     /// The arriving model.
     pub model: Model,
     /// Arrival time in cycles.

@@ -26,6 +26,8 @@
 //! produce byte-identical reports and event streams, regardless of how the
 //! caller parallelizes the surrounding sweep.
 
+use std::sync::Arc;
+
 use v10_core::RunReport;
 use v10_sim::convert::usize_to_f64;
 use v10_sim::{LatencySummary, V10Result};
@@ -85,8 +87,8 @@ pub(crate) fn readmit(
 /// One displaced tenant, as [`readmit`] sees it.
 #[derive(Debug)]
 pub(crate) struct Displaced {
-    /// The tenant's label.
-    pub(crate) label: String,
+    /// The tenant's label, shared with its arrival.
+    pub(crate) label: Arc<str>,
     /// The core the fault evicted it from.
     pub(crate) from_core: usize,
     /// The original arrival: deadlines anchor here even after requeues.
@@ -123,8 +125,8 @@ pub(crate) enum Readmission {
 /// One displaced tenant successfully re-admitted onto another core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequeueRecord {
-    /// The tenant's label.
-    pub label: String,
+    /// The tenant's label, shared with its arrival.
+    pub label: Arc<str>,
     /// The core the permanent fault evicted it from.
     pub from_core: usize,
     /// The core that took it.
@@ -140,8 +142,8 @@ pub struct RequeueRecord {
 /// One displaced tenant the recovery ladder gave up on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShedRecord {
-    /// The tenant's label.
-    pub label: String,
+    /// The tenant's label, shared with its arrival.
+    pub label: Arc<str>,
     /// The core the permanent fault evicted it from.
     pub from_core: usize,
     /// When shedding was decided, in cycles.
@@ -377,7 +379,7 @@ mod tests {
     /// `DEADLINE_FACTOR · 4e6` cycles.
     fn displaced() -> Displaced {
         Displaced {
-            label: "t".to_string(),
+            label: "t".into(),
             from_core: 1,
             arrived_at: 0.0,
             quota: 4,
@@ -422,7 +424,7 @@ mod tests {
         assert_eq!(
             out,
             Readmission::Requeued(RequeueRecord {
-                label: "t".to_string(),
+                label: "t".into(),
                 from_core: 1,
                 to_core: 7,
                 at_cycles: fire_at(50.0, 1),

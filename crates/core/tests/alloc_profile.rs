@@ -189,10 +189,10 @@ fn serving_run_allocation_census() {
              requests ({per_request:.1} allocations per request)"
         );
         // Post-refactor ratchet: the event spine must not allocate per
-        // step. Seat-time costs (the label copy handed over, one latency
-        // buffer, the report row's percentile summary) leave a small
-        // per-request budget; the pre-refactor spine sat at ~1000-4000
-        // allocations per request (see OPTIMIZATION_LOG.md).
+        // step. Seat-time costs (one latency buffer, the report row's
+        // percentile summary; the label is shared with the admission)
+        // leave a small per-request budget; the pre-refactor spine sat at
+        // ~1000-4000 allocations per request (see OPTIMIZATION_LOG.md).
         // `V10_ALLOC_CENSUS_ONLY=1` prints the census without enforcing the
         // ratchet — used to capture the before/after numbers in
         // OPTIMIZATION_LOG.md.

@@ -97,14 +97,23 @@ impl ModelProfile {
         let busy: u64 = sa_lens.iter().chain(vu_lens.iter()).sum();
         let gap = self.request_cycles().saturating_sub(busy) / n_total as u64;
 
+        let (sa_rates, vu_rates) = (self.op_rates(FuKind::Sa), self.op_rates(FuKind::Vu));
         // Collected straight into the trace's shared slice: the iterator
         // has an exact length, so the operators are written once, into one
         // allocation.
         let ops: Arc<[OpDesc]> = interleave(sa_lens, vu_lens)
             .enumerate()
             .map(|(k, (kind, cycles))| {
-                let think = if k == 0 { think_cycles } else { 0 };
-                self.make_op(kind, cycles, vmem_batch_scale, gap.saturating_add(think))
+                let rates = match kind {
+                    FuKind::Sa => sa_rates,
+                    FuKind::Vu => vu_rates,
+                };
+                let gap = if k == 0 {
+                    gap.saturating_add(think_cycles)
+                } else {
+                    gap
+                };
+                make_op(kind, cycles, rates, vmem_batch_scale, gap)
             })
             .collect();
         // v10-lint: allow(P1) `calibrated` gives every profile at least one SA and one VU operator, so `ops` is never empty
@@ -180,29 +189,46 @@ impl ModelProfile {
         dag
     }
 
-    /// One operator of `kind` and length `cycles`; `vmem_batch_scale` is
-    /// the batch ratio to the 0.3 (the trace-wide factor of the vmem
-    /// footprint), computed once per trace.
-    fn make_op(&self, kind: FuKind, cycles: u64, vmem_batch_scale: f64, gap: u64) -> OpDesc {
-        let (bytes_per_cycle, flops_per_cycle) = match kind {
-            FuKind::Sa => (
-                self.sa_hbm_bytes_per_cycle(),
-                SA_PEAK_FLOPS_PER_CYCLE * self.sa_spatial_efficiency(),
-            ),
-            FuKind::Vu => (self.vu_hbm_bytes_per_cycle(), VU_PEAK_FLOPS_PER_CYCLE * 0.8),
-        };
-        let len_us = cycles as f64 / 700.0;
-        let vmem = (2.0 * 1024.0 * 1024.0 * (len_us / 100.0).sqrt() * vmem_batch_scale)
-            .clamp(VMEM_FLOOR_BYTES, VMEM_CEIL_BYTES);
-        OpDesc::builder(kind)
-            .compute_cycles(cycles)
-            .hbm_bytes((cycles as f64 * bytes_per_cycle) as u64)
-            .vmem_bytes(vmem as u64)
-            .flops((cycles as f64 * flops_per_cycle) as u64)
-            .instr_count(((cycles / 4).clamp(16, 1 << 20)) as u32)
-            .dispatch_gap_cycles(gap)
-            .build()
+    /// The HBM bytes and FLOPs per busy cycle of this profile's `kind`
+    /// operators, read once per trace.
+    fn op_rates(&self, kind: FuKind) -> OpRates {
+        match kind {
+            FuKind::Sa => OpRates {
+                hbm_bytes: self.sa_hbm_bytes_per_cycle(),
+                flops: SA_PEAK_FLOPS_PER_CYCLE * self.sa_spatial_efficiency(),
+            },
+            FuKind::Vu => OpRates {
+                hbm_bytes: self.vu_hbm_bytes_per_cycle(),
+                flops: VU_PEAK_FLOPS_PER_CYCLE * 0.8,
+            },
+        }
     }
+}
+
+/// Per-busy-cycle rates of one operator kind.
+#[derive(Debug, Clone, Copy)]
+struct OpRates {
+    /// unit: bytes per cycle.
+    hbm_bytes: f64,
+    /// unit: FLOPs per cycle.
+    flops: f64,
+}
+
+/// One operator of `kind` and length `cycles`; `vmem_batch_scale` is the
+/// batch ratio to the 0.3 (the trace-wide factor of the vmem footprint),
+/// computed once per trace.
+fn make_op(kind: FuKind, cycles: u64, rates: OpRates, vmem_batch_scale: f64, gap: u64) -> OpDesc {
+    let len_us = cycles as f64 / 700.0;
+    let vmem = (2.0 * 1024.0 * 1024.0 * (len_us / 100.0).sqrt() * vmem_batch_scale)
+        .clamp(VMEM_FLOOR_BYTES, VMEM_CEIL_BYTES);
+    OpDesc::builder(kind)
+        .compute_cycles(cycles)
+        .hbm_bytes((cycles as f64 * rates.hbm_bytes) as u64)
+        .vmem_bytes(vmem as u64)
+        .flops((cycles as f64 * rates.flops) as u64)
+        .instr_count(((cycles / 4).clamp(16, 1 << 20)) as u32)
+        .dispatch_gap_cycles(gap)
+        .build()
 }
 
 /// A sampled session's trace, not yet built: the calibrated profile its
@@ -302,11 +328,20 @@ fn interleave<'a>(
     let mut sa = sa_lens.iter().map(|&c| (FuKind::Sa, c));
     let mut vu = vu_lens.iter().map(|&c| (FuKind::Vu, c));
     let mut emitted_sa = 0usize;
+    // SA operators due after step k: ceil((k + 1) * n_sa / total), kept as
+    // a running quotient and remainder so that no step divides.
+    let (mut due_floor, mut due_rem) = (0usize, 0usize);
     // Walk the merged sequence, emitting whichever kind is "behind" its
     // proportional position (SA once VU runs out). One step per length, so
     // the iterator's length is exact.
-    (0..total).map(move |k| {
-        let sa_due = emitted_sa < ((k + 1) * n_sa).div_ceil(total);
+    (0..total).map(move |_| {
+        // n_sa <= total, so one subtraction keeps the remainder below total.
+        due_rem += n_sa;
+        if due_rem >= total {
+            due_rem -= total;
+            due_floor += 1;
+        }
+        let sa_due = emitted_sa < due_floor + usize::from(due_rem > 0);
         let next = if sa_due { sa.next() } else { None }
             .or_else(|| vu.next())
             .or_else(|| sa.next());
@@ -450,6 +485,35 @@ mod tests {
             }
         }
         assert_eq!(merged.iter().filter(|(k, _)| *k == FuKind::Sa).count(), 3);
+    }
+
+    /// The running quotient places every SA operator where the per-step
+    /// division `ceil((k + 1) * n_sa / total)` placed it.
+    #[test]
+    fn interleave_matches_the_proportional_quota() {
+        for n_sa in 0..64usize {
+            for n_vu in 0..64usize {
+                let total = n_sa + n_vu;
+                let (mut sa_left, mut vu_left, mut emitted_sa) = (n_sa, n_vu, 0);
+                let quota: Vec<FuKind> = (0..total)
+                    .map(|k| {
+                        let sa_due = emitted_sa < ((k + 1) * n_sa).div_ceil(total);
+                        if (sa_due && sa_left > 0) || vu_left == 0 {
+                            sa_left -= 1;
+                            emitted_sa += 1;
+                            FuKind::Sa
+                        } else {
+                            vu_left -= 1;
+                            FuKind::Vu
+                        }
+                    })
+                    .collect();
+                let merged: Vec<FuKind> = interleave(&vec![1; n_sa], &vec![2; n_vu])
+                    .map(|(kind, _)| kind)
+                    .collect();
+                assert_eq!(merged, quota, "{n_sa} SA, {n_vu} VU");
+            }
+        }
     }
 
     #[test]
