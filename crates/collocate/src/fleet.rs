@@ -37,7 +37,7 @@
 //! Shards exchange state only at epoch boundaries ([`EpochClock`]): tenant
 //! departures read from the per-core engine runs are released
 //! in simulated-time order ([`merge_messages`], tie-broken by core index
-//! and interned label), and only departures at or before the boundary are
+//! and arrival index), and only departures at or before the boundary are
 //! applied. Each core the plane touches runs as one resumable [`CoreRun`]:
 //! at every processed boundary each live run advances once, up to the
 //! boundary, and the plane reads its departures there; admissions placed
@@ -99,8 +99,7 @@ use v10_npu::{ClusterState, FleetTopology, NpuConfig};
 use v10_sim::convert::{u64_from_usize, u64_to_f64};
 use v10_sim::{
     merge_messages, parallel_map_with, Cycles, DepartureMsg, EpochClock, FaultKind, FaultPlan,
-    FleetFaultEvent, FleetFaultKind, FleetFaultPlan, LabelId, LabelInterner, ShardMap, V10Error,
-    V10Result,
+    FleetFaultEvent, FleetFaultKind, FleetFaultPlan, ShardMap, V10Error, V10Result,
 };
 use v10_workloads::TimedArrival;
 
@@ -227,7 +226,6 @@ struct FleetTenant {
     /// evacuee its landing after the context transfer.
     admit_at: f64,
     class: usize,
-    label: LabelId,
     released: bool,
     /// Home HBM group the tenant's weights reside in.
     group: usize,
@@ -239,7 +237,8 @@ struct FleetTenant {
     /// Requests assigned to this placement: the full quota initially, the
     /// open remainder after an evacuation.
     assigned: usize,
-    /// Index into [`FleetOutcome::decisions`] for observer events.
+    /// Index into [`FleetOutcome::decisions`]: the tenant's arrival index,
+    /// which its observer events and departure messages carry.
     decision: usize,
 }
 
@@ -712,7 +711,7 @@ impl<'a> FleetPlane<'a> {
             streams[owner].push(DepartureMsg {
                 at_cycles: Cycles::new(retired_at),
                 core: t.core,
-                label: t.label,
+                arrival: t.decision,
             });
         }
         Ok(merge_messages(streams))
@@ -817,7 +816,6 @@ impl<'a> FleetPlane<'a> {
         };
         let opts = opts.with_table_capacity(self.slots_per_core)?;
         let mut runs = CoreRuns::new(self.state.cores(), design, config, opts);
-        let mut interner = LabelInterner::new();
         let mut tenants = Tenants::new(self.state.cores(), arrivals.len());
         let mut outcome = FleetOutcome {
             shards: self.shard_map.shards(),
@@ -892,7 +890,6 @@ impl<'a> FleetPlane<'a> {
                             idx: 0,
                             admit_at: at,
                             class,
-                            label: interner.intern(arrival.label()),
                             released: false,
                             group,
                             arrived_at: at,
@@ -930,13 +927,7 @@ impl<'a> FleetPlane<'a> {
             ));
         }
         fd.retired.sort_by_key(|r| r.0);
-        let report = ClusterServeReport::from_parts(
-            outcome.placed,
-            reports,
-            fd.requeued,
-            fd.shed,
-            fd.retired,
-        );
+        let report = ClusterServeReport::from_parts(reports, fd.requeued, fd.shed, fd.retired);
         Ok((report, outcome))
     }
 
@@ -1159,15 +1150,8 @@ impl<'a> FleetPlane<'a> {
         observer: &mut O,
     ) -> V10Result<()> {
         let t = &tenants.all[tenant_idx];
-        let (class, group, from_core, arrived_at, quota, label, decision) = (
-            t.class,
-            t.group,
-            t.core,
-            t.arrived_at,
-            t.quota,
-            t.label,
-            t.decision,
-        );
+        let (class, group, from_core, arrived_at, quota, decision) =
+            (t.class, t.group, t.core, t.arrived_at, t.quota, t.decision);
         let arrival = arrivals.get(decision).ok_or_else(|| {
             V10Error::invalid("FleetPlane::serve", "tenant without an admission decision")
         })?;
@@ -1211,7 +1195,6 @@ impl<'a> FleetPlane<'a> {
                     idx: 0,
                     admit_at: lands_at,
                     class,
-                    label,
                     released: false,
                     group,
                     arrived_at,
@@ -1254,6 +1237,7 @@ mod tests {
     use crate::dataset::build_dataset;
     use crate::eval::PairPerfCache;
     use crate::pipeline::ClusteringPipeline;
+    use v10_core::FleetConservation;
     use v10_workloads::Model;
 
     /// Records the plane-level events a faulted serve emits, in emission
@@ -1283,6 +1267,48 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    /// Feeds one serve's outputs to the [`FleetConservation`] oracle — the
+    /// admission flow, the shard crashes and restores `log` recorded, the
+    /// region failures, evacuations and sheds, every core's report, and the
+    /// departure stream — and asserts that it comes back clean.
+    fn assert_conserved(report: &ClusterServeReport, outcome: &FleetOutcome, log: &FaultLog) {
+        let mut auditor = FleetConservation::new();
+        auditor.record_flow(outcome.offered(), outcome.placed(), outcome.rejected());
+        for &(shard, at) in &log.crashes {
+            auditor.record_shard_crash(shard, at);
+        }
+        for &(shard, at) in &log.restores {
+            auditor.record_shard_restore(shard, at);
+        }
+        for &(group, at) in outcome.regions_failed() {
+            let cores: Vec<usize> = report
+                .retired_cores()
+                .iter()
+                .filter(|&&(_, when)| when == at)
+                .map(|&(core, _)| core)
+                .collect();
+            auditor.record_region_fail(group, &cores, at);
+        }
+        for r in report.requeued() {
+            auditor.record_evacuation(r.from_core, r.to_core, r.at_cycles);
+        }
+        for s in report.shed() {
+            auditor.record_shed(s.from_core, s.at_cycles);
+        }
+        for (core, r) in report.per_core().iter().enumerate() {
+            if let Some(r) = r {
+                auditor.record_core(core, r);
+            }
+        }
+        auditor.record_departures(report.per_core().len(), outcome.departures());
+        auditor.reconcile();
+        assert!(
+            auditor.is_clean(),
+            "fleet conservation violated: {:?}",
+            auditor.violations()
+        );
     }
 
     fn pipeline() -> ClusteringPipeline {
@@ -1518,6 +1544,35 @@ mod tests {
         stream
     }
 
+    /// Two sessions may share a label: a departure names its tenant by
+    /// arrival index, so a one-slot core that seats `dup` twice in turn
+    /// releases two distinct tenants and the oracle stays clean.
+    #[test]
+    fn sessions_sharing_a_label_depart_as_distinct_tenants() {
+        let p = pipeline();
+        let placer = OnlinePlacer::new(&p).with_threshold(0.01).unwrap();
+        let topo = FleetTopology::mesh(1, 1, 1, 64.0).unwrap();
+        let weights = TopologyWeights::new(0.02, 0.01).unwrap();
+        let mut plane = FleetPlane::new(placer, topo, 1, 1, Cycles::new(1.0e7), weights).unwrap();
+        let stream = [
+            arrival("dup", Model::Mnist, 0.0, 1),
+            arrival("dup", Model::Mnist, 2.0e7, 1),
+            arrival("x", Model::Mnist, 4.0e7, 1),
+        ];
+        let (report, outcome) = plane
+            .serve(
+                &stream,
+                Design::V10Full,
+                &NpuConfig::table5(),
+                &RunOptions::new(1).unwrap(),
+            )
+            .unwrap();
+        assert_eq!(outcome.placed(), 3);
+        let departed: Vec<usize> = outcome.departures().iter().map(|d| d.arrival).collect();
+        assert_eq!(departed, [0, 1]);
+        assert_conserved(&report, &outcome, &FaultLog::default());
+    }
+
     #[test]
     fn plain_serve_leaves_the_fault_ledgers_empty() {
         let p = pipeline();
@@ -1590,7 +1645,7 @@ mod tests {
             }
         }
         assert_eq!(outcome.placed(), 6, "the restored shard serves epoch 1");
-        assert!(report.conservation().holds());
+        assert_conserved(&report, &outcome, &log);
     }
 
     /// With one shard a crash leaves no surviving admission worker: every
@@ -1630,7 +1685,7 @@ mod tests {
             );
         }
         assert_eq!(outcome.rejected(), 2, "t2 and t3 arrive in the crash epoch");
-        assert!(report.conservation().holds());
+        assert_conserved(&report, &outcome, &log);
     }
 
     /// Each core's report — a run resumed at every epoch boundary, or one
@@ -1743,7 +1798,7 @@ mod tests {
             report.completed_requests() + report.shed_requests(),
             offered_requests
         );
-        assert!(report.conservation().holds());
+        assert_conserved(&report, &outcome, &log);
 
         // One evacuation event per requeue, naming the evacuee's decision.
         assert!(log.sheds.is_empty());
@@ -1760,17 +1815,6 @@ mod tests {
                 (r.from_core, r.to_core, r.at_cycles)
             );
         }
-
-        // A report claiming one more offered session than its cores saw
-        // breaks the conservation identity.
-        let forged = ClusterServeReport::from_parts(
-            report.offered_sessions() + 1,
-            report.per_core().to_vec(),
-            report.requeued().to_vec(),
-            report.shed().to_vec(),
-            report.retired_cores().to_vec(),
-        );
-        assert!(!forged.conservation().holds());
     }
 
     /// HBM group 0 fails at 5e6 (applied at the 8e6 boundary) with its
@@ -1834,13 +1878,13 @@ mod tests {
             report.completed_requests() + report.shed_requests(),
             offered_requests
         );
-        assert!(report.conservation().holds());
+        assert_conserved(&report, &outcome, &log);
     }
 
     #[test]
     fn partitioned_uplink_defers_evacuation_until_the_window_closes() {
         let p = pipeline();
-        let (report, _) = faulted_plane(&p, 2, 1)
+        let (report, outcome) = faulted_plane(&p, 2, 1)
             .serve_faulted(
                 &faulted_arrivals(),
                 Design::V10Full,
@@ -1858,7 +1902,7 @@ mod tests {
             assert_eq!(r.attempt, 3, "attempts inside the partition must fail");
             assert_eq!(r.at_cycles, 15_000_000.0);
         }
-        assert!(report.conservation().holds());
+        assert_conserved(&report, &outcome, &FaultLog::default());
         let offered_requests: usize = faulted_arrivals().iter().map(|a| a.requests()).sum();
         assert_eq!(
             report.completed_requests() + report.shed_requests(),
@@ -1902,7 +1946,7 @@ mod tests {
             report.completed_requests() + report.shed_requests(),
             offered_requests
         );
-        assert!(report.conservation().holds());
+        assert_conserved(&report, &outcome, &log);
     }
 
     #[test]
@@ -1940,7 +1984,7 @@ mod tests {
         let (report, outcome) = run(3);
         assert_eq!(report, base_report);
         assert_eq!(outcome, base_outcome);
-        assert!(base_report.conservation().holds());
+        assert_conserved(&base_report, &base_outcome, &FaultLog::default());
     }
 
     #[test]
@@ -1973,7 +2017,7 @@ mod tests {
 
     #[test]
     fn armed_run_passes_the_fleet_conservation_oracle() {
-        use v10_core::{check_serve_invariants, FleetConservation};
+        use v10_core::check_serve_invariants;
         let p = pipeline();
         // Crash shard 1 mid-run (applied at the 4e6 boundary, restored at
         // 8e6), then blow away HBM group 0 over a degraded uplink.
@@ -2011,41 +2055,7 @@ mod tests {
         assert_eq!(log.restores, &[(1, 8_000_000.0)]);
         assert!(!report.requeued().is_empty());
 
-        let mut auditor = FleetConservation::new();
-        auditor.record_flow(outcome.offered(), outcome.placed(), outcome.rejected());
-        for &(shard, at) in &log.crashes {
-            auditor.record_shard_crash(shard, at);
-        }
-        for &(shard, at) in &log.restores {
-            auditor.record_shard_restore(shard, at);
-        }
-        for &(group, at) in outcome.regions_failed() {
-            let cores: Vec<usize> = report
-                .retired_cores()
-                .iter()
-                .filter(|&&(_, when)| when == at)
-                .map(|&(core, _)| core)
-                .collect();
-            auditor.record_region_fail(group, &cores, at);
-        }
-        for r in report.requeued() {
-            auditor.record_evacuation(r.from_core, r.to_core, r.at_cycles);
-        }
-        for s in report.shed() {
-            auditor.record_shed(s.from_core, s.at_cycles);
-        }
-        for (core, r) in report.per_core().iter().enumerate() {
-            if let Some(r) = r {
-                auditor.record_core(core, r);
-            }
-        }
-        auditor.record_departures(8, outcome.departures());
-        auditor.reconcile();
-        assert!(
-            auditor.is_clean(),
-            "fleet conservation violated: {:?}",
-            auditor.violations()
-        );
+        assert_conserved(&report, &outcome, &log);
 
         // Every per-core report independently passes the serving oracle.
         for r in report.per_core().iter().flatten() {

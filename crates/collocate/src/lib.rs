@@ -67,6 +67,6 @@ pub use kmeans::KMeans;
 pub use pca::Pca;
 pub use pipeline::ClusteringPipeline;
 pub use placer::{AdmissionDecision, OnlinePlacer, Placement, TopoScore, TopologyWeights};
-pub use recovery::{ClusterServeReport, ConservationLedger, RequeueRecord, ShedRecord};
+pub use recovery::{ClusterServeReport, RequeueRecord, ShedRecord};
 pub use schemes::{Scheme, SchemeKind};
 pub use standardize::Standardizer;

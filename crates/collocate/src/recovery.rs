@@ -19,8 +19,8 @@
 //! (`v10_core::serve_design_stressed`).
 //!
 //! [`ClusterServeReport`] holds the serve's final per-core reports and its
-//! recovery ledger (requeues, sheds, retired cores), and
-//! [`ConservationLedger`] reconciles the two.
+//! recovery ledger (requeues, sheds, retired cores); `v10_core`'s
+//! `FleetConservation` auditor reconciles the two.
 //!
 //! Everything here is deterministic: the same arrivals and fault plan
 //! produce byte-identical reports and event streams, regardless of how the
@@ -156,64 +156,11 @@ pub struct ShedRecord {
     pub deadline_unmeetable: bool,
 }
 
-/// The cluster-wide session-conservation identity, computed over the final
-/// per-core reports of a serve. Every admission entry the cluster ever
-/// offered a core — the initially placed sessions plus each successful
-/// requeue — must end in exactly one of three per-core outcomes: boarded
-/// (it appears in that core's workload reports, possibly partially
-/// served), rejected by the engine, or shed by an overload controller's
-/// deadline-shed rung (none in a fleet serve, whose per-core runs are
-/// disarmed). [`holds`](Self::holds) asserts that identity; it is the
-/// fleet-level extension of the single-core `session-conservation`
-/// invariant across region failures and evacuations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConservationLedger {
-    offered_sessions: u64,
-    requeued_sessions: u64,
-    boarded_tenancies: u64,
-    engine_rejections: u64,
-    overload_shed_sessions: u64,
-}
-
-impl ConservationLedger {
-    /// Sessions initially placed onto cores.
-    #[must_use]
-    pub fn offered_sessions(&self) -> u64 {
-        self.offered_sessions
-    }
-
-    /// Admissions the engines turned away (full table at arrival, or an
-    /// arrival after the core retired).
-    #[must_use]
-    pub fn engine_rejections(&self) -> u64 {
-        self.engine_rejections
-    }
-
-    /// Left-hand side of the identity: every per-core outcome.
-    #[must_use]
-    pub fn accounted(&self) -> u64 {
-        self.boarded_tenancies + self.engine_rejections + self.overload_shed_sessions
-    }
-
-    /// Right-hand side of the identity: every admission entry offered.
-    #[must_use]
-    pub fn expected(&self) -> u64 {
-        self.offered_sessions + self.requeued_sessions
-    }
-
-    /// Does the conservation identity hold?
-    #[must_use]
-    pub fn holds(&self) -> bool {
-        self.accounted() == self.expected()
-    }
-}
-
 /// The outcome of a multi-core serve
 /// ([`FleetPlane::serve`](crate::fleet::FleetPlane::serve)): final per-core
 /// reports plus the recovery ledger of its evacuations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterServeReport {
-    offered_sessions: usize,
     per_core: Vec<Option<RunReport>>,
     requeued: Vec<RequeueRecord>,
     shed: Vec<ShedRecord>,
@@ -224,46 +171,16 @@ impl ClusterServeReport {
     /// Assembles a report from the fleet plane's parts: the final per-core
     /// reports and the recovery ledger of its evacuations.
     pub(crate) fn from_parts(
-        offered_sessions: usize,
         per_core: Vec<Option<RunReport>>,
         requeued: Vec<RequeueRecord>,
         shed: Vec<ShedRecord>,
         retired_cores: Vec<(usize, f64)>,
     ) -> Self {
         ClusterServeReport {
-            offered_sessions,
             per_core,
             requeued,
             shed,
             retired_cores,
-        }
-    }
-
-    /// Sessions initially placed onto cores (requeues excluded).
-    #[must_use]
-    pub fn offered_sessions(&self) -> usize {
-        self.offered_sessions
-    }
-
-    /// Computes the cluster-wide session-conservation ledger over the
-    /// final per-core reports (see [`ConservationLedger`]).
-    #[must_use]
-    pub fn conservation(&self) -> ConservationLedger {
-        let boarded = self
-            .reports()
-            .map(|r| r.workloads().len() as u64)
-            .sum::<u64>();
-        let engine_rejections = self.reports().map(RunReport::rejected_admissions).sum();
-        let overload_shed = self
-            .reports()
-            .map(|r| r.overload_stats().shed_requests())
-            .sum();
-        ConservationLedger {
-            offered_sessions: self.offered_sessions as u64,
-            requeued_sessions: self.requeued.len() as u64,
-            boarded_tenancies: boarded,
-            engine_rejections,
-            overload_shed_sessions: overload_shed,
         }
     }
 

@@ -268,7 +268,7 @@ impl FleetConservation {
     /// released there), every message must name an in-range core, and no
     /// tenant may depart twice.
     pub fn record_departures(&mut self, cores: usize, departures: &[v10_sim::DepartureMsg]) {
-        let mut seen: Vec<(usize, u32)> = Vec::with_capacity(departures.len());
+        let mut seen: Vec<usize> = Vec::with_capacity(departures.len());
         let mut last = f64::NEG_INFINITY;
         for (i, d) in departures.iter().enumerate() {
             let at = d.at_cycles.as_f64();
@@ -286,15 +286,11 @@ impl FleetConservation {
                     d.core
                 ));
             }
-            seen.push((d.core, d.label));
+            seen.push(d.arrival);
         }
         seen.sort_unstable();
-        if let Some((&(core, label), _)) =
-            seen.iter().zip(seen.iter().skip(1)).find(|(a, b)| a == b)
-        {
-            self.flag(format!(
-                "tenant with label {label} departed core {core} twice"
-            ));
+        if let Some((&arrival, _)) = seen.iter().zip(seen.iter().skip(1)).find(|(a, b)| a == b) {
+            self.flag(format!("the tenant of arrival {arrival} departed twice"));
         }
         let departed = v10_sim::convert::u64_from_usize(departures.len());
         if departed > self.placed {
@@ -745,12 +741,12 @@ mod tests {
                 v10_sim::DepartureMsg {
                     at_cycles: v10_sim::Cycles::new(10.0),
                     core: 0,
-                    label: 0,
+                    arrival: 0,
                 },
                 v10_sim::DepartureMsg {
                     at_cycles: v10_sim::Cycles::new(25.0),
                     core: 0,
-                    label: 1,
+                    arrival: 1,
                 },
             ],
         );
@@ -773,12 +769,12 @@ mod tests {
                 v10_sim::DepartureMsg {
                     at_cycles: v10_sim::Cycles::new(30.0),
                     core: 0,
-                    label: 0,
+                    arrival: 0,
                 },
                 v10_sim::DepartureMsg {
                     at_cycles: v10_sim::Cycles::new(10.0),
                     core: 1,
-                    label: 1,
+                    arrival: 1,
                 },
             ],
         );
@@ -795,12 +791,12 @@ mod tests {
                 v10_sim::DepartureMsg {
                     at_cycles: v10_sim::Cycles::new(10.0),
                     core: 5,
-                    label: 0,
+                    arrival: 0,
                 },
                 v10_sim::DepartureMsg {
                     at_cycles: v10_sim::Cycles::new(10.0),
                     core: 5,
-                    label: 0,
+                    arrival: 0,
                 },
             ],
         );

@@ -648,8 +648,8 @@ impl V10Strategy {
         #[cfg(debug_assertions)]
         core.debug_validate_spine();
 
-        // -------- Phase 1: promote fetches (calendar pops the due set in
-        // workload order), then issue ready operators.
+        // -------- Phase 1: promote due fetches in admission order, then
+        // issue ready operators.
         core.promote_due_fetches()?;
         for s in 0..core.slots.len() {
             let (occupied, switch_until, kind, fu) = {

@@ -34,7 +34,7 @@
 //! is freed, so [`EngineCore::into_report`] only moves the rows out. A
 //! tenancy is named two ways: by its *workload index* (admission order in
 //! the run, the index of its report row and of its events) and, while it
-//! is live, by its *table slot*, which keys its entry, the fetch calendar
+//! is live, by its *table slot*, which keys its entry, its fetch deadline
 //! and the FU slots' occupants. Loops that break ties by admission order
 //! walk the live list, which holds the live table slots in admission
 //! order.
@@ -69,9 +69,7 @@ use std::collections::VecDeque;
 use v10_isa::{FuKind, OpDesc, RequestTrace};
 use v10_npu::{FuId, HbmArbiter, InstructionDma, NpuConfig};
 use v10_sim::convert::{u64_from_usize, u64_to_f64, usize_to_f64};
-use v10_sim::{
-    Cycles, FaultEvent, FaultInjector, FaultKind, Flow, HorizonCalendar, V10Error, V10Result,
-};
+use v10_sim::{FaultEvent, FaultInjector, FaultKind, Flow, V10Error, V10Result};
 
 use crate::context::{ContextTable, WorkloadId};
 use crate::lifecycle::Admission;
@@ -318,12 +316,14 @@ pub(crate) struct EngineCore<O: SimObserver> {
     live: Vec<usize>,
     /// Live tenancies with `completed < quota` — makes `all_done` O(1).
     unmet: usize,
-    /// Fetch-horizon calendar: one entry per live tenancy whose current
-    /// operator is neither Ready nor Active, keyed by table slot at its
-    /// `fetch_ready_at`. Replaces the per-step fetch min-scan.
-    fetch_cal: HorizonCalendar,
-    /// Reusable buffer for `promote_due_fetches`.
-    fetch_scratch: Vec<usize>,
+    /// Context-table slot index -> when its tenancy's pending instruction
+    /// fetch completes: the tenancy's `fetch_ready_at` while its current
+    /// operator is neither Ready nor Active, infinite otherwise and while
+    /// the slot is free. Sized to the table, so the next fetch is a min
+    /// over its rows.
+    ///
+    /// unit: absolute cycles.
+    fetch_at: Vec<f64>,
     /// Events awaiting a flush (at each clock advance and at report
     /// assembly), so observer dispatch stays out of the bookkeeping paths.
     event_buf: Vec<SimEvent>,
@@ -389,8 +389,7 @@ impl<O: SimObserver> EngineCore<O> {
             armed: None,
             live: Vec::new(),
             unmet: 0,
-            fetch_cal: HorizonCalendar::new(),
-            fetch_scratch: Vec::new(),
+            fetch_at: vec![f64::INFINITY; capacity],
             event_buf: Vec::new(),
             rejected: 0,
             arrival_seq: 0,
@@ -757,7 +756,7 @@ impl<O: SimObserver> EngineCore<O> {
         if quota > 0 {
             self.unmet += 1;
         }
-        self.fetch_cal.set(t, Cycles::new(fetch_at))?;
+        self.set_fetch_at(t, fetch_at);
         self.emit(SimEvent::TenantAdmitted {
             workload: w,
             at: now,
@@ -863,7 +862,7 @@ impl<O: SimObserver> EngineCore<O> {
             self.fold_into_row(tn, Some(now));
         }
         self.unmet = 0;
-        self.fetch_cal.reset();
+        self.fetch_at.fill(f64::INFINITY);
         while let Some((seq, _)) = self.armed.as_mut().and_then(|a| a.parked.pop_front()) {
             self.rejected += 1;
             self.emit(SimEvent::AdmissionRejected {
@@ -1041,35 +1040,30 @@ impl<O: SimObserver> EngineCore<O> {
 
     /// Promotes every tenancy whose instruction fetch has completed
     /// (`fetch_ready_at <= now + EPS`): sets its context-table Ready bit
-    /// and emits [`SimEvent::DmaReady`], in admission order — exactly the
-    /// index-order promotion scan the V10 step loop ran before the
-    /// calendar existed, but touching only the due entries. The calendar
-    /// pops table slots, so the due set is put back in admission order.
+    /// and emits [`SimEvent::DmaReady`], in admission order (the live
+    /// list's order).
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::InvalidArgument`] if a calendar entry points at
-    /// a stale tenancy (an engine invariant violation).
+    /// Returns [`V10Error::InvalidArgument`] if the live list names a free
+    /// slot (an engine invariant violation).
     pub(crate) fn promote_due_fetches(&mut self) -> V10Result<()> {
         let now = self.now;
-        match self.fetch_cal.peek_min() {
-            Some((_, d)) if d.as_f64() <= now + EPS => {}
-            _ => return Ok(()),
-        }
-        let mut due = std::mem::take(&mut self.fetch_scratch);
-        due.clear();
-        if self.fetch_cal.pop_due(Cycles::new(now + EPS), &mut due) > 1 {
-            due.sort_unstable_by_key(|&t| self.workload_of(t));
-        }
-        for &t in &due {
-            let Some(tn) = self.tenancies.get(t).and_then(Option::as_ref) else {
-                debug_assert!(false, "calendar held a free slot");
-                continue;
+        for i in 0..self.live.len() {
+            let Some(&t) = self.live.get(i) else {
+                break;
             };
-            let (w, id, op_id) = (tn.workload, tn.id, tn.next_op_id);
+            match self.fetch_at.get_mut(t) {
+                Some(at) if *at <= now + EPS => *at = f64::INFINITY,
+                _ => continue,
+            }
+            let (w, id, op_id) = {
+                let tn = self.tenancy(t)?;
+                (tn.workload, tn.id, tn.next_op_id)
+            };
             debug_assert!(
                 !self.table.is_active(id) && !self.table.is_ready(id),
-                "calendar held a tenancy that was already promoted"
+                "a fetch was pending for a tenancy that was already promoted"
             );
             self.table.set_ready(id, true)?;
             self.emit(SimEvent::DmaReady {
@@ -1078,27 +1072,35 @@ impl<O: SimObserver> EngineCore<O> {
                 at: now,
             });
         }
-        self.fetch_scratch = due;
         Ok(())
     }
 
     /// The earliest pending instruction-fetch horizon, if any. After
     /// [`promote_due_fetches`](Self::promote_due_fetches) every remaining
-    /// entry is strictly in the future; callers keep the historical
+    /// deadline is strictly in the future; callers keep the historical
     /// `> now + EPS` guard when folding this into the step horizon.
-    pub(crate) fn next_fetch_at(&mut self) -> Option<f64> {
-        self.fetch_cal.peek_min().map(|(_, d)| d.as_f64())
+    pub(crate) fn next_fetch_at(&self) -> Option<f64> {
+        let at = self.fetch_at.iter().copied().fold(f64::INFINITY, f64::min);
+        at.is_finite().then_some(at)
+    }
+
+    /// Sets table slot `t`'s fetch deadline (infinite: none pending).
+    fn set_fetch_at(&mut self, t: usize, at: f64) {
+        if let Some(slot) = self.fetch_at.get_mut(t) {
+            *slot = at;
+        }
     }
 
     /// Differential cross-check of the event-spine indexes against the
-    /// naive scans they replaced: the fetch calendar must hold exactly the
-    /// live not-Ready/not-Active tenancies at their `fetch_ready_at`, the
-    /// live list exactly the occupied table slots in admission order, each
-    /// live tenancy's report row open and its own, the unmet counter the
-    /// number of under-quota tenancies, the context table's candidate sets
+    /// naive scans they replaced: each slot's fetch deadline must be its
+    /// tenancy's `fetch_ready_at` exactly when the tenancy is live and
+    /// neither Ready nor Active, and infinite otherwise, the live list
+    /// exactly the occupied table slots in admission order, each live
+    /// tenancy's report row open and its own, the unmet counter the number
+    /// of under-quota tenancies, the context table's candidate sets
     /// exactly the rows Algorithm 1 may pick, and each occupied slot's
     /// cached demand its occupant's operator's. Debug builds run this every
-    /// step (the calendar differential test drives it across random
+    /// step (the spine differential test drives it across random
     /// schedules); release builds compile it out.
     ///
     /// # Panics
@@ -1108,13 +1110,14 @@ impl<O: SimObserver> EngineCore<O> {
     pub(crate) fn debug_validate_spine(&self) {
         let mut unmet_naive = 0usize;
         let mut seated = 0usize;
-        for (t, tn) in self.tenancies.iter().enumerate() {
+        assert_eq!(
+            self.fetch_at.len(),
+            self.tenancies.len(),
+            "fetch deadlines diverged from the table's size"
+        );
+        for (t, (tn, &fetch_at)) in self.tenancies.iter().zip(&self.fetch_at).enumerate() {
             let Some(tn) = tn else {
-                assert_eq!(
-                    self.fetch_cal.deadline_of(t),
-                    None,
-                    "calendar entry for free slot {t}"
-                );
+                assert!(fetch_at.is_infinite(), "free slot {t} has a fetch deadline");
                 continue;
             };
             seated += 1;
@@ -1128,22 +1131,21 @@ impl<O: SimObserver> EngineCore<O> {
                 unmet_naive += 1;
             }
             let awaits_fetch = !self.table.is_active(tn.id) && !self.table.is_ready(tn.id);
-            match self.fetch_cal.deadline_of(t) {
-                Some(d) => {
-                    assert!(
-                        awaits_fetch,
-                        "calendar entry for slot {t} without a pending fetch"
-                    );
-                    assert_eq!(
-                        d.as_f64().to_bits(),
-                        tn.fetch_ready_at.to_bits(),
-                        "calendar deadline for slot {t} diverged from fetch_ready_at"
-                    );
-                }
-                None => assert!(
-                    !awaits_fetch,
-                    "slot {t} awaits a fetch but has no calendar entry"
-                ),
+            if awaits_fetch {
+                assert!(
+                    tn.fetch_ready_at.is_finite(),
+                    "slot {t} awaits a fetch that never completes"
+                );
+                assert_eq!(
+                    fetch_at.to_bits(),
+                    tn.fetch_ready_at.to_bits(),
+                    "fetch deadline for slot {t} diverged from fetch_ready_at"
+                );
+            } else {
+                assert!(
+                    fetch_at.is_infinite(),
+                    "slot {t} has a fetch deadline without a pending fetch"
+                );
             }
         }
         // Strictly increasing workload indices over occupied slots, as many
@@ -1319,14 +1321,14 @@ impl<O: SimObserver> EngineCore<O> {
             if let Some(pos) = self.live.iter().position(|&live| live == t) {
                 self.live.remove(pos);
             }
-            self.fetch_cal.clear(t);
+            self.set_fetch_at(t, f64::INFINITY);
             if let Some(tn) = self.tenancies.get_mut(t).and_then(Option::take) {
                 self.fold_into_row(tn, Some(now));
             }
         } else {
             // The caller released the tenancy's Active bit before completing
             // the operator, so it is back to awaiting its next fetch.
-            self.fetch_cal.set(t, Cycles::new(fetch_at))?;
+            self.set_fetch_at(t, fetch_at);
         }
         self.emit(SimEvent::OpCompleted {
             workload: w,

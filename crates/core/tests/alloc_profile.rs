@@ -19,9 +19,9 @@
 //! when a core is handed one admission per fence, as the fleet plane
 //! feeds its cores, and a fourth bounds the heap a sampled arrival
 //! stream holds per session: its recipes, not its traces. And the
-//! engine's event counts on the census
-//! schedules are pinned exactly, so a change that adds or drops an
-//! engine step fails without a wall clock. All of these counts are
+//! engine's event counts and event order on the census schedules are
+//! pinned exactly, so a change that adds, drops or reorders an engine
+//! step fails without a wall clock. All of these counts are
 //! exact: they repeat run to run and no host load moves them.
 //!
 //! Run with `--nocapture` to see the census.
@@ -38,7 +38,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use v10_core::{
     run_design, serve_design, serve_design_stressed, serve_design_stressed_observed, Admission,
     AdmissionSchedule, CoreRun, CounterObserver, Design, FaultPlan, NullObserver,
-    OverloadController, OverloadPolicy, RunOptions, RunReport, WorkloadReport, WorkloadSpec,
+    OverloadController, OverloadPolicy, RunOptions, RunReport, SimEvent, SimObserver,
+    WorkloadReport, WorkloadSpec,
 };
 use v10_isa::{FuKind, OpDesc, RequestTrace};
 use v10_npu::NpuConfig;
@@ -413,15 +414,37 @@ fn closed_loop_pair() -> [WorkloadSpec; 2] {
 }
 
 /// What one observed run's event stream counts: every event, the
-/// preemption-timer ticks among them, and the requests completed.
+/// preemption-timer ticks among them, the requests completed, and an
+/// order-sensitive digest of the whole stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EventCounts {
     events: u64,
     timer_ticks: u64,
     completed: usize,
+    order: u64,
 }
 
-/// Serves `schedule` under `design` with a [`CounterObserver`] attached.
+/// Counts an event stream and folds each event, in emission order, into
+/// an FNV-1a digest of its `Debug` text: the variant's name and every
+/// field, ids and cycle stamps alike. `f64`'s `Debug` prints the shortest
+/// text that parses back to the same bits, so two streams digest alike
+/// only if they carry the same events, with the same ids and the same
+/// `at` bits, in the same order.
+struct OrderDigest {
+    counter: CounterObserver,
+    digest: u64,
+}
+
+impl SimObserver for OrderDigest {
+    fn on_event(&mut self, event: SimEvent) {
+        self.counter.on_event(event);
+        for byte in format!("{event:?}").bytes() {
+            self.digest = (self.digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Serves `schedule` under `design` with an [`OrderDigest`] attached.
 fn event_counts(
     design: Design,
     schedule: &AdmissionSchedule,
@@ -429,7 +452,10 @@ fn event_counts(
     plan: &FaultPlan,
     controller: OverloadController,
 ) -> EventCounts {
-    let mut counter = CounterObserver::new();
+    let mut observer = OrderDigest {
+        counter: CounterObserver::new(),
+        digest: 0xcbf2_9ce4_8422_2325,
+    };
     let report = serve_design_stressed_observed(
         design,
         schedule,
@@ -437,36 +463,40 @@ fn event_counts(
         opts,
         plan,
         controller,
-        &mut counter,
+        &mut observer,
     )
     .expect("valid observed run");
     EventCounts {
-        events: counter.total(),
-        timer_ticks: counter.timer_tick(),
+        events: observer.counter.total(),
+        timer_ticks: observer.counter.timer_tick(),
         completed: completed(&report),
+        order: observer.digest,
     }
 }
 
 /// The census schedules' event counts: (schedule, design, events, timer
-/// ticks, completed requests).
-const PINNED_EVENT_COUNTS: [(&str, Design, u64, u64, usize); 9] = [
-    ("open loop", Design::Pmt, 9357, 0, 81),
-    ("open loop", Design::V10Base, 37939, 0, 129),
-    ("open loop", Design::V10Fair, 42173, 0, 132),
-    ("open loop", Design::V10Full, 59786, 6281, 129),
-    ("armed", Design::V10Full, 51534, 6016, 120),
-    ("pair", Design::Pmt, 10425, 0, 236),
-    ("pair", Design::V10Base, 29672, 0, 298),
-    ("pair", Design::V10Fair, 29672, 0, 298),
-    ("pair", Design::V10Full, 48081, 7210, 235),
+/// ticks, completed requests, event-order digest), one row per line as
+/// the test prints them, so a deliberate change can paste its re-pins.
+#[rustfmt::skip]
+const PINNED_EVENT_COUNTS: [(&str, Design, u64, u64, usize, u64); 9] = [
+    ("open loop", Design::Pmt, 9357, 0, 81, 0x89caf6797b5d7f37),
+    ("open loop", Design::V10Base, 37939, 0, 129, 0xa01c15e7a7d7a8ce),
+    ("open loop", Design::V10Fair, 42173, 0, 132, 0x8be2dbc60a962b06),
+    ("open loop", Design::V10Full, 59786, 6281, 129, 0xeca97d8c463c0d5b),
+    ("armed", Design::V10Full, 51534, 6016, 120, 0x7ff4311abed47faf),
+    ("pair", Design::Pmt, 10425, 0, 236, 0x5c13626a0fd26821),
+    ("pair", Design::V10Base, 29672, 0, 298, 0xb16b4218950270a1),
+    ("pair", Design::V10Fair, 29672, 0, 298, 0xb16b4218950270a1),
+    ("pair", Design::V10Full, 48081, 7210, 235, 0xadcff9acf961f48d),
 ];
 
 /// The exact events-per-request gate: on the census schedules (the
 /// disarmed open loop under every design, the armed run with faults, and
 /// the MNIST+NCF pair closed loop at 64 requests under every design) the
-/// engine emits exactly the pinned number of events and timer ticks and
-/// completes exactly the pinned requests. A change that adds or drops an
-/// engine step moves these counts, whatever the host's clock says.
+/// engine emits exactly the pinned number of events and timer ticks,
+/// completes exactly the pinned requests, and emits its events in the
+/// pinned order. A change that adds, drops or reorders an engine step
+/// moves these pins, whatever the host's clock says.
 #[test]
 fn engine_event_counts_are_pinned() {
     // Measures no allocations, but would allocate under another gate's
@@ -484,7 +514,7 @@ fn engine_event_counts_are_pinned() {
         .expect("positive table capacity");
     let none = FaultPlan::none();
     let mut diverged = Vec::new();
-    for (name, design, events, timer_ticks, completed) in PINNED_EVENT_COUNTS {
+    for (name, design, events, timer_ticks, completed, order) in PINNED_EVENT_COUNTS {
         let got = match name {
             "open loop" => event_counts(
                 design,
@@ -509,13 +539,14 @@ fn engine_event_counts_are_pinned() {
             ),
         };
         println!(
-            "(\"{name}\", Design::{design:?}, {}, {}, {}),",
-            got.events, got.timer_ticks, got.completed
+            "(\"{name}\", Design::{design:?}, {}, {}, {}, {:#018x}),",
+            got.events, got.timer_ticks, got.completed, got.order
         );
         let want = EventCounts {
             events,
             timer_ticks,
             completed,
+            order,
         };
         if got != want {
             diverged.push(format!("{name} {design}: {got:?}, pinned {want:?}"));

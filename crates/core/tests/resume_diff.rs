@@ -4,7 +4,7 @@
 //! scripted faults, all dated at or after that fence, have been handed
 //! over. The promise is that the split run is bit-identical to one that
 //! was handed everything up front and finished. This test checks it the
-//! way `calendar_diff.rs` checks the event spine: seeded random admission
+//! way `spine_diff.rs` checks the event spine: seeded random admission
 //! schedules and fault plans (transient, stall and `CoreRetire`) run
 //! through all four designs, with an armed overload controller on the V10
 //! designs, once unsplit (every admission pushed before the first step)

@@ -55,7 +55,7 @@ pub const P1_CRATES: [&str; 5] = ["core", "isa", "npu", "sim", "workloads"];
 
 /// Cycle/byte accounting modules under the D3 cast rule (repo-relative,
 /// unix separators).
-pub const ACCOUNTING_MODULES: [&str; 18] = [
+pub const ACCOUNTING_MODULES: [&str; 17] = [
     "crates/npu/src/hbm.rs",
     "crates/npu/src/dma.rs",
     "crates/systolic/src/array.rs",
@@ -73,7 +73,6 @@ pub const ACCOUNTING_MODULES: [&str; 18] = [
     "crates/core/src/packed.rs",
     "crates/core/src/policy.rs",
     "crates/sim/src/shard.rs",
-    "crates/sim/src/calendar.rs",
 ];
 
 /// One file to scan: its repo-relative path (unix separators, the stable
@@ -245,7 +244,7 @@ mod tests {
         // New accounting modules carry D3 + U1.
         let s = scope_for("crates/core/src/packed.rs").unwrap();
         assert!(s.d3 && s.u1);
-        let s = scope_for("crates/sim/src/calendar.rs").unwrap();
+        let s = scope_for("crates/sim/src/shard.rs").unwrap();
         assert!(s.d3 && s.u1);
 
         // E1 anchors at the event definition only.
@@ -256,9 +255,9 @@ mod tests {
         // facade, their tests, or the bench crate.
         assert!(scope_for("crates/collocate/src/fleet.rs").unwrap().s1);
         assert!(!scope_for("src/lib.rs").unwrap().s1);
-        assert!(!scope_for("crates/core/tests/calendar_diff.rs").unwrap().s1);
+        assert!(!scope_for("crates/core/tests/spine_diff.rs").unwrap().s1);
         assert_eq!(src_crate("crates/core/src/engine.rs"), Some("core"));
-        assert_eq!(src_crate("crates/core/tests/calendar_diff.rs"), None);
+        assert_eq!(src_crate("crates/core/tests/spine_diff.rs"), None);
         assert_eq!(src_crate("tests/golden_run.rs"), None);
 
         // The facade is sim-path for D1/D2.

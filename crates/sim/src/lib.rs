@@ -6,13 +6,6 @@
 //! * [`time`] — strongly-typed simulation time ([`Cycles`], [`CycleCount`],
 //!   [`Micros`], [`Bytes`]) and clock-frequency conversions
 //!   ([`Frequency`]).
-//! * [`calendar`] — an indexed next-event calendar ([`HorizonCalendar`]):
-//!   a lazy-deletion binary min-heap over absolute f64 deadlines that
-//!   replaces the engines' per-step min-scans, differentially tested
-//!   against the naive scan.
-//! * [`intern`] — tenant-label interning ([`LabelInterner`]) so the fleet
-//!   plane's departure messages carry dense `u32` ids instead of
-//!   `String`s.
 //! * [`bandwidth`] — a water-filling (max-min fair) bandwidth allocator
 //!   ([`WaterFilling`]) used to model HBM bandwidth sharing between
 //!   concurrently executing operators and DMA prefetch flows.
@@ -60,11 +53,9 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bandwidth;
-pub mod calendar;
 pub mod convert;
 pub mod error;
 pub mod fault;
-pub mod intern;
 pub mod repro;
 pub mod rng;
 pub mod shard;
@@ -72,13 +63,11 @@ pub mod stats;
 pub mod time;
 
 pub use bandwidth::{Flow, WaterFilling};
-pub use calendar::HorizonCalendar;
 pub use error::{V10Error, V10Result};
 pub use fault::{
     FaultEvent, FaultInjector, FaultKind, FaultPlan, FleetFaultEvent, FleetFaultKind,
     FleetFaultPlan,
 };
-pub use intern::{LabelId, LabelInterner};
 pub use repro::{ReproFixture, ScenarioKnobs, REPRO_SCHEMA};
 pub use rng::SimRng;
 pub use shard::{merge_messages, parallel_map_with, DepartureMsg, EpochClock, ShardMap};

@@ -5,7 +5,7 @@
 //! simulated time ([`EpochClock`]). Shards only exchange state at epoch
 //! boundaries, as simulated-time-stamped messages ([`DepartureMsg`]), and
 //! the coordinator consumes them through [`merge_messages`] — a total
-//! order on `(time, core, interned label)` that is independent of how
+//! order on `(time, core, arrival)` that is independent of how
 //! many shards produced the streams or which thread finished first. This
 //! is the byte-identical parallel-sweep recipe (input-order scatter-back
 //! plus a deterministic reduce) applied *inside* one run: an N-shard
@@ -22,7 +22,6 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::convert::f64_to_u64;
 use crate::error::{V10Error, V10Result};
-use crate::intern::LabelId;
 use crate::time::Cycles;
 
 /// Fixed, balanced, contiguous assignment of `cores` cores to `shards`
@@ -246,22 +245,22 @@ impl EpochClock {
 }
 
 /// One tenant departure crossing a shard boundary: the owning shard
-/// reports that the tenant with interned label `label` retired from
-/// `core` at simulated time `at_cycles`, so the coordinator can recycle
-/// its context-table slot.
+/// reports that the tenant of arrival `arrival` retired from `core` at
+/// simulated time `at_cycles`, so the coordinator can recycle its
+/// context-table slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DepartureMsg {
     /// Simulated retirement time.
     pub at_cycles: Cycles,
     /// The core the tenant departed from.
     pub core: usize,
-    /// The tenant's interned label — the deterministic tie-break for
-    /// simultaneous departures from the same core.
-    pub label: LabelId,
+    /// The tenant's arrival index (its offer order) — the deterministic
+    /// tie-break for simultaneous departures from the same core.
+    pub arrival: usize,
 }
 
 /// Merges per-shard message streams into one simulated-time-ordered
-/// stream: ascending `(at_cycles, core, label)` with `f64::total_cmp`
+/// stream: ascending `(at_cycles, core, arrival)` with `f64::total_cmp`
 /// time ordering. Shards partition cores, so the `core` tie-break also
 /// fixes the order between messages from different shards; the result is
 /// byte-identical whatever the shard count or production order.
@@ -272,7 +271,7 @@ pub fn merge_messages(streams: Vec<Vec<DepartureMsg>>) -> Vec<DepartureMsg> {
         a.at_cycles
             .total_cmp(&b.at_cycles)
             .then(a.core.cmp(&b.core))
-            .then(a.label.cmp(&b.label))
+            .then(a.arrival.cmp(&b.arrival))
     });
     merged
 }
@@ -367,40 +366,40 @@ mod tests {
     }
 
     #[test]
-    fn merge_orders_by_time_then_core_then_label() {
+    fn merge_orders_by_time_then_core_then_arrival() {
         let a = vec![
             DepartureMsg {
                 at_cycles: Cycles::new(10.0),
                 core: 3,
-                label: 7,
+                arrival: 7,
             },
             DepartureMsg {
                 at_cycles: Cycles::new(5.0),
                 core: 1,
-                label: 2,
+                arrival: 2,
             },
         ];
         let b = vec![
             DepartureMsg {
                 at_cycles: Cycles::new(10.0),
                 core: 2,
-                label: 9,
+                arrival: 9,
             },
             DepartureMsg {
                 at_cycles: Cycles::new(10.0),
                 core: 3,
-                label: 1,
+                arrival: 1,
             },
             DepartureMsg {
                 at_cycles: Cycles::new(5.0),
                 core: 0,
-                label: 4,
+                arrival: 4,
             },
         ];
         let merged = merge_messages(vec![a, b]);
-        let keys: Vec<(f64, usize, u32)> = merged
+        let keys: Vec<(f64, usize, usize)> = merged
             .iter()
-            .map(|m| (m.at_cycles.as_f64(), m.core, m.label))
+            .map(|m| (m.at_cycles.as_f64(), m.core, m.arrival))
             .collect();
         assert_eq!(
             keys,
@@ -422,7 +421,7 @@ mod tests {
             .map(|i| DepartureMsg {
                 at_cycles: Cycles::new(f64::from(u32::try_from(i % 5).unwrap())),
                 core: (17 * i + 3) % 8,
-                label: u32::try_from(i * 13 % 6).unwrap(),
+                arrival: i * 13 % 6,
             })
             .collect();
         let one = merge_messages(vec![msgs.clone()]);

@@ -22,7 +22,7 @@ use v10::collocate::{
     build_dataset, ClusterServeReport, ClusteringPipeline, FleetOutcome, FleetPlane, OnlinePlacer,
     PairPerfCache, TopologyWeights,
 };
-use v10::core::{Design, NullObserver, RunOptions};
+use v10::core::{Design, FleetConservation, NullObserver, RunOptions};
 use v10::npu::{FleetTopology, NpuConfig};
 use v10::sim::{Cycles, FleetFaultKind, FleetFaultPlan};
 use v10::workloads::{MmppProcess, Model, TimedArrival};
@@ -192,7 +192,35 @@ fn main() {
             r.remaining_requests,
         );
     }
-    let conservation = report.conservation();
-    assert!(conservation.holds(), "conservation broke: {conservation:?}");
-    println!("\nConservation ledger holds through the blast radius.");
+    // The fleet conservation oracle: every arrival placed or rejected,
+    // every placement and evacuation hosted by exactly one core's report,
+    // evacuations and sheds only off the failed region, and departures in
+    // simulated-time order.
+    let mut auditor = FleetConservation::new();
+    auditor.record_flow(outcome.offered(), outcome.placed(), outcome.rejected());
+    let retired: Vec<usize> = report
+        .retired_cores()
+        .iter()
+        .map(|&(core, _)| core)
+        .collect();
+    auditor.record_region_fail(group, &retired, at);
+    for r in report.requeued() {
+        auditor.record_evacuation(r.from_core, r.to_core, r.at_cycles);
+    }
+    for s in report.shed() {
+        auditor.record_shed(s.from_core, s.at_cycles);
+    }
+    for (core, r) in report.per_core().iter().enumerate() {
+        if let Some(r) = r {
+            auditor.record_core(core, r);
+        }
+    }
+    auditor.record_departures(report.per_core().len(), outcome.departures());
+    auditor.reconcile();
+    assert!(
+        auditor.is_clean(),
+        "conservation broke: {:?}",
+        auditor.violations()
+    );
+    println!("\nFleet conservation holds through the blast radius.");
 }
